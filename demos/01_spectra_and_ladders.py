@@ -40,8 +40,8 @@ print(f"\ndisjoint spectra: {report.disjoint} (min gap {report.min_gap:.3f} at p
 gamma = 0.7
 seqs = [spectra.shift(linear), spectra.shift(other)]
 b = hilbert.lowering_operator(seqs, gamma)
-print("\nlowering operator block (0,0), first 4x4:")
-print(np.round(b.block(0, 0)[:4, :4], 3))
+print("\nlowering operator, sector 0 block, first 4x4:")
+print(np.round(b.blocks[0][:4, :4], 3))
 
 # B+ B is diagonal with the shifted eigenvalues on every sector
 diag = np.diag((b.adjoint() @ b).matrix).real

@@ -35,7 +35,7 @@ for t in (0.1, 1.0, 10.0):
     print(f"temporal stability, t={t:>4}: residual {resid:.2e}")
 
 # eigenstate of the lowering operator at the same gamma, not at another
-matched = vcs.eigenstate_residual(state, hilbert.eds_lowering_operator(shifted, params.gamma))
+matched = vcs.eigenstate_residual(state, hilbert.lowering_operator(shifted, params.gamma))
 print(f"\neigenstate residual (matched phase):    {matched:.2e}")
 
 witness_seqs = [
@@ -45,7 +45,7 @@ witness_seqs = [
 w_state = vcs.eds_family_state(witness_seqs, vcs.VcsParams((1.0, 1.0), 0.4))
 w_shifted = [spectra.shift(s) for s in witness_seqs]
 mismatched = vcs.eigenstate_residual(
-    w_state, hilbert.eds_lowering_operator(w_shifted, 1.4)
+    w_state, hilbert.lowering_operator(w_shifted, 1.4)
 )
 print(f"eigenstate residual (mismatched phase, nonlinear spectra): {mismatched:.2e}")
 

@@ -19,24 +19,24 @@ dim = 60
 a = hilbert.boson_ladder(dim).matrix
 ad = a.conj().T
 problem = IntertwiningProblem(
-    h=BlockOperator.single_sector(ad @ a),
-    x=BlockOperator.single_sector(ad @ ad),
+    h=BlockOperator([ad @ a]),
+    x=BlockOperator([ad @ ad]),
     ladder_degree=2,
 )
-n_op = (ad @ a).real
-window = np.ix_(problem.mask, problem.mask)
+n_op = ad @ a
+window = np.s_[: problem.keep, : problem.keep]
 
 iso = intertwine.construct_companion(problem)
 print("plain ladder, x = (a+)^2:")
 print("  N1 equals N^2+3N+2 to",
-      f"{hilbert.max_abs((iso.n1.matrix - (n_op@n_op + 3*n_op + 2*np.eye(dim)))[window]):.1e}")
+      f"{hilbert.max_abs((iso.n1.blocks[0] - (n_op@n_op + 3*n_op + 2*np.eye(dim)))[window]):.1e}")
 print("  companion equals N+2 to",
-      f"{hilbert.max_abs((iso.companion.matrix - (n_op + 2*np.eye(dim)))[window]):.1e}")
+      f"{hilbert.max_abs((iso.companion.blocks[0] - (n_op + 2*np.eye(dim)))[window]):.1e}")
 
-squared = intertwine.map_companion(problem, SpectralMap.polynomial([0, 0, 1]))
+squared = intertwine.construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
 ref = (n_op + 2 * np.eye(dim)) @ (n_op + 2 * np.eye(dim))
 print("  f(t)=t^2 companion equals (N+2)^2 to",
-      f"{hilbert.max_abs((squared.companion.matrix - ref)[window]):.1e}")
+      f"{hilbert.max_abs((squared.companion.blocks[0] - ref)[window]):.1e}")
 
 probe = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([0, 0, 1]))
 print(f"  map-equality probe residual: {probe.max_residual:.1e} over {probe.n_trials} trials")
@@ -55,8 +55,8 @@ print(f"\ndeformed ladder q={q}: closed-form deviations "
 
 aq = hilbert.quon_ladder(dim, q).matrix
 problem_q = IntertwiningProblem(
-    h=BlockOperator.single_sector(aq.conj().T @ aq),
-    x=BlockOperator.single_sector(aq.conj().T @ aq.conj().T),
+    h=BlockOperator([aq.T @ aq]),
+    x=BlockOperator([aq.T @ aq.T]),
     ladder_degree=2,
 )
 f = SpectralMap.polynomial([0.5, 1.0, 0.25])
@@ -65,8 +65,8 @@ print(f"deformed map-equality probe residual: {probe_q.max_residual:.1e}")
 
 # --- invertible intertwiner: the sufficient condition holds trivially ----------
 problem_i = IntertwiningProblem(
-    h=BlockOperator.single_sector(n_op),
-    x=BlockOperator.single_sector(np.eye(dim) + n_op),
+    h=BlockOperator([n_op]),
+    x=BlockOperator([np.eye(dim) + n_op]),
     ladder_degree=0,
 )
 check_i = intertwine.projection_identity_check(problem_i, l_max=4)

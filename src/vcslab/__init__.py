@@ -29,9 +29,7 @@ from .hilbert import (
     LadderRealization,
     GridSpec,
     basis_vector,
-    gk_ladder,
     lowering_operator,
-    eds_lowering_operator,
     delta_lowering_operator,
     boson_ladder,
     quon_ladder,
@@ -68,7 +66,6 @@ from .intertwine import (
     IntertwiningProblem,
     IntertwiningResult,
     construct_companion,
-    map_companion,
     example_problem,
     h_tau_residual,
     power_series_equality_probe,

@@ -22,8 +22,9 @@ from .hilbert import (
     boson_ladder,
     BlockOperator,
     delta_lowering_operator,
-    eds_lowering_operator,
+    lowering_operator,
     max_abs,
+    quon_ladder,
     shifted_hamiltonian,
     susy_hamiltonian,
 )
@@ -35,7 +36,6 @@ from .intertwine import (
     fit_power_law,
     grid_partner_comparison,
     h_tau_residual,
-    map_companion,
     power_series_equality_probe,
     projection_identity_check,
     quon_closed_forms,
@@ -53,6 +53,11 @@ from .vcs import (
 )
 
 __all__ = ["run_experiment"]
+
+
+def _worst(values) -> float:
+    """Largest value; unlike Python's ``max``, a NaN anywhere makes it NaN."""
+    return float(np.max(values))
 
 
 def _sequences(config: ExperimentConfig):
@@ -91,7 +96,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
         shifted = [shift(s) for s in seqs]
 
         def lowering(gamma):
-            return eds_lowering_operator(shifted, gamma)
+            return lowering_operator(shifted, gamma)
 
         def build(p):
             return eds_family_state(seqs, p)
@@ -138,7 +143,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
     else:
         results = [one_sample(p) for p in draws]
 
-    worst = {key: max(r[key] for r in results) for key in results[0]}
+    worst = {key: _worst([r[key] for r in results]) for key in results[0]}
     checks = [
         CheckRecord("truncation-tail-bound", "state-normalization", worst["tail"], tol["tail"]),
         CheckRecord("action-identity-residual", "action-identity", worst["action"], tol["action"]),
@@ -169,7 +174,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
             float(witness.get("gamma", 0.4)),
         )
         state = eds_family_state(w_seqs, w_params)
-        mismatched = eds_lowering_operator(
+        mismatched = lowering_operator(
             [shift(s) for s in w_seqs],
             w_params.gamma + float(witness.get("gamma_offset", 1.0)),
         )
@@ -242,27 +247,28 @@ def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
         )
         return checks, tables
 
-    diag_errors, offdiag_errors = [], []
-    moment_worst = 0.0
-    hermiticity_worst = 0.0
+    diag_errors, offdiag_errors, moment_errors, hermiticity_defects = [], [], [], []
     for horizon in horizons:
         quad = QuadratureSpec(n_nodes=n_nodes, gamma_horizon=horizon, k_check=k_check)
         report = resolution_check(family, seqs, weights, quad, delta=delta)
         diag_errors.append(report.diag_error)
         offdiag_errors.append(report.offdiag_error)
-        moment_worst = max(moment_worst, max(report.moment_errors))
-        hermiticity_worst = max(hermiticity_worst, report.hermiticity_defect)
+        moment_errors.extend(report.moment_errors)
+        hermiticity_defects.append(report.hermiticity_defect)
     checks.append(
-        CheckRecord("moment-verification", "moment-weights", moment_worst, tol["moment"])
+        CheckRecord("moment-verification", "moment-weights", _worst(moment_errors), tol["moment"])
     )
     checks.append(
         CheckRecord(
-            "diagonal-residual", "resolution-of-identity", max(diag_errors), tol["diagonal"]
+            "diagonal-residual", "resolution-of-identity", _worst(diag_errors), tol["diagonal"]
         )
     )
     checks.append(
         CheckRecord(
-            "assembly-hermiticity", "resolution-of-identity", hermiticity_worst, tol["hermiticity"]
+            "assembly-hermiticity",
+            "resolution-of-identity",
+            _worst(hermiticity_defects),
+            tol["hermiticity"],
         )
     )
     if len(horizons) >= 2:
@@ -300,26 +306,25 @@ def _run_intertwine_example(config: ExperimentConfig, seed: int, jobs: int):
 
     problems = [example_problem(which, shifted, g) for g in gammas]
     results = [construct_companion(p) for p in problems]
-    worst_alpha = max(r.certificate.alpha_residual for r in results)
-    worst_beta = max(r.certificate.beta_residual for r in results)
-    worst_gamma = max(r.certificate.gamma_residual for r in results)
+    worst_alpha = _worst([r.certificate.alpha_residual for r in results])
+    worst_beta = _worst([r.certificate.beta_residual for r in results])
+    worst_gamma = _worst([r.certificate.gamma_residual for r in results])
     checks = [
         CheckRecord("hermiticity[alpha]", "companion-certificate", worst_alpha, tol["alpha"]),
         CheckRecord("weak-intertwining[beta]", "companion-certificate", worst_beta, tol["beta"]),
         CheckRecord("eigenvalue-transport[gamma]", "companion-certificate", worst_gamma, tol["gamma"]),
     ]
-    h_scale = max(1.0, max_abs(problems[0].h.matrix))
-    c_scale = max(1.0, max_abs(results[0].companion.matrix))
-    drift = 0.0
+    h_scale = max(1.0, problems[0].h.max_abs())
+    c_scale = max(1.0, results[0].companion.max_abs())
+    drifts = [0.0]
     for problem, result in zip(problems[1:], results[1:]):
-        drift = max(drift, max_abs((problems[0].h - problem.h).matrix) / h_scale)
-        drift = max(
-            drift, max_abs((results[0].companion - result.companion).matrix) / c_scale
-        )
+        drifts.append((problems[0].h - problem.h).max_abs() / h_scale)
+        drifts.append((results[0].companion - result.companion).max_abs() / c_scale)
+    drift = _worst(drifts)
     checks.append(
         CheckRecord("phase-independence", "companion-certificate", drift, tol["gamma_independence"])
     )
-    h_tau_worst = max(h_tau_residual(seqs, g) for g in gammas)
+    h_tau_worst = _worst([h_tau_residual(seqs, g) for g in gammas])
     checks.append(
         CheckRecord(
             "shifted-hamiltonian-factorization", "ladder-factorization", h_tau_worst, tol["h_tau"]
@@ -330,11 +335,9 @@ def _run_intertwine_example(config: ExperimentConfig, seed: int, jobs: int):
 
 def _boson_problem(dim: int) -> IntertwiningProblem:
     a = boson_ladder(dim).matrix
-    ad = a.conj().T
+    ad = a.T
     return IntertwiningProblem(
-        h=BlockOperator.single_sector(ad @ a),
-        x=BlockOperator.single_sector(ad @ ad),
-        ladder_degree=2,
+        h=BlockOperator([ad @ a]), x=BlockOperator([ad @ ad]), ladder_degree=2
     )
 
 
@@ -345,15 +348,15 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
     checks = []
     if case == "boson":
         problem = _boson_problem(dim)
-        n_op = problem.h.matrix
+        n_op = problem.h.blocks[0]
         eye = np.eye(dim)
-        sub = np.ix_(problem.mask, problem.mask)
+        sub = np.s_[: problem.keep, : problem.keep]
         iso = construct_companion(problem)
         checks.append(
             CheckRecord(
                 "n1-closed-form",
                 "ladder-closed-forms",
-                max_abs((iso.n1.matrix - (n_op @ n_op + 3 * n_op + 2 * eye))[sub]),
+                max_abs((iso.n1.blocks[0] - (n_op @ n_op + 3 * n_op + 2 * eye))[sub]),
                 tol,
             )
         )
@@ -361,24 +364,24 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
             CheckRecord(
                 "companion-closed-form",
                 "ladder-closed-forms",
-                max_abs((iso.companion.matrix - (n_op + 2 * eye))[sub]),
+                max_abs((iso.companion.blocks[0] - (n_op + 2 * eye))[sub]),
                 tol,
             )
         )
-        squared = map_companion(problem, SpectralMap.polynomial([0, 0, 1]))
+        squared = construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
         ref = (n_op + 2 * eye) @ (n_op + 2 * eye)
         checks.append(
             CheckRecord(
                 "squared-map-closed-form",
                 "spectrum-mapped-companion",
-                max_abs((squared.companion.matrix - ref)[sub]),
+                max_abs((squared.companion.blocks[0] - ref)[sub]),
                 tol,
             )
         )
-        exp_result = map_companion(problem, SpectralMap.exponential())
+        exp_result = construct_companion(problem, spectral_map=SpectralMap.exponential())
         exp_ref = np.diag(np.exp(np.arange(dim, dtype=float) + 2.0))
         rel = (
-            np.abs(exp_result.companion.matrix - exp_ref)[sub]
+            np.abs(exp_result.companion.blocks[0] - exp_ref)[sub]
             / np.maximum(1.0, np.abs(exp_ref)[sub])
         ).max()
         checks.append(
@@ -390,7 +393,7 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
             CheckRecord(
                 "certificate-gamma",
                 "companion-certificate",
-                max(iso.certificate.gamma_residual, squared.certificate.gamma_residual),
+                _worst([iso.certificate.gamma_residual, squared.certificate.gamma_residual]),
                 1e-9,
             )
         )
@@ -416,7 +419,7 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
             CheckRecord(
                 "undeformed-limit-matches-plain-ladder",
                 "ladder-closed-forms",
-                max(limit.n1_deviation, limit.companion_deviation),
+                _worst([limit.n1_deviation, limit.companion_deviation]),
                 tol,
             )
         )
@@ -438,24 +441,18 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int, jobs: int):
             f = SpectralMap.polynomial([0, 0, 1])
             expected_deficiency = 2
         elif case == "quon":
-            from .hilbert import quon_ladder
-
             a = quon_ladder(dim, q).matrix
-            ad = a.conj().T
+            ad = a.T
             problem = IntertwiningProblem(
-                h=BlockOperator.single_sector(ad @ a),
-                x=BlockOperator.single_sector(ad @ ad),
-                ladder_degree=2,
+                h=BlockOperator([ad @ a]), x=BlockOperator([ad @ ad]), ladder_degree=2
             )
             f = SpectralMap.polynomial([0.5, 1.0, 0.25])
             expected_deficiency = 2
         elif case == "invertible":
             a = boson_ladder(dim).matrix
-            n_op = a.conj().T @ a
+            n_op = a.T @ a
             problem = IntertwiningProblem(
-                h=BlockOperator.single_sector(n_op),
-                x=BlockOperator.single_sector(np.eye(dim) + n_op),
-                ladder_degree=0,
+                h=BlockOperator([n_op]), x=BlockOperator([np.eye(dim) + n_op]), ladder_degree=0
             )
             f = SpectralMap.polynomial([0, 0, 1])
             expected_deficiency = 0
@@ -476,7 +473,7 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int, jobs: int):
             CheckRecord(
                 f"projection-identity-residual[{case}]",
                 "projection-identity",
-                max(projection.order_residuals),
+                _worst(projection.order_residuals),
                 tol["order"],
             )
         )

@@ -1,8 +1,9 @@
 """Truncated sector space, block operators, and ladder realizations.
 
 The working arena is ``C^N (x) H_D``: ``N`` sectors of one truncated
-``D``-level space each.  Vectors and operators are stored flat (sector-major,
-``flat index = sector*D + level``) with block accessors.  All values are
+``D``-level space each.  Vectors are stored flat (sector-major,
+``flat index = sector*D + level``) with block accessors; operators never mix
+sectors and are stored as one ``D x D`` block per sector.  All values are
 immutable after construction; every function here is pure.
 """
 
@@ -20,7 +21,7 @@ from .errors import (
     NotHermitianError,
     RegimeError,
 )
-from .spectra import ShiftedSequence, SpectralSequence, quon_numbers
+from .spectra import SpectralSequence, quon_numbers
 
 __all__ = [
     "SectorSpace",
@@ -29,9 +30,7 @@ __all__ = [
     "LadderRealization",
     "GridSpec",
     "basis_vector",
-    "gk_ladder",
     "lowering_operator",
-    "eds_lowering_operator",
     "delta_lowering_operator",
     "boson_ladder",
     "quon_ladder",
@@ -40,7 +39,6 @@ __all__ = [
     "shifted_hamiltonian",
     "evolution_operator",
     "delta_evolution_operator",
-    "window_mask",
     "window_levels",
     "max_abs",
     "write_complex_matrix",
@@ -125,79 +123,71 @@ class SusyVector:
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """Operator on the sector space, stored as one dense complex matrix."""
+    """Block-diagonal operator on the sector space, one ``D x D`` block per sector.
 
-    space: SectorSpace
-    matrix: np.ndarray
+    Each block keeps the dtype of its input, so operators built from real
+    spectra and ladders stay real.  ``matrix`` is the dense export.
+    """
+
+    blocks: tuple
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = self.space.total_dim
-        if m.shape != (n, n):
-            raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match space dimension {n}"
-            )
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "BlockOperator":
-        """Block-diagonal operator from a list of equal-size square blocks."""
-        dims = {b.shape for b in blocks}
-        if len(dims) != 1 or any(b.shape[0] != b.shape[1] for b in blocks):
+        blocks = tuple(np.array(b) for b in self.blocks)
+        shapes = {b.shape for b in blocks}
+        if len(shapes) != 1 or blocks[0].ndim != 2 or blocks[0].shape[0] != blocks[0].shape[1]:
             raise LengthMismatchError("blocks must be square and equally sized")
-        d = blocks[0].shape[0]
-        space = SectorSpace(len(blocks), d)
-        m = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-        for j, b in enumerate(blocks):
+        for b in blocks:
+            b.setflags(write=False)
+        object.__setattr__(self, "blocks", blocks)
+        self.space  # SectorSpace rejects blocks of fewer than two levels
+
+    @property
+    def space(self) -> SectorSpace:
+        return SectorSpace(len(self.blocks), self.blocks[0].shape[0])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense ``N*D x N*D`` export, zero off the diagonal blocks."""
+        d, n = self.space.dim, self.space.total_dim
+        m = np.zeros((n, n), dtype=np.result_type(*self.blocks))
+        for j, b in enumerate(self.blocks):
             m[j * d : (j + 1) * d, j * d : (j + 1) * d] = b
-        return cls(space, m)
+        return m
 
-    @classmethod
-    def single_sector(cls, matrix) -> "BlockOperator":
-        return cls.from_blocks([np.asarray(matrix, dtype=complex)])
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        d = self.space.dim
-        return self.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
+    def _blockwise(self, other: "BlockOperator", op) -> "BlockOperator":
+        if self.space != other.space:
+            raise DimensionMismatchError("operator spaces differ")
+        return BlockOperator([op(a, b) for a, b in zip(self.blocks, other.blocks)])
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator(self.space, self.matrix.conj().T)
+        return BlockOperator([b.conj().T for b in self.blocks])
 
     def apply(self, vec: SusyVector) -> SusyVector:
         if vec.space != self.space:
             raise DimensionMismatchError("operator and vector spaces differ")
-        return SusyVector(self.space, self.matrix @ vec.data)
+        return SusyVector(
+            self.space, np.concatenate([b @ vec.block(j) for j, b in enumerate(self.blocks)])
+        )
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
-        if self.space != other.space:
-            raise DimensionMismatchError("operator spaces differ")
-        return BlockOperator(self.space, self.matrix @ other.matrix)
+        return self._blockwise(other, np.matmul)
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        if self.space != other.space:
-            raise DimensionMismatchError("operator spaces differ")
-        return BlockOperator(self.space, self.matrix + other.matrix)
+        return self._blockwise(other, np.add)
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        if self.space != other.space:
-            raise DimensionMismatchError("operator spaces differ")
-        return BlockOperator(self.space, self.matrix - other.matrix)
+        return self._blockwise(other, np.subtract)
+
+    def max_abs(self, keep: int | None = None) -> float:
+        """Entrywise max-norm over all sectors; with ``keep``, over the
+        top-left ``keep x keep`` window of each block.  A NaN propagates."""
+        return float(np.max([max_abs(b[:keep, :keep]) for b in self.blocks]))
 
     def hermitian_defect(self) -> float:
-        return max_abs(self.matrix - self.matrix.conj().T)
+        return (self - self.adjoint()).max_abs()
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
         return self.hermitian_defect() < tol
-
-    def is_block_diagonal(self, tol: float = 0.0) -> bool:
-        n = self.space.sectors
-        return all(
-            max_abs(self.block(i, j)) <= tol
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        )
 
 
 @dataclass(frozen=True)
@@ -229,7 +219,7 @@ class GridSpec:
 class LadderRealization:
     """One concrete lowering operator on a single sector.
 
-    ``kind`` is one of ``gk``, ``boson``, ``quon``, ``grid``.  ``diagnostics``
+    ``kind`` is one of ``boson``, ``quon``, ``grid``.  ``diagnostics``
     records the deviation of the realization's commutation relation from its
     ideal form (truncation or discretization artifacts).
     """
@@ -240,7 +230,7 @@ class LadderRealization:
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -269,21 +259,13 @@ def _phase_twisted_lowering(amplitudes, diffs, gamma, sign=+1.0):
     return m
 
 
-def gk_ladder(shifted: ShiftedSequence, gamma: float) -> LadderRealization:
-    """Single-sector lowering operator of the abstract coherent-state family.
-
-    Acts as ``sqrt(e~[n]) * exp(i*(e[n]-e[n-1])*gamma)`` on level ``n``,
-    mapping it to ``n-1``; the ground level is annihilated.  Eigenvalue
-    differences are shift-invariant, so the shifted values determine the
-    phases as well.
-    """
-    diffs = np.diff(shifted.values)
-    m = _phase_twisted_lowering(shifted.values, diffs, gamma)
-    return LadderRealization(kind="gk", matrix=m, params={"gamma": gamma})
-
-
 def lowering_operator(seqs, gamma: float) -> BlockOperator:
     """Block-diagonal lowering operator, one phase-twisted ladder per sector.
+
+    Each block acts as ``sqrt(e~[n]) * exp(i*(e[n]-e[n-1])*gamma)`` on level
+    ``n``, mapping it to ``n-1``; the ground level is annihilated.  Eigenvalue
+    differences are shift-invariant, so the shifted values determine the
+    phases as well.
 
     Parameters
     ----------
@@ -297,19 +279,9 @@ def lowering_operator(seqs, gamma: float) -> BlockOperator:
     dims = {s.dim for s in seqs}
     if len(dims) != 1:
         raise LengthMismatchError(f"sector truncations differ: {sorted(dims)}")
-    blocks = [gk_ladder(s, gamma).matrix for s in seqs]
-    return BlockOperator.from_blocks(blocks)
-
-
-def eds_lowering_operator(seqs, gamma: float) -> BlockOperator:
-    """Two-sector lowering operator of the shift-based (delta-free) family.
-
-    Both sectors carry the same phase sign; the matrix coincides entrywise
-    with :func:`lowering_operator` on the same inputs.
-    """
-    if len(seqs) != 2:
-        raise LengthMismatchError(f"this family is two-sector, got {len(seqs)}")
-    return lowering_operator(seqs, gamma)
+    return BlockOperator(
+        [_phase_twisted_lowering(s.values, np.diff(s.values), gamma) for s in seqs]
+    )
 
 
 def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
@@ -317,7 +289,7 @@ def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
 
     Requires both spectra to start at exactly zero.  The two sectors carry
     opposite phase signs (plus in the first, minus in the second); this is a
-    genuinely different operator from :func:`eds_lowering_operator` whenever
+    genuinely different operator from :func:`lowering_operator` whenever
     ``gamma != 0``.
     """
     if len(seqs) != 2:
@@ -338,7 +310,7 @@ def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
         _phase_twisted_lowering(s.values, np.diff(s.values), gamma, sign)
         for s, sign in zip(seqs, signs)
     ]
-    return BlockOperator.from_blocks(blocks)
+    return BlockOperator(blocks)
 
 
 def boson_ladder(dim: int) -> LadderRealization:
@@ -348,15 +320,14 @@ def boson_ladder(dim: int) -> LadderRealization:
     the top diagonal entry of the commutator is ``-dim`` instead of ``+1``
     (recorded in the diagnostics).
     """
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-    comm = a @ a.conj().T - a.conj().T @ a
-    defect = comm - np.eye(dim)
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    defect = a @ a.T - a.T @ a - np.eye(dim)
     return LadderRealization(
         kind="boson",
         matrix=a,
         diagnostics={
             "commutator_defect_interior": max_abs(defect[: dim - 1, : dim - 1]),
-            "commutator_defect_top": float(defect[-1, -1].real),
+            "commutator_defect_top": float(defect[-1, -1]),
         },
     )
 
@@ -369,15 +340,15 @@ def quon_ladder(dim: int, q: float) -> LadderRealization:
     """
     if not (0 < q <= 1):
         raise BadDeformationError(f"deformation q must lie in (0, 1], got {q}")
-    a = np.diag(np.sqrt(quon_numbers(dim, q)[1:]), 1).astype(complex)
-    defect = a @ a.conj().T - q * (a.conj().T @ a) - np.eye(dim)
+    a = np.diag(np.sqrt(quon_numbers(dim, q)[1:]), 1)
+    defect = a @ a.T - q * (a.T @ a) - np.eye(dim)
     return LadderRealization(
         kind="quon",
         matrix=a,
         params={"q": q},
         diagnostics={
             "qmutator_defect_interior": max_abs(defect[: dim - 1, : dim - 1]),
-            "qmutator_defect_top": float(defect[-1, -1].real),
+            "qmutator_defect_top": float(defect[-1, -1]),
         },
     )
 
@@ -425,19 +396,19 @@ def grid_ladder(
             f"superpotential derivative reaches {w_prime.min():.3e} <= 0 on the grid"
         )
     c = hbar / np.sqrt(2.0 * mass)
-    a = (c * _derivative_matrix(grid) + np.diag(w_values)).astype(complex)
+    a = c * _derivative_matrix(grid) + np.diag(w_values)
 
-    comm = a @ a.conj().T - a.conj().T @ a
-    target = 2.0 * c * np.diag(w_prime).astype(complex)
-    probes = _gaussian_probes(grid)
+    defect = a @ a.T - a.T @ a - 2.0 * c * np.diag(w_prime)
     # rows within 2 of the boundary carry one-sided-stencil corrections of
     # size O(1/dx^2); beyond that the derivative-matrix self-commutator
     # cancels exactly and only the O(dx^2) Taylor error remains
     interior = slice(3, grid.points - 3)
-    resid = 0.0
-    for phi in probes:
-        err = (comm - target) @ phi
-        resid = max(resid, np.abs(err[interior]).max() / np.abs(phi).max())
+    resid = np.max(
+        [
+            np.abs((defect @ phi)[interior]).max() / np.abs(phi).max()
+            for phi in _gaussian_probes(grid)
+        ]
+    )
     return LadderRealization(
         kind="grid",
         matrix=a,
@@ -452,21 +423,19 @@ def grid_ladder(
 
 def susy_hamiltonian(seqs) -> BlockOperator:
     """Block-diagonal Hamiltonian with the given spectra on the sectors."""
-    return BlockOperator.from_blocks([np.diag(s.values).astype(complex) for s in seqs])
+    return BlockOperator([np.diag(s.values) for s in seqs])
 
 
 def shifted_hamiltonian(seqs) -> BlockOperator:
     """The Hamiltonian minus its per-sector ground levels (each block starts at 0)."""
-    return BlockOperator.from_blocks(
-        [np.diag(s.values - s.values[0]).astype(complex) for s in seqs]
-    )
+    return BlockOperator([np.diag(s.values - s.values[0]) for s in seqs])
 
 
 def evolution_operator(t_op: BlockOperator, t: float) -> BlockOperator:
     """Unitary ``exp(-i T t)`` of a Hermitian block operator.
 
-    Computed by eigendecomposition (per diagonal block when the operator is
-    block diagonal), which is stable for every ``t``.
+    Computed by eigendecomposition of each block, which is stable for every
+    ``t``.
     """
     if not t_op.is_hermitian():
         raise NotHermitianError(
@@ -476,10 +445,7 @@ def evolution_operator(t_op: BlockOperator, t: float) -> BlockOperator:
         evals, vecs = np.linalg.eigh(b)
         return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
 
-    if t_op.is_block_diagonal():
-        blocks = [expm_block(t_op.block(j, j)) for j in range(t_op.space.sectors)]
-        return BlockOperator.from_blocks(blocks)
-    return BlockOperator(t_op.space, expm_block(t_op.matrix))
+    return BlockOperator([expm_block(b) for b in t_op.blocks])
 
 
 def delta_evolution_operator(seqs, delta: float, t: float) -> BlockOperator:
@@ -495,31 +461,22 @@ def delta_evolution_operator(seqs, delta: float, t: float) -> BlockOperator:
         np.exp(-1j * (seqs[0].values + delta) * t),
         np.exp(+1j * (seqs[1].values + delta) * t),
     ]
-    return BlockOperator.from_blocks([np.diag(p) for p in phases])
+    return BlockOperator([np.diag(p) for p in phases])
 
 
 def window_levels(space: SectorSpace, exclude_top: int) -> int:
-    """Number of levels per sector inside the valid window."""
+    """Number of levels per sector inside the valid window.
+
+    Operator identities that involve ``k`` raising/lowering steps hold on the
+    truncated space only below the top ``k + buffer`` levels; restricting
+    residuals to this window isolates truncation artifacts.
+    """
     keep = space.dim - exclude_top
     if keep < 1:
         raise DimensionMismatchError(
             f"window excludes all {space.dim} levels (exclude_top={exclude_top})"
         )
     return keep
-
-
-def window_mask(space: SectorSpace, exclude_top: int) -> np.ndarray:
-    """Boolean mask (flat indexing) selecting the valid window of every sector.
-
-    Operator identities that involve ``k`` raising/lowering steps hold on the
-    truncated space only below the top ``k + buffer`` levels; restricting
-    residuals to this window isolates truncation artifacts.
-    """
-    keep = window_levels(space, exclude_top)
-    mask = np.zeros(space.total_dim, dtype=bool)
-    for j in range(space.sectors):
-        mask[j * space.dim : j * space.dim + keep] = True
-    return mask
 
 
 def write_complex_matrix(path, matrix) -> None:

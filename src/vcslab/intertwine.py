@@ -32,7 +32,6 @@ from .hilbert import (
     quon_ladder,
     shifted_hamiltonian,
     window_levels,
-    window_mask,
 )
 from .spectra import shift
 
@@ -42,7 +41,6 @@ __all__ = [
     "Certificate",
     "IntertwiningResult",
     "construct_companion",
-    "map_companion",
     "example_problem",
     "h_tau_residual",
     "power_series_equality_probe",
@@ -123,8 +121,9 @@ class IntertwiningProblem:
         return self.ladder_degree + WINDOW_BUFFER
 
     @property
-    def mask(self) -> np.ndarray:
-        return window_mask(self.h.space, self.exclude_top)
+    def keep(self) -> int:
+        """Levels per sector inside the valid window."""
+        return window_levels(self.h.space, self.exclude_top)
 
 
 @dataclass(frozen=True)
@@ -196,63 +195,47 @@ class IntertwiningResult:
         }
 
 
-def _sector_eigh(op: BlockOperator):
-    """Per-sector eigendecomposition (global if off-diagonal blocks exist)."""
-    if op.is_block_diagonal():
-        out = []
-        space = op.space
-        for j in range(space.sectors):
-            evals, vecs = np.linalg.eigh(op.block(j, j))
-            full = np.zeros((space.total_dim, space.dim), dtype=complex)
-            full[j * space.dim : (j + 1) * space.dim, :] = vecs
-            out.append((evals, full))
-        return out
-    evals, vecs = np.linalg.eigh(op.matrix)
-    return [(evals, vecs)]
-
-
 def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
-    """``f(op)`` by Hermitian eigendecomposition (one code path for all maps)."""
-    matrix = 0.5 * (op.matrix + op.matrix.conj().T)
-    sym = BlockOperator(op.space, matrix)
-    result = np.zeros_like(matrix)
-    for evals, vecs in _sector_eigh(sym):
-        result += (vecs * f(evals)) @ vecs.conj().T
-    return BlockOperator(op.space, result)
+    """``f(op)`` by Hermitian eigendecomposition of each block (one code path for all maps)."""
+
+    def map_block(b):
+        evals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+        return (vecs * f(evals)) @ vecs.conj().T
+
+    return BlockOperator([map_block(b) for b in op.blocks])
 
 
-def _window_inverse(n1: BlockOperator, mask: np.ndarray, cutoff: float = N1_CUTOFF):
-    """Invert N1 on its trustworthy eigendirections.
+def _window_inverse(n1: BlockOperator, keep: int, cutoff: float = N1_CUTOFF):
+    """Invert N1 on its trustworthy eigendirections, sector by sector.
 
     Eigenvalues below ``cutoff`` are admissible only when their eigenvectors
-    live (mostly) outside the valid window: those are truncation artifacts of
-    ladder-type ``x`` and are projected out.  A small eigenvalue with
-    in-window support violates the invertibility hypothesis.
+    live (mostly) outside the valid window, the top-left ``keep`` levels of
+    the sector: those are truncation artifacts of ladder-type ``x`` and are
+    projected out.  A small eigenvalue with in-window support violates the
+    invertibility hypothesis.  Returns the inverse and the number of modes
+    dropped over all sectors.
     """
-    evals, vecs = np.linalg.eigh(n1.matrix)
-    inv_evals = np.empty_like(evals)
-    dropped = 0
-    for k, lam in enumerate(evals):
-        if lam > cutoff:
-            inv_evals[k] = 1.0 / lam
-            continue
-        window_weight = float(np.linalg.norm(vecs[mask, k]) ** 2)
-        if window_weight > 0.5:
-            raise HypothesisViolatedError(
-                f"N1 eigenvalue {lam:.3e} <= {cutoff:.1e} with in-window "
-                f"eigenvector (window mass {window_weight:.2f}): not invertible"
-            )
-        inv_evals[k] = 0.0
-        dropped += 1
-    inv = (vecs * inv_evals) @ vecs.conj().T
-    return BlockOperator(n1.space, inv), dropped
+    blocks, dropped = [], 0
+    for block in n1.blocks:
+        evals, vecs = np.linalg.eigh(block)
+        small = evals <= cutoff
+        for lam, vec in zip(evals[small], vecs[:, small].T):
+            window_weight = float(np.linalg.norm(vec[:keep]) ** 2)
+            if window_weight > 0.5:
+                raise HypothesisViolatedError(
+                    f"N1 eigenvalue {lam:.3e} <= {cutoff:.1e} with in-window "
+                    f"eigenvector (window mass {window_weight:.2f}): not invertible"
+                )
+        inv_evals = np.zeros_like(evals)
+        inv_evals[~small] = 1.0 / evals[~small]
+        blocks.append((vecs * inv_evals) @ vecs.conj().T)
+        dropped += int(small.sum())
+    return BlockOperator(blocks), dropped
 
 
 def _check_commutant(problem: IntertwiningProblem, tol: float = 1e-10) -> float:
     xxd = problem.x @ problem.x.adjoint()
-    comm = (xxd @ problem.h - problem.h @ xxd).matrix
-    mask = problem.mask
-    resid = max_abs(comm[np.ix_(mask, mask)])
+    resid = (xxd @ problem.h - problem.h @ xxd).max_abs(problem.keep)
     if resid > tol:
         raise HypothesisViolatedError(
             f"[x x+, h] has window residual {resid:.3e} > {tol:.1e}"
@@ -262,34 +245,32 @@ def _check_commutant(problem: IntertwiningProblem, tol: float = 1e-10) -> float:
 
 def _certify(problem, companion, mapped, f, gamma_tol):
     """Evaluate the scale-normalized alpha/beta/gamma residuals on the window."""
-    mask = problem.mask
-    sub = np.ix_(mask, mask)
-    h_m = companion.matrix
-    companion_scale = max(1.0, max_abs(h_m[sub]))
-    alpha = max_abs((h_m - h_m.conj().T)[sub]) / companion_scale
+    keep = problem.keep
+    companion_scale = max(1.0, companion.max_abs(keep))
+    alpha = (companion - companion.adjoint()).max_abs(keep) / companion_scale
 
-    beta_full = (problem.x.adjoint() @ ((problem.x @ companion) - (mapped @ problem.x))).matrix
-    x_scale = max(1.0, max_abs(problem.x.matrix))
-    beta_scale = max(1.0, x_scale**2 * max(companion_scale, max_abs(mapped.matrix[sub])))
-    beta = max_abs(beta_full[sub]) / beta_scale
+    beta_op = problem.x.adjoint() @ ((problem.x @ companion) - (mapped @ problem.x))
+    x_scale = max(1.0, problem.x.max_abs())
+    beta_scale = max(1.0, x_scale**2 * max(companion_scale, mapped.max_abs(keep)))
+    beta = beta_op.max_abs(keep) / beta_scale
 
-    keep = window_levels(problem.h.space, problem.exclude_top)
-    gamma = 0.0
-    skipped = []
+    ratios, skipped = [], []
     eigenvalues, mapped_eigenvalues = [], []
-    xdag = problem.x.adjoint().matrix
-    for sector, (evals, vecs) in enumerate(_sector_eigh(problem.h)):
+    blocks = zip(problem.h.blocks, problem.x.blocks, companion.blocks)
+    for sector, (h_j, x_j, companion_j) in enumerate(blocks):
+        evals, vecs = np.linalg.eigh(h_j)
+        targets = f(evals) if f is not None else evals.copy()
         eigenvalues.append(evals)
-        mapped_eigenvalues.append(f(evals) if f is not None else evals.copy())
-        for n in range(min(keep, len(evals))):
-            target = mapped_eigenvalues[-1][n]
-            image = xdag @ vecs[:, n]
-            norm = np.linalg.norm(image)
-            if norm <= IMAGE_CUTOFF:
-                skipped.append((sector, n))
-                continue
-            resid = np.linalg.norm(h_m @ image - target * image)
-            gamma = max(gamma, float(resid / (norm * max(1.0, abs(target)))))
+        mapped_eigenvalues.append(targets)
+        images = x_j.conj().T @ vecs[:, :keep]
+        norms = np.linalg.norm(images, axis=0)
+        resid = np.linalg.norm(companion_j @ images - images * targets[:keep], axis=0)
+        vanishing = norms <= IMAGE_CUTOFF
+        skipped.extend((sector, int(n)) for n in np.flatnonzero(vanishing))
+        live = ~vanishing
+        ratios.append(resid[live] / (norms[live] * np.maximum(1.0, np.abs(targets[:keep][live]))))
+    # np.max, not max(): a NaN residual must fail the check, not vanish
+    gamma = float(np.max(np.concatenate(ratios), initial=0.0))
     cert = Certificate(
         alpha_residual=float(alpha),
         beta_residual=float(beta),
@@ -314,7 +295,7 @@ def construct_companion(
     """
     _check_commutant(problem)
     n1 = problem.x.adjoint() @ problem.x
-    n1_inv, dropped = _window_inverse(n1, problem.mask)
+    n1_inv, dropped = _window_inverse(n1, problem.keep)
     mapped = problem.h if spectral_map is None else apply_map(spectral_map, problem.h)
     companion = n1_inv @ (problem.x.adjoint() @ (mapped @ problem.x))
     cert, evals, mapped_evals = _certify(problem, companion, mapped, spectral_map, gamma_tol)
@@ -329,11 +310,6 @@ def construct_companion(
         dropped_modes=dropped,
         spectral_map=spectral_map,
     )
-
-
-def map_companion(problem: IntertwiningProblem, f: SpectralMap, **kwargs) -> IntertwiningResult:
-    """Companion of ``f(h)``: same hypotheses, spectrum ``f(e_n)``."""
-    return construct_companion(problem, spectral_map=f, **kwargs)
 
 
 def example_problem(which: int, seqs, gamma: float) -> IntertwiningProblem:
@@ -370,7 +346,7 @@ def h_tau_residual(seqs, gamma: float) -> float:
     """
     h_tau = shifted_hamiltonian(seqs)
     b = lowering_operator([shift(s) for s in seqs], gamma)
-    return max_abs((h_tau - (b.adjoint() @ b)).matrix)
+    return (h_tau - (b.adjoint() @ b)).max_abs()
 
 
 @dataclass(frozen=True)
@@ -400,20 +376,20 @@ def power_series_equality_probe(
     ``n_random`` random unit vectors from a seeded generator.
     """
     iso = construct_companion(problem)
-    mapped = map_companion(problem, f)
-    f_of_iso = apply_map(f, iso.companion)
-    mask = problem.mask
-    diff = (f_of_iso.matrix - mapped.companion.matrix)[mask, :][:, mask]
+    mapped = construct_companion(problem, spectral_map=f)
+    keep = problem.keep
+    diffs = [d[:keep, :keep] for d in (apply_map(f, iso.companion) - mapped.companion).blocks]
 
-    dim_w = int(mask.sum())
-    trials = [np.eye(dim_w)[:, k] for k in range(dim_w)]
+    # a window basis vector picks one column of its sector's block
+    residuals = list(np.concatenate([np.linalg.norm(d, axis=0) for d in diffs]))
+    dim_w = len(residuals)
     rng = np.random.default_rng(seed)
     for _ in range(n_random):
         v = rng.standard_normal(dim_w) + 1j * rng.standard_normal(dim_w)
-        trials.append(v / np.linalg.norm(v))
-    worst = max(float(np.linalg.norm(diff @ phi) / np.linalg.norm(phi)) for phi in trials)
+        phi = (v / np.linalg.norm(v)).reshape(len(diffs), keep)
+        residuals.append(np.linalg.norm(np.concatenate([d @ u for d, u in zip(diffs, phi)])))
     return EqualityProbeReport(
-        max_residual=worst, n_trials=len(trials), map_label=f.describe()
+        max_residual=float(np.max(residuals)), n_trials=len(residuals), map_label=f.describe()
     )
 
 
@@ -442,41 +418,31 @@ def projection_identity_check(
     ``x N1^-1 x+`` with ``h`` and the per-sector numerical rank deficiency
     of ``x`` restricted to the window.
     """
+    keep = problem.keep
     n1 = problem.x.adjoint() @ problem.x
-    n1_inv, _ = _window_inverse(n1, problem.mask)
-    proj = (problem.x @ n1_inv @ problem.x.adjoint()).matrix
-    h_m = problem.h.matrix
-    x_m = problem.x.matrix
-    mask = problem.mask
-    sub = np.ix_(mask, mask)
+    n1_inv, _ = _window_inverse(n1, keep)
+    proj = problem.x @ n1_inv @ problem.x.adjoint()
 
-    space = problem.h.space
-    keep = window_levels(space, problem.exclude_top)
     residuals = []
     for l in range(l_max + 1):
-        hl = np.linalg.matrix_power(h_m, l)
-        worst = 0.0
-        for j in range(space.sectors):
-            for n in range(keep):
-                phi = np.zeros(space.total_dim, dtype=complex)
-                phi[space.flat_index(j, n)] = 1.0
-                v = hl @ (x_m @ phi)
-                scale = max(float(np.linalg.norm(v)), 1.0)
-                worst = max(worst, float(np.linalg.norm(proj @ v - v)) / scale)
-        residuals.append(worst)
+        worst = []
+        for p, h, x in zip(proj.blocks, problem.h.blocks, problem.x.blocks):
+            # columns of v: h^l x applied to the window basis vectors of the sector
+            v = np.linalg.matrix_power(h, l) @ x[:, :keep]
+            scale = np.maximum(np.linalg.norm(v, axis=0), 1.0)
+            worst.append(np.linalg.norm(p @ v - v, axis=0) / scale)
+        residuals.append(float(np.max(worst)))
 
-    comm = max_abs((proj @ h_m - h_m @ proj)[sub])
+    comm = (proj @ problem.h - problem.h @ proj).max_abs(keep)
 
     deficiency = []
-    for j in range(space.sectors):
-        rows = slice(j * space.dim, j * space.dim + keep)
-        block = x_m[rows, rows]
-        svals = np.linalg.svd(block, compute_uv=False)
+    for x in problem.x.blocks:
+        svals = np.linalg.svd(x[:keep, :keep], compute_uv=False)
         rank = int(np.sum(svals > 1e-10 * max(svals[0], 1.0)))
         deficiency.append(keep - rank)
     return ProjectionIdentityReport(
         order_residuals=tuple(residuals),
-        commutant_residual=float(comm),
+        commutant_residual=comm,
         rank_deficiency=tuple(deficiency),
         window_dim=keep,
     )
@@ -502,20 +468,19 @@ def quon_closed_forms(dim: int, q: float, tol: float = 1e-11) -> QuonClosedFormR
     deviation.
     """
     a = quon_ladder(dim, q).matrix
-    ad = a.conj().T
+    ad = a.T
     num = ad @ a
-    x = BlockOperator.single_sector(ad @ ad)
-    h = BlockOperator.single_sector(num)
-    problem = IntertwiningProblem(h=h, x=x, ladder_degree=2, label=f"quon-q{q}")
+    problem = IntertwiningProblem(
+        h=BlockOperator([num]), x=BlockOperator([ad @ ad]), ladder_degree=2, label=f"quon-q{q}"
+    )
     result = construct_companion(problem)
 
     eye = np.eye(dim)
     n1_closed = q**3 * (num @ num) + q * (1 + 2 * q) * num + (1 + q) * eye
     h_closed = (1 + q) * eye + q**2 * num
-    mask = problem.mask
-    sub = np.ix_(mask, mask)
-    n1_dev = max_abs((result.n1.matrix - n1_closed)[sub])
-    h_dev = max_abs((result.companion.matrix - h_closed)[sub])
+    keep = problem.keep
+    n1_dev = max_abs((result.n1.blocks[0] - n1_closed)[:keep, :keep])
+    h_dev = max_abs((result.companion.blocks[0] - h_closed)[:keep, :keep])
     for name, dev in (("N1", n1_dev), ("companion", h_dev)):
         if dev > tol:
             raise ClosedFormMismatchError(
@@ -525,7 +490,7 @@ def quon_closed_forms(dim: int, q: float, tol: float = 1e-11) -> QuonClosedFormR
         q=q,
         n1_deviation=float(n1_dev),
         companion_deviation=float(h_dev),
-        window_dim=window_levels(h.space, problem.exclude_top),
+        window_dim=keep,
     )
 
 
@@ -539,7 +504,7 @@ class GridComparisonReport:
     n_modes: int
 
 
-def _grid_inverse(n1: BlockOperator, grid: GridSpec, cutoff: float = N1_CUTOFF):
+def _grid_inverse(n1: np.ndarray, grid: GridSpec, cutoff: float = N1_CUTOFF) -> np.ndarray:
     """Invert the grid N1, discarding discretization-artifact null modes.
 
     Central differences admit a checkerboard quasi-kernel of the raising
@@ -549,7 +514,7 @@ def _grid_inverse(n1: BlockOperator, grid: GridSpec, cutoff: float = N1_CUTOFF):
     subspace and are projected out; a smooth interior null direction is a
     genuine invertibility failure.
     """
-    evals, vecs = np.linalg.eigh(n1.matrix)
+    evals, vecs = np.linalg.eigh(n1)
     band = max(4, grid.points // 32)
     inv_evals = np.empty_like(evals)
     for k, lam in enumerate(evals):
@@ -566,7 +531,7 @@ def _grid_inverse(n1: BlockOperator, grid: GridSpec, cutoff: float = N1_CUTOFF):
             f"grid N1 eigenvalue {lam:.3e} <= {cutoff:.1e} with a smooth interior "
             "eigenvector: not invertible"
         )
-    return BlockOperator(n1.space, (vecs * inv_evals) @ vecs.conj().T)
+    return (vecs * inv_evals) @ vecs.T
 
 
 def grid_partner_comparison(
@@ -591,18 +556,17 @@ def grid_partner_comparison(
         f = SpectralMap.identity()
     ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
     a = ladder.matrix
-    ad = a.conj().T
-    h = BlockOperator.single_sector(ad @ a)
-    x = BlockOperator.single_sector(ad)
+    ad = a.T
+    h = ad @ a
 
-    n1 = x.adjoint() @ x
-    n1_inv = _grid_inverse(n1, grid)
-    mapped = apply_map(f, h)
-    companion = (n1_inv @ (x.adjoint() @ (mapped @ x))).matrix
+    # x = a+, so N1 = x+ x = a a+ and the companion is N1^-1 a f(h) a+
+    n1_inv = _grid_inverse(a @ ad, grid)
+    mapped = apply_map(f, BlockOperator([h])).blocks[0]
+    companion = n1_inv @ (a @ (mapped @ ad))
 
     c = ladder.params["c"]
-    target_arg = ad @ a + 2.0 * c * np.diag(ladder.diagnostics["w_prime"]).astype(complex)
-    target = apply_map(f, BlockOperator.single_sector(target_arg)).matrix
+    target_arg = h + 2.0 * c * np.diag(ladder.diagnostics["w_prime"])
+    target = apply_map(f, BlockOperator([target_arg])).blocks[0]
 
     # central differences double the spectrum: every smooth eigenmode has a
     # checkerboard twin at a nearby eigenvalue on which the commutator flips
@@ -611,13 +575,13 @@ def grid_partner_comparison(
     # operator, so the comparison keeps the lowest smooth eigenvectors and
     # low-pass filters them (double three-point average: exact on the doubler
     # mode, relative O(dx^2) on resolved modes) before applying the operators.
-    evals, vecs = np.linalg.eigh(h.matrix)
+    evals, vecs = np.linalg.eigh(h)
     smoothness = np.sum(np.abs(vecs[1:, :] + vecs[:-1, :]) ** 2, axis=0)
     smooth_cols = np.flatnonzero(smoothness > 2.0)
     k_max = grid.points // 4 if n_modes is None else n_modes
     picked = smooth_cols[: min(k_max, len(smooth_cols))]
     diff = companion - target
-    resid = 0.0
+    resids = []
     for k in picked:
         phi = vecs[:, k]
         for _ in range(2):
@@ -627,11 +591,11 @@ def grid_partner_comparison(
                 + np.concatenate((phi[1:], [phi[-1]]))
             )
         phi /= np.linalg.norm(phi)
-        resid = max(resid, float(np.linalg.norm(diff @ phi)))
+        resids.append(np.linalg.norm(diff @ phi))
     return GridComparisonReport(
         dx=grid.dx,
         commutator_residual=float(ladder.diagnostics["commutator_probe_residual"]),
-        comparison_residual=resid,
+        comparison_residual=float(np.max(resids, initial=0.0)),
         n_modes=len(picked),
     )
 

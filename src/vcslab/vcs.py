@@ -29,7 +29,7 @@ from .hilbert import (
     delta_evolution_operator,
     evolution_operator,
     susy_hamiltonian,
-    window_mask,
+    window_levels,
 )
 from .spectra import ShiftedSequence, radius_estimate, require_disjoint, shift
 
@@ -42,7 +42,6 @@ __all__ = [
     "action_identity_residual",
     "temporal_stability_residual",
     "eigenstate_residual",
-    "intensity_sqrt_operator",
     "write_coefficients",
     "TAIL_TOLERANCE",
 ]
@@ -294,13 +293,6 @@ def temporal_stability_residual(
     return (u.apply(before.vector) - after.vector).norm()
 
 
-def intensity_sqrt_operator(state: CoherentState) -> BlockOperator:
-    """Blockwise ``sqrt(Jj) * identity`` matching the state's intensities."""
-    dim = state.space.dim
-    blocks = [np.sqrt(j) * np.eye(dim, dtype=complex) for j in state.params.intensities]
-    return BlockOperator.from_blocks(blocks)
-
-
 def eigenstate_residual(
     state: CoherentState,
     lowering: BlockOperator,
@@ -315,9 +307,12 @@ def eigenstate_residual(
     """
     if lowering.space != state.space:
         raise DimensionMismatchError("state and operator live on different spaces")
-    diff = lowering.apply(state.vector) - intensity_sqrt_operator(state).apply(state.vector)
-    mask = window_mask(state.space, exclude_top)
-    return float(np.linalg.norm(diff.data[mask]))
+    space = state.space
+    keep = window_levels(space, exclude_top)
+    psi = state.vector.data.reshape(space.sectors, space.dim)
+    lowered = lowering.apply(state.vector).data.reshape(space.sectors, space.dim)
+    diff = lowered - np.sqrt(state.params.intensities)[:, None] * psi
+    return float(np.linalg.norm(diff[:, :keep]))
 
 
 def write_coefficients(state: CoherentState, path) -> None:

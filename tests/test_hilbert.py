@@ -57,9 +57,10 @@ class TestLoweringOperator:
         a = hilbert.boson_ladder(dim).matrix
         for j, w in enumerate(omegas):
             expected = math.sqrt(w) * np.exp(1j * w * gamma) * a
-            np.testing.assert_allclose(b.block(j, j), expected, atol=1e-14)
-        assert hilbert.max_abs(b.block(0, 1)) == 0
-        assert hilbert.max_abs(b.block(1, 0)) == 0
+            np.testing.assert_allclose(b.blocks[j], expected, atol=1e-14)
+        # the dense export is zero off the diagonal blocks
+        assert hilbert.max_abs(b.matrix[:dim, dim:]) == 0
+        assert hilbert.max_abs(b.matrix[dim:, :dim]) == 0
 
     def test_zero_gamma_real(self):
         seqs = two_linear_shifted(6)
@@ -67,7 +68,7 @@ class TestLoweringOperator:
         assert hilbert.max_abs(b.matrix.imag) == 0
         for j, s in enumerate(seqs):
             np.testing.assert_allclose(
-                np.diag(b.block(j, j), 1), np.sqrt(s.values[1:]), atol=1e-15
+                np.diag(b.blocks[j], 1), np.sqrt(s.values[1:]), atol=1e-15
             )
 
     def test_annihilates_ground_states(self):
@@ -77,12 +78,6 @@ class TestLoweringOperator:
             for j in range(2):
                 ground = hilbert.basis_vector(b.space, j, 0)
                 assert b.apply(ground).norm() == 0
-
-    def test_eds_variant_is_same_matrix(self):
-        seqs = two_linear_shifted(6)
-        b = hilbert.lowering_operator(seqs, 1.3)
-        a_tilde = hilbert.eds_lowering_operator(seqs, 1.3)
-        np.testing.assert_array_equal(b.matrix, a_tilde.matrix)
 
     def test_adag_a_is_diagonal_with_shifted_values(self):
         seqs = two_linear_shifted(7)
@@ -154,9 +149,9 @@ class TestDeltaVariant:
         gamma = 1.1
         a = hilbert.delta_lowering_operator(seqs, gamma)
         b = hilbert.lowering_operator([spectra.shift(s) for s in seqs], gamma)
-        np.testing.assert_allclose(a.block(1, 1), b.block(1, 1).conj(), atol=1e-15)
-        np.testing.assert_allclose(a.block(0, 0), b.block(0, 0), atol=1e-15)
-        assert hilbert.max_abs(a.block(1, 1) - b.block(1, 1)) > 0.1
+        np.testing.assert_allclose(a.blocks[1], b.blocks[1].conj(), atol=1e-15)
+        np.testing.assert_allclose(a.blocks[0], b.blocks[0], atol=1e-15)
+        assert hilbert.max_abs(a.blocks[1] - b.blocks[1]) > 0.1
 
     def test_requires_zero_ground(self):
         seqs = [spectra.linear_sequence(6, offset=0.3), spectra.linear_sequence(6)]
@@ -247,9 +242,8 @@ class TestEvolutionOperator:
         u = hilbert.evolution_operator(h, t)
         for j, s in enumerate(seqs):
             np.testing.assert_allclose(
-                np.diag(u.block(j, j)), np.exp(-1j * s.values * t), atol=1e-12
+                np.diag(u.blocks[j]), np.exp(-1j * s.values * t), atol=1e-12
             )
-        assert u.is_block_diagonal()
 
     def test_identity_at_zero_time(self):
         _, h = self.space_and_h()
@@ -277,9 +271,35 @@ class TestEvolutionOperator:
     def test_dense_hermitian_block(self):
         # non-diagonal Hermitian input exercises the full eigendecomposition
         m = RNG.standard_normal((5, 5)) + 1j * RNG.standard_normal((5, 5))
-        h = hilbert.BlockOperator.single_sector(m + m.conj().T)
+        h = hilbert.BlockOperator([m + m.conj().T])
         u = hilbert.evolution_operator(h, 0.6)
         np.testing.assert_allclose((u.adjoint() @ u).matrix, np.eye(5), atol=1e-12)
+
+
+class TestBlockOperator:
+    def test_unequal_blocks_rejected(self):
+        with pytest.raises(errors.LengthMismatchError):
+            hilbert.BlockOperator([np.eye(3), np.eye(4)])
+        with pytest.raises(errors.LengthMismatchError):
+            hilbert.BlockOperator([np.ones((3, 4))])
+
+    def test_real_inputs_stay_real(self):
+        seqs = [spectra.linear_sequence(6, 1.0, offset=0.3), spectra.linear_sequence(6, 1.5)]
+        a = hilbert.BlockOperator([hilbert.boson_ladder(6).matrix])
+        aq = hilbert.BlockOperator([hilbert.quon_ladder(6, 0.5).matrix])
+        grid = hilbert.GridSpec(-5.0, 5.0, 64)
+        ag = hilbert.BlockOperator([hilbert.grid_ladder(lambda x: x, grid).matrix])
+        h = hilbert.susy_hamiltonian(seqs)
+        h_tau = hilbert.shifted_hamiltonian(seqs)
+        ops = [a, aq, ag, h, h_tau, a.adjoint() @ a, aq @ aq.adjoint(), ag.adjoint() @ ag, h - h_tau]
+        for op in ops:
+            assert all(b.dtype == np.float64 for b in op.blocks)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.7])
+    def test_phase_twisted_lowering_is_complex(self, gamma):
+        b = hilbert.lowering_operator(two_linear_shifted(5), gamma)
+        assert all(np.iscomplexobj(block) for block in b.blocks)
+        assert all(np.iscomplexobj(block) for block in (b.adjoint() @ b).blocks)
 
 
 class TestMatrixExport:

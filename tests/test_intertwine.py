@@ -17,8 +17,8 @@ def boson_problem(dim=60, power=2):
     ad = a.conj().T
     x = np.linalg.matrix_power(ad, power)
     return IntertwiningProblem(
-        h=BlockOperator.single_sector(ad @ a),
-        x=BlockOperator.single_sector(x),
+        h=BlockOperator([ad @ a]),
+        x=BlockOperator([x]),
         ladder_degree=power,
     )
 
@@ -31,10 +31,7 @@ class TestConstructCompanion:
         problem = intertwine.example_problem(1, seqs, gamma)
         result = intertwine.construct_companion(problem)
         b = hilbert.lowering_operator(seqs, gamma)
-        expected = (b @ b.adjoint()).matrix
-        mask = problem.mask
-        sub = np.ix_(mask, mask)
-        assert max_abs((result.companion.matrix - expected)[sub]) <= 1e-12
+        assert (result.companion - b @ b.adjoint()).max_abs(problem.keep) <= 1e-12
         assert result.certificate.passed
         # ground-level images vanish, all higher levels survive
         assert set(result.certificate.skipped_levels) == {(0, 0), (1, 0)}
@@ -46,7 +43,7 @@ class TestConstructCompanion:
         dim = seqs[0].dim
         keep = dim - problem.exclude_top
         for j, s in enumerate(seqs):
-            block = result.n1.block(j, j)
+            block = result.n1.blocks[j]
             expected = s.values[1 : keep + 1] * np.append(s.values[2 : keep + 1], 0)[: keep]
             got = np.diag(block).real[:keep]
             want = np.array([s.values[n + 1] * s.values[n + 2] for n in range(keep)])
@@ -66,16 +63,15 @@ class TestConstructCompanion:
         seqs = shifted_pair(omegas=(1.0, 1.0))
         gamma = 2.2
         problem = intertwine.example_problem(4, seqs, gamma)
-        h_diag = np.diag(problem.h.block(0, 0)).real
+        h_diag = np.diag(problem.h.blocks[0]).real
         n = np.arange(seqs[0].dim)
         np.testing.assert_allclose(h_diag, n * np.append(0, n[:-1]), atol=1e-12)
         assert h_diag[3] == pytest.approx(6.0)
 
         result = intertwine.construct_companion(problem)
         b = hilbert.lowering_operator(seqs, gamma)
-        expected = (b.adjoint() @ b @ b @ b.adjoint()).matrix
-        mask = problem.mask
-        assert max_abs((result.companion.matrix - expected)[np.ix_(mask, mask)]) <= 1e-10
+        expected = b.adjoint() @ b @ b @ b.adjoint()
+        assert (result.companion - expected).max_abs(problem.keep) <= 1e-10
         assert result.certificate.passed
 
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
@@ -84,21 +80,21 @@ class TestConstructCompanion:
         seqs = shifted_pair()
         problems = [intertwine.example_problem(which, seqs, g) for g in (0.0, 0.7, 3.1)]
         results = [intertwine.construct_companion(p) for p in problems]
-        h_scale = max(1.0, max_abs(problems[0].h.matrix))
-        c_scale = max(1.0, max_abs(results[0].companion.matrix))
+        h_scale = max(1.0, problems[0].h.max_abs())
+        c_scale = max(1.0, results[0].companion.max_abs())
         for other_p, other_r in zip(problems[1:], results[1:]):
-            assert max_abs((problems[0].h - other_p.h).matrix) / h_scale <= 1e-12
-            assert max_abs((results[0].companion - other_r.companion).matrix) / c_scale <= 1e-12
+            assert (problems[0].h - other_p.h).max_abs() / h_scale <= 1e-12
+            assert (results[0].companion - other_r.companion).max_abs() / c_scale <= 1e-12
 
     def test_identity_intertwiner_returns_h(self):
         seqs = shifted_pair(20)
         b = hilbert.lowering_operator(seqs, 0.5)
         h = b.adjoint() @ b
-        eye = BlockOperator(h.space, np.eye(h.space.total_dim))
+        eye = BlockOperator([np.eye(h.space.dim)] * h.space.sectors)
         result = intertwine.construct_companion(
             IntertwiningProblem(h=h, x=eye, ladder_degree=0)
         )
-        assert max_abs((result.companion - h).matrix) <= 1e-12
+        assert (result.companion - h).max_abs() <= 1e-12
         assert result.certificate.passed
 
     def test_certificates_at_production_size(self):
@@ -138,17 +134,42 @@ class TestConstructCompanion:
     def test_commutant_violation_rejected(self):
         dim = 20
         a = hilbert.boson_ladder(dim).matrix
-        h = BlockOperator.single_sector(a.conj().T @ a)
-        x = BlockOperator.single_sector(a + a.conj().T)
+        h = BlockOperator([a.conj().T @ a])
+        x = BlockOperator([a + a.conj().T])
         with pytest.raises(errors.HypothesisViolatedError):
             intertwine.construct_companion(IntertwiningProblem(h=h, x=x, ladder_degree=1))
+
+    def test_identical_sectors_never_mix(self):
+        # two copies of one spectrum make N1 degenerate across the sectors;
+        # each sector must still reproduce the single-sector companion
+        s = spectra.shift(spectra.linear_sequence(30, 1.0))
+        single = intertwine.construct_companion(intertwine.example_problem(1, [s], 0.7))
+        double = intertwine.construct_companion(intertwine.example_problem(1, [s, s], 0.7))
+        assert len(double.companion.blocks) == 2
+        for block in double.companion.blocks:
+            assert max_abs(block - single.companion.blocks[0]) <= 1e-12
+        assert double.dropped_modes == 2 * single.dropped_modes
+        assert double.dropped_modes > 0
+
+    def test_nan_residual_fails_the_certificate(self):
+        # exp overflows past e ~ 709; the NaN-filled companion must not
+        # certify with gamma_residual == 0
+        dim = 40
+        h = BlockOperator([np.diag(np.linspace(0.0, 1000.0, dim))])
+        x = BlockOperator([np.eye(dim) + np.diag(np.arange(dim, dtype=float))])
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = intertwine.construct_companion(
+                IntertwiningProblem(h=h, x=x), spectral_map=SpectralMap.exponential()
+            )
+        assert not np.isfinite(result.certificate.gamma_residual)
+        assert result.certificate.passed is False
 
     def test_singular_n1_inside_window_rejected(self):
         dim = 20
         diag = np.ones(dim)
         diag[3] = 0.0  # null direction well inside the window
-        h = BlockOperator.single_sector(np.diag(np.arange(dim, dtype=float)))
-        x = BlockOperator.single_sector(np.diag(diag))
+        h = BlockOperator([np.diag(np.arange(dim, dtype=float))])
+        x = BlockOperator([np.diag(diag)])
         with pytest.raises(errors.HypothesisViolatedError):
             intertwine.construct_companion(IntertwiningProblem(h=h, x=x, ladder_degree=0))
 
@@ -184,40 +205,39 @@ class TestNonIsospectral:
     def test_boson_closed_forms(self):
         dim = 60
         problem = boson_problem(dim)
-        n_op = problem.h.matrix
+        n_op = problem.h.blocks[0]
         eye = np.eye(dim)
-        mask = problem.mask
-        sub = np.ix_(mask, mask)
+        sub = np.s_[: problem.keep, : problem.keep]
 
         iso = intertwine.construct_companion(problem)
         np.testing.assert_allclose(
-            iso.n1.matrix[sub], (n_op @ n_op + 3 * n_op + 2 * eye)[sub], atol=1e-11
+            iso.n1.blocks[0][sub], (n_op @ n_op + 3 * n_op + 2 * eye)[sub], atol=1e-11
         )
-        np.testing.assert_allclose(iso.companion.matrix[sub], (n_op + 2 * eye)[sub], atol=1e-11)
+        np.testing.assert_allclose(iso.companion.blocks[0][sub], (n_op + 2 * eye)[sub], atol=1e-11)
 
-        squared = intertwine.map_companion(problem, SpectralMap.polynomial([0, 0, 1]))
+        squared = intertwine.construct_companion(
+            problem, spectral_map=SpectralMap.polynomial([0, 0, 1])
+        )
         ref = (n_op + 2 * eye) @ (n_op + 2 * eye)
-        np.testing.assert_allclose(squared.companion.matrix[sub], ref[sub], atol=1e-11)
+        np.testing.assert_allclose(squared.companion.blocks[0][sub], ref[sub], atol=1e-11)
         assert squared.certificate.passed
 
     def test_boson_exponential_map(self):
         dim = 60
         problem = boson_problem(dim)
-        result = intertwine.map_companion(problem, SpectralMap.exponential())
+        result = intertwine.construct_companion(problem, spectral_map=SpectralMap.exponential())
         n = np.arange(dim, dtype=float)
         ref = np.diag(np.exp(n + 2.0))
-        mask = problem.mask
-        diff = np.abs(result.companion.matrix - ref)[np.ix_(mask, mask)]
-        scale = np.maximum(1.0, np.abs(ref)[np.ix_(mask, mask)])
+        sub = np.s_[: problem.keep, : problem.keep]
+        diff = np.abs(result.companion.blocks[0] - ref)[sub]
+        scale = np.maximum(1.0, np.abs(ref)[sub])
         assert (diff / scale).max() <= 1e-11
 
     def test_identity_map_matches_plain_construction(self):
         problem = boson_problem(40)
         iso = intertwine.construct_companion(problem)
-        mapped = intertwine.map_companion(problem, SpectralMap.identity())
-        mask = problem.mask
-        diff = (iso.companion.matrix - mapped.companion.matrix)[np.ix_(mask, mask)]
-        assert max_abs(diff) <= 1e-10
+        mapped = intertwine.construct_companion(problem, spectral_map=SpectralMap.identity())
+        assert (iso.companion - mapped.companion).max_abs(problem.keep) <= 1e-10
 
 
 class TestQuonClosedForms:
@@ -271,27 +291,23 @@ class TestEqualityProbe:
         a = hilbert.quon_ladder(dim, q).matrix
         ad = a.conj().T
         problem = IntertwiningProblem(
-            h=BlockOperator.single_sector(ad @ a),
-            x=BlockOperator.single_sector(ad @ ad),
+            h=BlockOperator([ad @ a]),
+            x=BlockOperator([ad @ ad]),
             ladder_degree=2,
         )
         f = SpectralMap.polynomial([0.5, 1.0, 0.25])
         report = intertwine.power_series_equality_probe(problem, f)
         assert report.max_residual <= 1e-10
         # companion of f(h) equals f(q^2 N + (1+q))
-        mapped = intertwine.map_companion(problem, f)
-        n_op = (ad @ a).real
-        ref = intertwine.apply_map(
-            f, BlockOperator.single_sector(q**2 * n_op + (1 + q) * np.eye(dim))
-        )
-        mask = problem.mask
-        diff = (mapped.companion.matrix - ref.matrix)[np.ix_(mask, mask)]
-        assert max_abs(diff) <= 1e-10
+        mapped = intertwine.construct_companion(problem, spectral_map=f)
+        n_op = ad @ a
+        ref = intertwine.apply_map(f, BlockOperator([q**2 * n_op + (1 + q) * np.eye(dim)]))
+        assert (mapped.companion - ref).max_abs(problem.keep) <= 1e-10
 
     def test_trivial_intertwiner_zero_residual(self):
         dim = 30
-        h = BlockOperator.single_sector(np.diag(np.arange(dim, dtype=float)))
-        eye = BlockOperator.single_sector(np.eye(dim))
+        h = BlockOperator([np.diag(np.arange(dim, dtype=float))])
+        eye = BlockOperator([np.eye(dim)])
         problem = IntertwiningProblem(h=h, x=eye, ladder_degree=0)
         report = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([1, 2]))
         assert report.max_residual <= 1e-12
@@ -310,8 +326,8 @@ class TestProjectionIdentity:
         a = hilbert.boson_ladder(dim).matrix
         n_op = a.conj().T @ a
         problem = IntertwiningProblem(
-            h=BlockOperator.single_sector(n_op),
-            x=BlockOperator.single_sector(np.eye(dim) + n_op),
+            h=BlockOperator([n_op]),
+            x=BlockOperator([np.eye(dim) + n_op]),
             ladder_degree=0,
         )
         report = intertwine.projection_identity_check(problem, l_max=4)

@@ -222,7 +222,7 @@ class TestEigenstateRelation:
     def test_zero_intensities(self):
         seqs = eds_linear_pair(12)
         state = vcs.eds_family_state(seqs, vcs.VcsParams((0.0, 0.0), 0.9))
-        lowering = hilbert.eds_lowering_operator([spectra.shift(s) for s in seqs], 0.9)
+        lowering = hilbert.lowering_operator([spectra.shift(s) for s in seqs], 0.9)
         assert vcs.eigenstate_residual(state, lowering) <= 1e-15
 
     def test_matched_gamma(self):
@@ -232,7 +232,7 @@ class TestEigenstateRelation:
         for _ in range(10):
             params = vcs.VcsParams(rng.uniform(0, 4, size=2), rng.uniform(-3, 3))
             state = vcs.eds_family_state(seqs, params)
-            lowering = hilbert.eds_lowering_operator(shifted, params.gamma)
+            lowering = hilbert.lowering_operator(shifted, params.gamma)
             resid = vcs.eigenstate_residual(state, lowering)
             assert resid <= max(10 * state.tail_bound, 5e-13)
 
@@ -257,10 +257,10 @@ class TestEigenstateRelation:
         gamma = 0.4
         state = vcs.eds_family_state(seqs, vcs.VcsParams((1.0, 1.0), gamma))
         matched = vcs.eigenstate_residual(
-            state, hilbert.eds_lowering_operator(shifted, gamma)
+            state, hilbert.lowering_operator(shifted, gamma)
         )
         mismatched = vcs.eigenstate_residual(
-            state, hilbert.eds_lowering_operator(shifted, gamma + 1.0)
+            state, hilbert.lowering_operator(shifted, gamma + 1.0)
         )
         assert matched <= 5e-13
         assert mismatched > 1e-2
