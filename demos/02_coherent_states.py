@@ -31,7 +31,7 @@ print(f"residual = {vcs.action_identity_residual(state, h_tau):.2e}")
 
 # temporal stability: evolving in time shifts the phase label
 for t in (0.1, 1.0, 10.0):
-    resid = vcs.temporal_stability_residual(eds_seqs, params, t, "eds-family")
+    resid = vcs.temporal_stability_residual(state, t)
     print(f"temporal stability, t={t:>4}: residual {resid:.2e}")
 
 # eigenstate of the lowering operator at the same gamma, not at another
@@ -55,9 +55,7 @@ d_params = vcs.VcsParams((1.0, 2.0), 0.7, delta=0.5)
 d_state = vcs.delta_family_state(zero_ground, d_params)
 print(f"\nregulated-family state: norm = {d_state.vector.norm():.15f}")
 
-own = vcs.temporal_stability_residual(zero_ground, d_params, 1.0, "delta-family")
-physical = vcs.temporal_stability_residual(
-    zero_ground, d_params, 1.0, "delta-family", evolution="physical"
-)
+own = vcs.temporal_stability_residual(d_state, 1.0)
+physical = vcs.temporal_stability_residual(d_state, 1.0, evolution="physical")
 print(f"stability under its own split-sign evolution: {own:.2e}")
 print(f"stability under the physical propagator:      {physical:.2e}  <- not preserved")

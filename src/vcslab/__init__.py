@@ -38,8 +38,6 @@ from .hilbert import (
     shifted_hamiltonian,
     evolution_operator,
     delta_evolution_operator,
-    write_complex_matrix,
-    read_complex_matrix,
 )
 from .vcs import (
     VcsParams,
@@ -50,7 +48,6 @@ from .vcs import (
     action_identity_residual,
     temporal_stability_residual,
     eigenstate_residual,
-    write_coefficients,
 )
 from .moments import (
     MomentWeight,
@@ -59,7 +56,6 @@ from .moments import (
     resolution_check,
     delta_zero_failure,
     cesaro_phase_average,
-    write_residual_table,
 )
 from .intertwine import (
     SpectralMap,

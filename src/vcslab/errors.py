@@ -33,10 +33,6 @@ class NonPositiveDerivativeError(VcsLabError):
     """Superpotential derivative is not strictly positive on the grid."""
 
 
-class NotHermitianError(VcsLabError):
-    """Operator expected to be Hermitian is not, beyond tolerance."""
-
-
 class OutOfDiscError(VcsLabError):
     """Intensity J lies outside the convergence disc of the coefficient series."""
 

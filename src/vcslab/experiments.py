@@ -91,7 +91,6 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
         raise ConfigError(f"{len(seqs)} spectra but {len(j_max)} j_max entries")
 
     if family == "eds":
-        regime = "eds-family"
         hamiltonian = shifted_hamiltonian(seqs)
         shifted = [shift(s) for s in seqs]
 
@@ -102,7 +101,6 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
             return eds_family_state(seqs, p)
 
     elif family == "delta":
-        regime = "delta-family"
         hamiltonian = susy_hamiltonian(seqs)
 
         def lowering(gamma):
@@ -132,9 +130,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
             "eigenstate": eigenstate_residual(state, lowering(p.gamma)),
         }
         for t in times:
-            residuals[f"stability[t={t:g}]"] = temporal_stability_residual(
-                seqs, p, t, regime
-            )
+            residuals[f"stability[t={t:g}]"] = temporal_stability_residual(state, t)
         return residuals
 
     if jobs > 1:

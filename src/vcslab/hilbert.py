@@ -18,7 +18,6 @@ from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
     NonPositiveDerivativeError,
-    NotHermitianError,
     RegimeError,
 )
 from .spectra import SpectralSequence, quon_numbers
@@ -41,11 +40,7 @@ __all__ = [
     "delta_evolution_operator",
     "window_levels",
     "max_abs",
-    "write_complex_matrix",
-    "read_complex_matrix",
 ]
-
-HERMITIAN_TOL = 1e-12
 
 #: extra levels excluded from the valid window beyond the ladder degree
 WINDOW_BUFFER = 2
@@ -182,12 +177,6 @@ class BlockOperator:
         """Entrywise max-norm over all sectors; with ``keep``, over the
         top-left ``keep x keep`` window of each block.  A NaN propagates."""
         return float(np.max([max_abs(b[:keep, :keep]) for b in self.blocks]))
-
-    def hermitian_defect(self) -> float:
-        return (self - self.adjoint()).max_abs()
-
-    def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        return self.hermitian_defect() < tol
 
 
 @dataclass(frozen=True)
@@ -431,21 +420,13 @@ def shifted_hamiltonian(seqs) -> BlockOperator:
     return BlockOperator([np.diag(s.values - s.values[0]) for s in seqs])
 
 
-def evolution_operator(t_op: BlockOperator, t: float) -> BlockOperator:
-    """Unitary ``exp(-i T t)`` of a Hermitian block operator.
+def evolution_operator(seqs, t: float) -> BlockOperator:
+    """Physical propagator ``exp(-i H t)`` of :func:`susy_hamiltonian`.
 
-    Computed by eigendecomposition of each block, which is stable for every
-    ``t``.
+    ``H`` is diagonal in the level basis, so each level only picks up the
+    phase ``exp(-i e[n] t)``: every block is the diagonal of those phases.
     """
-    if not t_op.is_hermitian():
-        raise NotHermitianError(
-            f"operator deviates from Hermitian by {t_op.hermitian_defect():.3e}"
-        )
-    def expm_block(b):
-        evals, vecs = np.linalg.eigh(b)
-        return (vecs * np.exp(-1j * evals * t)) @ vecs.conj().T
-
-    return BlockOperator([expm_block(b) for b in t_op.blocks])
+    return BlockOperator([np.diag(np.exp(-1j * s.values * t)) for s in seqs])
 
 
 def delta_evolution_operator(seqs, delta: float, t: float) -> BlockOperator:
@@ -477,27 +458,3 @@ def window_levels(space: SectorSpace, exclude_top: int) -> int:
             f"window excludes all {space.dim} levels (exclude_top={exclude_top})"
         )
     return keep
-
-
-def write_complex_matrix(path, matrix) -> None:
-    """Dense complex matrix export: a "rows cols" header line, then one line
-    per row of whitespace-separated "re,im" entries."""
-    m = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in row) + "\n")
-
-
-def read_complex_matrix(path) -> np.ndarray:
-    with open(path, encoding="ascii") as fh:
-        rows, cols = (int(tok) for tok in fh.readline().split())
-        m = np.empty((rows, cols), dtype=complex)
-        for i in range(rows):
-            entries = fh.readline().split()
-            if len(entries) != cols:
-                raise ValueError(f"row {i}: expected {cols} entries, got {len(entries)}")
-            for j, tok in enumerate(entries):
-                re, im = tok.split(",")
-                m[i, j] = complex(float(re), float(im))
-    return m

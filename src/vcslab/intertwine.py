@@ -547,26 +547,17 @@ def grid_partner_comparison(
     With ``a = c d/dx + W`` (``x = a+``, ``h = a+ a``) the companion of
     ``f(h)`` equals ``f(a a+)``, whose continuum form is
     ``f(a+ a + 2 c W'(x))``; the two differ by the discretization error of
-    the commutator, second order in the grid step.  Residuals are measured
-    on the ``n_modes`` lowest eigenvectors of ``h`` (default: the bottom
-    quarter of the grid spectrum).  For scaling studies across resolutions,
-    hold ``n_modes`` fixed.
+    the commutator, second order in the grid step.  ``f=None`` uses ``h``
+    and the target as they are, as :func:`construct_companion` does.
+    Residuals are measured on the ``n_modes`` lowest eigenvectors of ``h``
+    (default: the bottom quarter of the grid spectrum).  For scaling studies
+    across resolutions, hold ``n_modes`` fixed.  ``h`` is eigendecomposed
+    once; its eigenpairs serve both ``f(h)`` and the mode selection.
     """
-    if f is None:
-        f = SpectralMap.identity()
     ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
     a = ladder.matrix
     ad = a.T
     h = ad @ a
-
-    # x = a+, so N1 = x+ x = a a+ and the companion is N1^-1 a f(h) a+
-    n1_inv = _grid_inverse(a @ ad, grid)
-    mapped = apply_map(f, BlockOperator([h])).blocks[0]
-    companion = n1_inv @ (a @ (mapped @ ad))
-
-    c = ladder.params["c"]
-    target_arg = h + 2.0 * c * np.diag(ladder.diagnostics["w_prime"])
-    target = apply_map(f, BlockOperator([target_arg])).blocks[0]
 
     # central differences double the spectrum: every smooth eigenmode has a
     # checkerboard twin at a nearby eigenvalue on which the commutator flips
@@ -579,10 +570,8 @@ def grid_partner_comparison(
     smoothness = np.sum(np.abs(vecs[1:, :] + vecs[:-1, :]) ** 2, axis=0)
     smooth_cols = np.flatnonzero(smoothness > 2.0)
     k_max = grid.points // 4 if n_modes is None else n_modes
-    picked = smooth_cols[: min(k_max, len(smooth_cols))]
-    diff = companion - target
-    resids = []
-    for k in picked:
+    probes = []
+    for k in smooth_cols[: min(k_max, len(smooth_cols))]:
         phi = vecs[:, k]
         for _ in range(2):
             phi = 0.25 * (
@@ -590,13 +579,25 @@ def grid_partner_comparison(
                 + 2.0 * phi
                 + np.concatenate((phi[1:], [phi[-1]]))
             )
-        phi /= np.linalg.norm(phi)
-        resids.append(np.linalg.norm(diff @ phi))
+        probes.append(phi / np.linalg.norm(phi))
+    mapped = h if f is None else (vecs * f(evals)) @ vecs.T
+    del vecs  # freed before N1 is decomposed: holding it adds a grid-sized matrix to the peak
+
+    # x = a+, so N1 = x+ x = a a+ and the companion is N1^-1 a f(h) a+
+    n1_inv = _grid_inverse(a @ ad, grid)
+    companion = n1_inv @ (a @ (mapped @ ad))
+
+    c = ladder.params["c"]
+    target = h + 2.0 * c * np.diag(ladder.diagnostics["w_prime"])
+    if f is not None:
+        target = apply_map(f, BlockOperator([target])).blocks[0]
+    diff = companion - target
+    resids = [np.linalg.norm(diff @ phi) for phi in probes]
     return GridComparisonReport(
         dx=grid.dx,
         commutator_residual=float(ladder.diagnostics["commutator_probe_residual"]),
         comparison_residual=float(np.max(resids, initial=0.0)),
-        n_modes=len(picked),
+        n_modes=len(probes),
     )
 
 

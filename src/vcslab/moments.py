@@ -35,7 +35,6 @@ __all__ = [
     "resolution_check",
     "delta_zero_failure",
     "cesaro_phase_average",
-    "write_residual_table",
     "MOMENT_TOLERANCE",
 ]
 
@@ -165,7 +164,7 @@ def verify_moments(weight: MomentWeight, seq, k_max: int, n_nodes: int | None = 
     return np.abs(moments - reference) / reference
 
 
-def cesaro_phase_average(thetas, horizon: float, step: float, method: str = "closed"):
+def cesaro_phase_average(thetas, horizon: float, step: float):
     """Trapezoid Cesaro mean of ``exp(i theta gamma)`` over ``[-horizon, horizon]``.
 
     The uniform grid has ``M = ceil(2 horizon / step)`` panels.  The closed
@@ -173,8 +172,7 @@ def cesaro_phase_average(thetas, horizon: float, step: float, method: str = "clo
 
         T(theta) = sinc(theta*horizon) * x*cot(x),   x = theta*s/2
 
-    with ``s`` the realized step.  ``method="direct"`` sums the grid
-    literally (for cross-checking; only sensible for small grids).
+    with ``s`` the realized step.
     """
     thetas = np.asarray(thetas, dtype=float)
     m = max(16, math.ceil(2.0 * horizon / step))
@@ -185,15 +183,6 @@ def cesaro_phase_average(thetas, horizon: float, step: float, method: str = "clo
             f"phase step {s:.3e} does not resolve the fastest frequency "
             f"{np.abs(thetas).max():.3e}; decrease gamma_step"
         )
-    if method == "direct":
-        grid = -horizon + s * np.arange(m + 1)
-        flat = thetas.reshape(-1)
-        res = np.empty(flat.shape)
-        for i, th in enumerate(flat):
-            samples = np.exp(1j * th * grid)
-            total = samples.sum() - 0.5 * (samples[0] + samples[-1])
-            res[i] = (s * total / (2.0 * horizon)).real
-        return res.reshape(thetas.shape)
     small = np.abs(x) < 1e-8
     xcot = np.where(small, 1.0 - x * x / 3.0, x / np.tan(np.where(small, 1.0, x)))
     return np.sinc(thetas * horizon / np.pi) * xcot
@@ -401,11 +390,3 @@ def delta_zero_failure(
         delta=delta,
         gamma_horizon=quad.gamma_horizon,
     )
-
-
-def write_residual_table(path, horizons, diag_errors, offdiag_errors) -> None:
-    """Delimited text table of residual versus phase-average horizon."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# horizon\tdiag_error\toffdiag_error\n")
-        for h, d, o in zip(horizons, diag_errors, offdiag_errors):
-            fh.write(f"{h:.17g}\t{d:.17g}\t{o:.17g}\n")

@@ -28,7 +28,6 @@ from .hilbert import (
     SusyVector,
     delta_evolution_operator,
     evolution_operator,
-    susy_hamiltonian,
     window_levels,
 )
 from .spectra import ShiftedSequence, radius_estimate, require_disjoint, shift
@@ -42,7 +41,6 @@ __all__ = [
     "action_identity_residual",
     "temporal_stability_residual",
     "eigenstate_residual",
-    "write_coefficients",
     "TAIL_TOLERANCE",
 ]
 
@@ -256,41 +254,29 @@ def action_identity_residual(state: CoherentState, hamiltonian: BlockOperator) -
     return abs(lhs - rhs)
 
 
-def _build_state(seqs, params, regime, tail_tol):
-    if regime == "delta-family":
-        return delta_family_state(seqs, params, tail_tol)
-    if regime == "eds-family":
-        return eds_family_state(seqs, params, tail_tol)
-    raise RegimeError(f"unknown regime {regime!r}")
-
-
 def temporal_stability_residual(
-    seqs,
-    params: VcsParams,
-    t: float,
-    regime: str,
-    evolution: str = "family",
-    tail_tol: float = TAIL_TOLERANCE,
+    state: CoherentState, t: float, evolution: str = "family"
 ) -> float:
-    """Norm distance between the evolved state and the state at shifted gamma.
+    """Norm distance between the evolved ``state`` and its family member at ``gamma + t``.
 
-    ``evolution="family"`` uses each family's own invariance operator: the
-    physical ``exp(-i H t)`` for the shift family, the ad-hoc split-sign
-    operator for the delta family.  ``evolution="physical"`` forces
-    ``exp(-i H t)`` in both cases; for the delta family this documents that
-    the physical evolution does NOT preserve the family.
+    Only the state at ``gamma + t`` is built; its spectra, labels and regime
+    come from ``state``.  ``evolution="family"`` uses each family's own
+    invariance operator: the physical ``exp(-i H t)`` (a phase
+    ``exp(-i e[n] t)`` per level) for the shift family, the ad-hoc
+    split-sign operator for the delta family.  ``evolution="physical"``
+    forces ``exp(-i H t)`` in both cases; for the delta family this
+    documents that the physical evolution does NOT preserve the family.
     """
-    before = _build_state(seqs, params, regime, tail_tol)
-    after = _build_state(
-        seqs, VcsParams(params.intensities, params.gamma + t, params.delta), regime, tail_tol
-    )
-    if regime == "delta-family" and evolution == "family":
-        u = delta_evolution_operator(seqs, params.delta, t)
+    p = state.params
+    build = delta_family_state if state.regime == "delta-family" else eds_family_state
+    after = build(state.seqs, VcsParams(p.intensities, p.gamma + t, p.delta))
+    if state.regime == "delta-family" and evolution == "family":
+        u = delta_evolution_operator(state.seqs, p.delta, t)
     elif evolution in ("family", "physical"):
-        u = evolution_operator(susy_hamiltonian(seqs), t)
+        u = evolution_operator(state.seqs, t)
     else:
         raise RegimeError(f"unknown evolution {evolution!r}")
-    return (u.apply(before.vector) - after.vector).norm()
+    return (u.apply(state.vector) - after.vector).norm()
 
 
 def eigenstate_residual(
@@ -313,13 +299,3 @@ def eigenstate_residual(
     lowered = lowering.apply(state.vector).data.reshape(space.sectors, space.dim)
     diff = lowered - np.sqrt(state.params.intensities)[:, None] * psi
     return float(np.linalg.norm(diff[:, :keep]))
-
-
-def write_coefficients(state: CoherentState, path) -> None:
-    """Dump the coefficient table as delimited text: sector, level, re, im."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# sector\tlevel\tre\tim\n")
-        for j in range(state.space.sectors):
-            block = state.vector.block(j)
-            for n, z in enumerate(block):
-                fh.write(f"{j}\t{n}\t{z.real:.17g}\t{z.imag:.17g}\n")

@@ -386,6 +386,25 @@ class TestGridPartner:
         ratio = reports[0].comparison_residual / reports[1].comparison_residual
         assert 2.8 < ratio < 5.5
 
+    def test_h_is_decomposed_once(self, eigh_calls):
+        # one eigh for N1 and one for h; a map adds one for the commutator target
+        grid = hilbert.GridSpec(-12.0, 12.0, 128)
+        intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=16)
+        assert len(eigh_calls) == 2
+        eigh_calls.clear()
+        f = SpectralMap.polynomial([0, 0, 1])
+        intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=16)
+        assert len(eigh_calls) == 3
+
+    def test_no_map_matches_identity_map(self):
+        grid = hilbert.GridSpec(-12.0, 12.0, 128)
+        plain = intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=16)
+        mapped = intertwine.grid_partner_comparison(
+            lambda x: x, grid, f=SpectralMap.identity(), n_modes=16
+        )
+        assert plain.n_modes == mapped.n_modes
+        assert plain.comparison_residual == pytest.approx(mapped.comparison_residual, rel=1e-9)
+
     def test_nonpositive_derivative_rejected(self):
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
         with pytest.raises(errors.NonPositiveDerivativeError):

@@ -191,31 +191,37 @@ class TestActionIdentity:
 class TestTemporalStability:
     def test_zero_time(self):
         seqs = eds_linear_pair(20)
-        params = vcs.VcsParams((1.0, 2.0), 0.7)
-        assert vcs.temporal_stability_residual(seqs, params, 0.0, "eds-family") == 0
+        state = vcs.eds_family_state(seqs, vcs.VcsParams((1.0, 2.0), 0.7))
+        assert vcs.temporal_stability_residual(state, 0.0) == 0
 
     def test_eds_family_physical_evolution(self):
         seqs = eds_linear_pair()
-        params = vcs.VcsParams((1.5, 2.0), 0.4)
+        state = vcs.eds_family_state(seqs, vcs.VcsParams((1.5, 2.0), 0.4))
         for t in (0.1, 1.0, 10.0, 2 * math.pi):
-            resid = vcs.temporal_stability_residual(seqs, params, t, "eds-family")
+            resid = vcs.temporal_stability_residual(state, t)
             assert resid <= 1e-10
 
     def test_delta_family_own_evolution(self):
         seqs = zero_ground_pair()
-        params = vcs.VcsParams((1.0, 2.0), 0.7, 0.5)
+        state = vcs.delta_family_state(seqs, vcs.VcsParams((1.0, 2.0), 0.7, 0.5))
         for t in (0.1, 1.0, 10.0):
-            resid = vcs.temporal_stability_residual(seqs, params, t, "delta-family")
+            resid = vcs.temporal_stability_residual(state, t)
             assert resid <= 1e-10
 
     def test_delta_family_fails_under_physical_evolution(self):
         # exp(-iHt) does not map the delta family to shifted gamma
         seqs = zero_ground_pair()
-        params = vcs.VcsParams((1.0, 1.0), 0.7, 0.5)
-        resid = vcs.temporal_stability_residual(
-            seqs, params, 1.0, "delta-family", evolution="physical"
-        )
+        state = vcs.delta_family_state(seqs, vcs.VcsParams((1.0, 1.0), 0.7, 0.5))
+        resid = vcs.temporal_stability_residual(state, 1.0, evolution="physical")
         assert resid > 1e-2
+
+    def test_evolves_by_phases_without_eigendecomposition(self, eigh_calls):
+        eds = vcs.eds_family_state(eds_linear_pair(20), vcs.VcsParams((1.0, 2.0), 0.7))
+        delta = vcs.delta_family_state(zero_ground_pair(20), vcs.VcsParams((1.0, 2.0), 0.7, 0.5))
+        vcs.temporal_stability_residual(eds, 1.0)
+        vcs.temporal_stability_residual(delta, 1.0)
+        vcs.temporal_stability_residual(delta, 1.0, evolution="physical")
+        assert eigh_calls == []
 
 
 class TestEigenstateRelation:
@@ -282,17 +288,3 @@ class TestContinuity:
             ratios.append(dist / h)
         ratios = np.asarray(ratios)
         assert ratios.max() / ratios.min() < 1.5  # state distance is ~linear in h
-
-
-class TestCoefficientExport:
-    def test_table_format(self, tmp_path):
-        seqs = eds_linear_pair(20)
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((1.0, 0.5), 0.3))
-        path = tmp_path / "state.tsv"
-        vcs.write_coefficients(state, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("#")
-        assert len(lines) == 1 + 40
-        sector, level, re, im = lines[1].split("\t")
-        assert (sector, level) == ("0", "0")
-        assert complex(float(re), float(im)) == state.vector.block(0)[0]
