@@ -195,14 +195,23 @@ class IntertwiningResult:
         }
 
 
+def _eigen_apply(vecs: np.ndarray, values: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """``g(A) rhs`` given the eigenvectors ``vecs`` of Hermitian ``A`` and ``values = g(evals)``;
+    ``g(A)`` itself when ``rhs`` is None."""
+    if rhs is None:
+        return (vecs * values) @ vecs.conj().T
+    return vecs @ (values[:, None] * (vecs.conj().T @ rhs))
+
+
+def _map_block(f: SpectralMap, b: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """``f`` of the Hermitian part of the block ``b``, applied to ``rhs`` or formed when it is None."""
+    evals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
+    return _eigen_apply(vecs, f(evals), rhs)
+
+
 def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
     """``f(op)`` by Hermitian eigendecomposition of each block (one code path for all maps)."""
-
-    def map_block(b):
-        evals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
-        return (vecs * f(evals)) @ vecs.conj().T
-
-    return BlockOperator([map_block(b) for b in op.blocks])
+    return BlockOperator([_map_block(f, b) for b in op.blocks])
 
 
 def _window_inverse(n1: BlockOperator, keep: int, cutoff: float = N1_CUTOFF):
@@ -228,7 +237,7 @@ def _window_inverse(n1: BlockOperator, keep: int, cutoff: float = N1_CUTOFF):
                 )
         inv_evals = np.zeros_like(evals)
         inv_evals[~small] = 1.0 / evals[~small]
-        blocks.append((vecs * inv_evals) @ vecs.conj().T)
+        blocks.append(_eigen_apply(vecs, inv_evals))
         dropped += int(small.sum())
     return BlockOperator(blocks), dropped
 
@@ -504,34 +513,31 @@ class GridComparisonReport:
     n_modes: int
 
 
-def _grid_inverse(n1: np.ndarray, grid: GridSpec, cutoff: float = N1_CUTOFF) -> np.ndarray:
-    """Invert the grid N1, discarding discretization-artifact null modes.
+def _grid_inverse(n1: np.ndarray, rhs: np.ndarray, grid: GridSpec, cutoff: float = N1_CUTOFF) -> np.ndarray:
+    """Apply the inverse of the grid N1 to the block ``rhs``, projecting out
+    discretization-artifact null modes.
 
     Central differences admit a checkerboard quasi-kernel of the raising
     operator (sign-alternating at the grid's highest frequency), and confining
     superpotentials can pin further quasi-null modes to the outermost grid
     points.  Both live outside the trustworthy low-frequency interior
-    subspace and are projected out; a smooth interior null direction is a
+    subspace and are dropped; a smooth interior null direction is a
     genuine invertibility failure.
     """
     evals, vecs = np.linalg.eigh(n1)
+    invertible = evals > cutoff
+    null = vecs[:, ~invertible]
     band = max(4, grid.points // 32)
-    inv_evals = np.empty_like(evals)
-    for k, lam in enumerate(evals):
-        if lam > cutoff:
-            inv_evals[k] = 1.0 / lam
-            continue
-        v = vecs[:, k]
-        smoothness = float(np.sum(np.abs(v[1:] + v[:-1]) ** 2))  # ~4 smooth, ~0 Nyquist
-        edge_mass = float(np.sum(np.abs(v[:band]) ** 2) + np.sum(np.abs(v[-band:]) ** 2))
-        if smoothness < 0.5 or edge_mass > 0.5:
-            inv_evals[k] = 0.0
-            continue
+    smoothness = np.sum(np.abs(null[1:] + null[:-1]) ** 2, axis=0)  # ~4 smooth, ~0 Nyquist
+    edge_mass = np.sum(np.abs(null[:band]) ** 2, axis=0) + np.sum(np.abs(null[-band:]) ** 2, axis=0)
+    genuine = evals[~invertible][~((smoothness < 0.5) | (edge_mass > 0.5))]
+    if genuine.size:
         raise HypothesisViolatedError(
-            f"grid N1 eigenvalue {lam:.3e} <= {cutoff:.1e} with a smooth interior "
+            f"grid N1 eigenvalue {genuine[0]:.3e} <= {cutoff:.1e} with a smooth interior "
             "eigenvector: not invertible"
         )
-    return (vecs * inv_evals) @ vecs.T
+    inv_evals = np.divide(1.0, evals, out=np.zeros_like(evals), where=invertible)
+    return _eigen_apply(vecs, inv_evals, rhs)
 
 
 def grid_partner_comparison(
@@ -549,10 +555,11 @@ def grid_partner_comparison(
     ``f(a+ a + 2 c W'(x))``; the two differ by the discretization error of
     the commutator, second order in the grid step.  ``f=None`` uses ``h``
     and the target as they are, as :func:`construct_companion` does.
-    Residuals are measured on the ``n_modes`` lowest eigenvectors of ``h``
-    (default: the bottom quarter of the grid spectrum).  For scaling studies
-    across resolutions, hold ``n_modes`` fixed.  ``h`` is eigendecomposed
-    once; its eigenpairs serve both ``f(h)`` and the mode selection.
+    Residuals are measured on the ``n_modes`` lowest smooth eigenvectors of
+    ``h`` (default: the bottom quarter of the grid spectrum); hold it fixed
+    for scaling studies.  Both operators act on the ``n x k`` block of
+    probes and are never formed; ``h`` is eigendecomposed once, for ``f(h)``
+    and the mode selection.
     """
     ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
     a = ladder.matrix
@@ -567,37 +574,33 @@ def grid_partner_comparison(
     # low-pass filters them (double three-point average: exact on the doubler
     # mode, relative O(dx^2) on resolved modes) before applying the operators.
     evals, vecs = np.linalg.eigh(h)
-    smoothness = np.sum(np.abs(vecs[1:, :] + vecs[:-1, :]) ** 2, axis=0)
-    smooth_cols = np.flatnonzero(smoothness > 2.0)
+    smoothness = np.sum((vecs[1:] + vecs[:-1]) ** 2, axis=0)
     k_max = grid.points // 4 if n_modes is None else n_modes
-    probes = []
-    for k in smooth_cols[: min(k_max, len(smooth_cols))]:
-        phi = vecs[:, k]
-        for _ in range(2):
-            phi = 0.25 * (
-                np.concatenate(([phi[0]], phi[:-1]))
-                + 2.0 * phi
-                + np.concatenate((phi[1:], [phi[-1]]))
-            )
-        probes.append(phi / np.linalg.norm(phi))
-    mapped = h if f is None else (vecs * f(evals)) @ vecs.T
-    del vecs  # freed before N1 is decomposed: holding it adds a grid-sized matrix to the peak
+    phi = vecs[:, np.flatnonzero(smoothness > 2.0)[:k_max]]
+    for _ in range(2):
+        phi = 0.25 * (np.vstack((phi[:1], phi[:-1])) + 2.0 * phi + np.vstack((phi[1:], phi[-1:])))
+    phi = phi / np.linalg.norm(phi, axis=0)
 
-    # x = a+, so N1 = x+ x = a a+ and the companion is N1^-1 a f(h) a+
-    n1_inv = _grid_inverse(a @ ad, grid)
-    companion = n1_inv @ (a @ (mapped @ ad))
+    # x = a+, so N1 = x+ x = a a+ and companion phi = N1^-1 a f(h) a+ phi
+    image = ad @ phi
+    image = a @ (h @ image if f is None else _eigen_apply(vecs, f(evals), image))
+    del vecs  # freed before the target and N1 are decomposed
 
+    # target phi = f(h + 2c W') phi
     c = ladder.params["c"]
-    target = h + 2.0 * c * np.diag(ladder.diagnostics["w_prime"])
-    if f is not None:
-        target = apply_map(f, BlockOperator([target])).blocks[0]
-    diff = companion - target
-    resids = [np.linalg.norm(diff @ phi) for phi in probes]
+    w_prime = ladder.diagnostics["w_prime"]
+    if f is None:
+        target = h @ phi + 2.0 * c * w_prime[:, None] * phi
+    else:
+        h[np.diag_indices_from(h)] += 2.0 * c * w_prime  # h is not read again
+        target = _map_block(f, h, phi)
+    del h
+    diff = _grid_inverse(a @ ad, image, grid) - target
     return GridComparisonReport(
         dx=grid.dx,
         commutator_residual=float(ladder.diagnostics["commutator_probe_residual"]),
-        comparison_residual=float(np.max(resids, initial=0.0)),
-        n_modes=len(probes),
+        comparison_residual=float(np.max(np.linalg.norm(diff, axis=0), initial=0.0)),
+        n_modes=phi.shape[1],
     )
 
 

@@ -283,3 +283,28 @@ class TestBlockOperator:
         b = hilbert.lowering_operator(two_linear_shifted(5), gamma)
         assert all(np.iscomplexobj(block) for block in b.blocks)
         assert all(np.iscomplexobj(block) for block in (b.adjoint() @ b).blocks)
+
+    def test_caller_arrays_are_copied(self):
+        m = np.arange(9.0).reshape(3, 3)
+        op = hilbert.BlockOperator([m])
+        m[0, 0] = 100.0
+        assert op.blocks[0][0, 0] == 0.0
+        assert not np.shares_memory(op.blocks[0], m)
+
+    def test_computed_blocks_are_frozen(self):
+        rng = np.random.default_rng(3)
+        a = hilbert.BlockOperator([rng.normal(size=(4, 4)), rng.normal(size=(4, 4))])
+        b = hilbert.BlockOperator([rng.normal(size=(4, 4)) + 1j, np.eye(4, dtype=complex)])
+        for op, dense in (
+            (a @ b, a.matrix @ b.matrix),
+            (a + b, a.matrix + b.matrix),
+            (a - b, a.matrix - b.matrix),
+            (a.adjoint(), a.matrix.T),
+            (b.adjoint(), b.matrix.conj().T),
+        ):
+            np.testing.assert_array_equal(op.matrix, dense)
+            for block in op.blocks:
+                assert not block.flags.writeable
+                assert not any(np.shares_memory(block, x) for x in a.blocks + b.blocks)
+                with pytest.raises(ValueError):
+                    block[0, 0] = 1.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,52 @@ def boson_problem(dim=60, power=2):
         x=BlockOperator([x]),
         ladder_degree=power,
     )
+
+
+def dense_grid_comparison(w, grid, f=None, n_modes=None):
+    """Oracle for ``grid_partner_comparison``: the companion ``N1^+ a f(h) a+``
+    and the target ``f(h + 2c W')`` formed as full ``n x n`` matrices, then
+    read through the same low-pass-filtered smooth eigenvectors of ``h``.
+    Returns ``(n_modes, comparison_residual)``."""
+    ladder = hilbert.grid_ladder(w, grid)
+    a = ladder.matrix
+    h = a.T @ a
+    evals, vecs = np.linalg.eigh(h)
+    smoothness = np.sum(np.abs(vecs[1:, :] + vecs[:-1, :]) ** 2, axis=0)
+    k_max = grid.points // 4 if n_modes is None else n_modes
+    probes = []
+    for k in np.flatnonzero(smoothness > 2.0)[:k_max]:
+        phi = vecs[:, k]
+        for _ in range(2):
+            phi = 0.25 * (
+                np.concatenate(([phi[0]], phi[:-1])) + 2.0 * phi + np.concatenate((phi[1:], [phi[-1]]))
+            )
+        probes.append(phi / np.linalg.norm(phi))
+    mapped = h if f is None else (vecs * f(evals)) @ vecs.T
+    n1_evals, n1_vecs = np.linalg.eigh(a @ a.T)
+    live = n1_evals > intertwine.N1_CUTOFF
+    n1_inv = (n1_vecs[:, live] / n1_evals[live]) @ n1_vecs[:, live].T
+    companion = n1_inv @ (a @ (mapped @ a.T))
+    target = h + 2.0 * ladder.params["c"] * np.diag(ladder.diagnostics["w_prime"])
+    if f is not None:
+        target = intertwine.apply_map(f, BlockOperator([target])).blocks[0]
+    return len(probes), max(np.linalg.norm((companion - target) @ phi) for phi in probes)
+
+
+def dense_commutator_residual(w, grid):
+    """Oracle for ``grid_ladder``'s diagnostic: ``a a+ - a+ a - 2c W'`` formed in full."""
+    ladder = hilbert.grid_ladder(w, grid)
+    a, c = ladder.matrix, ladder.params["c"]
+    defect = a @ a.T - a.T @ a - 2.0 * c * np.diag(ladder.diagnostics["w_prime"])
+    return max(
+        np.abs((defect @ phi)[3:-3]).max() / np.abs(phi).max()
+        for phi in hilbert._gaussian_probes(grid).T
+    )
+
+
+def null_mode_n1(v):
+    """Synthetic N1 with eigenvalue 0 along the unit vector ``v`` and 1 elsewhere."""
+    return np.eye(len(v)) - np.outer(v, v)
 
 
 class TestConstructCompanion:
@@ -404,6 +451,55 @@ class TestGridPartner:
         )
         assert plain.n_modes == mapped.n_modes
         assert plain.comparison_residual == pytest.approx(mapped.comparison_residual, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "w, lo, f, n_modes",
+        [
+            (lambda x: x, 12.0, None, 32),
+            (lambda x: x, 12.0, SpectralMap.polynomial([0, 0, 1]), 32),
+            (lambda x: x + 0.1 * x**3, 9.0, None, 24),
+        ],
+        ids=["linear", "linear-squared", "anharmonic"],
+    )
+    def test_matches_dense_formation(self, w, lo, f, n_modes):
+        grid = hilbert.GridSpec(-lo, lo, 128)
+        report = intertwine.grid_partner_comparison(w, grid, f=f, n_modes=n_modes)
+        modes, residual = dense_grid_comparison(w, grid, f=f, n_modes=n_modes)
+        assert report.n_modes == modes
+        assert report.comparison_residual == pytest.approx(residual, rel=1e-9)
+        assert report.commutator_residual == pytest.approx(
+            dense_commutator_residual(w, grid), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("f", [None, SpectralMap.polynomial([0, 0, 1])], ids=["plain", "squared"])
+    def test_peak_memory_stays_within_six_grid_matrices(self, f):
+        grid = hilbert.GridSpec(-12.0, 12.0, 512)
+        tracemalloc.start()
+        try:
+            intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * grid.points**2 * 8
+
+    def test_smooth_interior_null_mode_violates_hypothesis(self):
+        grid = hilbert.GridSpec(-1.0, 1.0, 64)
+        bump = np.exp(-0.5 * (grid.x / 0.2) ** 2)
+        n1 = null_mode_n1(bump / np.linalg.norm(bump))
+        with pytest.raises(errors.HypothesisViolatedError):
+            intertwine._grid_inverse(n1, np.ones((64, 1)), grid)
+
+    @pytest.mark.parametrize("mode", ["checkerboard", "edge"])
+    def test_artifact_null_modes_are_projected_out(self, mode):
+        grid = hilbert.GridSpec(-1.0, 1.0, 64)
+        i = np.arange(64)
+        # the edge mode is smooth, so only its mass in the outer band drops it
+        v = (-1.0) ** i if mode == "checkerboard" else np.exp(-i / 2.0)
+        v = v / np.linalg.norm(v)
+        rhs = np.random.default_rng(5).normal(size=(64, 3))
+        applied = intertwine._grid_inverse(null_mode_n1(v), rhs, grid)
+        assert np.abs(v @ applied).max() <= 1e-12
+        np.testing.assert_allclose(applied, rhs - np.outer(v, v @ rhs), atol=1e-12)
 
     def test_nonpositive_derivative_rejected(self):
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
