@@ -36,8 +36,6 @@ from .hilbert import (
     grid_ladder,
     susy_hamiltonian,
     shifted_hamiltonian,
-    evolution_operator,
-    delta_evolution_operator,
 )
 from .vcs import (
     VcsParams,

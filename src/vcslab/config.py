@@ -191,7 +191,9 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
         if not isinstance(witness, dict):
             raise ConfigError("params.witness must be a mapping")
         _reject_unknown(witness, _WITNESS_KEYS, "params.witness")
-        for i, entry in enumerate(witness.get("spectra", [])):
+        if not witness.get("spectra"):
+            raise ConfigError("params.witness needs spectra")
+        for i, entry in enumerate(witness["spectra"]):
             _validate_spectrum(entry, f"params.witness.spectra[{i}]")
 
     if kind == "susy-grid":

@@ -36,8 +36,6 @@ __all__ = [
     "grid_ladder",
     "susy_hamiltonian",
     "shifted_hamiltonian",
-    "evolution_operator",
-    "delta_evolution_operator",
     "window_levels",
     "max_abs",
 ]
@@ -415,31 +413,6 @@ def susy_hamiltonian(seqs) -> BlockOperator:
 def shifted_hamiltonian(seqs) -> BlockOperator:
     """The Hamiltonian minus its per-sector ground levels (each block starts at 0)."""
     return BlockOperator([np.diag(s.values - s.values[0]) for s in seqs])
-
-
-def evolution_operator(seqs, t: float) -> BlockOperator:
-    """Physical propagator ``exp(-i H t)`` of :func:`susy_hamiltonian`.
-
-    ``H`` is diagonal in the level basis, so each level only picks up the
-    phase ``exp(-i e[n] t)``: every block is the diagonal of those phases.
-    """
-    return BlockOperator([np.diag(np.exp(-1j * s.values * t)) for s in seqs])
-
-
-def delta_evolution_operator(seqs, delta: float, t: float) -> BlockOperator:
-    """The ad-hoc two-sector evolution of the delta family.
-
-    First sector evolves as ``exp(-i (h1 + delta) t)``, second as
-    ``exp(+i (h2 + delta) t)``; this is NOT ``exp(-i H t)`` and only this
-    operator maps the delta family onto itself with shifted gamma.
-    """
-    if len(seqs) != 2:
-        raise LengthMismatchError(f"this evolution is two-sector, got {len(seqs)}")
-    phases = [
-        np.exp(-1j * (seqs[0].values + delta) * t),
-        np.exp(+1j * (seqs[1].values + delta) * t),
-    ]
-    return BlockOperator([np.diag(p) for p in phases])
 
 
 def window_levels(space: SectorSpace, exclude_top: int) -> int:

@@ -138,7 +138,8 @@ def verify_moments(weight: MomentWeight, seq, k_max: int, n_nodes: int | None = 
 
     ``seq`` may be a spectral sequence (shifted internally) or an already
     shifted one.  Returns ``errors[k] = |moment_k - e~[k]!| / e~[k]!`` for
-    k = 0..k_max, evaluated with the matched quadrature rule.
+    k = 0..k_max, evaluated with the matched quadrature rule.  A moment that
+    overflows the float range raises ``UnverifiableWeightError`` naming its order.
     """
     shifted = shift(seq) if isinstance(seq, SpectralSequence) else seq
     if k_max > shifted.dim - 1:
@@ -152,8 +153,14 @@ def verify_moments(weight: MomentWeight, seq, k_max: int, n_nodes: int | None = 
     if n_nodes is None:
         n_nodes = max(40, math.ceil(k_max / 2 + 1))
     nodes, weights = weight.quadrature(n_nodes)
-    powers = nodes[:, None] ** np.arange(k_max + 1)[None, :]
-    moments = weights @ powers
+    with np.errstate(over="ignore"):
+        moments = weights @ (nodes[:, None] ** np.arange(k_max + 1)[None, :])
+    overflowing = np.flatnonzero(~np.isfinite(moments))
+    if overflowing.size:
+        raise UnverifiableWeightError(
+            f"the quadrature moment of order {overflowing[0]} ({n_nodes} nodes) overflows "
+            "the float range: a limit of linear-domain moments, not a fault in the weight"
+        )
     if weight.kind == "tabulated":
         for k in range(k_max + 1):
             if not _tabulated_coverage_ok(weight, k, moments[k]):

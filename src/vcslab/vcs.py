@@ -22,14 +22,7 @@ from .errors import (
     RegimeError,
     TailTooLargeError,
 )
-from .hilbert import (
-    BlockOperator,
-    SectorSpace,
-    SusyVector,
-    delta_evolution_operator,
-    evolution_operator,
-    window_levels,
-)
+from .hilbert import BlockOperator, SectorSpace, SusyVector, window_levels
 from .spectra import ShiftedSequence, radius_estimate, require_disjoint, shift
 
 __all__ = [
@@ -74,6 +67,7 @@ class CoherentState:
     ``norm_const`` is the sum of the per-sector coefficient series (partial
     sums to the truncation); ``tail_bound`` bounds the squared coefficient
     mass lost to truncation, so the stored vector has unit norm up to it.
+    ``phase_signs`` holds the sign of each sector's phase ``exp(sign i e[n] gamma)``.
     """
 
     vector: SusyVector
@@ -83,6 +77,7 @@ class CoherentState:
     params: VcsParams
     seqs: tuple
     series_values: tuple
+    phase_signs: tuple
 
     @property
     def space(self) -> SectorSpace:
@@ -168,6 +163,7 @@ def _assemble(seqs, shifted, params, phase_signs, regime, tail_tol):
         params=params,
         seqs=tuple(seqs),
         series_values=tuple(values),
+        phase_signs=tuple(phase_signs),
     )
 
 
@@ -205,7 +201,6 @@ def eds_family_state(
     seqs,
     params: VcsParams,
     tail_tol: float = TAIL_TOLERANCE,
-    disjoint_tol: float = 1e-9,
 ) -> CoherentState:
     """Coherent state of the shift-based family (no regulator).
 
@@ -231,7 +226,7 @@ def eds_family_state(
                 )
         for a in range(len(seqs)):
             for b in range(a + 1, len(seqs)):
-                require_disjoint(seqs[a], seqs[b], tol=disjoint_tol)
+                require_disjoint(seqs[a], seqs[b])
     shifted = [shift(s) for s in seqs]
     signs = (-1.0,) * len(seqs)
     params = VcsParams(params.intensities, params.gamma, 0.0)
@@ -259,8 +254,10 @@ def temporal_stability_residual(
 ) -> float:
     """Norm distance between the evolved ``state`` and its family member at ``gamma + t``.
 
-    Only the state at ``gamma + t`` is built; its spectra, labels and regime
-    come from ``state``.  ``evolution="family"`` uses each family's own
+    Both sides are coefficient vectors: the evolution multiplies each level by
+    one phase, and the state at ``gamma + t`` is assembled from the spectra,
+    labels, regime and phase signs of ``state``, which were validated when
+    ``state`` was built.  ``evolution="family"`` uses each family's own
     invariance operator: the physical ``exp(-i H t)`` (a phase
     ``exp(-i e[n] t)`` per level) for the shift family, the ad-hoc
     split-sign operator for the delta family.  ``evolution="physical"``
@@ -268,15 +265,18 @@ def temporal_stability_residual(
     documents that the physical evolution does NOT preserve the family.
     """
     p = state.params
-    build = delta_family_state if state.regime == "delta-family" else eds_family_state
-    after = build(state.seqs, VcsParams(p.intensities, p.gamma + t, p.delta))
     if state.regime == "delta-family" and evolution == "family":
-        u = delta_evolution_operator(state.seqs, p.delta, t)
+        # first sector as exp(-i (h1 + delta) t), second as exp(+i (h2 + delta) t)
+        h1, h2 = (s.values + p.delta for s in state.seqs)
+        phases = np.concatenate((np.exp(-1j * h1 * t), np.exp(+1j * h2 * t)))
     elif evolution in ("family", "physical"):
-        u = evolution_operator(state.seqs, t)
+        phases = np.exp(-1j * np.concatenate([s.values for s in state.seqs]) * t)
     else:
         raise RegimeError(f"unknown evolution {evolution!r}")
-    return (u.apply(state.vector) - after.vector).norm()
+    moved = VcsParams(p.intensities, p.gamma + t, p.delta)
+    shifted = [shift(s) for s in state.seqs]
+    after = _assemble(state.seqs, shifted, moved, state.phase_signs, state.regime, TAIL_TOLERANCE)
+    return float(np.linalg.norm(phases * state.vector.data - after.vector.data))
 
 
 def eigenstate_residual(

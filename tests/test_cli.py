@@ -74,6 +74,12 @@ class TestConfigValidation:
         with pytest.raises(errors.ConfigError):
             config.parse_config(raw)
 
+    def test_witness_without_spectra_rejected(self):
+        raw = small_vcs_config()
+        raw["params"]["witness"] = {"dim": 30}
+        with pytest.raises(errors.ConfigError, match="params.witness needs spectra"):
+            config.parse_config(raw)
+
 
 class TestBundledInventory:
     def test_expected_names_present(self):
@@ -166,6 +172,13 @@ class TestCliEntryPoint:
     def test_exit_two_on_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(small_vcs_config(dim=4)))
+        assert cli.main(["run", str(path)]) == 2
+
+    def test_exit_two_on_witness_without_spectra(self, tmp_path):
+        raw = small_vcs_config()
+        raw["params"]["witness"] = {"dim": 30}
+        path = tmp_path / "witness.yaml"
+        path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(path)]) == 2
 
     def test_exit_two_on_malformed_yaml(self, tmp_path):

@@ -226,39 +226,6 @@ class TestGridLadder:
             hilbert.GridSpec(-1.0, 1.0, 32)
 
 
-class TestEvolutionOperator:
-    def seqs(self, dim=6):
-        return [
-            spectra.linear_sequence(dim, 1.0, offset=0.3),
-            spectra.linear_sequence(dim, math.sqrt(2.0), offset=0.55),
-        ]
-
-    def test_block_structure(self):
-        seqs = self.seqs()
-        t = 0.8
-        u = hilbert.evolution_operator(seqs, t)
-        for j, s in enumerate(seqs):
-            np.testing.assert_allclose(
-                np.diag(u.blocks[j]), np.exp(-1j * s.values * t), atol=1e-12
-            )
-
-    def test_identity_at_zero_time(self):
-        u = hilbert.evolution_operator(self.seqs(), 0.0)
-        np.testing.assert_allclose(u.matrix, np.eye(12), atol=1e-14)
-
-    def test_unitarity(self):
-        u = hilbert.evolution_operator(self.seqs(), 17.3)
-        np.testing.assert_allclose((u.adjoint() @ u).matrix, np.eye(12), atol=1e-10)
-
-    def test_group_property(self):
-        seqs = self.seqs()
-        t, s = 1.1, 2.7
-        u_ts = hilbert.evolution_operator(seqs, t + s)
-        u_t = hilbert.evolution_operator(seqs, t)
-        u_s = hilbert.evolution_operator(seqs, s)
-        assert hilbert.max_abs((u_ts - u_t @ u_s).matrix) <= 1e-10
-
-
 class TestBlockOperator:
     def test_unequal_blocks_rejected(self):
         with pytest.raises(errors.LengthMismatchError):

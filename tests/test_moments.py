@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ class TestVerifyMoments:
     def test_negative_weight_rejected(self):
         with pytest.raises(errors.UnverifiableWeightError):
             moments.MomentWeight.tabulated(np.linspace(0, 1, 20), -np.ones(20))
+
+    def test_overflowing_moment_names_its_order(self):
+        # the factorial products are finite at dim 160, but nodes ** k is not from k = 125
+        weight = moments.MomentWeight.gamma_family(1.0)
+        seq = spectra.linear_sequence(160, 1.0, offset=0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(errors.UnverifiableWeightError, match="order 125 .82 nodes.*float range"):
+                moments.verify_moments(weight, seq, 159, n_nodes=82)
 
 
 def direct_phase_average(thetas, horizon, step):

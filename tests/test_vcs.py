@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,31 @@ def eds_quon_pair(dim=50):
 
 def zero_ground_pair(dim=60):
     return [spectra.linear_sequence(dim), spectra.linear_sequence(dim, 1.0)]
+
+
+def family_state(family, dim):
+    """A state of either family at J = (1, 2), gamma = 0.7 (and delta = 0.5 for the delta family)."""
+    if family == "eds":
+        return vcs.eds_family_state(eds_linear_pair(dim), vcs.VcsParams((1.0, 2.0), 0.7))
+    return vcs.delta_family_state(zero_ground_pair(dim), vcs.VcsParams((1.0, 2.0), 0.7, 0.5))
+
+
+def dense_stability_residual(state, t, evolution):
+    """``||U psi - psi(gamma + t)||`` with ``U`` formed as a dense diagonal matrix:
+    ``diag(exp(-i e t))``, or the delta family's split-sign form, and the member at
+    ``gamma + t`` rebuilt through the public builder."""
+    p = state.params
+    values = [s.values for s in state.seqs]
+    if state.regime == "delta-family":
+        after = vcs.delta_family_state(state.seqs, vcs.VcsParams(p.intensities, p.gamma + t, p.delta))
+    else:
+        after = vcs.eds_family_state(state.seqs, vcs.VcsParams(p.intensities, p.gamma + t))
+    if state.regime == "delta-family" and evolution == "family":
+        phases = [np.exp(-1j * (values[0] + p.delta) * t), np.exp(+1j * (values[1] + p.delta) * t)]
+    else:
+        phases = [np.exp(-1j * v * t) for v in values]
+    u = np.diag(np.concatenate(phases))
+    return float(np.linalg.norm(u @ state.vector.data - after.vector.data))
 
 
 class TestSeriesNorm:
@@ -214,6 +240,46 @@ class TestTemporalStability:
         state = vcs.delta_family_state(seqs, vcs.VcsParams((1.0, 1.0), 0.7, 0.5))
         resid = vcs.temporal_stability_residual(state, 1.0, evolution="physical")
         assert resid > 1e-2
+
+    @pytest.mark.parametrize("family", ["eds", "delta"])
+    @pytest.mark.parametrize("evolution", ["family", "physical"])
+    @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
+    def test_matches_dense_propagator(self, family, evolution, t):
+        state = family_state(family, 40)
+        expected = dense_stability_residual(state, t, evolution)
+        assert abs(vcs.temporal_stability_residual(state, t, evolution) - expected) <= 1e-13
+
+    @pytest.mark.parametrize("family", ["eds", "delta"])
+    def test_peak_memory_stays_at_vector_size(self, family):
+        # the dense per-sector propagators alone would take 2 * 2000^2 * 16 bytes = 122 MiB
+        state = family_state(family, 2000)
+        tracemalloc.start()
+        try:
+            vcs.temporal_stability_residual(state, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_spectra_are_not_scanned_again(self, monkeypatch):
+        scans = []
+        require_disjoint = vcs.require_disjoint
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return require_disjoint(*args, **kwargs)
+
+        monkeypatch.setattr(vcs, "require_disjoint", counting)
+        state = vcs.eds_family_state(eds_linear_pair(20), vcs.VcsParams((1.0, 2.0), 0.7))
+        assert len(scans) == 1
+        for evolution in ("family", "physical"):
+            vcs.temporal_stability_residual(state, 1.0, evolution)
+        assert len(scans) == 1
+
+    def test_unknown_evolution(self):
+        state = family_state("eds", 20)
+        with pytest.raises(errors.RegimeError):
+            vcs.temporal_stability_residual(state, 1.0, evolution="backwards")
 
     def test_evolves_by_phases_without_eigendecomposition(self, eigh_calls):
         eds = vcs.eds_family_state(eds_linear_pair(20), vcs.VcsParams((1.0, 2.0), 0.7))
