@@ -40,21 +40,26 @@ print(f"\ndisjoint spectra: {report.disjoint} (min gap {report.min_gap:.3f} at p
 gamma = 0.7
 seqs = [spectra.shift(linear), spectra.shift(other)]
 b = hilbert.lowering_operator(seqs, gamma)
-print("\nlowering operator, sector 0 block, first 4x4:")
-print(np.round(b.blocks[0][:4, :4], 3))
+# every block is a weighted shift: B lowers by one level (offset -1) and
+# stores one weight per level it moves
+print(f"\nlowering operator at offset {b.offset}, sector 0 weights:")
+print(np.round(b.blocks[0][:4], 3), "...")
+print("sector 0 block, first 4x4 of the dense export:")
+print(np.round(b.matrix[:4, :4], 3))
 
-# B+ B is diagonal with the shifted eigenvalues on every sector
-diag = np.diag((b.adjoint() @ b).matrix).real
+# B+ B is diagonal (offset 0) with the shifted eigenvalues on every sector
+diag = (b.adjoint() @ b).blocks[0].real
 print("B+B diagonal head:", np.round(diag[:6], 3))
 
-# plain and deformed single-sector ladders carry their commutation diagnostics
+# plain and deformed single-sector ladders: their commutation relations
+# hold exactly below the top level
 boson = hilbert.boson_ladder(8)
 quon = hilbert.quon_ladder(8, 0.5)
+commutator = (boson @ boson.adjoint() - boson.adjoint() @ boson).blocks[0] - 1.0
+qmutator = (quon @ quon.adjoint()).blocks[0] - 0.5 * (quon.adjoint() @ quon).blocks[0] - 1.0
 print("\nplain ladder commutator defect (interior, top):",
-      boson.diagnostics["commutator_defect_interior"],
-      boson.diagnostics["commutator_defect_top"])
-print("deformed ladder relation defect (interior):",
-      quon.diagnostics["qmutator_defect_interior"])
+      hilbert.max_abs(commutator[:-1]), commutator[-1])
+print("deformed ladder relation defect (interior):", hilbert.max_abs(qmutator[:-1]))
 
 # first-order differential ladder on a grid; [a, a+] tracks 2c W'(x)
 grid = hilbert.GridSpec(-10.0, 10.0, 512)

@@ -16,25 +16,23 @@ from vcslab.intertwine import IntertwiningProblem, SpectralMap
 dim = 60
 
 # --- plain ladder: closed forms under maps ------------------------------------
-a = hilbert.boson_ladder(dim).matrix
-ad = a.conj().T
-problem = IntertwiningProblem(
-    h=BlockOperator([ad @ a]),
-    x=BlockOperator([ad @ ad]),
-    ladder_degree=2,
-)
-n_op = ad @ a
-window = np.s_[: problem.keep, : problem.keep]
+# every operator is a weighted shift; a lowers by one level, so h and N1 are
+# diagonal and their blocks are the diagonals
+a = hilbert.boson_ladder(dim)
+ad = a.adjoint()
+problem = IntertwiningProblem(h=ad @ a, x=ad @ ad, ladder_degree=2)
+n_op = problem.h.blocks[0]
+window = np.s_[: problem.keep]
 
 iso = intertwine.construct_companion(problem)
 print("plain ladder, x = (a+)^2:")
 print("  N1 equals N^2+3N+2 to",
-      f"{hilbert.max_abs((iso.n1.blocks[0] - (n_op@n_op + 3*n_op + 2*np.eye(dim)))[window]):.1e}")
+      f"{hilbert.max_abs((iso.n1.blocks[0] - (n_op*n_op + 3*n_op + 2))[window]):.1e}")
 print("  companion equals N+2 to",
-      f"{hilbert.max_abs((iso.companion.blocks[0] - (n_op + 2*np.eye(dim)))[window]):.1e}")
+      f"{hilbert.max_abs((iso.companion.blocks[0] - (n_op + 2))[window]):.1e}")
 
 squared = intertwine.construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
-ref = (n_op + 2 * np.eye(dim)) @ (n_op + 2 * np.eye(dim))
+ref = (n_op + 2) * (n_op + 2)
 print("  f(t)=t^2 companion equals (N+2)^2 to",
       f"{hilbert.max_abs((squared.companion.blocks[0] - ref)[window]):.1e}")
 
@@ -53,20 +51,16 @@ report = intertwine.quon_closed_forms(dim, q)
 print(f"\ndeformed ladder q={q}: closed-form deviations "
       f"N1 {report.n1_deviation:.1e}, companion {report.companion_deviation:.1e}")
 
-aq = hilbert.quon_ladder(dim, q).matrix
-problem_q = IntertwiningProblem(
-    h=BlockOperator([aq.T @ aq]),
-    x=BlockOperator([aq.T @ aq.T]),
-    ladder_degree=2,
-)
+aq = hilbert.quon_ladder(dim, q)
+problem_q = IntertwiningProblem(h=aq.adjoint() @ aq, x=aq.adjoint() @ aq.adjoint(), ladder_degree=2)
 f = SpectralMap.polynomial([0.5, 1.0, 0.25])
 probe_q = intertwine.power_series_equality_probe(problem_q, f)
 print(f"deformed map-equality probe residual: {probe_q.max_residual:.1e}")
 
 # --- invertible intertwiner: the sufficient condition holds trivially ----------
 problem_i = IntertwiningProblem(
-    h=BlockOperator([n_op]),
-    x=BlockOperator([np.eye(dim) + n_op]),
+    h=problem.h,
+    x=BlockOperator([1.0 + n_op]),
     ladder_degree=0,
 )
 check_i = intertwine.projection_identity_check(problem_i, l_max=4)

@@ -25,6 +25,13 @@ __all__ = [
     "KINDS",
 ]
 
+# What the ceilings cost, measured one run per process with one BLAS thread
+# (2-vCPU Xeon, Python 3.11, numpy 2.4): at dim 4096 each companion,
+# nonisospectral and map-equality bundle runs in 0.01-0.05 s within 38 MiB
+# peak RSS, and each vcs-verify bundle (100 samples) in about 0.45 s within
+# 39 MiB.  The grid stays dense: sizes [2048, 4096] take about 38 s and
+# 819 MiB.  The resolution kind cannot verify its weight moments from dim
+# 160 on: they overflow the float range.
 DIM_RANGE = (8, 4096)
 GRID_RANGE = (64, 4096)
 

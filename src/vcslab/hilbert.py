@@ -3,8 +3,8 @@
 The working arena is ``C^N (x) H_D``: ``N`` sectors of one truncated
 ``D``-level space each.  Vectors are stored flat (sector-major,
 ``flat index = sector*D + level``) with block accessors; operators never mix
-sectors and are stored as one ``D x D`` block per sector.  All values are
-immutable after construction; every function here is pure.
+sectors, and each block is a weighted shift stored as one weight vector.
+All values are immutable after construction; every function here is pure.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ class SectorSpace:
     def total_dim(self) -> int:
         return self.sectors * self.dim
 
-    def flat_index(self, sector: int, level: int) -> int:
-        return sector * self.dim + level
-
 
 @dataclass(frozen=True)
 class SusyVector:
@@ -105,76 +102,111 @@ class SusyVector:
             raise DimensionMismatchError("vectors live on different spaces")
         return SusyVector(self.space, self.data - other.data)
 
-    def __add__(self, other: "SusyVector") -> "SusyVector":
-        if self.space != other.space:
-            raise DimensionMismatchError("vectors live on different spaces")
-        return SusyVector(self.space, self.data + other.data)
 
-    def __rmul__(self, scalar) -> "SusyVector":
-        return SusyVector(self.space, scalar * self.data)
+def _source_range(dim: int, offset: int) -> tuple:
+    """Source levels ``[lo, hi)`` that a shift by ``offset`` keeps inside ``dim`` levels."""
+    return max(0, -offset), dim - max(0, offset)
 
 
 @dataclass(frozen=True)
 class BlockOperator:
-    """Block-diagonal operator on the sector space, one ``D x D`` block per sector.
+    """Block-diagonal operator on the sector space whose every block is a
+    weighted shift: one nonzero diagonal at ``offset``.
 
-    Each block keeps the dtype of its input, so operators built from real
-    spectra and ladders stay real.  ``matrix`` is the dense export.
+    Block ``j`` maps level ``n`` to level ``n + offset`` with weight
+    ``blocks[j, n - max(0, -offset)]``: ``blocks`` holds one row of length
+    ``D - |offset|`` per sector, ``np.diag(M, -offset)`` of its dense block
+    ``M``.  Products add offsets, ``adjoint`` negates it, and sums need equal
+    offsets.  The rows are real unless an input is complex.  ``matrix`` is
+    the dense export.
     """
 
-    blocks: tuple
+    blocks: np.ndarray
+    offset: int = 0
 
     def __post_init__(self):
-        blocks = tuple(np.array(b) for b in self.blocks)
-        shapes = {b.shape for b in blocks}
-        if len(shapes) != 1 or blocks[0].ndim != 2 or blocks[0].shape[0] != blocks[0].shape[1]:
-            raise LengthMismatchError("blocks must be square and equally sized")
-        for b in blocks:
-            b.setflags(write=False)
+        if len({np.shape(b) for b in self.blocks}) != 1:
+            raise LengthMismatchError("sector blocks differ in shape")
+        blocks = np.array(self.blocks)
+        if blocks.ndim != 2 or blocks.shape[1] < 1:
+            raise LengthMismatchError("blocks must be nonempty weight vectors")
+        blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
         self.space  # SectorSpace rejects blocks of fewer than two levels
 
     @property
     def space(self) -> SectorSpace:
-        return SectorSpace(len(self.blocks), self.blocks[0].shape[0])
+        return SectorSpace(len(self.blocks), self.blocks.shape[1] + abs(self.offset))
 
     @property
     def matrix(self) -> np.ndarray:
         """Dense ``N*D x N*D`` export, zero off the diagonal blocks."""
         d, n = self.space.dim, self.space.total_dim
-        m = np.zeros((n, n), dtype=np.result_type(*self.blocks))
+        m = np.zeros((n, n), dtype=self.blocks.dtype)
         for j, b in enumerate(self.blocks):
-            m[j * d : (j + 1) * d, j * d : (j + 1) * d] = b
+            m[j * d : (j + 1) * d, j * d : (j + 1) * d] = np.diag(b, -self.offset)
         return m
 
-    def _blockwise(self, other: "BlockOperator", op) -> "BlockOperator":
+    def _check_space(self, other) -> None:
         if self.space != other.space:
             raise DimensionMismatchError("operator spaces differ")
-        return BlockOperator([op(a, b) for a, b in zip(self.blocks, other.blocks)])
+
+    def _elementwise(self, other: "BlockOperator", op) -> "BlockOperator":
+        self._check_space(other)
+        if self.offset != other.offset:
+            raise DimensionMismatchError(f"offsets {self.offset} and {other.offset} differ")
+        return BlockOperator(op(self.blocks, other.blocks), self.offset)
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator([b.conj().T for b in self.blocks])
+        return BlockOperator(self.blocks.conj(), -self.offset)
 
     def apply(self, vec: SusyVector) -> SusyVector:
         if vec.space != self.space:
             raise DimensionMismatchError("operator and vector spaces differ")
-        return SusyVector(
-            self.space, np.concatenate([b @ vec.block(j) for j, b in enumerate(self.blocks)])
-        )
+        k = self.offset
+        lo, hi = _source_range(self.space.dim, k)
+        out = np.zeros((self.space.sectors, self.space.dim), dtype=complex)
+        out[:, lo + k : hi + k] = self.blocks * vec.data.reshape(out.shape)[:, lo:hi]
+        return SusyVector(self.space, out.ravel())
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
-        return self._blockwise(other, np.matmul)
+        """``self @ other``: level ``n`` goes to ``n + b`` under ``other`` and on
+        to ``n + a + b`` under ``self``; where the middle level leaves the
+        space the product vanishes, as the truncated dense product does."""
+        self._check_space(other)
+        d, a, b = self.space.dim, self.offset, other.offset
+        if abs(a + b) >= d:
+            raise DimensionMismatchError(f"offset {a + b} leaves all {d} levels")
+        x, y = self.weights(), other.weights()
+        mid_lo, mid_hi = _source_range(d, b)
+        out = np.zeros(x.shape, dtype=np.result_type(x, y))
+        out[:, mid_lo:mid_hi] = x[:, mid_lo + b : mid_hi + b] * y[:, mid_lo:mid_hi]
+        lo, hi = _source_range(d, a + b)
+        return BlockOperator(out[:, lo:hi], a + b)
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        return self._blockwise(other, np.add)
+        return self._elementwise(other, np.add)
 
     def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return self._blockwise(other, np.subtract)
+        return self._elementwise(other, np.subtract)
+
+    def weights(self) -> np.ndarray:
+        """``N x D``: the weight of every source level of every sector, zero
+        where the shift leaves the space."""
+        lo, hi = _source_range(self.space.dim, self.offset)
+        out = np.zeros((self.space.sectors, self.space.dim), dtype=self.blocks.dtype)
+        out[:, lo:hi] = self.blocks
+        return out
+
+    def window(self, keep: int | None = None) -> np.ndarray:
+        """The weights inside the top-left ``keep x keep`` window of every
+        block (all of them when ``keep`` is None), one row per sector."""
+        return self.blocks if keep is None else self.blocks[:, : max(0, keep - abs(self.offset))]
 
     def max_abs(self, keep: int | None = None) -> float:
         """Entrywise max-norm over all sectors; with ``keep``, over the
         top-left ``keep x keep`` window of each block.  A NaN propagates."""
-        return float(np.max([max_abs(b[:keep, :keep]) for b in self.blocks]))
+        return max_abs(self.window(keep))
 
 
 @dataclass(frozen=True)
@@ -204,11 +236,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class LadderRealization:
-    """One concrete lowering operator on a single sector.
+    """A dense lowering matrix on a single sector (the grid ladder).
 
-    ``kind`` is one of ``boson``, ``quon``, ``grid``.  ``diagnostics``
-    records the deviation of the realization's commutation relation from its
-    ideal form (truncation or discretization artifacts).
+    ``diagnostics`` records the deviation of the realization's commutation
+    relation from its ideal form (a discretization artifact).
     """
 
     kind: str
@@ -221,10 +252,6 @@ class LadderRealization:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
 
 def basis_vector(space: SectorSpace, sector: int, level: int) -> SusyVector:
     """Unit vector with a single 1 at ``level`` of block ``sector``."""
@@ -233,17 +260,8 @@ def basis_vector(space: SectorSpace, sector: int, level: int) -> SusyVector:
     if not (0 <= level < space.dim):
         raise IndexError(f"level {level} outside 0..{space.dim - 1}")
     data = np.zeros(space.total_dim, dtype=complex)
-    data[space.flat_index(sector, level)] = 1.0
+    data[sector * space.dim + level] = 1.0
     return SusyVector(space, data)
-
-
-def _phase_twisted_lowering(amplitudes, diffs, gamma, sign=+1.0):
-    """D x D lowering matrix: entry (n-1, n) = amp[n] * exp(sign*i*diffs[n]*gamma)."""
-    d = len(amplitudes)
-    m = np.zeros((d, d), dtype=complex)
-    n = np.arange(1, d)
-    m[n - 1, n] = np.sqrt(amplitudes[1:]) * np.exp(sign * 1j * diffs * gamma)
-    return m
 
 
 def lowering_operator(seqs, gamma: float) -> BlockOperator:
@@ -267,7 +285,7 @@ def lowering_operator(seqs, gamma: float) -> BlockOperator:
     if len(dims) != 1:
         raise LengthMismatchError(f"sector truncations differ: {sorted(dims)}")
     return BlockOperator(
-        [_phase_twisted_lowering(s.values, np.diff(s.values), gamma) for s in seqs]
+        [np.sqrt(s.values[1:]) * np.exp(1j * np.diff(s.values) * gamma) for s in seqs], -1
     )
 
 
@@ -281,9 +299,6 @@ def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
     """
     if len(seqs) != 2:
         raise LengthMismatchError(f"this family is two-sector, got {len(seqs)}")
-    dims = {s.dim for s in seqs}
-    if len(dims) != 1:
-        raise LengthMismatchError(f"sector truncations differ: {sorted(dims)}")
     for j, s in enumerate(seqs):
         if not isinstance(s, SpectralSequence):
             raise RegimeError("delta family takes unshifted sequences starting at zero")
@@ -292,52 +307,30 @@ def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
                 f"sector {j} ground level {s.ground} != 0; "
                 "the delta family lives in the zero-ground regime"
             )
-    signs = (+1.0, -1.0)
-    blocks = [
-        _phase_twisted_lowering(s.values, np.diff(s.values), gamma, sign)
-        for s, sign in zip(seqs, signs)
-    ]
-    return BlockOperator(blocks)
+    # zero grounds: the values are their own shifts; the second sector's
+    # phases are those of the same-sign family conjugated
+    same_sign = lowering_operator(seqs, gamma).blocks
+    return BlockOperator([same_sign[0], same_sign[1].conj()], -1)
 
 
-def boson_ladder(dim: int) -> LadderRealization:
-    """Standard Fock lowering matrix ``a|n> = sqrt(n)|n-1>``.
+def boson_ladder(dim: int) -> BlockOperator:
+    """Standard Fock lowering operator ``a|n> = sqrt(n)|n-1>`` on one sector.
 
     On the truncated space ``[a, a+] = 1`` holds exactly below the top level;
-    the top diagonal entry of the commutator is ``-dim`` instead of ``+1``
-    (recorded in the diagnostics).
+    the top diagonal entry of the commutator is ``-dim`` instead of ``+1``.
     """
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
-    defect = a @ a.T - a.T @ a - np.eye(dim)
-    return LadderRealization(
-        kind="boson",
-        matrix=a,
-        diagnostics={
-            "commutator_defect_interior": max_abs(defect[: dim - 1, : dim - 1]),
-            "commutator_defect_top": float(defect[-1, -1]),
-        },
-    )
+    return BlockOperator([np.sqrt(np.arange(1.0, dim))], -1)
 
 
-def quon_ladder(dim: int, q: float) -> LadderRealization:
-    """Deformed lowering matrix ``a|n> = sqrt([n]_q)|n-1>``.
+def quon_ladder(dim: int, q: float) -> BlockOperator:
+    """Deformed lowering operator ``a|n> = sqrt([n]_q)|n-1>`` on one sector.
 
     Satisfies ``a a+ - q a+ a = 1`` exactly below the top level; ``q = 1``
     reproduces :func:`boson_ladder`.
     """
     if not (0 < q <= 1):
         raise BadDeformationError(f"deformation q must lie in (0, 1], got {q}")
-    a = np.diag(np.sqrt(quon_numbers(dim, q)[1:]), 1)
-    defect = a @ a.T - q * (a.T @ a) - np.eye(dim)
-    return LadderRealization(
-        kind="quon",
-        matrix=a,
-        params={"q": q},
-        diagnostics={
-            "qmutator_defect_interior": max_abs(defect[: dim - 1, : dim - 1]),
-            "qmutator_defect_top": float(defect[-1, -1]),
-        },
-    )
+    return BlockOperator([np.sqrt(quon_numbers(dim, q)[1:])], -1)
 
 
 def _derivative_matrix(grid: GridSpec) -> np.ndarray:
@@ -407,12 +400,12 @@ def grid_ladder(
 
 def susy_hamiltonian(seqs) -> BlockOperator:
     """Block-diagonal Hamiltonian with the given spectra on the sectors."""
-    return BlockOperator([np.diag(s.values) for s in seqs])
+    return BlockOperator([s.values for s in seqs])
 
 
 def shifted_hamiltonian(seqs) -> BlockOperator:
     """The Hamiltonian minus its per-sector ground levels (each block starts at 0)."""
-    return BlockOperator([np.diag(s.values - s.values[0]) for s in seqs])
+    return BlockOperator([s.values - s.values[0] for s in seqs])
 
 
 def window_levels(space: SectorSpace, exclude_top: int) -> int:

@@ -209,37 +209,41 @@ def _map_block(f: SpectralMap, b: np.ndarray, rhs: np.ndarray | None = None) -> 
     return _eigen_apply(vecs, f(evals), rhs)
 
 
+def _diagonal(op: BlockOperator, name: str) -> np.ndarray:
+    """The real diagonals (one row per sector) of the Hermitian operator
+    ``op``, which must sit at offset 0."""
+    if op.offset != 0:
+        raise HypothesisViolatedError(
+            f"{name} is a weighted shift at offset {op.offset}, not a Hermitian diagonal"
+        )
+    return op.blocks.real
+
+
 def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
-    """``f(op)`` by Hermitian eigendecomposition of each block (one code path for all maps)."""
-    return BlockOperator([_map_block(f, b) for b in op.blocks])
+    """``f(op)`` of a diagonal Hermitian ``op``: ``f`` of each diagonal entry."""
+    return BlockOperator(f(_diagonal(op, "the mapped operator")))
 
 
 def _window_inverse(n1: BlockOperator, keep: int, cutoff: float = N1_CUTOFF):
-    """Invert N1 on its trustworthy eigendirections, sector by sector.
+    """Invert the diagonal N1 on its trustworthy levels, sector by sector.
 
-    Eigenvalues below ``cutoff`` are admissible only when their eigenvectors
-    live (mostly) outside the valid window, the top-left ``keep`` levels of
-    the sector: those are truncation artifacts of ladder-type ``x`` and are
-    projected out.  A small eigenvalue with in-window support violates the
-    invertibility hypothesis.  Returns the inverse and the number of modes
-    dropped over all sectors.
+    Entries below ``cutoff`` are admissible only above the valid window,
+    the top-left ``keep`` levels of the sector: those are truncation
+    artifacts of ladder-type ``x`` and are projected out.  A small entry at
+    a level inside the window violates the invertibility hypothesis.
+    Returns the inverse and the number of modes dropped over all sectors.
     """
-    blocks, dropped = [], 0
-    for block in n1.blocks:
-        evals, vecs = np.linalg.eigh(block)
-        small = evals <= cutoff
-        for lam, vec in zip(evals[small], vecs[:, small].T):
-            window_weight = float(np.linalg.norm(vec[:keep]) ** 2)
-            if window_weight > 0.5:
-                raise HypothesisViolatedError(
-                    f"N1 eigenvalue {lam:.3e} <= {cutoff:.1e} with in-window "
-                    f"eigenvector (window mass {window_weight:.2f}): not invertible"
-                )
-        inv_evals = np.zeros_like(evals)
-        inv_evals[~small] = 1.0 / evals[~small]
-        blocks.append(_eigen_apply(vecs, inv_evals))
-        dropped += int(small.sum())
-    return BlockOperator(blocks), dropped
+    values = _diagonal(n1, "N1")
+    small = values <= cutoff
+    inside = np.argwhere(small[:, :keep])
+    if inside.size:
+        sector, n = inside[0]
+        raise HypothesisViolatedError(
+            f"N1 eigenvalue {values[sector, n]:.3e} <= {cutoff:.1e} at level {n} of sector "
+            f"{sector}, inside the {keep}-level window: not invertible"
+        )
+    inverse = np.divide(1.0, values, out=np.zeros_like(values), where=~small)
+    return BlockOperator(inverse), int(small.sum())
 
 
 def _check_commutant(problem: IntertwiningProblem, tol: float = 1e-10) -> float:
@@ -253,40 +257,44 @@ def _check_commutant(problem: IntertwiningProblem, tol: float = 1e-10) -> float:
 
 
 def _certify(problem, companion, mapped, f):
-    """Evaluate the scale-normalized alpha/beta/gamma residuals on the window."""
+    """Evaluate the scale-normalized alpha/beta/gamma residuals on the window.
+
+    ``h`` is diagonal, so its eigenvectors are the unit vectors ``e_n``, taken
+    in the order of a stable sort of its entries.  ``x+`` and the stored
+    companion after it each move ``e_n`` to one level, so their weights at
+    source ``n`` are the image ``x+ e_n`` and ``H x+ e_n``.
+    """
+    h = _diagonal(problem.h, "h")
     keep = problem.keep
-    companion_scale = max(1.0, companion.max_abs(keep))
+    companion_scale = np.maximum(1.0, companion.max_abs(keep))
     alpha = (companion - companion.adjoint()).max_abs(keep) / companion_scale
 
     beta_op = problem.x.adjoint() @ ((problem.x @ companion) - (mapped @ problem.x))
-    x_scale = max(1.0, problem.x.max_abs())
-    beta_scale = max(1.0, x_scale**2 * max(companion_scale, mapped.max_abs(keep)))
+    x_scale = np.maximum(1.0, problem.x.max_abs())
+    beta_scale = np.maximum(1.0, x_scale**2 * np.maximum(companion_scale, mapped.max_abs(keep)))
     beta = beta_op.max_abs(keep) / beta_scale
 
-    ratios, skipped = [], []
-    eigenvalues, mapped_eigenvalues = [], []
-    blocks = zip(problem.h.blocks, problem.x.blocks, companion.blocks)
-    for sector, (h_j, x_j, companion_j) in enumerate(blocks):
-        evals, vecs = np.linalg.eigh(h_j)
-        targets = f(evals) if f is not None else evals.copy()
-        eigenvalues.append(evals)
-        mapped_eigenvalues.append(targets)
-        images = x_j.conj().T @ vecs[:, :keep]
-        norms = np.linalg.norm(images, axis=0)
-        resid = np.linalg.norm(companion_j @ images - images * targets[:keep], axis=0)
-        vanishing = norms <= IMAGE_CUTOFF
-        skipped.extend((sector, int(n)) for n in np.flatnonzero(vanishing))
-        live = ~vanishing
-        ratios.append(resid[live] / (norms[live] * np.maximum(1.0, np.abs(targets[:keep][live]))))
-    # np.max, not max(): a NaN residual must fail the check, not vanish
-    gamma = float(np.max(np.concatenate(ratios), initial=0.0))
+    order = np.argsort(h, axis=1, kind="stable")
+    evals = np.take_along_axis(h, order, axis=1)
+    targets = f(evals) if f is not None else evals.copy()
+    xd = problem.x.adjoint()
+    window = order[:, :keep]
+    images = np.take_along_axis(xd.weights(), window, axis=1)
+    moved = np.take_along_axis((companion @ xd).weights(), window, axis=1)
+    norms = np.abs(images)
+    vanishing = norms <= IMAGE_CUTOFF
+    live = ~vanishing
+    t = targets[:, :keep]
+    resid = np.abs(moved - images * t)[live]
+    ratios = resid / (norms[live] * np.maximum(1.0, np.abs(t[live])))
     cert = Certificate(
         alpha_residual=float(alpha),
         beta_residual=float(beta),
-        gamma_residual=gamma,
-        skipped_levels=tuple(skipped),
+        # np.max, not max(): a NaN residual must fail the check, not vanish
+        gamma_residual=float(np.max(ratios, initial=0.0)),
+        skipped_levels=tuple((int(j), int(n)) for j, n in np.argwhere(vanishing)),
     )
-    return cert, tuple(eigenvalues), tuple(mapped_eigenvalues)
+    return cert, tuple(evals), tuple(targets)
 
 
 def construct_companion(
@@ -296,9 +304,9 @@ def construct_companion(
     """Build ``H = N1^-1 (x+ f(h) x)`` and certify it on the valid window.
 
     With ``spectral_map=None`` this is the isospectral construction
-    (``f = id`` applied directly, no eigendecomposition of ``h``); otherwise
-    ``f(h)`` is evaluated by Hermitian functional calculus and the
-    certificate checks the mapped eigenvalues ``f(e_n)``.
+    (``f = id``, ``h`` used as it is); otherwise ``f(h)`` is ``f`` of each
+    diagonal entry of ``h`` and the certificate checks the mapped
+    eigenvalues ``f(e_n)``.
     """
     _check_commutant(problem)
     n1 = problem.x.adjoint() @ problem.x
@@ -383,17 +391,14 @@ def power_series_equality_probe(
     """
     iso = construct_companion(problem)
     mapped = construct_companion(problem, spectral_map=f)
-    keep = problem.keep
-    diffs = [d[:keep, :keep] for d in (apply_map(f, iso.companion) - mapped.companion).blocks]
-
-    # a window basis vector picks one column of its sector's block
-    residuals = list(np.concatenate([np.linalg.norm(d, axis=0) for d in diffs]))
-    dim_w = len(residuals)
+    # both companions are diagonal, so the difference acts on a window
+    # vector entry by entry, and on a window basis vector as one entry
+    diffs = (apply_map(f, iso.companion) - mapped.companion).window(problem.keep).ravel()
+    residuals = list(np.abs(diffs))
     rng = np.random.default_rng(seed)
     for _ in range(32):
-        v = rng.standard_normal(dim_w) + 1j * rng.standard_normal(dim_w)
-        phi = (v / np.linalg.norm(v)).reshape(len(diffs), keep)
-        residuals.append(np.linalg.norm(np.concatenate([d @ u for d, u in zip(diffs, phi)])))
+        v = rng.standard_normal(len(diffs)) + 1j * rng.standard_normal(len(diffs))
+        residuals.append(np.linalg.norm(diffs * (v / np.linalg.norm(v))))
     return EqualityProbeReport(
         max_residual=float(np.max(residuals)), n_trials=len(residuals), map_label=f.describe()
     )
@@ -422,30 +427,31 @@ def projection_identity_check(
     Residuals are relative (scaled by ``||h^l x phi||``) over window basis
     vectors.  Also reports the window commutant residual of
     ``x N1^-1 x+`` with ``h`` and the per-sector numerical rank deficiency
-    of ``x`` restricted to the window.
+    of ``x`` restricted to the window, read off its window weights (the
+    singular values of a weighted shift).
     """
     keep = problem.keep
     n1 = problem.x.adjoint() @ problem.x
     n1_inv, _ = _window_inverse(n1, keep)
     proj = problem.x @ n1_inv @ problem.x.adjoint()
 
+    # x e_n is one entry x_n at level n + k; h^l and the diagonal projector
+    # scale it there
+    k = problem.x.offset
+    sources = np.arange(max(0, -k), min(keep, problem.h.space.dim - max(0, k)))
+    p = _diagonal(proj, "x N1^-1 x+")[:, sources + k]
+    h = _diagonal(problem.h, "h")[:, sources + k]
+    x = problem.x.weights()[:, sources]
     residuals = []
     for l in range(l_max + 1):
-        worst = []
-        for p, h, x in zip(proj.blocks, problem.h.blocks, problem.x.blocks):
-            # columns of v: h^l x applied to the window basis vectors of the sector
-            v = np.linalg.matrix_power(h, l) @ x[:, :keep]
-            scale = np.maximum(np.linalg.norm(v, axis=0), 1.0)
-            worst.append(np.linalg.norm(p @ v - v, axis=0) / scale)
-        residuals.append(float(np.max(worst)))
+        v = np.abs(h**l * x)
+        residuals.append(float(np.max(np.abs(p - 1.0) * v / np.maximum(v, 1.0), initial=0.0)))
 
     comm = (proj @ problem.h - problem.h @ proj).max_abs(keep)
 
-    deficiency = []
-    for x in problem.x.blocks:
-        svals = np.linalg.svd(x[:keep, :keep], compute_uv=False)
-        rank = int(np.sum(svals > 1e-10 * max(svals[0], 1.0)))
-        deficiency.append(keep - rank)
+    svals = np.abs(problem.x.window(keep))
+    floor = 1e-10 * np.maximum(np.max(svals, axis=1, initial=0.0), 1.0)
+    deficiency = [keep - int(r) for r in np.sum(svals > floor[:, None], axis=1)]
     return ProjectionIdentityReport(
         order_residuals=tuple(residuals),
         commutant_residual=comm,
@@ -473,20 +479,17 @@ def quon_closed_forms(dim: int, q: float, tol: float = 1e-11) -> QuonClosedFormR
     Raises ``ClosedFormMismatchError`` beyond ``tol``, reporting the worst
     deviation.
     """
-    a = quon_ladder(dim, q).matrix
-    ad = a.T
-    num = ad @ a
-    problem = IntertwiningProblem(
-        h=BlockOperator([num]), x=BlockOperator([ad @ ad]), ladder_degree=2, label=f"quon-q{q}"
-    )
+    a = quon_ladder(dim, q)
+    ad = a.adjoint()
+    problem = IntertwiningProblem(h=ad @ a, x=ad @ ad, ladder_degree=2, label=f"quon-q{q}")
     result = construct_companion(problem)
 
-    eye = np.eye(dim)
-    n1_closed = q**3 * (num @ num) + q * (1 + 2 * q) * num + (1 + q) * eye
-    h_closed = (1 + q) * eye + q**2 * num
+    num = problem.h.blocks[0]
+    n1_closed = q**3 * (num * num) + q * (1 + 2 * q) * num + (1 + q)
+    h_closed = (1 + q) + q**2 * num
     keep = problem.keep
-    n1_dev = max_abs((result.n1.blocks[0] - n1_closed)[:keep, :keep])
-    h_dev = max_abs((result.companion.blocks[0] - h_closed)[:keep, :keep])
+    n1_dev = max_abs((result.n1.blocks[0] - n1_closed)[:keep])
+    h_dev = max_abs((result.companion.blocks[0] - h_closed)[:keep])
     for name, dev in (("N1", n1_dev), ("companion", h_dev)):
         if dev > tol:
             raise ClosedFormMismatchError(

@@ -231,6 +231,13 @@ def _phase_frequencies(family: str, seqs, delta: float) -> np.ndarray:
     return np.concatenate([sg * (s.values + delta) for sg, s in zip(signs, seqs)])
 
 
+def _phase_step(freqs, quad: QuadratureSpec) -> tuple:
+    """``quad.gamma_step`` (default ``pi / (8 * fastest frequency)``) and its panel count."""
+    fastest = max(float(np.abs(freqs).max()), 1e-9)
+    step = quad.gamma_step if quad.gamma_step is not None else np.pi / (8.0 * fastest)
+    return step, max(16, math.ceil(2.0 * quad.gamma_horizon / step))
+
+
 def _assemble_identity(family, seqs, weights, quad, delta):
     """Factorized quadrature assembly of ``int |psi><psi| d nu``."""
     dim = seqs[0].dim
@@ -267,9 +274,7 @@ def _assemble_identity(family, seqs, weights, quad, delta):
 
     freqs = _phase_frequencies(family, seqs, delta)
     theta = freqs[:, None] - freqs[None, :]
-    fastest = max(float(np.abs(freqs).max()), 1e-9)
-    step = quad.gamma_step if quad.gamma_step is not None else np.pi / (8.0 * fastest)
-    m = max(16, math.ceil(2.0 * quad.gamma_horizon / step))
+    step, m = _phase_step(freqs, quad)
     phase = cesaro_phase_average(theta, quad.gamma_horizon, step)
 
     identity_candidate = g * np.outer(inv_sqrt_fact, inv_sqrt_fact) * phase
@@ -373,25 +378,28 @@ class CrossEntryReport:
 def delta_zero_failure(
     seqs, weights, quad: QuadratureSpec = QuadratureSpec(), delta: float = 0.0
 ) -> CrossEntryReport:
-    """Assemble the delta family at the given regulator (default zero) and
-    return the offending ground-ground cross entry with its factorization."""
+    """The ground-ground cross entry of the delta-family assembly at the given
+    regulator (default zero), with its factorization.
+
+    Both ground levels are zero, so the entry ``[0, dim]`` of the assembled
+    candidate is the product of the two zeroth weight moments times the
+    phase average at ``theta = -2 delta`` on the assembly's step; the rest
+    of the candidate is never formed.
+    """
     if len(seqs) != 2:
         raise ConfigError("the delta family is two-sector")
     for j, s in enumerate(seqs):
         if s.ground != 0.0:
             raise ConfigError(f"sector {j} must start at zero, ground {s.ground}")
     dim = seqs[0].dim
-    candidate, _, step, _ = _assemble_identity("delta", seqs, weights, quad, delta)
-    entry = candidate[0, dim]
-
-    zeros = []
-    for w in weights:
-        nodes, wq = w.quadrature(quad.n_nodes)
-        zeros.append(float(wq.sum()))
+    quad.resolved_k_check(dim)  # the node floor the assembly enforces
+    zeros = [float(w.quadrature(quad.n_nodes)[1].sum()) for w in weights]
     j_integral = zeros[0] * zeros[1]
-    cesaro = float(cesaro_phase_average(np.array([2.0 * delta]), quad.gamma_horizon, step)[0])
+    freqs = _phase_frequencies("delta", seqs, delta)
+    step, _ = _phase_step(freqs, quad)
+    cesaro = float(cesaro_phase_average(freqs[0] - freqs[dim], quad.gamma_horizon, step))
     return CrossEntryReport(
-        magnitude=float(np.abs(entry)),
+        magnitude=abs(j_integral * cesaro),
         j_integral=j_integral,
         cesaro_factor=cesaro,
         delta=delta,

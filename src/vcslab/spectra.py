@@ -247,18 +247,23 @@ def factorials(shifted: ShiftedSequence) -> FactorialCache:
 def eds_check(
     s1: SpectralSequence, s2: SpectralSequence, tol: float = EDS_TOLERANCE
 ) -> DisjointnessReport:
-    """Scan all eigenvalue pairs of two spectra for collisions.
+    """Find the smallest cross gap between two spectra.
 
     The spectra count as (essentially) disjoint when every cross gap
     ``|e1[n] - e2[m]|`` exceeds ``tol``.  The report carries the minimizing
-    pair either way.  Symmetric in its two arguments.
+    pair either way, the first in row-major order on ties.  Symmetric in its
+    two arguments.  Both spectra increase strictly, so the gaps of row ``n``
+    fall and then rise (rounding keeps that order), and their minimum sits
+    next to where ``e1[n]`` would be inserted into ``e2``: O(D log D).
     """
-    gaps = np.abs(s1.values[:, None] - s2.values[None, :])
-    n, m = np.unravel_index(np.argmin(gaps), gaps.shape)
-    min_gap = float(gaps[n, m])
-    return DisjointnessReport(
-        disjoint=min_gap > tol, min_gap=min_gap, pair=(int(n), int(m)), tol=tol
-    )
+    v1, v2 = s1.values, s2.values
+    right = np.minimum(np.searchsorted(v2, v1), len(v2) - 1)
+    left = np.maximum(right - 1, 0)
+    row_min = np.minimum(np.abs(v1 - v2[left]), np.abs(v1 - v2[right]))
+    n = int(np.argmin(row_min))
+    m = int(np.argmin(np.abs(v1[n] - v2)))
+    min_gap = float(row_min[n])
+    return DisjointnessReport(disjoint=min_gap > tol, min_gap=min_gap, pair=(n, m), tol=tol)
 
 
 def require_disjoint(s1, s2, tol: float = EDS_TOLERANCE) -> DisjointnessReport:

@@ -137,26 +137,29 @@ def _common_dim(seqs) -> int:
     return dims.pop()
 
 
-def _assemble(seqs, shifted, params, phase_signs, regime, tail_tol):
-    """Shared coefficient assembly for the two families.
+def _coefficients(seqs, shifted, params, phase_signs, norm_const) -> np.ndarray:
+    """Flat coefficient vector of the family member with labels ``params``.
 
     Phases always use the unshifted eigenvalues (plus the regulator for the
     delta family); amplitudes always use the shifted factorial terms.
     """
-    dim = _common_dim(seqs)
-    space = SectorSpace(len(seqs), dim)
-    values, tails, blocks = [], [], []
-    for seq, sh, j_value, sign in zip(seqs, shifted, params.intensities, phase_signs):
-        m_value, tail = series_norm(sh, j_value, tail_tol=tail_tol)
-        values.append(m_value)
-        tails.append(tail)
-        amp = np.sqrt(_series_terms(sh, j_value))
-        phase = np.exp(sign * 1j * (seq.values + params.delta) * params.gamma)
-        blocks.append(amp * phase)
+    blocks = [
+        np.sqrt(_series_terms(sh, j_value))
+        * np.exp(sign * 1j * (seq.values + params.delta) * params.gamma)
+        for seq, sh, j_value, sign in zip(seqs, shifted, params.intensities, phase_signs)
+    ]
+    return np.concatenate(blocks) / np.sqrt(norm_const)
+
+
+def _assemble(seqs, shifted, params, phase_signs, regime, tail_tol):
+    """Shared state assembly for the two families: series norms, tail bound
+    and coefficients."""
+    space = SectorSpace(len(seqs), _common_dim(seqs))
+    norms = [series_norm(sh, j, tail_tol=tail_tol) for sh, j in zip(shifted, params.intensities)]
+    values, tails = zip(*norms)
     norm_const = float(sum(values))
-    data = np.concatenate(blocks) / np.sqrt(norm_const)
     return CoherentState(
-        vector=SusyVector(space, data),
+        vector=SusyVector(space, _coefficients(seqs, shifted, params, phase_signs, norm_const)),
         norm_const=norm_const,
         tail_bound=float(sum(tails)) / norm_const,
         regime=regime,
@@ -256,9 +259,10 @@ def temporal_stability_residual(
 
     Both sides are coefficient vectors: the evolution multiplies each level by
     one phase, and the state at ``gamma + t`` is assembled from the spectra,
-    labels, regime and phase signs of ``state``, which were validated when
-    ``state`` was built.  ``evolution="family"`` uses each family's own
-    invariance operator: the physical ``exp(-i H t)`` (a phase
+    labels, phase signs and norm constant of ``state``, which were validated
+    and computed when ``state`` was built; only the phases depend on gamma.
+    ``evolution="family"`` uses each family's own invariance operator: the
+    physical ``exp(-i H t)`` (a phase
     ``exp(-i e[n] t)`` per level) for the shift family, the ad-hoc
     split-sign operator for the delta family.  ``evolution="physical"``
     forces ``exp(-i H t)`` in both cases; for the delta family this
@@ -275,8 +279,8 @@ def temporal_stability_residual(
         raise RegimeError(f"unknown evolution {evolution!r}")
     moved = VcsParams(p.intensities, p.gamma + t, p.delta)
     shifted = [shift(s) for s in state.seqs]
-    after = _assemble(state.seqs, shifted, moved, state.phase_signs, state.regime, TAIL_TOLERANCE)
-    return float(np.linalg.norm(phases * state.vector.data - after.vector.data))
+    after = _coefficients(state.seqs, shifted, moved, state.phase_signs, state.norm_const)
+    return float(np.linalg.norm(phases * state.vector.data - after))
 
 
 def eigenstate_residual(

@@ -52,9 +52,10 @@ class TestLoweringOperator:
         omegas = (1.0, math.sqrt(2.0))
         seqs = [spectra.shift(spectra.linear_sequence(dim, w)) for w in omegas]
         b = hilbert.lowering_operator(seqs, gamma)
-        a = hilbert.boson_ladder(dim).matrix
+        a = hilbert.boson_ladder(dim)
+        assert b.offset == a.offset == -1
         for j, w in enumerate(omegas):
-            expected = math.sqrt(w) * np.exp(1j * w * gamma) * a
+            expected = math.sqrt(w) * np.exp(1j * w * gamma) * a.blocks[0]
             np.testing.assert_allclose(b.blocks[j], expected, atol=1e-14)
         # the dense export is zero off the diagonal blocks
         assert hilbert.max_abs(b.matrix[:dim, dim:]) == 0
@@ -65,9 +66,7 @@ class TestLoweringOperator:
         b = hilbert.lowering_operator(seqs, 0.0)
         assert hilbert.max_abs(b.matrix.imag) == 0
         for j, s in enumerate(seqs):
-            np.testing.assert_allclose(
-                np.diag(b.blocks[j], 1), np.sqrt(s.values[1:]), atol=1e-15
-            )
+            np.testing.assert_allclose(b.blocks[j], np.sqrt(s.values[1:]), atol=1e-15)
 
     def test_annihilates_ground_states(self):
         seqs = two_linear_shifted(6)
@@ -171,9 +170,12 @@ class TestBosonLadder:
 
     def test_commutator_truncation_artifact(self):
         dim = 7
-        ladder = hilbert.boson_ladder(dim)
-        assert ladder.diagnostics["commutator_defect_interior"] <= 1e-13
-        assert ladder.diagnostics["commutator_defect_top"] == pytest.approx(-dim)
+        a = hilbert.boson_ladder(dim)
+        commutator = a @ a.adjoint() - a.adjoint() @ a
+        assert commutator.offset == 0
+        defect = commutator.blocks[0] - 1.0
+        assert hilbert.max_abs(defect[:-1]) <= 1e-13
+        assert defect[-1] == pytest.approx(-dim)
 
 
 class TestQuonLadder:
@@ -229,21 +231,23 @@ class TestGridLadder:
 class TestBlockOperator:
     def test_unequal_blocks_rejected(self):
         with pytest.raises(errors.LengthMismatchError):
-            hilbert.BlockOperator([np.eye(3), np.eye(4)])
+            hilbert.BlockOperator([np.ones(3), np.ones(4)])
         with pytest.raises(errors.LengthMismatchError):
             hilbert.BlockOperator([np.ones((3, 4))])
 
     def test_real_inputs_stay_real(self):
         seqs = [spectra.linear_sequence(6, 1.0, offset=0.3), spectra.linear_sequence(6, 1.5)]
-        a = hilbert.BlockOperator([hilbert.boson_ladder(6).matrix])
-        aq = hilbert.BlockOperator([hilbert.quon_ladder(6, 0.5).matrix])
-        grid = hilbert.GridSpec(-5.0, 5.0, 64)
-        ag = hilbert.BlockOperator([hilbert.grid_ladder(lambda x: x, grid).matrix])
+        a = hilbert.boson_ladder(6)
+        aq = hilbert.quon_ladder(6, 0.5)
         h = hilbert.susy_hamiltonian(seqs)
         h_tau = hilbert.shifted_hamiltonian(seqs)
-        ops = [a, aq, ag, h, h_tau, a.adjoint() @ a, aq @ aq.adjoint(), ag.adjoint() @ ag, h - h_tau]
+        ops = [a, aq, h, h_tau, a.adjoint() @ a, aq @ aq.adjoint(), h - h_tau]
         for op in ops:
             assert all(b.dtype == np.float64 for b in op.blocks)
+        # the grid ladder is a dense matrix of its own
+        grid = hilbert.GridSpec(-5.0, 5.0, 64)
+        ag = hilbert.grid_ladder(lambda x: x, grid).matrix
+        assert ag.dtype == np.float64 and (ag.T @ ag).dtype == np.float64
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])
     def test_phase_twisted_lowering_is_complex(self, gamma):
@@ -252,16 +256,16 @@ class TestBlockOperator:
         assert all(np.iscomplexobj(block) for block in (b.adjoint() @ b).blocks)
 
     def test_caller_arrays_are_copied(self):
-        m = np.arange(9.0).reshape(3, 3)
+        m = np.arange(3.0)
         op = hilbert.BlockOperator([m])
-        m[0, 0] = 100.0
-        assert op.blocks[0][0, 0] == 0.0
+        m[0] = 100.0
+        assert op.blocks[0][0] == 0.0
         assert not np.shares_memory(op.blocks[0], m)
 
     def test_computed_blocks_are_frozen(self):
         rng = np.random.default_rng(3)
-        a = hilbert.BlockOperator([rng.normal(size=(4, 4)), rng.normal(size=(4, 4))])
-        b = hilbert.BlockOperator([rng.normal(size=(4, 4)) + 1j, np.eye(4, dtype=complex)])
+        a = hilbert.BlockOperator([rng.normal(size=3), rng.normal(size=3)], 1)
+        b = hilbert.BlockOperator([rng.normal(size=3) + 1j, np.ones(3, dtype=complex)], 1)
         for op, dense in (
             (a @ b, a.matrix @ b.matrix),
             (a + b, a.matrix + b.matrix),
@@ -272,6 +276,99 @@ class TestBlockOperator:
             np.testing.assert_array_equal(op.matrix, dense)
             for block in op.blocks:
                 assert not block.flags.writeable
-                assert not any(np.shares_memory(block, x) for x in a.blocks + b.blocks)
+                assert not any(np.shares_memory(block, x) for x in (a.blocks, b.blocks))
                 with pytest.raises(ValueError):
-                    block[0, 0] = 1.0
+                    block[0] = 1.0
+
+
+def random_shift(rng, dim, offset, dtype):
+    """Two-sector weighted shift at ``offset`` with random weights of ``dtype``."""
+    n = dim - abs(offset)
+    blocks = [rng.standard_normal(n) for _ in range(2)]
+    if dtype is complex:
+        blocks = [b + 1j * rng.standard_normal(n) for b in blocks]
+    return hilbert.BlockOperator(blocks, offset)
+
+
+def dense_oracle(op):
+    """The dense export built entry by entry: level n of sector j goes to n + offset."""
+    d, k = op.space.dim, op.offset
+    m = np.zeros((op.space.total_dim,) * 2, dtype=op.blocks[0].dtype)
+    for j, b in enumerate(op.blocks):
+        for i, n in enumerate(range(max(0, -k), d - max(0, k))):
+            m[j * d + n + k, j * d + n] = b[i]
+    return m
+
+
+OFFSETS = range(-3, 4)
+
+
+@pytest.mark.parametrize("dim", [4, 9, 64])
+@pytest.mark.parametrize(
+    "dtypes", [(float, float), (float, complex), (complex, complex)], ids=["real", "mixed", "complex"]
+)
+class TestWeightedShiftOracle:
+    """Every operation of the weighted-shift storage against its dense export."""
+
+    def pairs(self, dim, dtypes):
+        rng = np.random.default_rng(dim)
+        for a in OFFSETS:
+            for b in OFFSETS:
+                yield random_shift(rng, dim, a, dtypes[0]), random_shift(rng, dim, b, dtypes[1])
+
+    def test_construction(self, dim, dtypes):
+        rng = np.random.default_rng(1)
+        for k in OFFSETS:
+            op = random_shift(rng, dim, k, dtypes[1])
+            assert op.space == hilbert.SectorSpace(2, dim)
+            np.testing.assert_array_equal(op.matrix, dense_oracle(op))
+
+    def test_product(self, dim, dtypes):
+        for a, b in self.pairs(dim, dtypes):
+            if abs(a.offset + b.offset) >= dim:
+                with pytest.raises(errors.DimensionMismatchError):
+                    a @ b
+                continue
+            product = a @ b
+            assert product.offset == a.offset + b.offset
+            np.testing.assert_allclose(product.matrix, a.matrix @ b.matrix, rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(product.matrix, dense_oracle(product))
+
+    def test_sum_and_difference(self, dim, dtypes):
+        for a, b in self.pairs(dim, dtypes):
+            if a.offset != b.offset:
+                with pytest.raises(errors.DimensionMismatchError):
+                    a + b
+                with pytest.raises(errors.DimensionMismatchError):
+                    a - b
+                continue
+            np.testing.assert_array_equal((a + b).matrix, a.matrix + b.matrix)
+            np.testing.assert_array_equal((a - b).matrix, a.matrix - b.matrix)
+
+    def test_adjoint(self, dim, dtypes):
+        rng = np.random.default_rng(2)
+        for k in OFFSETS:
+            op = random_shift(rng, dim, k, dtypes[1])
+            assert op.adjoint().offset == -k
+            np.testing.assert_array_equal(op.adjoint().matrix, op.matrix.conj().T)
+
+    def test_apply(self, dim, dtypes):
+        rng = np.random.default_rng(3)
+        for k in OFFSETS:
+            op = random_shift(rng, dim, k, dtypes[1])
+            data = rng.standard_normal(2 * dim) + 1j * rng.standard_normal(2 * dim)
+            v = hilbert.SusyVector(op.space, data)
+            np.testing.assert_allclose(op.apply(v).data, op.matrix @ v.data, rtol=0, atol=1e-14)
+
+    def test_max_abs(self, dim, dtypes):
+        rng = np.random.default_rng(4)
+        for k in OFFSETS:
+            op = random_shift(rng, dim, k, dtypes[1])
+            dense = op.matrix
+            assert op.max_abs() == np.abs(dense).max()
+            for keep in (1, abs(k), dim - 3, dim):
+                window = [
+                    np.abs(dense[j * dim : j * dim + keep, j * dim : j * dim + keep]).max(initial=0.0)
+                    for j in range(2)
+                ]
+                assert op.max_abs(keep) == max(window)

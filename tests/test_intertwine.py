@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from vcslab import errors, hilbert, intertwine, spectra
+from vcslab import config, errors, experiments, hilbert, intertwine, spectra
 from vcslab.hilbert import BlockOperator, max_abs
 from vcslab.intertwine import IntertwiningProblem, SpectralMap
 
@@ -14,14 +15,12 @@ def shifted_pair(dim=40, omegas=(1.0, math.sqrt(2.0))):
 
 
 def boson_problem(dim=60, power=2):
-    a = hilbert.boson_ladder(dim).matrix
-    ad = a.conj().T
-    x = np.linalg.matrix_power(ad, power)
-    return IntertwiningProblem(
-        h=BlockOperator([ad @ a]),
-        x=BlockOperator([x]),
-        ladder_degree=power,
-    )
+    a = hilbert.boson_ladder(dim)
+    ad = a.adjoint()
+    x = ad
+    for _ in range(power - 1):
+        x = x @ ad
+    return IntertwiningProblem(h=ad @ a, x=x, ladder_degree=power)
 
 
 def dense_grid_comparison(w, grid, f=None, n_modes=None):
@@ -50,7 +49,8 @@ def dense_grid_comparison(w, grid, f=None, n_modes=None):
     companion = n1_inv @ (a @ (mapped @ a.T))
     target = h + 2.0 * ladder.params["c"] * np.diag(ladder.diagnostics["w_prime"])
     if f is not None:
-        target = intertwine.apply_map(f, BlockOperator([target])).blocks[0]
+        t_evals, t_vecs = np.linalg.eigh(target)
+        target = (t_vecs * f(t_evals)) @ t_vecs.T
     return len(probes), max(np.linalg.norm((companion - target) @ phi) for phi in probes)
 
 
@@ -92,7 +92,7 @@ class TestConstructCompanion:
         for j, s in enumerate(seqs):
             block = result.n1.blocks[j]
             expected = s.values[1 : keep + 1] * np.append(s.values[2 : keep + 1], 0)[: keep]
-            got = np.diag(block).real[:keep]
+            got = block.real[:keep]
             want = np.array([s.values[n + 1] * s.values[n + 2] for n in range(keep)])
             np.testing.assert_allclose(got, want, rtol=1e-12)
         assert result.certificate.passed
@@ -110,7 +110,7 @@ class TestConstructCompanion:
         seqs = shifted_pair(omegas=(1.0, 1.0))
         gamma = 2.2
         problem = intertwine.example_problem(4, seqs, gamma)
-        h_diag = np.diag(problem.h.blocks[0]).real
+        h_diag = problem.h.blocks[0].real
         n = np.arange(seqs[0].dim)
         np.testing.assert_allclose(h_diag, n * np.append(0, n[:-1]), atol=1e-12)
         assert h_diag[3] == pytest.approx(6.0)
@@ -137,7 +137,7 @@ class TestConstructCompanion:
         seqs = shifted_pair(20)
         b = hilbert.lowering_operator(seqs, 0.5)
         h = b.adjoint() @ b
-        eye = BlockOperator([np.eye(h.space.dim)] * h.space.sectors)
+        eye = BlockOperator([np.ones(h.space.dim)] * h.space.sectors)
         result = intertwine.construct_companion(
             IntertwiningProblem(h=h, x=eye, ladder_degree=0)
         )
@@ -179,12 +179,22 @@ class TestConstructCompanion:
         assert second.certificate.passed
 
     def test_commutant_violation_rejected(self):
+        # x x+ = diag(1 + n)^2 does not commute with the shift h
         dim = 20
-        a = hilbert.boson_ladder(dim).matrix
-        h = BlockOperator([a.conj().T @ a])
-        x = BlockOperator([a + a.conj().T])
-        with pytest.raises(errors.HypothesisViolatedError):
+        h = hilbert.boson_ladder(dim).adjoint()
+        x = BlockOperator([1.0 + np.arange(dim, dtype=float)])
+        with pytest.raises(errors.HypothesisViolatedError, match=r"\[x x\+, h\]"):
             intertwine.construct_companion(IntertwiningProblem(h=h, x=x, ladder_degree=1))
+
+    def test_shifted_h_rejected(self):
+        # x = 1 commutes with anything, so only the diagonal requirement on h can fire
+        dim = 20
+        h = hilbert.boson_ladder(dim).adjoint()
+        x = BlockOperator([np.ones(dim)])
+        with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
+            intertwine.construct_companion(IntertwiningProblem(h=h, x=x, ladder_degree=0))
+        with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
+            intertwine.apply_map(SpectralMap.exponential(), h)
 
     def test_identical_sectors_never_mix(self):
         # two copies of one spectrum make N1 degenerate across the sectors;
@@ -202,8 +212,8 @@ class TestConstructCompanion:
         # exp overflows past e ~ 709; the NaN-filled companion must not
         # certify with gamma_residual == 0
         dim = 40
-        h = BlockOperator([np.diag(np.linspace(0.0, 1000.0, dim))])
-        x = BlockOperator([np.eye(dim) + np.diag(np.arange(dim, dtype=float))])
+        h = BlockOperator([np.linspace(0.0, 1000.0, dim)])
+        x = BlockOperator([1.0 + np.arange(dim, dtype=float)])
         with np.errstate(over="ignore", invalid="ignore"):
             result = intertwine.construct_companion(
                 IntertwiningProblem(h=h, x=x), spectral_map=SpectralMap.exponential()
@@ -215,10 +225,62 @@ class TestConstructCompanion:
         dim = 20
         diag = np.ones(dim)
         diag[3] = 0.0  # null direction well inside the window
-        h = BlockOperator([np.diag(np.arange(dim, dtype=float))])
-        x = BlockOperator([np.diag(diag)])
+        h = BlockOperator([np.arange(dim, dtype=float)])
+        x = BlockOperator([diag])
         with pytest.raises(errors.HypothesisViolatedError):
             intertwine.construct_companion(IntertwiningProblem(h=h, x=x, ladder_degree=0))
+
+
+class TestWeightedShiftCompanions:
+    """The companion path on weighted shifts: no eigensolve, vector-sized memory, dim 4096."""
+
+    def problems(self):
+        seqs = shifted_pair(40)
+        for which in (1, 2, 3, 4):
+            yield intertwine.example_problem(which, seqs, 0.7)
+        yield boson_problem(40)
+        a = hilbert.quon_ladder(40, 0.5)
+        yield IntertwiningProblem(h=a.adjoint() @ a, x=a.adjoint() @ a.adjoint(), ladder_degree=2)
+
+    def test_no_eigendecomposition(self, eigh_calls):
+        for problem in self.problems():
+            intertwine.construct_companion(problem)
+            intertwine.construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
+        assert eigh_calls == []
+
+    def test_peak_memory_stays_at_vector_size(self):
+        # one dense complex 1024 x 1024 block alone takes 16 MiB
+        problem = intertwine.example_problem(3, shifted_pair(1024), 0.7)
+        tracemalloc.start()
+        try:
+            result = intertwine.construct_companion(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.certificate.passed
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "bundle",
+        [
+            "example1-susy-qm",
+            "example2-squared-intertwiner",
+            "example3-cubed-intertwiner",
+            "example4-ladder-product",
+            "boson-example2",
+            "quon-closed-forms",
+            "map-equality-probes",
+        ],
+    )
+    def test_bundle_runs_at_the_dim_ceiling(self, bundle):
+        shipped = config.load_bundled(bundle)
+        assert config.DIM_RANGE[1] == 4096
+        with np.errstate(over="ignore", invalid="ignore"):  # exp(n + 2) overflows past n ~ 707
+            report, _ = experiments.run_experiment(dataclasses.replace(shipped, dim=4096))
+        assert report.config["dim"] == 4096
+        assert [c.name for c in report.checks] == [
+            c.name for c in experiments.run_experiment(shipped)[0].checks
+        ]
 
 
 class TestHTauFactorization:
@@ -253,19 +315,18 @@ class TestNonIsospectral:
         dim = 60
         problem = boson_problem(dim)
         n_op = problem.h.blocks[0]
-        eye = np.eye(dim)
-        sub = np.s_[: problem.keep, : problem.keep]
+        sub = np.s_[: problem.keep]
 
         iso = intertwine.construct_companion(problem)
         np.testing.assert_allclose(
-            iso.n1.blocks[0][sub], (n_op @ n_op + 3 * n_op + 2 * eye)[sub], atol=1e-11
+            iso.n1.blocks[0][sub], (n_op * n_op + 3 * n_op + 2)[sub], atol=1e-11
         )
-        np.testing.assert_allclose(iso.companion.blocks[0][sub], (n_op + 2 * eye)[sub], atol=1e-11)
+        np.testing.assert_allclose(iso.companion.blocks[0][sub], (n_op + 2)[sub], atol=1e-11)
 
         squared = intertwine.construct_companion(
             problem, spectral_map=SpectralMap.polynomial([0, 0, 1])
         )
-        ref = (n_op + 2 * eye) @ (n_op + 2 * eye)
+        ref = (n_op + 2) * (n_op + 2)
         np.testing.assert_allclose(squared.companion.blocks[0][sub], ref[sub], atol=1e-11)
         assert squared.certificate.passed
 
@@ -274,8 +335,8 @@ class TestNonIsospectral:
         problem = boson_problem(dim)
         result = intertwine.construct_companion(problem, spectral_map=SpectralMap.exponential())
         n = np.arange(dim, dtype=float)
-        ref = np.diag(np.exp(n + 2.0))
-        sub = np.s_[: problem.keep, : problem.keep]
+        ref = np.exp(n + 2.0)
+        sub = np.s_[: problem.keep]
         diff = np.abs(result.companion.blocks[0] - ref)[sub]
         scale = np.maximum(1.0, np.abs(ref)[sub])
         assert (diff / scale).max() <= 1e-11
@@ -335,26 +396,22 @@ class TestEqualityProbe:
 
     def test_quon_polynomial_map(self):
         dim, q = 60, 0.5
-        a = hilbert.quon_ladder(dim, q).matrix
-        ad = a.conj().T
-        problem = IntertwiningProblem(
-            h=BlockOperator([ad @ a]),
-            x=BlockOperator([ad @ ad]),
-            ladder_degree=2,
-        )
+        a = hilbert.quon_ladder(dim, q)
+        ad = a.adjoint()
+        problem = IntertwiningProblem(h=ad @ a, x=ad @ ad, ladder_degree=2)
         f = SpectralMap.polynomial([0.5, 1.0, 0.25])
         report = intertwine.power_series_equality_probe(problem, f)
         assert report.max_residual <= 1e-10
         # companion of f(h) equals f(q^2 N + (1+q))
         mapped = intertwine.construct_companion(problem, spectral_map=f)
-        n_op = ad @ a
-        ref = intertwine.apply_map(f, BlockOperator([q**2 * n_op + (1 + q) * np.eye(dim)]))
+        n_op = (ad @ a).blocks[0]
+        ref = intertwine.apply_map(f, BlockOperator([q**2 * n_op + (1 + q)]))
         assert (mapped.companion - ref).max_abs(problem.keep) <= 1e-10
 
     def test_trivial_intertwiner_zero_residual(self):
         dim = 30
-        h = BlockOperator([np.diag(np.arange(dim, dtype=float))])
-        eye = BlockOperator([np.eye(dim)])
+        h = BlockOperator([np.arange(dim, dtype=float)])
+        eye = BlockOperator([np.ones(dim)])
         problem = IntertwiningProblem(h=h, x=eye, ladder_degree=0)
         report = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([1, 2]))
         assert report.max_residual <= 1e-12
@@ -370,11 +427,11 @@ class TestProjectionIdentity:
 
     def test_invertible_intertwiner(self):
         dim = 40
-        a = hilbert.boson_ladder(dim).matrix
-        n_op = a.conj().T @ a
+        a = hilbert.boson_ladder(dim)
+        n_op = a.adjoint() @ a
         problem = IntertwiningProblem(
-            h=BlockOperator([n_op]),
-            x=BlockOperator([np.eye(dim) + n_op]),
+            h=n_op,
+            x=BlockOperator([1.0 + n_op.blocks[0]]),
             ladder_degree=0,
         )
         report = intertwine.projection_identity_check(problem, l_max=4)

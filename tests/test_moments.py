@@ -247,6 +247,19 @@ class TestDeltaZeroFailure:
         # envelope of the phase average decays like 1/horizon
         assert 50 < mags[0] / mags[1] < 200
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_entry_without_the_overflowing_assembly(self, delta):
+        # at dim 160 with 82 nodes the half moments of the full assembly
+        # overflow; the entry itself needs only the zeroth moments
+        seqs, weights = self.seqs_and_weights(160)
+        quad = moments.QuadratureSpec(n_nodes=82, gamma_horizon=1e4)
+        with np.errstate(all="ignore"):
+            candidate = moments._assemble_identity("delta", seqs, weights, quad, delta)[0]
+        assert np.isinf(candidate).any()
+        with np.errstate(over="raise", invalid="raise"):
+            report = moments.delta_zero_failure(seqs, weights, quad, delta=delta)
+        assert report.magnitude == pytest.approx(abs(candidate[0, 160]), rel=1e-15)
+
     def test_entry_factorizes(self):
         seqs, weights = self.seqs_and_weights()
         quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=1e3)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,18 @@ def brute_force_min_gap(v1, v2):
                 best = abs(a - b)
                 pair = (n, m)
     return best, pair
+
+
+def dense_min_gap(v1, v2):
+    """The full ``D x D`` gap matrix scan: its first minimum in row-major order."""
+    gaps = np.abs(v1[:, None] - v2[None, :])
+    n, m = np.unravel_index(np.argmin(gaps), gaps.shape)
+    return float(gaps[n, m]), (int(n), int(m))
+
+
+# integer lattices scaled by a common step: many exact collisions and equal gaps
+lattices = st.lists(st.integers(0, 60), min_size=2, max_size=30, unique=True).map(sorted)
+steps = st.sampled_from([1.0, 0.5, 0.1, 1.0 / 3.0, 1e-9])
 
 
 class TestMakeSequence:
@@ -163,6 +176,46 @@ class TestEdsCheck:
         assert r12.disjoint == r21.disjoint
         assert r12.min_gap == pytest.approx(r21.min_gap)
         assert r12.pair == (r21.pair[1], r21.pair[0])
+
+
+    @given(a=lattices, b=lattices, step=steps, shift=st.sampled_from([0.0, 0.25, 1e6]))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_gap_matrix_on_lattices(self, a, b, step, shift):
+        s1 = spectra.make_sequence(np.array(a) * step + shift)
+        s2 = spectra.make_sequence(np.array(b) * step + shift)
+        for x, y in ((s1, s2), (s2, s1), (s1, s1)):
+            report = spectra.eds_check(x, y)
+            assert (report.min_gap, report.pair) == dense_min_gap(x.values, y.values)
+
+    @given(
+        a=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=30, unique=True).map(sorted),
+        b=st.lists(st.floats(0.0, 50.0), min_size=2, max_size=30, unique=True).map(sorted),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_gap_matrix_on_floats(self, a, b):
+        s1, s2 = spectra.make_sequence(a), spectra.make_sequence(b)
+        report = spectra.eds_check(s1, s2)
+        assert (report.min_gap, report.pair) == dense_min_gap(s1.values, s2.values)
+
+    def test_equal_gaps_pick_the_first_pair(self):
+        # every gap is 0.5: the first pair in row-major order wins
+        s1 = spectra.make_sequence([1.0, 2.0, 3.0])
+        s2 = spectra.make_sequence([0.5, 1.5, 2.5, 3.5])
+        report = spectra.eds_check(s1, s2)
+        assert (report.min_gap, report.pair) == (0.5, (0, 0))
+
+    def test_peak_memory_stays_at_vector_size(self):
+        # the 4096 x 4096 gap matrix alone would take 128 MiB
+        s1 = spectra.linear_sequence(4096, 1.0, offset=0.3)
+        s2 = spectra.linear_sequence(4096, math.sqrt(2.0), offset=0.55)
+        tracemalloc.start()
+        try:
+            report = spectra.eds_check(s1, s2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.disjoint
+        assert peak < 2**20
 
 
 class TestRadiusEstimate:

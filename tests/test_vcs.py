@@ -276,6 +276,23 @@ class TestTemporalStability:
             vcs.temporal_stability_residual(state, 1.0, evolution)
         assert len(scans) == 1
 
+    def test_norms_are_not_recomputed(self, monkeypatch):
+        # only the phases depend on gamma: the state's own norm constant serves
+        calls = []
+        series_norm = vcs.series_norm
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return series_norm(*args, **kwargs)
+
+        monkeypatch.setattr(vcs, "series_norm", counting)
+        states = [family_state("eds", 20), family_state("delta", 20)]
+        assert len(calls) == 4  # one per sector of each state
+        for state in states:
+            for evolution in ("family", "physical"):
+                vcs.temporal_stability_residual(state, 1.0, evolution)
+        assert len(calls) == 4
+
     def test_unknown_evolution(self):
         state = family_state("eds", 20)
         with pytest.raises(errors.RegimeError):
