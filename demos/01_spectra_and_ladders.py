@@ -65,4 +65,4 @@ print("deformed ladder relation defect (interior):", hilbert.max_abs(qmutator[:-
 grid = hilbert.GridSpec(-10.0, 10.0, 512)
 ladder = hilbert.grid_ladder(lambda x: x, grid)
 print("grid ladder commutator probe residual:",
-      f"{ladder.diagnostics['commutator_probe_residual']:.2e} (second order in dx)")
+      f"{ladder.commutator_residual:.2e} (second order in dx)")

@@ -16,7 +16,6 @@ from .spectra import (
     make_sequence,
     linear_sequence,
     quon_sequence,
-    sequence_from_config,
     shift,
     factorials,
     eds_check,
@@ -26,7 +25,7 @@ from .hilbert import (
     SectorSpace,
     SusyVector,
     BlockOperator,
-    LadderRealization,
+    GridLadder,
     GridSpec,
     basis_vector,
     lowering_operator,

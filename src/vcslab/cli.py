@@ -46,11 +46,6 @@ def _report_stem(config: ExperimentConfig) -> str:
 def _cmd_run(args) -> int:
     try:
         config = _resolve(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         report, tables = run_experiment(config, seed=args.seed, jobs=args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,20 +1,28 @@
 """Experiment configuration: YAML schema, validation, bundled inventory.
 
 Configs are strict: unknown keys anywhere are hard errors, so a typo cannot
-silently disable a check.  Tolerances follow the library defaults unless
-overridden.  A bundled inventory of ready-to-run configs ships inside the
-package (``vcslab list`` prints it).
+silently disable a check.  Each kind's parameters are one frozen dataclass
+(``KINDS``) whose field types drive one checker, so a malformed value fails
+at parse time naming its key (``params.times[0]``).  Spectra are built here.
+A bundled inventory of ready-to-run configs ships inside the package
+(``vcslab list`` prints it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import math
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
+import numpy as np
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, VcsLabError
+from .spectra import SpectralSequence, linear_sequence, make_sequence, quon_sequence
 
 __all__ = [
     "ExperimentConfig",
@@ -35,67 +43,187 @@ __all__ = [
 DIM_RANGE = (8, 4096)
 GRID_RANGE = (64, 4096)
 
-_SPECTRUM_KEYS = {"form", "omega", "offset", "q", "values", "scale", "dim"}
+# an integer annotated with its inclusive (low, high) bounds
+Dim = Annotated[int, DIM_RANGE]
 
 _TOP_KEYS = {"kind", "title", "anchor", "dim", "seed", "spectra", "params", "tolerances", "output"}
 
-# per-kind allowed parameter keys and tolerance defaults
-KINDS = {
-    "vcs-verify": {
-        "params": {
-            "family", "n_samples", "j_max", "gamma_max", "delta", "times", "witness",
-        },
-        "tolerances": {
-            "tail": 1e-10,
-            "action": 1e-9,
-            "stability": 1e-9,
-            "eigenstate": 1e-9,
-            "witness_min": 1e-2,
-        },
-    },
-    "resolution": {
-        "params": {"family", "delta", "horizons", "n_nodes", "k_check", "delta_probe"},
-        "tolerances": {
-            "moment": 1e-8,
-            "diagonal": 1e-7,
-            "hermiticity": 1e-12,
-            "decay_low": 0.8,
-            "decay_high": 1.2,
-            "entry_floor": 0.1,
-            "entry_drift": 0.05,
-            "decay_factor_low": 50.0,
-            "decay_factor_high": 200.0,
-        },
-    },
-    "intertwine-example": {
-        "params": {"example", "gammas"},
-        "tolerances": {
-            "alpha": 1e-10,
-            "beta": 1e-10,
-            "gamma": 1e-9,
-            "gamma_independence": 1e-12,
-            "h_tau": 1e-14,
-        },
-    },
-    "nonisospectral": {
-        "params": {"case", "q_values"},
-        "tolerances": {"closed_form": 1e-11},
-    },
-    "map-equality-probe": {
-        "params": {"cases", "q", "l_max"},
-        "tolerances": {"probe": 1e-10, "order": 1e-10, "commutant": 1e-10},
-    },
-    "susy-grid": {
-        "params": {"w_coeffs", "domain", "sizes", "n_modes", "map_coeffs", "hbar", "mass"},
-        "tolerances": {
-            "exponent_low": 1.7,
-            "exponent_high": 2.3,
-            "commutator": 1e-3,
-        },
-    },
-}
 
-_WITNESS_KEYS = {"spectra", "dim", "j", "gamma", "gamma_offset"}
+@dataclass(frozen=True)
+class Spectrum:
+    """One ``spectra`` entry: a closed form at the enclosing ``dim``, or one value per level."""
+
+    form: Literal["linear", "quon", "values"]
+    omega: float = 1.0
+    offset: float = 0.0
+    q: float | None = None
+    values: tuple[float, ...] | None = None
+    scale: float = 1.0
+
+
+@dataclass(frozen=True, kw_only=True)
+class Witness:
+    """``params.witness``: its spectra have its own ``dim`` (default: the config's)."""
+
+    dim: Dim | None = None
+    spectra: tuple[SpectralSequence, ...]
+    j: tuple[float, ...] | None = None
+    gamma: float = 0.4
+    gamma_offset: float = 1.0
+
+
+class _Params:
+    """Base of the per-kind parameter schemas."""
+
+    #: default tolerances, the keys a config's ``tolerances`` may override
+    TOLERANCES = {}
+    #: inclusive bounds on the number of spectra the kind reads
+    SPECTRA = (0, 0)
+
+    def resolve(self, dim, spectra):
+        """Checked against ``dim`` and the spectra, with the defaults they set."""
+        return self
+
+
+def _per_spectrum(values, default, spectra, where):
+    values = (default,) * len(spectra) if values is None else values
+    if len(values) != len(spectra):
+        raise ConfigError(f"{where} has {len(values)} entries for {len(spectra)} spectra")
+    return values
+
+
+@dataclass(frozen=True)
+class VcsVerifyParams(_Params):
+    """``j_max`` defaults to 4.0 per spectrum, the witness's ``j`` to 1.0."""
+
+    TOLERANCES = {
+        "tail": 1e-10,
+        "action": 1e-9,
+        "stability": 1e-9,
+        "eigenstate": 1e-9,
+        "witness_min": 1e-2,
+    }
+    SPECTRA = (1, math.inf)
+
+    family: Literal["eds", "delta"] = "eds"
+    n_samples: Annotated[int, (1, math.inf)] = 100
+    j_max: tuple[Annotated[float, (0, math.inf)], ...] | None = None
+    gamma_max: Annotated[float, (0, math.inf)] = 3.0
+    delta: float = 0.5
+    times: tuple[float, ...] = (0.1, 1.0, 10.0)
+    witness: Witness | None = None
+
+    def resolve(self, dim, spectra):
+        witness = self.witness
+        if witness is not None:
+            j = _per_spectrum(witness.j, 1.0, witness.spectra, "params.witness.j")
+            witness = replace(witness, j=j)
+        j_max = _per_spectrum(self.j_max, 4.0, spectra, "params.j_max")
+        return replace(self, j_max=j_max, witness=witness)
+
+
+@dataclass(frozen=True)
+class ResolutionParams(_Params):
+    """``family: delta`` at ``delta: 0`` runs the regulator-failure demo."""
+
+    TOLERANCES = {
+        "moment": 1e-8,
+        "diagonal": 1e-7,
+        "hermiticity": 1e-12,
+        "decay_low": 0.8,
+        "decay_high": 1.2,
+        "entry_floor": 0.1,
+        "entry_drift": 0.05,
+        "decay_factor_low": 50.0,
+        "decay_factor_high": 200.0,
+    }
+    SPECTRA = (1, math.inf)
+
+    family: Literal["eds", "delta"] = "eds"
+    delta: float = 0.0
+    horizons: tuple[float, ...] = (1e2, 1e3, 1e4)
+    n_nodes: int = 40
+    k_check: int | None = None
+    delta_probe: float = 0.5
+
+    def resolve(self, dim, spectra):
+        for i, seq in enumerate(spectra):
+            gaps = np.diff(seq.values)
+            if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
+                raise ConfigError(f"spectra[{i}] is not equally spaced: no closed-form weight")
+        if min(self.horizons) <= 0:
+            raise ConfigError(f"params.horizons must be > 0, got {list(self.horizons)}")
+        if self.family == "delta" and self.delta == 0.0 and len(self.horizons) < 2:
+            raise ConfigError("params.horizons needs two entries for the regulator-failure demo")
+        if self.k_check is not None and not 0 <= self.k_check <= dim - 1:
+            raise ConfigError(f"params.k_check {self.k_check} outside 0..{dim - 1}")
+        return self
+
+
+@dataclass(frozen=True)
+class IntertwineExampleParams(_Params):
+    TOLERANCES = {
+        "alpha": 1e-10,
+        "beta": 1e-10,
+        "gamma": 1e-9,
+        "gamma_independence": 1e-12,
+        "h_tau": 1e-14,
+    }
+    SPECTRA = (2, 2)
+
+    example: Literal[1, 2, 3, 4] = 1
+    gammas: tuple[float, ...] = (0.0, 0.7, 3.1)
+
+
+@dataclass(frozen=True)
+class NonisospectralParams(_Params):
+    TOLERANCES = {"closed_form": 1e-11}
+
+    case: Literal["boson", "quon"] = "boson"
+    q_values: tuple[float, ...] = (0.3, 0.5, 0.9)
+
+
+@dataclass(frozen=True)
+class MapEqualityProbeParams(_Params):
+    TOLERANCES = {"probe": 1e-10, "order": 1e-10, "commutant": 1e-10}
+
+    cases: tuple[Literal["boson", "quon", "invertible"], ...] = ("boson", "quon", "invertible")
+    q: float = 0.5
+    l_max: Annotated[int, (0, math.inf)] = 4
+
+
+@dataclass(frozen=True)
+class SusyGridParams(_Params):
+    """Polynomial coefficients lowest order first; no ``map_coeffs``: identity map."""
+
+    TOLERANCES = {
+        "exponent_low": 1.7,
+        "exponent_high": 2.3,
+        "commutator": 1e-3,
+    }
+
+    sizes: tuple[Annotated[int, GRID_RANGE], ...]
+    w_coeffs: tuple[float, ...] = (0.0, 1.0)
+    domain: tuple[float, float] = (-12.0, 12.0)
+    n_modes: int = 32
+    map_coeffs: tuple[float, ...] | None = None
+    hbar: float = 1.0
+    mass: float = 1.0
+
+    def resolve(self, dim, spectra):
+        if len(self.sizes) < 2:
+            raise ConfigError("params.sizes needs two grid sizes or more for a scaling study")
+        return self
+
+
+KINDS = {
+    "vcs-verify": VcsVerifyParams,
+    "resolution": ResolutionParams,
+    "intertwine-example": IntertwineExampleParams,
+    "nonisospectral": NonisospectralParams,
+    "map-equality-probe": MapEqualityProbeParams,
+    "susy-grid": SusyGridParams,
+}
 
 
 @dataclass(frozen=True)
@@ -106,10 +234,12 @@ class ExperimentConfig:
     dim: int | None
     seed: int
     spectra: tuple
-    params: dict
+    params: _Params
     tolerances: dict
     output: str | None = None
     source: str | None = field(default=None, compare=False)
+    #: the ``spectra`` and ``params`` mappings as written, for :meth:`echo`
+    as_written: dict = field(default_factory=dict, compare=False, repr=False)
 
     def echo(self) -> dict:
         """Config as a plain mapping, for embedding in reports."""
@@ -119,8 +249,8 @@ class ExperimentConfig:
             "anchor": self.anchor,
             "dim": self.dim,
             "seed": self.seed,
-            "spectra": [dict(s) for s in self.spectra],
-            "params": dict(self.params),
+            "spectra": [dict(s) for s in self.as_written["spectra"]],
+            "params": dict(self.as_written["params"]),
             "tolerances": dict(self.tolerances),
         }
 
@@ -131,20 +261,82 @@ def _reject_unknown(mapping, allowed, where: str):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _validate_spectrum(entry, where: str) -> dict:
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(entry).__name__}")
-    _reject_unknown(entry, _SPECTRUM_KEYS, where)
-    if "form" not in entry:
-        raise ConfigError(f"{where} needs a 'form' key")
-    form = entry["form"]
-    if form not in ("linear", "quon", "values"):
-        raise ConfigError(f"{where}: unknown spectrum form {form!r}")
-    if form == "quon" and "q" not in entry:
-        raise ConfigError(f"{where}: quon spectrum needs 'q'")
-    if form == "values" and "values" not in entry:
-        raise ConfigError(f"{where}: explicit spectrum needs 'values'")
-    return dict(entry)
+@functools.cache
+def _schema(cls) -> dict:
+    """Field name -> (type, required) of a schema dataclass, resolved once."""
+    hints = get_type_hints(cls, include_extras=True)
+    return {f.name: (hints[f.name], f.default is MISSING) for f in fields(cls)}
+
+
+def _build(cls, mapping, where: str, dim: int | None):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping, got {type(mapping).__name__}")
+    schema = _schema(cls)
+    _reject_unknown(mapping, set(schema), where)
+    values = {}
+    for name, (tp, required) in schema.items():
+        if name in mapping:
+            # spectra are built at the dim of the mapping that holds them, if it sets one
+            values[name] = _check(mapping[name], tp, f"{where}.{name}", values.get("dim") or dim)
+        elif required:
+            raise ConfigError(f"{where}.{name} is required")
+    return cls(**values)
+
+
+def _check(value, tp, where: str, dim: int | None = None):
+    """``value`` as an instance of the field type ``tp``, or a ConfigError naming ``where``."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp is SpectralSequence:
+        return _spectrum(value, where, dim)
+    if is_dataclass(tp):
+        return _build(tp, value, where, dim)
+    if origin in (Union, types.UnionType):  # ``X | None``
+        return None if value is None else _check(value, args[0], where, dim)
+    if origin is Annotated:
+        checked = _check(value, args[0], where, dim)
+        if not args[1][0] <= checked <= args[1][1]:
+            raise ConfigError(f"{where} {checked} outside allowed range {args[1]}")
+        return checked
+    if origin is Literal:
+        if not any(value == a and type(value) is type(a) for a in args):
+            raise ConfigError(f"{where} must be one of {list(args)}, got {value!r}")
+        return value
+    if origin is tuple:
+        count = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(value, list) or not value or len(value) != (count or len(value)):
+            raise ConfigError(f"{where} must be a list of {count or 'one or more'}, got {value!r}")
+        return tuple(
+            _check(v, args[i] if count else args[0], f"{where}[{i}]", dim) for i, v in enumerate(value)
+        )
+    if tp is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    # float: YAML numbers, and numeric strings, since PyYAML reads ``1e2`` as one
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
+def _spectrum(entry, where: str, dim: int) -> SpectralSequence:
+    spec = _build(Spectrum, entry, where, dim)
+    needed = {"quon": "q", "values": "values"}.get(spec.form)
+    if needed and getattr(spec, needed) is None:
+        raise ConfigError(f"{where}.{needed} is required for a {spec.form} spectrum")
+    if spec.form == "values" and len(spec.values) != dim:
+        raise ConfigError(f"{where}.values has {len(spec.values)} entries, not dim {dim}")
+    try:
+        if spec.form == "values":
+            return make_sequence(spec.values, scale=spec.scale)
+        if spec.form == "quon":
+            return quon_sequence(dim, spec.q, spec.omega, spec.offset)
+        return linear_sequence(dim, spec.omega, spec.offset)
+    except VcsLabError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
@@ -153,68 +345,34 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
         raise ConfigError(f"config must be a mapping, got {type(raw).__name__}")
     _reject_unknown(raw, _TOP_KEYS, "config")
     kind = raw.get("kind")
-    if kind not in KINDS:
+    if not isinstance(kind, str) or kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}; pick one of {sorted(KINDS)}")
     schema = KINDS[kind]
 
     dim = raw.get("dim")
     if kind != "susy-grid":
-        if not isinstance(dim, int):
-            raise ConfigError(f"'dim' must be an integer, got {dim!r}")
-        if not (DIM_RANGE[0] <= dim <= DIM_RANGE[1]):
-            raise ConfigError(f"dim {dim} outside allowed range {DIM_RANGE}")
+        dim = _check(dim, Dim, "dim")
     elif dim is not None:
         raise ConfigError("susy-grid configs size the grid via params.sizes, not dim")
 
-    params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("'params' must be a mapping")
-    _reject_unknown(params, schema["params"], f"params of kind {kind}")
-    for key in ("horizons", "sizes", "times", "gammas", "j_max", "q_values", "cases"):
-        if key in params and not params[key]:
-            raise ConfigError(f"params.{key} must be a non-empty list")
+    entries = raw.get("spectra", [])
+    low, high = schema.SPECTRA
+    if not (isinstance(entries, list) and low <= len(entries) <= high):
+        raise ConfigError(f"spectra: kind {kind} takes {low} to {high} spectra, got {entries!r}")
+    spectra = tuple(_spectrum(entry, f"spectra[{i}]", dim) for i, entry in enumerate(entries))
+    params = _build(schema, raw.get("params", {}), "params", dim).resolve(dim, spectra)
 
-    tolerances = dict(schema["tolerances"])
+    tolerances = dict(schema.TOLERANCES)
     overrides = raw.get("tolerances", {})
     if not isinstance(overrides, dict):
         raise ConfigError("'tolerances' must be a mapping")
     _reject_unknown(overrides, set(tolerances), f"tolerances of kind {kind}")
     for key, value in overrides.items():
-        if not (isinstance(value, (int, float)) and value > 0):
-            raise ConfigError(f"tolerance {key} must be positive, got {value!r}")
-        tolerances[key] = float(value)
+        tolerances[key] = _check(value, float, f"tolerances.{key}")
+        if tolerances[key] <= 0:
+            raise ConfigError(f"tolerances.{key} must be positive, got {value!r}")
 
-    spectra = tuple(
-        _validate_spectrum(entry, f"spectra[{i}]")
-        for i, entry in enumerate(raw.get("spectra", []))
-    )
-    if kind in ("vcs-verify", "resolution") and len(spectra) < 1:
-        raise ConfigError(f"kind {kind} needs spectra")
-    if kind == "intertwine-example" and len(spectra) != 2:
-        raise ConfigError("intertwine-example needs exactly two spectra")
-
-    if kind == "vcs-verify" and "witness" in params:
-        witness = params["witness"]
-        if not isinstance(witness, dict):
-            raise ConfigError("params.witness must be a mapping")
-        _reject_unknown(witness, _WITNESS_KEYS, "params.witness")
-        if not witness.get("spectra"):
-            raise ConfigError("params.witness needs spectra")
-        for i, entry in enumerate(witness["spectra"]):
-            _validate_spectrum(entry, f"params.witness.spectra[{i}]")
-
-    if kind == "susy-grid":
-        sizes = params.get("sizes", [])
-        if not sizes:
-            raise ConfigError("susy-grid needs params.sizes")
-        for n in sizes:
-            if not (isinstance(n, int) and GRID_RANGE[0] <= n <= GRID_RANGE[1]):
-                raise ConfigError(f"grid size {n!r} outside allowed range {GRID_RANGE}")
-
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed!r}")
-
+    seed = _check(raw.get("seed", 0), Annotated[int, (0, math.inf)], "seed")
     output = raw.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("'output' must be a string path")
@@ -226,10 +384,11 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
         dim=dim,
         seed=seed,
         spectra=spectra,
-        params=dict(params),
+        params=params,
         tolerances=tolerances,
         output=output,
         source=source,
+        as_written={"spectra": entries, "params": raw.get("params", {})},
     )
 
 

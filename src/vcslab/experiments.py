@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .errors import ConfigError
 from .hilbert import (
     GridSpec,
     boson_ladder,
@@ -42,7 +41,7 @@ from .intertwine import (
 )
 from .moments import MomentWeight, QuadratureSpec, delta_zero_failure, resolution_check
 from .reporting import CheckRecord, VerificationReport
-from .spectra import sequence_from_config, shift
+from .spectra import shift
 from .vcs import (
     VcsParams,
     action_identity_residual,
@@ -60,37 +59,12 @@ def _worst(values) -> float:
     return float(np.max(values))
 
 
-def _sequences(config: ExperimentConfig):
-    return [sequence_from_config(s, config.dim) for s in config.spectra]
-
-
-def _auto_weight(seq) -> MomentWeight:
-    """Closed-form weight for an equally spaced shifted spectrum."""
-    diffs = np.diff(shift(seq).values)
-    if not np.allclose(diffs, diffs[0], rtol=1e-12, atol=0.0):
-        raise ConfigError(
-            "closed-form moment weights exist only for equally spaced shifted "
-            "spectra; supply a tabulated weight for anything else"
-        )
-    return MomentWeight.gamma_family(float(diffs[0]))
-
-
 def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
     tol = config.tolerances
     params = config.params
-    family = params.get("family", "eds")
-    n_samples = int(params.get("n_samples", 100))
-    if n_samples < 1:
-        raise ConfigError(f"params.n_samples must be >= 1, got {n_samples}")
-    gamma_max = float(params.get("gamma_max", 3.0))
-    times = [float(t) for t in params.get("times", [0.1, 1.0, 10.0])]
-    delta = float(params.get("delta", 0.5))
-    seqs = _sequences(config)
-    j_max = [float(j) for j in params.get("j_max", [4.0] * len(seqs))]
-    if len(j_max) != len(seqs):
-        raise ConfigError(f"{len(seqs)} spectra but {len(j_max)} j_max entries")
+    seqs = config.spectra
 
-    if family == "eds":
+    if params.family == "eds":
         hamiltonian = shifted_hamiltonian(seqs)
         shifted = [shift(s) for s in seqs]
 
@@ -100,7 +74,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
         def build(p):
             return eds_family_state(seqs, p)
 
-    elif family == "delta":
+    else:
         hamiltonian = susy_hamiltonian(seqs)
 
         def lowering(gamma):
@@ -109,17 +83,14 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
         def build(p):
             return delta_family_state(seqs, p)
 
-    else:
-        raise ConfigError(f"unknown family {family!r}")
-
     rng = np.random.default_rng(seed)
     draws = [
         VcsParams(
-            tuple(rng.uniform(0.0, jm) for jm in j_max),
-            rng.uniform(-gamma_max, gamma_max),
-            delta if family == "delta" else 0.0,
+            tuple(rng.uniform(0.0, jm) for jm in params.j_max),
+            rng.uniform(-params.gamma_max, params.gamma_max),
+            params.delta if params.family == "delta" else 0.0,
         )
-        for _ in range(n_samples)
+        for _ in range(params.n_samples)
     ]
 
     def one_sample(p):
@@ -129,7 +100,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
             "action": action_identity_residual(state, hamiltonian),
             "eigenstate": eigenstate_residual(state, lowering(p.gamma)),
         }
-        for t in times:
+        for t in params.times:
             residuals[f"stability[t={t:g}]"] = temporal_stability_residual(state, t)
         return residuals
 
@@ -150,7 +121,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
             tol["eigenstate"],
         ),
     ]
-    for t in times:
+    for t in params.times:
         key = f"stability[t={t:g}]"
         checks.append(
             CheckRecord(
@@ -161,18 +132,11 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
             )
         )
 
-    witness = params.get("witness")
-    if witness:
-        w_dim = int(witness.get("dim", config.dim))
-        w_seqs = [sequence_from_config(s, w_dim) for s in witness["spectra"]]
-        w_params = VcsParams(
-            tuple(float(j) for j in witness.get("j", [1.0] * len(w_seqs))),
-            float(witness.get("gamma", 0.4)),
-        )
-        state = eds_family_state(w_seqs, w_params)
+    witness = params.witness
+    if witness is not None:
+        state = eds_family_state(witness.spectra, VcsParams(witness.j, witness.gamma))
         mismatched = lowering_operator(
-            [shift(s) for s in w_seqs],
-            w_params.gamma + float(witness.get("gamma_offset", 1.0)),
+            [shift(s) for s in witness.spectra], witness.gamma + witness.gamma_offset
         )
         checks.append(
             CheckRecord(
@@ -189,27 +153,23 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
 def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
     tol = config.tolerances
     params = config.params
-    family = params.get("family", "eds")
-    delta = float(params.get("delta", 0.0))
-    horizons = sorted(float(h) for h in params.get("horizons", [1e2, 1e3, 1e4]))
-    n_nodes = int(params.get("n_nodes", 40))
-    k_check = params.get("k_check")
-    seqs = _sequences(config)
-    weights = [_auto_weight(s) for s in seqs]
+    horizons = sorted(params.horizons)
+    seqs = config.spectra
+    # the config checked that each spectrum is equally spaced
+    weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
 
     checks, tables = [], {}
-    if family == "delta" and delta == 0.0:
+    if params.family == "delta" and params.delta == 0.0:
         # regulator-failure demonstration: the ground-ground cross entry
         # survives the phase average and is horizon independent
-        if len(horizons) < 2:
-            raise ConfigError("the regulator-failure demo needs at least two horizons")
         mags = {}
-        probe = float(params.get("delta_probe", 0.5))
         probe_mags = {}
         for horizon in (horizons[0], horizons[-1]):
-            quad = QuadratureSpec(n_nodes=n_nodes, gamma_horizon=horizon, k_check=k_check)
+            quad = QuadratureSpec(params.n_nodes, horizon, k_check=params.k_check)
             mags[horizon] = delta_zero_failure(seqs, weights, quad).magnitude
-            probe_mags[horizon] = delta_zero_failure(seqs, weights, quad, delta=probe).magnitude
+            probe_mags[horizon] = delta_zero_failure(
+                seqs, weights, quad, delta=params.delta_probe
+            ).magnitude
         checks.append(
             CheckRecord(
                 "cross-entry-magnitude",
@@ -245,8 +205,8 @@ def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
 
     diag_errors, offdiag_errors, moment_errors, hermiticity_defects = [], [], [], []
     for horizon in horizons:
-        quad = QuadratureSpec(n_nodes=n_nodes, gamma_horizon=horizon, k_check=k_check)
-        report = resolution_check(family, seqs, weights, quad, delta=delta)
+        quad = QuadratureSpec(params.n_nodes, horizon, k_check=params.k_check)
+        report = resolution_check(params.family, seqs, weights, quad, delta=params.delta)
         diag_errors.append(report.diag_error)
         offdiag_errors.append(report.offdiag_error)
         moment_errors.extend(report.moment_errors)
@@ -295,12 +255,11 @@ def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
 
 def _run_intertwine_example(config: ExperimentConfig, seed: int, jobs: int):
     tol = config.tolerances
-    which = int(config.params.get("example", 1))
-    gammas = [float(g) for g in config.params.get("gammas", [0.0, 0.7, 3.1])]
-    seqs = _sequences(config)
+    gammas = config.params.gammas
+    seqs = config.spectra
     shifted = [shift(s) for s in seqs]
 
-    problems = [example_problem(which, shifted, g) for g in gammas]
+    problems = [example_problem(config.params.example, shifted, g) for g in gammas]
     results = [construct_companion(p) for p in problems]
     worst_alpha = _worst([r.certificate.alpha_residual for r in results])
     worst_beta = _worst([r.certificate.beta_residual for r in results])
@@ -337,10 +296,9 @@ def _ladder_problem(a: BlockOperator) -> IntertwiningProblem:
 
 def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
     tol = config.tolerances["closed_form"]
-    case = config.params.get("case", "boson")
     dim = config.dim
     checks = []
-    if case == "boson":
+    if config.params.case == "boson":
         problem = _ladder_problem(boson_ladder(dim))
         # every operator here is diagonal: compare the window diagonals
         n_op = problem.h.blocks[0]
@@ -363,9 +321,8 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
         )
         gammas = [iso.certificate.gamma_residual, squared.certificate.gamma_residual]
         checks.append(CheckRecord("certificate-gamma", "companion-certificate", _worst(gammas), 1e-9))
-    elif case == "quon":
-        q_values = [float(q) for q in config.params.get("q_values", [0.3, 0.5, 0.9])]
-        for q in q_values:
+    else:
+        for q in config.params.q_values:
             report = quon_closed_forms(dim, q, tol=float("inf"))
             checks.append(
                 CheckRecord(
@@ -389,28 +346,23 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
                 tol,
             )
         )
-    else:
-        raise ConfigError(f"unknown nonisospectral case {case!r}")
     return checks, {}
 
 
 def _run_map_equality_probe(config: ExperimentConfig, seed: int, jobs: int):
     tol = config.tolerances
     dim = config.dim
-    q = float(config.params.get("q", 0.5))
-    l_max = int(config.params.get("l_max", 4))
-    cases = config.params.get("cases", ["boson", "quon", "invertible"])
     checks = []
-    for case in cases:
+    for case in config.params.cases:
         if case == "boson":
             problem = _ladder_problem(boson_ladder(dim))
             f = SpectralMap.polynomial([0, 0, 1])
             expected_deficiency = 2
         elif case == "quon":
-            problem = _ladder_problem(quon_ladder(dim, q))
+            problem = _ladder_problem(quon_ladder(dim, config.params.q))
             f = SpectralMap.polynomial([0.5, 1.0, 0.25])
             expected_deficiency = 2
-        elif case == "invertible":
+        else:
             a = boson_ladder(dim)
             n_op = a.adjoint() @ a
             problem = IntertwiningProblem(
@@ -418,8 +370,6 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int, jobs: int):
             )
             f = SpectralMap.polynomial([0, 0, 1])
             expected_deficiency = 0
-        else:
-            raise ConfigError(f"unknown probe case {case!r}")
 
         probe = power_series_equality_probe(problem, f, seed=seed)
         checks.append(
@@ -430,7 +380,7 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int, jobs: int):
                 tol["probe"],
             )
         )
-        projection = projection_identity_check(problem, l_max=l_max)
+        projection = projection_identity_check(problem, l_max=config.params.l_max)
         checks.append(
             CheckRecord(
                 f"projection-identity-residual[{case}]",
@@ -464,25 +414,15 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int, jobs: int):
 def _run_susy_grid(config: ExperimentConfig, seed: int, jobs: int):
     tol = config.tolerances
     params = config.params
-    coeffs = [float(c) for c in params.get("w_coeffs", [0.0, 1.0])]
-    lo, hi = (float(v) for v in params.get("domain", [-12.0, 12.0]))
-    sizes = [int(n) for n in params.get("sizes", [256, 512, 1024])]
-    if len(sizes) < 2:
-        raise ConfigError("scaling studies need at least two grid sizes")
-    n_modes = int(params.get("n_modes", 32))
-    map_coeffs = params.get("map_coeffs")
-    f = SpectralMap.polynomial(map_coeffs) if map_coeffs else None
-    hbar = float(params.get("hbar", 1.0))
-    mass = float(params.get("mass", 1.0))
+    lo, hi = params.domain
+    f = None if params.map_coeffs is None else SpectralMap.polynomial(params.map_coeffs)
 
     def w(x):
-        return float(np.polynomial.polynomial.polyval(x, coeffs))
+        return float(np.polynomial.polynomial.polyval(x, params.w_coeffs))
 
     reports = [
-        grid_partner_comparison(
-            w, GridSpec(lo, hi, n), f=f, hbar=hbar, mass=mass, n_modes=n_modes
-        )
-        for n in sizes
+        grid_partner_comparison(w, GridSpec(lo, hi, n), f, params.hbar, params.mass, params.n_modes)
+        for n in params.sizes
     ]
     dxs = [r.dx for r in reports]
     checks = [

@@ -9,7 +9,7 @@ All values are immutable after construction; every function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ __all__ = [
     "SectorSpace",
     "SusyVector",
     "BlockOperator",
-    "LadderRealization",
+    "GridLadder",
     "GridSpec",
     "basis_vector",
     "lowering_operator",
@@ -235,17 +235,17 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class LadderRealization:
-    """A dense lowering matrix on a single sector (the grid ladder).
+class GridLadder:
+    """The dense grid lowering matrix ``a = c d/dx + W(x)`` on a single sector.
 
-    ``diagnostics`` records the deviation of the realization's commutation
-    relation from its ideal form (a discretization artifact).
+    ``w_prime`` is ``W'`` on the grid; ``commutator_residual`` measures the
+    deviation of ``[a, a+]`` from ``2c W'`` (a discretization artifact).
     """
 
-    kind: str
     matrix: np.ndarray
-    params: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
+    c: float
+    w_prime: np.ndarray
+    commutator_residual: float
 
     def __post_init__(self):
         m = np.array(self.matrix)
@@ -357,7 +357,7 @@ def _gaussian_probes(grid: GridSpec) -> np.ndarray:
 
 def grid_ladder(
     w, grid: GridSpec, hbar: float = 1.0, mass: float = 1.0
-) -> LadderRealization:
+) -> GridLadder:
     """First-order differential ladder ``a = c d/dx + W(x)``, ``c = hbar/sqrt(2m)``.
 
     ``w`` is the superpotential callable, sampled on the grid; its derivative
@@ -386,16 +386,7 @@ def grid_ladder(
     # cancels exactly and only the O(dx^2) Taylor error remains
     interior = slice(3, grid.points - 3)
     resid = np.max(np.abs(defect[interior]).max(axis=0) / np.abs(phis).max(axis=0))
-    return LadderRealization(
-        kind="grid",
-        matrix=a,
-        params={"hbar": hbar, "mass": mass, "c": c, "grid": grid},
-        diagnostics={
-            "commutator_probe_residual": float(resid),
-            "w_values": w_values,
-            "w_prime": w_prime,
-        },
-    )
+    return GridLadder(matrix=a, c=c, w_prime=w_prime, commutator_residual=float(resid))
 
 
 def susy_hamiltonian(seqs) -> BlockOperator:

@@ -64,6 +64,9 @@ N1_CUTOFF = 1e-10
 #: images x+ phi_n shorter than this count as the zero vector
 IMAGE_CUTOFF = 1e-12
 
+#: window residual of ``[x x+, h]`` above which the commutant hypothesis fails
+COMMUTANT_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpectralMap:
@@ -224,34 +227,34 @@ def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
     return BlockOperator(f(_diagonal(op, "the mapped operator")))
 
 
-def _window_inverse(n1: BlockOperator, keep: int, cutoff: float = N1_CUTOFF):
+def _window_inverse(n1: BlockOperator, keep: int):
     """Invert the diagonal N1 on its trustworthy levels, sector by sector.
 
-    Entries below ``cutoff`` are admissible only above the valid window,
+    Entries below ``N1_CUTOFF`` are admissible only above the valid window,
     the top-left ``keep`` levels of the sector: those are truncation
     artifacts of ladder-type ``x`` and are projected out.  A small entry at
     a level inside the window violates the invertibility hypothesis.
     Returns the inverse and the number of modes dropped over all sectors.
     """
     values = _diagonal(n1, "N1")
-    small = values <= cutoff
+    small = values <= N1_CUTOFF
     inside = np.argwhere(small[:, :keep])
     if inside.size:
         sector, n = inside[0]
         raise HypothesisViolatedError(
-            f"N1 eigenvalue {values[sector, n]:.3e} <= {cutoff:.1e} at level {n} of sector "
+            f"N1 eigenvalue {values[sector, n]:.3e} <= {N1_CUTOFF:.1e} at level {n} of sector "
             f"{sector}, inside the {keep}-level window: not invertible"
         )
     inverse = np.divide(1.0, values, out=np.zeros_like(values), where=~small)
     return BlockOperator(inverse), int(small.sum())
 
 
-def _check_commutant(problem: IntertwiningProblem, tol: float = 1e-10) -> float:
+def _check_commutant(problem: IntertwiningProblem) -> float:
     xxd = problem.x @ problem.x.adjoint()
     resid = (xxd @ problem.h - problem.h @ xxd).max_abs(problem.keep)
-    if resid > tol:
+    if resid > COMMUTANT_TOL:
         raise HypothesisViolatedError(
-            f"[x x+, h] has window residual {resid:.3e} > {tol:.1e}"
+            f"[x x+, h] has window residual {resid:.3e} > {COMMUTANT_TOL:.1e}"
         )
     return resid
 
@@ -513,7 +516,7 @@ class GridComparisonReport:
     n_modes: int
 
 
-def _grid_inverse(n1: np.ndarray, rhs: np.ndarray, grid: GridSpec, cutoff: float = N1_CUTOFF) -> np.ndarray:
+def _grid_inverse(n1: np.ndarray, rhs: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Apply the inverse of the grid N1 to the block ``rhs``, projecting out
     discretization-artifact null modes.
 
@@ -525,7 +528,7 @@ def _grid_inverse(n1: np.ndarray, rhs: np.ndarray, grid: GridSpec, cutoff: float
     genuine invertibility failure.
     """
     evals, vecs = np.linalg.eigh(n1)
-    invertible = evals > cutoff
+    invertible = evals > N1_CUTOFF
     null = vecs[:, ~invertible]
     band = max(4, grid.points // 32)
     smoothness = np.sum(np.abs(null[1:] + null[:-1]) ** 2, axis=0)  # ~4 smooth, ~0 Nyquist
@@ -533,7 +536,7 @@ def _grid_inverse(n1: np.ndarray, rhs: np.ndarray, grid: GridSpec, cutoff: float
     genuine = evals[~invertible][~((smoothness < 0.5) | (edge_mass > 0.5))]
     if genuine.size:
         raise HypothesisViolatedError(
-            f"grid N1 eigenvalue {genuine[0]:.3e} <= {cutoff:.1e} with a smooth interior "
+            f"grid N1 eigenvalue {genuine[0]:.3e} <= {N1_CUTOFF:.1e} with a smooth interior "
             "eigenvector: not invertible"
         )
     inv_evals = np.divide(1.0, evals, out=np.zeros_like(evals), where=invertible)
@@ -587,18 +590,16 @@ def grid_partner_comparison(
     del vecs  # freed before the target and N1 are decomposed
 
     # target phi = f(h + 2c W') phi
-    c = ladder.params["c"]
-    w_prime = ladder.diagnostics["w_prime"]
     if f is None:
-        target = h @ phi + 2.0 * c * w_prime[:, None] * phi
+        target = h @ phi + 2.0 * ladder.c * ladder.w_prime[:, None] * phi
     else:
-        h[np.diag_indices_from(h)] += 2.0 * c * w_prime  # h is not read again
+        h[np.diag_indices_from(h)] += 2.0 * ladder.c * ladder.w_prime  # h is not read again
         target = _map_block(f, h, phi)
     del h
     diff = _grid_inverse(a @ ad, image, grid) - target
     return GridComparisonReport(
         dx=grid.dx,
-        commutator_residual=float(ladder.diagnostics["commutator_probe_residual"]),
+        commutator_residual=ladder.commutator_residual,
         comparison_residual=float(np.max(np.linalg.norm(diff, axis=0), initial=0.0)),
         n_modes=phi.shape[1],
     )

@@ -138,15 +138,16 @@ def verify_moments(weight: MomentWeight, seq, k_max: int, n_nodes: int | None = 
 
     ``seq`` may be a spectral sequence (shifted internally) or an already
     shifted one.  Returns ``errors[k] = |moment_k - e~[k]!| / e~[k]!`` for
-    k = 0..k_max, evaluated with the matched quadrature rule.  A moment that
-    overflows the float range raises ``UnverifiableWeightError`` naming its order.
+    k = 0..k_max, evaluated with the matched quadrature rule.  A factorial
+    product or a moment that overflows the float range raises
+    ``UnverifiableWeightError``; for a moment, it names the order.
     """
     shifted = shift(seq) if isinstance(seq, SpectralSequence) else seq
     if k_max > shifted.dim - 1:
         raise ConfigError(f"k_max {k_max} exceeds truncation {shifted.dim - 1}")
     reference = factorials(shifted).products[: k_max + 1]
     if not np.all(np.isfinite(reference)):
-        raise OverflowError(
+        raise UnverifiableWeightError(
             "factorial products overflow the float range at this order; "
             "reduce k_max or the truncation"
         )
@@ -255,7 +256,7 @@ def _assemble_identity(family, seqs, weights, quad, delta):
 
     facts = [factorials(shift(s)).products for s in seqs]
     if not all(np.all(np.isfinite(f)) for f in facts):
-        raise OverflowError("factorial products overflow at this truncation")
+        raise UnverifiableWeightError("factorial products overflow at this truncation")
     inv_sqrt_fact = 1.0 / np.sqrt(np.concatenate(facts))
 
     g = np.empty((n * dim, n * dim))

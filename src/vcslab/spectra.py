@@ -29,14 +29,13 @@ __all__ = [
     "linear_sequence",
     "quon_sequence",
     "quon_numbers",
-    "sequence_from_config",
     "shift",
     "factorials",
     "eds_check",
     "radius_estimate",
 ]
 
-#: default gap below which two eigenvalues count as colliding
+#: gap below which two eigenvalues count as colliding
 EDS_TOLERANCE = 1e-9
 
 
@@ -192,37 +191,6 @@ def quon_sequence(dim: int, q: float, omega: float = 1.0, offset: float = 0.0) -
     return make_sequence(omega * quon_numbers(dim, q) + offset, scale=omega)
 
 
-def sequence_from_config(spec: dict, dim: int | None = None) -> SpectralSequence:
-    """Build a sequence from a config mapping.
-
-    Recognized forms::
-
-        {"form": "linear", "omega": w, "offset": c}
-        {"form": "quon", "q": q, "omega": w, "offset": c}
-        {"form": "values", "values": [...], "scale": s}
-
-    ``dim`` is required for the closed forms (either here or as a
-    ``dim`` key in the mapping).
-    """
-    from .errors import ConfigError
-
-    if not isinstance(spec, dict) or "form" not in spec:
-        raise ConfigError(f"spectrum spec must be a mapping with a 'form' key, got {spec!r}")
-    form = spec["form"]
-    n = spec.get("dim", dim)
-    if form == "values":
-        return make_sequence(spec["values"], scale=float(spec.get("scale", 1.0)))
-    if n is None:
-        raise ConfigError(f"closed-form spectrum {form!r} needs a truncation size")
-    omega = float(spec.get("omega", 1.0))
-    offset = float(spec.get("offset", 0.0))
-    if form == "linear":
-        return linear_sequence(int(n), omega, offset)
-    if form == "quon":
-        return quon_sequence(int(n), float(spec["q"]), omega, offset)
-    raise ConfigError(f"unknown spectrum form {form!r}")
-
-
 def shift(seq: SpectralSequence) -> ShiftedSequence:
     """Subtract the ground level; the result starts at exactly zero."""
     shifted = seq.values - seq.values[0]
@@ -244,15 +212,13 @@ def factorials(shifted: ShiftedSequence) -> FactorialCache:
     return FactorialCache(products=products, log_products=log_products)
 
 
-def eds_check(
-    s1: SpectralSequence, s2: SpectralSequence, tol: float = EDS_TOLERANCE
-) -> DisjointnessReport:
+def eds_check(s1: SpectralSequence, s2: SpectralSequence) -> DisjointnessReport:
     """Find the smallest cross gap between two spectra.
 
     The spectra count as (essentially) disjoint when every cross gap
-    ``|e1[n] - e2[m]|`` exceeds ``tol``.  The report carries the minimizing
-    pair either way, the first in row-major order on ties.  Symmetric in its
-    two arguments.  Both spectra increase strictly, so the gaps of row ``n``
+    ``|e1[n] - e2[m]|`` exceeds ``EDS_TOLERANCE``.  The report carries the
+    minimizing pair either way, the first in row-major order on ties.
+    Symmetric in its two arguments.  Both spectra increase strictly, so the gaps of row ``n``
     fall and then rise (rounding keeps that order), and their minimum sits
     next to where ``e1[n]`` would be inserted into ``e2``: O(D log D).
     """
@@ -263,15 +229,18 @@ def eds_check(
     n = int(np.argmin(row_min))
     m = int(np.argmin(np.abs(v1[n] - v2)))
     min_gap = float(row_min[n])
-    return DisjointnessReport(disjoint=min_gap > tol, min_gap=min_gap, pair=(n, m), tol=tol)
+    return DisjointnessReport(
+        disjoint=min_gap > EDS_TOLERANCE, min_gap=min_gap, pair=(n, m), tol=EDS_TOLERANCE
+    )
 
 
-def require_disjoint(s1, s2, tol: float = EDS_TOLERANCE) -> DisjointnessReport:
+def require_disjoint(s1, s2) -> DisjointnessReport:
     """Like :func:`eds_check` but raising on collision."""
-    report = eds_check(s1, s2, tol)
+    report = eds_check(s1, s2)
     if not report.disjoint:
         raise SpectraNotDisjointError(
-            f"spectra collide at pair {report.pair} with gap {report.min_gap:.3e} <= {tol:.1e}"
+            f"spectra collide at pair {report.pair} with gap {report.min_gap:.3e} "
+            f"<= {EDS_TOLERANCE:.1e}"
         )
     return report
 

@@ -283,11 +283,7 @@ def temporal_stability_residual(
     return float(np.linalg.norm(phases * state.vector.data - after))
 
 
-def eigenstate_residual(
-    state: CoherentState,
-    lowering: BlockOperator,
-    exclude_top: int = EIGENSTATE_EXCLUDE_TOP,
-) -> float:
+def eigenstate_residual(state: CoherentState, lowering: BlockOperator) -> float:
     """Windowed norm of ``A psi - sqrt(J) psi``.
 
     The lowering operator must be built at the same gamma as the state for
@@ -298,7 +294,7 @@ def eigenstate_residual(
     if lowering.space != state.space:
         raise DimensionMismatchError("state and operator live on different spaces")
     space = state.space
-    keep = window_levels(space, exclude_top)
+    keep = window_levels(space, EIGENSTATE_EXCLUDE_TOP)
     psi = state.vector.data.reshape(space.sectors, space.dim)
     lowered = lowering.apply(state.vector).data.reshape(space.sectors, space.dim)
     diff = lowered - np.sqrt(state.params.intensities)[:, None] * psi

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -22,6 +23,81 @@ def small_vcs_config(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def small_resolution_config(**params):
+    return {
+        "kind": "resolution",
+        "dim": 16,
+        "spectra": [{"form": "linear", "omega": 1.0}, {"form": "linear", "omega": 1.0}],
+        "params": {"family": "delta", "delta": 0.5, **params},
+    }
+
+
+def small_grid_config(**params):
+    return {"kind": "susy-grid", "params": {"w_coeffs": [0.0, 1.0], "sizes": [64, 128], **params}}
+
+
+def with_spectrum(raw, **entry):
+    raw["spectra"][0] = entry
+    return raw
+
+
+def with_param(raw, key, value):
+    raw["params"][key] = value
+    return raw
+
+
+# (case, config, key path the error must name)
+MALFORMED = [
+    ("omega-text", with_spectrum(small_vcs_config(), form="linear", omega="abc"), "spectra[0].omega"),
+    ("times-text", with_param(small_vcs_config(), "times", ["x"]), "params.times[0]"),
+    ("n-samples-text", with_param(small_vcs_config(), "n_samples", "many"), "params.n_samples"),
+    ("n-samples-float", with_param(small_vcs_config(), "n_samples", 2.7), "params.n_samples"),
+    ("n-samples-bool", with_param(small_vcs_config(), "n_samples", True), "params.n_samples"),
+    ("gamma-max-bool", with_param(small_vcs_config(), "gamma_max", True), "params.gamma_max"),
+    ("gamma-max-negative", with_param(small_vcs_config(), "gamma_max", -1.0), "params.gamma_max"),
+    ("j-max-negative", with_param(small_vcs_config(), "j_max", [-1.0, 1.0]), "params.j_max[0]"),
+    ("n-nodes-text", small_resolution_config(n_nodes="x"), "params.n_nodes"),
+    ("k-check-negative", small_resolution_config(k_check=-1), "params.k_check"),
+    ("horizon-negative", small_resolution_config(horizons=[-10]), "params.horizons"),
+    ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),
+    ("j-max-length", with_param(small_vcs_config(), "j_max", [1.0]), "params.j_max"),
+    (
+        "resolution-unequal-spacing",
+        with_spectrum(small_resolution_config(), form="quon", q=0.5),
+        "spectra[0]",
+    ),
+    ("domain-one-entry", small_grid_config(domain=[1]), "params.domain"),
+    ("map-coeffs-text", small_grid_config(map_coeffs=["a"]), "params.map_coeffs[0]"),
+    (
+        "l-max-negative",
+        {"kind": "map-equality-probe", "dim": 8, "params": {"l_max": -1}},
+        "params.l_max",
+    ),
+    (
+        "values-not-monotone",
+        with_spectrum(small_vcs_config(dim=8), form="values", values=[0.1, 0.5, 0.3, 1, 2, 3, 4, 5]),
+        "spectra[0]",
+    ),
+    (
+        "values-too-short",
+        with_spectrum(small_vcs_config(), form="values", values=[0.1, 0.5, 2.0]),
+        "spectra[0].values",
+    ),
+    (
+        "spectrum-dim-differs",
+        with_spectrum(small_vcs_config(dim=60), form="linear", dim=10),
+        "spectra[0]",
+    ),
+    (
+        "witness-dim-too-small",
+        with_param(
+            small_vcs_config(), "witness", {"dim": 4, "spectra": [{"form": "quon", "q": 0.5}]}
+        ),
+        "params.witness.dim",
+    ),
+]
 
 
 class TestConfigValidation:
@@ -77,8 +153,79 @@ class TestConfigValidation:
     def test_witness_without_spectra_rejected(self):
         raw = small_vcs_config()
         raw["params"]["witness"] = {"dim": 30}
-        with pytest.raises(errors.ConfigError, match="params.witness needs spectra"):
+        with pytest.raises(errors.ConfigError, match="params.witness.spectra is required"):
             config.parse_config(raw)
+
+    @pytest.mark.parametrize("raw, where", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
+    def test_malformed_value_names_its_key(self, raw, where, tmp_path, capsys):
+        with pytest.raises(errors.ConfigError) as info:
+            config.parse_config(raw)
+        assert where in str(info.value)
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_numeric_strings_parse_as_floats(self, tmp_path):
+        # PyYAML reads 1e2 and 1.0e3 as strings
+        raw = yaml.safe_dump(small_resolution_config()).replace(
+            "delta: 0.5", "delta: 0.5\n  horizons: [1e2, 1.0e3]"
+        )
+        path = tmp_path / "strings.yaml"
+        path.write_text(raw)
+        cfg = config.load_config(path)
+        assert cfg.params.horizons == (100.0, 1000.0)
+        assert cfg.echo()["params"]["horizons"] == ["1e2", "1.0e3"]
+        as_strings, strings_tables = run_experiment(cfg)
+        as_floats, floats_tables = run_experiment(
+            config.parse_config(small_resolution_config(horizons=[100.0, 1000.0]))
+        )
+        assert [(c.name, c.value) for c in as_strings.checks] == [
+            (c.name, c.value) for c in as_floats.checks
+        ]
+        assert strings_tables == floats_tables
+
+    def test_integers_in_float_fields_run_as_floats(self):
+        raw = small_vcs_config()
+        raw["spectra"][0] = {"form": "linear", "omega": 1, "offset": 0.3}
+        raw["params"].update(j_max=[2, 2], gamma_max=3, times=[1])
+        as_ints, _ = run_experiment(config.parse_config(raw))
+        raw["spectra"][0]["omega"] = 1.0
+        raw["params"].update(j_max=[2.0, 2.0], gamma_max=3.0, times=[1.0])
+        as_floats, _ = run_experiment(config.parse_config(raw))
+        assert as_ints.overall_pass
+        assert [(c.name, c.value) for c in as_ints.checks] == [
+            (c.name, c.value) for c in as_floats.checks
+        ]
+
+
+class TestConfigLoading:
+    """Spectrum entries are built into sequences at parse time."""
+
+    @staticmethod
+    def only_spectrum(**entry):
+        raw = small_vcs_config(dim=8)
+        raw["spectra"] = [entry]
+        raw["params"]["j_max"] = [2.0]
+        (seq,) = config.parse_config(raw).spectra
+        return seq
+
+    def test_linear_tag(self):
+        s = self.only_spectrum(form="linear", omega=2.0)
+        np.testing.assert_array_equal(s.values, 2.0 * np.arange(8))
+
+    def test_quon_tag(self):
+        s = self.only_spectrum(form="quon", q=0.5)
+        np.testing.assert_allclose(s.values[:4], [0, 1, 1.5, 1.75])
+
+    def test_explicit_values(self):
+        values = [0.1, 0.5, 2.0, 2.5, 3.0, 4.0, 7.0, 9.0]
+        s = self.only_spectrum(form="values", values=values)
+        np.testing.assert_array_equal(s.values, values)
+
+    def test_unknown_form(self):
+        with pytest.raises(errors.ConfigError, match=r"spectra\[0\]\.form"):
+            self.only_spectrum(form="cubic")
 
 
 class TestBundledInventory:
@@ -128,9 +275,8 @@ class TestRunExperiment:
     def test_zero_samples_rejected(self):
         raw = small_vcs_config()
         raw["params"]["n_samples"] = 0
-        cfg = config.parse_config(raw)
-        with pytest.raises(errors.ConfigError):
-            run_experiment(cfg)
+        with pytest.raises(errors.ConfigError, match="params.n_samples"):
+            config.parse_config(raw)
 
     def test_single_grid_size_rejected(self):
         raw = {
@@ -138,9 +284,8 @@ class TestRunExperiment:
             "seed": 0,
             "params": {"w_coeffs": [0.0, 1.0], "sizes": [128]},
         }
-        cfg = config.parse_config(raw)
-        with pytest.raises(errors.ConfigError):
-            run_experiment(cfg)
+        with pytest.raises(errors.ConfigError, match="params.sizes"):
+            config.parse_config(raw)
 
 
 class TestCliEntryPoint:
@@ -180,6 +325,15 @@ class TestCliEntryPoint:
         path = tmp_path / "witness.yaml"
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(path)]) == 2
+
+    def test_exit_one_on_overflowing_resolution(self, tmp_path, capsys):
+        # dim 240 overflows the linear-domain factorial products
+        raw = small_resolution_config(n_nodes=121)
+        raw["dim"] = 240
+        path = tmp_path / "d240.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "experiment failed: factorial products overflow" in capsys.readouterr().err
 
     def test_exit_two_on_malformed_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"

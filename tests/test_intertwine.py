@@ -47,7 +47,7 @@ def dense_grid_comparison(w, grid, f=None, n_modes=None):
     live = n1_evals > intertwine.N1_CUTOFF
     n1_inv = (n1_vecs[:, live] / n1_evals[live]) @ n1_vecs[:, live].T
     companion = n1_inv @ (a @ (mapped @ a.T))
-    target = h + 2.0 * ladder.params["c"] * np.diag(ladder.diagnostics["w_prime"])
+    target = h + 2.0 * ladder.c * np.diag(ladder.w_prime)
     if f is not None:
         t_evals, t_vecs = np.linalg.eigh(target)
         target = (t_vecs * f(t_evals)) @ t_vecs.T
@@ -57,8 +57,8 @@ def dense_grid_comparison(w, grid, f=None, n_modes=None):
 def dense_commutator_residual(w, grid):
     """Oracle for ``grid_ladder``'s diagnostic: ``a a+ - a+ a - 2c W'`` formed in full."""
     ladder = hilbert.grid_ladder(w, grid)
-    a, c = ladder.matrix, ladder.params["c"]
-    defect = a @ a.T - a.T @ a - 2.0 * c * np.diag(ladder.diagnostics["w_prime"])
+    a, c = ladder.matrix, ladder.c
+    defect = a @ a.T - a.T @ a - 2.0 * c * np.diag(ladder.w_prime)
     return max(
         np.abs((defect @ phi)[3:-3]).max() / np.abs(phi).max()
         for phi in hilbert._gaussian_probes(grid).T

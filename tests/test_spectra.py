@@ -233,21 +233,3 @@ class TestRadiusEstimate:
     def test_degenerate_length(self):
         est = spectra.radius_estimate(spectra.make_sequence([0.0, 1.0]))
         assert est.flag == "insufficient-data"
-
-
-class TestConfigLoading:
-    def test_linear_tag(self):
-        s = spectra.sequence_from_config({"form": "linear", "omega": 2.0}, dim=5)
-        np.testing.assert_array_equal(s.values, [0, 2, 4, 6, 8])
-
-    def test_quon_tag(self):
-        s = spectra.sequence_from_config({"form": "quon", "q": 0.5}, dim=4)
-        np.testing.assert_allclose(s.values, [0, 1, 1.5, 1.75])
-
-    def test_explicit_values(self):
-        s = spectra.sequence_from_config({"form": "values", "values": [0.1, 0.5, 2.0]})
-        np.testing.assert_array_equal(s.values, [0.1, 0.5, 2.0])
-
-    def test_unknown_form(self):
-        with pytest.raises(errors.ConfigError):
-            spectra.sequence_from_config({"form": "cubic"}, dim=5)
