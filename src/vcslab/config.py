@@ -3,7 +3,8 @@
 Configs are strict: unknown keys anywhere are hard errors, so a typo cannot
 silently disable a check.  Each kind's parameters are one frozen dataclass
 (``KINDS``) whose field types drive one checker, so a malformed value fails
-at parse time naming its key (``params.times[0]``).  Spectra are built here.
+at parse time naming its key (``params.times[0]``); a ``resolve`` method
+checks what needs the spectra or ``dim``.  Spectra are built here.
 A bundled inventory of ready-to-run configs ships inside the package
 (``vcslab list`` prints it).
 """
@@ -43,8 +44,11 @@ __all__ = [
 DIM_RANGE = (8, 4096)
 GRID_RANGE = (64, 4096)
 
-# an integer annotated with its inclusive (low, high) bounds
+# numbers annotated with their inclusive (low, high) bounds; ``ulp(0)`` stands for > 0
 Dim = Annotated[int, DIM_RANGE]
+NonNegative = Annotated[float, (0.0, math.inf)]
+Positive = Annotated[float, (math.ulp(0.0), math.inf)]
+Deformation = Annotated[float, (math.ulp(0.0), 1.0)]
 
 _TOP_KEYS = {"kind", "title", "anchor", "dim", "seed", "spectra", "params", "tolerances", "output"}
 
@@ -72,19 +76,6 @@ class Witness:
     gamma_offset: float = 1.0
 
 
-class _Params:
-    """Base of the per-kind parameter schemas."""
-
-    #: default tolerances, the keys a config's ``tolerances`` may override
-    TOLERANCES = {}
-    #: inclusive bounds on the number of spectra the kind reads
-    SPECTRA = (0, 0)
-
-    def resolve(self, dim, spectra):
-        """Checked against ``dim`` and the spectra, with the defaults they set."""
-        return self
-
-
 def _per_spectrum(values, default, spectra, where):
     values = (default,) * len(spectra) if values is None else values
     if len(values) != len(spectra):
@@ -93,7 +84,7 @@ def _per_spectrum(values, default, spectra, where):
 
 
 @dataclass(frozen=True)
-class VcsVerifyParams(_Params):
+class VcsVerifyParams:
     """``j_max`` defaults to 4.0 per spectrum, the witness's ``j`` to 1.0."""
 
     TOLERANCES = {
@@ -103,12 +94,11 @@ class VcsVerifyParams(_Params):
         "eigenstate": 1e-9,
         "witness_min": 1e-2,
     }
-    SPECTRA = (1, math.inf)
 
     family: Literal["eds", "delta"] = "eds"
     n_samples: Annotated[int, (1, math.inf)] = 100
-    j_max: tuple[Annotated[float, (0, math.inf)], ...] | None = None
-    gamma_max: Annotated[float, (0, math.inf)] = 3.0
+    j_max: tuple[NonNegative, ...] | None = None
+    gamma_max: NonNegative = 3.0
     delta: float = 0.5
     times: tuple[float, ...] = (0.1, 1.0, 10.0)
     witness: Witness | None = None
@@ -123,7 +113,7 @@ class VcsVerifyParams(_Params):
 
 
 @dataclass(frozen=True)
-class ResolutionParams(_Params):
+class ResolutionParams:
     """``family: delta`` at ``delta: 0`` runs the regulator-failure demo."""
 
     TOLERANCES = {
@@ -137,11 +127,10 @@ class ResolutionParams(_Params):
         "decay_factor_low": 50.0,
         "decay_factor_high": 200.0,
     }
-    SPECTRA = (1, math.inf)
 
     family: Literal["eds", "delta"] = "eds"
     delta: float = 0.0
-    horizons: tuple[float, ...] = (1e2, 1e3, 1e4)
+    horizons: tuple[Positive, ...] = (1e2, 1e3, 1e4)
     n_nodes: int = 40
     k_check: int | None = None
     delta_probe: float = 0.5
@@ -151,8 +140,6 @@ class ResolutionParams(_Params):
             gaps = np.diff(seq.values)
             if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
                 raise ConfigError(f"spectra[{i}] is not equally spaced: no closed-form weight")
-        if min(self.horizons) <= 0:
-            raise ConfigError(f"params.horizons must be > 0, got {list(self.horizons)}")
         if self.family == "delta" and self.delta == 0.0 and len(self.horizons) < 2:
             raise ConfigError("params.horizons needs two entries for the regulator-failure demo")
         if self.k_check is not None and not 0 <= self.k_check <= dim - 1:
@@ -161,7 +148,7 @@ class ResolutionParams(_Params):
 
 
 @dataclass(frozen=True)
-class IntertwineExampleParams(_Params):
+class IntertwineExampleParams:
     TOLERANCES = {
         "alpha": 1e-10,
         "beta": 1e-10,
@@ -169,31 +156,30 @@ class IntertwineExampleParams(_Params):
         "gamma_independence": 1e-12,
         "h_tau": 1e-14,
     }
-    SPECTRA = (2, 2)
 
     example: Literal[1, 2, 3, 4] = 1
     gammas: tuple[float, ...] = (0.0, 0.7, 3.1)
 
 
 @dataclass(frozen=True)
-class NonisospectralParams(_Params):
+class NonisospectralParams:
     TOLERANCES = {"closed_form": 1e-11}
 
     case: Literal["boson", "quon"] = "boson"
-    q_values: tuple[float, ...] = (0.3, 0.5, 0.9)
+    q_values: tuple[Deformation, ...] = (0.3, 0.5, 0.9)
 
 
 @dataclass(frozen=True)
-class MapEqualityProbeParams(_Params):
+class MapEqualityProbeParams:
     TOLERANCES = {"probe": 1e-10, "order": 1e-10, "commutant": 1e-10}
 
     cases: tuple[Literal["boson", "quon", "invertible"], ...] = ("boson", "quon", "invertible")
-    q: float = 0.5
+    q: Deformation = 0.5
     l_max: Annotated[int, (0, math.inf)] = 4
 
 
 @dataclass(frozen=True)
-class SusyGridParams(_Params):
+class SusyGridParams:
     """Polynomial coefficients lowest order first; no ``map_coeffs``: identity map."""
 
     TOLERANCES = {
@@ -205,14 +191,16 @@ class SusyGridParams(_Params):
     sizes: tuple[Annotated[int, GRID_RANGE], ...]
     w_coeffs: tuple[float, ...] = (0.0, 1.0)
     domain: tuple[float, float] = (-12.0, 12.0)
-    n_modes: int = 32
+    n_modes: Annotated[int, (1, math.inf)] = 32
     map_coeffs: tuple[float, ...] | None = None
-    hbar: float = 1.0
-    mass: float = 1.0
+    hbar: Positive = 1.0
+    mass: Positive = 1.0
 
     def resolve(self, dim, spectra):
         if len(self.sizes) < 2:
             raise ConfigError("params.sizes needs two grid sizes or more for a scaling study")
+        if not self.domain[0] < self.domain[1]:
+            raise ConfigError(f"params.domain {list(self.domain)} must be increasing")
         return self
 
 
@@ -234,12 +222,16 @@ class ExperimentConfig:
     dim: int | None
     seed: int
     spectra: tuple
-    params: _Params
+    params: object
     tolerances: dict
+    #: the ``spectra`` and ``params`` mappings as written, for :meth:`echo`
+    as_written: dict = field(compare=False, repr=False)
     output: str | None = None
     source: str | None = field(default=None, compare=False)
-    #: the ``spectra`` and ``params`` mappings as written, for :meth:`echo`
-    as_written: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        if any(seq.dim != self.dim for seq in self.spectra):
+            raise ConfigError(f"spectra not built at dim {self.dim}: parse the config again")
 
     def echo(self) -> dict:
         """Config as a plain mapping, for embedding in reports."""
@@ -294,8 +286,10 @@ def _check(value, tp, where: str, dim: int | None = None):
         return None if value is None else _check(value, args[0], where, dim)
     if origin is Annotated:
         checked = _check(value, args[0], where, dim)
-        if not args[1][0] <= checked <= args[1][1]:
-            raise ConfigError(f"{where} {checked} outside allowed range {args[1]}")
+        low, high = args[1]
+        if not low <= checked <= high:
+            shown = f"(0, {high}]" if low == math.ulp(0.0) else f"[{low}, {high}]"
+            raise ConfigError(f"{where} {checked} outside allowed range {shown}")
         return checked
     if origin is Literal:
         if not any(value == a and type(value) is type(a) for a in args):
@@ -352,15 +346,19 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
     dim = raw.get("dim")
     if kind != "susy-grid":
         dim = _check(dim, Dim, "dim")
-    elif dim is not None:
-        raise ConfigError("susy-grid configs size the grid via params.sizes, not dim")
+    elif dim is not None or "spectra" in raw:
+        raise ConfigError("susy-grid configs size the grid via params.sizes, not dim or spectra")
 
-    entries = raw.get("spectra", [])
-    low, high = schema.SPECTRA
-    if not (isinstance(entries, list) and low <= len(entries) <= high):
-        raise ConfigError(f"spectra: kind {kind} takes {low} to {high} spectra, got {entries!r}")
-    spectra = tuple(_spectrum(entry, f"spectra[{i}]", dim) for i, entry in enumerate(entries))
-    params = _build(schema, raw.get("params", {}), "params", dim).resolve(dim, spectra)
+    spectra = ()
+    if "spectra" in raw:
+        spectra = _check(raw["spectra"], tuple[SpectralSequence, ...], "spectra", dim)
+    if kind in ("vcs-verify", "resolution") and not spectra:
+        raise ConfigError(f"kind {kind} needs spectra")
+    if kind == "intertwine-example" and len(spectra) != 2:
+        raise ConfigError("intertwine-example needs exactly two spectra")
+    params = _build(schema, raw.get("params", {}), "params", dim)
+    if hasattr(params, "resolve"):
+        params = params.resolve(dim, spectra)
 
     tolerances = dict(schema.TOLERANCES)
     overrides = raw.get("tolerances", {})
@@ -368,9 +366,7 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
         raise ConfigError("'tolerances' must be a mapping")
     _reject_unknown(overrides, set(tolerances), f"tolerances of kind {kind}")
     for key, value in overrides.items():
-        tolerances[key] = _check(value, float, f"tolerances.{key}")
-        if tolerances[key] <= 0:
-            raise ConfigError(f"tolerances.{key} must be positive, got {value!r}")
+        tolerances[key] = _check(value, Positive, f"tolerances.{key}")
 
     seed = _check(raw.get("seed", 0), Annotated[int, (0, math.inf)], "seed")
     output = raw.get("output")
@@ -388,7 +384,10 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
         tolerances=tolerances,
         output=output,
         source=source,
-        as_written={"spectra": entries, "params": raw.get("params", {})},
+        as_written={
+            "spectra": [dict(s) for s in raw.get("spectra", [])],
+            "params": dict(raw.get("params", {})),
+        },
     )
 
 

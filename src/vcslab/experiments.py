@@ -59,6 +59,14 @@ def _worst(values) -> float:
     return float(np.max(values))
 
 
+def _bracket(name: str, anchor: str, value: float, low: float, high: float) -> list:
+    """A floor check ``value >= low`` and a ``-ceiling`` check ``value <= high``."""
+    return [
+        CheckRecord(name, anchor, value, low, comparator=">="),
+        CheckRecord(f"{name}-ceiling", anchor, value, high),
+    ]
+
+
 def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
     tol = config.tolerances
     params = config.params
@@ -184,22 +192,12 @@ def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
             CheckRecord("cross-entry-horizon-drift", "regulator-dichotomy", drift, tol["entry_drift"])
         )
         factor = probe_mags[horizons[0]] / probe_mags[horizons[-1]]
-        checks.append(
-            CheckRecord(
-                "regulated-entry-decay-factor",
-                "regulator-dichotomy",
-                factor,
-                tol["decay_factor_low"],
-                comparator=">=",
-            )
-        )
-        checks.append(
-            CheckRecord(
-                "regulated-entry-decay-factor-ceiling",
-                "regulator-dichotomy",
-                factor,
-                tol["decay_factor_high"],
-            )
+        checks += _bracket(
+            "regulated-entry-decay-factor",
+            "regulator-dichotomy",
+            factor,
+            tol["decay_factor_low"],
+            tol["decay_factor_high"],
         )
         return checks, tables
 
@@ -229,22 +227,12 @@ def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
     )
     if len(horizons) >= 2:
         exponent = -fit_power_law(horizons, offdiag_errors)
-        checks.append(
-            CheckRecord(
-                "offdiagonal-decay-exponent",
-                "resolution-of-identity",
-                exponent,
-                tol["decay_low"],
-                comparator=">=",
-            )
-        )
-        checks.append(
-            CheckRecord(
-                "offdiagonal-decay-exponent-ceiling",
-                "resolution-of-identity",
-                exponent,
-                tol["decay_high"],
-            )
+        checks += _bracket(
+            "offdiagonal-decay-exponent",
+            "resolution-of-identity",
+            exponent,
+            tol["decay_low"],
+            tol["decay_high"],
         )
     lines = ["# horizon\tdiag_error\toffdiag_error"]
     for h, d, o in zip(horizons, diag_errors, offdiag_errors):
@@ -438,22 +426,12 @@ def _run_susy_grid(config: ExperimentConfig, seed: int, jobs: int):
         ("partner-comparison", [r.comparison_residual for r in reports]),
     ):
         exponent = fit_power_law(dxs, values)
-        checks.append(
-            CheckRecord(
-                f"{label}-scaling-exponent",
-                "grid-discretization",
-                exponent,
-                tol["exponent_low"],
-                comparator=">=",
-            )
-        )
-        checks.append(
-            CheckRecord(
-                f"{label}-scaling-exponent-ceiling",
-                "grid-discretization",
-                exponent,
-                tol["exponent_high"],
-            )
+        checks += _bracket(
+            f"{label}-scaling-exponent",
+            "grid-discretization",
+            exponent,
+            tol["exponent_low"],
+            tol["exponent_high"],
         )
     lines = ["# dx\tcommutator_residual\tcomparison_residual"]
     for r in reports:

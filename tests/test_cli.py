@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -74,6 +75,20 @@ MALFORMED = [
         "l-max-negative",
         {"kind": "map-equality-probe", "dim": 8, "params": {"l_max": -1}},
         "params.l_max",
+    ),
+    ("q-above-one", {"kind": "map-equality-probe", "dim": 8, "params": {"q": 2.0}}, "params.q"),
+    (
+        "q-values-above-one",
+        {"kind": "nonisospectral", "dim": 8, "params": {"case": "quon", "q_values": [1.5]}},
+        "params.q_values[0]",
+    ),
+    ("hbar-negative", small_grid_config(hbar=-1.0), "params.hbar"),
+    ("domain-reversed", small_grid_config(domain=[5.0, 1.0]), "params.domain"),
+    ("n-modes-zero", small_grid_config(n_modes=0), "params.n_modes"),
+    (
+        "grid-with-spectra",
+        {**small_grid_config(), "spectra": [{"form": "linear"}]},
+        "params.sizes, not dim or spectra",
     ),
     (
         "values-not-monotone",
@@ -155,6 +170,19 @@ class TestConfigValidation:
         raw["params"]["witness"] = {"dim": 30}
         with pytest.raises(errors.ConfigError, match="params.witness.spectra is required"):
             config.parse_config(raw)
+
+    def test_dim_and_spectra_cannot_disagree(self):
+        cfg = config.parse_config(small_vcs_config())
+        with pytest.raises(errors.ConfigError, match="parse the config again"):
+            dataclasses.replace(cfg, dim=80)
+
+    def test_echo_keeps_the_mappings_as_parsed(self):
+        raw = small_vcs_config()
+        cfg = config.parse_config(raw)
+        raw["spectra"][0]["omega"] = 9.0
+        raw["params"]["n_samples"] = 9
+        assert cfg.echo()["spectra"][0]["omega"] == 1.0
+        assert cfg.echo()["params"]["n_samples"] == 5
 
     @pytest.mark.parametrize("raw, where", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
     def test_malformed_value_names_its_key(self, raw, where, tmp_path, capsys):

@@ -1,9 +1,10 @@
-import dataclasses
 import math
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from vcslab import config, errors, experiments, hilbert, intertwine, spectra
 from vcslab.hilbert import BlockOperator, max_abs
@@ -273,13 +274,15 @@ class TestWeightedShiftCompanions:
         ],
     )
     def test_bundle_runs_at_the_dim_ceiling(self, bundle):
-        shipped = config.load_bundled(bundle)
         assert config.DIM_RANGE[1] == 4096
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
+        scaled = config.parse_config({**raw, "dim": 4096})
+        assert all(seq.dim == 4096 for seq in scaled.spectra)
         with np.errstate(over="ignore", invalid="ignore"):  # exp(n + 2) overflows past n ~ 707
-            report, _ = experiments.run_experiment(dataclasses.replace(shipped, dim=4096))
+            report, _ = experiments.run_experiment(scaled)
         assert report.config["dim"] == 4096
         assert [c.name for c in report.checks] == [
-            c.name for c in experiments.run_experiment(shipped)[0].checks
+            c.name for c in experiments.run_experiment(config.load_bundled(bundle))[0].checks
         ]
 
 
