@@ -38,9 +38,10 @@ __all__ = [
 # (2-vCPU Xeon, Python 3.11, numpy 2.4): at dim 4096 each companion,
 # nonisospectral and map-equality bundle runs in 0.01-0.05 s within 38 MiB
 # peak RSS, and each vcs-verify bundle (100 samples) in about 0.45 s within
-# 39 MiB.  The grid stays dense: sizes [2048, 4096] take about 38 s and
-# 819 MiB.  The resolution kind cannot verify its weight moments from dim
-# 160 on: they overflow the float range.
+# 39 MiB.  The grid is banded, but its two dense eigh per size remain:
+# sizes [2048, 4096] take about 34 s and 692 MiB.  The resolution kind
+# cannot verify its weight moments from dim 160 on: they overflow the float
+# range.
 DIM_RANGE = (8, 4096)
 GRID_RANGE = (64, 4096)
 
@@ -144,6 +145,12 @@ class ResolutionParams:
             raise ConfigError("params.horizons needs two entries for the regulator-failure demo")
         if self.k_check is not None and not 0 <= self.k_check <= dim - 1:
             raise ConfigError(f"params.k_check {self.k_check} outside 0..{dim - 1}")
+        k = dim - 1 if self.k_check is None else self.k_check
+        if self.n_nodes < k / 2 + 1:
+            raise ConfigError(
+                f"params.n_nodes {self.n_nodes} cannot verify moments to order {k}; "
+                f"need at least {math.ceil(k / 2 + 1)}"
+            )
         return self
 
 

@@ -406,7 +406,7 @@ def _run_susy_grid(config: ExperimentConfig, seed: int, jobs: int):
     f = None if params.map_coeffs is None else SpectralMap.polynomial(params.map_coeffs)
 
     def w(x):
-        return float(np.polynomial.polynomial.polyval(x, params.w_coeffs))
+        return np.polynomial.polynomial.polyval(x, params.w_coeffs)
 
     reports = [
         grid_partner_comparison(w, GridSpec(lo, hi, n), f, params.hbar, params.mass, params.n_modes)

@@ -9,6 +9,7 @@ All values are immutable after construction; every function here is pure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,23 +235,69 @@ class GridSpec:
         return (self.xmax - self.xmin) / (self.points - 1)
 
 
+def _tridiagonal_apply(lower, main, upper, v: np.ndarray) -> np.ndarray:
+    """``M v`` for the columns of the block ``v``, ``M`` tridiagonal with the
+    diagonals ``lower`` (``M[i+1, i]``), ``main`` and ``upper`` (``M[i, i+1]``);
+    each row sums its three terms left to right."""
+    out = main[:, None] * v
+    out[1:] += lower[:, None] * v[:-1]
+    out[:-1] += upper[:, None] * v[1:]
+    return out
+
+
 @dataclass(frozen=True)
 class GridLadder:
-    """The dense grid lowering matrix ``a = c d/dx + W(x)`` on a single sector.
+    """The grid lowering operator ``a = c d/dx + W(x)`` on a single sector,
+    stored as its three diagonals: ``lower[i] = a[i+1, i]``,
+    ``main[i] = a[i, i]`` and ``upper[i] = a[i, i+1]``.
 
-    ``w_prime`` is ``W'`` on the grid; ``commutator_residual`` measures the
-    deviation of ``[a, a+]`` from ``2c W'`` (a discretization artifact).
+    ``a`` and ``a+`` act on blocks as three-point stencils; ``gram`` fills the
+    pentadiagonal ``a+ a`` or ``a a+`` into a dense array for ``eigh``, and
+    ``matrix`` is the dense export of ``a``.  ``w_prime`` is ``W'`` on the
+    grid; ``commutator_residual`` measures the deviation of ``[a, a+]`` from
+    ``2c W'`` (a discretization artifact).
     """
 
-    matrix: np.ndarray
+    lower: np.ndarray
+    main: np.ndarray
+    upper: np.ndarray
     c: float
     w_prime: np.ndarray
     commutator_residual: float
 
     def __post_init__(self):
-        m = np.array(self.matrix)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        for name in ("lower", "main", "upper"):
+            d = np.array(getattr(self, name), dtype=float)
+            d.setflags(write=False)
+            object.__setattr__(self, name, d)
+
+    def _diagonals(self, adjoint: bool) -> tuple:
+        # the transpose of a real tridiagonal matrix swaps its off-diagonals
+        return (self.upper, self.main, self.lower) if adjoint else (self.lower, self.main, self.upper)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense ``n x n`` export of ``a``."""
+        return np.diag(self.lower, -1) + np.diag(self.main) + np.diag(self.upper, 1)
+
+    def apply(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+        """``a v`` (``a+ v`` with ``adjoint``) for the columns of the ``n x k`` block ``v``, in O(n k)."""
+        return _tridiagonal_apply(*self._diagonals(adjoint), v)
+
+    def gram(self, adjoint: bool = False) -> np.ndarray:
+        """Dense ``a+ a`` (``a a+`` with ``adjoint``): pentadiagonal, filled from the
+        diagonals in O(n^2); each entry sums its terms in increasing inner index."""
+        lower, main, upper = self._diagonals(adjoint)
+        n = len(main)
+        bands = {0: main * main, 1: main[:-1] * upper + lower * main[1:], 2: lower[:-1] * upper[1:]}
+        bands[0][1:] += upper * upper
+        bands[0][:-1] += lower * lower
+        out = np.zeros((n, n))
+        i = np.arange(n)
+        for k, band in bands.items():
+            out[i[: n - k], i[k:]] = band
+            out[i[k:], i[: n - k]] = band
+        return out
 
 
 def basis_vector(space: SectorSpace, sector: int, level: int) -> SusyVector:
@@ -333,16 +380,14 @@ def quon_ladder(dim: int, q: float) -> BlockOperator:
     return BlockOperator([np.sqrt(quon_numbers(dim, q)[1:])], -1)
 
 
-def _derivative_matrix(grid: GridSpec) -> np.ndarray:
-    """Central-difference first derivative, one-sided at the two boundary rows."""
+def _derivative_diagonals(grid: GridSpec) -> tuple:
+    """Central-difference first derivative, one-sided at the two boundary rows,
+    as its (lower, main, upper) diagonals."""
     n, dx = grid.points, grid.dx
-    m = np.zeros((n, n))
-    i = np.arange(1, n - 1)
-    m[i, i + 1] = 0.5 / dx
-    m[i, i - 1] = -0.5 / dx
-    m[0, 0], m[0, 1] = -1.0 / dx, 1.0 / dx
-    m[-1, -2], m[-1, -1] = -1.0 / dx, 1.0 / dx
-    return m
+    lower, main, upper = np.full(n - 1, -0.5 / dx), np.zeros(n), np.full(n - 1, 0.5 / dx)
+    main[0], upper[0] = -1.0 / dx, 1.0 / dx
+    lower[-1], main[-1] = -1.0 / dx, 1.0 / dx
+    return lower, main, upper
 
 
 def _gaussian_probes(grid: GridSpec) -> np.ndarray:
@@ -360,33 +405,36 @@ def grid_ladder(
 ) -> GridLadder:
     """First-order differential ladder ``a = c d/dx + W(x)``, ``c = hbar/sqrt(2m)``.
 
-    ``w`` is the superpotential callable, sampled on the grid; its derivative
-    (central differences) must be strictly positive everywhere.  The adjoint
+    ``w`` is the superpotential, called once on the array of grid points and
+    returning the array of its values there; its derivative (central
+    differences) must be strictly positive everywhere.  The adjoint
     is the matrix adjoint, so ``[a, a+]`` approximates ``2c W'(x)`` with a
     second-order error.  The diagnostic measures that error on smooth
     confined probe vectors over interior points.
     """
     if not (hbar > 0 and mass > 0):
         raise NonPositiveDerivativeError("hbar and mass must be positive")
-    x = grid.x
-    w_values = np.asarray([w(xi) for xi in x], dtype=float)
+    w_values = np.asarray(w(grid.x), dtype=float)
     w_prime = np.gradient(w_values, grid.dx)
     if w_prime.min() <= 0:
         raise NonPositiveDerivativeError(
             f"superpotential derivative reaches {w_prime.min():.3e} <= 0 on the grid"
         )
     c = hbar / np.sqrt(2.0 * mass)
-    a = c * _derivative_matrix(grid) + np.diag(w_values)
+    lower, main, upper = (c * d for d in _derivative_diagonals(grid))
+    main += w_values
 
     # [a, a+] - 2c W' applied to the probes, one column each
     phis = _gaussian_probes(grid)
-    defect = a @ (a.T @ phis) - a.T @ (a @ phis) - 2.0 * c * w_prime[:, None] * phis
+    a = functools.partial(_tridiagonal_apply, lower, main, upper)
+    ad = functools.partial(_tridiagonal_apply, upper, main, lower)
+    defect = a(ad(phis)) - ad(a(phis)) - 2.0 * c * w_prime[:, None] * phis
     # rows within 2 of the boundary carry one-sided-stencil corrections of
     # size O(1/dx^2); beyond that the derivative-matrix self-commutator
     # cancels exactly and only the O(dx^2) Taylor error remains
     interior = slice(3, grid.points - 3)
     resid = np.max(np.abs(defect[interior]).max(axis=0) / np.abs(phis).max(axis=0))
-    return GridLadder(matrix=a, c=c, w_prime=w_prime, commutator_residual=float(resid))
+    return GridLadder(lower, main, upper, c, w_prime, commutator_residual=float(resid))
 
 
 def susy_hamiltonian(seqs) -> BlockOperator:

@@ -198,20 +198,6 @@ class IntertwiningResult:
         }
 
 
-def _eigen_apply(vecs: np.ndarray, values: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-    """``g(A) rhs`` given the eigenvectors ``vecs`` of Hermitian ``A`` and ``values = g(evals)``;
-    ``g(A)`` itself when ``rhs`` is None."""
-    if rhs is None:
-        return (vecs * values) @ vecs.conj().T
-    return vecs @ (values[:, None] * (vecs.conj().T @ rhs))
-
-
-def _map_block(f: SpectralMap, b: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-    """``f`` of the Hermitian part of the block ``b``, applied to ``rhs`` or formed when it is None."""
-    evals, vecs = np.linalg.eigh(0.5 * (b + b.conj().T))
-    return _eigen_apply(vecs, f(evals), rhs)
-
-
 def _diagonal(op: BlockOperator, name: str) -> np.ndarray:
     """The real diagonals (one row per sector) of the Hermitian operator
     ``op``, which must sit at offset 0."""
@@ -540,7 +526,16 @@ def _grid_inverse(n1: np.ndarray, rhs: np.ndarray, grid: GridSpec) -> np.ndarray
             "eigenvector: not invertible"
         )
     inv_evals = np.divide(1.0, evals, out=np.zeros_like(evals), where=invertible)
-    return _eigen_apply(vecs, inv_evals, rhs)
+    return vecs @ (inv_evals[:, None] * (vecs.T @ rhs))
+
+
+def _horner(coeffs, apply, v: np.ndarray) -> np.ndarray:
+    """``p(A) v`` by Horner's rule, for the polynomial ``p`` with ``coeffs``
+    (lowest order first) and ``A`` given by its action ``apply`` on a block."""
+    out = coeffs[-1] * v
+    for c in coeffs[-2::-1]:
+        out = apply(out) + c * v
+    return out
 
 
 def grid_partner_comparison(
@@ -556,18 +551,20 @@ def grid_partner_comparison(
     With ``a = c d/dx + W`` (``x = a+``, ``h = a+ a``) the companion of
     ``f(h)`` equals ``f(a a+)``, whose continuum form is
     ``f(a+ a + 2 c W'(x))``; the two differ by the discretization error of
-    the commutator, second order in the grid step.  ``f=None`` uses ``h``
-    and the target as they are, as :func:`construct_companion` does.
-    Residuals are measured on the ``n_modes`` lowest smooth eigenvectors of
-    ``h`` (default: the bottom quarter of the grid spectrum); hold it fixed
-    for scaling studies.  Both operators act on the ``n x k`` block of
-    probes and are never formed; ``h`` is eigendecomposed once, for ``f(h)``
-    and the mode selection.
+    the commutator, second order in the grid step.  ``f`` must be a
+    polynomial map (``None`` is the identity); any other raises
+    ``ConfigError``.  Residuals are measured on the ``n_modes`` lowest smooth
+    eigenvectors of ``h`` (default: the bottom quarter of the grid
+    spectrum); hold it fixed for scaling studies.  The ladder is banded, so
+    ``a``, ``a+`` and both sides of the comparison act on the ``n x k`` block
+    of probes as stencils, with ``f`` applied by Horner's rule; the only
+    dense arrays are ``h`` and ``N1 = a a+``, formed for their one ``eigh``
+    each (mode selection and the inverse of ``N1``).
     """
+    f = SpectralMap.identity() if f is None else f
+    if f.kind != "polynomial":
+        raise ConfigError(f"the grid comparison needs a polynomial map, got {f.describe()}")
     ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
-    a = ladder.matrix
-    ad = a.T
-    h = ad @ a
 
     # central differences double the spectrum: every smooth eigenmode has a
     # checkerboard twin at a nearby eigenvalue on which the commutator flips
@@ -576,27 +573,24 @@ def grid_partner_comparison(
     # operator, so the comparison keeps the lowest smooth eigenvectors and
     # low-pass filters them (double three-point average: exact on the doubler
     # mode, relative O(dx^2) on resolved modes) before applying the operators.
-    evals, vecs = np.linalg.eigh(h)
+    _, vecs = np.linalg.eigh(ladder.gram())
     smoothness = np.sum((vecs[1:] + vecs[:-1]) ** 2, axis=0)
     k_max = grid.points // 4 if n_modes is None else n_modes
     phi = vecs[:, np.flatnonzero(smoothness > 2.0)[:k_max]]
+    del vecs  # freed before N1 is decomposed
     for _ in range(2):
         phi = 0.25 * (np.vstack((phi[:1], phi[:-1])) + 2.0 * phi + np.vstack((phi[1:], phi[-1:])))
     phi = phi / np.linalg.norm(phi, axis=0)
 
-    # x = a+, so N1 = x+ x = a a+ and companion phi = N1^-1 a f(h) a+ phi
-    image = ad @ phi
-    image = a @ (h @ image if f is None else _eigen_apply(vecs, f(evals), image))
-    del vecs  # freed before the target and N1 are decomposed
+    def h(v):
+        return ladder.apply(ladder.apply(v), adjoint=True)
 
-    # target phi = f(h + 2c W') phi
-    if f is None:
-        target = h @ phi + 2.0 * ladder.c * ladder.w_prime[:, None] * phi
-    else:
-        h[np.diag_indices_from(h)] += 2.0 * ladder.c * ladder.w_prime  # h is not read again
-        target = _map_block(f, h, phi)
-    del h
-    diff = _grid_inverse(a @ ad, image, grid) - target
+    def target(v):
+        return h(v) + 2.0 * ladder.c * ladder.w_prime[:, None] * v
+
+    # x = a+, so N1 = x+ x = a a+ and companion phi = N1^-1 a f(h) a+ phi
+    image = ladder.apply(_horner(f.coeffs, h, ladder.apply(phi, adjoint=True)))
+    diff = _grid_inverse(ladder.gram(adjoint=True), image, grid) - _horner(f.coeffs, target, phi)
     return GridComparisonReport(
         dx=grid.dx,
         commutator_residual=ladder.commutator_residual,

@@ -60,6 +60,7 @@ MALFORMED = [
     ("gamma-max-negative", with_param(small_vcs_config(), "gamma_max", -1.0), "params.gamma_max"),
     ("j-max-negative", with_param(small_vcs_config(), "j_max", [-1.0, 1.0]), "params.j_max[0]"),
     ("n-nodes-text", small_resolution_config(n_nodes="x"), "params.n_nodes"),
+    ("n-nodes-too-few", small_resolution_config(n_nodes=0), "params.n_nodes"),
     ("k-check-negative", small_resolution_config(k_check=-1), "params.k_check"),
     ("horizon-negative", small_resolution_config(horizons=[-10]), "params.horizons"),
     ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),

@@ -15,6 +15,19 @@ def two_linear_shifted(dim, omegas=(1.0, math.sqrt(2.0)), offsets=(0.3, 0.55)):
     ]
 
 
+def dense_derivative_matrix(grid):
+    """Oracle for the grid ladder's derivative part: the central-difference
+    matrix written out entry by entry, one-sided at the two boundary rows."""
+    n, dx = grid.points, grid.dx
+    m = np.zeros((n, n))
+    i = np.arange(1, n - 1)
+    m[i, i + 1] = 0.5 / dx
+    m[i, i - 1] = -0.5 / dx
+    m[0, 0], m[0, 1] = -1.0 / dx, 1.0 / dx
+    m[-1, -2], m[-1, -1] = -1.0 / dx, 1.0 / dx
+    return m
+
+
 class TestBasisVectors:
     def test_first_sector(self):
         space = hilbert.SectorSpace(2, 4)
@@ -227,6 +240,30 @@ class TestGridLadder:
         with pytest.raises(errors.NonPositiveDerivativeError):
             hilbert.GridSpec(-1.0, 1.0, 32)
 
+    @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
+    def test_matrix_is_dense_derivative_plus_superpotential(self, hbar, mass):
+        grid = hilbert.GridSpec(-9.0, 9.0, 96)
+        w = grid.x + 0.1 * grid.x**3
+        ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid, hbar=hbar, mass=mass)
+        c = hbar / np.sqrt(2.0 * mass)
+        np.testing.assert_array_equal(ladder.matrix, c * dense_derivative_matrix(grid) + np.diag(w))
+
+    def test_stencils_match_dense_products(self):
+        # the sums run in another order than BLAS: each entry of up to three
+        # terms may differ by a few ulps of the largest term it sums
+        grid = hilbert.GridSpec(-9.0, 9.0, 96)
+        ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid)
+        a = ladder.matrix
+        v = np.random.default_rng(3).normal(size=(96, 4))
+        term = np.abs(a).max() * np.abs(v).max()
+        for got, dense, scale in (
+            (ladder.apply(v), a @ v, term),
+            (ladder.apply(v, adjoint=True), a.T @ v, term),
+            (ladder.gram(), a.T @ a, np.abs(a).max() ** 2),
+            (ladder.gram(adjoint=True), a @ a.T, np.abs(a).max() ** 2),
+        ):
+            np.testing.assert_allclose(got, dense, rtol=0, atol=16 * np.finfo(float).eps * scale)
+
 
 class TestBlockOperator:
     def test_unequal_blocks_rejected(self):
@@ -244,7 +281,7 @@ class TestBlockOperator:
         ops = [a, aq, h, h_tau, a.adjoint() @ a, aq @ aq.adjoint(), h - h_tau]
         for op in ops:
             assert all(b.dtype == np.float64 for b in op.blocks)
-        # the grid ladder is a dense matrix of its own
+        # the grid ladder's dense export is real too
         grid = hilbert.GridSpec(-5.0, 5.0, 64)
         ag = hilbert.grid_ladder(lambda x: x, grid).matrix
         assert ag.dtype == np.float64 and (ag.T @ ag).dtype == np.float64

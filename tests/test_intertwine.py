@@ -494,14 +494,22 @@ class TestGridPartner:
         assert 2.8 < ratio < 5.5
 
     def test_h_is_decomposed_once(self, eigh_calls):
-        # one eigh for N1 and one for h; a map adds one for the commutator target
+        # one eigh for N1 and one for h; a polynomial map is applied by
+        # Horner's rule and adds none
         grid = hilbert.GridSpec(-12.0, 12.0, 128)
         intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=16)
         assert len(eigh_calls) == 2
         eigh_calls.clear()
         f = SpectralMap.polynomial([0, 0, 1])
         intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=16)
-        assert len(eigh_calls) == 3
+        assert len(eigh_calls) == 2
+
+    def test_non_polynomial_map_rejected(self):
+        grid = hilbert.GridSpec(-12.0, 12.0, 128)
+        with pytest.raises(errors.ConfigError, match="polynomial"):
+            intertwine.grid_partner_comparison(
+                lambda x: x, grid, f=SpectralMap.exponential(), n_modes=16
+            )
 
     def test_no_map_matches_identity_map(self):
         grid = hilbert.GridSpec(-12.0, 12.0, 128)
@@ -517,9 +525,10 @@ class TestGridPartner:
         [
             (lambda x: x, 12.0, None, 32),
             (lambda x: x, 12.0, SpectralMap.polynomial([0, 0, 1]), 32),
+            (lambda x: x, 12.0, SpectralMap.polynomial([0.5, -1.0, 0.25]), 32),
             (lambda x: x + 0.1 * x**3, 9.0, None, 24),
         ],
-        ids=["linear", "linear-squared", "anharmonic"],
+        ids=["linear", "linear-squared", "linear-constant-odd", "anharmonic"],
     )
     def test_matches_dense_formation(self, w, lo, f, n_modes):
         grid = hilbert.GridSpec(-lo, lo, 128)
