@@ -293,7 +293,7 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
         sub = np.s_[: problem.keep]
         iso = construct_companion(problem)
         squared = construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
-        exp_companion = construct_companion(problem, spectral_map=SpectralMap.exponential()).companion
+        exponential = construct_companion(problem, spectral_map=SpectralMap.exponential())
         closed_forms = [
             ("n1-closed-form", "ladder-closed-forms", iso.n1, n_op * n_op + 3 * n_op + 2),
             ("companion-closed-form", "ladder-closed-forms", iso.companion, n_op + 2),
@@ -303,11 +303,11 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
         for name, anchor, op, ref in closed_forms:
             checks.append(CheckRecord(name, anchor, max_abs((op.blocks[0] - ref)[sub]), tol))
         exp_ref = np.exp(np.arange(dim, dtype=float) + 2.0)
-        rel = (np.abs(exp_companion.blocks[0] - exp_ref) / np.maximum(1.0, exp_ref))[sub].max()
+        rel = (np.abs(exponential.companion.blocks[0] - exp_ref) / np.maximum(1.0, exp_ref))[sub].max()
         checks.append(
             CheckRecord("exponential-map-closed-form", "spectrum-mapped-companion", float(rel), tol)
         )
-        gammas = [iso.certificate.gamma_residual, squared.certificate.gamma_residual]
+        gammas = [r.certificate.gamma_residual for r in (iso, squared, exponential)]
         checks.append(CheckRecord("certificate-gamma", "companion-certificate", _worst(gammas), 1e-9))
     else:
         for q in config.params.q_values:

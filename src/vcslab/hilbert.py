@@ -252,7 +252,7 @@ class GridLadder:
     ``main[i] = a[i, i]`` and ``upper[i] = a[i, i+1]``.
 
     ``a`` and ``a+`` act on blocks as three-point stencils; ``gram`` fills the
-    pentadiagonal ``a+ a`` or ``a a+`` into a dense array for ``eigh``, and
+    pentadiagonal ``a+ a`` into a dense array for ``eigh``, and
     ``matrix`` is the dense export of ``a``.  ``w_prime`` is ``W'`` on the
     grid; ``commutator_residual`` measures the deviation of ``[a, a+]`` from
     ``2c W'`` (a discretization artifact).
@@ -271,10 +271,6 @@ class GridLadder:
             d.setflags(write=False)
             object.__setattr__(self, name, d)
 
-    def _diagonals(self, adjoint: bool) -> tuple:
-        # the transpose of a real tridiagonal matrix swaps its off-diagonals
-        return (self.upper, self.main, self.lower) if adjoint else (self.lower, self.main, self.upper)
-
     @property
     def matrix(self) -> np.ndarray:
         """Dense ``n x n`` export of ``a``."""
@@ -282,12 +278,14 @@ class GridLadder:
 
     def apply(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
         """``a v`` (``a+ v`` with ``adjoint``) for the columns of the ``n x k`` block ``v``, in O(n k)."""
-        return _tridiagonal_apply(*self._diagonals(adjoint), v)
+        # the transpose of a real tridiagonal matrix swaps its off-diagonals
+        lower, upper = (self.upper, self.lower) if adjoint else (self.lower, self.upper)
+        return _tridiagonal_apply(lower, self.main, upper, v)
 
-    def gram(self, adjoint: bool = False) -> np.ndarray:
-        """Dense ``a+ a`` (``a a+`` with ``adjoint``): pentadiagonal, filled from the
-        diagonals in O(n^2); each entry sums its terms in increasing inner index."""
-        lower, main, upper = self._diagonals(adjoint)
+    def gram(self) -> np.ndarray:
+        """Dense ``a+ a``: pentadiagonal, filled from the diagonals in O(n^2);
+        each entry sums its terms in increasing inner index."""
+        lower, main, upper = self.lower, self.main, self.upper
         n = len(main)
         bands = {0: main * main, 1: main[:-1] * upper + lower * main[1:], 2: lower[:-1] * upper[1:]}
         bands[0][1:] += upper * upper

@@ -502,9 +502,9 @@ class GridComparisonReport:
     n_modes: int
 
 
-def _grid_inverse(n1: np.ndarray, rhs: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Apply the inverse of the grid N1 to the block ``rhs``, projecting out
-    discretization-artifact null modes.
+def _check_null_modes(null: np.ndarray, grid: GridSpec) -> None:
+    """Raise ``HypothesisViolatedError`` unless every column of ``null`` (unit
+    null vectors of the grid N1) is a discretization artifact.
 
     Central differences admit a checkerboard quasi-kernel of the raising
     operator (sign-alternating at the grid's highest frequency), and confining
@@ -513,20 +513,41 @@ def _grid_inverse(n1: np.ndarray, rhs: np.ndarray, grid: GridSpec) -> np.ndarray
     subspace and are dropped; a smooth interior null direction is a
     genuine invertibility failure.
     """
-    evals, vecs = np.linalg.eigh(n1)
-    invertible = evals > N1_CUTOFF
-    null = vecs[:, ~invertible]
     band = max(4, grid.points // 32)
-    smoothness = np.sum(np.abs(null[1:] + null[:-1]) ** 2, axis=0)  # ~4 smooth, ~0 Nyquist
-    edge_mass = np.sum(np.abs(null[:band]) ** 2, axis=0) + np.sum(np.abs(null[-band:]) ** 2, axis=0)
-    genuine = evals[~invertible][~((smoothness < 0.5) | (edge_mass > 0.5))]
-    if genuine.size:
+    smoothness = np.sum((null[1:] + null[:-1]) ** 2, axis=0)  # ~4 smooth, ~0 Nyquist
+    edge_mass = np.sum(null[:band] ** 2, axis=0) + np.sum(null[-band:] ** 2, axis=0)
+    genuine = int(np.count_nonzero(~((smoothness < 0.5) | (edge_mass > 0.5))))
+    if genuine:
         raise HypothesisViolatedError(
-            f"grid N1 eigenvalue {genuine[0]:.3e} <= {N1_CUTOFF:.1e} with a smooth interior "
+            f"grid N1 has {genuine} eigenvalue(s) <= {N1_CUTOFF:.1e} with a smooth interior "
             "eigenvector: not invertible"
         )
-    inv_evals = np.divide(1.0, evals, out=np.zeros_like(evals), where=invertible)
-    return vecs @ (inv_evals[:, None] * (vecs.T @ rhs))
+
+
+def _range_inverse(apply, evals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray, grid: GridSpec):
+    """``N1^+ a rhs`` for ``N1 = a a+``, from the eigenpairs ``evals, vecs`` of
+    ``h = a+ a``, after checking the null modes of ``N1``.
+
+    ``apply(v, adjoint=False)`` applies ``a`` (``a+``) to a block.  The
+    pseudo-inverse identity ``(a a+)^+ a = a (a+ a)^+`` gives the result as
+    ``a h^+ rhs``, so ``N1`` is never decomposed, and the result lies in the
+    range of ``a``: it has no component along a null mode of ``N1``.
+    """
+    live = evals > N1_CUTOFF
+    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=live)
+
+    def h_pinv(r):
+        return vecs @ (inv[:, None] * (vecs.T @ r))
+
+    # N1's null modes span the complement of the range of a.  Central
+    # differences make N1 ~ S h S with the checkerboard sign S = (-1)^i, so S
+    # carries h's null vectors close to them; projecting twice with
+    # I - a h^+ a+ leaves only their component in that complement
+    null = np.where(np.arange(len(evals)) % 2, -1.0, 1.0)[:, None] * vecs[:, ~live]
+    for _ in range(2):
+        null = null - apply(h_pinv(apply(null, adjoint=True)))
+    _check_null_modes(null / np.linalg.norm(null, axis=0), grid)
+    return apply(h_pinv(rhs))
 
 
 def _horner(coeffs, apply, v: np.ndarray) -> np.ndarray:
@@ -557,9 +578,9 @@ def grid_partner_comparison(
     eigenvectors of ``h`` (default: the bottom quarter of the grid
     spectrum); hold it fixed for scaling studies.  The ladder is banded, so
     ``a``, ``a+`` and both sides of the comparison act on the ``n x k`` block
-    of probes as stencils, with ``f`` applied by Horner's rule; the only
-    dense arrays are ``h`` and ``N1 = a a+``, formed for their one ``eigh``
-    each (mode selection and the inverse of ``N1``).
+    of probes as stencils, with ``f`` applied by Horner's rule.  The only
+    dense array is ``h``, formed for its one ``eigh``: its eigenpairs select
+    the probes and apply ``N1^+`` through ``(a a+)^+ a = a (a+ a)^+``.
     """
     f = SpectralMap.identity() if f is None else f
     if f.kind != "polynomial":
@@ -573,11 +594,11 @@ def grid_partner_comparison(
     # operator, so the comparison keeps the lowest smooth eigenvectors and
     # low-pass filters them (double three-point average: exact on the doubler
     # mode, relative O(dx^2) on resolved modes) before applying the operators.
-    _, vecs = np.linalg.eigh(ladder.gram())
-    smoothness = np.sum((vecs[1:] + vecs[:-1]) ** 2, axis=0)
+    evals, vecs = np.linalg.eigh(ladder.gram())
+    # sum_i (v_i + v_{i+1})^2 for unit columns, without n x n temporaries
+    smoothness = 2.0 - vecs[0] ** 2 - vecs[-1] ** 2 + 2.0 * np.einsum("ij,ij->j", vecs[1:], vecs[:-1])
     k_max = grid.points // 4 if n_modes is None else n_modes
     phi = vecs[:, np.flatnonzero(smoothness > 2.0)[:k_max]]
-    del vecs  # freed before N1 is decomposed
     for _ in range(2):
         phi = 0.25 * (np.vstack((phi[:1], phi[:-1])) + 2.0 * phi + np.vstack((phi[1:], phi[-1:])))
     phi = phi / np.linalg.norm(phi, axis=0)
@@ -588,9 +609,11 @@ def grid_partner_comparison(
     def target(v):
         return h(v) + 2.0 * ladder.c * ladder.w_prime[:, None] * v
 
-    # x = a+, so N1 = x+ x = a a+ and companion phi = N1^-1 a f(h) a+ phi
-    image = ladder.apply(_horner(f.coeffs, h, ladder.apply(phi, adjoint=True)))
-    diff = _grid_inverse(ladder.gram(adjoint=True), image, grid) - _horner(f.coeffs, target, phi)
+    # x = a+, so N1 = x+ x = a a+ and companion phi = N1^+ a f(h) a+ phi
+    image = _horner(f.coeffs, h, ladder.apply(phi, adjoint=True))
+    image = _range_inverse(ladder.apply, evals, vecs, image, grid)
+    del vecs  # freed before the target's Horner pass
+    diff = image - _horner(f.coeffs, target, phi)
     return GridComparisonReport(
         dx=grid.dx,
         commutator_residual=ladder.commutator_residual,

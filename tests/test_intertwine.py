@@ -344,6 +344,17 @@ class TestNonIsospectral:
         scale = np.maximum(1.0, np.abs(ref)[sub])
         assert (diff / scale).max() <= 1e-11
 
+    @pytest.mark.parametrize("dim, passed", [(60, True), (720, False)])
+    def test_exponential_certificate_is_reported(self, dim, passed):
+        # exp(n + 2) overflows from about n = 708 on, which leaves the
+        # exponential companion's certificate NaN at dim 720
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "boson-example2.yaml").read_text())
+        with np.errstate(over="ignore", invalid="ignore"):
+            report, _ = experiments.run_experiment(config.parse_config({**raw, "dim": dim}))
+        (gamma,) = [c for c in report.checks if c.name == "certificate-gamma"]
+        assert gamma.passed is passed
+        assert np.isnan(gamma.value) is not passed
+
     def test_identity_map_matches_plain_construction(self):
         problem = boson_problem(40)
         iso = intertwine.construct_companion(problem)
@@ -494,15 +505,48 @@ class TestGridPartner:
         assert 2.8 < ratio < 5.5
 
     def test_h_is_decomposed_once(self, eigh_calls):
-        # one eigh for N1 and one for h; a polynomial map is applied by
-        # Horner's rule and adds none
+        # one eigh of h serves the mode selection and N1^+; a polynomial map
+        # is applied by Horner's rule and adds none
         grid = hilbert.GridSpec(-12.0, 12.0, 128)
         intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=16)
-        assert len(eigh_calls) == 2
+        assert len(eigh_calls) == 1
         eigh_calls.clear()
         f = SpectralMap.polynomial([0, 0, 1])
         intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=16)
-        assert len(eigh_calls) == 2
+        assert len(eigh_calls) == 1
+
+    @pytest.mark.parametrize("points", [128, 256])
+    @pytest.mark.parametrize(
+        "w, lo",
+        [(lambda x: x, 12.0), (lambda x: x + 0.1 * x**3, 9.0), (lambda x: x, 3.0)],
+        ids=["linear", "anharmonic", "linear-narrow"],
+    )
+    def test_range_inverse_matches_n1_pseudo_inverse(self, monkeypatch, w, lo, points):
+        # oracle: N1 = a a+ formed densely and decomposed on its own.  On the
+        # narrow domain the null mode reaches the one-sided boundary rows, where
+        # N1 and S h S differ, so the projection has to correct it (by ~1e-8)
+        grid = hilbert.GridSpec(-lo, lo, points)
+        ladder = hilbert.grid_ladder(w, grid)
+        a = ladder.matrix
+        n1_evals, n1_vecs = np.linalg.eigh(a @ a.T)
+        live = n1_evals > intertwine.N1_CUTOFF
+        n1_pinv = (n1_vecs[:, live] / n1_evals[live]) @ n1_vecs[:, live].T
+        seen = []
+        monkeypatch.setattr(intertwine, "_check_null_modes", lambda null, grid: seen.append(null))
+
+        r = np.column_stack(
+            [np.exp(-0.5 * (grid.x / s) ** 2) * grid.x**k for s, k in ((2.0, 0), (1.5, 1), (3.0, 2))]
+        )
+        evals, vecs = np.linalg.eigh(ladder.gram())
+        got = intertwine._range_inverse(ladder.apply, evals, vecs, r, grid)
+        want = n1_pinv @ (a @ r)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+        (null,) = seen
+        oracle_null = n1_vecs[:, ~live]
+        assert null.shape == oracle_null.shape
+        overlap = np.linalg.svd(null.T @ oracle_null, compute_uv=False)
+        assert overlap.min() >= 1 - 1e-10
 
     def test_non_polynomial_map_rejected(self):
         grid = hilbert.GridSpec(-12.0, 12.0, 128)
@@ -554,9 +598,8 @@ class TestGridPartner:
     def test_smooth_interior_null_mode_violates_hypothesis(self):
         grid = hilbert.GridSpec(-1.0, 1.0, 64)
         bump = np.exp(-0.5 * (grid.x / 0.2) ** 2)
-        n1 = null_mode_n1(bump / np.linalg.norm(bump))
         with pytest.raises(errors.HypothesisViolatedError):
-            intertwine._grid_inverse(n1, np.ones((64, 1)), grid)
+            intertwine._check_null_modes((bump / np.linalg.norm(bump))[:, None], grid)
 
     @pytest.mark.parametrize("mode", ["checkerboard", "edge"])
     def test_artifact_null_modes_are_projected_out(self, mode):
@@ -565,10 +608,21 @@ class TestGridPartner:
         # the edge mode is smooth, so only its mass in the outer band drops it
         v = (-1.0) ** i if mode == "checkerboard" else np.exp(-i / 2.0)
         v = v / np.linalg.norm(v)
+        # a = N1 S with S = (-1)^i, so that N1 = a a+ = null_mode_n1(v) and
+        # h = a+ a = S N1 S, the checkerboard relation of central differences
+        n1 = null_mode_n1(v)
+        a = n1 * (-1.0) ** i
+
+        def apply(u, adjoint=False):
+            return (a.T if adjoint else a) @ u
+
         rhs = np.random.default_rng(5).normal(size=(64, 3))
-        applied = intertwine._grid_inverse(null_mode_n1(v), rhs, grid)
+        evals, vecs = np.linalg.eigh(a.T @ a)
+        applied = intertwine._range_inverse(apply, evals, vecs, rhs, grid)
         assert np.abs(v @ applied).max() <= 1e-12
-        np.testing.assert_allclose(applied, rhs - np.outer(v, v @ rhs), atol=1e-12)
+        # N1^+ = I - v v+, applied to a rhs
+        image = a @ rhs
+        np.testing.assert_allclose(applied, image - np.outer(v, v @ image), atol=1e-12)
 
     def test_nonpositive_derivative_rejected(self):
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
