@@ -23,6 +23,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, VcsLabError
+from .intertwine import ALPHA_TOL, BETA_TOL, GAMMA_TOL
 from .spectra import SpectralSequence, linear_sequence, make_sequence, quon_sequence
 
 __all__ = [
@@ -157,9 +158,9 @@ class ResolutionParams:
 @dataclass(frozen=True)
 class IntertwineExampleParams:
     TOLERANCES = {
-        "alpha": 1e-10,
-        "beta": 1e-10,
-        "gamma": 1e-9,
+        "alpha": ALPHA_TOL,
+        "beta": BETA_TOL,
+        "gamma": GAMMA_TOL,
         "gamma_independence": 1e-12,
         "h_tau": 1e-14,
     }

@@ -38,7 +38,7 @@ class OutOfDiscError(VcsLabError):
 
 
 class TailTooLargeError(VcsLabError):
-    """Truncation tail bound exceeds the acceptance threshold."""
+    """No geometric bound on the truncated series tail exists at this truncation."""
 
 
 class SpectraNotDisjointError(VcsLabError):
@@ -59,10 +59,6 @@ class NonPositiveDeltaError(VcsLabError):
 
 class HypothesisViolatedError(VcsLabError):
     """Commutant or invertibility hypothesis of the companion construction fails."""
-
-
-class ClosedFormMismatchError(VcsLabError):
-    """Numerically assembled operator deviates from its closed form."""
 
 
 class ConfigError(VcsLabError):

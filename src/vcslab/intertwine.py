@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ClosedFormMismatchError,
-    ConfigError,
-    HypothesisViolatedError,
-)
+from .errors import ConfigError, HypothesisViolatedError
 from .hilbert import (
     WINDOW_BUFFER,
     BlockOperator,
@@ -145,17 +141,14 @@ class Certificate:
     alpha_residual: float
     beta_residual: float
     gamma_residual: float
-    alpha_tol: float = ALPHA_TOL
-    beta_tol: float = BETA_TOL
-    gamma_tol: float = GAMMA_TOL
     skipped_levels: tuple = ()
 
     @property
     def passed(self) -> bool:
         return (
-            self.alpha_residual <= self.alpha_tol
-            and self.beta_residual <= self.beta_tol
-            and self.gamma_residual <= self.gamma_tol
+            self.alpha_residual <= ALPHA_TOL
+            and self.beta_residual <= BETA_TOL
+            and self.gamma_residual <= GAMMA_TOL
         )
 
     def to_record(self) -> dict:
@@ -163,9 +156,6 @@ class Certificate:
             "alpha_residual": self.alpha_residual,
             "beta_residual": self.beta_residual,
             "gamma_residual": self.gamma_residual,
-            "alpha_tol": self.alpha_tol,
-            "beta_tol": self.beta_tol,
-            "gamma_tol": self.gamma_tol,
             "skipped_levels": list(self.skipped_levels),
             "passed": self.passed,
         }
@@ -357,39 +347,26 @@ def h_tau_residual(seqs, gamma: float) -> float:
 class EqualityProbeReport:
     """Evidence for/against ``f(companion(h)) == companion(f(h))``.
 
-    ``max_residual`` is over window basis vectors plus seeded random window
-    vectors; this is numerical evidence only, not a proof of the operator
-    identity.
+    ``max_residual`` is the operator norm of the difference on the valid
+    window, exact on the truncated space; it is not a proof of the operator
+    identity on the full space.
     """
 
     max_residual: float
-    n_trials: int
-    map_label: str
 
 
-def power_series_equality_probe(
-    problem: IntertwiningProblem,
-    f: SpectralMap,
-    seed: int = 0,
-) -> EqualityProbeReport:
-    """Compare ``f(N1^-1 x+ h x)`` with ``N1^-1 x+ f(h) x`` on trial vectors.
+def power_series_equality_probe(problem: IntertwiningProblem, f: SpectralMap) -> EqualityProbeReport:
+    """Compare ``f(N1^-1 x+ h x)`` with ``N1^-1 x+ f(h) x`` on the window.
 
-    Residuals are ``||P_w (f(H1) - H2) phi|| / ||phi||`` with ``P_w`` the
-    window projector and ``phi`` window-supported: window basis vectors plus
-    32 random unit vectors from a seeded generator.
+    The residual is ``max ||P_w (f(H1) - H2) phi|| / ||phi||`` over
+    window-supported ``phi``, with ``P_w`` the window projector.  Both
+    companions are diagonal, so that maximum is the largest entry of the
+    difference on the window, reached at a window basis vector.
     """
     iso = construct_companion(problem)
     mapped = construct_companion(problem, spectral_map=f)
-    # both companions are diagonal, so the difference acts on a window
-    # vector entry by entry, and on a window basis vector as one entry
-    diffs = (apply_map(f, iso.companion) - mapped.companion).window(problem.keep).ravel()
-    residuals = list(np.abs(diffs))
-    rng = np.random.default_rng(seed)
-    for _ in range(32):
-        v = rng.standard_normal(len(diffs)) + 1j * rng.standard_normal(len(diffs))
-        residuals.append(np.linalg.norm(diffs * (v / np.linalg.norm(v))))
     return EqualityProbeReport(
-        max_residual=float(np.max(residuals)), n_trials=len(residuals), map_label=f.describe()
+        max_residual=(apply_map(f, iso.companion) - mapped.companion).max_abs(problem.keep)
     )
 
 
@@ -457,16 +434,15 @@ class QuonClosedFormReport:
     window_dim: int
 
 
-def quon_closed_forms(dim: int, q: float, tol: float = 1e-11) -> QuonClosedFormReport:
-    """Check the deformed-ladder closed forms entrywise on the window.
+def quon_closed_forms(dim: int, q: float) -> QuonClosedFormReport:
+    """Deviations of the deformed-ladder operators from their closed forms.
 
     With ``a`` the deformed lowering operator, ``h = a+ a`` and ``x = (a+)^2``:
 
         N1 = q^3 h^2 + q (1 + 2q) h + (1 + q) 1
         N1^-1 (x+ h x) = (1 + q) 1 + q^2 h
 
-    Raises ``ClosedFormMismatchError`` beyond ``tol``, reporting the worst
-    deviation.
+    Each deviation is the worst entry on the window.
     """
     a = quon_ladder(dim, q)
     ad = a.adjoint()
@@ -477,17 +453,10 @@ def quon_closed_forms(dim: int, q: float, tol: float = 1e-11) -> QuonClosedFormR
     n1_closed = q**3 * (num * num) + q * (1 + 2 * q) * num + (1 + q)
     h_closed = (1 + q) + q**2 * num
     keep = problem.keep
-    n1_dev = max_abs((result.n1.blocks[0] - n1_closed)[:keep])
-    h_dev = max_abs((result.companion.blocks[0] - h_closed)[:keep])
-    for name, dev in (("N1", n1_dev), ("companion", h_dev)):
-        if dev > tol:
-            raise ClosedFormMismatchError(
-                f"{name} deviates from its closed form by {dev:.3e} > {tol:.1e} at q={q}"
-            )
     return QuonClosedFormReport(
         q=q,
-        n1_deviation=float(n1_dev),
-        companion_deviation=float(h_dev),
+        n1_deviation=max_abs((result.n1.blocks[0] - n1_closed)[:keep]),
+        companion_deviation=max_abs((result.companion.blocks[0] - h_closed)[:keep]),
         window_dim=keep,
     )
 

@@ -22,7 +22,7 @@ from .errors import (
     RegimeError,
     TailTooLargeError,
 )
-from .hilbert import BlockOperator, SectorSpace, SusyVector, window_levels
+from .hilbert import WINDOW_BUFFER, BlockOperator, SectorSpace, SusyVector, window_levels
 from .spectra import ShiftedSequence, radius_estimate, require_disjoint, shift
 
 __all__ = [
@@ -34,14 +34,10 @@ __all__ = [
     "action_identity_residual",
     "temporal_stability_residual",
     "eigenstate_residual",
-    "TAIL_TOLERANCE",
 ]
 
-#: states whose truncated-mass bound exceeds this are rejected outright
-TAIL_TOLERANCE = 1e-10
-
-#: eigenstate residuals exclude this many top levels (ladder degree 1 + buffer 2)
-EIGENSTATE_EXCLUDE_TOP = 3
+#: eigenstate residuals exclude this many top levels: the ladder's degree plus the buffer
+EIGENSTATE_EXCLUDE_TOP = 1 + WINDOW_BUFFER
 
 
 @dataclass(frozen=True)
@@ -93,16 +89,14 @@ def _series_terms(shifted: ShiftedSequence, j_value: float) -> np.ndarray:
     return np.concatenate(([1.0], np.cumprod(j_value / shifted.values[1:])))
 
 
-def series_norm(
-    shifted: ShiftedSequence, j_value: float, tail_tol: float | None = TAIL_TOLERANCE
-):
+def series_norm(shifted: ShiftedSequence, j_value: float):
     """Partial sum of ``sum_k J^k / e~[k]!`` with an explicit tail bound.
 
     The tail is bounded geometrically through the last term ratio
-    ``r = J / e~[D-1]`` (valid because the shifted values increase).  Raises
-    ``OutOfDiscError`` when J reaches the estimated convergence radius of a
-    bounded-looking sequence, and ``TailTooLargeError`` when no tail bound
-    below ``tail_tol`` can be certified at this truncation.
+    ``r = J / e~[D-1]`` (valid because the shifted values increase); the
+    bound is returned, not judged.  Raises ``OutOfDiscError`` when J reaches
+    the estimated convergence radius of a bounded-looking sequence, and
+    ``TailTooLargeError`` when ``r >= 1``, where no geometric bound exists.
     """
     if j_value < 0:
         raise OutOfDiscError(f"intensity must be nonnegative, got {j_value}")
@@ -122,12 +116,7 @@ def series_norm(
             f"no geometric tail control: J={j_value} >= top shifted level "
             f"{shifted.values[-1]:.6g}; increase the truncation"
         )
-    tail = float(terms[-1] * ratio / (1.0 - ratio))
-    if tail_tol is not None and tail > tail_tol:
-        raise TailTooLargeError(
-            f"series tail bound {tail:.3e} exceeds tolerance {tail_tol:.1e}"
-        )
-    return value, tail
+    return value, float(terms[-1] * ratio / (1.0 - ratio))
 
 
 def _common_dim(seqs) -> int:
@@ -151,11 +140,11 @@ def _coefficients(seqs, shifted, params, phase_signs, norm_const) -> np.ndarray:
     return np.concatenate(blocks) / np.sqrt(norm_const)
 
 
-def _assemble(seqs, shifted, params, phase_signs, regime, tail_tol):
+def _assemble(seqs, shifted, params, phase_signs, regime):
     """Shared state assembly for the two families: series norms, tail bound
     and coefficients."""
     space = SectorSpace(len(seqs), _common_dim(seqs))
-    norms = [series_norm(sh, j, tail_tol=tail_tol) for sh, j in zip(shifted, params.intensities)]
+    norms = [series_norm(sh, j) for sh, j in zip(shifted, params.intensities)]
     values, tails = zip(*norms)
     norm_const = float(sum(values))
     return CoherentState(
@@ -170,9 +159,7 @@ def _assemble(seqs, shifted, params, phase_signs, regime, tail_tol):
     )
 
 
-def delta_family_state(
-    seqs, params: VcsParams, tail_tol: float = TAIL_TOLERANCE
-) -> CoherentState:
+def delta_family_state(seqs, params: VcsParams) -> CoherentState:
     """Coherent state of the delta-regularized two-sector family.
 
     Requires two spectra with ground level exactly zero and ``delta > 0``.
@@ -197,14 +184,10 @@ def delta_family_state(
                 "delta-family spectra must start at zero"
             )
     shifted = [shift(s) for s in seqs]
-    return _assemble(seqs, shifted, params, (-1.0, +1.0), "delta-family", tail_tol)
+    return _assemble(seqs, shifted, params, (-1.0, +1.0), "delta-family")
 
 
-def eds_family_state(
-    seqs,
-    params: VcsParams,
-    tail_tol: float = TAIL_TOLERANCE,
-) -> CoherentState:
+def eds_family_state(seqs, params: VcsParams) -> CoherentState:
     """Coherent state of the shift-based family (no regulator).
 
     For two or more sectors the spectra must have strictly positive ground
@@ -233,7 +216,7 @@ def eds_family_state(
     shifted = [shift(s) for s in seqs]
     signs = (-1.0,) * len(seqs)
     params = VcsParams(params.intensities, params.gamma, 0.0)
-    return _assemble(seqs, shifted, params, signs, "eds-family", tail_tol)
+    return _assemble(seqs, shifted, params, signs, "eds-family")
 
 
 def action_identity_residual(state: CoherentState, hamiltonian: BlockOperator) -> float:

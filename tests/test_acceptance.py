@@ -60,7 +60,7 @@ def test_criterion_2_quon_closed_forms():
     dim, tol = 60, 1e-11
     deviations = []
     for q in (0.3, 0.5, 0.9):
-        report = intertwine.quon_closed_forms(dim, q, tol=tol)
+        report = intertwine.quon_closed_forms(dim, q)
         deviations += [report.n1_deviation, report.companion_deviation]
 
     # q = 1 limit: the deformed ladder coincides with the plain one and the
@@ -68,7 +68,7 @@ def test_criterion_2_quon_closed_forms():
     a_limit = hilbert.quon_ladder(dim, 1.0).matrix
     a_plain = hilbert.boson_ladder(dim).matrix
     ladder_gap = max_abs(a_limit - a_plain)
-    limit = intertwine.quon_closed_forms(dim, 1.0, tol=tol)
+    limit = intertwine.quon_closed_forms(dim, 1.0)
     deviations += [ladder_gap, limit.n1_deviation, limit.companion_deviation]
     worst = float(np.max(deviations))
 

@@ -77,9 +77,13 @@ class TestSeriesNorm:
             vcs.series_norm(shifted, 2.5)
 
     def test_tail_too_large_near_disc_edge(self):
+        # the bound is returned for the caller to judge; only J at or above
+        # the top shifted level, where no geometric bound exists, raises
         shifted = spectra.shift(spectra.quon_sequence(50, 0.5))
-        with pytest.raises(errors.TailTooLargeError):
-            vcs.series_norm(shifted, 1.9)
+        _, tail = vcs.series_norm(shifted, 1.9)
+        assert tail > 1e-10
+        with pytest.raises(errors.TailTooLargeError, match="no geometric tail control"):
+            vcs.series_norm(spectra.shift(spectra.linear_sequence(10)), 9.0)
 
     def test_negative_intensity(self):
         shifted = spectra.shift(spectra.linear_sequence(10))
