@@ -29,7 +29,9 @@ from .hilbert import (
     GridSpec,
     basis_vector,
     lowering_operator,
+    lowering_weights,
     delta_lowering_operator,
+    delta_lowering_weights,
     boson_ladder,
     quon_ladder,
     grid_ladder,
@@ -38,19 +40,28 @@ from .hilbert import (
 )
 from .vcs import (
     VcsParams,
+    CoherentFamily,
+    CoherentStates,
     CoherentState,
     series_norm,
+    delta_family,
+    eds_family,
     delta_family_state,
     eds_family_state,
+    action_identity_residuals,
     action_identity_residual,
+    temporal_stability_residuals,
     temporal_stability_residual,
+    eigenstate_residuals,
     eigenstate_residual,
 )
 from .moments import (
     MomentWeight,
     QuadratureSpec,
     verify_moments,
+    resolution_assembly,
     resolution_check,
+    cross_entry,
     delta_zero_failure,
     cesaro_phase_average,
 )

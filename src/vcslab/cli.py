@@ -1,6 +1,6 @@
 """Command-line front end.
 
-    vcslab run <config-or-bundled-name> [--out DIR] [--seed N] [--jobs N]
+    vcslab run <config-or-bundled-name> [--out DIR] [--seed N]
     vcslab list
 
 ``run`` accepts either a YAML config path or the name of a bundled
@@ -46,7 +46,7 @@ def _report_stem(config: ExperimentConfig) -> str:
 def _cmd_run(args) -> int:
     try:
         config = _resolve(args.config)
-        report, tables = run_experiment(config, seed=args.seed, jobs=args.jobs)
+        report, tables = run_experiment(config, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -84,16 +84,12 @@ def main(argv=None) -> int:
     run_parser.add_argument("config", help="YAML config path or bundled experiment name")
     run_parser.add_argument("--out", help="output directory (default: config output or ./reports)")
     run_parser.add_argument("--seed", type=int, help="override the config's random seed")
-    run_parser.add_argument("--jobs", type=int, default=1, help="worker threads for sample sweeps")
     run_parser.set_defaults(func=_cmd_run)
 
     list_parser = sub.add_parser("list", help="list bundled experiment configs")
     list_parser.set_defaults(func=_cmd_list)
 
     args = parser.parse_args(argv)
-    if args.command == "run" and args.jobs < 1:
-        print("config error: --jobs must be >= 1", file=sys.stderr)
-        return 2
     return args.func(args)
 
 

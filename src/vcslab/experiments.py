@@ -9,8 +9,8 @@ config (overridable from the command line), so reports are reproducible.
 from __future__ import annotations
 
 import datetime
+import functools
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -20,8 +20,9 @@ from .hilbert import (
     GridSpec,
     boson_ladder,
     BlockOperator,
-    delta_lowering_operator,
+    delta_lowering_weights,
     lowering_operator,
+    lowering_weights,
     max_abs,
     quon_ladder,
     shifted_hamiltonian,
@@ -42,19 +43,26 @@ from .intertwine import (
     projection_identity_check,
     quon_closed_forms,
 )
-from .moments import MomentWeight, QuadratureSpec, delta_zero_failure, resolution_check
+from .moments import MomentWeight, cross_entry, resolution_assembly
 from .reporting import CheckRecord, VerificationReport
 from .spectra import shift
 from .vcs import (
     VcsParams,
-    action_identity_residual,
-    delta_family_state,
+    action_identity_residuals,
+    delta_family,
+    eds_family,
     eds_family_state,
     eigenstate_residual,
-    temporal_stability_residual,
+    eigenstate_residuals,
+    temporal_stability_residuals,
 )
 
 __all__ = ["run_experiment"]
+
+
+#: coefficients per block of vcs-verify draws: the arrays of one block stay
+#: small heap allocations, and memory does not grow with ``n_samples``
+_VCS_BLOCK = 4096
 
 
 def _worst(values) -> float:
@@ -70,58 +78,44 @@ def _bracket(name: str, anchor: str, value: float, low: float, high: float) -> l
     ]
 
 
-def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
+def _run_vcs_verify(config: ExperimentConfig, seed: int):
     tol = config.tolerances
     params = config.params
     seqs = config.spectra
 
-    if params.family == "eds":
-        hamiltonian = shifted_hamiltonian(seqs)
-        shifted = [shift(s) for s in seqs]
-
-        def lowering(gamma):
-            return lowering_operator(shifted, gamma)
-
-        def build(p):
-            return eds_family_state(seqs, p)
-
-    else:
-        hamiltonian = susy_hamiltonian(seqs)
-
-        def lowering(gamma):
-            return delta_lowering_operator(seqs, gamma)
-
-        def build(p):
-            return delta_family_state(seqs, p)
-
+    # one draw per row: the intensities of every sector, then gamma
     rng = np.random.default_rng(seed)
-    draws = [
-        VcsParams(
-            tuple(rng.uniform(0.0, jm) for jm in params.j_max),
-            rng.uniform(-params.gamma_max, params.gamma_max),
-            params.delta if params.family == "delta" else 0.0,
-        )
-        for _ in range(params.n_samples)
-    ]
+    low = [0.0] * len(params.j_max) + [-params.gamma_max]
+    high = [*params.j_max, params.gamma_max]
+    draws = rng.uniform(low, high, size=(params.n_samples, len(high)))
+    intensities, gammas = draws[:, :-1], draws[:, -1]
 
-    def one_sample(p):
-        state = build(p)
-        residuals = {
-            "tail": state.tail_bound,
-            "action": action_identity_residual(state, hamiltonian),
-            "eigenstate": eigenstate_residual(state, lowering(p.gamma)),
+    if params.family == "eds":
+        family = eds_family(seqs)
+        hamiltonian = shifted_hamiltonian(seqs)
+        lowering = functools.partial(lowering_weights, family.shifted)
+    else:
+        family = delta_family(seqs, params.delta)
+        hamiltonian = susy_hamiltonian(seqs)
+        lowering = functools.partial(delta_lowering_weights, seqs)
+
+    def block_residuals(block):
+        states = family.states(intensities[block], gammas[block])
+        out = {
+            "tail": states.tail_bound,
+            "action": action_identity_residuals(states, hamiltonian),
+            "eigenstate": eigenstate_residuals(states, lowering(states.gammas)),
         }
         for t in params.times:
-            residuals[f"stability[t={t:g}]"] = temporal_stability_residual(state, t)
-        return residuals
+            out[f"stability[t={t:g}]"] = temporal_stability_residuals(states, t)
+        return out
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_sample, draws))
-    else:
-        results = [one_sample(p) for p in draws]
-
-    worst = {key: _worst([r[key] for r in results]) for key in results[0]}
+    per_block = max(1, _VCS_BLOCK // family.space.total_dim)
+    blocks = [
+        block_residuals(slice(start, start + per_block))
+        for start in range(0, params.n_samples, per_block)
+    ]
+    worst = {key: _worst(np.concatenate([b[key] for b in blocks])) for key in blocks[0]}
     witness = params.witness
     if witness is not None:
         # the witness is a built state too: its tail bound joins the samples'
@@ -164,7 +158,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int, jobs: int):
     return checks, {}
 
 
-def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
+def _run_resolution(config: ExperimentConfig, seed: int):
     tol = config.tolerances
     params = config.params
     horizons = sorted(params.horizons)
@@ -176,14 +170,12 @@ def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
     if params.family == "delta" and params.delta == 0.0:
         # regulator-failure demonstration: the ground-ground cross entry
         # survives the phase average and is horizon independent
+        entry = cross_entry(seqs, weights, params.n_nodes, params.k_check)
         mags = {}
         probe_mags = {}
         for horizon in (horizons[0], horizons[-1]):
-            quad = QuadratureSpec(params.n_nodes, horizon, k_check=params.k_check)
-            mags[horizon] = delta_zero_failure(seqs, weights, quad).magnitude
-            probe_mags[horizon] = delta_zero_failure(
-                seqs, weights, quad, delta=params.delta_probe
-            ).magnitude
+            mags[horizon] = entry.report(horizon).magnitude
+            probe_mags[horizon] = entry.report(horizon, delta=params.delta_probe).magnitude
         checks.append(
             CheckRecord(
                 "cross-entry-magnitude",
@@ -207,16 +199,17 @@ def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
         )
         return checks, tables
 
-    diag_errors, offdiag_errors, moment_errors, hermiticity_defects = [], [], [], []
-    for horizon in horizons:
-        quad = QuadratureSpec(params.n_nodes, horizon, k_check=params.k_check)
-        report = resolution_check(params.family, seqs, weights, quad, delta=params.delta)
-        diag_errors.append(report.diag_error)
-        offdiag_errors.append(report.offdiag_error)
-        moment_errors.extend(report.moment_errors)
-        hermiticity_defects.append(report.hermiticity_defect)
+    assembly = resolution_assembly(
+        params.family, seqs, weights, params.n_nodes, params.k_check, params.delta
+    )
+    reports = [assembly.report(horizon) for horizon in horizons]
+    diag_errors = [r.diag_error for r in reports]
+    offdiag_errors = [r.offdiag_error for r in reports]
+    hermiticity_defects = [r.hermiticity_defect for r in reports]
     checks.append(
-        CheckRecord("moment-verification", "moment-weights", _worst(moment_errors), tol["moment"])
+        CheckRecord(
+            "moment-verification", "moment-weights", _worst(assembly.moment_errors), tol["moment"]
+        )
     )
     checks.append(
         CheckRecord(
@@ -247,7 +240,7 @@ def _run_resolution(config: ExperimentConfig, seed: int, jobs: int):
     return checks, tables
 
 
-def _run_intertwine_example(config: ExperimentConfig, seed: int, jobs: int):
+def _run_intertwine_example(config: ExperimentConfig, seed: int):
     tol = config.tolerances
     gammas = config.params.gammas
     seqs = config.spectra
@@ -288,7 +281,7 @@ def _ladder_problem(a: BlockOperator) -> IntertwiningProblem:
     return IntertwiningProblem(h=ad @ a, x=ad @ ad, ladder_degree=2)
 
 
-def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
+def _run_nonisospectral(config: ExperimentConfig, seed: int):
     tol = config.tolerances["closed_form"]
     dim = config.dim
     checks = []
@@ -350,7 +343,7 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int, jobs: int):
     return checks, {}
 
 
-def _run_map_equality_probe(config: ExperimentConfig, seed: int, jobs: int):
+def _run_map_equality_probe(config: ExperimentConfig, seed: int):
     tol = config.tolerances
     dim = config.dim
     checks = []
@@ -412,7 +405,7 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int, jobs: int):
     return checks, {}
 
 
-def _run_susy_grid(config: ExperimentConfig, seed: int, jobs: int):
+def _run_susy_grid(config: ExperimentConfig, seed: int):
     tol = config.tolerances
     params = config.params
     lo, hi = params.domain
@@ -468,10 +461,12 @@ def run_experiment(
     """Execute one experiment; returns (report, tables).
 
     ``tables`` maps file names to delimited-text contents for plotting.
+    ``jobs`` is accepted and ignored, because ``perfbench/run.py`` passes
+    ``jobs=1``: every kind runs in one thread.
     """
     effective_seed = config.seed if seed is None else int(seed)
     start = time.perf_counter()
-    checks, tables = _RUNNERS[config.kind](config, effective_seed, max(1, int(jobs)))
+    checks, tables = _RUNNERS[config.kind](config, effective_seed)
     report = VerificationReport(
         title=config.title,
         kind=config.kind,

@@ -31,13 +31,16 @@ __all__ = [
     "GridSpec",
     "basis_vector",
     "lowering_operator",
+    "lowering_weights",
     "delta_lowering_operator",
+    "delta_lowering_weights",
     "boson_ladder",
     "quon_ladder",
     "grid_ladder",
     "susy_hamiltonian",
     "shifted_hamiltonian",
     "window_levels",
+    "weighted_shift",
     "max_abs",
 ]
 
@@ -109,6 +112,23 @@ def _source_range(dim: int, offset: int) -> tuple:
     return max(0, -offset), dim - max(0, offset)
 
 
+def weighted_shift(weights: np.ndarray, offset: int, data: np.ndarray) -> np.ndarray:
+    """Weighted shifts applied along the last axis of ``data``, as complex.
+
+    Level ``n`` goes to ``n + offset`` with weight ``weights[..., n - lo]``,
+    ``[lo, hi)`` being the source levels the shift keeps; the other levels of
+    the result are zero.  Leading axes broadcast, so one call applies the
+    sector blocks of a :class:`BlockOperator` (``weights`` of shape
+    ``(N, D - |offset|)``) to ``N x D`` sector blocks, or a stack of ``S``
+    operators to a stack of ``S`` states.
+    """
+    lo, hi = _source_range(data.shape[-1], offset)
+    shape = np.broadcast_shapes(weights.shape[:-1], data.shape[:-1]) + data.shape[-1:]
+    out = np.zeros(shape, dtype=complex)
+    np.multiply(weights, data[..., lo:hi], out=out[..., lo + offset : hi + offset])
+    return out
+
+
 @dataclass(frozen=True)
 class BlockOperator:
     """Block-diagonal operator on the sector space whose every block is a
@@ -164,11 +184,8 @@ class BlockOperator:
     def apply(self, vec: SusyVector) -> SusyVector:
         if vec.space != self.space:
             raise DimensionMismatchError("operator and vector spaces differ")
-        k = self.offset
-        lo, hi = _source_range(self.space.dim, k)
-        out = np.zeros((self.space.sectors, self.space.dim), dtype=complex)
-        out[:, lo + k : hi + k] = self.blocks * vec.data.reshape(out.shape)[:, lo:hi]
-        return SusyVector(self.space, out.ravel())
+        blocks = vec.data.reshape(self.space.sectors, self.space.dim)
+        return SusyVector(self.space, weighted_shift(self.blocks, self.offset, blocks).ravel())
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         """``self @ other``: level ``n`` goes to ``n + b`` under ``other`` and on
@@ -324,14 +341,23 @@ def lowering_operator(seqs, gamma: float) -> BlockOperator:
     gamma : float
         Phase parameter shared by all sectors.
     """
+    return BlockOperator(lowering_weights(seqs, [gamma])[0], -1)
+
+
+def lowering_weights(seqs, gammas) -> np.ndarray:
+    """The sector blocks of :func:`lowering_operator` at every phase in ``gammas``.
+
+    Returns an ``(S, N, D-1)`` array whose row ``s`` holds the blocks of
+    ``lowering_operator(seqs, gammas[s])`` (offset ``-1``), built in one pass.
+    """
     if not seqs:
         raise LengthMismatchError("need at least one sector sequence")
     dims = {s.dim for s in seqs}
     if len(dims) != 1:
         raise LengthMismatchError(f"sector truncations differ: {sorted(dims)}")
-    return BlockOperator(
-        [np.sqrt(s.values[1:]) * np.exp(1j * np.diff(s.values) * gamma) for s in seqs], -1
-    )
+    values = np.array([s.values for s in seqs])
+    gammas = np.asarray(gammas, dtype=float)[:, None, None]
+    return np.sqrt(values[:, 1:]) * np.exp(1j * np.diff(values, axis=1) * gammas)
 
 
 def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
@@ -342,6 +368,12 @@ def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
     genuinely different operator from :func:`lowering_operator` whenever
     ``gamma != 0``.
     """
+    return BlockOperator(delta_lowering_weights(seqs, [gamma])[0], -1)
+
+
+def delta_lowering_weights(seqs, gammas) -> np.ndarray:
+    """The sector blocks of :func:`delta_lowering_operator` at every phase in
+    ``gammas``, as an ``(S, 2, D-1)`` array (see :func:`lowering_weights`)."""
     if len(seqs) != 2:
         raise LengthMismatchError(f"this family is two-sector, got {len(seqs)}")
     for j, s in enumerate(seqs):
@@ -354,8 +386,9 @@ def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
             )
     # zero grounds: the values are their own shifts; the second sector's
     # phases are those of the same-sign family conjugated
-    same_sign = lowering_operator(seqs, gamma).blocks
-    return BlockOperator([same_sign[0], same_sign[1].conj()], -1)
+    weights = lowering_weights(seqs, gammas)
+    weights[:, 1] = weights[:, 1].conj()
+    return weights
 
 
 def boson_ladder(dim: int) -> BlockOperator:

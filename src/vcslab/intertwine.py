@@ -143,23 +143,6 @@ class Certificate:
     gamma_residual: float
     skipped_levels: tuple = ()
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.alpha_residual <= ALPHA_TOL
-            and self.beta_residual <= BETA_TOL
-            and self.gamma_residual <= GAMMA_TOL
-        )
-
-    def to_record(self) -> dict:
-        return {
-            "alpha_residual": self.alpha_residual,
-            "beta_residual": self.beta_residual,
-            "gamma_residual": self.gamma_residual,
-            "skipped_levels": list(self.skipped_levels),
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
 class IntertwiningResult:
@@ -172,20 +155,6 @@ class IntertwiningResult:
     certificate: Certificate
     dropped_modes: int = 0
     spectral_map: SpectralMap | None = field(default=None)
-
-    def to_record(self) -> dict:
-        """Serializable record: problem descriptor plus the certificate."""
-        return {
-            "problem": {
-                "label": self.problem.label,
-                "sectors": self.problem.h.space.sectors,
-                "dim": self.problem.h.space.dim,
-                "ladder_degree": self.problem.ladder_degree,
-                "spectral_map": None if self.spectral_map is None else self.spectral_map.describe(),
-                "dropped_modes": self.dropped_modes,
-            },
-            "certificate": self.certificate.to_record(),
-        }
 
 
 def _diagonal(op: BlockOperator, name: str) -> np.ndarray:

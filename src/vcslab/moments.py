@@ -9,6 +9,13 @@ normalization of the state, the assembled operator factorizes exactly into
 per-sector half-integer moments times one phase-average factor per entry
 pair; the assembly below evaluates that factorization (it is the same finite
 sum as the literal tensor-product quadrature, reorganized).
+
+Only the phase average depends on the horizon.  A run therefore computes the
+Gauss-Laguerre rule, the moment verification and the half-moments once
+(:func:`resolution_assembly`, or :func:`cross_entry` for the zero-regulator
+entry) and applies the phase average of each horizon to that (``report``).
+:func:`resolution_check` and :func:`delta_zero_failure` do both for one
+horizon.
 """
 
 from __future__ import annotations
@@ -30,9 +37,13 @@ __all__ = [
     "MomentWeight",
     "QuadratureSpec",
     "ResolutionReport",
+    "ResolutionAssembly",
     "CrossEntryReport",
+    "CrossEntry",
     "verify_moments",
+    "resolution_assembly",
     "resolution_check",
+    "cross_entry",
     "delta_zero_failure",
     "cesaro_phase_average",
 ]
@@ -72,15 +83,17 @@ class MomentWeight:
         rho.setflags(write=False)
         return cls(kind="tabulated", u=u, rho=rho)
 
-    def quadrature(self, n_nodes: int):
+    def quadrature(self, rule: tuple):
         """Nodes and weights such that ``sum w_k f(x_k) ~ int rho(u) f(u) du``.
 
-        The exponential family maps Gauss-Laguerre onto itself (nodes scaled
-        by omega), exact for polynomial f up to degree ``2 n_nodes - 1``.
-        Tabulated weights use their own samples with trapezoid weights.
+        ``rule`` is the Gauss-Laguerre rule ``laggauss(n_nodes)`` of the
+        weight ``exp(-x)``, so one rule serves every weight of a run.  The
+        exponential family maps it onto itself (nodes scaled by omega), exact
+        for polynomial f up to degree ``2 n_nodes - 1``.  Tabulated weights
+        use their own samples with trapezoid weights instead.
         """
         if self.kind == "gamma":
-            x, w = laggauss(n_nodes)
+            x, w = rule
             return self.omega * x, w
         du = np.diff(self.u)
         w = np.zeros_like(self.u)
@@ -110,14 +123,17 @@ class QuadratureSpec:
     gamma_step: float | None = None
     k_check: int | None = None
 
-    def resolved_k_check(self, dim: int) -> int:
-        k = dim - 1 if self.k_check is None else self.k_check
-        if self.n_nodes < k / 2 + 1:
-            raise ConfigError(
-                f"{self.n_nodes} nodes cannot verify moments to order {k}; "
-                f"need at least {math.ceil(k / 2 + 1)}"
-            )
-        return k
+
+def _resolved_k_check(n_nodes: int, k_check: int | None, dim: int) -> int:
+    """The moment order to check (``None`` means the full truncation); the
+    rule must have enough nodes to be exact to that order."""
+    k = dim - 1 if k_check is None else k_check
+    if n_nodes < k / 2 + 1:
+        raise ConfigError(
+            f"{n_nodes} nodes cannot verify moments to order {k}; "
+            f"need at least {math.ceil(k / 2 + 1)}"
+        )
+    return k
 
 
 def _tabulated_coverage_ok(weight: MomentWeight, order: int, moment: float) -> bool:
@@ -138,6 +154,13 @@ def verify_moments(weight: MomentWeight, seq, k_max: int, n_nodes: int | None = 
     product or a moment that overflows the float range raises
     ``UnverifiableWeightError``; for a moment, it names the order.
     """
+    if n_nodes is None:
+        n_nodes = max(40, math.ceil(k_max / 2 + 1))
+    return _moment_errors(weight, seq, k_max, weight.quadrature(laggauss(n_nodes)))
+
+
+def _moment_errors(weight: MomentWeight, seq, k_max: int, quadrature) -> np.ndarray:
+    """:func:`verify_moments` with the weight's nodes and weights given."""
     shifted = shift(seq) if isinstance(seq, SpectralSequence) else seq
     if k_max > shifted.dim - 1:
         raise ConfigError(f"k_max {k_max} exceeds truncation {shifted.dim - 1}")
@@ -147,15 +170,13 @@ def verify_moments(weight: MomentWeight, seq, k_max: int, n_nodes: int | None = 
             "factorial products overflow the float range at this order; "
             "reduce k_max or the truncation"
         )
-    if n_nodes is None:
-        n_nodes = max(40, math.ceil(k_max / 2 + 1))
-    nodes, weights = weight.quadrature(n_nodes)
+    nodes, weights = quadrature
     with np.errstate(over="ignore"):
         moments = weights @ (nodes[:, None] ** np.arange(k_max + 1)[None, :])
     overflowing = np.flatnonzero(~np.isfinite(moments))
     if overflowing.size:
         raise UnverifiableWeightError(
-            f"the quadrature moment of order {overflowing[0]} ({n_nodes} nodes) overflows "
+            f"the quadrature moment of order {overflowing[0]} ({len(nodes)} nodes) overflows "
             "the float range: a limit of linear-domain moments, not a fault in the weight"
         )
     if weight.kind == "tabulated":
@@ -229,23 +250,29 @@ def _phase_frequencies(family: str, seqs, delta: float) -> np.ndarray:
     return np.concatenate([sg * (s.values + delta) for sg, s in zip(signs, seqs)])
 
 
-def _phase_step(freqs, quad: QuadratureSpec) -> tuple:
-    """``quad.gamma_step`` (default ``pi / (8 * fastest frequency)``) and its panel count."""
+def _phase_step(freqs, gamma_horizon: float, gamma_step: float | None) -> tuple:
+    """``gamma_step`` (default ``pi / (8 * fastest frequency)``) and its panel count."""
     fastest = max(float(np.abs(freqs).max()), 1e-9)
-    step = quad.gamma_step if quad.gamma_step is not None else np.pi / (8.0 * fastest)
-    return step, max(16, math.ceil(2.0 * quad.gamma_horizon / step))
+    step = gamma_step if gamma_step is not None else np.pi / (8.0 * fastest)
+    return step, max(16, math.ceil(2.0 * gamma_horizon / step))
 
 
-def _assemble_identity(family, seqs, weights, quad, delta):
-    """Factorized quadrature assembly of ``int |psi><psi| d nu``."""
+def _run_quadratures(weights, n_nodes: int) -> list:
+    """Every weight's nodes and weights from one Gauss-Laguerre rule."""
+    rule = laggauss(n_nodes)
+    return [w.quadrature(rule) for w in weights]
+
+
+def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
+    """The factorized assembly of ``int |psi><psi| d nu`` before the phase
+    average: ``g[p, q] / sqrt(e~[n]! e~[m]!)``, with ``g`` the products of
+    per-sector half-integer moments."""
     dim = seqs[0].dim
     n = len(seqs)
-    k_check = quad.resolved_k_check(dim)
 
     # per-sector half-integer moments hm[t] = int rho(u) u^(t/2) du
     half_moments = []
-    for w in weights:
-        nodes, wq = w.quadrature(quad.n_nodes)
+    for nodes, wq in quadratures:
         powers = nodes[:, None] ** (0.5 * np.arange(2 * dim - 1)[None, :])
         half_moments.append(wq @ powers)
     zeros = np.array([hm[0] for hm in half_moments])
@@ -269,26 +296,66 @@ def _assemble_identity(family, seqs, weights, quad, delta):
                 g[rows, cols] = np.outer(half_moments[a][idx], half_moments[b][idx]) * (
                     zero_product / (zeros[a] * zeros[b])
                 )
-
-    freqs = _phase_frequencies(family, seqs, delta)
-    theta = freqs[:, None] - freqs[None, :]
-    step, m = _phase_step(freqs, quad)
-    phase = cesaro_phase_average(theta, quad.gamma_horizon, step)
-
-    identity_candidate = g * np.outer(inv_sqrt_fact, inv_sqrt_fact) * phase
-    realized_step = 2.0 * quad.gamma_horizon / m
-    return identity_candidate, k_check, realized_step, m
+    return g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
 
 
-def resolution_check(
-    family: str,
-    seqs,
-    weights,
-    quad: QuadratureSpec = QuadratureSpec(),
-    delta: float = 0.0,
-    keep_matrix: bool = False,
-) -> ResolutionReport:
-    """Assemble the identity candidate and report its deviations.
+@dataclass(frozen=True, eq=False)
+class ResolutionAssembly:
+    """The horizon-independent part of a resolution check, built once per
+    run by :func:`resolution_assembly`: the worst relative moment error of
+    each sector, and the assembled candidate before its phase average.
+    ``window`` marks the levels whose moments were checked.  :meth:`report`
+    applies the phase average of one horizon."""
+
+    family: str
+    n_nodes: int
+    k_check: int
+    moment_errors: tuple
+    window: np.ndarray = field(repr=False)
+    freqs: np.ndarray = field(repr=False)
+    phase_free: np.ndarray = field(repr=False)
+
+    def report(
+        self, gamma_horizon: float, gamma_step: float | None = None, keep_matrix: bool = False
+    ) -> ResolutionReport:
+        """Multiply in the phase average over ``[-gamma_horizon, gamma_horizon]``
+        and report the candidate's deviations from the identity."""
+        theta = self.freqs[:, None] - self.freqs[None, :]
+        step, m = _phase_step(self.freqs, gamma_horizon, gamma_step)
+        candidate = self.phase_free * cesaro_phase_average(theta, gamma_horizon, step)
+        full = candidate - np.eye(candidate.shape[0])
+        sub = full[np.ix_(self.window, self.window)]
+
+        def split(dev):
+            diag = float(np.abs(np.diag(dev)).max())
+            off = dev - np.diag(np.diag(dev))
+            return diag, float(np.abs(off).max())
+
+        diag_err, offdiag_err = split(sub)
+        full_diag, full_offdiag = split(full)
+        return ResolutionReport(
+            family=self.family,
+            gamma_horizon=gamma_horizon,
+            gamma_step=2.0 * gamma_horizon / m,
+            n_samples=m + 1,
+            n_nodes=self.n_nodes,
+            k_check=self.k_check,
+            diag_error=diag_err,
+            offdiag_error=offdiag_err,
+            full_diag_error=full_diag,
+            full_offdiag_error=full_offdiag,
+            hermiticity_defect=float(np.abs(candidate - candidate.T.conj()).max()),
+            cesaro_coefficient=offdiag_err * gamma_horizon,
+            moment_errors=self.moment_errors,
+            matrix=candidate if keep_matrix else None,
+        )
+
+
+def resolution_assembly(
+    family: str, seqs, weights, n_nodes: int = 40, k_check: int | None = None, delta: float = 0.0
+) -> ResolutionAssembly:
+    """Check the weights' moments to order ``k_check`` and assemble the
+    candidate up to its phase average, from one ``n_nodes``-point rule.
 
     ``family`` is ``"eds"`` (shift family; spectra must be pairwise disjoint,
     delta ignored) or ``"delta"`` (two zero-ground spectra with ``delta > 0``;
@@ -311,43 +378,37 @@ def resolution_check(
     else:
         raise ConfigError(f"unknown family {family!r}")
 
-    k_check = quad.resolved_k_check(dim)
+    k_check = _resolved_k_check(n_nodes, k_check, dim)
+    quadratures = _run_quadratures(weights, n_nodes)
     moment_errors = tuple(
-        float(verify_moments(w, s, k_check, n_nodes=quad.n_nodes).max())
-        for w, s in zip(weights, seqs)
+        float(_moment_errors(w, s, k_check, q).max())
+        for w, s, q in zip(weights, seqs, quadratures)
     )
-
-    candidate, k_check, step, m = _assemble_identity(family, seqs, weights, quad, delta)
-    full = candidate - np.eye(candidate.shape[0])
-
-    mask = np.zeros(candidate.shape[0], dtype=bool)
-    for j in range(len(seqs)):
-        mask[j * dim : j * dim + k_check + 1] = True
-    sub = full[np.ix_(mask, mask)]
-
-    def split(dev):
-        diag = float(np.abs(np.diag(dev)).max())
-        off = dev - np.diag(np.diag(dev))
-        return diag, float(np.abs(off).max())
-
-    diag_err, offdiag_err = split(sub)
-    full_diag, full_offdiag = split(full)
-    return ResolutionReport(
+    # the levels whose moments were checked, in every sector
+    window = np.tile(np.arange(dim) <= k_check, len(seqs))
+    return ResolutionAssembly(
         family=family,
-        gamma_horizon=quad.gamma_horizon,
-        gamma_step=step,
-        n_samples=m + 1,
-        n_nodes=quad.n_nodes,
+        n_nodes=n_nodes,
         k_check=k_check,
-        diag_error=diag_err,
-        offdiag_error=offdiag_err,
-        full_diag_error=full_diag,
-        full_offdiag_error=full_offdiag,
-        hermiticity_defect=float(np.abs(candidate - candidate.T.conj()).max()),
-        cesaro_coefficient=offdiag_err * quad.gamma_horizon,
         moment_errors=moment_errors,
-        matrix=candidate if keep_matrix else None,
+        window=window,
+        freqs=_phase_frequencies(family, seqs, delta),
+        phase_free=_phase_free_candidate(seqs, quadratures),
     )
+
+
+def resolution_check(
+    family: str,
+    seqs,
+    weights,
+    quad: QuadratureSpec = QuadratureSpec(),
+    delta: float = 0.0,
+    keep_matrix: bool = False,
+) -> ResolutionReport:
+    """Assemble the identity candidate at one horizon and report its
+    deviations: :func:`resolution_assembly`, then its ``report``."""
+    assembly = resolution_assembly(family, seqs, weights, quad.n_nodes, quad.k_check, delta)
+    return assembly.report(quad.gamma_horizon, quad.gamma_step, keep_matrix)
 
 
 @dataclass(frozen=True)
@@ -367,33 +428,52 @@ class CrossEntryReport:
     gamma_horizon: float
 
 
-def delta_zero_failure(
-    seqs, weights, quad: QuadratureSpec = QuadratureSpec(), delta: float = 0.0
-) -> CrossEntryReport:
-    """The ground-ground cross entry of the delta-family assembly at the given
-    regulator (default zero), with its factorization.
+@dataclass(frozen=True, eq=False)
+class CrossEntry:
+    """The ground-ground cross entry ``[0, dim]`` of the delta-family
+    assembly before its phase average, built once per run by
+    :func:`cross_entry`: the product ``j_integral`` of the two zeroth weight
+    moments.  The rest of the candidate is never formed."""
 
-    Both ground levels are zero, so the entry ``[0, dim]`` of the assembled
-    candidate is the product of the two zeroth weight moments times the
-    phase average at ``theta = -2 delta`` on the assembly's step; the rest
-    of the candidate is never formed.
-    """
+    seqs: tuple
+    j_integral: float
+
+    def report(
+        self, gamma_horizon: float, delta: float = 0.0, gamma_step: float | None = None
+    ) -> CrossEntryReport:
+        """The entry at regulator ``delta``: ``j_integral`` times the phase
+        average at ``theta = -2 delta`` on the assembly's step."""
+        freqs = _phase_frequencies("delta", self.seqs, delta)
+        step, _ = _phase_step(freqs, gamma_horizon, gamma_step)
+        dim = self.seqs[0].dim
+        cesaro = float(cesaro_phase_average(freqs[0] - freqs[dim], gamma_horizon, step))
+        return CrossEntryReport(
+            magnitude=abs(self.j_integral * cesaro),
+            j_integral=self.j_integral,
+            cesaro_factor=cesaro,
+            delta=delta,
+            gamma_horizon=gamma_horizon,
+        )
+
+
+def cross_entry(seqs, weights, n_nodes: int = 40, k_check: int | None = None) -> CrossEntry:
+    """The delta-family cross entry of two zero-ground spectra, from one
+    ``n_nodes``-point rule (held to the node floor the full assembly needs)."""
     if len(seqs) != 2:
         raise ConfigError("the delta family is two-sector")
     for j, s in enumerate(seqs):
         if s.ground != 0.0:
             raise ConfigError(f"sector {j} must start at zero, ground {s.ground}")
-    dim = seqs[0].dim
-    quad.resolved_k_check(dim)  # the node floor the assembly enforces
-    zeros = [float(w.quadrature(quad.n_nodes)[1].sum()) for w in weights]
-    j_integral = zeros[0] * zeros[1]
-    freqs = _phase_frequencies("delta", seqs, delta)
-    step, _ = _phase_step(freqs, quad)
-    cesaro = float(cesaro_phase_average(freqs[0] - freqs[dim], quad.gamma_horizon, step))
-    return CrossEntryReport(
-        magnitude=abs(j_integral * cesaro),
-        j_integral=j_integral,
-        cesaro_factor=cesaro,
-        delta=delta,
-        gamma_horizon=quad.gamma_horizon,
-    )
+    _resolved_k_check(n_nodes, k_check, seqs[0].dim)
+    zeros = [float(wq.sum()) for _, wq in _run_quadratures(weights, n_nodes)]
+    return CrossEntry(tuple(seqs), zeros[0] * zeros[1])
+
+
+def delta_zero_failure(
+    seqs, weights, quad: QuadratureSpec = QuadratureSpec(), delta: float = 0.0
+) -> CrossEntryReport:
+    """The ground-ground cross entry of the delta-family assembly at the given
+    regulator (default zero), with its factorization: :func:`cross_entry`,
+    then its ``report`` at one horizon."""
+    entry = cross_entry(seqs, weights, quad.n_nodes, quad.k_check)
+    return entry.report(quad.gamma_horizon, delta, quad.gamma_step)

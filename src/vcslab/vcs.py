@@ -7,6 +7,14 @@ positive, pairwise disjoint eigenvalues) needs no regulator, uses shifted
 factorial weights, and carries the same phase sign in every sector.  The
 residual checks quantify normalization, the action identity, temporal
 stability and the annihilation-eigenstate relation on the truncated space.
+
+A family (:class:`CoherentFamily`, from :func:`delta_family` or
+:func:`eds_family`) holds what does not depend on the labels: the checked
+spectra, their shifts and the phase signs.  It builds the states of ``S``
+label draws as one :class:`CoherentStates`, with ``S x N x D``
+coefficients, and each ``*_residuals`` function returns one value per
+state in one array pass.  The single-state builders and ``*_residual``
+functions are the ``S = 1`` case of the same code.
 """
 
 from __future__ import annotations
@@ -22,17 +30,31 @@ from .errors import (
     RegimeError,
     TailTooLargeError,
 )
-from .hilbert import WINDOW_BUFFER, BlockOperator, SectorSpace, SusyVector, window_levels
+from .hilbert import (
+    WINDOW_BUFFER,
+    BlockOperator,
+    SectorSpace,
+    SusyVector,
+    weighted_shift,
+    window_levels,
+)
 from .spectra import ShiftedSequence, radius_estimate, require_disjoint, shift
 
 __all__ = [
     "VcsParams",
+    "CoherentFamily",
+    "CoherentStates",
     "CoherentState",
     "series_norm",
+    "delta_family",
+    "eds_family",
     "delta_family_state",
     "eds_family_state",
+    "action_identity_residuals",
     "action_identity_residual",
+    "temporal_stability_residuals",
     "temporal_stability_residual",
+    "eigenstate_residuals",
     "eigenstate_residual",
 ]
 
@@ -56,67 +78,161 @@ class VcsParams:
             raise RegimeError(f"delta must be nonnegative, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class CoherentState:
-    """A built coherent state with its normalization bookkeeping.
+@dataclass(frozen=True, eq=False)
+class CoherentFamily:
+    """The label-independent half of a family: checked spectra, their shifts,
+    the phase sign of each sector and the regulator (zero for the shift
+    family).  Built once by :func:`delta_family` or :func:`eds_family`; the
+    states of any number of labels are then built in one array pass by
+    :meth:`states`."""
 
-    ``norm_const`` is the sum of the per-sector coefficient series (partial
-    sums to the truncation); ``tail_bound`` bounds the squared coefficient
-    mass lost to truncation, so the stored vector has unit norm up to it.
-    ``phase_signs`` holds the sign of each sector's phase ``exp(sign i e[n] gamma)``.
-    """
-
-    vector: SusyVector
-    norm_const: float
-    tail_bound: float
     regime: str
-    params: VcsParams
     seqs: tuple
-    series_values: tuple
+    shifted: tuple
     phase_signs: tuple
+    delta: float = 0.0
+
+    @property
+    def shape(self) -> tuple:
+        """``(N, D)``: sectors and levels per sector."""
+        return len(self.seqs), self.seqs[0].dim
 
     @property
     def space(self) -> SectorSpace:
-        return self.vector.space
+        return SectorSpace(*self.shape)
 
+    def coefficients(self, intensities, gammas, norm_const) -> np.ndarray:
+        """``(S, N, D)`` coefficients of the members with labels ``intensities``
+        (``S x N``) and ``gammas``, divided by ``sqrt(norm_const)``.
 
-def _series_terms(shifted: ShiftedSequence, j_value: float) -> np.ndarray:
-    """Terms J^k / (shifted factorial), computed by stable ratio recursion."""
-    if j_value == 0.0:
-        out = np.zeros(shifted.dim)
-        out[0] = 1.0
+        Phases always use the unshifted eigenvalues (plus the regulator for
+        the delta family); amplitudes always use the shifted factorial terms.
+        """
+        out = np.empty((len(gammas), *self.shape), dtype=complex)
+        for n, (seq, sh, sign) in enumerate(zip(self.seqs, self.shifted, self.phase_signs)):
+            phases = np.exp(sign * 1j * (seq.values + self.delta) * gammas[:, None])
+            np.multiply(np.sqrt(_series_terms(sh, intensities[:, n])), phases, out=out[:, n])
+        out /= np.sqrt(norm_const)[:, None, None]
         return out
-    return np.concatenate(([1.0], np.cumprod(j_value / shifted.values[1:])))
+
+    def states(self, intensities, gammas) -> "CoherentStates":
+        """The members with labels ``intensities`` (``S x N``) and ``gammas`` (``S``).
+
+        Raises ``OutOfDiscError`` or ``TailTooLargeError`` (see
+        :func:`series_norm`) when any state's series cannot be controlled.
+        """
+        intensities = np.asarray(intensities, dtype=float)
+        gammas = np.asarray(gammas, dtype=float)
+        if intensities.shape != (len(gammas), len(self.seqs)):
+            raise RegimeError(
+                f"{len(gammas)} phases and {len(self.seqs)} sectors, "
+                f"but intensities of shape {intensities.shape}"
+            )
+        norms = [series_norm(sh, intensities[:, n]) for n, sh in enumerate(self.shifted)]
+        values = np.stack([value for value, _ in norms], axis=1)
+        norm_const = values.sum(axis=1)
+        return CoherentStates(
+            family=self,
+            intensities=intensities,
+            gammas=gammas,
+            coefficients=self.coefficients(intensities, gammas, norm_const),
+            norm_const=norm_const,
+            series_values=values,
+            tail_bound=np.sum([tail for _, tail in norms], axis=0) / norm_const,
+        )
 
 
-def series_norm(shifted: ShiftedSequence, j_value: float):
+@dataclass(frozen=True, eq=False)
+class CoherentStates:
+    """``S`` states of one family, one per row of every array.
+
+    ``coefficients`` is ``S x N x D``.  ``norm_const`` is the sum of the
+    per-sector coefficient series ``series_values`` (``S x N``, partial sums
+    to the truncation); ``tail_bound`` bounds the squared coefficient mass
+    lost to truncation, so each stored state has unit norm up to it.
+    """
+
+    family: CoherentFamily
+    intensities: np.ndarray
+    gammas: np.ndarray
+    coefficients: np.ndarray
+    norm_const: np.ndarray
+    series_values: np.ndarray
+    tail_bound: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class CoherentState:
+    """One built state: the one-row :class:`CoherentStates` of its labels."""
+
+    states: CoherentStates
+    params: VcsParams
+
+    @property
+    def space(self) -> SectorSpace:
+        return self.states.family.space
+
+    @property
+    def vector(self) -> SusyVector:
+        return SusyVector(self.space, self.states.coefficients[0].ravel())
+
+    @property
+    def norm_const(self) -> float:
+        return float(self.states.norm_const[0])
+
+    @property
+    def tail_bound(self) -> float:
+        return float(self.states.tail_bound[0])
+
+    @property
+    def series_values(self) -> tuple:
+        return tuple(self.states.series_values[0])
+
+    @property
+    def regime(self) -> str:
+        return self.states.family.regime
+
+    @property
+    def seqs(self) -> tuple:
+        return self.states.family.seqs
+
+
+def _series_terms(shifted: ShiftedSequence, j_value) -> np.ndarray:
+    """Terms J^k / (shifted factorial) along a new last axis, computed by
+    stable ratio recursion; ``j_value`` may be an array of intensities."""
+    j = np.asarray(j_value, dtype=float)[..., None]
+    ratios = np.cumprod(j / shifted.values[1:], axis=-1)
+    return np.concatenate((np.ones_like(j), ratios), axis=-1)
+
+
+def series_norm(shifted: ShiftedSequence, j_value):
     """Partial sum of ``sum_k J^k / e~[k]!`` with an explicit tail bound.
 
-    The tail is bounded geometrically through the last term ratio
-    ``r = J / e~[D-1]`` (valid because the shifted values increase); the
-    bound is returned, not judged.  Raises ``OutOfDiscError`` when J reaches
-    the estimated convergence radius of a bounded-looking sequence, and
-    ``TailTooLargeError`` when ``r >= 1``, where no geometric bound exists.
+    ``j_value`` is one intensity or an array of them; the value and the
+    bound have its shape.  The tail is bounded geometrically through the
+    last term ratio ``r = J / e~[D-1]`` (valid because the shifted values
+    increase); the bound is returned, not judged.  Raises ``OutOfDiscError``
+    when an intensity is negative or reaches the estimated convergence radius
+    of a bounded-looking sequence, and ``TailTooLargeError`` when ``r >= 1``,
+    where no geometric bound exists.
     """
-    if j_value < 0:
-        raise OutOfDiscError(f"intensity must be nonnegative, got {j_value}")
-    terms = _series_terms(shifted, j_value)
-    value = float(terms.sum())
-    if j_value == 0.0:
-        return value, 0.0
+    j = np.asarray(j_value, dtype=float)
+    if np.any(j < 0):
+        raise OutOfDiscError(f"intensity must be nonnegative, got {j[j < 0].flat[0]}")
+    terms = _series_terms(shifted, j)
     guess = radius_estimate(shifted.as_sequence())
-    if guess.flag == "bounded-suspect" and j_value >= guess.limit:
+    if guess.flag == "bounded-suspect" and np.any(j >= guess.limit):
         raise OutOfDiscError(
-            f"J={j_value} is outside the estimated convergence disc "
+            f"J={j[j >= guess.limit].flat[0]} is outside the estimated convergence disc "
             f"(radius ~ {guess.limit:.6g})"
         )
-    ratio = j_value / shifted.values[-1]
-    if ratio >= 1.0:
+    ratio = j / shifted.values[-1]
+    if np.any(ratio >= 1.0):
         raise TailTooLargeError(
-            f"no geometric tail control: J={j_value} >= top shifted level "
+            f"no geometric tail control: J={j[ratio >= 1.0].flat[0]} >= top shifted level "
             f"{shifted.values[-1]:.6g}; increase the truncation"
         )
-    return value, float(terms[-1] * ratio / (1.0 - ratio))
+    return terms.sum(axis=-1), terms[..., -1] * ratio / (1.0 - ratio)
 
 
 def _common_dim(seqs) -> int:
@@ -126,37 +242,50 @@ def _common_dim(seqs) -> int:
     return dims.pop()
 
 
-def _coefficients(seqs, shifted, params, phase_signs, norm_const) -> np.ndarray:
-    """Flat coefficient vector of the family member with labels ``params``.
+def _one_state(family: CoherentFamily, params: VcsParams) -> CoherentState:
+    return CoherentState(family.states([params.intensities], [params.gamma]), params)
 
-    Phases always use the unshifted eigenvalues (plus the regulator for the
-    delta family); amplitudes always use the shifted factorial terms.
+
+def delta_family(seqs, delta: float) -> CoherentFamily:
+    """The delta-regularized two-sector family: two spectra with ground level
+    exactly zero and a regulator ``delta > 0``."""
+    if len(seqs) != 2:
+        raise RegimeError(f"the delta family is two-sector, got {len(seqs)}")
+    if not delta > 0:
+        raise RegimeError(f"the delta family needs delta > 0, got {delta}")
+    for j, s in enumerate(seqs):
+        if s.ground != 0.0:
+            raise RegimeError(
+                f"sector {j} ground level {s.ground} != 0; "
+                "delta-family spectra must start at zero"
+            )
+    _common_dim(seqs)
+    shifted = tuple(shift(s) for s in seqs)
+    return CoherentFamily("delta-family", tuple(seqs), shifted, (-1.0, +1.0), delta)
+
+
+def eds_family(seqs) -> CoherentFamily:
+    """The shift-based family (no regulator).
+
+    For two or more sectors the spectra must have strictly positive ground
+    levels and be pairwise disjoint; a single sector reproduces the classic
+    one-Hamiltonian coherent state and is exempt from both conditions.
     """
-    blocks = [
-        np.sqrt(_series_terms(sh, j_value))
-        * np.exp(sign * 1j * (seq.values + params.delta) * params.gamma)
-        for seq, sh, j_value, sign in zip(seqs, shifted, params.intensities, phase_signs)
-    ]
-    return np.concatenate(blocks) / np.sqrt(norm_const)
-
-
-def _assemble(seqs, shifted, params, phase_signs, regime):
-    """Shared state assembly for the two families: series norms, tail bound
-    and coefficients."""
-    space = SectorSpace(len(seqs), _common_dim(seqs))
-    norms = [series_norm(sh, j) for sh, j in zip(shifted, params.intensities)]
-    values, tails = zip(*norms)
-    norm_const = float(sum(values))
-    return CoherentState(
-        vector=SusyVector(space, _coefficients(seqs, shifted, params, phase_signs, norm_const)),
-        norm_const=norm_const,
-        tail_bound=float(sum(tails)) / norm_const,
-        regime=regime,
-        params=params,
-        seqs=tuple(seqs),
-        series_values=tuple(values),
-        phase_signs=tuple(phase_signs),
-    )
+    if not seqs:
+        raise RegimeError("need at least one sector")
+    if len(seqs) > 1:
+        for j, s in enumerate(seqs):
+            if not s.ground > 0:
+                raise RegimeError(
+                    f"sector {j} ground level {s.ground} must be positive "
+                    "in the multi-sector shift regime"
+                )
+        for a in range(len(seqs)):
+            for b in range(a + 1, len(seqs)):
+                require_disjoint(seqs[a], seqs[b])
+    _common_dim(seqs)
+    shifted = tuple(shift(s) for s in seqs)
+    return CoherentFamily("eds-family", tuple(seqs), shifted, (-1.0,) * len(seqs))
 
 
 def delta_family_state(seqs, params: VcsParams) -> CoherentState:
@@ -171,114 +300,112 @@ def delta_family_state(seqs, params: VcsParams) -> CoherentState:
     with ``N`` the sum of the two coefficient series.  Note the opposite
     phase signs of the sectors.
     """
-    if len(seqs) != 2:
-        raise RegimeError(f"the delta family is two-sector, got {len(seqs)}")
-    if len(params.intensities) != 2:
-        raise RegimeError("need exactly two intensities")
-    if params.delta <= 0:
-        raise RegimeError(f"the delta family needs delta > 0, got {params.delta}")
-    for j, s in enumerate(seqs):
-        if s.ground != 0.0:
-            raise RegimeError(
-                f"sector {j} ground level {s.ground} != 0; "
-                "delta-family spectra must start at zero"
-            )
-    shifted = [shift(s) for s in seqs]
-    return _assemble(seqs, shifted, params, (-1.0, +1.0), "delta-family")
+    return _one_state(delta_family(seqs, params.delta), params)
 
 
 def eds_family_state(seqs, params: VcsParams) -> CoherentState:
-    """Coherent state of the shift-based family (no regulator).
-
-    For two or more sectors the spectra must have strictly positive ground
-    levels and be pairwise disjoint; a single sector reproduces the classic
-    one-Hamiltonian coherent state and is exempt from both conditions.
-    Every sector carries the same phase sign::
+    """Coherent state of the shift-based family (no regulator; see
+    :func:`eds_family`).  Every sector carries the same phase sign::
 
         c[n,j] = Jj^(n/2) exp(-i ej[n] gamma) / sqrt(e~j[n]! * N~)
     """
-    if not seqs:
-        raise RegimeError("need at least one sector")
-    if len(params.intensities) != len(seqs):
-        raise RegimeError(
-            f"{len(seqs)} sectors but {len(params.intensities)} intensities"
-        )
-    if len(seqs) > 1:
-        for j, s in enumerate(seqs):
-            if not s.ground > 0:
-                raise RegimeError(
-                    f"sector {j} ground level {s.ground} must be positive "
-                    "in the multi-sector shift regime"
-                )
-        for a in range(len(seqs)):
-            for b in range(a + 1, len(seqs)):
-                require_disjoint(seqs[a], seqs[b])
-    shifted = [shift(s) for s in seqs]
-    signs = (-1.0,) * len(seqs)
-    params = VcsParams(params.intensities, params.gamma, 0.0)
-    return _assemble(seqs, shifted, params, signs, "eds-family")
+    return _one_state(eds_family(seqs), VcsParams(params.intensities, params.gamma, 0.0))
+
+
+def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re <a_s, b_s>`` for each state ``s`` of two ``S x N x K`` arrays, with no temporaries."""
+    return np.einsum("snk,snk->s", a.real, b.real) + np.einsum("snk,snk->s", a.imag, b.imag)
+
+
+def _require_space(states: CoherentStates, space: SectorSpace, what: str) -> None:
+    if space != states.family.space:
+        raise DimensionMismatchError(f"states and {what} live on different spaces")
+
+
+def action_identity_residuals(states: CoherentStates, hamiltonian: BlockOperator) -> np.ndarray:
+    """Per state ``|<psi, H psi> - closed form|`` for the energy expectation identity.
+
+    For the shift family pass the ground-shifted Hamiltonian; the closed form
+    is ``sum_j Jj Mj / sum_j Mj`` with the per-sector series values stored
+    with the states.
+    """
+    _require_space(states, hamiltonian.space, "Hamiltonian")
+    c = states.coefficients
+    h_c = weighted_shift(hamiltonian.blocks, hamiltonian.offset, c)
+    lhs = _real_inner(c, h_c)
+    rhs = (states.intensities * states.series_values).sum(axis=1) / states.norm_const
+    return np.abs(lhs - rhs)
 
 
 def action_identity_residual(state: CoherentState, hamiltonian: BlockOperator) -> float:
-    """|<psi, H psi> - closed form| for the energy expectation identity.
+    """:func:`action_identity_residuals` of one state."""
+    return float(action_identity_residuals(state.states, hamiltonian)[0])
 
-    For the shift family pass the ground-shifted Hamiltonian; the closed form
-    is ``sum_j Jj Mj / sum_j Mj`` with the per-sector series values stored in
-    the state.
+
+def temporal_stability_residuals(
+    states: CoherentStates, t: float, evolution: str = "family"
+) -> np.ndarray:
+    """Per state, the norm distance between the evolved state and its family
+    member at ``gamma + t``.
+
+    Both sides are coefficient arrays: the evolution multiplies each level by
+    one phase, the same for every state, and the members at ``gamma + t``
+    are assembled from the family and the labels, series values and norm
+    constants of ``states``, which were checked and computed when ``states``
+    were built; only the phases depend on gamma.  ``evolution="family"``
+    uses each family's own invariance operator: the physical ``exp(-i H t)``
+    (a phase ``exp(-i e[n] t)`` per level) for the shift family, the ad-hoc
+    split-sign operator for the delta family.  ``evolution="physical"``
+    forces ``exp(-i H t)`` in both cases; for the delta family this
+    documents that the physical evolution does NOT preserve the family.
     """
-    if hamiltonian.space != state.space:
-        raise DimensionMismatchError("state and Hamiltonian live on different spaces")
-    lhs = state.vector.inner(hamiltonian.apply(state.vector)).real
-    j = np.asarray(state.params.intensities)
-    m = np.asarray(state.series_values)
-    rhs = float((j * m).sum() / state.norm_const)
-    return abs(lhs - rhs)
+    family = states.family
+    if family.regime == "delta-family" and evolution == "family":
+        # first sector as exp(-i (h1 + delta) t), second as exp(+i (h2 + delta) t)
+        h1, h2 = (s.values + family.delta for s in family.seqs)
+        phases = np.stack((np.exp(-1j * h1 * t), np.exp(+1j * h2 * t)))
+    elif evolution in ("family", "physical"):
+        phases = np.exp(-1j * np.stack([s.values for s in family.seqs]) * t)
+    else:
+        raise RegimeError(f"unknown evolution {evolution!r}")
+    diff = phases * states.coefficients
+    diff -= family.coefficients(states.intensities, states.gammas + t, states.norm_const)
+    return np.sqrt(_real_inner(diff, diff))
 
 
 def temporal_stability_residual(
     state: CoherentState, t: float, evolution: str = "family"
 ) -> float:
-    """Norm distance between the evolved ``state`` and its family member at ``gamma + t``.
+    """:func:`temporal_stability_residuals` of one state."""
+    return float(temporal_stability_residuals(state.states, t, evolution)[0])
 
-    Both sides are coefficient vectors: the evolution multiplies each level by
-    one phase, and the state at ``gamma + t`` is assembled from the spectra,
-    labels, phase signs and norm constant of ``state``, which were validated
-    and computed when ``state`` was built; only the phases depend on gamma.
-    ``evolution="family"`` uses each family's own invariance operator: the
-    physical ``exp(-i H t)`` (a phase
-    ``exp(-i e[n] t)`` per level) for the shift family, the ad-hoc
-    split-sign operator for the delta family.  ``evolution="physical"``
-    forces ``exp(-i H t)`` in both cases; for the delta family this
-    documents that the physical evolution does NOT preserve the family.
+
+def eigenstate_residuals(
+    states: CoherentStates, lowering: np.ndarray, offset: int = -1
+) -> np.ndarray:
+    """Per state, the windowed norm of ``A psi - sqrt(J) psi``.
+
+    ``lowering`` holds the sector blocks of each state's lowering operator
+    ``A`` at ``offset`` (as ``hilbert.lowering_weights`` returns them,
+    ``S x N x (D - |offset|)``), or of one operator for all states (a
+    leading axis of one).  ``A`` must be built at the state's own gamma for
+    the residual to vanish; a mismatched gamma is allowed input and simply
+    produces a large residual.  The top levels are excluded because the
+    truncated ladder cannot reproduce the coefficient recursion there.
     """
-    p = state.params
-    if state.regime == "delta-family" and evolution == "family":
-        # first sector as exp(-i (h1 + delta) t), second as exp(+i (h2 + delta) t)
-        h1, h2 = (s.values + p.delta for s in state.seqs)
-        phases = np.concatenate((np.exp(-1j * h1 * t), np.exp(+1j * h2 * t)))
-    elif evolution in ("family", "physical"):
-        phases = np.exp(-1j * np.concatenate([s.values for s in state.seqs]) * t)
-    else:
-        raise RegimeError(f"unknown evolution {evolution!r}")
-    moved = VcsParams(p.intensities, p.gamma + t, p.delta)
-    shifted = [shift(s) for s in state.seqs]
-    after = _coefficients(state.seqs, shifted, moved, state.phase_signs, state.norm_const)
-    return float(np.linalg.norm(phases * state.vector.data - after))
+    space = states.family.space
+    lowering = np.asarray(lowering)
+    if lowering.shape[1:] != (space.sectors, space.dim - abs(offset)):
+        raise DimensionMismatchError("states and operator live on different spaces")
+    keep = window_levels(space, EIGENSTATE_EXCLUDE_TOP)
+    c = states.coefficients
+    diff = weighted_shift(lowering, offset, c)
+    diff -= np.sqrt(states.intensities)[:, :, None] * c
+    window = diff[:, :, :keep]
+    return np.sqrt(_real_inner(window, window))
 
 
 def eigenstate_residual(state: CoherentState, lowering: BlockOperator) -> float:
-    """Windowed norm of ``A psi - sqrt(J) psi``.
-
-    The lowering operator must be built at the same gamma as the state for
-    this to vanish; a mismatched gamma is allowed input and simply produces a
-    large residual.  The top levels are excluded because the truncated ladder
-    cannot reproduce the coefficient recursion there.
-    """
-    if lowering.space != state.space:
-        raise DimensionMismatchError("state and operator live on different spaces")
-    space = state.space
-    keep = window_levels(space, EIGENSTATE_EXCLUDE_TOP)
-    psi = state.vector.data.reshape(space.sectors, space.dim)
-    lowered = lowering.apply(state.vector).data.reshape(space.sectors, space.dim)
-    diff = lowered - np.sqrt(state.params.intensities)[:, None] * psi
-    return float(np.linalg.norm(diff[:, :keep]))
+    """:func:`eigenstate_residuals` of one state under one operator."""
+    _require_space(state.states, lowering.space, "operator")
+    return float(eigenstate_residuals(state.states, lowering.blocks[None], lowering.offset)[0])

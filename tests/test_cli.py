@@ -293,14 +293,6 @@ class TestRunExperiment:
         report, _ = run_experiment(cfg, seed=17)
         assert report.seed == 17
 
-    def test_jobs_parallel_same_result(self):
-        cfg = config.parse_config(small_vcs_config())
-        serial, _ = run_experiment(cfg, jobs=1)
-        parallel, _ = run_experiment(cfg, jobs=4)
-        for a, b in zip(serial.checks, parallel.checks):
-            assert a.name == b.name
-            assert a.value == b.value
-
     def test_zero_samples_rejected(self):
         raw = small_vcs_config()
         raw["params"]["n_samples"] = 0

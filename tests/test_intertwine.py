@@ -11,6 +11,15 @@ from vcslab.hilbert import BlockOperator, max_abs
 from vcslab.intertwine import IntertwiningProblem, SpectralMap
 
 
+def within_tolerances(cert) -> bool:
+    """Each certificate residual against the library tolerance for it; a NaN fails."""
+    return (
+        cert.alpha_residual <= intertwine.ALPHA_TOL
+        and cert.beta_residual <= intertwine.BETA_TOL
+        and cert.gamma_residual <= intertwine.GAMMA_TOL
+    )
+
+
 def shifted_pair(dim=40, omegas=(1.0, math.sqrt(2.0))):
     return [spectra.shift(spectra.linear_sequence(dim, w)) for w in omegas]
 
@@ -80,7 +89,7 @@ class TestConstructCompanion:
         result = intertwine.construct_companion(problem)
         b = hilbert.lowering_operator(seqs, gamma)
         assert (result.companion - b @ b.adjoint()).max_abs(problem.keep) <= 1e-12
-        assert result.certificate.passed
+        assert within_tolerances(result.certificate)
         # ground-level images vanish, all higher levels survive
         assert set(result.certificate.skipped_levels) == {(0, 0), (1, 0)}
 
@@ -96,7 +105,7 @@ class TestConstructCompanion:
             got = block.real[:keep]
             want = np.array([s.values[n + 1] * s.values[n + 2] for n in range(keep)])
             np.testing.assert_allclose(got, want, rtol=1e-12)
-        assert result.certificate.passed
+        assert within_tolerances(result.certificate)
         assert set(result.certificate.skipped_levels) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
     def test_example3_images_vanish_below_three(self):
@@ -104,7 +113,7 @@ class TestConstructCompanion:
         result = intertwine.construct_companion(intertwine.example_problem(3, seqs, 0.4))
         skipped = set(result.certificate.skipped_levels)
         assert skipped == {(j, n) for j in range(2) for n in range(3)}
-        assert result.certificate.passed
+        assert within_tolerances(result.certificate)
 
     def test_example4_eigenvalues_and_closed_form(self):
         # h = (B+)^2 B^2 has eigenvalue e~[n] e~[n-1]; companion is B+ B^2 B+
@@ -120,7 +129,7 @@ class TestConstructCompanion:
         b = hilbert.lowering_operator(seqs, gamma)
         expected = b.adjoint() @ b @ b @ b.adjoint()
         assert (result.companion - expected).max_abs(problem.keep) <= 1e-10
-        assert result.certificate.passed
+        assert within_tolerances(result.certificate)
 
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
     def test_gamma_independence(self, which):
@@ -143,7 +152,7 @@ class TestConstructCompanion:
             IntertwiningProblem(h=h, x=eye, ladder_degree=0)
         )
         assert (result.companion - h).max_abs() <= 1e-12
-        assert result.certificate.passed
+        assert within_tolerances(result.certificate)
 
     def test_certificates_at_production_size(self):
         seqs = shifted_pair(80)
@@ -156,17 +165,6 @@ class TestConstructCompanion:
             assert cert.beta_residual <= 1e-10
             assert cert.gamma_residual <= 1e-9
 
-    def test_result_record_serializes(self):
-        seqs = shifted_pair(20)
-        result = intertwine.construct_companion(intertwine.example_problem(2, seqs, 0.7))
-        record = result.to_record()
-        assert record["problem"]["ladder_degree"] == 2
-        assert record["problem"]["sectors"] == 2
-        assert record["certificate"]["passed"] is True
-        assert set(record["certificate"]) >= {
-            "alpha_residual", "beta_residual", "gamma_residual", "passed",
-        }
-
     def test_iteration_composes(self):
         # feeding the companion back in with the same x certifies again
         seqs = shifted_pair()
@@ -177,7 +175,7 @@ class TestConstructCompanion:
             h=first.companion, x=problem.x, ladder_degree=2, label="iterated"
         )
         second = intertwine.construct_companion(second_problem)
-        assert second.certificate.passed
+        assert within_tolerances(second.certificate)
 
     def test_commutant_violation_rejected(self):
         # x x+ = diag(1 + n)^2 does not commute with the shift h
@@ -220,7 +218,7 @@ class TestConstructCompanion:
                 IntertwiningProblem(h=h, x=x), spectral_map=SpectralMap.exponential()
             )
         assert not np.isfinite(result.certificate.gamma_residual)
-        assert result.certificate.passed is False
+        assert not within_tolerances(result.certificate)
 
     def test_singular_n1_inside_window_rejected(self):
         dim = 20
@@ -258,7 +256,7 @@ class TestWeightedShiftCompanions:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.certificate.passed
+        assert within_tolerances(result.certificate)
         assert peak < 2**20
 
     @pytest.mark.parametrize(
@@ -331,7 +329,7 @@ class TestNonIsospectral:
         )
         ref = (n_op + 2) * (n_op + 2)
         np.testing.assert_allclose(squared.companion.blocks[0][sub], ref[sub], atol=1e-11)
-        assert squared.certificate.passed
+        assert within_tolerances(squared.certificate)
 
     def test_boson_exponential_map(self):
         dim = 60

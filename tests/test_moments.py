@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 
-from vcslab import errors, moments, spectra, vcs
+from vcslab import config, errors, moments, spectra, vcs
+from vcslab.experiments import run_experiment
 
 
 def eds_pair(dim=16):
@@ -186,8 +188,9 @@ class TestLiteralAssemblyOracle:
         g_weights = np.full(m + 1, s / (2.0 * horizon))
         g_weights[0] *= 0.5
         g_weights[-1] *= 0.5
-        nodes1, w1 = weights[0].quadrature(n_nodes)
-        nodes2, w2 = weights[1].quadrature(n_nodes)
+        rule = laggauss(n_nodes)
+        nodes1, w1 = weights[0].quadrature(rule)
+        nodes2, w2 = weights[1].quadrature(rule)
 
         out = np.zeros((2 * dim, 2 * dim), dtype=complex)
         for j1, wj1 in zip(nodes1, w1):
@@ -255,12 +258,16 @@ class TestDeltaZeroFailure:
         # overflow; the entry itself needs only the zeroth moments
         seqs, weights = self.seqs_and_weights(160)
         quad = moments.QuadratureSpec(n_nodes=82, gamma_horizon=1e4)
+        rule = laggauss(82)
         with np.errstate(all="ignore"):
-            candidate = moments._assemble_identity("delta", seqs, weights, quad, delta)[0]
-        assert np.isinf(candidate).any()
+            phase_free = moments._phase_free_candidate(seqs, [w.quadrature(rule) for w in weights])
+        assert np.isinf(phase_free).any()
+        freqs = moments._phase_frequencies("delta", seqs, delta)
+        step, _ = moments._phase_step(freqs, 1e4, None)
+        entry = phase_free[0, 160] * moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, step)
         with np.errstate(over="raise", invalid="raise"):
             report = moments.delta_zero_failure(seqs, weights, quad, delta=delta)
-        assert report.magnitude == pytest.approx(abs(candidate[0, 160]), rel=1e-15)
+        assert report.magnitude == pytest.approx(abs(entry), rel=1e-15)
 
     def test_entry_factorizes(self):
         seqs, weights = self.seqs_and_weights()
@@ -270,3 +277,50 @@ class TestDeltaZeroFailure:
             assert report.magnitude == pytest.approx(
                 abs(report.j_integral * report.cesaro_factor), rel=1e-12
             )
+
+
+@pytest.mark.parametrize("bundle", ["resolution-eds", "resolution-delta", "delta-zero-failure"])
+def test_one_quadrature_rule_per_run(bundle, monkeypatch):
+    calls = []
+    real = moments.laggauss
+
+    def counting(n_nodes):
+        calls.append(n_nodes)
+        return real(n_nodes)
+
+    monkeypatch.setattr(moments, "laggauss", counting)
+    cfg = config.load_bundled(bundle)
+    p, seqs = cfg.params, cfg.spectra
+    report, tables = run_experiment(cfg)
+    assert calls == [p.n_nodes]
+    again, _ = run_experiment(cfg)
+    assert calls == [p.n_nodes] * 2  # no rule outlives its run
+    values = {c.name: c.value for c in report.checks}
+    assert values == {c.name: c.value for c in again.checks}
+
+    # the same bits as building everything again at every horizon
+    weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
+    horizons = sorted(p.horizons)
+
+    def quad(horizon):
+        return moments.QuadratureSpec(p.n_nodes, horizon, k_check=p.k_check)
+
+    if bundle == "delta-zero-failure":
+        ends = (horizons[0], horizons[-1])
+        first, last = (moments.delta_zero_failure(seqs, weights, quad(h)) for h in ends)
+        probes = [moments.delta_zero_failure(seqs, weights, quad(h), p.delta_probe) for h in ends]
+        drift = abs(last.magnitude - first.magnitude) / first.magnitude
+        assert values["cross-entry-magnitude"] == last.magnitude
+        assert values["cross-entry-horizon-drift"] == drift
+        assert values["regulated-entry-decay-factor"] == probes[0].magnitude / probes[1].magnitude
+        return
+    per_horizon = [
+        moments.resolution_check(p.family, seqs, weights, quad(h), delta=p.delta) for h in horizons
+    ]
+    assert values["moment-verification"] == max(max(r.moment_errors) for r in per_horizon)
+    assert values["diagonal-residual"] == max(r.diag_error for r in per_horizon)
+    assert values["assembly-hermiticity"] == max(r.hermiticity_defect for r in per_horizon)
+    rows = [
+        f"{r.gamma_horizon:.17g}\t{r.diag_error:.17g}\t{r.offdiag_error:.17g}" for r in per_horizon
+    ]
+    assert tables["residual-vs-horizon.tsv"].splitlines()[1:] == rows

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vcslab import errors, hilbert, spectra, vcs
+from vcslab import config, errors, hilbert, spectra, vcs
+from vcslab.experiments import run_experiment
 
 
 def eds_linear_pair(dim=60):
@@ -375,3 +376,108 @@ class TestContinuity:
             ratios.append(dist / h)
         ratios = np.asarray(ratios)
         assert ratios.max() / ratios.min() < 1.5  # state distance is ~linear in h
+
+
+def literal_draws(params, seed):
+    """The runner's seeded draws, one at a time: each sector's intensity, then gamma."""
+    rng = np.random.default_rng(seed)
+    return [
+        (
+            [rng.uniform(0.0, jm) for jm in params.j_max],
+            rng.uniform(-params.gamma_max, params.gamma_max),
+        )
+        for _ in range(params.n_samples)
+    ]
+
+
+def literal_sample(family, seqs, j, gamma, delta, times):
+    """One draw's residuals, written out densely from the definitions: the
+    coefficients from their closed form, ``H`` and the lowering operator as
+    dense matrices, the propagator as a dense diagonal matrix."""
+    shifted = [spectra.shift(s) for s in seqs]
+    signs = (-1.0, 1.0) if family == "delta" else (-1.0,) * len(seqs)
+
+    def coefficients(g):
+        blocks, series, tails = [], [], []
+        for seq, sh, jn, sign in zip(seqs, shifted, j, signs):
+            terms = np.array([jn**k / np.prod(sh.values[1 : k + 1]) for k in range(seq.dim)])
+            ratio = jn / sh.values[-1]
+            series.append(terms.sum())
+            tails.append(terms[-1] * ratio / (1.0 - ratio))
+            blocks.append(np.sqrt(terms) * np.exp(sign * 1j * (seq.values + delta) * g))
+        norm = sum(series)
+        return np.concatenate(blocks) / np.sqrt(norm), series, sum(tails) / norm
+
+    c, series, tail = coefficients(gamma)
+    if family == "delta":
+        h = hilbert.susy_hamiltonian(seqs).matrix
+        lowering = hilbert.delta_lowering_operator(seqs, gamma).matrix
+        energies = [s.values + delta for s in seqs]
+    else:
+        h = hilbert.shifted_hamiltonian(seqs).matrix
+        lowering = hilbert.lowering_operator(shifted, gamma).matrix
+        energies = [s.values for s in seqs]
+    dim = seqs[0].dim
+    keep = np.tile(np.arange(dim) < dim - vcs.EIGENSTATE_EXCLUDE_TOP, len(seqs))
+    out = {
+        "tail": tail,
+        "action": abs((c.conj() @ h @ c).real - np.dot(j, series) / sum(series)),
+        "eigenstate": np.linalg.norm((lowering @ c - np.repeat(np.sqrt(j), dim) * c)[keep]),
+    }
+    for t in times:
+        u = np.diag(np.concatenate([np.exp(sign * 1j * e * t) for sign, e in zip(signs, energies)]))
+        out[f"stability[t={t:g}]"] = np.linalg.norm(u @ c - coefficients(gamma + t)[0])
+    return out
+
+
+@pytest.mark.parametrize("bundle", ["vcs-eds-properties", "vcs-delta-properties"])
+def test_batched_residuals_match_the_literal_per_draw_oracle(bundle):
+    cfg = config.load_bundled(bundle)
+    p, seqs = cfg.params, cfg.spectra
+    delta = p.delta if p.family == "delta" else 0.0
+    draws = literal_draws(p, cfg.seed)
+    oracle = [literal_sample(p.family, seqs, j, g, delta, p.times) for j, g in draws]
+    expected = {key: np.array([o[key] for o in oracle]) for key in oracle[0]}
+
+    intensities = np.array([j for j, _ in draws])
+    gammas = np.array([g for _, g in draws])
+    if p.family == "delta":
+        states = vcs.delta_family(seqs, delta).states(intensities, gammas)
+        hamiltonian = hilbert.susy_hamiltonian(seqs)
+        lowering = hilbert.delta_lowering_weights(seqs, gammas)
+    else:
+        family = vcs.eds_family(seqs)
+        states = family.states(intensities, gammas)
+        hamiltonian = hilbert.shifted_hamiltonian(seqs)
+        lowering = hilbert.lowering_weights(family.shifted, gammas)
+    batched = {
+        "tail": states.tail_bound,
+        "action": vcs.action_identity_residuals(states, hamiltonian),
+        "eigenstate": vcs.eigenstate_residuals(states, lowering),
+    }
+    for t in p.times:
+        batched[f"stability[t={t:g}]"] = vcs.temporal_stability_residuals(states, t)
+    for key, values in expected.items():
+        assert batched[key].shape == (p.n_samples,)
+        np.testing.assert_allclose(batched[key], values, rtol=0, atol=1e-14, err_msg=key)
+
+    # the report carries each key's worst draw: the maximum, never the minimum
+    report, _ = run_experiment(cfg)
+    reported = {c.name: c.value for c in report.checks}
+    names = {
+        "tail": "truncation-tail-bound",
+        "action": "action-identity-residual",
+        "eigenstate": "annihilation-eigenstate-residual",
+        **{f"stability[t={t:g}]": f"temporal-stability-residual[t={t:g}]" for t in p.times},
+    }
+    for key, name in names.items():
+        values = batched[key]
+        assert values.min() < values.max(), key
+        worst = values.max()
+        if key == "tail" and p.witness is not None:
+            # the witness state's tail bound joins the draws'
+            labels = vcs.VcsParams(p.witness.j, p.witness.gamma)
+            witness = vcs.eds_family_state(p.witness.spectra, labels)
+            assert witness.tail_bound != worst
+            worst = max(worst, witness.tail_bound)
+        assert reported[name] == worst, key
