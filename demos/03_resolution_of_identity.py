@@ -8,6 +8,7 @@ ground-ground cross entry survives the phase average at full strength.
 """
 
 import numpy as np
+from numpy.polynomial.laguerre import laggauss
 
 from vcslab import spectra, moments
 
@@ -22,13 +23,14 @@ weights = [
 ]
 
 # the weights must reproduce the factorial products as moments
-errs = moments.verify_moments(weights[0], seqs[0], k_max=12)
+errs = moments.verify_moments(weights[0].quadrature(laggauss(40)), seqs[0], k_max=12)
 print("moment verification, sector 0, max relative error:", f"{errs.max():.2e}")
 
+# the horizon-independent work (rule, moments, half-moments) is done once
+assembly = moments.resolution_assembly("eds", seqs, weights, n_nodes=40)
 print("\nhorizon      diagonal err   off-diagonal err")
 for horizon in (1e2, 1e3, 1e4):
-    quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=horizon)
-    report = moments.resolution_check("eds", seqs, weights, quad)
+    report = assembly.report(horizon)
     print(f"{horizon:>8.0e}   {report.diag_error:.3e}     {report.offdiag_error:.3e}")
 print("(diagonal stays at the quadrature floor; off-diagonal ~ 1/horizon)")
 
@@ -40,10 +42,10 @@ print(f"\nphase-average oracle: {value:.6e} vs sinc {np.sin(theta*horizon)/(thet
 # --- the zero-regulator failure ----------------------------------------------
 zero_ground = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
 flat = [moments.MomentWeight.gamma_family(1.0)] * 2
+entry = moments.cross_entry(zero_ground, flat, n_nodes=40)
 print("\nregulator   horizon   cross-entry magnitude")
 for delta in (0.0, 0.5):
     for horizon in (1e2, 1e4):
-        quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=horizon)
-        report = moments.delta_zero_failure(zero_ground, flat, quad, delta=delta)
+        report = entry.report(horizon, delta)
         print(f"{delta:>6.1f}   {horizon:>8.0e}   {report.magnitude:.6e}")
 print("(at zero regulator the entry is frozen at 1; any positive value decays)")

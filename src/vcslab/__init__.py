@@ -23,11 +23,9 @@ from .spectra import (
 )
 from .hilbert import (
     SectorSpace,
-    SusyVector,
     BlockOperator,
     GridLadder,
     GridSpec,
-    basis_vector,
     lowering_operator,
     lowering_weights,
     delta_lowering_operator,
@@ -39,30 +37,21 @@ from .hilbert import (
     shifted_hamiltonian,
 )
 from .vcs import (
-    VcsParams,
     CoherentFamily,
     CoherentStates,
-    CoherentState,
     series_norm,
+    require_regime,
     delta_family,
     eds_family,
-    delta_family_state,
-    eds_family_state,
     action_identity_residuals,
-    action_identity_residual,
     temporal_stability_residuals,
-    temporal_stability_residual,
     eigenstate_residuals,
-    eigenstate_residual,
 )
 from .moments import (
     MomentWeight,
-    QuadratureSpec,
     verify_moments,
     resolution_assembly,
-    resolution_check,
     cross_entry,
-    delta_zero_failure,
     cesaro_phase_average,
 )
 from .intertwine import (

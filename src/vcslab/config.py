@@ -25,6 +25,7 @@ import yaml
 from .errors import ConfigError, VcsLabError
 from .intertwine import ALPHA_TOL, BETA_TOL, GAMMA_TOL
 from .spectra import SpectralSequence, linear_sequence, make_sequence, quon_sequence
+from .vcs import require_regime
 
 __all__ = [
     "ExperimentConfig",
@@ -64,7 +65,14 @@ class Spectrum:
     offset: float = 0.0
     q: float | None = None
     values: tuple[float, ...] | None = None
-    scale: float = 1.0
+
+
+#: the keys of a ``spectra`` entry that each form does not read
+_UNREAD_SPECTRUM_KEYS = {
+    "linear": ("q", "values"),
+    "quon": ("values",),
+    "values": ("omega", "offset", "q"),
+}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -83,6 +91,14 @@ def _per_spectrum(values, default, spectra, where):
     if len(values) != len(spectra):
         raise ConfigError(f"{where} has {len(values)} entries for {len(spectra)} spectra")
     return values
+
+
+def _require_regime(family, spectra, delta, where):
+    """:func:`vcslab.vcs.require_regime` as a ConfigError naming the key at fault."""
+    try:
+        require_regime(family, spectra, delta, where, "params.delta")
+    except VcsLabError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -106,8 +122,10 @@ class VcsVerifyParams:
     witness: Witness | None = None
 
     def resolve(self, dim, spectra):
+        _require_regime(self.family, spectra, self.delta, "spectra")
         witness = self.witness
         if witness is not None:
+            _require_regime("eds", witness.spectra, None, "params.witness.spectra")
             j = _per_spectrum(witness.j, 1.0, witness.spectra, "params.witness.j")
             witness = replace(witness, j=j)
         j_max = _per_spectrum(self.j_max, 4.0, spectra, "params.j_max")
@@ -138,6 +156,8 @@ class ResolutionParams:
     delta_probe: float = 0.5
 
     def resolve(self, dim, spectra):
+        # zero regulator: the failure demo, which needs only the delta family's spectra
+        _require_regime(self.family, spectra, self.delta or None, "spectra")
         for i, seq in enumerate(spectra):
             gaps = np.diff(seq.values)
             if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
@@ -326,6 +346,9 @@ def _check(value, tp, where: str, dim: int | None = None):
 
 def _spectrum(entry, where: str, dim: int) -> SpectralSequence:
     spec = _build(Spectrum, entry, where, dim)
+    for key in _UNREAD_SPECTRUM_KEYS[spec.form]:
+        if key in entry:
+            raise ConfigError(f"{where}.{key} is not read by a {spec.form} spectrum")
     needed = {"quon": "q", "values": "values"}.get(spec.form)
     if needed and getattr(spec, needed) is None:
         raise ConfigError(f"{where}.{needed} is required for a {spec.form} spectrum")
@@ -333,7 +356,7 @@ def _spectrum(entry, where: str, dim: int) -> SpectralSequence:
         raise ConfigError(f"{where}.values has {len(spec.values)} entries, not dim {dim}")
     try:
         if spec.form == "values":
-            return make_sequence(spec.values, scale=spec.scale)
+            return make_sequence(spec.values)
         if spec.form == "quon":
             return quon_sequence(dim, spec.q, spec.omega, spec.offset)
         return linear_sequence(dim, spec.omega, spec.offset)
@@ -356,6 +379,8 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
         dim = _check(dim, Dim, "dim")
     elif dim is not None or "spectra" in raw:
         raise ConfigError("susy-grid configs size the grid via params.sizes, not dim or spectra")
+    if "spectra" in raw and kind in ("nonisospectral", "map-equality-probe"):
+        raise ConfigError(f"spectra is not read by kind {kind}, which builds its own ladders")
 
     spectra = ()
     if "spectra" in raw:

@@ -50,11 +50,11 @@ class DimensionMismatchError(VcsLabError):
 
 
 class UnverifiableWeightError(VcsLabError):
-    """Tabulated moment weight cannot be verified (insufficient support coverage)."""
+    """Moments of a weight cannot be verified in the float range at this order."""
 
 
-class NonPositiveDeltaError(VcsLabError):
-    """Resolution check of the delta family called with delta <= 0."""
+class NonPositiveDeltaError(RegimeError):
+    """The delta family called with a regulator delta <= 0."""
 
 
 class HypothesisViolatedError(VcsLabError):

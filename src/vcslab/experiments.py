@@ -21,7 +21,6 @@ from .hilbert import (
     boson_ladder,
     BlockOperator,
     delta_lowering_weights,
-    lowering_operator,
     lowering_weights,
     max_abs,
     quon_ladder,
@@ -47,12 +46,9 @@ from .moments import MomentWeight, cross_entry, resolution_assembly
 from .reporting import CheckRecord, VerificationReport
 from .spectra import shift
 from .vcs import (
-    VcsParams,
     action_identity_residuals,
     delta_family,
     eds_family,
-    eds_family_state,
-    eigenstate_residual,
     eigenstate_residuals,
     temporal_stability_residuals,
 )
@@ -119,8 +115,9 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
     witness = params.witness
     if witness is not None:
         # the witness is a built state too: its tail bound joins the samples'
-        witness_state = eds_family_state(witness.spectra, VcsParams(witness.j, witness.gamma))
-        worst["tail"] = _worst([worst["tail"], witness_state.tail_bound])
+        witness_family = eds_family(witness.spectra)
+        witness_state = witness_family.states([witness.j], [witness.gamma])
+        worst["tail"] = _worst([worst["tail"], *witness_state.tail_bound])
     checks = [
         CheckRecord("truncation-tail-bound", "state-normalization", worst["tail"], tol["tail"]),
         CheckRecord("action-identity-residual", "action-identity", worst["action"], tol["action"]),
@@ -143,14 +140,12 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
         )
 
     if witness is not None:
-        mismatched = lowering_operator(
-            [shift(s) for s in witness.spectra], witness.gamma + witness.gamma_offset
-        )
+        mismatched = lowering_weights(witness_family.shifted, [witness.gamma + witness.gamma_offset])
         checks.append(
             CheckRecord(
                 "mismatched-phase-eigenstate-residual",
                 "annihilation-eigenstate",
-                eigenstate_residual(witness_state, mismatched),
+                float(eigenstate_residuals(witness_state, mismatched)[0]),
                 tol["witness_min"],
                 comparator=">=",
             )

@@ -1,9 +1,10 @@
 """Truncated sector space, block operators, and ladder realizations.
 
 The working arena is ``C^N (x) H_D``: ``N`` sectors of one truncated
-``D``-level space each.  Vectors are stored flat (sector-major,
-``flat index = sector*D + level``) with block accessors; operators never mix
-sectors, and each block is a weighted shift stored as one weight vector.
+``D``-level space each.  Coefficients are ``N x D`` arrays, one row per
+sector, and dense exports are sector-major (``flat index = sector*D +
+level``); operators never mix sectors, and each block is a weighted shift
+stored as one weight vector.
 All values are immutable after construction; every function here is pure.
 """
 
@@ -25,11 +26,9 @@ from .spectra import SpectralSequence, quon_numbers
 
 __all__ = [
     "SectorSpace",
-    "SusyVector",
     "BlockOperator",
     "GridLadder",
     "GridSpec",
-    "basis_vector",
     "lowering_operator",
     "lowering_weights",
     "delta_lowering_operator",
@@ -70,41 +69,6 @@ class SectorSpace:
     @property
     def total_dim(self) -> int:
         return self.sectors * self.dim
-
-
-@dataclass(frozen=True)
-class SusyVector:
-    """Coefficient vector on the sector space, stored flat (sector-major)."""
-
-    space: SectorSpace
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=complex)
-        if data.shape != (self.space.total_dim,):
-            raise DimensionMismatchError(
-                f"vector length {data.shape} does not match space {self.space}"
-            )
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    def block(self, sector: int) -> np.ndarray:
-        d = self.space.dim
-        return self.data[sector * d : (sector + 1) * d]
-
-    def inner(self, other: "SusyVector") -> complex:
-        """Sector-summed inner product <self, other> (conjugate-linear left)."""
-        if self.space != other.space:
-            raise DimensionMismatchError("vectors live on different spaces")
-        return complex(np.vdot(self.data, other.data))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    def __sub__(self, other: "SusyVector") -> "SusyVector":
-        if self.space != other.space:
-            raise DimensionMismatchError("vectors live on different spaces")
-        return SusyVector(self.space, self.data - other.data)
 
 
 def _source_range(dim: int, offset: int) -> tuple:
@@ -180,12 +144,6 @@ class BlockOperator:
 
     def adjoint(self) -> "BlockOperator":
         return BlockOperator(self.blocks.conj(), -self.offset)
-
-    def apply(self, vec: SusyVector) -> SusyVector:
-        if vec.space != self.space:
-            raise DimensionMismatchError("operator and vector spaces differ")
-        blocks = vec.data.reshape(self.space.sectors, self.space.dim)
-        return SusyVector(self.space, weighted_shift(self.blocks, self.offset, blocks).ravel())
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         """``self @ other``: level ``n`` goes to ``n + b`` under ``other`` and on
@@ -313,17 +271,6 @@ class GridLadder:
             out[i[: n - k], i[k:]] = band
             out[i[k:], i[: n - k]] = band
         return out
-
-
-def basis_vector(space: SectorSpace, sector: int, level: int) -> SusyVector:
-    """Unit vector with a single 1 at ``level`` of block ``sector``."""
-    if not (0 <= sector < space.sectors):
-        raise IndexError(f"sector {sector} outside 0..{space.sectors - 1}")
-    if not (0 <= level < space.dim):
-        raise IndexError(f"level {level} outside 0..{space.dim - 1}")
-    data = np.zeros(space.total_dim, dtype=complex)
-    data[sector * space.dim + level] = 1.0
-    return SusyVector(space, data)
 
 
 def lowering_operator(seqs, gamma: float) -> BlockOperator:

@@ -109,7 +109,6 @@ class IntertwiningProblem:
     h: BlockOperator
     x: BlockOperator
     ladder_degree: int = 0
-    label: str = ""
 
     def __post_init__(self):
         if self.h.space != self.x.space:
@@ -289,15 +288,13 @@ def example_problem(which: int, seqs, gamma: float) -> IntertwiningProblem:
     b = lowering_operator(seqs, gamma)
     bd = b.adjoint()
     if which == 1:
-        return IntertwiningProblem(h=bd @ b, x=bd, ladder_degree=1, label="ladder-partner")
+        return IntertwiningProblem(h=bd @ b, x=bd, ladder_degree=1)
     if which == 2:
-        return IntertwiningProblem(h=bd @ b, x=bd @ bd, ladder_degree=2, label="squared-intertwiner")
+        return IntertwiningProblem(h=bd @ b, x=bd @ bd, ladder_degree=2)
     if which == 3:
-        return IntertwiningProblem(h=bd @ b, x=bd @ bd @ bd, ladder_degree=3, label="cubed-intertwiner")
+        return IntertwiningProblem(h=bd @ b, x=bd @ bd @ bd, ladder_degree=3)
     if which == 4:
-        return IntertwiningProblem(
-            h=bd @ bd @ b @ b, x=bd, ladder_degree=1, label="ladder-product"
-        )
+        return IntertwiningProblem(h=bd @ bd @ b @ b, x=bd, ladder_degree=1)
     raise ConfigError(f"example number must be 1..4, got {which}")
 
 
@@ -415,7 +412,7 @@ def quon_closed_forms(dim: int, q: float) -> QuonClosedFormReport:
     """
     a = quon_ladder(dim, q)
     ad = a.adjoint()
-    problem = IntertwiningProblem(h=ad @ a, x=ad @ ad, ladder_degree=2, label=f"quon-q{q}")
+    problem = IntertwiningProblem(h=ad @ a, x=ad @ ad, ladder_degree=2)
     result = construct_companion(problem)
 
     num = problem.h.blocks[0]

@@ -14,8 +14,6 @@ Only the phase average depends on the horizon.  A run therefore computes the
 Gauss-Laguerre rule, the moment verification and the half-moments once
 (:func:`resolution_assembly`, or :func:`cross_entry` for the zero-regulator
 entry) and applies the phase average of each horizon to that (``report``).
-:func:`resolution_check` and :func:`delta_zero_failure` do both for one
-horizon.
 """
 
 from __future__ import annotations
@@ -26,102 +24,49 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .errors import (
-    ConfigError,
-    NonPositiveDeltaError,
-    UnverifiableWeightError,
-)
-from .spectra import SpectralSequence, factorials, require_disjoint, shift
+from .errors import ConfigError, UnverifiableWeightError
+from .spectra import SpectralSequence, factorials, shift
+from .vcs import require_regime
 
 __all__ = [
     "MomentWeight",
-    "QuadratureSpec",
     "ResolutionReport",
     "ResolutionAssembly",
     "CrossEntryReport",
     "CrossEntry",
     "verify_moments",
     "resolution_assembly",
-    "resolution_check",
     "cross_entry",
-    "delta_zero_failure",
     "cesaro_phase_average",
 ]
 
 
 @dataclass(frozen=True)
 class MomentWeight:
-    """A nonnegative weight on [0, R) whose moments are factorial products.
+    """The exponential weight ``rho(u) = exp(-u/omega)/omega`` on [0, inf).
 
-    Two kinds: the closed-form exponential family ``rho(u) = exp(-u/omega)/omega``
-    (matching equally spaced shifted spectra ``e~[n] = omega*n``), and a
-    user-tabulated sample table with trapezoid integration.
+    Its moments ``omega^k k!`` are the factorial products of the equally
+    spaced shifted spectrum ``e~[n] = omega*n``.
     """
 
-    kind: str
-    omega: float = 1.0
-    u: np.ndarray | None = None
-    rho: np.ndarray | None = None
+    omega: float
 
     @classmethod
     def gamma_family(cls, omega: float = 1.0) -> "MomentWeight":
         if not omega > 0:
             raise ConfigError(f"weight scale must be positive, got {omega}")
-        return cls(kind="gamma", omega=float(omega))
-
-    @classmethod
-    def tabulated(cls, u, rho) -> "MomentWeight":
-        u = np.asarray(u, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        if u.ndim != 1 or u.shape != rho.shape or len(u) < 16:
-            raise UnverifiableWeightError("need matching 1-d sample arrays, >= 16 points")
-        if not np.all(np.diff(u) > 0):
-            raise UnverifiableWeightError("sample abscissas must be strictly increasing")
-        if rho.min() < 0:
-            raise UnverifiableWeightError(f"weight must be nonnegative, min {rho.min():.3e}")
-        u.setflags(write=False)
-        rho.setflags(write=False)
-        return cls(kind="tabulated", u=u, rho=rho)
+        return cls(float(omega))
 
     def quadrature(self, rule: tuple):
         """Nodes and weights such that ``sum w_k f(x_k) ~ int rho(u) f(u) du``.
 
         ``rule`` is the Gauss-Laguerre rule ``laggauss(n_nodes)`` of the
-        weight ``exp(-x)``, so one rule serves every weight of a run.  The
-        exponential family maps it onto itself (nodes scaled by omega), exact
-        for polynomial f up to degree ``2 n_nodes - 1``.  Tabulated weights
-        use their own samples with trapezoid weights instead.
+        weight ``exp(-x)``, so one rule serves every weight of a run.  It
+        maps onto this weight with its nodes scaled by omega, exact for
+        polynomial f up to degree ``2 n_nodes - 1``.
         """
-        if self.kind == "gamma":
-            x, w = rule
-            return self.omega * x, w
-        du = np.diff(self.u)
-        w = np.zeros_like(self.u)
-        w[:-1] += 0.5 * du
-        w[1:] += 0.5 * du
-        return self.u, w * self.rho
-
-    def analytic_moment(self, order: float) -> float | None:
-        """Closed-form moment when available (exponential family only)."""
-        if self.kind == "gamma":
-            return self.omega**order * math.gamma(order + 1.0)
-        return None
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Quadrature sizes for the resolution check.
-
-    ``n_nodes`` J-nodes per sector; phase average over ``[-gamma_horizon,
-    gamma_horizon]`` with uniform step ``gamma_step`` (``None`` picks
-    ``pi / (8 * fastest phase frequency)``); moments are trusted up to order
-    ``k_check`` (``None`` means the full truncation).
-    """
-
-    n_nodes: int = 40
-    gamma_horizon: float = 1e4
-    gamma_step: float | None = None
-    k_check: int | None = None
+        x, w = rule
+        return self.omega * x, w
 
 
 def _resolved_k_check(n_nodes: int, k_check: int | None, dim: int) -> int:
@@ -136,31 +81,16 @@ def _resolved_k_check(n_nodes: int, k_check: int | None, dim: int) -> int:
     return k
 
 
-def _tabulated_coverage_ok(weight: MomentWeight, order: int, moment: float) -> bool:
-    # the integrand must have decayed: the last panel's contribution is noise
-    u, rho = weight.u, weight.rho
-    last_panel = 0.5 * (u[-1] - u[-2]) * (
-        rho[-1] * u[-1] ** order + rho[-2] * u[-2] ** order
-    )
-    return moment > 0 and last_panel <= 1e-9 * moment
+def verify_moments(quadrature, seq, k_max: int) -> np.ndarray:
+    """Relative errors of a weight's moments against the factorial products.
 
-
-def verify_moments(weight: MomentWeight, seq, k_max: int, n_nodes: int | None = None):
-    """Relative errors of the weight's moments against the factorial products.
-
-    ``seq`` may be a spectral sequence (shifted internally) or an already
-    shifted one.  Returns ``errors[k] = |moment_k - e~[k]!| / e~[k]!`` for
-    k = 0..k_max, evaluated with the matched quadrature rule.  A factorial
-    product or a moment that overflows the float range raises
+    ``quadrature`` is the weight's nodes and weights (from
+    :meth:`MomentWeight.quadrature`).  ``seq`` may be a spectral sequence
+    (shifted internally) or an already shifted one.  Returns
+    ``errors[k] = |moment_k - e~[k]!| / e~[k]!`` for k = 0..k_max.  A
+    factorial product or a moment that overflows the float range raises
     ``UnverifiableWeightError``; for a moment, it names the order.
     """
-    if n_nodes is None:
-        n_nodes = max(40, math.ceil(k_max / 2 + 1))
-    return _moment_errors(weight, seq, k_max, weight.quadrature(laggauss(n_nodes)))
-
-
-def _moment_errors(weight: MomentWeight, seq, k_max: int, quadrature) -> np.ndarray:
-    """:func:`verify_moments` with the weight's nodes and weights given."""
     shifted = shift(seq) if isinstance(seq, SpectralSequence) else seq
     if k_max > shifted.dim - 1:
         raise ConfigError(f"k_max {k_max} exceeds truncation {shifted.dim - 1}")
@@ -179,13 +109,6 @@ def _moment_errors(weight: MomentWeight, seq, k_max: int, quadrature) -> np.ndar
             f"the quadrature moment of order {overflowing[0]} ({len(nodes)} nodes) overflows "
             "the float range: a limit of linear-domain moments, not a fault in the weight"
         )
-    if weight.kind == "tabulated":
-        for k in range(k_max + 1):
-            if not _tabulated_coverage_ok(weight, k, moments[k]):
-                raise UnverifiableWeightError(
-                    f"tabulated weight has not decayed within its support at order {k}; "
-                    "extend the sample range"
-                )
     return np.abs(moments - reference) / reference
 
 
@@ -206,7 +129,7 @@ def cesaro_phase_average(thetas, horizon: float, step: float):
     if np.abs(x).max() >= 0.5 * np.pi:
         raise ConfigError(
             f"phase step {s:.3e} does not resolve the fastest frequency "
-            f"{np.abs(thetas).max():.3e}; decrease gamma_step"
+            f"{np.abs(thetas).max():.3e}; decrease the step"
         )
     small = np.abs(x) < 1e-8
     xcot = np.where(small, 1.0 - x * x / 3.0, x / np.tan(np.where(small, 1.0, x)))
@@ -219,41 +142,32 @@ class ResolutionReport:
 
     The diagonal error is quadrature-limited (horizon independent); the
     off-diagonal error is phase-average-limited and decays like
-    ``1/(horizon * gap)``.  Window errors restrict to levels whose moments
-    were checked; full-space values are logged alongside.  ``moment_errors``
-    holds each sector's worst relative moment error, for the caller to judge.
+    ``1/(horizon * gap)``.  Both restrict to levels whose moments were
+    checked.  ``n_samples`` counts the points of the uniform phase grid, and
+    ``moment_errors`` holds each sector's worst relative moment error, for
+    the caller to judge.
     """
 
     family: str
     gamma_horizon: float
-    gamma_step: float
     n_samples: int
     n_nodes: int
     k_check: int
     diag_error: float
     offdiag_error: float
-    full_diag_error: float
-    full_offdiag_error: float
     hermiticity_defect: float
-    cesaro_coefficient: float
     moment_errors: tuple
-    matrix: np.ndarray = field(repr=False, default=None)
 
 
 def _phase_frequencies(family: str, seqs, delta: float) -> np.ndarray:
-    if family == "eds":
-        signs = [-1.0] * len(seqs)
-    elif family == "delta":
-        signs = [-1.0, +1.0]
-    else:
-        raise ConfigError(f"unknown family {family!r}")
+    signs = [-1.0, +1.0] if family == "delta" else [-1.0] * len(seqs)
     return np.concatenate([sg * (s.values + delta) for sg, s in zip(signs, seqs)])
 
 
-def _phase_step(freqs, gamma_horizon: float, gamma_step: float | None) -> tuple:
-    """``gamma_step`` (default ``pi / (8 * fastest frequency)``) and its panel count."""
+def _phase_step(freqs, gamma_horizon: float) -> tuple:
+    """The phase step ``pi / (8 * fastest frequency)`` and its panel count."""
     fastest = max(float(np.abs(freqs).max()), 1e-9)
-    step = gamma_step if gamma_step is not None else np.pi / (8.0 * fastest)
+    step = np.pi / (8.0 * fastest)
     return step, max(16, math.ceil(2.0 * gamma_horizon / step))
 
 
@@ -315,39 +229,29 @@ class ResolutionAssembly:
     freqs: np.ndarray = field(repr=False)
     phase_free: np.ndarray = field(repr=False)
 
-    def report(
-        self, gamma_horizon: float, gamma_step: float | None = None, keep_matrix: bool = False
-    ) -> ResolutionReport:
-        """Multiply in the phase average over ``[-gamma_horizon, gamma_horizon]``
-        and report the candidate's deviations from the identity."""
+    def candidate(self, gamma_horizon: float) -> np.ndarray:
+        """The identity candidate: the phase-free assembly times the phase
+        average over ``[-gamma_horizon, gamma_horizon]``."""
         theta = self.freqs[:, None] - self.freqs[None, :]
-        step, m = _phase_step(self.freqs, gamma_horizon, gamma_step)
-        candidate = self.phase_free * cesaro_phase_average(theta, gamma_horizon, step)
-        full = candidate - np.eye(candidate.shape[0])
-        sub = full[np.ix_(self.window, self.window)]
+        step, _ = _phase_step(self.freqs, gamma_horizon)
+        return self.phase_free * cesaro_phase_average(theta, gamma_horizon, step)
 
-        def split(dev):
-            diag = float(np.abs(np.diag(dev)).max())
-            off = dev - np.diag(np.diag(dev))
-            return diag, float(np.abs(off).max())
-
-        diag_err, offdiag_err = split(sub)
-        full_diag, full_offdiag = split(full)
+    def report(self, gamma_horizon: float) -> ResolutionReport:
+        """The candidate's deviations from the identity at one horizon."""
+        candidate = self.candidate(gamma_horizon)
+        _, m = _phase_step(self.freqs, gamma_horizon)
+        dev = (candidate - np.eye(candidate.shape[0]))[np.ix_(self.window, self.window)]
+        diag = np.diag(dev)
         return ResolutionReport(
             family=self.family,
             gamma_horizon=gamma_horizon,
-            gamma_step=2.0 * gamma_horizon / m,
             n_samples=m + 1,
             n_nodes=self.n_nodes,
             k_check=self.k_check,
-            diag_error=diag_err,
-            offdiag_error=offdiag_err,
-            full_diag_error=full_diag,
-            full_offdiag_error=full_offdiag,
+            diag_error=float(np.abs(diag).max()),
+            offdiag_error=float(np.abs(dev - np.diag(diag)).max()),
             hermiticity_defect=float(np.abs(candidate - candidate.T.conj()).max()),
-            cesaro_coefficient=offdiag_err * gamma_horizon,
             moment_errors=self.moment_errors,
-            matrix=candidate if keep_matrix else None,
         )
 
 
@@ -357,31 +261,17 @@ def resolution_assembly(
     """Check the weights' moments to order ``k_check`` and assemble the
     candidate up to its phase average, from one ``n_nodes``-point rule.
 
-    ``family`` is ``"eds"`` (shift family; spectra must be pairwise disjoint,
-    delta ignored) or ``"delta"`` (two zero-ground spectra with ``delta > 0``;
-    a nonpositive delta raises and should be routed to
-    :func:`delta_zero_failure` instead, which demonstrates the breakdown).
+    ``family`` and the spectra must meet :func:`~vcslab.vcs.require_regime`;
+    ``delta`` is ignored by the shift family (``"eds"``) and must be positive
+    for ``"delta"``: at ``delta = 0`` the resolution breaks, which
+    :func:`cross_entry` demonstrates.
     """
+    require_regime(family, seqs, delta)
     dim = seqs[0].dim
-    if family == "eds":
-        for a in range(len(seqs)):
-            for b in range(a + 1, len(seqs)):
-                require_disjoint(seqs[a], seqs[b])
-    elif family == "delta":
-        if len(seqs) != 2:
-            raise ConfigError("the delta family is two-sector")
-        if delta <= 0:
-            raise NonPositiveDeltaError(
-                f"delta = {delta} <= 0 breaks the resolution; "
-                "use delta_zero_failure to demonstrate the failing entry"
-            )
-    else:
-        raise ConfigError(f"unknown family {family!r}")
-
     k_check = _resolved_k_check(n_nodes, k_check, dim)
     quadratures = _run_quadratures(weights, n_nodes)
     moment_errors = tuple(
-        float(_moment_errors(w, s, k_check, q).max())
+        float(verify_moments(q, s, k_check).max())
         for w, s, q in zip(weights, seqs, quadratures)
     )
     # the levels whose moments were checked, in every sector
@@ -395,20 +285,6 @@ def resolution_assembly(
         freqs=_phase_frequencies(family, seqs, delta),
         phase_free=_phase_free_candidate(seqs, quadratures),
     )
-
-
-def resolution_check(
-    family: str,
-    seqs,
-    weights,
-    quad: QuadratureSpec = QuadratureSpec(),
-    delta: float = 0.0,
-    keep_matrix: bool = False,
-) -> ResolutionReport:
-    """Assemble the identity candidate at one horizon and report its
-    deviations: :func:`resolution_assembly`, then its ``report``."""
-    assembly = resolution_assembly(family, seqs, weights, quad.n_nodes, quad.k_check, delta)
-    return assembly.report(quad.gamma_horizon, quad.gamma_step, keep_matrix)
 
 
 @dataclass(frozen=True)
@@ -438,13 +314,11 @@ class CrossEntry:
     seqs: tuple
     j_integral: float
 
-    def report(
-        self, gamma_horizon: float, delta: float = 0.0, gamma_step: float | None = None
-    ) -> CrossEntryReport:
+    def report(self, gamma_horizon: float, delta: float = 0.0) -> CrossEntryReport:
         """The entry at regulator ``delta``: ``j_integral`` times the phase
         average at ``theta = -2 delta`` on the assembly's step."""
         freqs = _phase_frequencies("delta", self.seqs, delta)
-        step, _ = _phase_step(freqs, gamma_horizon, gamma_step)
+        step, _ = _phase_step(freqs, gamma_horizon)
         dim = self.seqs[0].dim
         cesaro = float(cesaro_phase_average(freqs[0] - freqs[dim], gamma_horizon, step))
         return CrossEntryReport(
@@ -459,21 +333,8 @@ class CrossEntry:
 def cross_entry(seqs, weights, n_nodes: int = 40, k_check: int | None = None) -> CrossEntry:
     """The delta-family cross entry of two zero-ground spectra, from one
     ``n_nodes``-point rule (held to the node floor the full assembly needs)."""
-    if len(seqs) != 2:
-        raise ConfigError("the delta family is two-sector")
-    for j, s in enumerate(seqs):
-        if s.ground != 0.0:
-            raise ConfigError(f"sector {j} must start at zero, ground {s.ground}")
+    require_regime("delta", seqs)
     _resolved_k_check(n_nodes, k_check, seqs[0].dim)
     zeros = [float(wq.sum()) for _, wq in _run_quadratures(weights, n_nodes)]
     return CrossEntry(tuple(seqs), zeros[0] * zeros[1])
 
-
-def delta_zero_failure(
-    seqs, weights, quad: QuadratureSpec = QuadratureSpec(), delta: float = 0.0
-) -> CrossEntryReport:
-    """The ground-ground cross entry of the delta-family assembly at the given
-    regulator (default zero), with its factorization: :func:`cross_entry`,
-    then its ``report`` at one horizon."""
-    entry = cross_entry(seqs, weights, quad.n_nodes, quad.k_check)
-    return entry.report(quad.gamma_horizon, delta, quad.gamma_step)

@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    NegativeGroundError,
-    NonMonotoneError,
-    SpectraNotDisjointError,
-)
+from .errors import NegativeGroundError, NonMonotoneError
 
 __all__ = [
     "SpectralSequence",
@@ -47,15 +43,9 @@ def _readonly(a):
 
 @dataclass(frozen=True)
 class SpectralSequence:
-    """Strictly increasing eigenvalue sequence with nonnegative ground level.
-
-    ``scale`` records the frequency used by the closed-form constructors
-    (``linear_sequence`` / ``quon_sequence``); the entries of ``values`` are
-    the actual eigenvalues, scale included.
-    """
+    """Strictly increasing eigenvalue sequence with nonnegative ground level."""
 
     values: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
@@ -73,7 +63,6 @@ class SpectralSequence:
 class ShiftedSequence:
     """A spectral sequence with its ground level subtracted off."""
 
-    base: SpectralSequence
     values: np.ndarray
     shift: float
 
@@ -86,7 +75,7 @@ class ShiftedSequence:
 
     def as_sequence(self) -> SpectralSequence:
         """The shifted values reinterpreted as a sequence in their own right."""
-        return SpectralSequence(self.values.copy(), scale=self.base.scale)
+        return SpectralSequence(self.values.copy())
 
 
 @dataclass(frozen=True)
@@ -142,7 +131,7 @@ class RadiusEstimate:
     limit: float | None = field(default=None)
 
 
-def make_sequence(values, scale: float = 1.0) -> SpectralSequence:
+def make_sequence(values) -> SpectralSequence:
     """Validate a raw eigenvalue list into a :class:`SpectralSequence`.
 
     Raises
@@ -161,14 +150,12 @@ def make_sequence(values, scale: float = 1.0) -> SpectralSequence:
         raise NonMonotoneError("eigenvalues must be strictly increasing")
     if arr[0] < 0:
         raise NegativeGroundError(f"ground level {arr[0]} is negative")
-    if not (scale > 0):
-        raise NonMonotoneError(f"scale must be positive, got {scale}")
-    return SpectralSequence(arr, scale=float(scale))
+    return SpectralSequence(arr)
 
 
 def linear_sequence(dim: int, omega: float = 1.0, offset: float = 0.0) -> SpectralSequence:
     """Equally spaced spectrum ``e[n] = omega*n + offset``."""
-    return make_sequence(omega * np.arange(dim, dtype=float) + offset, scale=omega)
+    return make_sequence(omega * np.arange(dim, dtype=float) + offset)
 
 
 def quon_numbers(dim: int, q: float) -> np.ndarray:
@@ -188,14 +175,14 @@ def quon_sequence(dim: int, q: float, omega: float = 1.0, offset: float = 0.0) -
     """Deformed spectrum ``e[n] = omega*[n]_q + offset`` for q in (0, 1]."""
     if not (0 < q <= 1):
         raise NonMonotoneError(f"quon spectrum needs q in (0, 1], got {q}")
-    return make_sequence(omega * quon_numbers(dim, q) + offset, scale=omega)
+    return make_sequence(omega * quon_numbers(dim, q) + offset)
 
 
 def shift(seq: SpectralSequence) -> ShiftedSequence:
     """Subtract the ground level; the result starts at exactly zero."""
     shifted = seq.values - seq.values[0]
     shifted[0] = 0.0
-    return ShiftedSequence(base=seq, values=shifted, shift=seq.ground)
+    return ShiftedSequence(values=shifted, shift=seq.ground)
 
 
 def factorials(shifted: ShiftedSequence) -> FactorialCache:
@@ -232,17 +219,6 @@ def eds_check(s1: SpectralSequence, s2: SpectralSequence) -> DisjointnessReport:
     return DisjointnessReport(
         disjoint=min_gap > EDS_TOLERANCE, min_gap=min_gap, pair=(n, m), tol=EDS_TOLERANCE
     )
-
-
-def require_disjoint(s1, s2) -> DisjointnessReport:
-    """Like :func:`eds_check` but raising on collision."""
-    report = eds_check(s1, s2)
-    if not report.disjoint:
-        raise SpectraNotDisjointError(
-            f"spectra collide at pair {report.pair} with gap {report.min_gap:.3e} "
-            f"<= {EDS_TOLERANCE:.1e}"
-        )
-    return report
 
 
 # a last-quartile increment is "bounded away from zero" relative to the

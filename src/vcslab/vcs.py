@@ -13,12 +13,13 @@ A family (:class:`CoherentFamily`, from :func:`delta_family` or
 spectra, their shifts and the phase signs.  It builds the states of ``S``
 label draws as one :class:`CoherentStates`, with ``S x N x D``
 coefficients, and each ``*_residuals`` function returns one value per
-state in one array pass.  The single-state builders and ``*_residual``
-functions are the ``S = 1`` case of the same code.
+state in one array pass; one state is the case ``S = 1``.
+:func:`require_regime` holds the conditions each family puts on its spectra.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,56 +27,29 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
+    NonPositiveDeltaError,
     OutOfDiscError,
     RegimeError,
+    SpectraNotDisjointError,
     TailTooLargeError,
 )
-from .hilbert import (
-    WINDOW_BUFFER,
-    BlockOperator,
-    SectorSpace,
-    SusyVector,
-    weighted_shift,
-    window_levels,
-)
-from .spectra import ShiftedSequence, radius_estimate, require_disjoint, shift
+from .hilbert import WINDOW_BUFFER, BlockOperator, SectorSpace, weighted_shift, window_levels
+from .spectra import ShiftedSequence, eds_check, radius_estimate, shift
 
 __all__ = [
-    "VcsParams",
     "CoherentFamily",
     "CoherentStates",
-    "CoherentState",
     "series_norm",
+    "require_regime",
     "delta_family",
     "eds_family",
-    "delta_family_state",
-    "eds_family_state",
     "action_identity_residuals",
-    "action_identity_residual",
     "temporal_stability_residuals",
-    "temporal_stability_residual",
     "eigenstate_residuals",
-    "eigenstate_residual",
 ]
 
 #: eigenstate residuals exclude this many top levels: the ladder's degree plus the buffer
 EIGENSTATE_EXCLUDE_TOP = 1 + WINDOW_BUFFER
-
-
-@dataclass(frozen=True)
-class VcsParams:
-    """Coherent-state labels: per-sector intensities, common phase, regulator."""
-
-    intensities: tuple
-    gamma: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "intensities", tuple(float(j) for j in self.intensities))
-        if any(j < 0 for j in self.intensities):
-            raise OutOfDiscError(f"intensities must be nonnegative, got {self.intensities}")
-        if self.delta < 0:
-            raise RegimeError(f"delta must be nonnegative, got {self.delta}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,42 +135,6 @@ class CoherentStates:
     tail_bound: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class CoherentState:
-    """One built state: the one-row :class:`CoherentStates` of its labels."""
-
-    states: CoherentStates
-    params: VcsParams
-
-    @property
-    def space(self) -> SectorSpace:
-        return self.states.family.space
-
-    @property
-    def vector(self) -> SusyVector:
-        return SusyVector(self.space, self.states.coefficients[0].ravel())
-
-    @property
-    def norm_const(self) -> float:
-        return float(self.states.norm_const[0])
-
-    @property
-    def tail_bound(self) -> float:
-        return float(self.states.tail_bound[0])
-
-    @property
-    def series_values(self) -> tuple:
-        return tuple(self.states.series_values[0])
-
-    @property
-    def regime(self) -> str:
-        return self.states.family.regime
-
-    @property
-    def seqs(self) -> tuple:
-        return self.states.family.seqs
-
-
 def _series_terms(shifted: ShiftedSequence, j_value) -> np.ndarray:
     """Terms J^k / (shifted factorial) along a new last axis, computed by
     stable ratio recursion; ``j_value`` may be an array of intensities."""
@@ -235,64 +173,56 @@ def series_norm(shifted: ShiftedSequence, j_value):
     return terms.sum(axis=-1), terms[..., -1] * ratio / (1.0 - ratio)
 
 
-def _common_dim(seqs) -> int:
+def require_regime(
+    family: str, seqs, delta: float | None = None, where: str = "seqs", delta_key: str = "delta"
+) -> None:
+    """Raise unless the spectra ``seqs`` suit ``family`` (``"eds"`` or ``"delta"``).
+
+    The delta family takes two spectra with ground level exactly zero and,
+    when ``delta`` is given, a regulator ``delta > 0``.  The shift family
+    takes one spectrum, or several with strictly positive ground levels that
+    are pairwise disjoint (one O(D log D) scan per pair).  All spectra share
+    one truncation.  Messages name spectrum ``j`` as ``{where}[j]`` and the
+    regulator as ``delta_key``, so a config can name its own keys.
+    """
+    if family == "delta":
+        if len(seqs) != 2:
+            raise RegimeError(f"{where}: the delta family is two-sector, got {len(seqs)}")
+        if delta is not None and not delta > 0:
+            raise NonPositiveDeltaError(f"{delta_key}: the delta family needs delta > 0, got {delta}")
+        for j, s in enumerate(seqs):
+            if s.ground != 0.0:
+                raise RegimeError(
+                    f"{where}[{j}] ground level {s.ground} != 0; "
+                    "delta-family spectra must start at zero"
+                )
+    elif family == "eds":
+        if not seqs:
+            raise RegimeError(f"{where}: need at least one sector")
+        if len(seqs) > 1:
+            for j, s in enumerate(seqs):
+                if not s.ground > 0:
+                    raise RegimeError(
+                        f"{where}[{j}] ground level {s.ground} must be positive "
+                        "in the multi-sector shift regime"
+                    )
+            for a, b in itertools.combinations(range(len(seqs)), 2):
+                report = eds_check(seqs[a], seqs[b])
+                if not report.disjoint:
+                    raise SpectraNotDisjointError(
+                        f"{where}[{a}] and {where}[{b}] collide at levels {report.pair} "
+                        f"with gap {report.min_gap:.3e} <= {report.tol:.1e}"
+                    )
+    else:
+        raise RegimeError(f"unknown family {family!r}")
     dims = {s.dim for s in seqs}
     if len(dims) != 1:
-        raise LengthMismatchError(f"sector truncations differ: {sorted(dims)}")
-    return dims.pop()
-
-
-def _one_state(family: CoherentFamily, params: VcsParams) -> CoherentState:
-    return CoherentState(family.states([params.intensities], [params.gamma]), params)
+        raise LengthMismatchError(f"{where}: sector truncations differ: {sorted(dims)}")
 
 
 def delta_family(seqs, delta: float) -> CoherentFamily:
     """The delta-regularized two-sector family: two spectra with ground level
-    exactly zero and a regulator ``delta > 0``."""
-    if len(seqs) != 2:
-        raise RegimeError(f"the delta family is two-sector, got {len(seqs)}")
-    if not delta > 0:
-        raise RegimeError(f"the delta family needs delta > 0, got {delta}")
-    for j, s in enumerate(seqs):
-        if s.ground != 0.0:
-            raise RegimeError(
-                f"sector {j} ground level {s.ground} != 0; "
-                "delta-family spectra must start at zero"
-            )
-    _common_dim(seqs)
-    shifted = tuple(shift(s) for s in seqs)
-    return CoherentFamily("delta-family", tuple(seqs), shifted, (-1.0, +1.0), delta)
-
-
-def eds_family(seqs) -> CoherentFamily:
-    """The shift-based family (no regulator).
-
-    For two or more sectors the spectra must have strictly positive ground
-    levels and be pairwise disjoint; a single sector reproduces the classic
-    one-Hamiltonian coherent state and is exempt from both conditions.
-    """
-    if not seqs:
-        raise RegimeError("need at least one sector")
-    if len(seqs) > 1:
-        for j, s in enumerate(seqs):
-            if not s.ground > 0:
-                raise RegimeError(
-                    f"sector {j} ground level {s.ground} must be positive "
-                    "in the multi-sector shift regime"
-                )
-        for a in range(len(seqs)):
-            for b in range(a + 1, len(seqs)):
-                require_disjoint(seqs[a], seqs[b])
-    _common_dim(seqs)
-    shifted = tuple(shift(s) for s in seqs)
-    return CoherentFamily("eds-family", tuple(seqs), shifted, (-1.0,) * len(seqs))
-
-
-def delta_family_state(seqs, params: VcsParams) -> CoherentState:
-    """Coherent state of the delta-regularized two-sector family.
-
-    Requires two spectra with ground level exactly zero and ``delta > 0``.
-    Sector coefficients::
+    exactly zero and a regulator ``delta > 0``.  Sector coefficients::
 
         c[n,0] = J1^(n/2) exp(-i (e1[n]+delta) gamma) / sqrt(e1[n]! * N)
         c[n,1] = J2^(n/2) exp(+i (e2[n]+delta) gamma) / sqrt(e2[n]! * N)
@@ -300,26 +230,29 @@ def delta_family_state(seqs, params: VcsParams) -> CoherentState:
     with ``N`` the sum of the two coefficient series.  Note the opposite
     phase signs of the sectors.
     """
-    return _one_state(delta_family(seqs, params.delta), params)
+    require_regime("delta", seqs, delta)
+    shifted = tuple(shift(s) for s in seqs)
+    return CoherentFamily("delta-family", tuple(seqs), shifted, (-1.0, +1.0), delta)
 
 
-def eds_family_state(seqs, params: VcsParams) -> CoherentState:
-    """Coherent state of the shift-based family (no regulator; see
-    :func:`eds_family`).  Every sector carries the same phase sign::
+def eds_family(seqs) -> CoherentFamily:
+    """The shift-based family (no regulator).  Every sector carries the same
+    phase sign::
 
         c[n,j] = Jj^(n/2) exp(-i ej[n] gamma) / sqrt(e~j[n]! * N~)
+
+    For two or more sectors the spectra must have strictly positive ground
+    levels and be pairwise disjoint; a single sector reproduces the classic
+    one-Hamiltonian coherent state and is exempt from both conditions.
     """
-    return _one_state(eds_family(seqs), VcsParams(params.intensities, params.gamma, 0.0))
+    require_regime("eds", seqs)
+    shifted = tuple(shift(s) for s in seqs)
+    return CoherentFamily("eds-family", tuple(seqs), shifted, (-1.0,) * len(seqs))
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``Re <a_s, b_s>`` for each state ``s`` of two ``S x N x K`` arrays, with no temporaries."""
     return np.einsum("snk,snk->s", a.real, b.real) + np.einsum("snk,snk->s", a.imag, b.imag)
-
-
-def _require_space(states: CoherentStates, space: SectorSpace, what: str) -> None:
-    if space != states.family.space:
-        raise DimensionMismatchError(f"states and {what} live on different spaces")
 
 
 def action_identity_residuals(states: CoherentStates, hamiltonian: BlockOperator) -> np.ndarray:
@@ -329,17 +262,13 @@ def action_identity_residuals(states: CoherentStates, hamiltonian: BlockOperator
     is ``sum_j Jj Mj / sum_j Mj`` with the per-sector series values stored
     with the states.
     """
-    _require_space(states, hamiltonian.space, "Hamiltonian")
+    if hamiltonian.space != states.family.space:
+        raise DimensionMismatchError("states and Hamiltonian live on different spaces")
     c = states.coefficients
     h_c = weighted_shift(hamiltonian.blocks, hamiltonian.offset, c)
     lhs = _real_inner(c, h_c)
     rhs = (states.intensities * states.series_values).sum(axis=1) / states.norm_const
     return np.abs(lhs - rhs)
-
-
-def action_identity_residual(state: CoherentState, hamiltonian: BlockOperator) -> float:
-    """:func:`action_identity_residuals` of one state."""
-    return float(action_identity_residuals(state.states, hamiltonian)[0])
 
 
 def temporal_stability_residuals(
@@ -373,13 +302,6 @@ def temporal_stability_residuals(
     return np.sqrt(_real_inner(diff, diff))
 
 
-def temporal_stability_residual(
-    state: CoherentState, t: float, evolution: str = "family"
-) -> float:
-    """:func:`temporal_stability_residuals` of one state."""
-    return float(temporal_stability_residuals(state.states, t, evolution)[0])
-
-
 def eigenstate_residuals(
     states: CoherentStates, lowering: np.ndarray, offset: int = -1
 ) -> np.ndarray:
@@ -403,9 +325,3 @@ def eigenstate_residuals(
     diff -= np.sqrt(states.intensities)[:, :, None] * c
     window = diff[:, :, :keep]
     return np.sqrt(_real_inner(window, window))
-
-
-def eigenstate_residual(state: CoherentState, lowering: BlockOperator) -> float:
-    """:func:`eigenstate_residuals` of one state under one operator."""
-    _require_space(state.states, lowering.space, "operator")
-    return float(eigenstate_residuals(state.states, lowering.blocks[None], lowering.offset)[0])

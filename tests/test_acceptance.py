@@ -118,21 +118,19 @@ def test_criterion_4_coherent_state_property_suite():
         spectra.linear_sequence(dim, 1.0, offset=0.3),
         spectra.linear_sequence(dim, math.sqrt(2.0), offset=0.55),
     ]
-    shifted = [spectra.shift(s) for s in seqs]
+    family = vcs.eds_family(seqs)
     h_tau = hilbert.shifted_hamiltonian(seqs)
     rng = np.random.default_rng(0)
     times = (0.1, 1.0, 10.0)
 
-    samples = {"tail": [], "action": [], "eigen": [], "stability": []}
-    for _ in range(100):
-        params = vcs.VcsParams(rng.uniform(0.0, 4.0, size=2), rng.uniform(-3.0, 3.0))
-        state = vcs.eds_family_state(seqs, params)
-        samples["tail"].append(state.tail_bound)
-        samples["action"].append(vcs.action_identity_residual(state, h_tau))
-        lowering = hilbert.lowering_operator(shifted, params.gamma)
-        samples["eigen"].append(vcs.eigenstate_residual(state, lowering))
-        for t in times:
-            samples["stability"].append(vcs.temporal_stability_residual(state, t))
+    draws = [(rng.uniform(0.0, 4.0, size=2), rng.uniform(-3.0, 3.0)) for _ in range(100)]
+    states = family.states([j for j, _ in draws], [g for _, g in draws])
+    samples = {
+        "tail": states.tail_bound,
+        "action": vcs.action_identity_residuals(states, h_tau),
+        "eigen": vcs.eigenstate_residuals(states, hilbert.lowering_weights(family.shifted, states.gammas)),
+        "stability": [vcs.temporal_stability_residuals(states, t) for t in times],
+    }
     worst = {key: float(np.max(values)) for key, values in samples.items()}
 
     # nonlinear-spectrum witness: mismatched phase is NOT an eigenstate
@@ -140,11 +138,9 @@ def test_criterion_4_coherent_state_property_suite():
         spectra.quon_sequence(50, 0.5, offset=0.3),
         spectra.quon_sequence(50, 0.7, offset=0.55),
     ]
-    w_shifted = [spectra.shift(s) for s in w_seqs]
-    w_state = vcs.eds_family_state(w_seqs, vcs.VcsParams((1.0, 1.0), 0.4))
-    witness = vcs.eigenstate_residual(
-        w_state, hilbert.lowering_operator(w_shifted, 1.4)
-    )
+    w_family = vcs.eds_family(w_seqs)
+    w_state = w_family.states([[1.0, 1.0]], [0.4])
+    witness = vcs.eigenstate_residuals(w_state, hilbert.lowering_weights(w_family.shifted, [1.4]))[0]
     elapsed = time.perf_counter() - start
 
     ok = (
@@ -182,12 +178,10 @@ def test_criterion_5_resolution_of_identity():
         moments.MomentWeight.gamma_family(math.sqrt(2.0)),
     ]
     horizons = (1e2, 1e3, 1e4)
-    diag_errors, offdiag_errors = [], []
-    for horizon in horizons:
-        quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=horizon)
-        report = moments.resolution_check("eds", seqs, weights, quad)
-        diag_errors.append(report.diag_error)
-        offdiag_errors.append(report.offdiag_error)
+    assembly = moments.resolution_assembly("eds", seqs, weights, n_nodes=40)
+    reports = [assembly.report(horizon) for horizon in horizons]
+    diag_errors = [r.diag_error for r in reports]
+    offdiag_errors = [r.offdiag_error for r in reports]
     exponent = -intertwine.fit_power_law(horizons, offdiag_errors)
     worst_diag = float(np.max(diag_errors))
     elapsed = time.perf_counter() - start
@@ -208,11 +202,11 @@ def test_criterion_6_regulator_dichotomy():
     dim = 16
     seqs = [spectra.linear_sequence(dim), spectra.linear_sequence(dim)]
     weights = [moments.MomentWeight.gamma_family(1.0)] * 2
+    entry = moments.cross_entry(seqs, weights, n_nodes=40)
     mags, probes = {}, {}
     for horizon in (1e2, 1e4):
-        quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=horizon)
-        mags[horizon] = moments.delta_zero_failure(seqs, weights, quad).magnitude
-        probes[horizon] = moments.delta_zero_failure(seqs, weights, quad, delta=0.5).magnitude
+        mags[horizon] = entry.report(horizon).magnitude
+        probes[horizon] = entry.report(horizon, delta=0.5).magnitude
     drift = abs(mags[1e4] - mags[1e2]) / mags[1e2]
     factor = probes[1e2] / probes[1e4]
 

@@ -107,6 +107,25 @@ MALFORMED = [
         "spectra[0]",
     ),
     (
+        "values-with-omega-and-offset",
+        with_spectrum(
+            small_vcs_config(dim=8), form="values", values=[0.3, 1, 2, 3, 4, 5, 6, 7], omega=7, offset=100
+        ),
+        "spectra[0].omega",
+    ),
+    ("linear-with-q", with_spectrum(small_vcs_config(), form="linear", q=0.5), "spectra[0].q"),
+    ("spectrum-scale", with_spectrum(small_vcs_config(), form="linear", scale=2.0), "spectra[0]"),
+    (
+        "nonisospectral-with-spectra",
+        {"kind": "nonisospectral", "dim": 8, "spectra": [{"form": "linear"}]},
+        "spectra is not read",
+    ),
+    (
+        "map-probe-with-spectra",
+        {"kind": "map-equality-probe", "dim": 8, "spectra": [{"form": "linear"}]},
+        "spectra is not read",
+    ),
+    (
         "witness-dim-too-small",
         with_param(
             small_vcs_config(), "witness", {"dim": 4, "spectra": [{"form": "quon", "q": 0.5}]}

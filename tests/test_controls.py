@@ -9,15 +9,20 @@ import json
 import math
 from importlib import resources
 
+import pytest
 import yaml
 
 from vcslab import cli, config, moments, spectra
 
 
+def bundled(name):
+    return yaml.safe_load((resources.files("vcslab") / "configs" / f"{name}.yaml").read_text())
+
+
 def short_truncation_vcs(tmp_path, **tolerances):
     """``vcs-eds-properties`` at dim 30 with intensities to 12 and no witness:
     the truncation loses up to 8.8e-6 of a state's mass."""
-    raw = yaml.safe_load((resources.files("vcslab") / "configs" / "vcs-eds-properties.yaml").read_text())
+    raw = bundled("vcs-eds-properties")
     raw["dim"] = 30
     raw["params"]["j_max"] = [12.0, 12.0]
     del raw["params"]["witness"]
@@ -57,7 +62,50 @@ def test_wrong_weight_scale_fails_moment_verification():
         spectra.linear_sequence(16, math.sqrt(2.0), offset=math.sqrt(2.0) / 2),
     ]
     weights = [moments.MomentWeight.gamma_family(2.0)] * 2
-    report = moments.resolution_check("eds", seqs, weights)
+    report = moments.resolution_assembly("eds", seqs, weights).report(1e4)
     tol = config.ResolutionParams.TOLERANCES
     assert min(report.moment_errors) > tol["moment"]
     assert report.diag_error > tol["diagonal"]
+
+
+def edited(name, spectra=None, **params):
+    """Bundle ``name`` with its spectra replaced and its params updated."""
+    raw = bundled(name)
+    if spectra is not None:
+        raw["spectra"] = spectra
+    raw["params"].update(params)
+    return raw
+
+
+LINEAR_OFFSETS = [{"form": "linear", "offset": 0.5}, {"form": "linear", "offset": 0.7}]
+ZERO_GROUND_PAIR = [{"form": "linear"}, {"form": "linear", "omega": math.sqrt(2.0), "offset": 0.7}]
+COLLIDING = [{"form": "linear", "offset": 0.3}, {"form": "linear", "offset": 0.3}]
+QUON_ZERO_GROUND = [{"form": "quon", "q": 0.5}, {"form": "quon", "q": 0.7}]
+
+# (case, config, the key the config error names): each spectrum set is one
+# that vcs.delta_family or vcs.eds_family rejects
+REGIME_CONTROLS = [
+    ("resolution-delta-nonzero-grounds", edited("resolution-delta", LINEAR_OFFSETS), "spectra[0]"),
+    ("resolution-delta-negative-delta", edited("resolution-delta", delta=-0.5), "params.delta"),
+    ("resolution-eds-zero-ground", edited("resolution-eds", ZERO_GROUND_PAIR), "spectra[0]"),
+    ("vcs-delta-zero-delta", edited("vcs-delta-properties", delta=0.0), "params.delta"),
+    ("vcs-delta-nonzero-grounds", edited("vcs-delta-properties", LINEAR_OFFSETS), "spectra[0]"),
+    ("vcs-eds-zero-ground", edited("vcs-eds-properties", ZERO_GROUND_PAIR), "spectra[0]"),
+    ("vcs-eds-colliding", edited("vcs-eds-properties", COLLIDING), "spectra[0] and spectra[1]"),
+    (
+        "vcs-witness-zero-ground",
+        edited("vcs-eds-properties", witness={"spectra": QUON_ZERO_GROUND, "dim": 50}),
+        "params.witness.spectra[0]",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw, key", [c[1:] for c in REGIME_CONTROLS], ids=[c[0] for c in REGIME_CONTROLS])
+def test_family_regime_is_checked_at_parse_time(raw, key, tmp_path, capsys):
+    path = tmp_path / "regime.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    assert key in err
+    assert not (tmp_path / "out").exists()

@@ -1,0 +1,72 @@
+"""Static checks on the package's modules, read with ``ast``: every name a
+module lists in ``__all__`` exists, and no module but ``__init__.py`` (which
+re-exports) imports a name it never uses.  A deletion that leaves a stale
+export or import behind fails here."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import vcslab
+
+MODULES = sorted(Path(vcslab.__file__).parent.glob("*.py"))
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def exported(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def imported(tree) -> dict:
+    """Name bound by each import statement of the module -> its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def defined(tree) -> set:
+    """Names bound at module level: definitions, assignments and imports."""
+    names = set(imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def used(tree) -> set:
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)} | set(exported(tree))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_exported_name_exists(path):
+    tree = parse(path)
+    missing = sorted(set(exported(tree)) - defined(tree))
+    assert not missing, f"{path.name}: __all__ lists undefined {missing}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=[p.name for p in MODULES if p.name != "__init__.py"]
+)
+def test_no_unused_imports(path):
+    tree = parse(path)
+    names = used(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in imported(tree).items() if name not in names)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

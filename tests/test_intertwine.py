@@ -171,9 +171,7 @@ class TestConstructCompanion:
         gamma = 0.9
         problem = intertwine.example_problem(1, seqs, gamma)
         first = intertwine.construct_companion(problem)
-        second_problem = IntertwiningProblem(
-            h=first.companion, x=problem.x, ladder_degree=2, label="iterated"
-        )
+        second_problem = IntertwiningProblem(h=first.companion, x=problem.x, ladder_degree=2)
         second = intertwine.construct_companion(second_problem)
         assert within_tolerances(second.certificate)
 

@@ -24,49 +24,44 @@ def eds_weights():
     ]
 
 
+def gauss_laguerre(weight, n_nodes=40):
+    """The weight's nodes and weights on an ``n_nodes``-point Gauss-Laguerre rule."""
+    return weight.quadrature(laggauss(n_nodes))
+
+
 class TestVerifyMoments:
     def test_unit_scale_exactness(self):
         # int_0^inf u^k e^-u du = k!, reproduced to quadrature exactness
         weight = moments.MomentWeight.gamma_family(1.0)
-        errs = moments.verify_moments(weight, spectra.linear_sequence(30), k_max=20)
+        errs = moments.verify_moments(gauss_laguerre(weight), spectra.linear_sequence(30), k_max=20)
         assert errs.max() <= 1e-12
 
     def test_scaled_moments(self):
         # weight scale 2 against e~[n] = 2n: moments 2^k k!
         weight = moments.MomentWeight.gamma_family(2.0)
         seq = spectra.linear_sequence(16, 2.0)
-        errs = moments.verify_moments(weight, seq, k_max=12)
+        errs = moments.verify_moments(gauss_laguerre(weight), seq, k_max=12)
         assert errs.max() <= 1e-12
+        nodes, weights = gauss_laguerre(weight)
         for k in range(5):
-            assert weight.analytic_moment(k) == pytest.approx(2.0**k * math.factorial(k))
+            assert weights @ nodes**k == pytest.approx(2.0**k * math.factorial(k))
 
     def test_zeroth_moment_is_one(self):
         weight = moments.MomentWeight.gamma_family(3.7)
-        errs = moments.verify_moments(weight, spectra.linear_sequence(8, 3.7), k_max=0)
+        errs = moments.verify_moments(gauss_laguerre(weight), spectra.linear_sequence(8, 3.7), k_max=0)
         assert errs[0] <= 1e-14
 
     def test_mismatched_weight_detected(self):
         weight = moments.MomentWeight.gamma_family(2.0)
         seq = spectra.linear_sequence(12, 1.0)
-        errs = moments.verify_moments(weight, seq, k_max=6)
+        errs = moments.verify_moments(gauss_laguerre(weight), seq, k_max=6)
         assert errs.max() > 0.5
 
-    def test_tabulated_weight_verifies(self):
-        u = np.linspace(0.0, 80.0, 400_001)
-        rho = np.exp(-u)
-        weight = moments.MomentWeight.tabulated(u, rho)
-        errs = moments.verify_moments(weight, spectra.linear_sequence(10), k_max=6)
-        assert errs.max() <= 1e-8
-
-    def test_tabulated_insufficient_coverage(self):
-        u = np.linspace(0.0, 1.0, 2001)  # integrand has not decayed by u = 1
-        weight = moments.MomentWeight.tabulated(u, np.exp(-u))
-        with pytest.raises(errors.UnverifiableWeightError):
-            moments.verify_moments(weight, spectra.linear_sequence(10), k_max=6)
-
     def test_negative_weight_rejected(self):
-        with pytest.raises(errors.UnverifiableWeightError):
-            moments.MomentWeight.tabulated(np.linspace(0, 1, 20), -np.ones(20))
+        # a scale omega <= 0 makes exp(-u/omega)/omega negative or undefined
+        for omega in (-2.0, 0.0):
+            with pytest.raises(errors.ConfigError):
+                moments.MomentWeight.gamma_family(omega)
 
     def test_overflowing_moment_names_its_order(self):
         # the factorial products are finite at dim 160, but nodes ** k is not from k = 125
@@ -75,7 +70,7 @@ class TestVerifyMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(errors.UnverifiableWeightError, match="order 125 .82 nodes.*float range"):
-                moments.verify_moments(weight, seq, 159, n_nodes=82)
+                moments.verify_moments(gauss_laguerre(weight, 82), seq, 159)
 
 
 def direct_phase_average(thetas, horizon, step):
@@ -114,22 +109,25 @@ class TestCesaroAverage:
             moments.cesaro_phase_average(np.array([50.0]), 10.0, 1.0)
 
 
+def resolution_report(family, seqs, weights, horizon=1e4, n_nodes=40, delta=0.0):
+    """One horizon's report of the run-level assembly."""
+    assembly = moments.resolution_assembly(family, seqs, weights, n_nodes, delta=delta)
+    return assembly.report(horizon)
+
+
 class TestResolutionCheck:
     def test_eds_family_small(self):
-        quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=1e4)
-        report = moments.resolution_check("eds", eds_pair(), eds_weights(), quad)
+        report = resolution_report("eds", eds_pair(), eds_weights())
         assert report.diag_error <= 1e-8
         assert report.offdiag_error <= 1e-2
         assert report.hermiticity_defect <= 1e-12
         assert report.k_check == 15
 
     def test_offdiag_shrinks_with_horizon(self):
-        errs, diags = [], []
-        for horizon in (1e2, 1e3, 1e4):
-            quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=horizon)
-            report = moments.resolution_check("eds", eds_pair(), eds_weights(), quad)
-            errs.append(report.offdiag_error)
-            diags.append(report.diag_error)
+        assembly = moments.resolution_assembly("eds", eds_pair(), eds_weights(), 40)
+        reports = [assembly.report(horizon) for horizon in (1e2, 1e3, 1e4)]
+        errs = [r.offdiag_error for r in reports]
+        diags = [r.diag_error for r in reports]
         assert errs[0] > errs[1] > errs[2]
         # full-window residual trends down toward the quadrature floor
         assert errs[2] <= errs[0] / 30
@@ -139,8 +137,7 @@ class TestResolutionCheck:
     def test_delta_family(self):
         seqs = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
         weights = [moments.MomentWeight.gamma_family(1.0)] * 2
-        quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=1e4)
-        report = moments.resolution_check("delta", seqs, weights, quad, delta=0.5)
+        report = resolution_report("delta", seqs, weights, delta=0.5)
         assert report.diag_error <= 1e-8
         assert report.offdiag_error <= 1e-2
 
@@ -148,7 +145,15 @@ class TestResolutionCheck:
         seqs = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
         weights = [moments.MomentWeight.gamma_family(1.0)] * 2
         with pytest.raises(errors.NonPositiveDeltaError):
-            moments.resolution_check("delta", seqs, weights, delta=0.0)
+            moments.resolution_assembly("delta", seqs, weights, delta=0.0)
+
+    def test_delta_family_requires_zero_ground(self):
+        seqs = [spectra.linear_sequence(16, offset=0.5), spectra.linear_sequence(16, offset=0.7)]
+        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
+        with pytest.raises(errors.RegimeError, match=r"seqs\[0\] ground level 0.5"):
+            moments.resolution_assembly("delta", seqs, weights, delta=0.5)
+        with pytest.raises(errors.RegimeError, match=r"seqs\[0\] ground level 0.5"):
+            moments.cross_entry(seqs, weights)
 
     def test_eds_family_requires_disjoint_spectra(self):
         seqs = [
@@ -156,20 +161,19 @@ class TestResolutionCheck:
             spectra.linear_sequence(12, offset=0.3),
         ]
         with pytest.raises(errors.SpectraNotDisjointError):
-            moments.resolution_check("eds", seqs, [moments.MomentWeight.gamma_family(1.0)] * 2)
+            moments.resolution_assembly("eds", seqs, [moments.MomentWeight.gamma_family(1.0)] * 2)
 
     def test_bad_weight_rejected(self):
         # the wrong scales show in the reported moment errors, for the
         # caller's moment-verification check to reject
         seqs = eds_pair()
         weights = [moments.MomentWeight.gamma_family(2.0)] * 2  # wrong scales
-        report = moments.resolution_check("eds", seqs, weights)
+        report = resolution_report("eds", seqs, weights)
         assert min(report.moment_errors) > 1e-8
 
     def test_quadrature_spec_node_floor(self):
-        quad = moments.QuadratureSpec(n_nodes=4, gamma_horizon=1e3)
         with pytest.raises(errors.ConfigError):
-            moments.resolution_check("eds", eds_pair(), eds_weights(), quad)
+            moments.resolution_assembly("eds", eds_pair(), eds_weights(), n_nodes=4)
 
 
 class TestLiteralAssemblyOracle:
@@ -177,53 +181,44 @@ class TestLiteralAssemblyOracle:
 
     Builds every coherent state on the (J1, J2, gamma) product grid, sums the
     weighted projectors literally, and compares against the factorized
-    assembly used by resolution_check (same nodes, same trapezoid grid).
+    candidate of ``ResolutionAssembly.candidate`` (same nodes, same
+    trapezoid grid).
     """
 
-    def literal_identity(self, family, seqs, weights, n_nodes, horizon, step, delta):
-        dim = seqs[0].dim
-        m = max(16, int(np.ceil(2.0 * horizon / step)))
-        s = 2.0 * horizon / m
-        gammas = -horizon + s * np.arange(m + 1)
-        g_weights = np.full(m + 1, s / (2.0 * horizon))
+    def literal_identity(self, family, seqs, weights, n_nodes, horizon, panels, delta):
+        s = 2.0 * horizon / panels
+        gammas = -horizon + s * np.arange(panels + 1)
+        g_weights = np.full(panels + 1, s / (2.0 * horizon))
         g_weights[0] *= 0.5
         g_weights[-1] *= 0.5
         rule = laggauss(n_nodes)
         nodes1, w1 = weights[0].quadrature(rule)
         nodes2, w2 = weights[1].quadrature(rule)
 
-        out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        for j1, wj1 in zip(nodes1, w1):
-            for j2, wj2 in zip(nodes2, w2):
-                for gamma, wg in zip(gammas, g_weights):
-                    params = vcs.VcsParams((j1, j2), gamma, delta)
-                    if family == "eds":
-                        state = vcs.eds_family_state(seqs, params)
-                    else:
-                        state = vcs.delta_family_state(seqs, params)
-                    c = state.vector.data
-                    out += (wj1 * wj2 * wg * state.norm_const) * np.outer(c, c.conj())
-        return out
+        # one state per (J1, J2, gamma) grid point, all built in one pass
+        j1, j2, gamma = (a.ravel() for a in np.meshgrid(nodes1, nodes2, gammas, indexing="ij"))
+        wj1, wj2, wg = (a.ravel() for a in np.meshgrid(w1, w2, g_weights, indexing="ij"))
+        built = vcs.eds_family(seqs) if family == "eds" else vcs.delta_family(seqs, delta)
+        states = built.states(np.column_stack([j1, j2]), gamma)
+        c = states.coefficients.reshape(len(gamma), -1)
+        scale = wj1 * wj2 * wg * states.norm_const
+        return np.einsum("s,sp,sq->pq", scale, c, c.conj())
 
     @pytest.mark.parametrize("family,delta", [("eds", 0.0), ("delta", 0.7)])
     def test_factorized_assembly_matches_literal(self, family, delta):
         # every quadrature node must sit inside the truncation's disc so the
         # literal route can build actual states at it
-        dim, n_nodes, horizon, step = 20, 6, 5.0, 0.05
+        dim, n_nodes, horizon = 20, 6, 5.0
         if family == "eds":
             seqs = eds_pair(dim)
             wts = eds_weights()
         else:
             seqs = [spectra.linear_sequence(dim), spectra.linear_sequence(dim)]
             wts = [moments.MomentWeight.gamma_family(1.0)] * 2
-        quad = moments.QuadratureSpec(
-            n_nodes=n_nodes, gamma_horizon=horizon, gamma_step=step, k_check=8
-        )
-        report = moments.resolution_check(
-            family, seqs, wts, quad, delta=delta, keep_matrix=True
-        )
-        literal = self.literal_identity(family, seqs, wts, n_nodes, horizon, step, delta)
-        np.testing.assert_allclose(report.matrix, literal, atol=5e-12)
+        assembly = moments.resolution_assembly(family, seqs, wts, n_nodes, k_check=8, delta=delta)
+        panels = assembly.report(horizon).n_samples - 1
+        literal = self.literal_identity(family, seqs, wts, n_nodes, horizon, panels, delta)
+        np.testing.assert_allclose(assembly.candidate(horizon), literal, atol=5e-12)
 
 
 class TestDeltaZeroFailure:
@@ -233,22 +228,14 @@ class TestDeltaZeroFailure:
         return seqs, weights
 
     def test_cross_entry_is_order_one_and_horizon_stable(self):
-        seqs, weights = self.seqs_and_weights()
-        mags = []
-        for horizon in (1e2, 1e4):
-            quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=horizon)
-            report = moments.delta_zero_failure(seqs, weights, quad)
-            mags.append(report.magnitude)
+        entry = moments.cross_entry(*self.seqs_and_weights())
+        mags = [entry.report(horizon).magnitude for horizon in (1e2, 1e4)]
         assert mags[0] == pytest.approx(1.0, abs=1e-10)
         assert abs(mags[1] - mags[0]) / mags[0] < 0.05
 
     def test_positive_delta_restores_decay(self):
-        seqs, weights = self.seqs_and_weights()
-        mags = []
-        for horizon in (1e2, 1e4):
-            quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=horizon)
-            report = moments.delta_zero_failure(seqs, weights, quad, delta=0.5)
-            mags.append(report.magnitude)
+        entry = moments.cross_entry(*self.seqs_and_weights())
+        mags = [entry.report(horizon, delta=0.5).magnitude for horizon in (1e2, 1e4)]
         # envelope of the phase average decays like 1/horizon
         assert 50 < mags[0] / mags[1] < 200
 
@@ -257,23 +244,21 @@ class TestDeltaZeroFailure:
         # at dim 160 with 82 nodes the half moments of the full assembly
         # overflow; the entry itself needs only the zeroth moments
         seqs, weights = self.seqs_and_weights(160)
-        quad = moments.QuadratureSpec(n_nodes=82, gamma_horizon=1e4)
         rule = laggauss(82)
         with np.errstate(all="ignore"):
             phase_free = moments._phase_free_candidate(seqs, [w.quadrature(rule) for w in weights])
         assert np.isinf(phase_free).any()
         freqs = moments._phase_frequencies("delta", seqs, delta)
-        step, _ = moments._phase_step(freqs, 1e4, None)
+        step, _ = moments._phase_step(freqs, 1e4)
         entry = phase_free[0, 160] * moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, step)
         with np.errstate(over="raise", invalid="raise"):
-            report = moments.delta_zero_failure(seqs, weights, quad, delta=delta)
+            report = moments.cross_entry(seqs, weights, 82).report(1e4, delta)
         assert report.magnitude == pytest.approx(abs(entry), rel=1e-15)
 
     def test_entry_factorizes(self):
-        seqs, weights = self.seqs_and_weights()
-        quad = moments.QuadratureSpec(n_nodes=40, gamma_horizon=1e3)
+        entry = moments.cross_entry(*self.seqs_and_weights())
         for delta in (0.0, 0.5):
-            report = moments.delta_zero_failure(seqs, weights, quad, delta=delta)
+            report = entry.report(1e3, delta)
             assert report.magnitude == pytest.approx(
                 abs(report.j_integral * report.cesaro_factor), rel=1e-12
             )
@@ -302,20 +287,22 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
     weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
     horizons = sorted(p.horizons)
 
-    def quad(horizon):
-        return moments.QuadratureSpec(p.n_nodes, horizon, k_check=p.k_check)
-
     if bundle == "delta-zero-failure":
         ends = (horizons[0], horizons[-1])
-        first, last = (moments.delta_zero_failure(seqs, weights, quad(h)) for h in ends)
-        probes = [moments.delta_zero_failure(seqs, weights, quad(h), p.delta_probe) for h in ends]
+
+        def entry(horizon, delta=0.0):
+            return moments.cross_entry(seqs, weights, p.n_nodes, p.k_check).report(horizon, delta)
+
+        first, last = (entry(h) for h in ends)
+        probes = [entry(h, p.delta_probe) for h in ends]
         drift = abs(last.magnitude - first.magnitude) / first.magnitude
         assert values["cross-entry-magnitude"] == last.magnitude
         assert values["cross-entry-horizon-drift"] == drift
         assert values["regulated-entry-decay-factor"] == probes[0].magnitude / probes[1].magnitude
         return
     per_horizon = [
-        moments.resolution_check(p.family, seqs, weights, quad(h), delta=p.delta) for h in horizons
+        moments.resolution_assembly(p.family, seqs, weights, p.n_nodes, p.k_check, p.delta).report(h)
+        for h in horizons
     ]
     assert values["moment-verification"] == max(max(r.moment_errors) for r in per_horizon)
     assert values["diagonal-residual"] == max(r.diag_error for r in per_horizon)

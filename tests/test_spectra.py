@@ -35,7 +35,7 @@ steps = st.sampled_from([1.0, 0.5, 0.1, 1.0 / 3.0, 1e-9])
 
 class TestMakeSequence:
     def test_linear(self):
-        s = spectra.make_sequence([0, 1, 2, 3], scale=1.0)
+        s = spectra.make_sequence([0, 1, 2, 3])
         np.testing.assert_array_equal(s.values, [0, 1, 2, 3])
 
     def test_quon_values_match_closed_form(self):

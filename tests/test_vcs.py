@@ -28,29 +28,36 @@ def zero_ground_pair(dim=60):
     return [spectra.linear_sequence(dim), spectra.linear_sequence(dim, 1.0)]
 
 
-def family_state(family, dim):
+def one_state(family, seqs, intensities, gamma, delta=0.5):
+    """The one-row states of ``family`` (``"eds"`` or ``"delta"``) at the given labels."""
+    built = vcs.eds_family(seqs) if family == "eds" else vcs.delta_family(seqs, delta)
+    return built.states([intensities], [gamma])
+
+
+def sample_states(family, dim):
     """A state of either family at J = (1, 2), gamma = 0.7 (and delta = 0.5 for the delta family)."""
-    if family == "eds":
-        return vcs.eds_family_state(eds_linear_pair(dim), vcs.VcsParams((1.0, 2.0), 0.7))
-    return vcs.delta_family_state(zero_ground_pair(dim), vcs.VcsParams((1.0, 2.0), 0.7, 0.5))
+    seqs = eds_linear_pair(dim) if family == "eds" else zero_ground_pair(dim)
+    return one_state(family, seqs, (1.0, 2.0), 0.7)
 
 
-def dense_stability_residual(state, t, evolution):
+def vector(states):
+    """The flat sector-major coefficient vector of a one-row ``states``."""
+    return states.coefficients[0].ravel()
+
+
+def dense_stability_residual(states, t, evolution):
     """``||U psi - psi(gamma + t)||`` with ``U`` formed as a dense diagonal matrix:
     ``diag(exp(-i e t))``, or the delta family's split-sign form, and the member at
-    ``gamma + t`` rebuilt through the public builder."""
-    p = state.params
-    values = [s.values for s in state.seqs]
-    if state.regime == "delta-family":
-        after = vcs.delta_family_state(state.seqs, vcs.VcsParams(p.intensities, p.gamma + t, p.delta))
-    else:
-        after = vcs.eds_family_state(state.seqs, vcs.VcsParams(p.intensities, p.gamma + t))
-    if state.regime == "delta-family" and evolution == "family":
-        phases = [np.exp(-1j * (values[0] + p.delta) * t), np.exp(+1j * (values[1] + p.delta) * t)]
+    ``gamma + t`` rebuilt through the family's builder."""
+    family = states.family
+    values = [s.values for s in family.seqs]
+    after = family.states(states.intensities, states.gammas + t)
+    if family.regime == "delta-family" and evolution == "family":
+        phases = [np.exp(-1j * (values[0] + family.delta) * t), np.exp(+1j * (values[1] + family.delta) * t)]
     else:
         phases = [np.exp(-1j * v * t) for v in values]
     u = np.diag(np.concatenate(phases))
-    return float(np.linalg.norm(u @ state.vector.data - after.vector.data))
+    return float(np.linalg.norm(u @ vector(states) - vector(after)))
 
 
 class TestSeriesNorm:
@@ -95,72 +102,65 @@ class TestSeriesNorm:
 class TestDeltaFamilyState:
     def test_zero_intensity_closed_form(self):
         gamma, delta = 1.3, 0.7
-        state = vcs.delta_family_state(
-            zero_ground_pair(12), vcs.VcsParams((0.0, 0.0), gamma, delta)
-        )
-        assert state.norm_const == pytest.approx(2.0)
+        states = one_state("delta", zero_ground_pair(12), (0.0, 0.0), gamma, delta)
+        assert states.norm_const[0] == pytest.approx(2.0)
+        c = states.coefficients[0]
         expected_b = np.exp(-1j * delta * gamma) / math.sqrt(2.0)
         expected_f = np.exp(+1j * delta * gamma) / math.sqrt(2.0)
-        assert state.vector.block(0)[0] == pytest.approx(expected_b, abs=1e-15)
-        assert state.vector.block(1)[0] == pytest.approx(expected_f, abs=1e-15)
-        assert np.abs(state.vector.block(0)[1:]).max() == 0
+        assert c[0, 0] == pytest.approx(expected_b, abs=1e-15)
+        assert c[1, 0] == pytest.approx(expected_f, abs=1e-15)
+        assert np.abs(c[0, 1:]).max() == 0
 
     def test_unit_norm(self):
-        state = vcs.delta_family_state(
-            zero_ground_pair(), vcs.VcsParams((1.5, 2.5), 0.8, 0.3)
-        )
-        assert state.vector.norm() == pytest.approx(1.0, abs=1e-13)
-        assert state.tail_bound < 1e-10
+        states = one_state("delta", zero_ground_pair(), (1.5, 2.5), 0.8, 0.3)
+        assert np.linalg.norm(vector(states)) == pytest.approx(1.0, abs=1e-13)
+        assert states.tail_bound[0] < 1e-10
 
     def test_norm_constant_closed_form(self):
-        state = vcs.delta_family_state(
-            zero_ground_pair(), vcs.VcsParams((1.0, 4.0), 0.0, 0.1)
-        )
-        assert state.norm_const == pytest.approx(math.e + math.exp(4.0), rel=1e-12)
+        states = one_state("delta", zero_ground_pair(), (1.0, 4.0), 0.0, 0.1)
+        assert states.norm_const[0] == pytest.approx(math.e + math.exp(4.0), rel=1e-12)
 
     def test_requires_positive_delta(self):
         with pytest.raises(errors.RegimeError):
-            vcs.delta_family_state(zero_ground_pair(12), vcs.VcsParams((1, 1), 0.0, 0.0))
+            vcs.delta_family(zero_ground_pair(12), 0.0)
 
     def test_requires_zero_ground(self):
         with pytest.raises(errors.RegimeError):
-            vcs.delta_family_state(eds_linear_pair(12), vcs.VcsParams((1, 1), 0.0, 0.5))
+            vcs.delta_family(eds_linear_pair(12), 0.5)
 
 
 class TestEdsFamilyState:
     def test_zero_intensity_closed_form(self):
         gamma = 2.1
         seqs = eds_linear_pair(12)
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((0.0, 0.0), gamma))
+        states = one_state("eds", seqs, (0.0, 0.0), gamma)
         for j, s in enumerate(seqs):
             expected = np.exp(-1j * s.ground * gamma) / math.sqrt(2.0)
-            assert state.vector.block(j)[0] == pytest.approx(expected, abs=1e-15)
+            assert states.coefficients[0, j, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_real_positive_at_zero_gamma(self):
         seqs = eds_linear_pair(40)
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((1.2, 0.8), 0.0))
-        coeffs = state.vector.data
+        states = one_state("eds", seqs, (1.2, 0.8), 0.0)
+        coeffs = vector(states)
         assert np.abs(coeffs.imag).max() == 0
         assert coeffs.real.min() > 0
         # sector weight J^(n/2)/sqrt(e~[n]! N~)
         fact = spectra.factorials(spectra.shift(seqs[0])).products
-        expected = 1.2 ** (np.arange(40) / 2.0) / np.sqrt(fact * state.norm_const)
-        np.testing.assert_allclose(state.vector.block(0).real, expected, rtol=1e-13)
+        expected = 1.2 ** (np.arange(40) / 2.0) / np.sqrt(fact * states.norm_const[0])
+        np.testing.assert_allclose(states.coefficients[0, 0].real, expected, rtol=1e-13)
 
     def test_unit_norm_random_params(self):
         rng = np.random.default_rng(3)
-        seqs = eds_linear_pair()
-        for _ in range(10):
-            params = vcs.VcsParams(rng.uniform(0, 4, size=2), rng.uniform(-5, 5))
-            state = vcs.eds_family_state(seqs, params)
-            assert abs(state.vector.norm() - 1.0) <= state.tail_bound + 1e-13
+        draws = [(rng.uniform(0, 4, size=2), rng.uniform(-5, 5)) for _ in range(10)]
+        states = vcs.eds_family(eds_linear_pair()).states([j for j, _ in draws], [g for _, g in draws])
+        norms = np.linalg.norm(states.coefficients, axis=(1, 2))
+        assert np.all(np.abs(norms - 1.0) <= states.tail_bound + 1e-13)
 
     def test_single_sector_state(self):
         # one sector: the classic single-Hamiltonian coherent state
-        seq = spectra.linear_sequence(50)
-        state = vcs.eds_family_state([seq], vcs.VcsParams((1.0,), 0.5))
-        assert state.norm_const == pytest.approx(math.e, rel=1e-13)
-        assert state.vector.norm() == pytest.approx(1.0, abs=1e-13)
+        states = one_state("eds", [spectra.linear_sequence(50)], (1.0,), 0.5)
+        assert states.norm_const[0] == pytest.approx(math.e, rel=1e-13)
+        assert np.linalg.norm(vector(states)) == pytest.approx(1.0, abs=1e-13)
 
     def test_rejects_colliding_spectra(self):
         seqs = [
@@ -168,19 +168,19 @@ class TestEdsFamilyState:
             spectra.linear_sequence(12, offset=0.3),
         ]
         with pytest.raises(errors.SpectraNotDisjointError):
-            vcs.eds_family_state(seqs, vcs.VcsParams((1, 1), 0.0))
+            vcs.eds_family(seqs)
 
     def test_rejects_zero_ground_multi_sector(self):
         with pytest.raises(errors.RegimeError):
-            vcs.eds_family_state(zero_ground_pair(12), vcs.VcsParams((1, 1), 0.0))
+            vcs.eds_family(zero_ground_pair(12))
 
 
 class TestActionIdentity:
     def test_zero_intensities(self):
         seqs = eds_linear_pair(12)
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((0.0, 0.0), 0.9))
+        states = one_state("eds", seqs, (0.0, 0.0), 0.9)
         h_tau = hilbert.shifted_hamiltonian(seqs)
-        assert vcs.action_identity_residual(state, h_tau) <= 1e-15
+        assert vcs.action_identity_residuals(states, h_tau)[0] <= 1e-15
 
     def test_equal_intensities_linear(self):
         # both sectors e~[n] = n: closed form reduces to <H_tau> = J
@@ -189,78 +189,71 @@ class TestActionIdentity:
             spectra.linear_sequence(60, offset=0.7),
         ]
         j = 1.7
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((j, j), 1.1))
+        states = one_state("eds", seqs, (j, j), 1.1)
         h_tau = hilbert.shifted_hamiltonian(seqs)
-        lhs = state.vector.inner(h_tau.apply(state.vector)).real
+        c = vector(states)
+        lhs = np.vdot(c, h_tau.matrix @ c).real
         assert lhs == pytest.approx(j, rel=1e-12)
-        assert vcs.action_identity_residual(state, h_tau) <= 1e-12
+        assert vcs.action_identity_residuals(states, h_tau)[0] <= 1e-12
 
     def test_random_in_disc(self):
         rng = np.random.default_rng(11)
         seqs = eds_linear_pair()
         h_tau = hilbert.shifted_hamiltonian(seqs)
-        for _ in range(20):
-            params = vcs.VcsParams(rng.uniform(0, 4, size=2), rng.uniform(-3, 3))
-            state = vcs.eds_family_state(seqs, params)
-            resid = vcs.action_identity_residual(state, h_tau)
-            assert resid <= max(10 * state.tail_bound, 5e-13)
+        draws = [(rng.uniform(0, 4, size=2), rng.uniform(-3, 3)) for _ in range(20)]
+        states = vcs.eds_family(seqs).states([j for j, _ in draws], [g for _, g in draws])
+        resid = vcs.action_identity_residuals(states, h_tau)
+        assert np.all(resid <= np.maximum(10 * states.tail_bound, 5e-13))
 
     def test_delta_family_variant(self):
         seqs = zero_ground_pair()
-        state = vcs.delta_family_state(seqs, vcs.VcsParams((2.0, 1.0), 0.6, 0.4))
+        states = one_state("delta", seqs, (2.0, 1.0), 0.6, 0.4)
         h = hilbert.susy_hamiltonian(seqs)
-        assert vcs.action_identity_residual(state, h) <= 5e-13
+        assert vcs.action_identity_residuals(states, h)[0] <= 5e-13
 
     def test_dimension_mismatch(self):
-        seqs = eds_linear_pair(20)
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((1.0, 1.0), 0.0))
+        states = one_state("eds", eds_linear_pair(20), (1.0, 1.0), 0.0)
         other = hilbert.shifted_hamiltonian(eds_linear_pair(21))
         with pytest.raises(errors.DimensionMismatchError):
-            vcs.action_identity_residual(state, other)
+            vcs.action_identity_residuals(states, other)
 
 
 class TestTemporalStability:
     def test_zero_time(self):
-        seqs = eds_linear_pair(20)
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((1.0, 2.0), 0.7))
-        assert vcs.temporal_stability_residual(state, 0.0) == 0
+        states = one_state("eds", eds_linear_pair(20), (1.0, 2.0), 0.7)
+        assert vcs.temporal_stability_residuals(states, 0.0)[0] == 0
 
     def test_eds_family_physical_evolution(self):
-        seqs = eds_linear_pair()
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((1.5, 2.0), 0.4))
+        states = one_state("eds", eds_linear_pair(), (1.5, 2.0), 0.4)
         for t in (0.1, 1.0, 10.0, 2 * math.pi):
-            resid = vcs.temporal_stability_residual(state, t)
-            assert resid <= 1e-10
+            assert vcs.temporal_stability_residuals(states, t)[0] <= 1e-10
 
     def test_delta_family_own_evolution(self):
-        seqs = zero_ground_pair()
-        state = vcs.delta_family_state(seqs, vcs.VcsParams((1.0, 2.0), 0.7, 0.5))
+        states = one_state("delta", zero_ground_pair(), (1.0, 2.0), 0.7, 0.5)
         for t in (0.1, 1.0, 10.0):
-            resid = vcs.temporal_stability_residual(state, t)
-            assert resid <= 1e-10
+            assert vcs.temporal_stability_residuals(states, t)[0] <= 1e-10
 
     def test_delta_family_fails_under_physical_evolution(self):
         # exp(-iHt) does not map the delta family to shifted gamma
-        seqs = zero_ground_pair()
-        state = vcs.delta_family_state(seqs, vcs.VcsParams((1.0, 1.0), 0.7, 0.5))
-        resid = vcs.temporal_stability_residual(state, 1.0, evolution="physical")
+        states = one_state("delta", zero_ground_pair(), (1.0, 1.0), 0.7, 0.5)
+        resid = vcs.temporal_stability_residuals(states, 1.0, evolution="physical")[0]
         assert resid > 1e-2
 
     @pytest.mark.parametrize("family", ["eds", "delta"])
     @pytest.mark.parametrize("evolution", ["family", "physical"])
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_matches_dense_propagator(self, family, evolution, t):
-        state = family_state(family, 40)
-        expected = dense_stability_residual(state, t, evolution)
-        assert abs(vcs.temporal_stability_residual(state, t, evolution) - expected) <= 1e-13
+        states = sample_states(family, 40)
+        expected = dense_stability_residual(states, t, evolution)
+        assert abs(vcs.temporal_stability_residuals(states, t, evolution)[0] - expected) <= 1e-13
 
     @pytest.mark.parametrize("family", ["eds", "delta"])
     def test_peak_memory_stays_at_vector_size(self, family):
         # the dense per-sector propagators alone would take 2 * 2000^2 * 16 bytes = 122 MiB
-        state = family_state(family, 2000)
+        states = sample_states(family, 2000)
         tracemalloc.start()
         try:
-            vcs.temporal_stability_residual(state, 1.0)
+            vcs.temporal_stability_residuals(states, 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,21 +261,21 @@ class TestTemporalStability:
 
     def test_spectra_are_not_scanned_again(self, monkeypatch):
         scans = []
-        require_disjoint = vcs.require_disjoint
+        eds_check = vcs.eds_check
 
         def counting(*args, **kwargs):
             scans.append(args)
-            return require_disjoint(*args, **kwargs)
+            return eds_check(*args, **kwargs)
 
-        monkeypatch.setattr(vcs, "require_disjoint", counting)
-        state = vcs.eds_family_state(eds_linear_pair(20), vcs.VcsParams((1.0, 2.0), 0.7))
+        monkeypatch.setattr(vcs, "eds_check", counting)
+        states = one_state("eds", eds_linear_pair(20), (1.0, 2.0), 0.7)
         assert len(scans) == 1
         for evolution in ("family", "physical"):
-            vcs.temporal_stability_residual(state, 1.0, evolution)
+            vcs.temporal_stability_residuals(states, 1.0, evolution)
         assert len(scans) == 1
 
     def test_norms_are_not_recomputed(self, monkeypatch):
-        # only the phases depend on gamma: the state's own norm constant serves
+        # only the phases depend on gamma: the states' own norm constants serve
         calls = []
         series_norm = vcs.series_norm
 
@@ -291,90 +284,79 @@ class TestTemporalStability:
             return series_norm(*args, **kwargs)
 
         monkeypatch.setattr(vcs, "series_norm", counting)
-        states = [family_state("eds", 20), family_state("delta", 20)]
-        assert len(calls) == 4  # one per sector of each state
-        for state in states:
+        built = [sample_states("eds", 20), sample_states("delta", 20)]
+        assert len(calls) == 4  # one per sector of each family
+        for states in built:
             for evolution in ("family", "physical"):
-                vcs.temporal_stability_residual(state, 1.0, evolution)
+                vcs.temporal_stability_residuals(states, 1.0, evolution)
         assert len(calls) == 4
 
     def test_unknown_evolution(self):
-        state = family_state("eds", 20)
+        states = sample_states("eds", 20)
         with pytest.raises(errors.RegimeError):
-            vcs.temporal_stability_residual(state, 1.0, evolution="backwards")
+            vcs.temporal_stability_residuals(states, 1.0, evolution="backwards")
 
     def test_evolves_by_phases_without_eigendecomposition(self, eigh_calls):
-        eds = vcs.eds_family_state(eds_linear_pair(20), vcs.VcsParams((1.0, 2.0), 0.7))
-        delta = vcs.delta_family_state(zero_ground_pair(20), vcs.VcsParams((1.0, 2.0), 0.7, 0.5))
-        vcs.temporal_stability_residual(eds, 1.0)
-        vcs.temporal_stability_residual(delta, 1.0)
-        vcs.temporal_stability_residual(delta, 1.0, evolution="physical")
+        eds = sample_states("eds", 20)
+        delta = sample_states("delta", 20)
+        vcs.temporal_stability_residuals(eds, 1.0)
+        vcs.temporal_stability_residuals(delta, 1.0)
+        vcs.temporal_stability_residuals(delta, 1.0, evolution="physical")
         assert eigh_calls == []
 
 
 class TestEigenstateRelation:
     def test_zero_intensities(self):
-        seqs = eds_linear_pair(12)
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((0.0, 0.0), 0.9))
-        lowering = hilbert.lowering_operator([spectra.shift(s) for s in seqs], 0.9)
-        assert vcs.eigenstate_residual(state, lowering) <= 1e-15
+        family = vcs.eds_family(eds_linear_pair(12))
+        states = family.states([[0.0, 0.0]], [0.9])
+        lowering = hilbert.lowering_weights(family.shifted, [0.9])
+        assert vcs.eigenstate_residuals(states, lowering)[0] <= 1e-15
 
     def test_matched_gamma(self):
         rng = np.random.default_rng(5)
-        seqs = eds_linear_pair()
-        shifted = [spectra.shift(s) for s in seqs]
-        for _ in range(10):
-            params = vcs.VcsParams(rng.uniform(0, 4, size=2), rng.uniform(-3, 3))
-            state = vcs.eds_family_state(seqs, params)
-            lowering = hilbert.lowering_operator(shifted, params.gamma)
-            resid = vcs.eigenstate_residual(state, lowering)
-            assert resid <= max(10 * state.tail_bound, 5e-13)
+        family = vcs.eds_family(eds_linear_pair())
+        draws = [(rng.uniform(0, 4, size=2), rng.uniform(-3, 3)) for _ in range(10)]
+        states = family.states([j for j, _ in draws], [g for _, g in draws])
+        lowering = hilbert.lowering_weights(family.shifted, states.gammas)
+        resid = vcs.eigenstate_residuals(states, lowering)
+        assert np.all(resid <= np.maximum(10 * states.tail_bound, 5e-13))
 
     def test_matched_gamma_delta_family(self):
         seqs = zero_ground_pair()
-        params = vcs.VcsParams((1.3, 0.6), 1.9, 0.8)
-        state = vcs.delta_family_state(seqs, params)
-        lowering = hilbert.delta_lowering_operator(seqs, params.gamma)
-        assert vcs.eigenstate_residual(state, lowering) <= 5e-13
+        gamma = 1.9
+        states = one_state("delta", seqs, (1.3, 0.6), gamma, 0.8)
+        lowering = hilbert.delta_lowering_weights(seqs, [gamma])
+        assert vcs.eigenstate_residuals(states, lowering)[0] <= 5e-13
 
     def test_single_sector_reduces_to_plain_coherent_state(self):
         # one sector: the classic construction, eigenstate of its own ladder
-        seq = spectra.linear_sequence(50)
-        params = vcs.VcsParams((1.5,), 0.8)
-        state = vcs.eds_family_state([seq], params)
-        lowering = hilbert.lowering_operator([spectra.shift(seq)], params.gamma)
-        assert vcs.eigenstate_residual(state, lowering) <= 5e-13
+        family = vcs.eds_family([spectra.linear_sequence(50)])
+        states = family.states([[1.5]], [0.8])
+        lowering = hilbert.lowering_weights(family.shifted, [0.8])
+        assert vcs.eigenstate_residuals(states, lowering)[0] <= 5e-13
 
     def test_mismatched_gamma_nonlinear_witness(self):
-        seqs = eds_quon_pair()
-        shifted = [spectra.shift(s) for s in seqs]
+        family = vcs.eds_family(eds_quon_pair())
         gamma = 0.4
-        state = vcs.eds_family_state(seqs, vcs.VcsParams((1.0, 1.0), gamma))
-        matched = vcs.eigenstate_residual(
-            state, hilbert.lowering_operator(shifted, gamma)
+        states = family.states([[1.0, 1.0]], [gamma])
+        matched = vcs.eigenstate_residuals(states, hilbert.lowering_weights(family.shifted, [gamma]))
+        mismatched = vcs.eigenstate_residuals(
+            states, hilbert.lowering_weights(family.shifted, [gamma + 1.0])
         )
-        mismatched = vcs.eigenstate_residual(
-            state, hilbert.lowering_operator(shifted, gamma + 1.0)
-        )
-        assert matched <= 5e-13
-        assert mismatched > 1e-2
+        assert matched[0] <= 5e-13
+        assert mismatched[0] > 1e-2
 
 
 class TestContinuity:
     def test_lipschitz_ratio_bounded(self):
-        seqs = eds_linear_pair()
-        base = vcs.VcsParams((1.0, 2.0), 0.7)
-        state0 = vcs.eds_family_state(seqs, base)
+        family = vcs.eds_family(eds_linear_pair())
+        base = np.array([1.0, 2.0, 0.7])  # J1, J2, gamma
         direction = np.array([0.3, -0.2, 0.5])
-        ratios = []
-        for h in (1e-1, 1e-2, 1e-3, 1e-4):
-            params = vcs.VcsParams(
-                (base.intensities[0] + h * direction[0], base.intensities[1] + h * direction[1]),
-                base.gamma + h * direction[2],
-            )
-            dist = (vcs.eds_family_state(seqs, params).vector - state0.vector).norm()
-            ratios.append(dist / h)
-        ratios = np.asarray(ratios)
+        steps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
+        labels = np.vstack([base, base + steps[:, None] * direction])
+        states = family.states(labels[:, :2], labels[:, 2])
+        dist = np.linalg.norm(states.coefficients[1:] - states.coefficients[0], axis=(1, 2))
+        ratios = dist / steps
         assert ratios.max() / ratios.min() < 1.5  # state distance is ~linear in h
 
 
@@ -476,8 +458,7 @@ def test_batched_residuals_match_the_literal_per_draw_oracle(bundle):
         worst = values.max()
         if key == "tail" and p.witness is not None:
             # the witness state's tail bound joins the draws'
-            labels = vcs.VcsParams(p.witness.j, p.witness.gamma)
-            witness = vcs.eds_family_state(p.witness.spectra, labels)
-            assert witness.tail_bound != worst
-            worst = max(worst, witness.tail_bound)
+            witness = vcs.eds_family(p.witness.spectra).states([p.witness.j], [p.witness.gamma])
+            assert witness.tail_bound[0] != worst
+            worst = max(worst, witness.tail_bound[0])
         assert reported[name] == worst, key
