@@ -40,8 +40,8 @@ __all__ = [
 # (2-vCPU Xeon, Python 3.11, numpy 2.4): at dim 4096 each companion,
 # nonisospectral and map-equality bundle runs in 0.01-0.05 s within 38 MiB
 # peak RSS, and each vcs-verify bundle (100 samples) in about 0.45 s within
-# 39 MiB.  The grid is banded, but its one dense eigh per size remains:
-# sizes [2048, 4096] take about 16.5 s and 691 MiB.  The resolution kind
+# 39 MiB.  The grid comparison forms no n x n array: susy-grid-linear at
+# sizes [2048, 4096] runs in about 0.65 s within 68 MiB.  The resolution kind
 # cannot verify its weight moments from dim 160 on: they overflow the float
 # range.
 DIM_RANGE = (8, 4096)

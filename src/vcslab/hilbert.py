@@ -226,8 +226,8 @@ class GridLadder:
     stored as its three diagonals: ``lower[i] = a[i+1, i]``,
     ``main[i] = a[i, i]`` and ``upper[i] = a[i, i+1]``.
 
-    ``a`` and ``a+`` act on blocks as three-point stencils; ``gram`` fills the
-    pentadiagonal ``a+ a`` into a dense array for ``eigh``, and
+    ``a`` and ``a+`` act on blocks as three-point stencils; ``gram_bands``
+    gives the pentadiagonal ``a+ a`` or ``a a+`` as band storage, and
     ``matrix`` is the dense export of ``a``.  ``w_prime`` is ``W'`` on the
     grid; ``commutator_residual`` measures the deviation of ``[a, a+]`` from
     ``2c W'`` (a discretization artifact).
@@ -257,19 +257,20 @@ class GridLadder:
         lower, upper = (self.upper, self.lower) if adjoint else (self.lower, self.upper)
         return _tridiagonal_apply(lower, self.main, upper, v)
 
-    def gram(self) -> np.ndarray:
-        """Dense ``a+ a``: pentadiagonal, filled from the diagonals in O(n^2);
-        each entry sums its terms in increasing inner index."""
-        lower, main, upper = self.lower, self.main, self.upper
-        n = len(main)
-        bands = {0: main * main, 1: main[:-1] * upper + lower * main[1:], 2: lower[:-1] * upper[1:]}
-        bands[0][1:] += upper * upper
-        bands[0][:-1] += lower * lower
-        out = np.zeros((n, n))
-        i = np.arange(n)
-        for k, band in bands.items():
-            out[i[: n - k], i[k:]] = band
-            out[i[k:], i[: n - k]] = band
+    def gram_bands(self, adjoint: bool = False) -> np.ndarray:
+        """``a+ a`` (``a a+`` with ``adjoint``) in symmetric lower band storage:
+        a ``(3, n)`` array whose row ``k`` holds the ``k``-th subdiagonal,
+        ``out[k, j] = (a+ a)[j + k, j]``, zero-padded at the end.  Filled in
+        O(n); each entry sums its terms in increasing inner index."""
+        # a a+ is the Gram matrix of a+, whose off-diagonals are a's swapped
+        lower, upper = (self.upper, self.lower) if adjoint else (self.lower, self.upper)
+        main = self.main
+        out = np.zeros((3, len(main)))
+        out[0] = main * main
+        out[0, 1:] += upper * upper
+        out[0, :-1] += lower * lower
+        out[1, :-1] = main[:-1] * upper + lower * main[1:]
+        out[2, :-2] = lower[:-1] * upper[1:]
         return out
 
 

@@ -459,30 +459,119 @@ def _check_null_modes(null: np.ndarray, grid: GridSpec) -> None:
         )
 
 
-def _range_inverse(apply, evals: np.ndarray, vecs: np.ndarray, rhs: np.ndarray, grid: GridSpec):
-    """``N1^+ a rhs`` for ``N1 = a a+``, from the eigenpairs ``evals, vecs`` of
-    ``h = a+ a``, after checking the null modes of ``N1``.
+#: pairs of eigenvalues of the grid ``h`` closer than ``eps ||h|| / CLUSTER_ANGLE``
+#: form one cluster: a backward-stable eigensolver fixes the eigenvectors of
+#: a pair with gap ``g`` only to an angle of about ``eps ||h|| / g``, so below
+#: that gap the basis inside the pair is not a property of ``h``
+CLUSTER_ANGLE = 1e-10
 
-    ``apply(v, adjoint=False)`` applies ``a`` (``a+``) to a block.  The
-    pseudo-inverse identity ``(a a+)^+ a = a (a+ a)^+`` gives the result as
-    ``a h^+ rhs``, so ``N1`` is never decomposed, and the result lies in the
-    range of ``a``: it has no component along a null mode of ``N1``.
-    """
-    live = evals > N1_CUTOFF
-    inv = np.divide(1.0, evals, out=np.zeros_like(evals), where=live)
 
-    def h_pinv(r):
-        return vecs @ (inv[:, None] * (vecs.T @ r))
+def _band_norm(band: np.ndarray) -> float:
+    """Infinity norm of the symmetric matrix in lower band storage ``band``."""
+    mag = np.abs(band)
+    rows = mag.sum(axis=0)
+    for k in range(1, len(band)):
+        rows[k:] += mag[k, :-k]
+    return float(rows.max())
 
-    # N1's null modes span the complement of the range of a.  Central
-    # differences make N1 ~ S h S with the checkerboard sign S = (-1)^i, so S
-    # carries h's null vectors close to them; projecting twice with
-    # I - a h^+ a+ leaves only their component in that complement
-    null = np.where(np.arange(len(evals)) % 2, -1.0, 1.0)[:, None] * vecs[:, ~live]
+
+def _inverse_iteration(band: np.ndarray, shifts, x: np.ndarray, starts) -> np.ndarray:
+    """Two sweeps of inverse iteration on the symmetric matrix ``B`` in lower
+    band storage ``band``, in place on the block ``x``: column ``j`` is solved
+    against ``B - shifts[j]``, then each group of columns
+    ``starts[g]:starts[g + 1]`` is re-orthonormalized by QR."""
+    # imported here, not at module level: only the grid comparison needs
+    # scipy, and ``import vcslab`` should not pay its import time and memory
+    from scipy.linalg import solve_banded
+
+    p = len(band) - 1
+    ab = np.zeros((2 * p + 1, band.shape[1]))
+    ab[p:] = band
+    for k in range(1, p + 1):
+        ab[p - k, k:] = band[k, :-k]
+    diagonal = ab[p].copy()
     for _ in range(2):
-        null = null - apply(h_pinv(apply(null, adjoint=True)))
-    _check_null_modes(null / np.linalg.norm(null, axis=0), grid)
-    return apply(h_pinv(rhs))
+        for j, shift in enumerate(shifts):
+            ab[p] = diagonal - shift
+            x[:, j] = solve_banded((p, p), ab, x[:, j], check_finite=False)
+        for a, b in zip(starts[:-1], starts[1:]):
+            x[:, a:b] = np.linalg.qr(x[:, a:b])[0]
+    return x
+
+
+def _lowest_eigenpairs(band: np.ndarray, count: int):
+    """The lowest eigenpairs of the symmetric matrix ``B`` in lower band
+    storage, grouped into clusters of near-equal eigenvalues.
+
+    The ``count`` lowest eigenvalues come from band bisection; when
+    ``count < n`` the top cluster may continue past them and is dropped.  The
+    eigenvectors come from inverse iteration, one banded solve per eigenvalue
+    and sweep, from seeded random starts.  Returns ``(evals, vecs, starts)``
+    with cluster ``g`` in columns ``starts[g]:starts[g + 1]``.
+    """
+    from scipy.linalg import eigvals_banded  # see _inverse_iteration
+
+    n = band.shape[1]
+    evals = eigvals_banded(band, lower=True, select="i", select_range=(0, count - 1), check_finite=False)
+    tol = np.finfo(float).eps * _band_norm(band) / CLUSTER_ANGLE
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(evals) > tol) + 1, [count]))
+    if count < n:
+        starts = starts[:-1]
+        evals = evals[: starts[-1]]
+    # random starts: a structured one such as all ones is orthogonal to every
+    # odd eigenvector when the superpotential is odd
+    x = np.random.default_rng(0).standard_normal((n, len(evals)))
+    return evals, _inverse_iteration(band, evals, x, starts), starts
+
+
+def _smoothness_basis(vecs: np.ndarray, starts):
+    """Rotate each cluster of ``vecs`` to the eigenbasis of the smoothness
+    form ``sum_i (v_i + v_{i+1})^2`` (about 4 on smooth modes, 0 on the
+    checkerboard), in ascending order, with one batched ``eigh`` over the
+    clusters of each size.  Returns the rotated vectors and the form on each."""
+    d = vecs[1:] + vecs[:-1]
+    form = d.T @ d
+    del d
+    rot = np.eye(len(form))
+    sizes = np.diff(starts)
+    for size in np.unique(sizes[sizes > 1]):
+        cols = starts[:-1][sizes == size][:, None] + np.arange(size)
+        block = (cols[:, :, None], cols[:, None, :])
+        rot[block] = np.linalg.eigh(form[block])[1]
+    return vecs @ rot, np.einsum("jk,jl,lk->k", rot, form, rot)
+
+
+def _smooth_eigenpairs(band: np.ndarray, k: int):
+    """The lowest eigenpairs of the grid ``h`` with every cluster in its
+    smoothness basis, enough of them to hold ``k`` smooth modes and all null
+    modes: ``2k + 16`` at first, doubled up to ``n`` until they do.  Returns
+    ``(evals, vecs, smoothness)``."""
+    n = band.shape[1]
+    count = min(n, 2 * k + 16)
+    while True:
+        evals, vecs, starts = _lowest_eigenpairs(band, count)
+        vecs, smoothness = _smoothness_basis(vecs, starts)
+        enough = np.count_nonzero(smoothness > 2.0) >= k and evals.size > 0 and evals[-1] > N1_CUTOFF
+        if enough or count == n:
+            return evals, vecs, smoothness
+        count = min(n, 2 * count)
+
+
+def _n1_null_modes(n1_band: np.ndarray, h_null: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Unit null vectors of ``N1 = a a+`` (lower band storage ``n1_band``),
+    checked by ``_check_null_modes``.
+
+    ``N1`` and ``h = a+ a`` have equally many null modes, and central
+    differences make ``N1 ~ S h S`` with the checkerboard sign
+    ``S = (-1)^i``, so ``S`` carries the null vectors ``h_null`` of ``h``
+    close to those of ``N1``.  Inverse iteration on ``N1 + N1_CUTOFF`` from
+    there corrects them where the two differ, at the one-sided boundary rows.
+    """
+    null = np.where(np.arange(len(h_null)) % 2, -1.0, 1.0)[:, None] * h_null
+    count = null.shape[1]
+    null = _inverse_iteration(n1_band, np.full(count, -N1_CUTOFF), null, [0, count])
+    _check_null_modes(null, grid)
+    return null
 
 
 def _horner(coeffs, apply, v: np.ndarray) -> np.ndarray:
@@ -492,6 +581,18 @@ def _horner(coeffs, apply, v: np.ndarray) -> np.ndarray:
     for c in coeffs[-2::-1]:
         out = apply(out) + c * v
     return out
+
+
+def _companion_image(n1, null: np.ndarray, coeffs, phi: np.ndarray) -> np.ndarray:
+    """The companion ``N1^+ a f(h) a+`` of the grid, applied to the block ``phi``.
+
+    ``x = a+``, so ``N1 = x+ x = a a+``; ``a f(h) = f(N1) a`` turns the
+    companion into ``N1^+ N1 f(N1) = P f(N1)``, with ``P = I - Q Q+`` the
+    projector off the unit null modes ``null`` of ``N1``.  ``n1`` applies
+    ``N1`` to a block and ``f`` is the polynomial with ``coeffs``.
+    """
+    image = _horner(coeffs, n1, phi)
+    return image - null @ (null.T @ image)
 
 
 def grid_partner_comparison(
@@ -512,10 +613,11 @@ def grid_partner_comparison(
     ``ConfigError``.  Residuals are measured on the ``n_modes`` lowest smooth
     eigenvectors of ``h`` (default: the bottom quarter of the grid
     spectrum); hold it fixed for scaling studies.  The ladder is banded, so
-    ``a``, ``a+`` and both sides of the comparison act on the ``n x k`` block
-    of probes as stencils, with ``f`` applied by Horner's rule.  The only
-    dense array is ``h``, formed for its one ``eigh``: its eigenpairs select
-    the probes and apply ``N1^+`` through ``(a a+)^+ a = a (a+ a)^+``.
+    no ``n x n`` array is formed: the lowest eigenpairs of ``h`` come from
+    band bisection and inverse iteration, with the basis inside each cluster
+    of near-equal eigenvalues fixed by smoothness, and ``a``, ``a+`` and both
+    sides of the comparison act on the ``n x k`` block of probes as stencils,
+    with ``f`` applied by Horner's rule.
     """
     f = SpectralMap.identity() if f is None else f
     if f.kind != "polynomial":
@@ -529,26 +631,22 @@ def grid_partner_comparison(
     # operator, so the comparison keeps the lowest smooth eigenvectors and
     # low-pass filters them (double three-point average: exact on the doubler
     # mode, relative O(dx^2) on resolved modes) before applying the operators.
-    evals, vecs = np.linalg.eigh(ladder.gram())
-    # sum_i (v_i + v_{i+1})^2 for unit columns, without n x n temporaries
-    smoothness = 2.0 - vecs[0] ** 2 - vecs[-1] ** 2 + 2.0 * np.einsum("ij,ij->j", vecs[1:], vecs[:-1])
     k_max = grid.points // 4 if n_modes is None else n_modes
+    evals, vecs, smoothness = _smooth_eigenpairs(ladder.gram_bands(), k_max)
     phi = vecs[:, np.flatnonzero(smoothness > 2.0)[:k_max]]
+    null = _n1_null_modes(ladder.gram_bands(adjoint=True), vecs[:, evals <= N1_CUTOFF], grid)
+    del vecs
     for _ in range(2):
         phi = 0.25 * (np.vstack((phi[:1], phi[:-1])) + 2.0 * phi + np.vstack((phi[1:], phi[-1:])))
     phi = phi / np.linalg.norm(phi, axis=0)
 
-    def h(v):
-        return ladder.apply(ladder.apply(v), adjoint=True)
+    def n1(v):
+        return ladder.apply(ladder.apply(v, adjoint=True))
 
     def target(v):
-        return h(v) + 2.0 * ladder.c * ladder.w_prime[:, None] * v
+        return ladder.apply(ladder.apply(v), adjoint=True) + 2.0 * ladder.c * ladder.w_prime[:, None] * v
 
-    # x = a+, so N1 = x+ x = a a+ and companion phi = N1^+ a f(h) a+ phi
-    image = _horner(f.coeffs, h, ladder.apply(phi, adjoint=True))
-    image = _range_inverse(ladder.apply, evals, vecs, image, grid)
-    del vecs  # freed before the target's Horner pass
-    diff = image - _horner(f.coeffs, target, phi)
+    diff = _companion_image(n1, null, f.coeffs, phi) - _horner(f.coeffs, target, phi)
     return GridComparisonReport(
         dx=grid.dx,
         commutator_residual=ladder.commutator_residual,

@@ -187,6 +187,15 @@ class TestQuonLadder:
                 hilbert.quon_ladder(6, q)
 
 
+def from_lower_bands(bands):
+    """Dense symmetric matrix from lower band storage: ``bands[k, j]`` is entry ``(j + k, j)``."""
+    n = bands.shape[1]
+    out = np.diag(bands[0])
+    for k in range(1, len(bands)):
+        out += np.diag(bands[k, : n - k], -k) + np.diag(bands[k, : n - k], k)
+    return out
+
+
 class TestGridLadder:
     def test_harmonic_superpotential_diagnostic(self):
         grid = hilbert.GridSpec(-10.0, 10.0, 512)
@@ -231,9 +240,16 @@ class TestGridLadder:
         for got, dense, scale in (
             (ladder.apply(v), a @ v, term),
             (ladder.apply(v, adjoint=True), a.T @ v, term),
-            (ladder.gram(), a.T @ a, np.abs(a).max() ** 2),
+            (from_lower_bands(ladder.gram_bands()), a.T @ a, np.abs(a).max() ** 2),
+            (from_lower_bands(ladder.gram_bands(adjoint=True)), a @ a.T, np.abs(a).max() ** 2),
         ):
             np.testing.assert_allclose(got, dense, rtol=0, atol=16 * np.finfo(float).eps * scale)
+
+    def test_gram_bands_pad_with_zeros(self):
+        grid = hilbert.GridSpec(-9.0, 9.0, 96)
+        bands = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid).gram_bands()
+        assert bands.shape == (3, 96)
+        assert bands[1, -1] == 0.0 and (bands[2, -2:] == 0.0).all()
 
 
 class TestBlockOperator:

@@ -1,9 +1,13 @@
 """Static checks on the package's modules, read with ``ast``: every name a
 module lists in ``__all__`` exists, and no module but ``__init__.py`` (which
 re-exports) imports a name it never uses.  A deletion that leaves a stale
-export or import behind fails here."""
+export or import behind fails here.  One more check runs a fresh
+interpreter: only the grid comparison may load scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,28 @@ def test_no_unused_imports(path):
     names = used(tree)
     unused = sorted(f"{name} (line {line})" for name, line in imported(tree).items() if name not in names)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# scipy costs about 0.3 s and 27 MiB to import; a user who never runs a grid
+# comparison must not pay that in ``import vcslab`` or anywhere else
+_NO_SCIPY_PROBE = """
+import sys
+import vcslab
+from vcslab import config, experiments
+assert "scipy" not in sys.modules, "import vcslab"
+for name in config.bundled_names():
+    config.load_bundled(name)
+assert "scipy" not in sys.modules, "load_bundled"
+experiments.run_experiment(config.load_bundled("example1-susy-qm"))
+assert "scipy" not in sys.modules, "run_experiment"
+"""
+
+
+def test_scipy_stays_unloaded_outside_the_grid_comparison():
+    env = dict(os.environ)
+    src = str(Path(vcslab.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from importlib import resources
 
@@ -33,20 +34,42 @@ def boson_problem(dim=60, power=2):
     return IntertwiningProblem(h=ad @ a, x=x, ladder_degree=power)
 
 
+def smoothness_rotated(h, evals, vecs):
+    """Dense counterpart of the grid comparison's basis fix: eigenvalues whose
+    gap is at most ``eps ||h||_inf / CLUSTER_ANGLE`` form one cluster, and each
+    cluster is rotated to the eigenbasis of the smoothness form
+    ``||E v||^2`` (``(E v)_i = v_i + v_{i+1}``), in ascending order.  Returns
+    the rotated vectors and the form on each."""
+    n = len(evals)
+    e = np.eye(n - 1, n) + np.eye(n - 1, n, 1)
+    form = e.T @ e
+    tol = np.finfo(float).eps * np.abs(h).sum(axis=1).max() / intertwine.CLUSTER_ANGLE
+    edges = [0] + [i + 1 for i in range(n - 1) if evals[i + 1] - evals[i] > tol] + [n]
+    vecs = vecs.copy()
+    smoothness = np.empty(n)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = vecs[:, lo:hi]
+        values, rot = np.linalg.eigh(block.T @ form @ block)
+        vecs[:, lo:hi] = block @ rot
+        smoothness[lo:hi] = values
+    return vecs, smoothness
+
+
 def dense_grid_comparison(w, grid, f=None, n_modes=None):
     """Oracle for ``grid_partner_comparison``: the companion ``N1^+ a f(h) a+``
     and the target ``f(h + 2c W')`` formed as full ``n x n`` matrices, then
-    read through the same low-pass-filtered smooth eigenvectors of ``h``.
+    read through the same low-pass-filtered smooth eigenvectors of ``h``,
+    taken from a dense ``eigh`` in the smoothness basis of each cluster.
     Returns ``(n_modes, comparison_residual)``."""
     ladder = hilbert.grid_ladder(w, grid)
     a = ladder.matrix
     h = a.T @ a
     evals, vecs = np.linalg.eigh(h)
-    smoothness = np.sum(np.abs(vecs[1:, :] + vecs[:-1, :]) ** 2, axis=0)
+    rotated, smoothness = smoothness_rotated(h, evals, vecs)
     k_max = grid.points // 4 if n_modes is None else n_modes
     probes = []
     for k in np.flatnonzero(smoothness > 2.0)[:k_max]:
-        phi = vecs[:, k]
+        phi = rotated[:, k]
         for _ in range(2):
             phi = 0.25 * (
                 np.concatenate(([phi[0]], phi[:-1])) + 2.0 * phi + np.concatenate((phi[1:], [phi[-1]]))
@@ -62,6 +85,23 @@ def dense_grid_comparison(w, grid, f=None, n_modes=None):
         t_evals, t_vecs = np.linalg.eigh(target)
         target = (t_vecs * f(t_evals)) @ t_vecs.T
     return len(probes), max(np.linalg.norm((companion - target) @ phi) for phi in probes)
+
+
+def lower_bands(m, width):
+    """Lower band storage of the symmetric ``m``: row ``k`` holds entries ``(j + k, j)``."""
+    n = len(m)
+    out = np.zeros((width + 1, n))
+    for k in range(width + 1):
+        out[k, : n - k] = np.diag(m, -k)
+    return out
+
+
+def assert_matches_dense(w, grid, f, n_modes):
+    report = intertwine.grid_partner_comparison(w, grid, f=f, n_modes=n_modes)
+    modes, residual = dense_grid_comparison(w, grid, f=f, n_modes=n_modes)
+    assert report.n_modes == modes
+    assert report.comparison_residual == pytest.approx(residual, rel=1e-9)
+    assert report.commutator_residual == pytest.approx(dense_commutator_residual(w, grid), rel=1e-9)
 
 
 def dense_commutator_residual(w, grid):
@@ -530,15 +570,16 @@ class TestGridPartner:
         assert 2.8 < ratio < 5.5
 
     def test_h_is_decomposed_once(self, eigh_calls):
-        # one eigh of h serves the mode selection and N1^+; a polynomial map
-        # is applied by Horner's rule and adds none
-        grid = hilbert.GridSpec(-12.0, 12.0, 128)
-        intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=16)
-        assert len(eigh_calls) == 1
-        eigh_calls.clear()
-        f = SpectralMap.polynomial([0, 0, 1])
-        intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=16)
-        assert len(eigh_calls) == 1
+        # band bisection and inverse iteration give the eigenpairs of h; the
+        # one eigh is the batched one over the 2 x 2 smoothness forms of its
+        # degenerate pairs, and a polynomial map is applied by Horner's rule
+        # and adds none
+        grid = hilbert.GridSpec(-12.0, 12.0, 512)
+        for f in (None, SpectralMap.polynomial([0, 0, 1])):
+            eigh_calls.clear()
+            intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=16)
+            assert len(eigh_calls) == 1
+            assert eigh_calls[0][-2:] == (2, 2)
 
     @pytest.mark.parametrize("points", [128, 256])
     @pytest.mark.parametrize(
@@ -547,27 +588,35 @@ class TestGridPartner:
         ids=["linear", "anharmonic", "linear-narrow"],
     )
     def test_range_inverse_matches_n1_pseudo_inverse(self, monkeypatch, w, lo, points):
-        # oracle: N1 = a a+ formed densely and decomposed on its own.  On the
-        # narrow domain the null mode reaches the one-sided boundary rows, where
-        # N1 and S h S differ, so the projection has to correct it (by ~1e-8)
+        # oracle: N1 = a a+ formed densely and decomposed on its own, and the
+        # companion N1^+ a f(h) a+ formed literally.  f has a constant term
+        # and one probe carries the checkerboard, so the projection P off the
+        # null modes of N1 moves the image by O(1).  On the narrow domain the
+        # null mode reaches the one-sided boundary rows, where N1 and S h S
+        # differ, so the inverse iteration has to correct it (by ~1e-8)
         grid = hilbert.GridSpec(-lo, lo, points)
         ladder = hilbert.grid_ladder(w, grid)
         a = ladder.matrix
-        n1_evals, n1_vecs = np.linalg.eigh(a @ a.T)
+        h, n1 = a.T @ a, a @ a.T
+        n1_evals, n1_vecs = np.linalg.eigh(n1)
         live = n1_evals > intertwine.N1_CUTOFF
         n1_pinv = (n1_vecs[:, live] / n1_evals[live]) @ n1_vecs[:, live].T
         seen = []
         monkeypatch.setattr(intertwine, "_check_null_modes", lambda null, grid: seen.append(null))
 
-        r = np.column_stack(
-            [np.exp(-0.5 * (grid.x / s) ** 2) * grid.x**k for s, k in ((2.0, 0), (1.5, 1), (3.0, 2))]
+        gaussians = [np.exp(-0.5 * (grid.x / s) ** 2) * grid.x**k for s, k in ((2.0, 0), (1.5, 1), (3.0, 2))]
+        r = np.column_stack(gaussians + [(-1.0) ** np.arange(points) * gaussians[0]])
+        evals, vecs = np.linalg.eigh(h)
+        null = intertwine._n1_null_modes(
+            ladder.gram_bands(adjoint=True), vecs[:, evals <= intertwine.N1_CUTOFF], grid
         )
-        evals, vecs = np.linalg.eigh(ladder.gram())
-        got = intertwine._range_inverse(ladder.apply, evals, vecs, r, grid)
-        want = n1_pinv @ (a @ r)
+        coeffs = (0.5, -1.0, 0.25)
+        got = intertwine._companion_image(lambda v: n1 @ v, null, coeffs, r)
+        want = n1_pinv @ (a @ ((0.5 * np.eye(points) - h + 0.25 * h @ h) @ (a.T @ r)))
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
-        (null,) = seen
+        (checked,) = seen
+        assert checked is null
         oracle_null = n1_vecs[:, ~live]
         assert null.shape == oracle_null.shape
         overlap = np.linalg.svd(null.T @ oracle_null, compute_uv=False)
@@ -600,25 +649,85 @@ class TestGridPartner:
         ids=["linear", "linear-squared", "linear-constant-odd", "anharmonic"],
     )
     def test_matches_dense_formation(self, w, lo, f, n_modes):
-        grid = hilbert.GridSpec(-lo, lo, 128)
-        report = intertwine.grid_partner_comparison(w, grid, f=f, n_modes=n_modes)
-        modes, residual = dense_grid_comparison(w, grid, f=f, n_modes=n_modes)
-        assert report.n_modes == modes
-        assert report.comparison_residual == pytest.approx(residual, rel=1e-9)
-        assert report.commutator_residual == pytest.approx(
-            dense_commutator_residual(w, grid), rel=1e-9
-        )
+        assert_matches_dense(w, hilbert.GridSpec(-lo, lo, 128), f, n_modes)
+
+    @pytest.mark.parametrize(
+        "w, lo, f, n_modes, points",
+        [
+            (lambda x: x, 12.0, None, 32, 512),
+            (lambda x: x, 12.0, SpectralMap.polynomial([0, 0, 1]), 32, 512),
+            (lambda x: x, 12.0, SpectralMap.polynomial([0.5, -1.0, 0.25]), 32, 512),
+            (lambda x: x + 0.1 * x**3, 9.0, None, 24, 512),
+            (lambda x: x, 12.0, None, 32, 1024),
+        ],
+        ids=["linear-512", "linear-squared-512", "linear-constant-odd-512", "anharmonic-512", "linear-1024"],
+    )
+    def test_matches_dense_formation_at_shipped_sizes(self, w, lo, f, n_modes, points):
+        assert_matches_dense(w, hilbert.GridSpec(-lo, lo, points), f, n_modes)
+
+    @pytest.mark.parametrize(
+        "w, lo, f, n_modes",
+        [
+            (lambda x: x, 12.0, None, 32),
+            (lambda x: x, 12.0, SpectralMap.polynomial([0.5, -1.0, 0.25]), 32),
+            (lambda x: x + 0.1 * x**3, 9.0, None, 24),
+        ],
+        ids=["linear", "linear-constant-odd", "anharmonic"],
+    )
+    @pytest.mark.parametrize("points", [256, 1024])
+    def test_values_do_not_depend_on_the_basis_inside_pairs(self, monkeypatch, w, lo, f, n_modes, points):
+        # a degenerate pair has no preferred eigenbasis, so each LAPACK build
+        # may return another one: seeded random rotations inside every pair
+        # must leave every reported value where it was
+        grid = hilbert.GridSpec(-lo, lo, points)
+        before = intertwine.grid_partner_comparison(w, grid, f=f, n_modes=n_modes)
+        lowest = intertwine._lowest_eigenpairs
+        rng = np.random.default_rng(11)
+        rotated = []
+
+        def rotating(band, count):
+            evals, vecs, starts = lowest(band, count)
+            vecs = vecs.copy()
+            for first in starts[:-1][np.diff(starts) == 2]:
+                t = rng.uniform(0.0, 2.0 * np.pi)
+                turn = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+                vecs[:, first : first + 2] = vecs[:, first : first + 2] @ turn
+                rotated.append(first)
+            return evals, vecs, starts
+
+        monkeypatch.setattr(intertwine, "_lowest_eigenpairs", rotating)
+        after = intertwine.grid_partner_comparison(w, grid, f=f, n_modes=n_modes)
+        assert len(rotated) >= n_modes
+        assert after.n_modes == before.n_modes
+        assert after.commutator_residual == before.commutator_residual
+        assert after.comparison_residual == pytest.approx(before.comparison_residual, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("f", [None, SpectralMap.polynomial([0, 0, 1])], ids=["plain", "squared"])
     def test_peak_memory_stays_within_six_grid_matrices(self, f):
-        grid = hilbert.GridSpec(-12.0, 12.0, 512)
+        # O(n k): the eigenvector block is n x (2k + 16), and one n x n array
+        # (32 MiB at n = 2048) would break the bound many times over
+        small = hilbert.GridSpec(-12.0, 12.0, 64)
+        intertwine.grid_partner_comparison(lambda x: x, small, n_modes=4)  # imports scipy untraced
+        grid = hilbert.GridSpec(-12.0, 12.0, 2048)
+        k = 32
         tracemalloc.start()
         try:
-            intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=32)
+            intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=k)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 6 * grid.points**2 * 8
+        assert peak <= 4 * grid.points * (2 * k + 16) * 8
+
+    def test_linear_bundle_runs_at_the_grid_ceiling(self):
+        # no n x n array: a dense eigh alone took 18 s and 687 MiB at these sizes
+        assert config.GRID_RANGE[1] == 4096
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "susy-grid-linear.yaml").read_text())
+        scaled = config.parse_config({**raw, "params": {**raw["params"], "sizes": [2048, 4096]}})
+        start = time.perf_counter()
+        report, _ = experiments.run_experiment(scaled)
+        assert time.perf_counter() - start < 5.0
+        assert report.overall_pass
+        assert report.config["params"]["sizes"] == [2048, 4096]
 
     def test_smooth_interior_null_mode_violates_hypothesis(self):
         grid = hilbert.GridSpec(-1.0, 1.0, 64)
@@ -637,17 +746,13 @@ class TestGridPartner:
         # h = a+ a = S N1 S, the checkerboard relation of central differences
         n1 = null_mode_n1(v)
         a = n1 * (-1.0) ** i
-
-        def apply(u, adjoint=False):
-            return (a.T if adjoint else a) @ u
-
         rhs = np.random.default_rng(5).normal(size=(64, 3))
         evals, vecs = np.linalg.eigh(a.T @ a)
-        applied = intertwine._range_inverse(apply, evals, vecs, rhs, grid)
+        null = intertwine._n1_null_modes(lower_bands(n1, 63), vecs[:, evals <= intertwine.N1_CUTOFF], grid)
+        # f(N1) = 1 + N1 = 2 - v v+, and P = I - v v+
+        applied = intertwine._companion_image(lambda u: n1 @ u, null, (1.0, 1.0), rhs)
         assert np.abs(v @ applied).max() <= 1e-12
-        # N1^+ = I - v v+, applied to a rhs
-        image = a @ rhs
-        np.testing.assert_allclose(applied, image - np.outer(v, v @ image), atol=1e-12)
+        np.testing.assert_allclose(applied, 2.0 * (rhs - np.outer(v, v @ rhs)), atol=1e-12)
 
     def test_nonpositive_derivative_rejected(self):
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
