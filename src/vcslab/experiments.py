@@ -434,9 +434,11 @@ def _run_susy_grid(config: ExperimentConfig, seed: int):
             tol["exponent_low"],
             tol["exponent_high"],
         )
-    lines = ["# dx\tcommutator_residual\tcomparison_residual"]
+    # n_modes: the probes a size used, fewer than asked when its grid holds
+    # too few smooth modes; a fit over sizes with unequal counts mixes probe sets
+    lines = ["# dx\tcommutator_residual\tcomparison_residual\tn_modes"]
     for r in reports:
-        lines.append(f"{r.dx:.17g}\t{r.commutator_residual:.17g}\t{r.comparison_residual:.17g}")
+        lines.append(f"{r.dx:.17g}\t{r.commutator_residual:.17g}\t{r.comparison_residual:.17g}\t{r.n_modes}")
     return checks, {"residual-vs-dx.tsv": "\n".join(lines) + "\n"}
 
 

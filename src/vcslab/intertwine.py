@@ -477,25 +477,50 @@ def _band_norm(band: np.ndarray) -> float:
 
 def _inverse_iteration(band: np.ndarray, shifts, x: np.ndarray, starts) -> np.ndarray:
     """Two sweeps of inverse iteration on the symmetric matrix ``B`` in lower
-    band storage ``band``, in place on the block ``x``: column ``j`` is solved
-    against ``B - shifts[j]``, then each group of columns
-    ``starts[g]:starts[g + 1]`` is re-orthonormalized by QR."""
+    band storage ``band``, from the starting block ``x``: column ``j`` is solved
+    against ``B - shifts[j]``, and after each sweep each group of columns
+    ``starts[g]:starts[g + 1]`` is re-orthonormalized by QR.  Groups are
+    independent, so they are done one at a time: each run of equal shifts in
+    the group is LU-factored once (``gbtrf``), both sweeps solve on that
+    factor (``gbtrs``), and the QR is LAPACK's (``geqrf`` and ``orgqr``), all
+    in place on a Fortran-ordered copy of ``x``, which is returned.  Raises
+    ``LinAlgError`` when a shifted ``B`` is singular."""
     # imported here, not at module level: only the grid comparison needs
     # scipy, and ``import vcslab`` should not pay its import time and memory
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeqrf, dorgqr
 
+    def check(name, info):
+        if info > 0 and name == "dgbtrf":
+            raise np.linalg.LinAlgError(f"shifted band matrix is singular at pivot {info}")
+        if info:
+            raise np.linalg.LinAlgError(f"{name} returned info = {info}")
+
+    # general band storage for gbtrf: rows 0..p-1 hold the fill-in of the LU
+    # factors, row 2p - k the k-th superdiagonal and row 2p + k the k-th
+    # subdiagonal
     p = len(band) - 1
-    ab = np.zeros((2 * p + 1, band.shape[1]))
-    ab[p:] = band
+    ab = np.zeros((3 * p + 1, band.shape[1]))
+    ab[2 * p :] = band
     for k in range(1, p + 1):
-        ab[p - k, k:] = band[k, :-k]
-    diagonal = ab[p].copy()
-    for _ in range(2):
-        for j, shift in enumerate(shifts):
-            ab[p] = diagonal - shift
-            x[:, j] = solve_banded((p, p), ab, x[:, j], check_finite=False)
-        for a, b in zip(starts[:-1], starts[1:]):
-            x[:, a:b] = np.linalg.qr(x[:, a:b])[0]
+        ab[2 * p - k, k:] = band[k, :-k]
+    diagonal = ab[2 * p].copy()
+    x = np.asfortranarray(x)
+    for a, b in zip(starts[:-1], starts[1:]):
+        factors = []
+        for j in range(a, b):
+            if j == a or shifts[j] != shifts[j - 1]:
+                ab[2 * p] = diagonal - shifts[j]
+                lu, piv, info = dgbtrf(ab, p, p)
+                check("dgbtrf", info)
+            factors.append((lu, piv))
+        group = x[:, a:b]
+        for _ in range(2):
+            for j, (lu, piv) in enumerate(factors):
+                # group[:, j : j + 1] is contiguous, so gbtrs solves in place
+                check("dgbtrs", dgbtrs(lu, p, p, group[:, j : j + 1], piv, overwrite_b=1)[1])
+            qr, tau, _, info = dgeqrf(group, overwrite_a=1)
+            check("dgeqrf", info)
+            check("dorgqr", dorgqr(qr, tau, overwrite_a=1)[2])
     return x
 
 
@@ -505,9 +530,11 @@ def _lowest_eigenpairs(band: np.ndarray, count: int):
 
     The ``count`` lowest eigenvalues come from band bisection; when
     ``count < n`` the top cluster may continue past them and is dropped.  The
-    eigenvectors come from inverse iteration, one banded solve per eigenvalue
-    and sweep, from seeded random starts.  Returns ``(evals, vecs, starts)``
-    with cluster ``g`` in columns ``starts[g]:starts[g + 1]``.
+    eigenvectors come from two sweeps of inverse iteration from seeded random
+    starts, with one band LU factor per distinct eigenvalue serving both
+    sweeps and a QR per cluster after each.  Returns ``(evals, vecs, starts)``
+    with cluster ``g`` in columns ``starts[g]:starts[g + 1]`` of the
+    Fortran-ordered ``vecs``.
     """
     from scipy.linalg import eigvals_banded  # see _inverse_iteration
 
@@ -520,7 +547,7 @@ def _lowest_eigenpairs(band: np.ndarray, count: int):
         evals = evals[: starts[-1]]
     # random starts: a structured one such as all ones is orthogonal to every
     # odd eigenvector when the superpotential is odd
-    x = np.random.default_rng(0).standard_normal((n, len(evals)))
+    x = np.asfortranarray(np.random.default_rng(0).standard_normal((n, len(evals))))
     return evals, _inverse_iteration(band, evals, x, starts), starts
 
 

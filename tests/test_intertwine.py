@@ -115,6 +115,29 @@ def dense_commutator_residual(w, grid):
     )
 
 
+def reference_inverse_iteration(band, shifts, x, starts):
+    """Oracle for ``_inverse_iteration``, written plainly: ``B - shifts[j]``
+    factored afresh by ``solve_banded`` for every column in each of two
+    sweeps, and each sweep followed by ``np.linalg.qr`` of every group
+    ``starts[g]:starts[g + 1]``."""
+    from scipy.linalg import solve_banded
+
+    p = len(band) - 1
+    ab = np.zeros((2 * p + 1, band.shape[1]))
+    ab[p:] = band
+    for k in range(1, p + 1):
+        ab[p - k, k:] = band[k, :-k]
+    diagonal = ab[p].copy()
+    x = x.copy()
+    for _ in range(2):
+        for j, shift in enumerate(shifts):
+            ab[p] = diagonal - shift
+            x[:, j] = solve_banded((p, p), ab, x[:, j], check_finite=False)
+        for a, b in zip(starts[:-1], starts[1:]):
+            x[:, a:b] = np.linalg.qr(x[:, a:b])[0]
+    return x
+
+
 def null_mode_n1(v):
     """Synthetic N1 with eigenvalue 0 along the unit vector ``v`` and 1 elsewhere."""
     return np.eye(len(v)) - np.outer(v, v)
@@ -580,6 +603,80 @@ class TestGridPartner:
             intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=16)
             assert len(eigh_calls) == 1
             assert eigh_calls[0][-2:] == (2, 2)
+
+    @pytest.mark.parametrize("points", [256, 1024])
+    @pytest.mark.parametrize(
+        "w, lo", [(lambda x: x, 12.0), (lambda x: x + 0.1 * x**3, 9.0)], ids=["linear", "anharmonic"]
+    )
+    def test_inverse_iteration_matches_the_solve_banded_oracle(self, w, lo, points):
+        # bit for bit: one LU factor per shift reused by both sweeps, and
+        # LAPACK's QR called directly, do the arithmetic of a fresh
+        # solve_banded per column and sweep.  A gbtrs or QR that worked on a
+        # copy would leave the starts in place and fail here
+        band = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points)).gram_bands()
+        evals, vecs, starts = intertwine._lowest_eigenpairs(band, 80)
+        assert np.diff(starts).max() == 2
+        start = np.random.default_rng(0).standard_normal((points, len(evals)))
+        want = reference_inverse_iteration(band, evals, start, starts)
+        np.testing.assert_array_equal(intertwine._inverse_iteration(band, evals, start, starts), want)
+        np.testing.assert_array_equal(vecs, want)
+
+    @pytest.mark.parametrize("lo", [12.0, 3.0], ids=["linear", "linear-narrow"])
+    def test_null_mode_iteration_matches_the_solve_banded_oracle(self, lo):
+        # the N1 call: every shift is -N1_CUTOFF, so one factor serves all
+        # columns; two random columns join the null start so that it is shared
+        grid = hilbert.GridSpec(-lo, lo, 256)
+        ladder = hilbert.grid_ladder(lambda x: x, grid)
+        band = ladder.gram_bands(adjoint=True)
+        a = ladder.matrix
+        evals, vecs = np.linalg.eigh(a.T @ a)
+        null = (-1.0) ** np.arange(256)[:, None] * vecs[:, evals <= intertwine.N1_CUTOFF]
+        start = np.column_stack((null, np.random.default_rng(3).standard_normal((256, 2))))
+        shifts = np.full(start.shape[1], -intertwine.N1_CUTOFF)
+        want = reference_inverse_iteration(band, shifts, start, [0, start.shape[1]])
+        got = intertwine._inverse_iteration(band, shifts, start, [0, start.shape[1]])
+        np.testing.assert_array_equal(got, want)
+
+    def test_each_shift_is_factored_once(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        factored = []
+        dgbtrf = lapack.dgbtrf
+
+        def counting(*args, **kwargs):
+            factored.append(args)
+            return dgbtrf(*args, **kwargs)
+
+        shifts = []
+        lowest = intertwine._lowest_eigenpairs
+
+        def recording(band, count):
+            evals, vecs, starts = lowest(band, count)
+            shifts.append(evals)
+            return evals, vecs, starts
+
+        monkeypatch.setattr(lapack, "dgbtrf", counting)
+        monkeypatch.setattr(intertwine, "_lowest_eigenpairs", recording)
+        intertwine.grid_partner_comparison(lambda x: x, hilbert.GridSpec(-12.0, 12.0, 512), n_modes=32)
+        # the sorted eigenvalues of h, one factor each, and one for the N1
+        # null modes, whose shifts are all equal
+        assert len(factored) == sum(len(np.unique(s)) for s in shifts) + 1
+
+    def test_singular_shift_raises(self):
+        # the second shift hits a diagonal entry: the solve must refuse, not
+        # return a vector of infinities
+        band = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            intertwine._inverse_iteration(band, [0.5, 2.0], np.ones((4, 2)), [0, 1, 2])
+
+    def test_table_reports_the_probes_each_size_used(self):
+        # 128 points hold too few smooth modes for 32 probes: the table shows it
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "susy-grid-linear.yaml").read_text())
+        scaled = config.parse_config({**raw, "params": {**raw["params"], "sizes": [128, 256], "n_modes": 32}})
+        _, tables = experiments.run_experiment(scaled)
+        header, *rows = tables["residual-vs-dx.tsv"].splitlines()
+        assert header.split("\t")[-1] == "n_modes"
+        assert [int(row.split("\t")[-1]) for row in rows] == [17, 32]
 
     @pytest.mark.parametrize("points", [128, 256])
     @pytest.mark.parametrize(
