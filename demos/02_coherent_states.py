@@ -36,7 +36,7 @@ for t in (0.1, 1.0, 10.0):
     print(f"temporal stability, t={t:>4}: residual {resid:.2e}")
 
 # eigenstate of the lowering operator at the same gamma, not at another
-matched = vcs.eigenstate_residuals(state, hilbert.lowering_weights(family.shifted, [gamma]))[0]
+matched = vcs.eigenstate_residuals(state, family.lowering_weights([gamma]))[0]
 print(f"\neigenstate residual (matched phase):    {matched:.2e}")
 
 witness_seqs = [
@@ -45,13 +45,17 @@ witness_seqs = [
 ]
 w_family = vcs.eds_family(witness_seqs)
 w_state = w_family.states([(1.0, 1.0)], [0.4])
-mismatched = vcs.eigenstate_residuals(w_state, hilbert.lowering_weights(w_family.shifted, [1.4]))[0]
+mismatched = vcs.eigenstate_residuals(w_state, w_family.lowering_weights([1.4]))[0]
 print(f"eigenstate residual (mismatched phase, nonlinear spectra): {mismatched:.2e}")
 
 # --- the regulated family ----------------------------------------------------
 zero_ground = [spectra.linear_sequence(dim), spectra.linear_sequence(dim, np.sqrt(2.0))]
-d_state = vcs.delta_family(zero_ground, delta=0.5).states([(1.0, 2.0)], [0.7])
+d_family = vcs.delta_family(zero_ground, delta=0.5)
+d_state = d_family.states([(1.0, 2.0)], [0.7])
 print(f"\nregulated-family state: norm = {np.linalg.norm(d_state.coefficients[0]):.15f}")
+# its lowering operator twists the two sectors with opposite phase signs
+d_matched = vcs.eigenstate_residuals(d_state, d_family.lowering_weights([0.7]))[0]
+print(f"eigenstate residual of its own split-sign lowering operator: {d_matched:.2e}")
 
 own = vcs.temporal_stability_residuals(d_state, 1.0)[0]
 physical = vcs.temporal_stability_residuals(d_state, 1.0, evolution="physical")[0]

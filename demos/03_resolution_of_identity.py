@@ -10,7 +10,7 @@ ground-ground cross entry survives the phase average at full strength.
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from vcslab import spectra, moments
+from vcslab import spectra, moments, vcs
 
 dim = 24
 seqs = [
@@ -27,7 +27,7 @@ errs = moments.verify_moments(weights[0].quadrature(laggauss(40)), seqs[0], k_ma
 print("moment verification, sector 0, max relative error:", f"{errs.max():.2e}")
 
 # the horizon-independent work (rule, moments, half-moments) is done once
-assembly = moments.resolution_assembly("eds", seqs, weights, n_nodes=40)
+assembly = moments.resolution_assembly(vcs.eds_family(seqs), weights, n_nodes=40)
 print("\nhorizon      diagonal err   off-diagonal err")
 for horizon in (1e2, 1e3, 1e4):
     report = assembly.report(horizon)
@@ -42,7 +42,8 @@ print(f"\nphase-average oracle: {value:.6e} vs sinc {np.sin(theta*horizon)/(thet
 # --- the zero-regulator failure ----------------------------------------------
 zero_ground = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
 flat = [moments.MomentWeight.gamma_family(1.0)] * 2
-entry = moments.cross_entry(zero_ground, flat, n_nodes=40)
+# the delta family with no regulator given: its regulator is zero
+entry = moments.cross_entry(vcs.coherent_family("delta", zero_ground), flat, n_nodes=40)
 print("\nregulator   horizon   cross-entry magnitude")
 for delta in (0.0, 0.5):
     for horizon in (1e2, 1e4):

@@ -28,19 +28,16 @@ from .hilbert import (
     GridSpec,
     lowering_operator,
     lowering_weights,
-    delta_lowering_operator,
-    delta_lowering_weights,
     boson_ladder,
     quon_ladder,
     grid_ladder,
-    susy_hamiltonian,
     shifted_hamiltonian,
 )
 from .vcs import (
     CoherentFamily,
     CoherentStates,
     series_norm,
-    require_regime,
+    coherent_family,
     delta_family,
     eds_family,
     action_identity_residuals,

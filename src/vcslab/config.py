@@ -4,9 +4,10 @@ Configs are strict: unknown keys anywhere are hard errors, so a typo cannot
 silently disable a check.  Each kind's parameters are one frozen dataclass
 (``KINDS``) whose field types drive one checker, so a malformed value fails
 at parse time naming its key (``params.times[0]``); a ``resolve`` method
-checks what needs the spectra or ``dim``.  Spectra are built here.
-A bundled inventory of ready-to-run configs ships inside the package
-(``vcslab list`` prints it).
+checks what needs the spectra or ``dim``.  Spectra are built here, and so
+is each coherent family, once, while its spectra are checked.  A bundled
+inventory of ready-to-run configs ships inside the package (``vcslab list``
+prints it).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import yaml
 from .errors import ConfigError, VcsLabError
 from .intertwine import ALPHA_TOL, BETA_TOL, GAMMA_TOL
 from .spectra import SpectralSequence, linear_sequence, make_sequence, quon_sequence
-from .vcs import require_regime
+from .vcs import CoherentFamily, coherent_family
 
 __all__ = [
     "ExperimentConfig",
@@ -75,6 +76,11 @@ _UNREAD_SPECTRUM_KEYS = {
 }
 
 
+def _built():
+    """A field that ``resolve`` fills from the checked spectra; no config key sets it."""
+    return field(default=None, repr=False, compare=False, metadata={"built": True})
+
+
 @dataclass(frozen=True, kw_only=True)
 class Witness:
     """``params.witness``: its spectra have its own ``dim`` (default: the config's)."""
@@ -84,6 +90,7 @@ class Witness:
     j: tuple[float, ...] | None = None
     gamma: float = 0.4
     gamma_offset: float = 1.0
+    built_family: CoherentFamily | None = _built()
 
 
 def _per_spectrum(values, default, spectra, where):
@@ -93,10 +100,10 @@ def _per_spectrum(values, default, spectra, where):
     return values
 
 
-def _require_regime(family, spectra, delta, where):
-    """:func:`vcslab.vcs.require_regime` as a ConfigError naming the key at fault."""
+def _family(family, spectra, delta, where) -> CoherentFamily:
+    """:func:`vcslab.vcs.coherent_family`, with a ConfigError naming the key at fault."""
     try:
-        require_regime(family, spectra, delta, where, "params.delta")
+        return coherent_family(family, spectra, delta, where, "params.delta")
     except VcsLabError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -120,16 +127,17 @@ class VcsVerifyParams:
     delta: float = 0.5
     times: tuple[float, ...] = (0.1, 1.0, 10.0)
     witness: Witness | None = None
+    built_family: CoherentFamily | None = _built()
 
     def resolve(self, dim, spectra):
-        _require_regime(self.family, spectra, self.delta, "spectra")
+        built = _family(self.family, spectra, self.delta, "spectra")
         witness = self.witness
         if witness is not None:
-            _require_regime("eds", witness.spectra, None, "params.witness.spectra")
+            witness_family = _family("eds", witness.spectra, None, "params.witness.spectra")
             j = _per_spectrum(witness.j, 1.0, witness.spectra, "params.witness.j")
-            witness = replace(witness, j=j)
+            witness = replace(witness, j=j, built_family=witness_family)
         j_max = _per_spectrum(self.j_max, 4.0, spectra, "params.j_max")
-        return replace(self, j_max=j_max, witness=witness)
+        return replace(self, j_max=j_max, witness=witness, built_family=built)
 
 
 @dataclass(frozen=True)
@@ -154,10 +162,11 @@ class ResolutionParams:
     n_nodes: int = 40
     k_check: int | None = None
     delta_probe: float = 0.5
+    built_family: CoherentFamily | None = _built()
 
     def resolve(self, dim, spectra):
         # zero regulator: the failure demo, which needs only the delta family's spectra
-        _require_regime(self.family, spectra, self.delta or None, "spectra")
+        built = _family(self.family, spectra, self.delta or None, "spectra")
         for i, seq in enumerate(spectra):
             gaps = np.diff(seq.values)
             if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
@@ -172,7 +181,7 @@ class ResolutionParams:
                 f"params.n_nodes {self.n_nodes} cannot verify moments to order {k}; "
                 f"need at least {math.ceil(k / 2 + 1)}"
             )
-        return self
+        return replace(self, built_family=built)
 
 
 @dataclass(frozen=True)
@@ -283,9 +292,12 @@ def _reject_unknown(mapping, allowed, where: str):
 
 @functools.cache
 def _schema(cls) -> dict:
-    """Field name -> (type, required) of a schema dataclass, resolved once."""
+    """Field name -> (type, required) of a schema dataclass, resolved once;
+    the fields ``resolve`` builds are not keys."""
     hints = get_type_hints(cls, include_extras=True)
-    return {f.name: (hints[f.name], f.default is MISSING) for f in fields(cls)}
+    return {
+        f.name: (hints[f.name], f.default is MISSING) for f in fields(cls) if not f.metadata.get("built")
+    }
 
 
 def _build(cls, mapping, where: str, dim: int | None):

@@ -9,7 +9,6 @@ config (overridable from the command line), so reports are reproducible.
 from __future__ import annotations
 
 import datetime
-import functools
 import time
 
 import numpy as np
@@ -20,12 +19,9 @@ from .hilbert import (
     GridSpec,
     boson_ladder,
     BlockOperator,
-    delta_lowering_weights,
-    lowering_weights,
     max_abs,
     quon_ladder,
     shifted_hamiltonian,
-    susy_hamiltonian,
 )
 from .intertwine import (
     ALPHA_TOL,
@@ -45,13 +41,7 @@ from .intertwine import (
 from .moments import MomentWeight, cross_entry, resolution_assembly
 from .reporting import CheckRecord, VerificationReport
 from .spectra import shift
-from .vcs import (
-    action_identity_residuals,
-    delta_family,
-    eds_family,
-    eigenstate_residuals,
-    temporal_stability_residuals,
-)
+from .vcs import action_identity_residuals, eigenstate_residuals, temporal_stability_residuals
 
 __all__ = ["run_experiment"]
 
@@ -77,7 +67,9 @@ def _bracket(name: str, anchor: str, value: float, low: float, high: float) -> l
 def _run_vcs_verify(config: ExperimentConfig, seed: int):
     tol = config.tolerances
     params = config.params
-    seqs = config.spectra
+    family = params.built_family
+    # a zero-ground spectrum is its own shift: the delta family's physical Hamiltonian
+    hamiltonian = shifted_hamiltonian(config.spectra)
 
     # one draw per row: the intensities of every sector, then gamma
     rng = np.random.default_rng(seed)
@@ -86,21 +78,12 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
     draws = rng.uniform(low, high, size=(params.n_samples, len(high)))
     intensities, gammas = draws[:, :-1], draws[:, -1]
 
-    if params.family == "eds":
-        family = eds_family(seqs)
-        hamiltonian = shifted_hamiltonian(seqs)
-        lowering = functools.partial(lowering_weights, family.shifted)
-    else:
-        family = delta_family(seqs, params.delta)
-        hamiltonian = susy_hamiltonian(seqs)
-        lowering = functools.partial(delta_lowering_weights, seqs)
-
     def block_residuals(block):
         states = family.states(intensities[block], gammas[block])
         out = {
             "tail": states.tail_bound,
             "action": action_identity_residuals(states, hamiltonian),
-            "eigenstate": eigenstate_residuals(states, lowering(states.gammas)),
+            "eigenstate": eigenstate_residuals(states, family.lowering_weights(states.gammas)),
         }
         for t in params.times:
             out[f"stability[t={t:g}]"] = temporal_stability_residuals(states, t)
@@ -115,8 +98,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
     witness = params.witness
     if witness is not None:
         # the witness is a built state too: its tail bound joins the samples'
-        witness_family = eds_family(witness.spectra)
-        witness_state = witness_family.states([witness.j], [witness.gamma])
+        witness_state = witness.built_family.states([witness.j], [witness.gamma])
         worst["tail"] = _worst([worst["tail"], *witness_state.tail_bound])
     checks = [
         CheckRecord("truncation-tail-bound", "state-normalization", worst["tail"], tol["tail"]),
@@ -140,7 +122,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
         )
 
     if witness is not None:
-        mismatched = lowering_weights(witness_family.shifted, [witness.gamma + witness.gamma_offset])
+        mismatched = witness.built_family.lowering_weights([witness.gamma + witness.gamma_offset])
         checks.append(
             CheckRecord(
                 "mismatched-phase-eigenstate-residual",
@@ -157,15 +139,15 @@ def _run_resolution(config: ExperimentConfig, seed: int):
     tol = config.tolerances
     params = config.params
     horizons = sorted(params.horizons)
-    seqs = config.spectra
+    family = params.built_family
     # the config checked that each spectrum is equally spaced
-    weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
+    weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in config.spectra]
 
     checks, tables = [], {}
     if params.family == "delta" and params.delta == 0.0:
         # regulator-failure demonstration: the ground-ground cross entry
         # survives the phase average and is horizon independent
-        entry = cross_entry(seqs, weights, params.n_nodes, params.k_check)
+        entry = cross_entry(family, weights, params.n_nodes, params.k_check)
         mags = {}
         probe_mags = {}
         for horizon in (horizons[0], horizons[-1]):
@@ -194,9 +176,7 @@ def _run_resolution(config: ExperimentConfig, seed: int):
         )
         return checks, tables
 
-    assembly = resolution_assembly(
-        params.family, seqs, weights, params.n_nodes, params.k_check, params.delta
-    )
+    assembly = resolution_assembly(family, weights, params.n_nodes, params.k_check)
     reports = [assembly.report(horizon) for horizon in horizons]
     diag_errors = [r.diag_error for r in reports]
     offdiag_errors = [r.offdiag_error for r in reports]

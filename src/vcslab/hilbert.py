@@ -20,9 +20,8 @@ from .errors import (
     DimensionMismatchError,
     LengthMismatchError,
     NonPositiveDerivativeError,
-    RegimeError,
 )
-from .spectra import SpectralSequence, quon_numbers
+from .spectra import quon_numbers
 
 __all__ = [
     "SectorSpace",
@@ -31,12 +30,9 @@ __all__ = [
     "GridSpec",
     "lowering_operator",
     "lowering_weights",
-    "delta_lowering_operator",
-    "delta_lowering_weights",
     "boson_ladder",
     "quon_ladder",
     "grid_ladder",
-    "susy_hamiltonian",
     "shifted_hamiltonian",
     "window_levels",
     "weighted_shift",
@@ -297,6 +293,8 @@ def lowering_weights(seqs, gammas) -> np.ndarray:
 
     Returns an ``(S, N, D-1)`` array whose row ``s`` holds the blocks of
     ``lowering_operator(seqs, gammas[s])`` (offset ``-1``), built in one pass.
+    ``gammas`` may also be ``S x N``, a phase per sector: a coherent family
+    twists each sector by its own phase sign.
     """
     if not seqs:
         raise LengthMismatchError("need at least one sector sequence")
@@ -304,39 +302,9 @@ def lowering_weights(seqs, gammas) -> np.ndarray:
     if len(dims) != 1:
         raise LengthMismatchError(f"sector truncations differ: {sorted(dims)}")
     values = np.array([s.values for s in seqs])
-    gammas = np.asarray(gammas, dtype=float)[:, None, None]
+    gammas = np.asarray(gammas, dtype=float)
+    gammas = gammas[:, :, None] if gammas.ndim == 2 else gammas[:, None, None]
     return np.sqrt(values[:, 1:]) * np.exp(1j * np.diff(values, axis=1) * gammas)
-
-
-def delta_lowering_operator(seqs, gamma: float) -> BlockOperator:
-    """Two-sector lowering operator of the delta-regularized family.
-
-    Requires both spectra to start at exactly zero.  The two sectors carry
-    opposite phase signs (plus in the first, minus in the second); this is a
-    genuinely different operator from :func:`lowering_operator` whenever
-    ``gamma != 0``.
-    """
-    return BlockOperator(delta_lowering_weights(seqs, [gamma])[0], -1)
-
-
-def delta_lowering_weights(seqs, gammas) -> np.ndarray:
-    """The sector blocks of :func:`delta_lowering_operator` at every phase in
-    ``gammas``, as an ``(S, 2, D-1)`` array (see :func:`lowering_weights`)."""
-    if len(seqs) != 2:
-        raise LengthMismatchError(f"this family is two-sector, got {len(seqs)}")
-    for j, s in enumerate(seqs):
-        if not isinstance(s, SpectralSequence):
-            raise RegimeError("delta family takes unshifted sequences starting at zero")
-        if s.ground != 0.0:
-            raise RegimeError(
-                f"sector {j} ground level {s.ground} != 0; "
-                "the delta family lives in the zero-ground regime"
-            )
-    # zero grounds: the values are their own shifts; the second sector's
-    # phases are those of the same-sign family conjugated
-    weights = lowering_weights(seqs, gammas)
-    weights[:, 1] = weights[:, 1].conj()
-    return weights
 
 
 def boson_ladder(dim: int) -> BlockOperator:
@@ -414,11 +382,6 @@ def grid_ladder(
     interior = slice(3, grid.points - 3)
     resid = np.max(np.abs(defect[interior]).max(axis=0) / np.abs(phis).max(axis=0))
     return GridLadder(lower, main, upper, c, w_prime, commutator_residual=float(resid))
-
-
-def susy_hamiltonian(seqs) -> BlockOperator:
-    """Block-diagonal Hamiltonian with the given spectra on the sectors."""
-    return BlockOperator([s.values for s in seqs])
 
 
 def shifted_hamiltonian(seqs) -> BlockOperator:

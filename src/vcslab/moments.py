@@ -19,14 +19,14 @@ entry) and applies the phase average of each horizon to that (``report``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from .errors import ConfigError, UnverifiableWeightError
 from .spectra import SpectralSequence, factorials, shift
-from .vcs import require_regime
+from .vcs import CoherentFamily
 
 __all__ = [
     "MomentWeight",
@@ -148,7 +148,6 @@ class ResolutionReport:
     the caller to judge.
     """
 
-    family: str
     gamma_horizon: float
     n_samples: int
     n_nodes: int
@@ -157,11 +156,6 @@ class ResolutionReport:
     offdiag_error: float
     hermiticity_defect: float
     moment_errors: tuple
-
-
-def _phase_frequencies(family: str, seqs, delta: float) -> np.ndarray:
-    signs = [-1.0, +1.0] if family == "delta" else [-1.0] * len(seqs)
-    return np.concatenate([sg * (s.values + delta) for sg, s in zip(signs, seqs)])
 
 
 def _phase_step(freqs, gamma_horizon: float) -> tuple:
@@ -221,7 +215,6 @@ class ResolutionAssembly:
     ``window`` marks the levels whose moments were checked.  :meth:`report`
     applies the phase average of one horizon."""
 
-    family: str
     n_nodes: int
     k_check: int
     moment_errors: tuple
@@ -243,7 +236,6 @@ class ResolutionAssembly:
         dev = (candidate - np.eye(candidate.shape[0]))[np.ix_(self.window, self.window)]
         diag = np.diag(dev)
         return ResolutionReport(
-            family=self.family,
             gamma_horizon=gamma_horizon,
             n_samples=m + 1,
             n_nodes=self.n_nodes,
@@ -256,17 +248,17 @@ class ResolutionAssembly:
 
 
 def resolution_assembly(
-    family: str, seqs, weights, n_nodes: int = 40, k_check: int | None = None, delta: float = 0.0
+    family: CoherentFamily, weights, n_nodes: int = 40, k_check: int | None = None
 ) -> ResolutionAssembly:
     """Check the weights' moments to order ``k_check`` and assemble the
-    candidate up to its phase average, from one ``n_nodes``-point rule.
+    candidate of ``family`` up to its phase average, from one
+    ``n_nodes``-point rule.
 
-    ``family`` and the spectra must meet :func:`~vcslab.vcs.require_regime`;
-    ``delta`` is ignored by the shift family (``"eds"``) and must be positive
-    for ``"delta"``: at ``delta = 0`` the resolution breaks, which
+    The phases are the family's own frequencies.  A delta family built
+    without a regulator (``delta = 0``) does not resolve the identity, which
     :func:`cross_entry` demonstrates.
     """
-    require_regime(family, seqs, delta)
+    seqs = family.seqs
     dim = seqs[0].dim
     k_check = _resolved_k_check(n_nodes, k_check, dim)
     quadratures = _run_quadratures(weights, n_nodes)
@@ -277,12 +269,11 @@ def resolution_assembly(
     # the levels whose moments were checked, in every sector
     window = np.tile(np.arange(dim) <= k_check, len(seqs))
     return ResolutionAssembly(
-        family=family,
         n_nodes=n_nodes,
         k_check=k_check,
         moment_errors=moment_errors,
         window=window,
-        freqs=_phase_frequencies(family, seqs, delta),
+        freqs=family.frequencies.ravel(),
         phase_free=_phase_free_candidate(seqs, quadratures),
     )
 
@@ -306,20 +297,21 @@ class CrossEntryReport:
 
 @dataclass(frozen=True, eq=False)
 class CrossEntry:
-    """The ground-ground cross entry ``[0, dim]`` of the delta-family
+    """The ground-ground cross entry ``[0, dim]`` of a two-sector family's
     assembly before its phase average, built once per run by
     :func:`cross_entry`: the product ``j_integral`` of the two zeroth weight
     moments.  The rest of the candidate is never formed."""
 
-    seqs: tuple
+    family: CoherentFamily
     j_integral: float
 
     def report(self, gamma_horizon: float, delta: float = 0.0) -> CrossEntryReport:
         """The entry at regulator ``delta``: ``j_integral`` times the phase
-        average at ``theta = -2 delta`` on the assembly's step."""
-        freqs = _phase_frequencies("delta", self.seqs, delta)
+        average at the entry's frequency difference (``-2 delta`` for the
+        delta family's equal grounds), on the assembly's step."""
+        freqs = replace(self.family, delta=delta).frequencies.ravel()
         step, _ = _phase_step(freqs, gamma_horizon)
-        dim = self.seqs[0].dim
+        dim = self.family.shape[1]
         cesaro = float(cesaro_phase_average(freqs[0] - freqs[dim], gamma_horizon, step))
         return CrossEntryReport(
             magnitude=abs(self.j_integral * cesaro),
@@ -330,11 +322,12 @@ class CrossEntry:
         )
 
 
-def cross_entry(seqs, weights, n_nodes: int = 40, k_check: int | None = None) -> CrossEntry:
-    """The delta-family cross entry of two zero-ground spectra, from one
-    ``n_nodes``-point rule (held to the node floor the full assembly needs)."""
-    require_regime("delta", seqs)
-    _resolved_k_check(n_nodes, k_check, seqs[0].dim)
+def cross_entry(
+    family: CoherentFamily, weights, n_nodes: int = 40, k_check: int | None = None
+) -> CrossEntry:
+    """The cross entry of a two-sector family, the delta family's for the
+    regulator-failure demo, from one ``n_nodes``-point rule (held to the node
+    floor the full assembly needs).  Its report sets the regulator."""
+    _resolved_k_check(n_nodes, k_check, family.shape[1])
     zeros = [float(wq.sum()) for _, wq in _run_quadratures(weights, n_nodes)]
-    return CrossEntry(tuple(seqs), zeros[0] * zeros[1])
-
+    return CrossEntry(family, zeros[0] * zeros[1])

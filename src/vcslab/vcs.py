@@ -8,17 +8,19 @@ factorial weights, and carries the same phase sign in every sector.  The
 residual checks quantify normalization, the action identity, temporal
 stability and the annihilation-eigenstate relation on the truncated space.
 
-A family (:class:`CoherentFamily`, from :func:`delta_family` or
-:func:`eds_family`) holds what does not depend on the labels: the checked
-spectra, their shifts and the phase signs.  It builds the states of ``S``
-label draws as one :class:`CoherentStates`, with ``S x N x D``
-coefficients, and each ``*_residuals`` function returns one value per
-state in one array pass; one state is the case ``S = 1``.
-:func:`require_regime` holds the conditions each family puts on its spectra.
+A family (:class:`CoherentFamily`, from :func:`coherent_family`, which
+checks each family's conditions on its spectra) holds what does not depend
+on the labels: the checked spectra, their shifts and the phase convention,
+which nothing else writes: its ``frequencies`` and ``lowering_weights``
+give every phase.  It builds the states of ``S`` label draws as one
+:class:`CoherentStates`, with ``S x N x D`` coefficients, and each
+``*_residuals`` function returns one value per state in one array pass;
+one state is the case ``S = 1``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,14 +35,14 @@ from .errors import (
     SpectraNotDisjointError,
     TailTooLargeError,
 )
-from .hilbert import WINDOW_BUFFER, BlockOperator, SectorSpace, weighted_shift, window_levels
+from .hilbert import WINDOW_BUFFER, BlockOperator, SectorSpace, lowering_weights, weighted_shift, window_levels
 from .spectra import ShiftedSequence, eds_check, radius_estimate, shift
 
 __all__ = [
     "CoherentFamily",
     "CoherentStates",
     "series_norm",
-    "require_regime",
+    "coherent_family",
     "delta_family",
     "eds_family",
     "action_identity_residuals",
@@ -56,11 +58,9 @@ EIGENSTATE_EXCLUDE_TOP = 1 + WINDOW_BUFFER
 class CoherentFamily:
     """The label-independent half of a family: checked spectra, their shifts,
     the phase sign of each sector and the regulator (zero for the shift
-    family).  Built once by :func:`delta_family` or :func:`eds_family`; the
-    states of any number of labels are then built in one array pass by
-    :meth:`states`."""
+    family).  Built once by :func:`coherent_family`; the states of any number
+    of labels are then built in one array pass by :meth:`states`."""
 
-    regime: str
     seqs: tuple
     shifted: tuple
     phase_signs: tuple
@@ -75,16 +75,35 @@ class CoherentFamily:
     def space(self) -> SectorSpace:
         return SectorSpace(*self.shape)
 
+    @functools.cached_property
+    def frequencies(self) -> np.ndarray:
+        """``N x D``: ``sign_j (e_j[n] + delta)``, from the unshifted eigenvalues.
+
+        Level ``n`` of sector ``j`` carries the phase ``exp(i f gamma)`` in
+        the member at ``gamma``, so the family's own evolution by ``t`` is
+        the phase ``exp(i f t)`` per level.
+        """
+        f = np.array([sign * (s.values + self.delta) for sign, s in zip(self.phase_signs, self.seqs)])
+        f.setflags(write=False)
+        return f
+
+    def lowering_weights(self, gammas) -> np.ndarray:
+        """``(S, N, D-1)``: the sector blocks (offset ``-1``) of the lowering
+        operator of the member at each phase in ``gammas``, which that member
+        is an eigenstate of.  Block ``j`` takes level ``n`` to ``n - 1`` with
+        weight ``sqrt(e~[n]) exp(-i sign_j (e~[n] - e~[n-1]) gamma)``."""
+        return lowering_weights(self.shifted, -np.multiply.outer(gammas, self.phase_signs))
+
     def coefficients(self, intensities, gammas, norm_const) -> np.ndarray:
         """``(S, N, D)`` coefficients of the members with labels ``intensities``
         (``S x N``) and ``gammas``, divided by ``sqrt(norm_const)``.
 
-        Phases always use the unshifted eigenvalues (plus the regulator for
-        the delta family); amplitudes always use the shifted factorial terms.
+        Phases are :attr:`frequencies` times gamma; amplitudes always use the
+        shifted factorial terms.
         """
         out = np.empty((len(gammas), *self.shape), dtype=complex)
-        for n, (seq, sh, sign) in enumerate(zip(self.seqs, self.shifted, self.phase_signs)):
-            phases = np.exp(sign * 1j * (seq.values + self.delta) * gammas[:, None])
+        for n, (f, sh) in enumerate(zip(self.frequencies, self.shifted)):
+            phases = np.exp(1j * f * gammas[:, None])
             np.multiply(np.sqrt(_series_terms(sh, intensities[:, n])), phases, out=out[:, n])
         out /= np.sqrt(norm_const)[:, None, None]
         return out
@@ -173,17 +192,21 @@ def series_norm(shifted: ShiftedSequence, j_value):
     return terms.sum(axis=-1), terms[..., -1] * ratio / (1.0 - ratio)
 
 
-def require_regime(
+def coherent_family(
     family: str, seqs, delta: float | None = None, where: str = "seqs", delta_key: str = "delta"
-) -> None:
-    """Raise unless the spectra ``seqs`` suit ``family`` (``"eds"`` or ``"delta"``).
+) -> CoherentFamily:
+    """The family ``family`` (``"eds"`` or ``"delta"``) on the spectra ``seqs``,
+    built once they are checked to suit it.
 
-    The delta family takes two spectra with ground level exactly zero and,
-    when ``delta`` is given, a regulator ``delta > 0``.  The shift family
-    takes one spectrum, or several with strictly positive ground levels that
-    are pairwise disjoint (one O(D log D) scan per pair).  All spectra share
-    one truncation.  Messages name spectrum ``j`` as ``{where}[j]`` and the
-    regulator as ``delta_key``, so a config can name its own keys.
+    The delta family takes two spectra with ground level exactly zero and a
+    regulator ``delta > 0``; with ``delta=None`` the regulator is zero and
+    not checked, the case where the family fails to resolve the identity
+    (:func:`~vcslab.moments.cross_entry`).  The shift family ignores
+    ``delta`` and takes one spectrum, or several with strictly positive
+    ground levels that are pairwise disjoint (one O(D log D) scan per pair).
+    All spectra share one truncation.  Messages name spectrum ``j`` as
+    ``{where}[j]`` and the regulator as ``delta_key``, so a config can name
+    its own keys.
     """
     if family == "delta":
         if len(seqs) != 2:
@@ -196,6 +219,7 @@ def require_regime(
                     f"{where}[{j}] ground level {s.ground} != 0; "
                     "delta-family spectra must start at zero"
                 )
+        signs = (-1.0, +1.0)  # opposite phase signs
     elif family == "eds":
         if not seqs:
             raise RegimeError(f"{where}: need at least one sector")
@@ -213,11 +237,13 @@ def require_regime(
                         f"{where}[{a}] and {where}[{b}] collide at levels {report.pair} "
                         f"with gap {report.min_gap:.3e} <= {report.tol:.1e}"
                     )
+        signs, delta = (-1.0,) * len(seqs), None  # one phase sign
     else:
         raise RegimeError(f"unknown family {family!r}")
     dims = {s.dim for s in seqs}
     if len(dims) != 1:
         raise LengthMismatchError(f"{where}: sector truncations differ: {sorted(dims)}")
+    return CoherentFamily(tuple(seqs), tuple(shift(s) for s in seqs), signs, delta or 0.0)
 
 
 def delta_family(seqs, delta: float) -> CoherentFamily:
@@ -230,9 +256,7 @@ def delta_family(seqs, delta: float) -> CoherentFamily:
     with ``N`` the sum of the two coefficient series.  Note the opposite
     phase signs of the sectors.
     """
-    require_regime("delta", seqs, delta)
-    shifted = tuple(shift(s) for s in seqs)
-    return CoherentFamily("delta-family", tuple(seqs), shifted, (-1.0, +1.0), delta)
+    return coherent_family("delta", seqs, delta)
 
 
 def eds_family(seqs) -> CoherentFamily:
@@ -245,9 +269,7 @@ def eds_family(seqs) -> CoherentFamily:
     levels and be pairwise disjoint; a single sector reproduces the classic
     one-Hamiltonian coherent state and is exempt from both conditions.
     """
-    require_regime("eds", seqs)
-    shifted = tuple(shift(s) for s in seqs)
-    return CoherentFamily("eds-family", tuple(seqs), shifted, (-1.0,) * len(seqs))
+    return coherent_family("eds", seqs)
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -258,7 +280,8 @@ def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def action_identity_residuals(states: CoherentStates, hamiltonian: BlockOperator) -> np.ndarray:
     """Per state ``|<psi, H psi> - closed form|`` for the energy expectation identity.
 
-    For the shift family pass the ground-shifted Hamiltonian; the closed form
+    Pass the ground-shifted Hamiltonian (a zero-ground spectrum is its own
+    shift, so the delta family's is its physical one); the closed form
     is ``sum_j Jj Mj / sum_j Mj`` with the per-sector series values stored
     with the states.
     """
@@ -289,11 +312,9 @@ def temporal_stability_residuals(
     documents that the physical evolution does NOT preserve the family.
     """
     family = states.family
-    if family.regime == "delta-family" and evolution == "family":
-        # first sector as exp(-i (h1 + delta) t), second as exp(+i (h2 + delta) t)
-        h1, h2 = (s.values + family.delta for s in family.seqs)
-        phases = np.stack((np.exp(-1j * h1 * t), np.exp(+1j * h2 * t)))
-    elif evolution in ("family", "physical"):
+    if evolution == "family":
+        phases = np.exp(1j * family.frequencies * t)
+    elif evolution == "physical":
         phases = np.exp(-1j * np.stack([s.values for s in family.seqs]) * t)
     else:
         raise RegimeError(f"unknown evolution {evolution!r}")
@@ -308,7 +329,7 @@ def eigenstate_residuals(
     """Per state, the windowed norm of ``A psi - sqrt(J) psi``.
 
     ``lowering`` holds the sector blocks of each state's lowering operator
-    ``A`` at ``offset`` (as ``hilbert.lowering_weights`` returns them,
+    ``A`` at ``offset`` (as :meth:`CoherentFamily.lowering_weights` returns them,
     ``S x N x (D - |offset|)``), or of one operator for all states (a
     leading axis of one).  ``A`` must be built at the state's own gamma for
     the residual to vanish; a mismatched gamma is allowed input and simply

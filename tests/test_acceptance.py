@@ -178,7 +178,7 @@ def test_criterion_5_resolution_of_identity():
         moments.MomentWeight.gamma_family(math.sqrt(2.0)),
     ]
     horizons = (1e2, 1e3, 1e4)
-    assembly = moments.resolution_assembly("eds", seqs, weights, n_nodes=40)
+    assembly = moments.resolution_assembly(vcs.eds_family(seqs), weights, n_nodes=40)
     reports = [assembly.report(horizon) for horizon in horizons]
     diag_errors = [r.diag_error for r in reports]
     offdiag_errors = [r.offdiag_error for r in reports]
@@ -202,7 +202,7 @@ def test_criterion_6_regulator_dichotomy():
     dim = 16
     seqs = [spectra.linear_sequence(dim), spectra.linear_sequence(dim)]
     weights = [moments.MomentWeight.gamma_family(1.0)] * 2
-    entry = moments.cross_entry(seqs, weights, n_nodes=40)
+    entry = moments.cross_entry(vcs.coherent_family("delta", seqs), weights, n_nodes=40)
     mags, probes = {}, {}
     for horizon in (1e2, 1e4):
         mags[horizon] = entry.report(horizon).magnitude

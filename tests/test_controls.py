@@ -12,7 +12,7 @@ from importlib import resources
 import pytest
 import yaml
 
-from vcslab import cli, config, moments, spectra
+from vcslab import cli, config, moments, spectra, vcs
 
 
 def bundled(name):
@@ -62,7 +62,7 @@ def test_wrong_weight_scale_fails_moment_verification():
         spectra.linear_sequence(16, math.sqrt(2.0), offset=math.sqrt(2.0) / 2),
     ]
     weights = [moments.MomentWeight.gamma_family(2.0)] * 2
-    report = moments.resolution_assembly("eds", seqs, weights).report(1e4)
+    report = moments.resolution_assembly(vcs.eds_family(seqs), weights).report(1e4)
     tol = config.ResolutionParams.TOLERANCES
     assert min(report.moment_errors) > tol["moment"]
     assert report.diag_error > tol["diagonal"]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcslab import errors, hilbert, spectra
+from vcslab import errors, hilbert, spectra, vcs
 
 
 def two_linear_shifted(dim, omegas=(1.0, math.sqrt(2.0)), offsets=(0.3, 0.55)):
@@ -108,18 +108,25 @@ class TestLoweringOperator:
 
 
 class TestDeltaVariant:
+    """The delta family's lowering operator, ``CoherentFamily.lowering_weights``
+    of a delta family, against the same-sign :func:`hilbert.lowering_operator`."""
+
     def quon_pair(self, dim=8):
         return [spectra.quon_sequence(dim, 0.5), spectra.quon_sequence(dim, 0.7)]
+
+    def lowering(self, seqs, gamma):
+        weights = vcs.delta_family(seqs, 0.5).lowering_weights([gamma])
+        return hilbert.BlockOperator(weights[0], -1)
 
     def test_zero_gamma_matches_plain_lowering(self):
         seqs = self.quon_pair()
         shifted = [spectra.shift(s) for s in seqs]
-        a = hilbert.delta_lowering_operator(seqs, 0.0)
+        a = self.lowering(seqs, 0.0)
         b = hilbert.lowering_operator(shifted, 0.0)
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_annihilates_both_grounds(self):
-        a = hilbert.delta_lowering_operator(self.quon_pair(), 2.2)
+        a = self.lowering(self.quon_pair(), 2.2)
         for j in range(2):
             # the column of sector j's ground level
             assert not a.matrix[:, j * 8].any()
@@ -129,7 +136,7 @@ class TestDeltaVariant:
         # is the complex conjugate of the same-sign family's block 2
         seqs = self.quon_pair()
         gamma = 1.1
-        a = hilbert.delta_lowering_operator(seqs, gamma)
+        a = self.lowering(seqs, gamma)
         b = hilbert.lowering_operator([spectra.shift(s) for s in seqs], gamma)
         np.testing.assert_allclose(a.blocks[1], b.blocks[1].conj(), atol=1e-15)
         np.testing.assert_allclose(a.blocks[0], b.blocks[0], atol=1e-15)
@@ -137,8 +144,8 @@ class TestDeltaVariant:
 
     def test_requires_zero_ground(self):
         seqs = [spectra.linear_sequence(6, offset=0.3), spectra.linear_sequence(6)]
-        with pytest.raises(errors.RegimeError):
-            hilbert.delta_lowering_operator(seqs, 0.0)
+        with pytest.raises(errors.RegimeError, match=r"seqs\[0\] ground level 0.3 != 0"):
+            vcs.delta_family(seqs, 0.5)
 
 
 class TestBosonLadder:
@@ -263,7 +270,7 @@ class TestBlockOperator:
         seqs = [spectra.linear_sequence(6, 1.0, offset=0.3), spectra.linear_sequence(6, 1.5)]
         a = hilbert.boson_ladder(6)
         aq = hilbert.quon_ladder(6, 0.5)
-        h = hilbert.susy_hamiltonian(seqs)
+        h = hilbert.BlockOperator([s.values for s in seqs])
         h_tau = hilbert.shifted_hamiltonian(seqs)
         ops = [a, aq, h, h_tau, a.adjoint() @ a, aq @ aq.adjoint(), h - h_tau]
         for op in ops:

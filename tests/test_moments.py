@@ -109,9 +109,14 @@ class TestCesaroAverage:
             moments.cesaro_phase_average(np.array([50.0]), 10.0, 1.0)
 
 
+def built(family, seqs, delta=0.0):
+    """The family ``"eds"`` or ``"delta"`` (at regulator ``delta``) on ``seqs``."""
+    return vcs.eds_family(seqs) if family == "eds" else vcs.delta_family(seqs, delta)
+
+
 def resolution_report(family, seqs, weights, horizon=1e4, n_nodes=40, delta=0.0):
     """One horizon's report of the run-level assembly."""
-    assembly = moments.resolution_assembly(family, seqs, weights, n_nodes, delta=delta)
+    assembly = moments.resolution_assembly(built(family, seqs, delta), weights, n_nodes)
     return assembly.report(horizon)
 
 
@@ -124,7 +129,7 @@ class TestResolutionCheck:
         assert report.k_check == 15
 
     def test_offdiag_shrinks_with_horizon(self):
-        assembly = moments.resolution_assembly("eds", eds_pair(), eds_weights(), 40)
+        assembly = moments.resolution_assembly(vcs.eds_family(eds_pair()), eds_weights(), 40)
         reports = [assembly.report(horizon) for horizon in (1e2, 1e3, 1e4)]
         errs = [r.offdiag_error for r in reports]
         diags = [r.diag_error for r in reports]
@@ -141,27 +146,29 @@ class TestResolutionCheck:
         assert report.diag_error <= 1e-8
         assert report.offdiag_error <= 1e-2
 
+    # the assembly takes a built family: its builder rejects spectra and
+    # regulators that cannot resolve the identity
+
     def test_delta_family_rejects_nonpositive_delta(self):
         seqs = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
-        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
-        with pytest.raises(errors.NonPositiveDeltaError):
-            moments.resolution_assembly("delta", seqs, weights, delta=0.0)
+        with pytest.raises(errors.NonPositiveDeltaError, match="needs delta > 0, got 0.0"):
+            vcs.delta_family(seqs, 0.0)
 
     def test_delta_family_requires_zero_ground(self):
+        # also the zero-regulator family, the one the cross entry reads
         seqs = [spectra.linear_sequence(16, offset=0.5), spectra.linear_sequence(16, offset=0.7)]
-        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
         with pytest.raises(errors.RegimeError, match=r"seqs\[0\] ground level 0.5"):
-            moments.resolution_assembly("delta", seqs, weights, delta=0.5)
+            vcs.delta_family(seqs, 0.5)
         with pytest.raises(errors.RegimeError, match=r"seqs\[0\] ground level 0.5"):
-            moments.cross_entry(seqs, weights)
+            vcs.coherent_family("delta", seqs)
 
     def test_eds_family_requires_disjoint_spectra(self):
         seqs = [
             spectra.linear_sequence(12, offset=0.3),
             spectra.linear_sequence(12, offset=0.3),
         ]
-        with pytest.raises(errors.SpectraNotDisjointError):
-            moments.resolution_assembly("eds", seqs, [moments.MomentWeight.gamma_family(1.0)] * 2)
+        with pytest.raises(errors.SpectraNotDisjointError, match=r"seqs\[0\] and seqs\[1\] collide"):
+            vcs.eds_family(seqs)
 
     def test_bad_weight_rejected(self):
         # the wrong scales show in the reported moment errors, for the
@@ -173,16 +180,19 @@ class TestResolutionCheck:
 
     def test_quadrature_spec_node_floor(self):
         with pytest.raises(errors.ConfigError):
-            moments.resolution_assembly("eds", eds_pair(), eds_weights(), n_nodes=4)
+            moments.resolution_assembly(vcs.eds_family(eds_pair()), eds_weights(), n_nodes=4)
 
 
 class TestLiteralAssemblyOracle:
     """Brute-force duplicate of the resolution assembly from actual states.
 
-    Builds every coherent state on the (J1, J2, gamma) product grid, sums the
-    weighted projectors literally, and compares against the factorized
-    candidate of ``ResolutionAssembly.candidate`` (same nodes, same
-    trapezoid grid).
+    Writes every coherent state on the (J1, J2, gamma) product grid from the
+    closed form, sums the weighted projectors literally, and compares against
+    the factorized candidate of ``ResolutionAssembly.candidate`` (same nodes,
+    same trapezoid grid).  Level ``n`` of sector ``j`` is
+    ``sqrt(Jj^n / e~j[n]!) exp(i sign_j (ej[n] + delta) gamma) / sqrt(N)``,
+    with the phase signs -1 and +1 in the delta family and -1 in every
+    sector of the shift family; the measure's ``N`` cancels the state's.
     """
 
     def literal_identity(self, family, seqs, weights, n_nodes, horizon, panels, delta):
@@ -195,19 +205,20 @@ class TestLiteralAssemblyOracle:
         nodes1, w1 = weights[0].quadrature(rule)
         nodes2, w2 = weights[1].quadrature(rule)
 
-        # one state per (J1, J2, gamma) grid point, all built in one pass
+        # one unnormalized state per (J1, J2, gamma) grid point
         j1, j2, gamma = (a.ravel() for a in np.meshgrid(nodes1, nodes2, gammas, indexing="ij"))
         wj1, wj2, wg = (a.ravel() for a in np.meshgrid(w1, w2, g_weights, indexing="ij"))
-        built = vcs.eds_family(seqs) if family == "eds" else vcs.delta_family(seqs, delta)
-        states = built.states(np.column_stack([j1, j2]), gamma)
-        c = states.coefficients.reshape(len(gamma), -1)
-        scale = wj1 * wj2 * wg * states.norm_const
-        return np.einsum("s,sp,sq->pq", scale, c, c.conj())
+        signs = (-1.0, 1.0) if family == "delta" else (-1.0, -1.0)
+        blocks = []
+        for j, seq, sign in zip((j1, j2), seqs, signs):
+            fact = np.cumprod(np.concatenate(([1.0], spectra.shift(seq).values[1:])))
+            amplitude = np.sqrt(j[:, None] ** np.arange(seq.dim) / fact)
+            blocks.append(amplitude * np.exp(1j * sign * (seq.values + delta) * gamma[:, None]))
+        u = np.concatenate(blocks, axis=1)
+        return np.einsum("s,sp,sq->pq", wj1 * wj2 * wg, u, u.conj())
 
     @pytest.mark.parametrize("family,delta", [("eds", 0.0), ("delta", 0.7)])
     def test_factorized_assembly_matches_literal(self, family, delta):
-        # every quadrature node must sit inside the truncation's disc so the
-        # literal route can build actual states at it
         dim, n_nodes, horizon = 20, 6, 5.0
         if family == "eds":
             seqs = eds_pair(dim)
@@ -215,7 +226,7 @@ class TestLiteralAssemblyOracle:
         else:
             seqs = [spectra.linear_sequence(dim), spectra.linear_sequence(dim)]
             wts = [moments.MomentWeight.gamma_family(1.0)] * 2
-        assembly = moments.resolution_assembly(family, seqs, wts, n_nodes, k_check=8, delta=delta)
+        assembly = moments.resolution_assembly(built(family, seqs, delta), wts, n_nodes, k_check=8)
         panels = assembly.report(horizon).n_samples - 1
         literal = self.literal_identity(family, seqs, wts, n_nodes, horizon, panels, delta)
         np.testing.assert_allclose(assembly.candidate(horizon), literal, atol=5e-12)
@@ -227,14 +238,19 @@ class TestDeltaZeroFailure:
         weights = [moments.MomentWeight.gamma_family(1.0)] * 2
         return seqs, weights
 
+    def entry(self, dim=16, n_nodes=40):
+        """The cross entry of the delta family at zero regulator."""
+        seqs, weights = self.seqs_and_weights(dim)
+        return moments.cross_entry(vcs.coherent_family("delta", seqs), weights, n_nodes)
+
     def test_cross_entry_is_order_one_and_horizon_stable(self):
-        entry = moments.cross_entry(*self.seqs_and_weights())
+        entry = self.entry()
         mags = [entry.report(horizon).magnitude for horizon in (1e2, 1e4)]
         assert mags[0] == pytest.approx(1.0, abs=1e-10)
         assert abs(mags[1] - mags[0]) / mags[0] < 0.05
 
     def test_positive_delta_restores_decay(self):
-        entry = moments.cross_entry(*self.seqs_and_weights())
+        entry = self.entry()
         mags = [entry.report(horizon, delta=0.5).magnitude for horizon in (1e2, 1e4)]
         # envelope of the phase average decays like 1/horizon
         assert 50 < mags[0] / mags[1] < 200
@@ -248,15 +264,16 @@ class TestDeltaZeroFailure:
         with np.errstate(all="ignore"):
             phase_free = moments._phase_free_candidate(seqs, [w.quadrature(rule) for w in weights])
         assert np.isinf(phase_free).any()
-        freqs = moments._phase_frequencies("delta", seqs, delta)
+        # the delta family's frequencies: -(e1[n] + delta), then +(e2[n] + delta)
+        freqs = np.concatenate([-(seqs[0].values + delta), seqs[1].values + delta])
         step, _ = moments._phase_step(freqs, 1e4)
         entry = phase_free[0, 160] * moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, step)
         with np.errstate(over="raise", invalid="raise"):
-            report = moments.cross_entry(seqs, weights, 82).report(1e4, delta)
+            report = self.entry(160, 82).report(1e4, delta)
         assert report.magnitude == pytest.approx(abs(entry), rel=1e-15)
 
     def test_entry_factorizes(self):
-        entry = moments.cross_entry(*self.seqs_and_weights())
+        entry = self.entry()
         for delta in (0.0, 0.5):
             report = entry.report(1e3, delta)
             assert report.magnitude == pytest.approx(
@@ -291,7 +308,7 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
         ends = (horizons[0], horizons[-1])
 
         def entry(horizon, delta=0.0):
-            return moments.cross_entry(seqs, weights, p.n_nodes, p.k_check).report(horizon, delta)
+            return moments.cross_entry(p.built_family, weights, p.n_nodes, p.k_check).report(horizon, delta)
 
         first, last = (entry(h) for h in ends)
         probes = [entry(h, p.delta_probe) for h in ends]
@@ -301,7 +318,7 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
         assert values["regulated-entry-decay-factor"] == probes[0].magnitude / probes[1].magnitude
         return
     per_horizon = [
-        moments.resolution_assembly(p.family, seqs, weights, p.n_nodes, p.k_check, p.delta).report(h)
+        moments.resolution_assembly(p.built_family, weights, p.n_nodes, p.k_check).report(h)
         for h in horizons
     ]
     assert values["moment-verification"] == max(max(r.moment_errors) for r in per_horizon)

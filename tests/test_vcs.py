@@ -45,14 +45,15 @@ def vector(states):
     return states.coefficients[0].ravel()
 
 
-def dense_stability_residual(states, t, evolution):
+def dense_stability_residual(states, t, family_name, evolution):
     """``||U psi - psi(gamma + t)||`` with ``U`` formed as a dense diagonal matrix:
-    ``diag(exp(-i e t))``, or the delta family's split-sign form, and the member at
+    ``diag(exp(-i e t))``, or the delta family's split-sign form
+    ``diag(exp(-i (e1 + delta) t), exp(+i (e2 + delta) t))``, and the member at
     ``gamma + t`` rebuilt through the family's builder."""
     family = states.family
     values = [s.values for s in family.seqs]
     after = family.states(states.intensities, states.gammas + t)
-    if family.regime == "delta-family" and evolution == "family":
+    if family_name == "delta" and evolution == "family":
         phases = [np.exp(-1j * (values[0] + family.delta) * t), np.exp(+1j * (values[1] + family.delta) * t)]
     else:
         phases = [np.exp(-1j * v * t) for v in values]
@@ -206,9 +207,10 @@ class TestActionIdentity:
         assert np.all(resid <= np.maximum(10 * states.tail_bound, 5e-13))
 
     def test_delta_family_variant(self):
+        # the physical Hamiltonian, whose zero-ground spectra are their own shifts
         seqs = zero_ground_pair()
         states = one_state("delta", seqs, (2.0, 1.0), 0.6, 0.4)
-        h = hilbert.susy_hamiltonian(seqs)
+        h = hilbert.BlockOperator([s.values for s in seqs])
         assert vcs.action_identity_residuals(states, h)[0] <= 5e-13
 
     def test_dimension_mismatch(self):
@@ -244,7 +246,7 @@ class TestTemporalStability:
     @pytest.mark.parametrize("t", [0.1, 1.0, 10.0])
     def test_matches_dense_propagator(self, family, evolution, t):
         states = sample_states(family, 40)
-        expected = dense_stability_residual(states, t, evolution)
+        expected = dense_stability_residual(states, t, family, evolution)
         assert abs(vcs.temporal_stability_residuals(states, t, evolution)[0] - expected) <= 1e-13
 
     @pytest.mark.parametrize("family", ["eds", "delta"])
@@ -325,7 +327,7 @@ class TestEigenstateRelation:
         seqs = zero_ground_pair()
         gamma = 1.9
         states = one_state("delta", seqs, (1.3, 0.6), gamma, 0.8)
-        lowering = hilbert.delta_lowering_weights(seqs, [gamma])
+        lowering = states.family.lowering_weights([gamma])
         assert vcs.eigenstate_residuals(states, lowering)[0] <= 5e-13
 
     def test_single_sector_reduces_to_plain_coherent_state(self):
@@ -360,6 +362,24 @@ class TestContinuity:
         assert ratios.max() / ratios.min() < 1.5  # state distance is ~linear in h
 
 
+@pytest.mark.parametrize("bundle,pairs", [("vcs-eds-properties", 2), ("resolution-eds", 1)])
+def test_each_spectrum_pair_is_scanned_once_per_run(bundle, pairs, monkeypatch):
+    # the config builds each family, the witness's included, while it checks
+    # the regime; the runner reads the built families and scans nothing
+    scans = []
+    eds_check = vcs.eds_check
+
+    def counting(*args, **kwargs):
+        scans.append(args)
+        return eds_check(*args, **kwargs)
+
+    monkeypatch.setattr(vcs, "eds_check", counting)
+    cfg = config.load_bundled(bundle)
+    assert len(scans) == pairs
+    run_experiment(cfg)
+    assert len(scans) == pairs
+
+
 def literal_draws(params, seed):
     """The runner's seeded draws, one at a time: each sector's intensity, then gamma."""
     rng = np.random.default_rng(seed)
@@ -375,9 +395,13 @@ def literal_draws(params, seed):
 def literal_sample(family, seqs, j, gamma, delta, times):
     """One draw's residuals, written out densely from the definitions: the
     coefficients from their closed form, ``H`` and the lowering operator as
-    dense matrices, the propagator as a dense diagonal matrix."""
+    dense matrices, the propagator as a dense diagonal matrix.  The delta
+    family's two sectors carry the phase signs -1 and +1, the shift family's
+    every sector -1: its lowering operator twists level ``n`` of sector ``j``
+    by ``exp(-i sign_j (e~[n] - e~[n-1]) gamma)``."""
     shifted = [spectra.shift(s) for s in seqs]
     signs = (-1.0, 1.0) if family == "delta" else (-1.0,) * len(seqs)
+    dim = seqs[0].dim
 
     def coefficients(g):
         blocks, series, tails = [], [], []
@@ -392,14 +416,15 @@ def literal_sample(family, seqs, j, gamma, delta, times):
 
     c, series, tail = coefficients(gamma)
     if family == "delta":
-        h = hilbert.susy_hamiltonian(seqs).matrix
-        lowering = hilbert.delta_lowering_operator(seqs, gamma).matrix
+        h = np.diag(np.concatenate([s.values for s in seqs]))
         energies = [s.values + delta for s in seqs]
     else:
-        h = hilbert.shifted_hamiltonian(seqs).matrix
-        lowering = hilbert.lowering_operator(shifted, gamma).matrix
+        h = np.diag(np.concatenate([s.values for s in shifted]))
         energies = [s.values for s in seqs]
-    dim = seqs[0].dim
+    lowering = np.zeros((len(seqs) * dim,) * 2, dtype=complex)
+    for n, (sh, sign) in enumerate(zip(shifted, signs)):
+        twist = np.exp(-1j * sign * np.diff(sh.values) * gamma)
+        lowering[n * dim : (n + 1) * dim, n * dim : (n + 1) * dim] = np.diag(np.sqrt(sh.values[1:]) * twist, 1)
     keep = np.tile(np.arange(dim) < dim - vcs.EIGENSTATE_EXCLUDE_TOP, len(seqs))
     out = {
         "tail": tail,
@@ -423,19 +448,12 @@ def test_batched_residuals_match_the_literal_per_draw_oracle(bundle):
 
     intensities = np.array([j for j, _ in draws])
     gammas = np.array([g for _, g in draws])
-    if p.family == "delta":
-        states = vcs.delta_family(seqs, delta).states(intensities, gammas)
-        hamiltonian = hilbert.susy_hamiltonian(seqs)
-        lowering = hilbert.delta_lowering_weights(seqs, gammas)
-    else:
-        family = vcs.eds_family(seqs)
-        states = family.states(intensities, gammas)
-        hamiltonian = hilbert.shifted_hamiltonian(seqs)
-        lowering = hilbert.lowering_weights(family.shifted, gammas)
+    family = p.built_family
+    states = family.states(intensities, gammas)
     batched = {
         "tail": states.tail_bound,
-        "action": vcs.action_identity_residuals(states, hamiltonian),
-        "eigenstate": vcs.eigenstate_residuals(states, lowering),
+        "action": vcs.action_identity_residuals(states, hilbert.shifted_hamiltonian(seqs)),
+        "eigenstate": vcs.eigenstate_residuals(states, family.lowering_weights(gammas)),
     }
     for t in p.times:
         batched[f"stability[t={t:g}]"] = vcs.temporal_stability_residuals(states, t)
