@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from importlib import resources
@@ -39,7 +40,7 @@ __all__ = [
 
 # What the ceilings cost, measured one run per process with one BLAS thread
 # (2-vCPU Xeon, Python 3.11, numpy 2.4): at dim 4096 each companion,
-# nonisospectral and map-equality bundle runs in 0.01-0.05 s within 38 MiB
+# quon nonisospectral and map-equality bundle runs in 0.01-0.05 s within 38 MiB
 # peak RSS, and each vcs-verify bundle (100 samples) in about 0.45 s within
 # 39 MiB.  The grid comparison forms no n x n array: susy-grid-linear at
 # sizes [2048, 4096] runs in about 0.65 s within 68 MiB.  The resolution kind
@@ -47,6 +48,20 @@ __all__ = [
 # range.
 DIM_RANGE = (8, 4096)
 GRID_RANGE = (64, 4096)
+
+
+def _boson_exp_dim_max() -> int:
+    """The largest ``dim`` at which the boson case of ``nonisospectral`` stays
+    in the float range.  Its largest product is its exponential-map
+    companion's ``x+ f(h) x`` at the top of the window, ``exp(e) e (e - 1)``
+    with ``e = dim - 1`` the top eigenvalue of ``h = a+ a``."""
+    dim = int(math.log(sys.float_info.max)) + 1
+    while not math.isfinite(math.exp(dim - 1) * (dim - 1) * (dim - 2)):
+        dim -= 1
+    return dim
+
+
+BOSON_EXP_DIM_MAX = _boson_exp_dim_max()
 
 # numbers annotated with their inclusive (low, high) bounds; ``ulp(0)`` stands for > 0
 Dim = Annotated[int, DIM_RANGE]
@@ -204,6 +219,14 @@ class NonisospectralParams:
 
     case: Literal["boson", "quon"] = "boson"
     q_values: tuple[Deformation, ...] = (0.3, 0.5, 0.9)
+
+    def resolve(self, dim, spectra):
+        if self.case == "boson" and dim > BOSON_EXP_DIM_MAX:
+            raise ConfigError(
+                f"dim {dim} exceeds {BOSON_EXP_DIM_MAX}, the largest at which the boson case's "
+                "exponential-map companion stays in the float range"
+            )
+        return self
 
 
 @dataclass(frozen=True)

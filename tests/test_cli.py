@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +329,42 @@ class TestRunExperiment:
         }
         with pytest.raises(errors.ConfigError, match="params.sizes"):
             config.parse_config(raw)
+
+
+class TestBosonDimLimit:
+    """The boson case of ``nonisospectral`` forms ``exp(e) e (e - 1)`` with
+    ``e = dim - 1``: the config rejects a ``dim`` at which that leaves the
+    float range."""
+
+    LIMIT = config.BOSON_EXP_DIM_MAX
+
+    def raw(self, dim, case="boson"):
+        return {"kind": "nonisospectral", "dim": dim, "params": {"case": case}}
+
+    def test_limit_is_where_the_largest_product_leaves_the_float_range(self):
+        top = self.LIMIT - 1
+        assert math.isfinite(math.exp(top) * top * (top - 1))
+        assert top + 1 + math.log((top + 1) * top) > math.log(sys.float_info.max)
+        assert self.LIMIT == 697
+
+    def test_limit_runs_without_warnings_and_one_more_overflows(self):
+        cfg = config.parse_config(self.raw(self.LIMIT))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report, _ = run_experiment(cfg)
+        assert all(math.isfinite(c.value) for c in report.checks)
+        # past the limit, with the parse-time check skipped, the run overflows
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            run_experiment(dataclasses.replace(cfg, dim=self.LIMIT + 1))
+
+    def test_one_past_the_limit_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "boson.yaml"
+        path.write_text(yaml.safe_dump(self.raw(self.LIMIT + 1)))
+        assert cli.main(["run", str(path)]) == 2
+        assert f"config error: dim {self.LIMIT + 1} exceeds {self.LIMIT}" in capsys.readouterr().err
+
+    def test_quon_case_is_unaffected(self):
+        assert config.parse_config(self.raw(self.LIMIT + 1, "quon")).dim == self.LIMIT + 1
 
 
 class TestCliEntryPoint:

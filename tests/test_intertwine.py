@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -334,12 +335,14 @@ class TestWeightedShiftCompanions:
     )
     def test_bundle_runs_at_the_dim_ceiling(self, bundle):
         assert config.DIM_RANGE[1] == 4096
+        # the boson case's own ceiling: its exp(n + 2) leaves the float range above it
+        ceiling = config.BOSON_EXP_DIM_MAX if bundle == "boson-example2" else 4096
         raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
-        scaled = config.parse_config({**raw, "dim": 4096})
-        assert all(seq.dim == 4096 for seq in scaled.spectra)
-        with np.errstate(over="ignore", invalid="ignore"):  # exp(n + 2) overflows past n ~ 707
+        scaled = config.parse_config({**raw, "dim": ceiling})
+        assert all(seq.dim == ceiling for seq in scaled.spectra)
+        with np.errstate(over="raise", invalid="raise"):
             report, _ = experiments.run_experiment(scaled)
-        assert report.config["dim"] == 4096
+        assert report.config["dim"] == ceiling
         assert [c.name for c in report.checks] == [
             c.name for c in experiments.run_experiment(config.load_bundled(bundle))[0].checks
         ]
@@ -370,6 +373,12 @@ class TestHTauFactorization:
         ]
         top = max(s.values[-1] - s.values[0] for s in seqs)
         assert intertwine.h_tau_residual(seqs, 0.7) <= 10 * np.finfo(float).eps * top
+
+
+def boson_bundle_at(dim):
+    """``boson-example2`` at ``dim``, also past the dim the config accepts for
+    it: the bundle builds no spectra, so ``dataclasses.replace`` can rescale it."""
+    return dataclasses.replace(config.load_bundled("boson-example2"), dim=dim)
 
 
 class TestNonIsospectral:
@@ -406,10 +415,10 @@ class TestNonIsospectral:
     @pytest.mark.parametrize("dim, passed", [(60, True), (720, False)])
     def test_exponential_certificate_is_reported(self, dim, passed):
         # exp(n + 2) overflows from about n = 708 on, which leaves the
-        # exponential companion's certificate NaN at dim 720
-        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "boson-example2.yaml").read_text())
+        # exponential companion's certificate NaN at dim 720; the config
+        # rejects that dim, so the run skips its check to show the report fails
         with np.errstate(over="ignore", invalid="ignore"):
-            report, _ = experiments.run_experiment(config.parse_config({**raw, "dim": dim}))
+            report, _ = experiments.run_experiment(boson_bundle_at(dim))
         (gamma,) = [c for c in report.checks if c.name == "certificate-gamma"]
         assert gamma.passed is passed
         assert np.isnan(gamma.value) is not passed
@@ -417,9 +426,8 @@ class TestNonIsospectral:
     def test_certificate_alpha_and_beta_are_reported(self):
         # at dim 700 a window entry of the exp companion is inf: its alpha and
         # beta are NaN while its gamma still reads at rounding level
-        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "boson-example2.yaml").read_text())
         with np.errstate(over="ignore", invalid="ignore"):
-            report, _ = experiments.run_experiment(config.parse_config({**raw, "dim": 700}))
+            report, _ = experiments.run_experiment(boson_bundle_at(700))
         checks = {c.name: c for c in report.checks}
         for name, tolerance in (
             ("alpha", intertwine.ALPHA_TOL),
