@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .errors import ConfigError, UnverifiableWeightError
+from .errors import ConfigError, RegimeError, UnverifiableWeightError
 from .spectra import SpectralSequence, factorials, shift
 from .vcs import CoherentFamily
 
@@ -328,6 +328,8 @@ def cross_entry(
     """The cross entry of a two-sector family, the delta family's for the
     regulator-failure demo, from one ``n_nodes``-point rule (held to the node
     floor the full assembly needs).  Its report sets the regulator."""
+    if family.shape[0] != 2:
+        raise RegimeError(f"the cross entry is two-sector, got {family.shape[0]} sectors")
     _resolved_k_check(n_nodes, k_check, family.shape[1])
     zeros = [float(wq.sum()) for _, wq in _run_quadratures(weights, n_nodes)]
     return CrossEntry(family, zeros[0] * zeros[1])

@@ -272,6 +272,11 @@ class TestDeltaZeroFailure:
             report = self.entry(160, 82).report(1e4, delta)
         assert report.magnitude == pytest.approx(abs(entry), rel=1e-15)
 
+    def test_entry_needs_two_sectors(self):
+        family = vcs.eds_family([spectra.linear_sequence(16)])
+        with pytest.raises(errors.RegimeError, match="two-sector, got 1"):
+            moments.cross_entry(family, [moments.MomentWeight.gamma_family(1.0)])
+
     def test_entry_factorizes(self):
         entry = self.entry()
         for delta in (0.0, 0.5):
