@@ -422,9 +422,10 @@ def literal_sample(family, seqs, j, gamma, delta, times):
         h = np.diag(np.concatenate([s.values for s in shifted]))
         energies = [s.values for s in seqs]
     lowering = np.zeros((len(seqs) * dim,) * 2, dtype=complex)
-    for n, (sh, sign) in enumerate(zip(shifted, signs)):
+    for sector, (sh, sign) in enumerate(zip(shifted, signs)):
         twist = np.exp(-1j * sign * np.diff(sh.values) * gamma)
-        lowering[n * dim : (n + 1) * dim, n * dim : (n + 1) * dim] = np.diag(np.sqrt(sh.values[1:]) * twist, 1)
+        block = slice(sector * dim, (sector + 1) * dim)
+        lowering[block, block] = np.diag(np.sqrt(sh.values[1:]) * twist, 1)
     keep = np.tile(np.arange(dim) < dim - vcs.EIGENSTATE_EXCLUDE_TOP, len(seqs))
     out = {
         "tail": tail,
