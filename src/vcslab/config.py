@@ -4,10 +4,13 @@ Configs are strict: unknown keys anywhere are hard errors, so a typo cannot
 silently disable a check.  Each kind's parameters are one frozen dataclass
 (``KINDS``) whose field types drive one checker, so a malformed value fails
 at parse time naming its key (``params.times[0]``); a ``resolve`` method
-checks what needs the spectra or ``dim``.  Spectra are built here, and so
-is each coherent family, once, while its spectra are checked.  A bundled
-inventory of ready-to-run configs ships inside the package (``vcslab list``
-prints it).
+checks what needs the spectra or ``dim``.  Beside its ``TOLERANCES`` each
+kind declares its ``CHECKS``: for every check it reports, keyed by the base
+name (the name up to any ``[...]``), the anchor, the tolerance (a
+``TOLERANCES`` key, or a fixed number that no config sets) and the
+comparator.  Spectra are built here, and so is each coherent family,
+once, while its spectra are checked.  A bundled inventory of ready-to-run
+configs ships inside the package (``vcslab list`` prints it).
 """
 
 from __future__ import annotations
@@ -92,8 +95,8 @@ _UNREAD_SPECTRUM_KEYS = {
 
 
 def _built():
-    """A field that ``resolve`` fills from the checked spectra; no config key sets it."""
-    return field(default=None, repr=False, compare=False, metadata={"built": True})
+    """A field built from the checked fields; no config key sets it."""
+    return field(init=False, default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -106,6 +109,12 @@ class Witness:
     gamma: float = 0.4
     gamma_offset: float = 1.0
     built_family: CoherentFamily | None = _built()
+
+    def __post_init__(self):
+        object.__setattr__(self, "j", _per_spectrum(self.j, 1.0, self.spectra, "params.witness.j"))
+        object.__setattr__(
+            self, "built_family", _family("eds", self.spectra, None, "params.witness.spectra")
+        )
 
 
 def _per_spectrum(values, default, spectra, where):
@@ -123,6 +132,12 @@ def _family(family, spectra, delta, where) -> CoherentFamily:
         raise ConfigError(str(exc)) from exc
 
 
+def _distinct(values, key):
+    """Two or more entries, none repeated: the points of a power-law fit."""
+    if len(set(values)) < max(2, len(values)):
+        raise ConfigError(f"{key} needs two or more distinct entries for a power-law fit")
+
+
 @dataclass(frozen=True)
 class VcsVerifyParams:
     """``j_max`` defaults to 4.0 per spectrum, the witness's ``j`` to 1.0."""
@@ -134,6 +149,13 @@ class VcsVerifyParams:
         "eigenstate": 1e-9,
         "witness_min": 1e-2,
     }
+    CHECKS = {
+        "truncation-tail-bound": ("state-normalization", "tail", "<="),
+        "action-identity-residual": ("action-identity", "action", "<="),
+        "annihilation-eigenstate-residual": ("annihilation-eigenstate", "eigenstate", "<="),
+        "temporal-stability-residual": ("temporal-stability", "stability", "<="),
+        "mismatched-phase-eigenstate-residual": ("annihilation-eigenstate", "witness_min", ">="),
+    }
 
     family: Literal["eds", "delta"] = "eds"
     n_samples: Annotated[int, (1, math.inf)] = 100
@@ -142,17 +164,12 @@ class VcsVerifyParams:
     delta: float = 0.5
     times: tuple[float, ...] = (0.1, 1.0, 10.0)
     witness: Witness | None = None
-    built_family: CoherentFamily | None = _built()
 
     def resolve(self, dim, spectra):
-        built = _family(self.family, spectra, self.delta, "spectra")
-        witness = self.witness
-        if witness is not None:
-            witness_family = _family("eds", witness.spectra, None, "params.witness.spectra")
-            j = _per_spectrum(witness.j, 1.0, witness.spectra, "params.witness.j")
-            witness = replace(witness, j=j, built_family=witness_family)
-        j_max = _per_spectrum(self.j_max, 4.0, spectra, "params.j_max")
-        return replace(self, j_max=j_max, witness=witness, built_family=built)
+        return replace(self, j_max=_per_spectrum(self.j_max, 4.0, spectra, "params.j_max"))
+
+    def coherent_family(self, spectra) -> CoherentFamily:
+        return _family(self.family, spectra, self.delta, "spectra")
 
 
 @dataclass(frozen=True)
@@ -170,6 +187,17 @@ class ResolutionParams:
         "decay_factor_low": 50.0,
         "decay_factor_high": 200.0,
     }
+    CHECKS = {
+        "moment-verification": ("moment-weights", "moment", "<="),
+        "diagonal-residual": ("resolution-of-identity", "diagonal", "<="),
+        "assembly-hermiticity": ("resolution-of-identity", "hermiticity", "<="),
+        "offdiagonal-decay-exponent": ("resolution-of-identity", "decay_low", ">="),
+        "offdiagonal-decay-exponent-ceiling": ("resolution-of-identity", "decay_high", "<="),
+        "cross-entry-magnitude": ("regulator-dichotomy", "entry_floor", ">="),
+        "cross-entry-horizon-drift": ("regulator-dichotomy", "entry_drift", "<="),
+        "regulated-entry-decay-factor": ("regulator-dichotomy", "decay_factor_low", ">="),
+        "regulated-entry-decay-factor-ceiling": ("regulator-dichotomy", "decay_factor_high", "<="),
+    }
 
     family: Literal["eds", "delta"] = "eds"
     delta: float = 0.0
@@ -177,17 +205,13 @@ class ResolutionParams:
     n_nodes: int = 40
     k_check: int | None = None
     delta_probe: float = 0.5
-    built_family: CoherentFamily | None = _built()
 
     def resolve(self, dim, spectra):
-        # zero regulator: the failure demo, which needs only the delta family's spectra
-        built = _family(self.family, spectra, self.delta or None, "spectra")
         for i, seq in enumerate(spectra):
             gaps = np.diff(seq.values)
             if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
                 raise ConfigError(f"spectra[{i}] is not equally spaced: no closed-form weight")
-        if self.family == "delta" and self.delta == 0.0 and len(self.horizons) < 2:
-            raise ConfigError("params.horizons needs two entries for the regulator-failure demo")
+        _distinct(self.horizons, "params.horizons")
         if self.k_check is not None and not 0 <= self.k_check <= dim - 1:
             raise ConfigError(f"params.k_check {self.k_check} outside 0..{dim - 1}")
         k = dim - 1 if self.k_check is None else self.k_check
@@ -196,7 +220,11 @@ class ResolutionParams:
                 f"params.n_nodes {self.n_nodes} cannot verify moments to order {k}; "
                 f"need at least {math.ceil(k / 2 + 1)}"
             )
-        return replace(self, built_family=built)
+        return self
+
+    def coherent_family(self, spectra) -> CoherentFamily:
+        # zero regulator: the failure demo, which needs only the delta family's spectra
+        return _family(self.family, spectra, self.delta or None, "spectra")
 
 
 @dataclass(frozen=True)
@@ -208,6 +236,13 @@ class IntertwineExampleParams:
         "gamma_independence": 1e-12,
         "h_tau": 1e-14,
     }
+    CHECKS = {
+        "hermiticity": ("companion-certificate", "alpha", "<="),
+        "weak-intertwining": ("companion-certificate", "beta", "<="),
+        "eigenvalue-transport": ("companion-certificate", "gamma", "<="),
+        "phase-independence": ("companion-certificate", "gamma_independence", "<="),
+        "shifted-hamiltonian-factorization": ("ladder-factorization", "h_tau", "<="),
+    }
 
     example: Literal[1, 2, 3, 4] = 1
     gammas: tuple[float, ...] = (0.0, 0.7, 3.1)
@@ -216,6 +251,17 @@ class IntertwineExampleParams:
 @dataclass(frozen=True)
 class NonisospectralParams:
     TOLERANCES = {"closed_form": 1e-11}
+    # the certificates are judged against the construction's own fixed tolerances
+    CHECKS = {
+        "n1-closed-form": ("ladder-closed-forms", "closed_form", "<="),
+        "companion-closed-form": ("ladder-closed-forms", "closed_form", "<="),
+        "squared-map-closed-form": ("spectrum-mapped-companion", "closed_form", "<="),
+        "exponential-map-closed-form": ("spectrum-mapped-companion", "closed_form", "<="),
+        "certificate-alpha": ("companion-certificate", ALPHA_TOL, "<="),
+        "certificate-beta": ("companion-certificate", BETA_TOL, "<="),
+        "certificate-gamma": ("companion-certificate", GAMMA_TOL, "<="),
+        "undeformed-limit-matches-plain-ladder": ("ladder-closed-forms", "closed_form", "<="),
+    }
 
     case: Literal["boson", "quon"] = "boson"
     q_values: tuple[Deformation, ...] = (0.3, 0.5, 0.9)
@@ -232,6 +278,13 @@ class NonisospectralParams:
 @dataclass(frozen=True)
 class MapEqualityProbeParams:
     TOLERANCES = {"probe": 1e-10, "order": 1e-10, "commutant": 1e-10}
+    # the deficiency gap is an integer count, so 0.5 asks it to match exactly
+    CHECKS = {
+        "map-equality-residual": ("power-series-equality", "probe", "<="),
+        "projection-identity-residual": ("projection-identity", "order", "<="),
+        "projector-commutant-residual": ("projection-identity", "commutant", "<="),
+        "range-deficiency-matches": ("projection-identity", 0.5, "<="),
+    }
 
     cases: tuple[Literal["boson", "quon", "invertible"], ...] = ("boson", "quon", "invertible")
     q: Deformation = 0.5
@@ -247,6 +300,13 @@ class SusyGridParams:
         "exponent_high": 2.3,
         "commutator": 1e-3,
     }
+    CHECKS = {
+        "commutator-residual-finest": ("grid-discretization", "commutator", "<="),
+        "commutator-scaling-exponent": ("grid-discretization", "exponent_low", ">="),
+        "commutator-scaling-exponent-ceiling": ("grid-discretization", "exponent_high", "<="),
+        "partner-comparison-scaling-exponent": ("grid-discretization", "exponent_low", ">="),
+        "partner-comparison-scaling-exponent-ceiling": ("grid-discretization", "exponent_high", "<="),
+    }
 
     sizes: tuple[Annotated[int, GRID_RANGE], ...]
     w_coeffs: tuple[float, ...] = (0.0, 1.0)
@@ -257,8 +317,7 @@ class SusyGridParams:
     mass: Positive = 1.0
 
     def resolve(self, dim, spectra):
-        if len(self.sizes) < 2:
-            raise ConfigError("params.sizes needs two grid sizes or more for a scaling study")
+        _distinct(self.sizes, "params.sizes")
         if not self.domain[0] < self.domain[1]:
             raise ConfigError(f"params.domain {list(self.domain)} must be increasing")
         return self
@@ -288,10 +347,15 @@ class ExperimentConfig:
     as_written: dict = field(compare=False, repr=False)
     output: str | None = None
     source: str | None = field(default=None, compare=False)
+    #: the coherent family of a ``vcs-verify`` or ``resolution`` config
+    family: CoherentFamily | None = _built()
 
     def __post_init__(self):
         if any(seq.dim != self.dim for seq in self.spectra):
             raise ConfigError(f"spectra not built at dim {self.dim}: parse the config again")
+        # built from this config's own spectra and params, so ``replace`` builds afresh
+        if hasattr(self.params, "coherent_family"):
+            object.__setattr__(self, "family", self.params.coherent_family(self.spectra))
 
     def echo(self) -> dict:
         """Config as a plain mapping, for embedding in reports."""
@@ -316,11 +380,9 @@ def _reject_unknown(mapping, allowed, where: str):
 @functools.cache
 def _schema(cls) -> dict:
     """Field name -> (type, required) of a schema dataclass, resolved once;
-    the fields ``resolve`` builds are not keys."""
+    the built fields are not keys."""
     hints = get_type_hints(cls, include_extras=True)
-    return {
-        f.name: (hints[f.name], f.default is MISSING) for f in fields(cls) if not f.metadata.get("built")
-    }
+    return {f.name: (hints[f.name], f.default is MISSING) for f in fields(cls) if f.init}
 
 
 def _build(cls, mapping, where: str, dim: int | None):

@@ -1,9 +1,11 @@
 """Experiment runners: dispatch configs to the library, collect check records.
 
-Each runner turns one :class:`~vcslab.config.ExperimentConfig` into a list of
-:class:`~vcslab.reporting.CheckRecord` plus optional plot-ready tables
-(delimited text).  Randomized checks draw from a generator seeded by the
-config (overridable from the command line), so reports are reproducible.
+Each runner turns one :class:`~vcslab.config.ExperimentConfig` into its
+measured ``(name, value)`` pairs, in report order, plus optional plot-ready
+tables (delimited text).  :func:`_records` judges each value as the row of
+its kind's ``CHECKS`` table says.  Randomized checks draw from a generator
+seeded by the config (overridable from the command line), so reports are
+reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
+from .config import KINDS, ExperimentConfig
 from .hilbert import (
     GridSpec,
     boson_ladder,
@@ -24,9 +26,6 @@ from .hilbert import (
     shifted_hamiltonian,
 )
 from .intertwine import (
-    ALPHA_TOL,
-    BETA_TOL,
-    GAMMA_TOL,
     IntertwiningProblem,
     SpectralMap,
     construct_companion,
@@ -56,18 +55,24 @@ def _worst(values) -> float:
     return float(np.max(values))
 
 
-def _bracket(name: str, anchor: str, value: float, low: float, high: float) -> list:
-    """A floor check ``value >= low`` and a ``-ceiling`` check ``value <= high``."""
-    return [
-        CheckRecord(name, anchor, value, low, comparator=">="),
-        CheckRecord(f"{name}-ceiling", anchor, value, high),
-    ]
+def _records(config: ExperimentConfig, values) -> list:
+    """A :class:`CheckRecord` per measured ``(name, value)``, in that order,
+    judged as the kind's ``CHECKS`` row of its base name (the part before
+    any ``[...]``) says: a tolerance is a key of the config's tolerances or
+    a fixed number."""
+    rows = KINDS[config.kind].CHECKS
+    records = []
+    for name, value in values:
+        anchor, tolerance, comparator = rows[name.split("[")[0]]
+        if isinstance(tolerance, str):
+            tolerance = config.tolerances[tolerance]
+        records.append(CheckRecord(name, anchor, float(value), tolerance, comparator))
+    return records
 
 
 def _run_vcs_verify(config: ExperimentConfig, seed: int):
-    tol = config.tolerances
     params = config.params
-    family = params.built_family
+    family = config.family
     # a zero-ground spectrum is its own shift: the delta family's physical Hamiltonian
     hamiltonian = shifted_hamiltonian(config.spectra)
 
@@ -86,7 +91,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
             "eigenstate": eigenstate_residuals(states, family.lowering_weights(states.gammas)),
         }
         for t in params.times:
-            out[f"stability[t={t:g}]"] = temporal_stability_residuals(states, t)
+            out[f"t={t:g}"] = temporal_stability_residuals(states, t)
         return out
 
     per_block = max(1, _VCS_BLOCK // family.space.total_dim)
@@ -100,154 +105,78 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
         # the witness is a built state too: its tail bound joins the samples'
         witness_state = witness.built_family.states([witness.j], [witness.gamma])
         worst["tail"] = _worst([worst["tail"], *witness_state.tail_bound])
-    checks = [
-        CheckRecord("truncation-tail-bound", "state-normalization", worst["tail"], tol["tail"]),
-        CheckRecord("action-identity-residual", "action-identity", worst["action"], tol["action"]),
-        CheckRecord(
-            "annihilation-eigenstate-residual",
-            "annihilation-eigenstate",
-            worst["eigenstate"],
-            tol["eigenstate"],
-        ),
+    values = [
+        ("truncation-tail-bound", worst["tail"]),
+        ("action-identity-residual", worst["action"]),
+        ("annihilation-eigenstate-residual", worst["eigenstate"]),
+        *((f"temporal-stability-residual[t={t:g}]", worst[f"t={t:g}"]) for t in params.times),
     ]
-    for t in params.times:
-        key = f"stability[t={t:g}]"
-        checks.append(
-            CheckRecord(
-                f"temporal-stability-residual[t={t:g}]",
-                "temporal-stability",
-                worst[key],
-                tol["stability"],
-            )
-        )
-
     if witness is not None:
         mismatched = witness.built_family.lowering_weights([witness.gamma + witness.gamma_offset])
-        checks.append(
-            CheckRecord(
-                "mismatched-phase-eigenstate-residual",
-                "annihilation-eigenstate",
-                float(eigenstate_residuals(witness_state, mismatched)[0]),
-                tol["witness_min"],
-                comparator=">=",
-            )
-        )
-    return checks, {}
+        residual = eigenstate_residuals(witness_state, mismatched)[0]
+        values.append(("mismatched-phase-eigenstate-residual", residual))
+    return values, {}
 
 
 def _run_resolution(config: ExperimentConfig, seed: int):
-    tol = config.tolerances
     params = config.params
-    horizons = sorted(params.horizons)
-    family = params.built_family
+    first, last = min(params.horizons), max(params.horizons)
+    family = config.family
     # the config checked that each spectrum is equally spaced
     weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in config.spectra]
 
-    checks, tables = [], {}
     if params.family == "delta" and params.delta == 0.0:
         # regulator-failure demonstration: the ground-ground cross entry
         # survives the phase average and is horizon independent
         entry = cross_entry(family, weights, params.n_nodes, params.k_check)
-        mags = {}
-        probe_mags = {}
-        for horizon in (horizons[0], horizons[-1]):
-            mags[horizon] = entry.report(horizon).magnitude
-            probe_mags[horizon] = entry.report(horizon, delta=params.delta_probe).magnitude
-        checks.append(
-            CheckRecord(
-                "cross-entry-magnitude",
-                "regulator-dichotomy",
-                mags[horizons[-1]],
-                tol["entry_floor"],
-                comparator=">=",
-            )
-        )
-        drift = abs(mags[horizons[-1]] - mags[horizons[0]]) / mags[horizons[0]]
-        checks.append(
-            CheckRecord("cross-entry-horizon-drift", "regulator-dichotomy", drift, tol["entry_drift"])
-        )
-        factor = probe_mags[horizons[0]] / probe_mags[horizons[-1]]
-        checks += _bracket(
-            "regulated-entry-decay-factor",
-            "regulator-dichotomy",
-            factor,
-            tol["decay_factor_low"],
-            tol["decay_factor_high"],
-        )
-        return checks, tables
+        magnitude = {h: entry.report(h).magnitude for h in (first, last)}
+        probed = {h: entry.report(h, delta=params.delta_probe).magnitude for h in (first, last)}
+        factor = probed[first] / probed[last]
+        return [
+            ("cross-entry-magnitude", magnitude[last]),
+            ("cross-entry-horizon-drift", abs(magnitude[last] - magnitude[first]) / magnitude[first]),
+            ("regulated-entry-decay-factor", factor),
+            ("regulated-entry-decay-factor-ceiling", factor),
+        ], {}
 
+    horizons = sorted(params.horizons)
     assembly = resolution_assembly(family, weights, params.n_nodes, params.k_check)
     reports = [assembly.report(horizon) for horizon in horizons]
-    diag_errors = [r.diag_error for r in reports]
-    offdiag_errors = [r.offdiag_error for r in reports]
-    hermiticity_defects = [r.hermiticity_defect for r in reports]
-    checks.append(
-        CheckRecord(
-            "moment-verification", "moment-weights", _worst(assembly.moment_errors), tol["moment"]
-        )
-    )
-    checks.append(
-        CheckRecord(
-            "diagonal-residual", "resolution-of-identity", _worst(diag_errors), tol["diagonal"]
-        )
-    )
-    checks.append(
-        CheckRecord(
-            "assembly-hermiticity",
-            "resolution-of-identity",
-            _worst(hermiticity_defects),
-            tol["hermiticity"],
-        )
-    )
-    if len(horizons) >= 2:
-        exponent = -fit_power_law(horizons, offdiag_errors)
-        checks += _bracket(
-            "offdiagonal-decay-exponent",
-            "resolution-of-identity",
-            exponent,
-            tol["decay_low"],
-            tol["decay_high"],
-        )
+    exponent = -fit_power_law(horizons, [r.offdiag_error for r in reports])
+    values = [
+        ("moment-verification", _worst(assembly.moment_errors)),
+        ("diagonal-residual", _worst([r.diag_error for r in reports])),
+        ("assembly-hermiticity", _worst([r.hermiticity_defect for r in reports])),
+        ("offdiagonal-decay-exponent", exponent),
+        ("offdiagonal-decay-exponent-ceiling", exponent),
+    ]
     lines = ["# horizon\tdiag_error\toffdiag_error"]
-    for h, d, o in zip(horizons, diag_errors, offdiag_errors):
-        lines.append(f"{h:.17g}\t{d:.17g}\t{o:.17g}")
-    tables["residual-vs-horizon.tsv"] = "\n".join(lines) + "\n"
-    return checks, tables
+    for h, r in zip(horizons, reports):
+        lines.append(f"{h:.17g}\t{r.diag_error:.17g}\t{r.offdiag_error:.17g}")
+    return values, {"residual-vs-horizon.tsv": "\n".join(lines) + "\n"}
 
 
 def _run_intertwine_example(config: ExperimentConfig, seed: int):
-    tol = config.tolerances
     gammas = config.params.gammas
     seqs = config.spectra
     shifted = [shift(s) for s in seqs]
 
     problems = [example_problem(config.params.example, shifted, g) for g in gammas]
     results = [construct_companion(p) for p in problems]
-    worst_alpha = _worst([r.certificate.alpha_residual for r in results])
-    worst_beta = _worst([r.certificate.beta_residual for r in results])
-    worst_gamma = _worst([r.certificate.gamma_residual for r in results])
-    checks = [
-        CheckRecord("hermiticity[alpha]", "companion-certificate", worst_alpha, tol["alpha"]),
-        CheckRecord("weak-intertwining[beta]", "companion-certificate", worst_beta, tol["beta"]),
-        CheckRecord("eigenvalue-transport[gamma]", "companion-certificate", worst_gamma, tol["gamma"]),
-    ]
     h_scale = np.maximum(1.0, problems[0].h.max_abs())
     c_scale = np.maximum(1.0, results[0].companion.max_abs())
     drifts = [0.0]
     for problem, result in zip(problems[1:], results[1:]):
         drifts.append((problems[0].h - problem.h).max_abs() / h_scale)
         drifts.append((results[0].companion - result.companion).max_abs() / c_scale)
-    drift = _worst(drifts)
-    checks.append(
-        CheckRecord("phase-independence", "companion-certificate", drift, tol["gamma_independence"])
-    )
-    h_tau_worst = _worst([h_tau_residual(seqs, g) for g in gammas])
-    checks.append(
-        CheckRecord(
-            "shifted-hamiltonian-factorization", "ladder-factorization", h_tau_worst, tol["h_tau"]
-        )
-    )
-    return checks, {}
+    certs = [r.certificate for r in results]
+    return [
+        ("hermiticity[alpha]", _worst([c.alpha_residual for c in certs])),
+        ("weak-intertwining[beta]", _worst([c.beta_residual for c in certs])),
+        ("eigenvalue-transport[gamma]", _worst([c.gamma_residual for c in certs])),
+        ("phase-independence", _worst(drifts)),
+        ("shifted-hamiltonian-factorization", _worst([h_tau_residual(seqs, g) for g in gammas])),
+    ], {}
 
 
 def _ladder_problem(a: BlockOperator) -> IntertwiningProblem:
@@ -257,9 +186,8 @@ def _ladder_problem(a: BlockOperator) -> IntertwiningProblem:
 
 
 def _run_nonisospectral(config: ExperimentConfig, seed: int):
-    tol = config.tolerances["closed_form"]
     dim = config.dim
-    checks = []
+    values = []
     if config.params.case == "boson":
         problem = _ladder_problem(boson_ladder(dim))
         # every operator here is diagonal: compare the window diagonals
@@ -268,60 +196,35 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int):
         iso = construct_companion(problem)
         squared = construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
         exponential = construct_companion(problem, spectral_map=SpectralMap.exponential())
-        closed_forms = [
-            ("n1-closed-form", "ladder-closed-forms", iso.n1, n_op * n_op + 3 * n_op + 2),
-            ("companion-closed-form", "ladder-closed-forms", iso.companion, n_op + 2),
-            ("squared-map-closed-form", "spectrum-mapped-companion", squared.companion,
-             (n_op + 2) * (n_op + 2)),
-        ]
-        for name, anchor, op, ref in closed_forms:
-            checks.append(CheckRecord(name, anchor, max_abs((op.blocks[0] - ref)[sub]), tol))
+        for name, op, ref in (
+            ("n1-closed-form", iso.n1, n_op * n_op + 3 * n_op + 2),
+            ("companion-closed-form", iso.companion, n_op + 2),
+            ("squared-map-closed-form", squared.companion, (n_op + 2) * (n_op + 2)),
+        ):
+            values.append((name, max_abs((op.blocks[0] - ref)[sub])))
         exp_ref = np.exp(np.arange(dim, dtype=float) + 2.0)
         rel = (np.abs(exponential.companion.blocks[0] - exp_ref) / np.maximum(1.0, exp_ref))[sub].max()
-        checks.append(
-            CheckRecord("exponential-map-closed-form", "spectrum-mapped-companion", float(rel), tol)
-        )
+        values.append(("exponential-map-closed-form", rel))
         certs = [r.certificate for r in (iso, squared, exponential)]
-        for name, values, tolerance in (
-            ("alpha", [c.alpha_residual for c in certs], ALPHA_TOL),
-            ("beta", [c.beta_residual for c in certs], BETA_TOL),
-            ("gamma", [c.gamma_residual for c in certs], GAMMA_TOL),
-        ):
-            checks.append(
-                CheckRecord(f"certificate-{name}", "companion-certificate", _worst(values), tolerance)
-            )
+        values += [
+            ("certificate-alpha", _worst([c.alpha_residual for c in certs])),
+            ("certificate-beta", _worst([c.beta_residual for c in certs])),
+            ("certificate-gamma", _worst([c.gamma_residual for c in certs])),
+        ]
     else:
         for q in config.params.q_values:
             report = quon_closed_forms(dim, q)
-            checks.append(
-                CheckRecord(
-                    f"n1-closed-form[q={q:g}]", "ladder-closed-forms", report.n1_deviation, tol
-                )
-            )
-            checks.append(
-                CheckRecord(
-                    f"companion-closed-form[q={q:g}]",
-                    "ladder-closed-forms",
-                    report.companion_deviation,
-                    tol,
-                )
-            )
+            values.append((f"n1-closed-form[q={q:g}]", report.n1_deviation))
+            values.append((f"companion-closed-form[q={q:g}]", report.companion_deviation))
         limit = quon_closed_forms(dim, 1.0)
-        checks.append(
-            CheckRecord(
-                "undeformed-limit-matches-plain-ladder",
-                "ladder-closed-forms",
-                _worst([limit.n1_deviation, limit.companion_deviation]),
-                tol,
-            )
-        )
-    return checks, {}
+        deviations = [limit.n1_deviation, limit.companion_deviation]
+        values.append(("undeformed-limit-matches-plain-ladder", _worst(deviations)))
+    return values, {}
 
 
 def _run_map_equality_probe(config: ExperimentConfig, seed: int):
-    tol = config.tolerances
     dim = config.dim
-    checks = []
+    values = []
     for case in config.params.cases:
         if case == "boson":
             problem = _ladder_problem(boson_ladder(dim))
@@ -340,48 +243,18 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int):
             f = SpectralMap.polynomial([0, 0, 1])
             expected_deficiency = 0
 
-        probe = power_series_equality_probe(problem, f)
-        checks.append(
-            CheckRecord(
-                f"map-equality-residual[{case}]",
-                "power-series-equality",
-                probe.max_residual,
-                tol["probe"],
-            )
-        )
         projection = projection_identity_check(problem, l_max=config.params.l_max)
-        checks.append(
-            CheckRecord(
-                f"projection-identity-residual[{case}]",
-                "projection-identity",
-                _worst(projection.order_residuals),
-                tol["order"],
-            )
-        )
-        checks.append(
-            CheckRecord(
-                f"projector-commutant-residual[{case}]",
-                "projection-identity",
-                projection.commutant_residual,
-                tol["commutant"],
-            )
-        )
-        deficiency_gap = max(
-            abs(d - expected_deficiency) for d in projection.rank_deficiency
-        )
-        checks.append(
-            CheckRecord(
-                f"range-deficiency-matches[{case}]",
-                "projection-identity",
-                float(deficiency_gap),
-                0.5,
-            )
-        )
-    return checks, {}
+        deficiency_gap = max(abs(d - expected_deficiency) for d in projection.rank_deficiency)
+        values += [
+            (f"map-equality-residual[{case}]", power_series_equality_probe(problem, f).max_residual),
+            (f"projection-identity-residual[{case}]", _worst(projection.order_residuals)),
+            (f"projector-commutant-residual[{case}]", projection.commutant_residual),
+            (f"range-deficiency-matches[{case}]", deficiency_gap),
+        ]
+    return values, {}
 
 
 def _run_susy_grid(config: ExperimentConfig, seed: int):
-    tol = config.tolerances
     params = config.params
     lo, hi = params.domain
     f = None if params.map_coeffs is None else SpectralMap.polynomial(params.map_coeffs)
@@ -394,32 +267,19 @@ def _run_susy_grid(config: ExperimentConfig, seed: int):
         for n in params.sizes
     ]
     dxs = [r.dx for r in reports]
-    checks = [
-        CheckRecord(
-            "commutator-residual-finest",
-            "grid-discretization",
-            reports[-1].commutator_residual,
-            tol["commutator"],
-        )
-    ]
-    for label, values in (
+    values = [("commutator-residual-finest", reports[-1].commutator_residual)]
+    for label, residuals in (
         ("commutator", [r.commutator_residual for r in reports]),
         ("partner-comparison", [r.comparison_residual for r in reports]),
     ):
-        exponent = fit_power_law(dxs, values)
-        checks += _bracket(
-            f"{label}-scaling-exponent",
-            "grid-discretization",
-            exponent,
-            tol["exponent_low"],
-            tol["exponent_high"],
-        )
+        exponent = fit_power_law(dxs, residuals)
+        values += [(f"{label}-scaling-exponent", exponent), (f"{label}-scaling-exponent-ceiling", exponent)]
     # n_modes: the probes a size used, fewer than asked when its grid holds
     # too few smooth modes; a fit over sizes with unequal counts mixes probe sets
     lines = ["# dx\tcommutator_residual\tcomparison_residual\tn_modes"]
     for r in reports:
         lines.append(f"{r.dx:.17g}\t{r.commutator_residual:.17g}\t{r.comparison_residual:.17g}\t{r.n_modes}")
-    return checks, {"residual-vs-dx.tsv": "\n".join(lines) + "\n"}
+    return values, {"residual-vs-dx.tsv": "\n".join(lines) + "\n"}
 
 
 _RUNNERS = {
@@ -443,7 +303,7 @@ def run_experiment(
     """
     effective_seed = config.seed if seed is None else int(seed)
     start = time.perf_counter()
-    checks, tables = _RUNNERS[config.kind](config, effective_seed)
+    values, tables = _RUNNERS[config.kind](config, effective_seed)
     report = VerificationReport(
         title=config.title,
         kind=config.kind,
@@ -451,7 +311,7 @@ def run_experiment(
         config=config.echo(),
         seed=effective_seed,
         library_version=__version__,
-        checks=checks,
+        checks=_records(config, values),
         wall_time_s=time.perf_counter() - start,
         timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat(),
     )

@@ -13,7 +13,7 @@ are identified and excluded rather than inverted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,15 +145,10 @@ class Certificate:
 
 @dataclass(frozen=True)
 class IntertwiningResult:
-    problem: IntertwiningProblem
     companion: BlockOperator
     n1: BlockOperator
-    n1_inv: BlockOperator
-    eigenvalues: tuple
-    mapped_eigenvalues: tuple
     certificate: Certificate
     dropped_modes: int = 0
-    spectral_map: SpectralMap | None = field(default=None)
 
 
 def _diagonal(op: BlockOperator, name: str) -> np.ndarray:
@@ -223,7 +218,7 @@ def _certify(problem, companion, mapped, f):
 
     order = np.argsort(h, axis=1, kind="stable")
     evals = np.take_along_axis(h, order, axis=1)
-    targets = f(evals) if f is not None else evals.copy()
+    targets = evals if f is None else f(evals)
     xd = problem.x.adjoint()
     window = order[:, :keep]
     images = np.take_along_axis(xd.weights(), window, axis=1)
@@ -234,14 +229,13 @@ def _certify(problem, companion, mapped, f):
     t = targets[:, :keep]
     resid = np.abs(moved - images * t)[live]
     ratios = resid / (norms[live] * np.maximum(1.0, np.abs(t[live])))
-    cert = Certificate(
+    return Certificate(
         alpha_residual=float(alpha),
         beta_residual=float(beta),
         # np.max, not max(): a NaN residual must fail the check, not vanish
         gamma_residual=float(np.max(ratios, initial=0.0)),
         skipped_levels=tuple((int(j), int(n)) for j, n in np.argwhere(vanishing)),
     )
-    return cert, tuple(evals), tuple(targets)
 
 
 def construct_companion(
@@ -260,17 +254,11 @@ def construct_companion(
     n1_inv, dropped = _window_inverse(n1, problem.keep)
     mapped = problem.h if spectral_map is None else apply_map(spectral_map, problem.h)
     companion = n1_inv @ (problem.x.adjoint() @ (mapped @ problem.x))
-    cert, evals, mapped_evals = _certify(problem, companion, mapped, spectral_map)
     return IntertwiningResult(
-        problem=problem,
         companion=companion,
         n1=n1,
-        n1_inv=n1_inv,
-        eigenvalues=evals,
-        mapped_eigenvalues=mapped_evals,
-        certificate=cert,
+        certificate=_certify(problem, companion, mapped, spectral_map),
         dropped_modes=dropped,
-        spectral_map=spectral_map,
     )
 
 

@@ -101,6 +101,30 @@ def test_every_shipped_bundle_is_listed():
     assert sorted(SHIPPED_CHECKS) == config.bundled_names()
 
 
+@pytest.mark.parametrize("kind", sorted(config.KINDS))
+def test_every_check_row_is_judged_by_its_kinds_tolerance_or_a_number(kind):
+    schema = config.KINDS[kind]
+    for name, (anchor, tolerance, comparator) in schema.CHECKS.items():
+        assert isinstance(tolerance, float) or tolerance in schema.TOLERANCES, name
+        assert comparator in ("<=", ">="), name
+        assert anchor, name
+
+
+@pytest.mark.parametrize("kind", sorted(config.KINDS))
+def test_every_tolerance_is_read_by_a_check_row(kind):
+    schema = config.KINDS[kind]
+    assert set(schema.TOLERANCES) <= {tolerance for _, tolerance, _ in schema.CHECKS.values()}
+
+
+def test_the_shipped_bundles_report_every_check_row():
+    # a row's base name is the check's name up to any ``[...]``
+    shipped = {}
+    for bundle, names in SHIPPED_CHECKS.items():
+        kind = config.load_bundled(bundle).kind
+        shipped.setdefault(kind, set()).update(name.split("[")[0] for name in names)
+    assert shipped == {kind: set(schema.CHECKS) for kind, schema in config.KINDS.items()}
+
+
 @functools.cache
 def shipped_run(bundle):
     return run_experiment(config.load_bundled(bundle))

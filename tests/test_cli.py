@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -67,6 +68,10 @@ MALFORMED = [
     ("k-check-negative", small_resolution_config(k_check=-1), "params.k_check"),
     ("horizon-negative", small_resolution_config(horizons=[-10]), "params.horizons"),
     ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),
+    ("one-horizon", small_resolution_config(horizons=[1000.0]), "params.horizons"),
+    ("eds-one-horizon", small_resolution_config(family="eds", horizons=[1000.0]), "params.horizons"),
+    ("repeated-horizons", small_resolution_config(horizons=[1000.0, 1000.0]), "params.horizons"),
+    ("repeated-sizes", small_grid_config(sizes=[256, 256]), "params.sizes"),
     ("j-max-length", with_param(small_vcs_config(), "j_max", [1.0]), "params.j_max"),
     (
         "resolution-unequal-spacing",
@@ -198,6 +203,22 @@ class TestConfigValidation:
         cfg = config.parse_config(small_vcs_config())
         with pytest.raises(errors.ConfigError, match="parse the config again"):
             dataclasses.replace(cfg, dim=80)
+
+    def test_replaced_params_run_with_their_own_family(self):
+        bundle = resources.files("vcslab") / "configs" / "vcs-delta-properties.yaml"
+        raw = yaml.safe_load(bundle.read_text(encoding="utf-8"))
+        cfg = config.parse_config(raw)
+        replaced = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, delta=0.9))
+        raw["params"]["delta"] = 0.9
+        parsed = config.parse_config(raw)
+
+        def values(c):
+            return [check.value for check in run_experiment(c)[0].checks]
+
+        assert values(replaced) == values(parsed) != values(cfg)
+        assert replaced.family.delta == parsed.family.delta == 0.9
+        with pytest.raises(errors.ConfigError, match="params.delta"):
+            dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, delta=-1.0))
 
     def test_echo_keeps_the_mappings_as_parsed(self):
         raw = small_vcs_config()

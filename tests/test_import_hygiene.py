@@ -1,7 +1,8 @@
 """Static checks on the package's modules, read with ``ast``: every name a
 module lists in ``__all__`` exists, and no module but ``__init__.py`` (which
 re-exports) imports a name it never uses.  A deletion that leaves a stale
-export or import behind fails here.  One more check runs a fresh
+export or import behind fails here.  One function alone builds check
+records, from the kinds' check tables.  One more check runs a fresh
 interpreter: only the grid comparison may load scipy."""
 
 import ast
@@ -74,6 +75,29 @@ def test_no_unused_imports(path):
     names = used(tree)
     unused = sorted(f"{name} (line {line})" for name, line in imported(tree).items() if name not in names)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def calls_by_function(tree, callee: str) -> list:
+    """The innermost function (``None`` at module level) around each call of ``callee``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                target = child.func
+                if getattr(target, "id", None) == callee or getattr(target, "attr", None) == callee:
+                    found.append(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_check_records_are_built_in_one_function():
+    # which checks a kind reports is its ``CHECKS`` table; one function reads it
+    builders = [(p.name, scope) for p in MODULES for scope in calls_by_function(parse(p), "CheckRecord")]
+    assert builders == [("experiments.py", "_records")]
 
 
 # scipy costs about 0.3 s and 27 MiB to import; a user who never runs a grid

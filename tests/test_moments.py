@@ -313,7 +313,7 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
         ends = (horizons[0], horizons[-1])
 
         def entry(horizon, delta=0.0):
-            return moments.cross_entry(p.built_family, weights, p.n_nodes, p.k_check).report(horizon, delta)
+            return moments.cross_entry(cfg.family, weights, p.n_nodes, p.k_check).report(horizon, delta)
 
         first, last = (entry(h) for h in ends)
         probes = [entry(h, p.delta_probe) for h in ends]
@@ -323,7 +323,7 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
         assert values["regulated-entry-decay-factor"] == probes[0].magnitude / probes[1].magnitude
         return
     per_horizon = [
-        moments.resolution_assembly(p.built_family, weights, p.n_nodes, p.k_check).report(h)
+        moments.resolution_assembly(cfg.family, weights, p.n_nodes, p.k_check).report(h)
         for h in horizons
     ]
     assert values["moment-verification"] == max(max(r.moment_errors) for r in per_horizon)

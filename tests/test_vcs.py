@@ -449,7 +449,7 @@ def test_batched_residuals_match_the_literal_per_draw_oracle(bundle):
 
     intensities = np.array([j for j, _ in draws])
     gammas = np.array([g for _, g in draws])
-    family = p.built_family
+    family = cfg.family
     states = family.states(intensities, gammas)
     batched = {
         "tail": states.tail_bound,
