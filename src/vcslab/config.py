@@ -8,9 +8,10 @@ checks what needs the spectra or ``dim``.  Beside its ``TOLERANCES`` each
 kind declares its ``CHECKS``: for every check it reports, keyed by the base
 name (the name up to any ``[...]``), the anchor, the tolerance (a
 ``TOLERANCES`` key, or a fixed number that no config sets) and the
-comparator.  Spectra are built here, and so is each coherent family,
-once, while its spectra are checked.  A bundled inventory of ready-to-run
-configs ships inside the package (``vcslab list`` prints it).
+comparator; ``LABELS`` formats the check label of each entry of a list,
+which must not repeat.  Spectra are built here, and so is each coherent
+family, once, while its spectra are checked.  A bundled inventory of
+ready-to-run configs ships inside the package (``vcslab list`` prints it).
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ class VcsVerifyParams:
         "temporal-stability-residual": ("temporal-stability", "stability", "<="),
         "mismatched-phase-eigenstate-residual": ("annihilation-eigenstate", "witness_min", ">="),
     }
+    LABELS = {"times": "t={:g}"}
 
     family: Literal["eds", "delta"] = "eds"
     n_samples: Annotated[int, (1, math.inf)] = 100
@@ -262,6 +264,7 @@ class NonisospectralParams:
         "certificate-gamma": ("companion-certificate", GAMMA_TOL, "<="),
         "undeformed-limit-matches-plain-ladder": ("ladder-closed-forms", "closed_form", "<="),
     }
+    LABELS = {"q_values": "q={:g}"}
 
     case: Literal["boson", "quon"] = "boson"
     q_values: tuple[Deformation, ...] = (0.3, 0.5, 0.9)
@@ -285,6 +288,7 @@ class MapEqualityProbeParams:
         "projector-commutant-residual": ("projection-identity", "commutant", "<="),
         "range-deficiency-matches": ("projection-identity", 0.5, "<="),
     }
+    LABELS = {"cases": "{}"}
 
     cases: tuple[Literal["boson", "quon", "invertible"], ...] = ("boson", "quon", "invertible")
     q: Deformation = 0.5
@@ -489,6 +493,12 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
     params = _build(schema, raw.get("params", {}), "params", dim)
     if hasattr(params, "resolve"):
         params = params.resolve(dim, spectra)
+    # a repeated label would report one check twice and judge it once
+    for key, label in getattr(schema, "LABELS", {}).items():
+        labels = [label.format(v) for v in getattr(params, key)]
+        for i, name in enumerate(labels):
+            if (first := labels.index(name)) < i:
+                raise ConfigError(f"params.{key}[{i}] repeats the check label {name} of entry {first}")
 
     tolerances = dict(schema.TOLERANCES)
     overrides = raw.get("tolerances", {})

@@ -11,7 +11,7 @@ All values are immutable after construction; every function here is pure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -99,25 +99,26 @@ class BlockOperator:
     ``D - |offset|`` per sector, ``np.diag(M, -offset)`` of its dense block
     ``M``.  Products add offsets, ``adjoint`` negates it, and sums need equal
     offsets.  The rows are real unless an input is complex.  ``matrix`` is
-    the dense export.
+    the dense export.  Cost: one allocation and one numpy kernel per
+    operation, on the stored rows, then the constructor's copy; ``space``
+    fixed at construction.
     """
 
     blocks: np.ndarray
     offset: int = 0
+    space: SectorSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len({np.shape(b) for b in self.blocks}) != 1:
-            raise LengthMismatchError("sector blocks differ in shape")
-        blocks = np.array(self.blocks)
-        if blocks.ndim != 2 or blocks.shape[1] < 1:
+        try:
+            blocks = np.array(self.blocks)
+        except ValueError:
+            raise LengthMismatchError("sector blocks differ in shape") from None
+        if blocks.ndim != 2 or not blocks.size:
             raise LengthMismatchError("blocks must be nonempty weight vectors")
         blocks.setflags(write=False)
         object.__setattr__(self, "blocks", blocks)
-        self.space  # SectorSpace rejects blocks of fewer than two levels
-
-    @property
-    def space(self) -> SectorSpace:
-        return SectorSpace(len(self.blocks), self.blocks.shape[1] + abs(self.offset))
+        # SectorSpace rejects blocks of fewer than two levels
+        object.__setattr__(self, "space", SectorSpace(len(blocks), blocks.shape[1] + abs(self.offset)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -149,12 +150,14 @@ class BlockOperator:
         d, a, b = self.space.dim, self.offset, other.offset
         if abs(a + b) >= d:
             raise DimensionMismatchError(f"offset {a + b} leaves all {d} levels")
-        x, y = self.weights(), other.weights()
-        mid_lo, mid_hi = _source_range(d, b)
-        out = np.zeros(x.shape, dtype=np.result_type(x, y))
-        out[:, mid_lo:mid_hi] = x[:, mid_lo + b : mid_hi + b] * y[:, mid_lo:mid_hi]
         lo, hi = _source_range(d, a + b)
-        return BlockOperator(out[:, lo:hi], a + b)
+        (la, _), (lb, hb) = _source_range(d, a), _source_range(d, b)
+        # sources kept by ``other`` and the product; their middle levels n + b are sources of ``self``
+        s, e = max(lo, lb), min(hi, hb)
+        x, y = self.blocks, other.blocks
+        out = np.zeros((len(x), hi - lo), dtype=np.result_type(x, y))
+        np.multiply(x[:, s + b - la : e + b - la], y[:, s - lb : e - lb], out=out[:, s - lo : e - lo])
+        return BlockOperator(out, a + b)
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return self._elementwise(other, np.add)

@@ -361,7 +361,7 @@ def projection_identity_check(
     sources = np.arange(max(0, -k), min(keep, problem.h.space.dim - max(0, k)))
     p = _diagonal(proj, "x N1^-1 x+")[:, sources + k]
     h = _diagonal(problem.h, "h")[:, sources + k]
-    x = problem.x.weights()[:, sources]
+    x = problem.x.blocks[:, : sources.size]  # sources start at x's first source level
     residuals = []
     for l in range(l_max + 1):
         v = np.abs(h**l * x)

@@ -91,6 +91,17 @@ MALFORMED = [
         {"kind": "nonisospectral", "dim": 8, "params": {"case": "quon", "q_values": [1.5]}},
         "params.q_values[0]",
     ),
+    ("times-same-label", with_param(small_vcs_config(), "times", [1.0, 1.0000001]), "params.times[1]"),
+    (
+        "q-values-same-label",
+        {"kind": "nonisospectral", "dim": 8, "params": {"case": "quon", "q_values": [0.5, 0.3, 0.5]}},
+        "params.q_values[2]",
+    ),
+    (
+        "repeated-cases",
+        {"kind": "map-equality-probe", "dim": 8, "params": {"cases": ["boson", "boson"]}},
+        "params.cases[1]",
+    ),
     ("hbar-negative", small_grid_config(hbar=-1.0), "params.hbar"),
     ("domain-reversed", small_grid_config(domain=[5.0, 1.0]), "params.domain"),
     ("n-modes-zero", small_grid_config(n_modes=0), "params.n_modes"),

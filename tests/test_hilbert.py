@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -265,6 +266,22 @@ class TestBlockOperator:
             hilbert.BlockOperator([np.ones(3), np.ones(4)])
         with pytest.raises(errors.LengthMismatchError):
             hilbert.BlockOperator([np.ones((3, 4))])
+        # ragged rows, however nested, name the rows and not numpy's shape error
+        for ragged in ([[1.0, 2.0], [3.0]], [np.ones(3), np.ones((1, 3))]):
+            with pytest.raises(errors.LengthMismatchError, match="sector blocks differ in shape"):
+                hilbert.BlockOperator(ragged)
+
+    def test_one_level_block_rejected(self):
+        with pytest.raises(errors.DimensionMismatchError):
+            hilbert.BlockOperator([[1.0], [2.0]])
+
+    def test_space_is_a_frozen_field(self):
+        op = hilbert.BlockOperator([np.ones(4), np.ones(4)], -2)
+        assert op.space == hilbert.SectorSpace(2, 6)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.space = hilbert.SectorSpace(2, 7)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.offset = 0
 
     def test_real_inputs_stay_real(self):
         seqs = [spectra.linear_sequence(6, 1.0, offset=0.3), spectra.linear_sequence(6, 1.5)]
@@ -331,6 +348,26 @@ def dense_oracle(op):
     return m
 
 
+def padded_product(a, b):
+    """``a @ b`` computed on both operands padded to ``N x D`` weights, over
+    every middle level, then cut to the product's source levels."""
+    d, ka, kb = a.space.dim, a.offset, b.offset
+    x, y = a.weights(), b.weights()
+    mid_lo, mid_hi = max(0, -kb), d - max(0, kb)
+    out = np.zeros(x.shape, dtype=np.result_type(x, y))
+    with np.errstate(invalid="ignore"):  # padding zeros times inf
+        out[:, mid_lo:mid_hi] = x[:, mid_lo + kb : mid_hi + kb] * y[:, mid_lo:mid_hi]
+    return out[:, max(0, -(ka + kb)) : d - max(0, ka + kb)]
+
+
+def poisoned(op):
+    """``op`` with inf and nan on its first, middle and last weights."""
+    blocks = op.blocks.copy()
+    blocks[0, 0], blocks[1, -1] = np.inf, np.nan
+    blocks[0, blocks.shape[1] // 2] = -np.inf
+    return hilbert.BlockOperator(blocks, op.offset)
+
+
 OFFSETS = range(-3, 4)
 
 
@@ -364,6 +401,25 @@ class TestWeightedShiftOracle:
             assert product.offset == a.offset + b.offset
             np.testing.assert_allclose(product.matrix, a.matrix @ b.matrix, rtol=0, atol=1e-14)
             np.testing.assert_array_equal(product.matrix, dense_oracle(product))
+
+    def test_product_matches_padded_product_bit_for_bit(self, dim, dtypes):
+        kept = dropped = 0
+        for a, b in self.pairs(dim, dtypes):
+            if abs(a.offset + b.offset) >= dim:
+                continue
+            for x, y in ((a, b), (poisoned(a), b), (a, poisoned(b)), (poisoned(a), poisoned(b))):
+                with np.errstate(invalid="ignore"):
+                    product = (x @ y).blocks
+                expected = padded_product(x, y)
+                assert product.dtype == expected.dtype
+                assert product.tobytes() == expected.tobytes()
+                if (x is a) != (y is b):
+                    # one operand poisoned: each of its weights reaches one product entry or none
+                    reached = np.count_nonzero(~np.isfinite(product))
+                    kept += reached > 0
+                    dropped += reached < np.count_nonzero(~np.isfinite((x if y is b else y).blocks))
+        # non-finite weights land both on levels the product keeps and on levels it drops
+        assert kept and dropped
 
     def test_sum_and_difference(self, dim, dtypes):
         for a, b in self.pairs(dim, dtypes):
