@@ -2,8 +2,10 @@
 
 Given h and an operator x with [x x+, h] = 0 and invertible N1 = x+ x, the
 companion N1^-1 (x+ h x) is Hermitian, weakly intertwined, and isospectral on
-the surviving eigenvector images.  Built here from the two-sector ladder for
-four choices of (h, x), all phase-independent by construction.
+the surviving eigenvector images.  Here h is diagonal and x a weighted shift,
+so x x+ is diagonal and the commutant hypothesis holds by construction.  Built
+here from the two-sector ladder for four choices of (h, x), all
+phase-independent by construction.
 """
 
 import numpy as np

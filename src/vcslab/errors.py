@@ -58,7 +58,8 @@ class NonPositiveDeltaError(RegimeError):
 
 
 class HypothesisViolatedError(VcsLabError):
-    """Commutant or invertibility hypothesis of the companion construction fails."""
+    """A hypothesis of the companion construction fails: ``h`` is not diagonal
+    or ``N1`` is not invertible on the window."""
 
 
 class ConfigError(VcsLabError):

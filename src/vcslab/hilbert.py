@@ -89,7 +89,7 @@ def weighted_shift(weights: np.ndarray, offset: int, data: np.ndarray) -> np.nda
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockOperator:
     """Block-diagonal operator on the sector space whose every block is a
     weighted shift: one nonzero diagonal at ``offset``.
@@ -101,12 +101,12 @@ class BlockOperator:
     offsets.  The rows are real unless an input is complex.  ``matrix`` is
     the dense export.  Cost: one allocation and one numpy kernel per
     operation, on the stored rows, then the constructor's copy; ``space``
-    fixed at construction.
+    fixed at construction.  ``==`` compares by identity, not by entries.
     """
 
     blocks: np.ndarray
     offset: int = 0
-    space: SectorSpace = field(init=False, repr=False, compare=False)
+    space: SectorSpace = field(init=False, repr=False)
 
     def __post_init__(self):
         try:

@@ -283,6 +283,12 @@ class TestBlockOperator:
         with pytest.raises(dataclasses.FrozenInstanceError):
             op.offset = 0
 
+    def test_equality_is_identity(self):
+        # entries are arrays, so == answers by identity instead of raising
+        op = hilbert.boson_ladder(5)
+        assert (hilbert.boson_ladder(5) == hilbert.boson_ladder(5)) is False
+        assert op == op
+
     def test_real_inputs_stay_real(self):
         seqs = [spectra.linear_sequence(6, 1.0, offset=0.3), spectra.linear_sequence(6, 1.5)]
         a = hilbert.boson_ladder(6)

@@ -32,7 +32,7 @@ def boson_problem(dim=60, power=2):
     x = ad
     for _ in range(power - 1):
         x = x @ ad
-    return IntertwiningProblem(h=ad @ a, x=x, ladder_degree=power)
+    return IntertwiningProblem(h=ad @ a, x=x)
 
 
 def smoothness_rotated(h, evals, vecs):
@@ -212,9 +212,7 @@ class TestConstructCompanion:
         b = hilbert.lowering_operator(seqs, 0.5)
         h = b.adjoint() @ b
         eye = BlockOperator([np.ones(h.space.dim)] * h.space.sectors)
-        result = intertwine.construct_companion(
-            IntertwiningProblem(h=h, x=eye, ladder_degree=0)
-        )
+        result = intertwine.construct_companion(IntertwiningProblem(h=h, x=eye))
         assert (result.companion - h).max_abs() <= 1e-12
         assert within_tolerances(result.certificate)
 
@@ -235,27 +233,53 @@ class TestConstructCompanion:
         gamma = 0.9
         problem = intertwine.example_problem(1, seqs, gamma)
         first = intertwine.construct_companion(problem)
-        second_problem = IntertwiningProblem(h=first.companion, x=problem.x, ladder_degree=2)
+        second_problem = IntertwiningProblem(h=first.companion, x=problem.x)
         second = intertwine.construct_companion(second_problem)
         assert within_tolerances(second.certificate)
 
-    def test_commutant_violation_rejected(self):
-        # x x+ = diag(1 + n)^2 does not commute with the shift h
-        dim = 20
-        h = hilbert.boson_ladder(dim).adjoint()
-        x = BlockOperator([1.0 + np.arange(dim, dtype=float)])
-        with pytest.raises(errors.HypothesisViolatedError, match=r"\[x x\+, h\]"):
-            intertwine.construct_companion(IntertwiningProblem(h=h, x=x, ladder_degree=1))
+    def test_iterated_companion_judged_by_level(self):
+        # example 1's companion has its top level zeroed (a dropped N1 mode),
+        # so its diagonal is not sorted; the certificate must still name
+        # levels, and gamma must judge the window levels 0..keep-1
+        problem = intertwine.example_problem(1, shifted_pair(), 0.7)
+        h = intertwine.construct_companion(problem).companion
+        assert h.blocks[0, -1] == 0.0
+        second = IntertwiningProblem(h=h, x=problem.x)
+        result = intertwine.construct_companion(second)
+        # x+ = B sends e_0 to zero in both sectors
+        assert set(result.certificate.skipped_levels) == {(0, 0), (1, 0)}
+        assert within_tolerances(result.certificate)
+        # H x+ e_{keep-1} sits at level keep-2: a wrong entry there must show
+        keep = second.keep
+        blocks = result.companion.blocks.copy()
+        blocks[:, keep - 2] += 1.0
+        broken = intertwine._certify(second, BlockOperator(blocks), h, None)
+        assert broken.gamma_residual > intertwine.GAMMA_TOL
+
+    def test_problems_compare_without_raising(self):
+        problem = intertwine.example_problem(1, shifted_pair(), 0.7)
+        other = intertwine.example_problem(1, shifted_pair(), 0.7)
+        assert problem == problem
+        assert (problem == other) is False
 
     def test_shifted_h_rejected(self):
-        # x = 1 commutes with anything, so only the diagonal requirement on h can fire
+        # x x+ is diagonal for every weighted shift x, so a non-diagonal h is
+        # the only way to break [x x+, h] = 0; it fails at construction
         dim = 20
         h = hilbert.boson_ladder(dim).adjoint()
-        x = BlockOperator([np.ones(dim)])
-        with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
-            intertwine.construct_companion(IntertwiningProblem(h=h, x=x, ladder_degree=0))
+        levels = np.arange(dim, dtype=float)
+        for x in (BlockOperator([np.ones(dim)]), BlockOperator([1.0 + levels])):
+            with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
+                IntertwiningProblem(h=h, x=x)
         with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
             intertwine.apply_map(SpectralMap.exponential(), h)
+
+    def test_operators_on_different_spaces_rejected(self):
+        h = BlockOperator([np.arange(20, dtype=float)])
+        with pytest.raises(errors.DimensionMismatchError):
+            IntertwiningProblem(h=h, x=BlockOperator([np.ones(21)]))
+        with pytest.raises(errors.DimensionMismatchError):
+            IntertwiningProblem(h=h, x=BlockOperator([np.ones(20)] * 2))
 
     def test_identical_sectors_never_mix(self):
         # two copies of one spectrum make N1 degenerate across the sectors;
@@ -289,7 +313,7 @@ class TestConstructCompanion:
         h = BlockOperator([np.arange(dim, dtype=float)])
         x = BlockOperator([diag])
         with pytest.raises(errors.HypothesisViolatedError):
-            intertwine.construct_companion(IntertwiningProblem(h=h, x=x, ladder_degree=0))
+            intertwine.construct_companion(IntertwiningProblem(h=h, x=x))
 
 
 class TestWeightedShiftCompanions:
@@ -301,7 +325,7 @@ class TestWeightedShiftCompanions:
             yield intertwine.example_problem(which, seqs, 0.7)
         yield boson_problem(40)
         a = hilbert.quon_ladder(40, 0.5)
-        yield IntertwiningProblem(h=a.adjoint() @ a, x=a.adjoint() @ a.adjoint(), ladder_degree=2)
+        yield IntertwiningProblem(h=a.adjoint() @ a, x=a.adjoint() @ a.adjoint())
 
     def test_no_eigendecomposition(self, eigh_calls):
         for problem in self.problems():
@@ -486,19 +510,16 @@ class TestQuonClosedForms:
 class TestEqualityProbe:
     def test_boson_square_map(self):
         problem = boson_problem(60)
-        report = intertwine.power_series_equality_probe(
-            problem, SpectralMap.polynomial([0, 0, 1])
-        )
-        assert report.max_residual <= 1e-10
+        residual = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([0, 0, 1]))
+        assert residual <= 1e-10
 
     def test_quon_polynomial_map(self):
         dim, q = 60, 0.5
         a = hilbert.quon_ladder(dim, q)
         ad = a.adjoint()
-        problem = IntertwiningProblem(h=ad @ a, x=ad @ ad, ladder_degree=2)
+        problem = IntertwiningProblem(h=ad @ a, x=ad @ ad)
         f = SpectralMap.polynomial([0.5, 1.0, 0.25])
-        report = intertwine.power_series_equality_probe(problem, f)
-        assert report.max_residual <= 1e-10
+        assert intertwine.power_series_equality_probe(problem, f) <= 1e-10
         # companion of f(h) equals f(q^2 N + (1+q))
         mapped = intertwine.construct_companion(problem, spectral_map=f)
         n_op = (ad @ a).blocks[0]
@@ -510,21 +531,20 @@ class TestEqualityProbe:
         # companions, formed as full matrices
         problem = boson_problem(60)
         f = SpectralMap.polynomial([0, 0, 1])
-        report = intertwine.power_series_equality_probe(problem, f)
+        residual = intertwine.power_series_equality_probe(problem, f)
         iso = intertwine.construct_companion(problem).companion.matrix
         mapped = intertwine.construct_companion(problem, spectral_map=f).companion.matrix
         window = np.s_[: problem.keep, : problem.keep]
         expected = np.linalg.norm((iso @ iso - mapped)[window], 2)
         assert expected > 0.0
-        assert report.max_residual == pytest.approx(expected, rel=1e-12)
+        assert residual == pytest.approx(expected, rel=1e-12)
 
     def test_trivial_intertwiner_zero_residual(self):
         dim = 30
         h = BlockOperator([np.arange(dim, dtype=float)])
         eye = BlockOperator([np.ones(dim)])
-        problem = IntertwiningProblem(h=h, x=eye, ladder_degree=0)
-        report = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([1, 2]))
-        assert report.max_residual <= 1e-12
+        problem = IntertwiningProblem(h=h, x=eye)
+        assert intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([1, 2])) <= 1e-12
 
 
 class TestProjectionIdentity:
@@ -539,11 +559,7 @@ class TestProjectionIdentity:
         dim = 40
         a = hilbert.boson_ladder(dim)
         n_op = a.adjoint() @ a
-        problem = IntertwiningProblem(
-            h=n_op,
-            x=BlockOperator([1.0 + n_op.blocks[0]]),
-            ladder_degree=0,
-        )
+        problem = IntertwiningProblem(h=n_op, x=BlockOperator([1.0 + n_op.blocks[0]]))
         report = intertwine.projection_identity_check(problem, l_max=4)
         assert report.rank_deficiency == (0,)
         assert report.commutant_residual <= 1e-10
