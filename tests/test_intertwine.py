@@ -262,15 +262,22 @@ class TestConstructCompanion:
         assert problem == problem
         assert (problem == other) is False
 
-    def test_shifted_h_rejected(self):
-        # x x+ is diagonal for every weighted shift x, so a non-diagonal h is
-        # the only way to break [x x+, h] = 0; it fails at construction
+    def test_commutant_violation_rejected(self):
+        # x x+ = diag(1 + n)^2 does not commute with the shift h; x x+ is
+        # diagonal for every weighted shift x, so a non-diagonal h is the only
+        # way to break [x x+, h] = 0, and it fails at construction
         dim = 20
         h = hilbert.boson_ladder(dim).adjoint()
-        levels = np.arange(dim, dtype=float)
-        for x in (BlockOperator([np.ones(dim)]), BlockOperator([1.0 + levels])):
-            with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
-                IntertwiningProblem(h=h, x=x)
+        x = BlockOperator([1.0 + np.arange(dim, dtype=float)])
+        with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
+            IntertwiningProblem(h=h, x=x)
+
+    def test_shifted_h_rejected(self):
+        # x = 1 commutes with anything, so only the diagonal requirement on h can fire
+        dim = 20
+        h = hilbert.boson_ladder(dim).adjoint()
+        with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
+            IntertwiningProblem(h=h, x=BlockOperator([np.ones(dim)]))
         with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
             intertwine.apply_map(SpectralMap.exponential(), h)
 
