@@ -17,17 +17,16 @@ dim = 60
 
 # --- plain ladder: closed forms under maps ------------------------------------
 # every operator is a weighted shift; a lowers by one level, so h and N1 are
-# diagonal and their blocks are the diagonals
-a = hilbert.boson_ladder(dim)
-ad = a.adjoint()
-problem = IntertwiningProblem(h=ad @ a, x=ad @ ad)
+# diagonal and their blocks are the diagonals.  The problem holds h = a+ a,
+# x = (a+)^2, N1 = x+ x and its window inverse, shared by every map below
+problem = intertwine.ladder_problem(dim)
 n_op = problem.h.blocks[0]
 window = np.s_[: problem.keep]
 
 iso = intertwine.construct_companion(problem)
 print("plain ladder, x = (a+)^2:")
 print("  N1 equals N^2+3N+2 to",
-      f"{hilbert.max_abs((iso.n1.blocks[0] - (n_op*n_op + 3*n_op + 2))[window]):.1e}")
+      f"{hilbert.max_abs((problem.n1.blocks[0] - (n_op*n_op + 3*n_op + 2))[window]):.1e}")
 print("  companion equals N+2 to",
       f"{hilbert.max_abs((iso.companion.blocks[0] - (n_op + 2))[window]):.1e}")
 
@@ -47,12 +46,13 @@ print(f"  range deficiency on the window: {check.rank_deficiency} "
 
 # --- deformed ladder ----------------------------------------------------------
 q = 0.5
-report = intertwine.quon_closed_forms(dim, q)
+problem_q = intertwine.ladder_problem(dim, q)
+n1_dev, companion_dev = intertwine.ladder_closed_forms(
+    problem_q, intertwine.construct_companion(problem_q).companion, q
+)
 print(f"\ndeformed ladder q={q}: closed-form deviations "
-      f"N1 {report.n1_deviation:.1e}, companion {report.companion_deviation:.1e}")
+      f"N1 {n1_dev:.1e}, companion {companion_dev:.1e}")
 
-aq = hilbert.quon_ladder(dim, q)
-problem_q = IntertwiningProblem(h=aq.adjoint() @ aq, x=aq.adjoint() @ aq.adjoint())
 f = SpectralMap.polynomial([0.5, 1.0, 0.25])
 probe_q = intertwine.power_series_equality_probe(problem_q, f)
 print(f"deformed map-equality probe residual: {probe_q:.1e}")
@@ -61,4 +61,4 @@ print(f"deformed map-equality probe residual: {probe_q:.1e}")
 problem_i = IntertwiningProblem(h=problem.h, x=BlockOperator([1.0 + n_op]))
 check_i = intertwine.projection_identity_check(problem_i, l_max=4)
 print(f"\ninvertible x = 1 + N: deficiency {check_i.rank_deficiency}, "
-      f"projector commutant residual {check_i.commutant_residual:.1e}")
+      f"projection-identity residuals {['%.1e' % r for r in check_i.order_residuals]}")

@@ -60,7 +60,8 @@ from .intertwine import (
     h_tau_residual,
     power_series_equality_probe,
     projection_identity_check,
-    quon_closed_forms,
+    ladder_problem,
+    ladder_closed_forms,
     grid_partner_comparison,
     fit_power_law,
 )

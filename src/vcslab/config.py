@@ -217,6 +217,8 @@ class ResolutionParams:
         if self.k_check is not None and not 0 <= self.k_check <= dim - 1:
             raise ConfigError(f"params.k_check {self.k_check} outside 0..{dim - 1}")
         k = dim - 1 if self.k_check is None else self.k_check
+        if len(spectra) * (k + 1) < 2:
+            raise ConfigError(f"params.k_check {k} leaves a one-level window: no off-diagonal entry to fit")
         if self.n_nodes < k / 2 + 1:
             raise ConfigError(
                 f"params.n_nodes {self.n_nodes} cannot verify moments to order {k}; "
@@ -280,12 +282,11 @@ class NonisospectralParams:
 
 @dataclass(frozen=True)
 class MapEqualityProbeParams:
-    TOLERANCES = {"probe": 1e-10, "order": 1e-10, "commutant": 1e-10}
+    TOLERANCES = {"probe": 1e-10, "order": 1e-10}
     # the deficiency gap is an integer count, so 0.5 asks it to match exactly
     CHECKS = {
         "map-equality-residual": ("power-series-equality", "probe", "<="),
         "projection-identity-residual": ("projection-identity", "order", "<="),
-        "projector-commutant-residual": ("projection-identity", "commutant", "<="),
         "range-deficiency-matches": ("projection-identity", 0.5, "<="),
     }
     LABELS = {"cases": "{}"}

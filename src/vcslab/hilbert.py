@@ -315,15 +315,16 @@ def boson_ladder(dim: int) -> BlockOperator:
 
     On the truncated space ``[a, a+] = 1`` holds exactly below the top level;
     the top diagonal entry of the commutator is ``-dim`` instead of ``+1``.
+    Built as :func:`quon_ladder` at ``q = 1``, whose ``[n]_1`` is exactly ``n``.
     """
-    return BlockOperator([np.sqrt(np.arange(1.0, dim))], -1)
+    return quon_ladder(dim, 1.0)
 
 
 def quon_ladder(dim: int, q: float) -> BlockOperator:
     """Deformed lowering operator ``a|n> = sqrt([n]_q)|n-1>`` on one sector.
 
     Satisfies ``a a+ - q a+ a = 1`` exactly below the top level; ``q = 1``
-    reproduces :func:`boson_ladder`.
+    is :func:`boson_ladder`.
     """
     if not (0 < q <= 1):
         raise BadDeformationError(f"deformation q must lie in (0, 1], got {q}")

@@ -5,8 +5,8 @@ Given a Hermitian ``h`` and an operator ``x`` with ``[x x+, h] = 0`` and
 weakly intertwined with ``h``, and carries the eigenvalues of ``h`` on the
 nonzero images ``x+ phi_n``.  Replacing ``h`` by ``f(h)`` for a real map
 ``f`` with a power-series form yields a companion with spectrum ``f(e_n)``
-instead.  In :func:`construct_companion` ``x`` is one weighted shift, so
-``x x+`` is diagonal, and ``h`` is diagonal, so the commutant hypothesis
+instead.  In an :class:`IntertwiningProblem` ``x`` is one weighted shift,
+so ``x x+`` is diagonal, and ``h`` is diagonal, so the commutant hypothesis
 holds by construction; only the invertibility of ``N1`` is checked.
 Everything is verified numerically on the valid window: on the truncated
 space, ladder-built operators are only faithful below the top few levels,
@@ -16,7 +16,7 @@ identified and excluded rather than inverted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +44,8 @@ __all__ = [
     "h_tau_residual",
     "power_series_equality_probe",
     "projection_identity_check",
-    "quon_closed_forms",
+    "ladder_problem",
+    "ladder_closed_forms",
     "grid_partner_comparison",
     "fit_power_law",
     "ALPHA_TOL",
@@ -99,17 +100,26 @@ class SpectralMap:
 
 @dataclass(frozen=True)
 class IntertwiningProblem:
-    """Inputs of the companion construction plus the window bookkeeping.
+    """The pair ``(h, x)`` of a companion construction, its hypotheses
+    checked and ``N1`` inverted once, at construction, for every map ``f``.
 
     ``h`` must be diagonal (offset 0).  ``x`` is one weighted shift, so
     ``x x+`` is diagonal and commutes with ``h``: the commutant hypothesis
-    holds by construction.  ``x`` moves every level by ``|x.offset|``; the
-    valid window excludes that many top levels per sector plus a safety
-    buffer.
+    holds by construction.  The valid window, the top-left ``keep`` levels
+    of each sector, excludes the ``|x.offset|`` levels ``x`` moves by plus
+    ``WINDOW_BUFFER``.  ``n1_inverse`` inverts the diagonal ``n1 = x+ x``
+    except its ``dropped_modes`` entries at most ``N1_CUTOFF``, truncation
+    artifacts above the window; such an entry inside it violates the
+    invertibility hypothesis.  A violated hypothesis raises
+    ``HypothesisViolatedError``.
     """
 
     h: BlockOperator
     x: BlockOperator
+    keep: int = field(init=False)
+    n1: BlockOperator = field(init=False, repr=False)
+    n1_inverse: BlockOperator = field(init=False, repr=False)
+    dropped_modes: int = field(init=False)
 
     def __post_init__(self):
         if self.h.space != self.x.space:
@@ -118,15 +128,22 @@ class IntertwiningProblem:
             raise HypothesisViolatedError(
                 f"h is a weighted shift at offset {self.h.offset}, not a Hermitian diagonal"
             )
-
-    @property
-    def exclude_top(self) -> int:
-        return abs(self.x.offset) + WINDOW_BUFFER
-
-    @property
-    def keep(self) -> int:
-        """Levels per sector inside the valid window."""
-        return window_levels(self.h.space, self.exclude_top)
+        keep = window_levels(self.h.space, abs(self.x.offset) + WINDOW_BUFFER)
+        n1 = self.x.adjoint() @ self.x
+        values = n1.blocks.real
+        small = values <= N1_CUTOFF
+        inside = np.argwhere(small[:, :keep])
+        if inside.size:
+            sector, n = inside[0]
+            raise HypothesisViolatedError(
+                f"N1 eigenvalue {values[sector, n]:.3e} <= {N1_CUTOFF:.1e} at level {n} of sector "
+                f"{sector}, inside the {keep}-level window: not invertible"
+            )
+        inverse = np.divide(1.0, values, out=np.zeros_like(values), where=~small)
+        object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n1_inverse", BlockOperator(inverse))
+        object.__setattr__(self, "dropped_modes", int(small.sum()))
 
 
 @dataclass(frozen=True)
@@ -151,9 +168,7 @@ class Certificate:
 @dataclass(frozen=True)
 class IntertwiningResult:
     companion: BlockOperator
-    n1: BlockOperator
     certificate: Certificate
-    dropped_modes: int = 0
 
 
 def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
@@ -164,28 +179,6 @@ def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
             "not a Hermitian diagonal"
         )
     return BlockOperator(f(op.blocks.real))
-
-
-def _window_inverse(n1: BlockOperator, keep: int):
-    """Invert the diagonal N1 on its trustworthy levels, sector by sector.
-
-    Entries below ``N1_CUTOFF`` are admissible only above the valid window,
-    the top-left ``keep`` levels of the sector: those are truncation
-    artifacts of ladder-type ``x`` and are projected out.  A small entry at
-    a level inside the window violates the invertibility hypothesis.
-    Returns the inverse and the number of modes dropped over all sectors.
-    """
-    values = n1.blocks.real
-    small = values <= N1_CUTOFF
-    inside = np.argwhere(small[:, :keep])
-    if inside.size:
-        sector, n = inside[0]
-        raise HypothesisViolatedError(
-            f"N1 eigenvalue {values[sector, n]:.3e} <= {N1_CUTOFF:.1e} at level {n} of sector "
-            f"{sector}, inside the {keep}-level window: not invertible"
-        )
-    inverse = np.divide(1.0, values, out=np.zeros_like(values), where=~small)
-    return BlockOperator(inverse), int(small.sum())
 
 
 def _certify(problem, companion, mapped, f):
@@ -235,16 +228,9 @@ def construct_companion(
     diagonal entry of ``h`` and the certificate checks the mapped
     eigenvalues ``f(e_n)``.
     """
-    n1 = problem.x.adjoint() @ problem.x
-    n1_inv, dropped = _window_inverse(n1, problem.keep)
     mapped = problem.h if spectral_map is None else apply_map(spectral_map, problem.h)
-    companion = n1_inv @ (problem.x.adjoint() @ (mapped @ problem.x))
-    return IntertwiningResult(
-        companion=companion,
-        n1=n1,
-        certificate=_certify(problem, companion, mapped, spectral_map),
-        dropped_modes=dropped,
-    )
+    companion = problem.n1_inverse @ (problem.x.adjoint() @ (mapped @ problem.x))
+    return IntertwiningResult(companion, _certify(problem, companion, mapped, spectral_map))
 
 
 def example_problem(which: int, seqs, gamma: float) -> IntertwiningProblem:
@@ -307,9 +293,7 @@ class ProjectionIdentityReport:
     """
 
     order_residuals: tuple
-    commutant_residual: float
     rank_deficiency: tuple
-    window_dim: int
 
 
 def projection_identity_check(
@@ -318,15 +302,13 @@ def projection_identity_check(
     """Probe the sufficient condition for the power-series equality.
 
     Residuals are relative (scaled by ``||h^l x phi||``) over window basis
-    vectors.  Also reports the window commutant residual of
-    ``x N1^-1 x+`` with ``h`` and the per-sector numerical rank deficiency
-    of ``x`` restricted to the window, read off its window weights (the
-    singular values of a weighted shift).
+    vectors.  Also reports the per-sector numerical rank deficiency of ``x``
+    restricted to the window, read off its window weights (the singular
+    values of a weighted shift).  The projector ``x N1^-1 x+`` and ``h`` are
+    both diagonal, so they commute exactly.
     """
     keep = problem.keep
-    n1 = problem.x.adjoint() @ problem.x
-    n1_inv, _ = _window_inverse(n1, keep)
-    proj = problem.x @ n1_inv @ problem.x.adjoint()
+    proj = problem.x @ problem.n1_inverse @ problem.x.adjoint()
 
     # x e_n is one entry x_n at level n + k; h^l and the diagonal projector
     # scale it there
@@ -340,51 +322,35 @@ def projection_identity_check(
         v = np.abs(h**l * x)
         residuals.append(float(np.max(np.abs(p - 1.0) * v / np.maximum(v, 1.0), initial=0.0)))
 
-    comm = (proj @ problem.h - problem.h @ proj).max_abs(keep)
-
     svals = np.abs(problem.x.window(keep))
     floor = 1e-10 * np.maximum(np.max(svals, axis=1, initial=0.0), 1.0)
     deficiency = [keep - int(r) for r in np.sum(svals > floor[:, None], axis=1)]
-    return ProjectionIdentityReport(
-        order_residuals=tuple(residuals),
-        commutant_residual=comm,
-        rank_deficiency=tuple(deficiency),
-        window_dim=keep,
-    )
+    return ProjectionIdentityReport(order_residuals=tuple(residuals), rank_deficiency=tuple(deficiency))
 
 
-@dataclass(frozen=True)
-class QuonClosedFormReport:
-    q: float
-    n1_deviation: float
-    companion_deviation: float
-    window_dim: int
+def ladder_problem(dim: int, q: float = 1.0) -> IntertwiningProblem:
+    """``h = a+ a`` and ``x = (a+)^2`` for the deformed lowering operator
+    ``a = quon_ladder(dim, q)``; ``q = 1`` is the plain (boson) ladder."""
+    a = quon_ladder(dim, q)
+    ad = a.adjoint()
+    return IntertwiningProblem(h=ad @ a, x=ad @ ad)
 
 
-def quon_closed_forms(dim: int, q: float) -> QuonClosedFormReport:
-    """Deviations of the deformed-ladder operators from their closed forms.
-
-    With ``a`` the deformed lowering operator, ``h = a+ a`` and ``x = (a+)^2``:
+def ladder_closed_forms(problem: IntertwiningProblem, companion: BlockOperator, q: float) -> tuple:
+    """Worst window entries ``(n1_deviation, companion_deviation)`` of ``N1``
+    and the isospectral ``companion`` of ``ladder_problem(dim, q)`` against
+    their closed forms in ``h = a+ a`` (at ``q = 1``, ``h^2 + 3h + 2`` and ``h + 2``):
 
         N1 = q^3 h^2 + q (1 + 2q) h + (1 + q) 1
         N1^-1 (x+ h x) = (1 + q) 1 + q^2 h
-
-    Each deviation is the worst entry on the window.
     """
-    a = quon_ladder(dim, q)
-    ad = a.adjoint()
-    problem = IntertwiningProblem(h=ad @ a, x=ad @ ad)
-    result = construct_companion(problem)
-
     num = problem.h.blocks[0]
     n1_closed = q**3 * (num * num) + q * (1 + 2 * q) * num + (1 + q)
     h_closed = (1 + q) + q**2 * num
-    keep = problem.keep
-    return QuonClosedFormReport(
-        q=q,
-        n1_deviation=max_abs((result.n1.blocks[0] - n1_closed)[:keep]),
-        companion_deviation=max_abs((result.companion.blocks[0] - h_closed)[:keep]),
-        window_dim=keep,
+    window = np.s_[: problem.keep]
+    return (
+        max_abs((problem.n1.blocks[0] - n1_closed)[window]),
+        max_abs((companion.blocks[0] - h_closed)[window]),
     )
 
 

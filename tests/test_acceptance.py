@@ -15,21 +15,16 @@ from vcslab.hilbert import BlockOperator, max_abs
 from vcslab.intertwine import IntertwiningProblem, SpectralMap
 
 
-def ladder_problem(a):
-    ad = a.adjoint()
-    return IntertwiningProblem(h=ad @ a, x=ad @ ad)
-
-
 def test_criterion_1_boson_closed_forms():
     start = time.perf_counter()
     dim, tol = 60, 1e-11
-    problem = ladder_problem(hilbert.boson_ladder(dim))
+    problem = intertwine.ladder_problem(dim)
     # every operator here is diagonal: compare the window diagonals
     n_op = problem.h.blocks[0]
     sub = np.s_[: problem.keep]
 
     iso = intertwine.construct_companion(problem)
-    n1_dev = max_abs((iso.n1.blocks[0] - (n_op * n_op + 3 * n_op + 2))[sub])
+    n1_dev = max_abs((problem.n1.blocks[0] - (n_op * n_op + 3 * n_op + 2))[sub])
     companion_dev = max_abs((iso.companion.blocks[0] - (n_op + 2))[sub])
 
     squared = intertwine.construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
@@ -58,18 +53,21 @@ def test_criterion_1_boson_closed_forms():
 
 def test_criterion_2_quon_closed_forms():
     dim, tol = 60, 1e-11
+
+    def closed_forms(q):
+        problem = intertwine.ladder_problem(dim, q)
+        return intertwine.ladder_closed_forms(problem, intertwine.construct_companion(problem).companion, q)
+
     deviations = []
     for q in (0.3, 0.5, 0.9):
-        report = intertwine.quon_closed_forms(dim, q)
-        deviations += [report.n1_deviation, report.companion_deviation]
+        deviations += closed_forms(q)
 
     # q = 1 limit: the deformed ladder coincides with the plain one and the
     # closed forms reduce to those of criterion 1
     a_limit = hilbert.quon_ladder(dim, 1.0).matrix
     a_plain = hilbert.boson_ladder(dim).matrix
     ladder_gap = max_abs(a_limit - a_plain)
-    limit = intertwine.quon_closed_forms(dim, 1.0)
-    deviations += [ladder_gap, limit.n1_deviation, limit.companion_deviation]
+    deviations += [ladder_gap, *closed_forms(1.0)]
     worst = float(np.max(deviations))
 
     ok = worst <= tol
@@ -226,14 +224,14 @@ def test_criterion_7_map_equality_probes():
     dim = 60
     results = {}
 
-    problem_b = ladder_problem(hilbert.boson_ladder(dim))
+    problem_b = intertwine.ladder_problem(dim)
     results["boson"] = (
         intertwine.power_series_equality_probe(problem_b, SpectralMap.polynomial([0, 0, 1])),
         intertwine.projection_identity_check(problem_b, l_max=4),
         2,
     )
 
-    problem_q = ladder_problem(hilbert.quon_ladder(dim, 0.5))
+    problem_q = intertwine.ladder_problem(dim, 0.5)
     results["quon"] = (
         intertwine.power_series_equality_probe(problem_q, SpectralMap.polynomial([0.5, 1.0, 0.25])),
         intertwine.projection_identity_check(problem_q, l_max=4),

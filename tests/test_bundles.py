@@ -80,7 +80,6 @@ SHIPPED_CHECKS = {
         for check in (
             "map-equality-residual",
             "projection-identity-residual",
-            "projector-commutant-residual",
             "range-deficiency-matches",
         )
     ],
@@ -151,6 +150,37 @@ def moved_cells(got_lines, want_lines) -> list:
         cells = list(zip(got.split("\t"), want.split("\t"), strict=True))
         moved += [(row, g, w) for g, w in cells if not close(float(g), float(w))]
     return moved
+
+
+def test_golden_changes_name_each_added_removed_and_moved_row():
+    def bundle(*rows):
+        return {"checks": [list(row) for row in rows], "tables": {}}
+
+    old = {
+        "a": bundle(("kept", "<=", 1e-10, 0.5), ("gone", "<=", 1e-10, 0.0), ("nan", "<=", 1.0, math.nan)),
+        "b": bundle(("moved", ">=", 0.8, 2.0), ("retuned", "<=", 1e-10, 1.0)),
+    }
+    new = {
+        "a": bundle(("kept", "<=", 1e-10, 0.5), ("nan", "<=", 1.0, math.nan), ("new", "<=", 1e-9, 3.0)),
+        "b": bundle(("moved", ">=", 0.8, 2.5), ("retuned", "<=", 1e-9, 1.0)),
+    }
+    assert golden.changes(old, new) == [
+        "removed a gone: 0.0 (<= 1e-10) -> -",
+        "added a new: - -> 3.0 (<= 1e-09)",
+        "moved b moved: 2.0 (>= 0.8) -> 2.5 (>= 0.8)",
+        "moved b retuned: 1.0 (<= 1e-10) -> 1.0 (<= 1e-09)",
+    ]
+    assert golden.changes(new, new) == []
+
+
+def test_undeformed_limit_is_the_plain_ladders_closed_forms():
+    # the q = 1 limit and the boson case check one pair of closed forms on one problem
+    assert config.load_bundled("quon-closed-forms").dim == config.load_bundled("boson-example2").dim
+    quon = {c.name: c.value for c in shipped_run("quon-closed-forms")[0].checks}
+    boson = {c.name: c.value for c in shipped_run("boson-example2")[0].checks}
+    limit = quon["undeformed-limit-matches-plain-ladder"]
+    assert limit > 0.0
+    assert limit == max(boson["n1-closed-form"], boson["companion-closed-form"])
 
 
 def test_every_shipped_bundle_has_golden_values():

@@ -66,6 +66,11 @@ MALFORMED = [
     ("n-nodes-text", small_resolution_config(n_nodes="x"), "params.n_nodes"),
     ("n-nodes-too-few", small_resolution_config(n_nodes=0), "params.n_nodes"),
     ("k-check-negative", small_resolution_config(k_check=-1), "params.k_check"),
+    (
+        "k-check-one-level-window",
+        {**small_resolution_config(family="eds", k_check=0), "spectra": [{"form": "linear"}]},
+        "params.k_check",
+    ),
     ("horizon-negative", small_resolution_config(horizons=[-10]), "params.horizons"),
     ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),
     ("one-horizon", small_resolution_config(horizons=[1000.0]), "params.horizons"),
@@ -86,6 +91,11 @@ MALFORMED = [
         "params.l_max",
     ),
     ("q-above-one", {"kind": "map-equality-probe", "dim": 8, "params": {"q": 2.0}}, "params.q"),
+    (
+        "commutant-tolerance-removed",
+        {"kind": "map-equality-probe", "dim": 8, "tolerances": {"commutant": 1e-10}},
+        "['commutant'] in tolerances",
+    ),
     (
         "q-values-above-one",
         {"kind": "nonisospectral", "dim": 8, "params": {"case": "quon", "q_values": [1.5]}},

@@ -177,6 +177,15 @@ class TestQuonLadder:
         a_b = hilbert.boson_ladder(10).matrix
         np.testing.assert_array_equal(a_q, a_b)
 
+    @pytest.mark.parametrize("dim", [8, 697, 4096])
+    def test_boson_limit_is_the_fock_ladder_byte_for_byte(self, dim):
+        # [n]_1 is built by adding 1.0 n times, so it is exactly n
+        fock = np.sqrt(np.arange(1.0, dim))
+        for a in (hilbert.boson_ladder(dim), hilbert.quon_ladder(dim, 1.0)):
+            assert a.offset == -1
+            assert a.blocks.dtype == fock.dtype
+            assert a.blocks[0].tobytes() == fock.tobytes()
+
     def test_deformed_entry(self):
         # [2]_0.5 = 1 + 0.5 * [1] = 1.5
         a = hilbert.quon_ladder(5, 0.5).matrix

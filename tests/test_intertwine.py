@@ -161,10 +161,9 @@ class TestConstructCompanion:
         seqs = shifted_pair()
         problem = intertwine.example_problem(2, seqs, 1.3)
         result = intertwine.construct_companion(problem)
-        dim = seqs[0].dim
-        keep = dim - problem.exclude_top
+        keep = problem.keep
         for j, s in enumerate(seqs):
-            block = result.n1.blocks[j]
+            block = problem.n1.blocks[j]
             expected = s.values[1 : keep + 1] * np.append(s.values[2 : keep + 1], 0)[: keep]
             got = block.real[:keep]
             want = np.array([s.values[n + 1] * s.values[n + 2] for n in range(keep)])
@@ -292,13 +291,15 @@ class TestConstructCompanion:
         # two copies of one spectrum make N1 degenerate across the sectors;
         # each sector must still reproduce the single-sector companion
         s = spectra.shift(spectra.linear_sequence(30, 1.0))
-        single = intertwine.construct_companion(intertwine.example_problem(1, [s], 0.7))
-        double = intertwine.construct_companion(intertwine.example_problem(1, [s, s], 0.7))
+        single_problem = intertwine.example_problem(1, [s], 0.7)
+        double_problem = intertwine.example_problem(1, [s, s], 0.7)
+        single = intertwine.construct_companion(single_problem)
+        double = intertwine.construct_companion(double_problem)
         assert len(double.companion.blocks) == 2
         for block in double.companion.blocks:
             assert max_abs(block - single.companion.blocks[0]) <= 1e-12
-        assert double.dropped_modes == 2 * single.dropped_modes
-        assert double.dropped_modes > 0
+        assert double_problem.dropped_modes == 2 * single_problem.dropped_modes
+        assert double_problem.dropped_modes > 0
 
     def test_nan_residual_fails_the_certificate(self):
         # exp overflows past e ~ 709; the NaN-filled companion must not
@@ -314,13 +315,23 @@ class TestConstructCompanion:
         assert not within_tolerances(result.certificate)
 
     def test_singular_n1_inside_window_rejected(self):
+        # the problem checks its hypotheses at construction: no companion is needed
         dim = 20
         diag = np.ones(dim)
         diag[3] = 0.0  # null direction well inside the window
         h = BlockOperator([np.arange(dim, dtype=float)])
         x = BlockOperator([diag])
-        with pytest.raises(errors.HypothesisViolatedError):
-            intertwine.construct_companion(IntertwiningProblem(h=h, x=x))
+        with pytest.raises(errors.HypothesisViolatedError, match="level 3 of sector 0"):
+            IntertwiningProblem(h=h, x=x)
+
+    def test_window_inverse_drops_the_null_modes_above_the_window(self):
+        # x = (a+)^2 sends the top two levels out of the space: N1 vanishes there
+        problem = boson_problem(40)
+        n1, inverse = problem.n1.blocks[0], problem.n1_inverse.blocks[0]
+        assert problem.dropped_modes == 2
+        np.testing.assert_array_equal(n1[-2:], 0.0)
+        np.testing.assert_array_equal(inverse[-2:], 0.0)
+        np.testing.assert_array_equal(inverse[:-2], 1.0 / n1[:-2])
 
 
 class TestWeightedShiftCompanions:
@@ -331,8 +342,7 @@ class TestWeightedShiftCompanions:
         for which in (1, 2, 3, 4):
             yield intertwine.example_problem(which, seqs, 0.7)
         yield boson_problem(40)
-        a = hilbert.quon_ladder(40, 0.5)
-        yield IntertwiningProblem(h=a.adjoint() @ a, x=a.adjoint() @ a.adjoint())
+        yield intertwine.ladder_problem(40, 0.5)
 
     def test_no_eigendecomposition(self, eigh_calls):
         for problem in self.problems():
@@ -421,7 +431,7 @@ class TestNonIsospectral:
 
         iso = intertwine.construct_companion(problem)
         np.testing.assert_allclose(
-            iso.n1.blocks[0][sub], (n_op * n_op + 3 * n_op + 2)[sub], atol=1e-11
+            problem.n1.blocks[0][sub], (n_op * n_op + 3 * n_op + 2)[sub], atol=1e-11
         )
         np.testing.assert_allclose(iso.companion.blocks[0][sub], (n_op + 2)[sub], atol=1e-11)
 
@@ -480,13 +490,19 @@ class TestNonIsospectral:
         assert (iso.companion - mapped.companion).max_abs(problem.keep) <= 1e-10
 
 
+def closed_forms(dim, q):
+    """``(n1_deviation, companion_deviation)`` of ``ladder_problem(dim, q)``."""
+    problem = intertwine.ladder_problem(dim, q)
+    return intertwine.ladder_closed_forms(problem, intertwine.construct_companion(problem).companion, q)
+
+
 class TestQuonClosedForms:
     def test_reference_values_at_half(self):
         # q = 0.5: N1 entry 0.125*[n]^2 + 1.0*[n] + 1.5, companion entry 1.5 + 0.25*[n]
         q = 0.5
-        report = intertwine.quon_closed_forms(30, q)
-        assert report.n1_deviation <= 1e-11
-        assert report.companion_deviation <= 1e-11
+        n1_deviation, companion_deviation = closed_forms(30, q)
+        assert n1_deviation <= 1e-11
+        assert companion_deviation <= 1e-11
         qn = spectra.quon_numbers(30, q)
         a = hilbert.quon_ladder(30, q).matrix
         n1 = a @ a @ a.conj().T @ a.conj().T
@@ -498,17 +514,17 @@ class TestQuonClosedForms:
 
     @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 1.0])
     def test_closed_forms_across_deformations(self, q):
-        report = intertwine.quon_closed_forms(60, q)
-        assert report.n1_deviation <= 1e-11
-        assert report.companion_deviation <= 1e-11
+        n1_deviation, companion_deviation = closed_forms(60, q)
+        assert n1_deviation <= 1e-11
+        assert companion_deviation <= 1e-11
 
     def test_boson_limit_matches(self):
         # q = 1 reduces to N1 = N^2+3N+2 and companion N+2
         dim = 40
         a1 = hilbert.quon_ladder(dim, 1.0).matrix
         n_op = (a1.conj().T @ a1).real
-        report = intertwine.quon_closed_forms(dim, 1.0)
-        assert report.n1_deviation <= 1e-11
+        n1_deviation, _ = closed_forms(dim, 1.0)
+        assert n1_deviation <= 1e-11
         closed = n_op @ n_op + 3 * n_op + 2 * np.eye(dim)
         x = np.linalg.matrix_power(a1.conj().T, 2)
         np.testing.assert_allclose((x.conj().T @ x)[:30, :30], closed[:30, :30], atol=1e-11)
@@ -554,13 +570,20 @@ class TestEqualityProbe:
         assert intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([1, 2])) <= 1e-12
 
 
+def projector_commutant(problem):
+    """Window max-norm of ``[x N1^-1 x+, h]``: both are diagonal, so it is
+    exactly 0.0 for finite entries, and the probe reports no such residual."""
+    proj = problem.x @ problem.n1_inverse @ problem.x.adjoint()
+    return (proj @ problem.h - problem.h @ proj).max_abs(problem.keep)
+
+
 class TestProjectionIdentity:
     def test_boson_squared_raising(self):
         problem = boson_problem(60)
         report = intertwine.projection_identity_check(problem, l_max=4)
         assert max(report.order_residuals) <= 1e-10
         assert report.rank_deficiency == (2,)
-        assert report.commutant_residual <= 1e-10
+        assert projector_commutant(problem) == 0.0
 
     def test_invertible_intertwiner(self):
         dim = 40
@@ -569,7 +592,7 @@ class TestProjectionIdentity:
         problem = IntertwiningProblem(h=n_op, x=BlockOperator([1.0 + n_op.blocks[0]]))
         report = intertwine.projection_identity_check(problem, l_max=4)
         assert report.rank_deficiency == (0,)
-        assert report.commutant_residual <= 1e-10
+        assert projector_commutant(problem) == 0.0
         assert max(report.order_residuals) <= 1e-10
 
     def test_two_sector_deficiency(self):
