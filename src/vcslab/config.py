@@ -47,7 +47,7 @@ __all__ = [
 # quon nonisospectral and map-equality bundle runs in 0.01-0.05 s within 38 MiB
 # peak RSS, and each vcs-verify bundle (100 samples) in about 0.45 s within
 # 39 MiB.  The grid comparison forms no n x n array: susy-grid-linear at
-# sizes [2048, 4096] runs in about 0.65 s within 68 MiB.  The resolution kind
+# sizes [2048, 4096] runs in about 0.5 s within 69 MiB.  The resolution kind
 # cannot verify its weight moments from dim 160 on: they overflow the float
 # range.
 DIM_RANGE = (8, 4096)
@@ -206,7 +206,7 @@ class ResolutionParams:
     horizons: tuple[Positive, ...] = (1e2, 1e3, 1e4)
     n_nodes: int = 40
     k_check: int | None = None
-    delta_probe: float = 0.5
+    delta_probe: Positive = 0.5
 
     def resolve(self, dim, spectra):
         for i, seq in enumerate(spectra):

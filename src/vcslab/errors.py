@@ -33,6 +33,10 @@ class NonPositiveDerivativeError(VcsLabError):
     """Superpotential derivative is not strictly positive on the grid."""
 
 
+class GridOverflowError(VcsLabError):
+    """The grid ladder's entries are too large for ``a+ a`` to stay in the float range."""
+
+
 class OutOfDiscError(VcsLabError):
     """Intensity J lies outside the convergence disc of the coefficient series."""
 

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BadDeformationError,
     DimensionMismatchError,
+    GridOverflowError,
     LengthMismatchError,
     NonPositiveDerivativeError,
 )
@@ -199,6 +200,10 @@ class GridSpec:
             )
         if not self.xmax > self.xmin:
             raise NonPositiveDerivativeError("grid needs xmax > xmin")
+        if not 0.0 < self.dx < np.inf:
+            raise NonPositiveDerivativeError(
+                f"grid step {self.dx} of [{self.xmin}, {self.xmax}] is not positive and finite"
+            )
 
     @property
     def x(self) -> np.ndarray:
@@ -361,7 +366,9 @@ def grid_ladder(
     differences) must be strictly positive everywhere.  The adjoint
     is the matrix adjoint, so ``[a, a+]`` approximates ``2c W'(x)`` with a
     second-order error.  The diagnostic measures that error on smooth
-    confined probe vectors over interior points.
+    confined probe vectors over interior points.  Raises
+    ``GridOverflowError`` when an entry of ``a`` is so large that ``a+ a``
+    or its band norm could leave the float range.
     """
     if not (hbar > 0 and mass > 0):
         raise NonPositiveDerivativeError("hbar and mass must be positive")
@@ -374,6 +381,14 @@ def grid_ladder(
     c = hbar / np.sqrt(2.0 * mass)
     lower, main, upper = (c * d for d in _derivative_diagonals(grid))
     main += w_values
+    # an entry of a+ a, and a row sum of its band, adds at most nine products
+    # of two entries of a, so (3 s)^2 bounds them, s the largest entry
+    largest = max(np.abs(d).max() for d in (lower, main, upper))
+    if not 3.0 * largest <= np.sqrt(np.finfo(float).max):
+        raise GridOverflowError(
+            f"grid ladder entry {largest:.3e} (hbar / sqrt(2 mass) / dx, or W on the domain) "
+            "puts a+ a beyond the float range"
+        )
 
     # [a, a+] - 2c W' applied to the probes, one column each
     phis = _gaussian_probes(grid)

@@ -408,10 +408,11 @@ def _inverse_iteration(band: np.ndarray, shifts, x: np.ndarray, starts) -> np.nd
     against ``B - shifts[j]``, and after each sweep each group of columns
     ``starts[g]:starts[g + 1]`` is re-orthonormalized by QR.  Groups are
     independent, so they are done one at a time: each run of equal shifts in
-    the group is LU-factored once (``gbtrf``), both sweeps solve on that
-    factor (``gbtrs``), and the QR is LAPACK's (``geqrf`` and ``orgqr``), all
-    in place on a Fortran-ordered copy of ``x``, which is returned.  Raises
-    ``LinAlgError`` when a shifted ``B`` is singular."""
+    the group is LU-factored once (``gbtrf``), each sweep solves the run's
+    columns as one block on that factor (``gbtrs``), and the QR is LAPACK's
+    (``geqrf`` and ``orgqr``), all in place on a Fortran-ordered copy of
+    ``x``, which is returned.  Raises ``LinAlgError`` when a shifted ``B`` is
+    singular."""
     # imported here, not at module level: only the grid comparison needs
     # scipy, and ``import vcslab`` should not pay its import time and memory
     from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeqrf, dorgqr
@@ -431,51 +432,85 @@ def _inverse_iteration(band: np.ndarray, shifts, x: np.ndarray, starts) -> np.nd
     for k in range(1, p + 1):
         ab[2 * p - k, k:] = band[k, :-k]
     diagonal = ab[2 * p].copy()
+    shifts = np.asarray(shifts, dtype=float)
+    # the runs of equal shifts, none crossing a group boundary
+    edges = np.zeros(len(shifts) + 1, dtype=bool)
+    edges[1:-1] = shifts[1:] != shifts[:-1]
+    edges[starts] = True
+    edges = np.flatnonzero(edges)
     x = np.asfortranarray(x)
     for a, b in zip(starts[:-1], starts[1:]):
-        factors = []
-        for j in range(a, b):
-            if j == a or shifts[j] != shifts[j - 1]:
-                ab[2 * p] = diagonal - shifts[j]
-                lu, piv, info = dgbtrf(ab, p, p)
-                check("dgbtrf", info)
-            factors.append((lu, piv))
+        cuts = edges[(a <= edges) & (edges <= b)]
+        runs = []
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            ab[2 * p] = diagonal - shifts[lo]
+            lu, piv, info = dgbtrf(ab, p, p)
+            check("dgbtrf", info)
+            # columns lo:hi of the Fortran-ordered x are contiguous, so gbtrs
+            # solves the block in place
+            runs.append((lu, piv, x[:, lo:hi]))
         group = x[:, a:b]
         for _ in range(2):
-            for j, (lu, piv) in enumerate(factors):
-                # group[:, j : j + 1] is contiguous, so gbtrs solves in place
-                check("dgbtrs", dgbtrs(lu, p, p, group[:, j : j + 1], piv, overwrite_b=1)[1])
+            for lu, piv, block in runs:
+                check("dgbtrs", dgbtrs(lu, p, p, block, piv, overwrite_b=1)[1])
             qr, tau, _, info = dgeqrf(group, overwrite_a=1)
             check("dgeqrf", info)
             check("dorgqr", dorgqr(qr, tau, overwrite_a=1)[2])
     return x
 
 
+def _cluster_shifts(evals: np.ndarray, starts) -> np.ndarray:
+    """The inverse-iteration shift of each eigenvalue in ``evals``, whose
+    clusters are ``starts[g]:starts[g + 1]``.
+
+    A cluster whose spread is at most ``sqrt(eps)`` times its distance to the
+    nearest eigenvalue outside it shares one shift, its lowest eigenvalue:
+    each sweep then damps the other clusters by at least ``sqrt(eps)``
+    against it, so two leave about ``eps`` of them in its block.  Any other
+    cluster keeps one shift per eigenvalue.
+    """
+    lowest, highest = evals[starts[:-1]], evals[starts[1:] - 1]
+    gaps = lowest[1:] - highest[:-1]
+    distance = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+    shared = highest - lowest <= np.sqrt(np.finfo(float).eps) * distance
+    sizes = np.diff(starts)
+    return np.where(np.repeat(shared, sizes), np.repeat(lowest, sizes), evals)
+
+
 def _lowest_eigenpairs(band: np.ndarray, count: int):
     """The lowest eigenpairs of the symmetric matrix ``B`` in lower band
     storage, grouped into clusters of near-equal eigenvalues.
 
-    The ``count`` lowest eigenvalues come from band bisection; when
-    ``count < n`` the top cluster may continue past them and is dropped.  The
-    eigenvectors come from two sweeps of inverse iteration from seeded random
-    starts, with one band LU factor per distinct eigenvalue serving both
-    sweeps and a QR per cluster after each.  Returns ``(evals, vecs, starts)``
-    with cluster ``g`` in columns ``starts[g]:starts[g + 1]`` of the
-    Fortran-ordered ``vecs``.
+    The ``count`` lowest eigenvalues come from band bisection (``dsbevx``) to
+    LAPACK's default tolerance ``eps ||T||_1``, ``T`` the tridiagonal form of
+    ``B``: the reduction to ``T`` is backward stable, so no eigenvalue of
+    ``B`` is fixed more closely than about ``eps ||B||``.  When ``count < n``
+    the top cluster may continue past them and is dropped.  The eigenvectors
+    come from two sweeps of inverse iteration from seeded random starts, with
+    the shifts of ``_cluster_shifts``: a cluster that shares one shift gets
+    one band LU factor and one block solve per sweep, and each cluster a QR
+    after each sweep.  Returns ``(evals, vecs, starts)`` with cluster ``g``
+    in columns ``starts[g]:starts[g + 1]`` of the Fortran-ordered ``vecs``.
     """
-    from scipy.linalg import eigvals_banded  # see _inverse_iteration
+    from scipy.linalg.lapack import dsbevx  # see _inverse_iteration
 
     n = band.shape[1]
-    evals = eigvals_banded(band, lower=True, select="i", select_range=(0, count - 1), check_finite=False)
+    evals, _, _, _, info = dsbevx(
+        band, 0.0, 0.0, 1, count, compute_v=0, range=2, lower=1, abstol=0.0, mmax=1, overwrite_ab=0
+    )
+    if info:
+        raise np.linalg.LinAlgError(f"dsbevx returned info = {info}")
+    evals = evals[:count]
     tol = np.finfo(float).eps * _band_norm(band) / CLUSTER_ANGLE
     starts = np.concatenate(([0], np.flatnonzero(np.diff(evals) > tol) + 1, [count]))
+    shifts = _cluster_shifts(evals, starts)
     if count < n:
         starts = starts[:-1]
-        evals = evals[: starts[-1]]
+        evals, shifts = evals[: starts[-1]], shifts[: starts[-1]]
     # random starts: a structured one such as all ones is orthogonal to every
     # odd eigenvector when the superpotential is odd
     x = np.asfortranarray(np.random.default_rng(0).standard_normal((n, len(evals))))
-    return evals, _inverse_iteration(band, evals, x, starts), starts
+    return evals, _inverse_iteration(band, shifts, x, starts), starts
 
 
 def _smoothness_basis(vecs: np.ndarray, starts):

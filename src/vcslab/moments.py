@@ -89,7 +89,9 @@ def verify_moments(quadrature, seq, k_max: int) -> np.ndarray:
     (shifted internally) or an already shifted one.  Returns
     ``errors[k] = |moment_k - e~[k]!| / e~[k]!`` for k = 0..k_max.  A
     factorial product or a moment that overflows the float range raises
-    ``UnverifiableWeightError``; for a moment, it names the order.
+    ``UnverifiableWeightError``; for a moment, it names the order.  So does
+    a quadrature with non-finite weights (``laggauss`` loses them to
+    overflow from 187 nodes on), before any moment is formed.
     """
     shifted = shift(seq) if isinstance(seq, SpectralSequence) else seq
     if k_max > shifted.dim - 1:
@@ -101,6 +103,12 @@ def verify_moments(quadrature, seq, k_max: int) -> np.ndarray:
             "reduce k_max or the truncation"
         )
     nodes, weights = quadrature
+    broken = np.count_nonzero(~np.isfinite(weights))
+    if broken:
+        raise UnverifiableWeightError(
+            f"{broken} of the {len(nodes)} quadrature weights are not finite: "
+            f"the {len(nodes)}-node Gauss-Laguerre rule overflows the float range"
+        )
     with np.errstate(over="ignore"):
         moments = weights @ (nodes[:, None] ** np.arange(k_max + 1)[None, :])
     overflowing = np.flatnonzero(~np.isfinite(moments))

@@ -72,6 +72,9 @@ MALFORMED = [
         "params.k_check",
     ),
     ("horizon-negative", small_resolution_config(horizons=[-10]), "params.horizons"),
+    # the Cesaro factor is even in delta: a negative probe would pass as its mirror
+    ("delta-probe-negative", small_resolution_config(delta_probe=-1.0), "params.delta_probe"),
+    ("delta-probe-zero", small_resolution_config(delta_probe=0.0), "params.delta_probe"),
     ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),
     ("one-horizon", small_resolution_config(horizons=[1000.0]), "params.horizons"),
     ("eds-one-horizon", small_resolution_config(family="eds", horizons=[1000.0]), "params.horizons"),
@@ -455,6 +458,28 @@ class TestCliEntryPoint:
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "experiment failed: factorial products overflow" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [{"hbar": 1e300}, {"domain": [0.0, 1e-300]}], ids=["hbar", "domain"])
+    def test_exit_one_on_an_overflowing_grid(self, override, tmp_path, capsys):
+        # c or 1 / dx puts a+ a beyond the float range: the run stops before
+        # the eigensolver, which would otherwise fail on a non-finite band
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "susy-grid-linear.yaml").read_text())
+        raw["params"].update(override)
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert "experiment failed: grid ladder entry" in capsys.readouterr().err
+
+    def test_exit_one_names_nonfinite_quadrature_weights(self, tmp_path, capsys):
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "resolution-eds.yaml").read_text())
+        raw["params"]["n_nodes"] = 400
+        path = tmp_path / "eds.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # laggauss's own overflow
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "experiment failed: 400 of the 400 quadrature weights are not finite" in err
 
     def test_exit_two_on_malformed_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,34 @@ class TestGridLadder:
     def test_min_points(self):
         with pytest.raises(errors.NonPositiveDerivativeError):
             hilbert.GridSpec(-1.0, 1.0, 32)
+
+    @pytest.mark.parametrize("xmin, xmax", [(0.0, 5e-324), (-1e308, 1e308)], ids=["underflow", "overflow"])
+    def test_step_must_be_positive_and_finite(self, xmin, xmax):
+        with pytest.raises(errors.NonPositiveDerivativeError, match="grid step"):
+            hilbert.GridSpec(xmin, xmax, 64)
+
+    @pytest.mark.parametrize(
+        "w, hbar, lo",
+        [(lambda x: x, 1e154, 10.0), (lambda x: x, 1.0, 1e-153), (lambda x: 1e154 * x, 1.0, 10.0)],
+        ids=["hbar", "narrow-domain", "superpotential"],
+    )
+    def test_entries_beyond_the_gram_range_rejected(self, w, hbar, lo):
+        # each puts an entry of a above sqrt(float max) / 3, where a+ a and
+        # its band norm could overflow, before anything is squared
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(errors.GridOverflowError, match="beyond the float range"):
+                hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, 64), hbar=hbar)
+
+    def test_entries_just_inside_the_gram_range_are_kept(self):
+        # the largest entry of a is c / dx at the one-sided boundary rows;
+        # at 0.99 of the bound a+ a and its band norm stay finite
+        grid = hilbert.GridSpec(-10.0, 10.0, 64)
+        bound = np.sqrt(np.finfo(float).max) / 3.0
+        ladder = hilbert.grid_ladder(lambda x: x, grid, hbar=0.99 * bound * grid.dx * np.sqrt(2.0))
+        for adjoint in (False, True):
+            gram = from_lower_bands(ladder.gram_bands(adjoint=adjoint))
+            assert np.isfinite(np.abs(gram).sum(axis=1).max())
 
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
     def test_matrix_is_dense_derivative_plus_superpotential(self, hbar, mass):

@@ -116,11 +116,17 @@ def dense_commutator_residual(w, grid):
     )
 
 
+def run_edges(shifts, starts) -> list:
+    """The edges of the runs of equal shifts, none crossing a group boundary."""
+    return sorted(set(starts) | {j for j in range(1, len(shifts)) if shifts[j] != shifts[j - 1]})
+
+
 def reference_inverse_iteration(band, shifts, x, starts):
-    """Oracle for ``_inverse_iteration``, written plainly: ``B - shifts[j]``
-    factored afresh by ``solve_banded`` for every column in each of two
-    sweeps, and each sweep followed by ``np.linalg.qr`` of every group
-    ``starts[g]:starts[g + 1]``."""
+    """Oracle for ``_inverse_iteration``, written plainly: in each of two
+    sweeps, every run of equal shifts inside a group ``starts[g]:starts[g + 1]``
+    is solved as one block against ``B - shift``, factored afresh by
+    ``solve_banded``, and each sweep is followed by ``np.linalg.qr`` of every
+    group."""
     from scipy.linalg import solve_banded
 
     p = len(band) - 1
@@ -129,14 +135,31 @@ def reference_inverse_iteration(band, shifts, x, starts):
     for k in range(1, p + 1):
         ab[p - k, k:] = band[k, :-k]
     diagonal = ab[p].copy()
+    edges = run_edges(shifts, starts)
     x = x.copy()
     for _ in range(2):
-        for j, shift in enumerate(shifts):
-            ab[p] = diagonal - shift
-            x[:, j] = solve_banded((p, p), ab, x[:, j], check_finite=False)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            ab[p] = diagonal - shifts[lo]
+            x[:, lo:hi] = solve_banded((p, p), ab, x[:, lo:hi], check_finite=False)
         for a, b in zip(starts[:-1], starts[1:]):
             x[:, a:b] = np.linalg.qr(x[:, a:b])[0]
     return x
+
+
+def recorded_shifts(monkeypatch):
+    """List that gains ``(band, shifts, starts)`` for each ``_inverse_iteration``
+    call made in the test."""
+    calls = []
+    iterate = intertwine._inverse_iteration
+
+    def recording(band, shifts, x, starts):
+        calls.append((band, np.array(shifts), np.array(starts)))
+        return iterate(band, shifts, x, starts)
+
+    monkeypatch.setattr(intertwine, "_inverse_iteration", recording)
+    return calls
+
+
 
 
 def null_mode_n1(v):
@@ -662,18 +685,82 @@ class TestGridPartner:
     @pytest.mark.parametrize(
         "w, lo", [(lambda x: x, 12.0), (lambda x: x + 0.1 * x**3, 9.0)], ids=["linear", "anharmonic"]
     )
-    def test_inverse_iteration_matches_the_solve_banded_oracle(self, w, lo, points):
-        # bit for bit: one LU factor per shift reused by both sweeps, and
-        # LAPACK's QR called directly, do the arithmetic of a fresh
-        # solve_banded per column and sweep.  A gbtrs or QR that worked on a
-        # copy would leave the starts in place and fail here
+    def test_inverse_iteration_matches_the_solve_banded_oracle(self, monkeypatch, w, lo, points):
+        # bit for bit: one LU factor per run of equal shifts reused by both
+        # sweeps, each run solved as one block, and LAPACK's QR called
+        # directly, do the arithmetic of a fresh solve_banded per run and
+        # sweep.  A gbtrs or QR that worked on a copy would leave the starts
+        # in place and fail here
         band = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points)).gram_bands()
+        calls = recorded_shifts(monkeypatch)
         evals, vecs, starts = intertwine._lowest_eigenpairs(band, 80)
+        ((_, shifts, seen_starts),) = calls
         assert np.diff(starts).max() == 2
+        np.testing.assert_array_equal(seen_starts, starts)
+        # every pair that shares a shift shares its lower eigenvalue
+        for a, b in zip(starts[:-1], starts[1:]):
+            assert (shifts[a:b] == evals[a]).all() or (shifts[a:b] == evals[a:b]).all()
+        assert len(run_edges(shifts, starts)) - 1 < len(evals)
         start = np.random.default_rng(0).standard_normal((points, len(evals)))
-        want = reference_inverse_iteration(band, evals, start, starts)
-        np.testing.assert_array_equal(intertwine._inverse_iteration(band, evals, start, starts), want)
+        want = reference_inverse_iteration(band, shifts, start, starts)
+        np.testing.assert_array_equal(intertwine._inverse_iteration(band, shifts, start, starts), want)
         np.testing.assert_array_equal(vecs, want)
+
+    @pytest.mark.parametrize("points", [256, 1024])
+    @pytest.mark.parametrize(
+        "w, lo", [(lambda x: x, 12.0), (lambda x: x + 0.1 * x**3, 9.0)], ids=["linear", "anharmonic"]
+    )
+    def test_clusters_span_the_dense_eigenspaces(self, w, lo, points):
+        # bisection to LAPACK's tolerance and a shared shift per pair lose
+        # nothing: each cluster spans the eigenspace of the same eigenvalues
+        # from a dense eigh, to the accuracy eps ||h|| / gap that fixes it
+        ladder = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points))
+        evals, vecs, starts = intertwine._lowest_eigenpairs(ladder.gram_bands(), 80)
+        a = ladder.matrix
+        dense_evals, dense_vecs = np.linalg.eigh(a.T @ a)
+        np.testing.assert_allclose(evals, dense_evals[: len(evals)], rtol=0, atol=1e-10)
+        for first, end in zip(starts[:-1], starts[1:]):
+            q = dense_vecs[:, first:end]
+            block = vecs[:, first:end]
+            sines = np.linalg.svd(block - q @ (q.T @ block), compute_uv=False)
+            assert sines.max() <= 1e-12
+
+    def test_a_wide_cluster_keeps_one_shift_per_eigenvalue(self, monkeypatch):
+        # two uncoupled copies of a tridiagonal t, the second shifted by
+        # spread: every eigenvalue of t becomes a pair of that spread, about
+        # 0.1 from the next pair.  Pairs 1e-7 wide exceed sqrt(eps) = 1.5e-8
+        # times the gap and keep their own shifts; pairs 1e-11 wide share
+        # the lower one
+        m = 24
+        t = np.zeros((3, m))
+        t[0] = 0.1 * np.arange(m)
+        t[1, :-1] = 1e-3
+        for spread, shared in ((1e-7, False), (1e-11, True)):
+            band = np.hstack((t, t))
+            band[0, m:] += spread
+            calls = recorded_shifts(monkeypatch)
+            evals, vecs, starts = intertwine._lowest_eigenpairs(band, 2 * m)
+            ((_, shifts, _),) = calls
+            assert np.diff(starts).tolist() == [2] * m
+            np.testing.assert_allclose(evals[1::2] - evals[::2], spread, rtol=1e-3)
+            np.testing.assert_array_equal(shifts, np.repeat(evals[::2], 2) if shared else evals)
+            dense = np.diag(band[0]) + np.diag(band[1, :-1], -1) + np.diag(band[1, :-1], 1)
+            dense_vecs = np.linalg.eigh(dense)[1]
+            for first in starts[:-1]:
+                q = dense_vecs[:, first : first + 2]
+                block = vecs[:, first : first + 2]
+                assert np.linalg.svd(block - q @ (q.T @ block), compute_uv=False).max() <= 1e-12
+
+    def test_shift_rule_compares_the_spread_with_sqrt_eps_times_the_distance(self):
+        root = math.sqrt(np.finfo(float).eps)
+        for ratio, shared in ((0.5, True), (2.0, False)):
+            spread = ratio * root
+            # the middle cluster's nearest outside eigenvalue lies 1 above it,
+            # the outer two are single eigenvalues
+            evals = np.array([-3.0, 0.0, spread, 1.0 + spread])
+            shifts = intertwine._cluster_shifts(evals, np.array([0, 1, 3, 4]))
+            want = [-3.0, 0.0, 0.0 if shared else spread, 1.0 + spread]
+            np.testing.assert_array_equal(shifts, want)
 
     @pytest.mark.parametrize("lo", [12.0, 3.0], ids=["linear", "linear-narrow"])
     def test_null_mode_iteration_matches_the_solve_banded_oracle(self, lo):
@@ -694,27 +781,28 @@ class TestGridPartner:
     def test_each_shift_is_factored_once(self, monkeypatch):
         from scipy.linalg import lapack
 
-        factored = []
-        dgbtrf = lapack.dgbtrf
+        factored, solved = [], []
+        dgbtrf, dgbtrs = lapack.dgbtrf, lapack.dgbtrs
 
-        def counting(*args, **kwargs):
+        def counting_factors(*args, **kwargs):
             factored.append(args)
             return dgbtrf(*args, **kwargs)
 
-        shifts = []
-        lowest = intertwine._lowest_eigenpairs
+        def counting_solves(*args, **kwargs):
+            solved.append(args)
+            return dgbtrs(*args, **kwargs)
 
-        def recording(band, count):
-            evals, vecs, starts = lowest(band, count)
-            shifts.append(evals)
-            return evals, vecs, starts
-
-        monkeypatch.setattr(lapack, "dgbtrf", counting)
-        monkeypatch.setattr(intertwine, "_lowest_eigenpairs", recording)
+        monkeypatch.setattr(lapack, "dgbtrf", counting_factors)
+        monkeypatch.setattr(lapack, "dgbtrs", counting_solves)
+        calls = recorded_shifts(monkeypatch)
         intertwine.grid_partner_comparison(lambda x: x, hilbert.GridSpec(-12.0, 12.0, 512), n_modes=32)
-        # the sorted eigenvalues of h, one factor each, and one for the N1
-        # null modes, whose shifts are all equal
-        assert len(factored) == sum(len(np.unique(s)) for s in shifts) + 1
+        # h: 39 pairs, each sharing its lower eigenvalue, and the null mode
+        # alone; N1: its null modes, whose shifts are all equal.  One factor
+        # per run, and one block solve per run in each of the two sweeps
+        runs = sum(len(run_edges(shifts, starts)) - 1 for _, shifts, starts in calls)
+        assert runs == 41
+        assert len(factored) == runs
+        assert len(solved) == 2 * runs
 
     def test_singular_shift_raises(self):
         # the second shift hits a diagonal entry: the solve must refuse, not
@@ -885,6 +973,21 @@ class TestGridPartner:
         bump = np.exp(-0.5 * (grid.x / 0.2) ** 2)
         with pytest.raises(errors.HypothesisViolatedError):
             intertwine._check_null_modes((bump / np.linalg.norm(bump))[:, None], grid)
+
+    def test_null_mode_at_the_right_edge_alone_is_dropped(self):
+        # the edge mass sums both ends: a mode at the right edge counts as
+        # much as one at the left
+        grid = hilbert.GridSpec(-1.0, 1.0, 256)
+        v = np.exp(-np.arange(256)[::-1] / 2.0)
+        intertwine._check_null_modes((v / np.linalg.norm(v))[:, None], grid)
+
+    def test_smooth_bump_inside_the_edge_band_is_dropped(self):
+        # at 256 points the edge band is 256 // 32 = 8 points wide, not the
+        # floor of 4: a smooth bump 5 to 7 points from the right edge lies in it
+        grid = hilbert.GridSpec(-1.0, 1.0, 256)
+        v = np.zeros(256)
+        v[248:251] = [1.0, 2.0, 1.0]
+        intertwine._check_null_modes((v / np.linalg.norm(v))[:, None], grid)
 
     @pytest.mark.parametrize("mode", ["checkerboard", "edge"])
     def test_artifact_null_modes_are_projected_out(self, mode):

@@ -72,6 +72,19 @@ class TestVerifyMoments:
             with pytest.raises(errors.UnverifiableWeightError, match="order 125 .82 nodes.*float range"):
                 moments.verify_moments(gauss_laguerre(weight, 82), seq, 159)
 
+    @pytest.mark.parametrize("n_nodes, broken", [(187, 12), (400, 400)])
+    def test_nonfinite_weights_name_the_node_count(self, n_nodes, broken):
+        # laggauss overflows on its weights from 187 nodes on; before this
+        # check the NaN moment of order 0 was blamed on the moments
+        weight = moments.MomentWeight.gamma_family(1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            quadrature = gauss_laguerre(weight, n_nodes)
+        seq = spectra.linear_sequence(30, 1.0, offset=0.3)
+        message = f"^{broken} of the {n_nodes} quadrature weights are not finite"
+        with pytest.raises(errors.UnverifiableWeightError, match=message):
+            moments.verify_moments(quadrature, seq, 29)
+
 
 def direct_phase_average(thetas, horizon, step):
     """Literal trapezoid Cesaro mean on the grid ``cesaro_phase_average`` realizes."""
