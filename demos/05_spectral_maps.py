@@ -28,12 +28,12 @@ print("plain ladder, x = (a+)^2:")
 print("  N1 equals N^2+3N+2 to",
       f"{hilbert.max_abs((problem.n1.blocks[0] - (n_op*n_op + 3*n_op + 2))[window]):.1e}")
 print("  companion equals N+2 to",
-      f"{hilbert.max_abs((iso.companion.blocks[0] - (n_op + 2))[window]):.1e}")
+      f"{hilbert.max_abs((iso.blocks[0] - (n_op + 2))[window]):.1e}")
 
-squared = intertwine.construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
+squared = intertwine.construct_companion(problem, SpectralMap.polynomial([0, 0, 1]))
 ref = (n_op + 2) * (n_op + 2)
 print("  f(t)=t^2 companion equals (N+2)^2 to",
-      f"{hilbert.max_abs((squared.companion.blocks[0] - ref)[window]):.1e}")
+      f"{hilbert.max_abs((squared.blocks[0] - ref)[window]):.1e}")
 
 probe = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([0, 0, 1]))
 print(f"  map-equality probe residual: {probe:.1e} (max-norm over the window)")
@@ -48,7 +48,7 @@ print(f"  range deficiency on the window: {check.rank_deficiency} "
 q = 0.5
 problem_q = intertwine.ladder_problem(dim, q)
 n1_dev, companion_dev = intertwine.ladder_closed_forms(
-    problem_q, intertwine.construct_companion(problem_q).companion, q
+    problem_q, intertwine.construct_companion(problem_q), q
 )
 print(f"\ndeformed ladder q={q}: closed-form deviations "
       f"N1 {n1_dev:.1e}, companion {companion_dev:.1e}")

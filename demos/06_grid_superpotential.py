@@ -34,8 +34,7 @@ print("fitted comparison exponent:",
       f"{intertwine.fit_power_law(dxs, [r.comparison_residual for r in reports]):.3f}")
 
 print("\nquadratic spectral map on the linear case:")
-f = intertwine.SpectralMap.polynomial([0, 0, 1])
 for n in (256, 512):
     grid = hilbert.GridSpec(-12.0, 12.0, n)
-    report = intertwine.grid_partner_comparison(lambda x: x, grid, f=f, n_modes=24)
+    report = intertwine.grid_partner_comparison(lambda x: x, grid, coeffs=(0, 0, 1), n_modes=24)
     print(f"  {n:>5} points: comparison residual {report.comparison_residual:.2e}")

@@ -54,8 +54,8 @@ from .moments import (
 from .intertwine import (
     SpectralMap,
     IntertwiningProblem,
-    IntertwiningResult,
     construct_companion,
+    certify,
     example_problem,
     h_tau_residual,
     power_series_equality_probe,

@@ -29,7 +29,6 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, VcsLabError
-from .intertwine import ALPHA_TOL, BETA_TOL, GAMMA_TOL
 from .spectra import SpectralSequence, linear_sequence, make_sequence, quon_sequence
 from .vcs import CoherentFamily, coherent_family
 
@@ -141,7 +140,7 @@ def _distinct(values, key):
 
 @dataclass(frozen=True)
 class VcsVerifyParams:
-    """``j_max`` defaults to 4.0 per spectrum, the witness's ``j`` to 1.0."""
+    """``j_max`` (4.0, at most the top shifted level) per spectrum; the witness's ``j`` defaults to 1.0."""
 
     TOLERANCES = {
         "tail": 1e-10,
@@ -168,7 +167,11 @@ class VcsVerifyParams:
     witness: Witness | None = None
 
     def resolve(self, dim, spectra):
-        return replace(self, j_max=_per_spectrum(self.j_max, 4.0, spectra, "params.j_max"))
+        j_max = _per_spectrum(self.j_max, 4.0, spectra, "params.j_max")
+        for i, (j, seq) in enumerate(zip(j_max, spectra)):
+            if j > (top := seq.values[-1] - seq.values[0]):
+                raise ConfigError(f"params.j_max[{i}] {j} exceeds spectra[{i}]'s top shifted level {top:g}")
+        return replace(self, j_max=j_max)
 
     def coherent_family(self, spectra) -> CoherentFamily:
         return _family(self.family, spectra, self.delta, "spectra")
@@ -229,6 +232,12 @@ class ResolutionParams:
     def coherent_family(self, spectra) -> CoherentFamily:
         # zero regulator: the failure demo, which needs only the delta family's spectra
         return _family(self.family, spectra, self.delta or None, "spectra")
+
+
+# the companion certificate's tolerances: intertwine-example defaults, fixed for nonisospectral
+ALPHA_TOL = 1e-10
+BETA_TOL = 1e-10
+GAMMA_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -298,7 +307,7 @@ class MapEqualityProbeParams:
 
 @dataclass(frozen=True)
 class SusyGridParams:
-    """Polynomial coefficients lowest order first; no ``map_coeffs``: identity map."""
+    """Polynomial coefficients lowest order first; ``map_coeffs`` defaults to the identity map."""
 
     TOLERANCES = {
         "exponent_low": 1.7,
@@ -317,7 +326,7 @@ class SusyGridParams:
     w_coeffs: tuple[float, ...] = (0.0, 1.0)
     domain: tuple[float, float] = (-12.0, 12.0)
     n_modes: Annotated[int, (1, math.inf)] = 32
-    map_coeffs: tuple[float, ...] | None = None
+    map_coeffs: tuple[float, ...] = (0.0, 1.0)
     hbar: Positive = 1.0
     mass: Positive = 1.0
 

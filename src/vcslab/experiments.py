@@ -21,6 +21,7 @@ from .hilbert import GridSpec, BlockOperator, boson_ladder, max_abs, shifted_ham
 from .intertwine import (
     IntertwiningProblem,
     SpectralMap,
+    certify,
     construct_companion,
     example_problem,
     fit_power_law,
@@ -122,7 +123,7 @@ def _run_resolution(config: ExperimentConfig, seed: int):
     if params.family == "delta" and params.delta == 0.0:
         # regulator-failure demonstration: the ground-ground cross entry
         # survives the phase average and is horizon independent
-        entry = cross_entry(family, weights, params.n_nodes, params.k_check)
+        entry = cross_entry(family, weights, params.n_nodes)
         magnitude = {h: entry.report(h).magnitude for h in (first, last)}
         probed = {h: entry.report(h, delta=params.delta_probe).magnitude for h in (first, last)}
         factor = probed[first] / probed[last]
@@ -139,14 +140,14 @@ def _run_resolution(config: ExperimentConfig, seed: int):
     exponent = -fit_power_law(horizons, [r.offdiag_error for r in reports])
     values = [
         ("moment-verification", _worst(assembly.moment_errors)),
-        ("diagonal-residual", _worst([r.diag_error for r in reports])),
+        ("diagonal-residual", assembly.diag_error),
         ("assembly-hermiticity", _worst([r.hermiticity_defect for r in reports])),
         ("offdiagonal-decay-exponent", exponent),
         ("offdiagonal-decay-exponent-ceiling", exponent),
     ]
     lines = ["# horizon\tdiag_error\toffdiag_error"]
     for h, r in zip(horizons, reports):
-        lines.append(f"{h:.17g}\t{r.diag_error:.17g}\t{r.offdiag_error:.17g}")
+        lines.append(f"{h:.17g}\t{assembly.diag_error:.17g}\t{r.offdiag_error:.17g}")
     return values, {"residual-vs-horizon.tsv": "\n".join(lines) + "\n"}
 
 
@@ -156,14 +157,14 @@ def _run_intertwine_example(config: ExperimentConfig, seed: int):
     shifted = [shift(s) for s in seqs]
 
     problems = [example_problem(config.params.example, shifted, g) for g in gammas]
-    results = [construct_companion(p) for p in problems]
+    companions = [construct_companion(p) for p in problems]
     h_scale = np.maximum(1.0, problems[0].h.max_abs())
-    c_scale = np.maximum(1.0, results[0].companion.max_abs())
+    c_scale = np.maximum(1.0, companions[0].max_abs())
     drifts = [0.0]
-    for problem, result in zip(problems[1:], results[1:]):
+    for problem, companion in zip(problems[1:], companions[1:]):
         drifts.append((problems[0].h - problem.h).max_abs() / h_scale)
-        drifts.append((results[0].companion - result.companion).max_abs() / c_scale)
-    certs = [r.certificate for r in results]
+        drifts.append((companions[0] - companion).max_abs() / c_scale)
+    certs = [certify(p, c) for p, c in zip(problems, companions)]
     return [
         ("hermiticity[alpha]", _worst([c.alpha_residual for c in certs])),
         ("weak-intertwining[beta]", _worst([c.beta_residual for c in certs])),
@@ -181,17 +182,16 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int):
         # every operator here is diagonal: compare the window diagonals
         n_op = problem.h.blocks[0]
         sub = np.s_[: problem.keep]
-        iso = construct_companion(problem)
-        squared = construct_companion(problem, spectral_map=SpectralMap.polynomial([0, 0, 1]))
-        exponential = construct_companion(problem, spectral_map=SpectralMap.exponential())
-        deviations = ladder_closed_forms(problem, iso.companion, 1.0)
+        maps = (None, SpectralMap.polynomial([0, 0, 1]), SpectralMap.exponential())
+        iso, squared, exponential = companions = [construct_companion(problem, f) for f in maps]
+        deviations = ladder_closed_forms(problem, iso, 1.0)
         values += zip(("n1-closed-form", "companion-closed-form"), deviations)
         squared_ref = (n_op + 2) * (n_op + 2)
-        values.append(("squared-map-closed-form", max_abs((squared.companion.blocks[0] - squared_ref)[sub])))
+        values.append(("squared-map-closed-form", max_abs((squared.blocks[0] - squared_ref)[sub])))
         exp_ref = np.exp(np.arange(dim, dtype=float) + 2.0)
-        rel = (np.abs(exponential.companion.blocks[0] - exp_ref) / np.maximum(1.0, exp_ref))[sub].max()
+        rel = (np.abs(exponential.blocks[0] - exp_ref) / np.maximum(1.0, exp_ref))[sub].max()
         values.append(("exponential-map-closed-form", rel))
-        certs = [r.certificate for r in (iso, squared, exponential)]
+        certs = [certify(problem, c, f) for c, f in zip(companions, maps)]
         values += [
             ("certificate-alpha", _worst([c.alpha_residual for c in certs])),
             ("certificate-beta", _worst([c.beta_residual for c in certs])),
@@ -200,10 +200,10 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int):
     else:
         for q in config.params.q_values:
             problem = ladder_problem(dim, q)
-            deviations = ladder_closed_forms(problem, construct_companion(problem).companion, q)
+            deviations = ladder_closed_forms(problem, construct_companion(problem), q)
             values += zip((f"n1-closed-form[q={q:g}]", f"companion-closed-form[q={q:g}]"), deviations)
         limit = ladder_problem(dim)
-        deviations = ladder_closed_forms(limit, construct_companion(limit).companion, 1.0)
+        deviations = ladder_closed_forms(limit, construct_companion(limit), 1.0)
         values.append(("undeformed-limit-matches-plain-ladder", _worst(deviations)))
     return values, {}
 
@@ -240,13 +240,14 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int):
 def _run_susy_grid(config: ExperimentConfig, seed: int):
     params = config.params
     lo, hi = params.domain
-    f = None if params.map_coeffs is None else SpectralMap.polynomial(params.map_coeffs)
 
     def w(x):
         return np.polynomial.polynomial.polyval(x, params.w_coeffs)
 
     reports = [
-        grid_partner_comparison(w, GridSpec(lo, hi, n), f, params.hbar, params.mass, params.n_modes)
+        grid_partner_comparison(
+            w, GridSpec(lo, hi, n), params.map_coeffs, params.hbar, params.mass, params.n_modes
+        )
         for n in params.sizes
     ]
     dxs = [r.dx for r in reports]

@@ -38,8 +38,8 @@ __all__ = [
     "SpectralMap",
     "IntertwiningProblem",
     "Certificate",
-    "IntertwiningResult",
     "construct_companion",
+    "certify",
     "example_problem",
     "h_tau_residual",
     "power_series_equality_probe",
@@ -48,15 +48,8 @@ __all__ = [
     "ladder_closed_forms",
     "grid_partner_comparison",
     "fit_power_law",
-    "ALPHA_TOL",
-    "BETA_TOL",
-    "GAMMA_TOL",
     "N1_CUTOFF",
 ]
-
-ALPHA_TOL = 1e-10
-BETA_TOL = 1e-10
-GAMMA_TOL = 1e-9
 
 #: eigenvalues of N1 below this are not invertible
 N1_CUTOFF = 1e-10
@@ -73,10 +66,6 @@ class SpectralMap:
     coeffs: tuple | None = None
 
     @classmethod
-    def identity(cls) -> "SpectralMap":
-        return cls(kind="polynomial", coeffs=(0.0, 1.0))
-
-    @classmethod
     def polynomial(cls, coeffs) -> "SpectralMap":
         return cls(kind="polynomial", coeffs=tuple(float(c) for c in coeffs))
 
@@ -91,11 +80,6 @@ class SpectralMap:
         if self.kind == "exponential":
             return np.exp(values)
         raise ConfigError(f"unknown spectral map kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "exponential":
-            return "exp"
-        return "poly" + str(list(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -165,12 +149,6 @@ class Certificate:
     skipped_levels: tuple = ()
 
 
-@dataclass(frozen=True)
-class IntertwiningResult:
-    companion: BlockOperator
-    certificate: Certificate
-
-
 def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
     """``f(op)`` of a diagonal Hermitian ``op``: ``f`` of each diagonal entry."""
     if op.offset != 0:
@@ -181,15 +159,31 @@ def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
     return BlockOperator(f(op.blocks.real))
 
 
-def _certify(problem, companion, mapped, f):
-    """Evaluate the scale-normalized alpha/beta/gamma residuals on the window.
+def construct_companion(problem: IntertwiningProblem, f: SpectralMap | None = None) -> BlockOperator:
+    """The companion ``H = N1^-1 (x+ f(h) x)``, uncertified.
+
+    With ``f=None`` this is the isospectral construction (``f = id``, ``h``
+    used as it is); otherwise ``f(h)`` is ``f`` of each diagonal entry of
+    ``h``.  :func:`certify` checks the result where a caller reads it.
+    """
+    mapped = problem.h if f is None else apply_map(f, problem.h)
+    return problem.n1_inverse @ (problem.x.adjoint() @ (mapped @ problem.x))
+
+
+def certify(
+    problem: IntertwiningProblem, companion: BlockOperator, f: SpectralMap | None = None
+) -> Certificate:
+    """The scale-normalized alpha/beta/gamma residuals of ``companion`` as the
+    companion of ``f(h)`` (``f=None``: of ``h``), on the valid window.
 
     ``h`` is diagonal, so its eigenvectors are the unit vectors ``e_n`` with
-    eigenvalues ``h[n]``, judged on the window levels ``n < keep``.  ``x+``
-    and the stored companion after it each move ``e_n`` to one level, so
-    their weights at source ``n`` are the image ``x+ e_n`` and ``H x+ e_n``.
+    eigenvalues ``h[n]``, judged on the window levels ``n < keep`` against
+    the mapped eigenvalues ``f(h[n])``.  ``x+`` and the companion after it
+    each move ``e_n`` to one level, so their weights at source ``n`` are the
+    image ``x+ e_n`` and ``H x+ e_n``.
     """
     keep = problem.keep
+    mapped = problem.h if f is None else apply_map(f, problem.h)
     companion_scale = np.maximum(1.0, companion.max_abs(keep))
     alpha = (companion - companion.adjoint()).max_abs(keep) / companion_scale
 
@@ -198,8 +192,7 @@ def _certify(problem, companion, mapped, f):
     beta_scale = np.maximum(1.0, x_scale**2 * np.maximum(companion_scale, mapped.max_abs(keep)))
     beta = beta_op.max_abs(keep) / beta_scale
 
-    h = problem.h.blocks.real[:, :keep]
-    t = h if f is None else f(h)
+    t = mapped.blocks.real[:, :keep]
     xd = problem.x.adjoint()
     images = xd.weights()[:, :keep]
     moved = (companion @ xd).weights()[:, :keep]
@@ -215,22 +208,6 @@ def _certify(problem, companion, mapped, f):
         gamma_residual=float(np.max(ratios, initial=0.0)),
         skipped_levels=tuple((int(j), int(n)) for j, n in np.argwhere(vanishing)),
     )
-
-
-def construct_companion(
-    problem: IntertwiningProblem,
-    spectral_map: SpectralMap | None = None,
-) -> IntertwiningResult:
-    """Build ``H = N1^-1 (x+ f(h) x)`` and certify it on the valid window.
-
-    With ``spectral_map=None`` this is the isospectral construction
-    (``f = id``, ``h`` used as it is); otherwise ``f(h)`` is ``f`` of each
-    diagonal entry of ``h`` and the certificate checks the mapped
-    eigenvalues ``f(e_n)``.
-    """
-    mapped = problem.h if spectral_map is None else apply_map(spectral_map, problem.h)
-    companion = problem.n1_inverse @ (problem.x.adjoint() @ (mapped @ problem.x))
-    return IntertwiningResult(companion, _certify(problem, companion, mapped, spectral_map))
 
 
 def example_problem(which: int, seqs, gamma: float) -> IntertwiningProblem:
@@ -278,9 +255,8 @@ def power_series_equality_probe(problem: IntertwiningProblem, f: SpectralMap) ->
     diagonal, so that maximum is the largest entry of the difference on the
     window, reached at a window basis vector.
     """
-    iso = construct_companion(problem)
-    mapped = construct_companion(problem, spectral_map=f)
-    return (apply_map(f, iso.companion) - mapped.companion).max_abs(problem.keep)
+    diff = apply_map(f, construct_companion(problem)) - construct_companion(problem, f)
+    return diff.max_abs(problem.keep)
 
 
 @dataclass(frozen=True)
@@ -587,7 +563,7 @@ def _companion_image(n1, null: np.ndarray, coeffs, phi: np.ndarray) -> np.ndarra
 def grid_partner_comparison(
     w,
     grid: GridSpec,
-    f: SpectralMap | None = None,
+    coeffs=(0.0, 1.0),
     hbar: float = 1.0,
     mass: float = 1.0,
     n_modes: int | None = None,
@@ -597,20 +573,17 @@ def grid_partner_comparison(
     With ``a = c d/dx + W`` (``x = a+``, ``h = a+ a``) the companion of
     ``f(h)`` equals ``f(a a+)``, whose continuum form is
     ``f(a+ a + 2 c W'(x))``; the two differ by the discretization error of
-    the commutator, second order in the grid step.  ``f`` must be a
-    polynomial map (``None`` is the identity); any other raises
-    ``ConfigError``.  Residuals are measured on the ``n_modes`` lowest smooth
-    eigenvectors of ``h`` (default: the bottom quarter of the grid
-    spectrum); hold it fixed for scaling studies.  The ladder is banded, so
-    no ``n x n`` array is formed: the lowest eigenpairs of ``h`` come from
-    band bisection and inverse iteration, with the basis inside each cluster
-    of near-equal eigenvalues fixed by smoothness, and ``a``, ``a+`` and both
-    sides of the comparison act on the ``n x k`` block of probes as stencils,
-    with ``f`` applied by Horner's rule.
+    the commutator, second order in the grid step.  ``f`` is the polynomial
+    with ``coeffs``, lowest order first (default: the identity).  Residuals
+    are measured on the ``n_modes`` lowest smooth eigenvectors of ``h``
+    (default: the bottom quarter of the grid spectrum); hold it fixed for
+    scaling studies.  The ladder is banded, so no ``n x n`` array is formed:
+    the lowest eigenpairs of ``h`` come from band bisection and inverse
+    iteration, with the basis inside each cluster of near-equal eigenvalues
+    fixed by smoothness, and ``a``, ``a+`` and both sides of the comparison
+    act on the ``n x k`` block of probes as stencils, with ``f`` applied by
+    Horner's rule.
     """
-    f = SpectralMap.identity() if f is None else f
-    if f.kind != "polynomial":
-        raise ConfigError(f"the grid comparison needs a polynomial map, got {f.describe()}")
     ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
 
     # central differences double the spectrum: every smooth eigenmode has a
@@ -635,7 +608,7 @@ def grid_partner_comparison(
     def target(v):
         return ladder.apply(ladder.apply(v), adjoint=True) + 2.0 * ladder.c * ladder.w_prime[:, None] * v
 
-    diff = _companion_image(n1, null, f.coeffs, phi) - _horner(f.coeffs, target, phi)
+    diff = _companion_image(n1, null, coeffs, phi) - _horner(coeffs, target, phi)
     return GridComparisonReport(
         dx=grid.dx,
         commutator_residual=ladder.commutator_residual,

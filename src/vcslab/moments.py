@@ -69,18 +69,6 @@ class MomentWeight:
         return self.omega * x, w
 
 
-def _resolved_k_check(n_nodes: int, k_check: int | None, dim: int) -> int:
-    """The moment order to check (``None`` means the full truncation); the
-    rule must have enough nodes to be exact to that order."""
-    k = dim - 1 if k_check is None else k_check
-    if n_nodes < k / 2 + 1:
-        raise ConfigError(
-            f"{n_nodes} nodes cannot verify moments to order {k}; "
-            f"need at least {math.ceil(k / 2 + 1)}"
-        )
-    return k
-
-
 def verify_moments(quadrature, seq, k_max: int) -> np.ndarray:
     """Relative errors of a weight's moments against the factorial products.
 
@@ -146,11 +134,9 @@ def cesaro_phase_average(thetas, horizon: float, step: float):
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """Deviation of the assembled identity candidate from the identity.
-
-    The diagonal error is quadrature-limited (horizon independent); the
-    off-diagonal error is phase-average-limited and decays like
-    ``1/(horizon * gap)``.  Both restrict to levels whose moments were
+    """Off-diagonal deviation of the assembled identity candidate from the
+    identity at one horizon: phase-average-limited, it decays like
+    ``1/(horizon * gap)``.  It restricts to levels whose moments were
     checked.  ``n_samples`` counts the points of the uniform phase grid, and
     ``moment_errors`` holds each sector's worst relative moment error, for
     the caller to judge.
@@ -160,7 +146,6 @@ class ResolutionReport:
     n_samples: int
     n_nodes: int
     k_check: int
-    diag_error: float
     offdiag_error: float
     hermiticity_defect: float
     moment_errors: tuple
@@ -182,7 +167,8 @@ def _run_quadratures(weights, n_nodes: int) -> list:
 def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
     """The factorized assembly of ``int |psi><psi| d nu`` before the phase
     average: ``g[p, q] / sqrt(e~[n]! e~[m]!)``, with ``g`` the products of
-    per-sector half-integer moments."""
+    per-sector half-integer moments; the other sectors' zeroth moments are 1
+    for every weight that passes the moment check, so ``g`` leaves them out."""
     dim = seqs[0].dim
     n = len(seqs)
 
@@ -191,8 +177,6 @@ def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
     for nodes, wq in quadratures:
         powers = nodes[:, None] ** (0.5 * np.arange(2 * dim - 1)[None, :])
         half_moments.append(wq @ powers)
-    zeros = np.array([hm[0] for hm in half_moments])
-    zero_product = float(np.prod(zeros))
 
     facts = [factorials(shift(s)).products for s in seqs]
     if not all(np.all(np.isfinite(f)) for f in facts):
@@ -207,11 +191,9 @@ def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
             rows = slice(a * dim, (a + 1) * dim)
             cols = slice(b * dim, (b + 1) * dim)
             if a == b:
-                g[rows, cols] = half_moments[a][pair_sums] * (zero_product / zeros[a])
+                g[rows, cols] = half_moments[a][pair_sums]
             else:
-                g[rows, cols] = np.outer(half_moments[a][idx], half_moments[b][idx]) * (
-                    zero_product / (zeros[a] * zeros[b])
-                )
+                g[rows, cols] = np.outer(half_moments[a][idx], half_moments[b][idx])
     return g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
 
 
@@ -219,13 +201,16 @@ def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
 class ResolutionAssembly:
     """The horizon-independent part of a resolution check, built once per
     run by :func:`resolution_assembly`: the worst relative moment error of
-    each sector, and the assembled candidate before its phase average.
-    ``window`` marks the levels whose moments were checked.  :meth:`report`
-    applies the phase average of one horizon."""
+    each sector, the assembled candidate before its phase average, and its
+    worst deviation from 1 on the diagonal, ``diag_error``, where the phase
+    average is exactly 1 at every horizon.  ``window`` marks the levels whose
+    moments were checked.  :meth:`report` applies the phase average of one
+    horizon."""
 
     n_nodes: int
     k_check: int
     moment_errors: tuple
+    diag_error: float
     window: np.ndarray = field(repr=False)
     freqs: np.ndarray = field(repr=False)
     phase_free: np.ndarray = field(repr=False)
@@ -241,15 +226,14 @@ class ResolutionAssembly:
         """The candidate's deviations from the identity at one horizon."""
         candidate = self.candidate(gamma_horizon)
         _, m = _phase_step(self.freqs, gamma_horizon)
-        dev = (candidate - np.eye(candidate.shape[0]))[np.ix_(self.window, self.window)]
-        diag = np.diag(dev)
+        dev = candidate[np.ix_(self.window, self.window)]
+        np.fill_diagonal(dev, 0.0)
         return ResolutionReport(
             gamma_horizon=gamma_horizon,
             n_samples=m + 1,
             n_nodes=self.n_nodes,
             k_check=self.k_check,
-            diag_error=float(np.abs(diag).max()),
-            offdiag_error=float(np.abs(dev - np.diag(diag)).max()),
+            offdiag_error=float(np.abs(dev).max()),
             hermiticity_defect=float(np.abs(candidate - candidate.T.conj()).max()),
             moment_errors=self.moment_errors,
         )
@@ -258,9 +242,9 @@ class ResolutionAssembly:
 def resolution_assembly(
     family: CoherentFamily, weights, n_nodes: int = 40, k_check: int | None = None
 ) -> ResolutionAssembly:
-    """Check the weights' moments to order ``k_check`` and assemble the
-    candidate of ``family`` up to its phase average, from one
-    ``n_nodes``-point rule.
+    """Check the weights' moments to order ``k_check`` (default ``dim - 1``)
+    and assemble the candidate of ``family`` up to its phase average, from
+    one ``n_nodes``-point rule; too few nodes show as moment errors.
 
     The phases are the family's own frequencies.  A delta family built
     without a regulator (``delta = 0``) does not resolve the identity, which
@@ -268,7 +252,7 @@ def resolution_assembly(
     """
     seqs = family.seqs
     dim = seqs[0].dim
-    k_check = _resolved_k_check(n_nodes, k_check, dim)
+    k_check = dim - 1 if k_check is None else k_check
     quadratures = _run_quadratures(weights, n_nodes)
     moment_errors = tuple(
         float(verify_moments(q, s, k_check).max())
@@ -276,13 +260,15 @@ def resolution_assembly(
     )
     # the levels whose moments were checked, in every sector
     window = np.tile(np.arange(dim) <= k_check, len(seqs))
+    phase_free = _phase_free_candidate(seqs, quadratures)
     return ResolutionAssembly(
         n_nodes=n_nodes,
         k_check=k_check,
         moment_errors=moment_errors,
+        diag_error=float(np.abs(np.diag(phase_free)[window] - 1.0).max()),
         window=window,
         freqs=family.frequencies.ravel(),
-        phase_free=_phase_free_candidate(seqs, quadratures),
+        phase_free=phase_free,
     )
 
 
@@ -330,14 +316,12 @@ class CrossEntry:
         )
 
 
-def cross_entry(
-    family: CoherentFamily, weights, n_nodes: int = 40, k_check: int | None = None
-) -> CrossEntry:
+def cross_entry(family: CoherentFamily, weights, n_nodes: int = 40) -> CrossEntry:
     """The cross entry of a two-sector family, the delta family's for the
-    regulator-failure demo, from one ``n_nodes``-point rule (held to the node
-    floor the full assembly needs).  Its report sets the regulator."""
+    regulator-failure demo, from one ``n_nodes``-point rule: the product of
+    the two zeroth weight moments, exact for any rule.  Its report sets the
+    regulator."""
     if family.shape[0] != 2:
         raise RegimeError(f"the cross entry is two-sector, got {family.shape[0]} sectors")
-    _resolved_k_check(n_nodes, k_check, family.shape[1])
     zeros = [float(wq.sum()) for _, wq in _run_quadratures(weights, n_nodes)]
     return CrossEntry(family, zeros[0] * zeros[1])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vcslab import cli, config, errors
+from vcslab import cli, config, errors, spectra
 from vcslab.experiments import run_experiment
 
 
@@ -81,6 +81,9 @@ MALFORMED = [
     ("repeated-horizons", small_resolution_config(horizons=[1000.0, 1000.0]), "params.horizons"),
     ("repeated-sizes", small_grid_config(sizes=[256, 256]), "params.sizes"),
     ("j-max-length", with_param(small_vcs_config(), "j_max", [1.0]), "params.j_max"),
+    # the top shifted level of spectra[0] at dim 60 is 59: some seeds raised
+    # TailTooLargeError at run time, the rest wrote a failing report
+    ("j-max-above-top-level", with_param(small_vcs_config(dim=60), "j_max", [66.0, 4.0]), "params.j_max[0]"),
     (
         "resolution-unequal-spacing",
         with_spectrum(small_resolution_config(), form="quon", q=0.5),
@@ -88,6 +91,7 @@ MALFORMED = [
     ),
     ("domain-one-entry", small_grid_config(domain=[1]), "params.domain"),
     ("map-coeffs-text", small_grid_config(map_coeffs=["a"]), "params.map_coeffs[0]"),
+    ("map-coeffs-null", small_grid_config(map_coeffs=None), "params.map_coeffs"),
     (
         "l-max-negative",
         {"kind": "map-equality-probe", "dim": 8, "params": {"l_max": -1}},
@@ -252,6 +256,16 @@ class TestConfigValidation:
         assert cfg.echo()["spectra"][0]["omega"] == 1.0
         assert cfg.echo()["params"]["n_samples"] == 5
 
+    def test_j_max_may_reach_the_top_shifted_level(self):
+        # uniform draws never reach j_max itself, so the top level parses and
+        # the next float above it does not
+        top = spectra.shift(config.parse_config(small_vcs_config(dim=60)).spectra[1]).values[-1]
+        raw = with_param(small_vcs_config(dim=60), "j_max", [2.0, top])
+        assert config.parse_config(raw).params.j_max == (2.0, top)
+        raw = with_param(small_vcs_config(dim=60), "j_max", [2.0, float(np.nextafter(top, np.inf))])
+        with pytest.raises(errors.ConfigError, match=r"params\.j_max\[1\]"):
+            config.parse_config(raw)
+
     @pytest.mark.parametrize("raw, where", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
     def test_malformed_value_names_its_key(self, raw, where, tmp_path, capsys):
         with pytest.raises(errors.ConfigError) as info:
@@ -302,7 +316,8 @@ class TestConfigLoading:
     def only_spectrum(**entry):
         raw = small_vcs_config(dim=8)
         raw["spectra"] = [entry]
-        raw["params"]["j_max"] = [2.0]
+        # below the top shifted level of every entry used here (1.98 for quon q = 0.5)
+        raw["params"]["j_max"] = [1.5]
         (seq,) = config.parse_config(raw).spectra
         return seq
 

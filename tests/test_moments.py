@@ -127,16 +127,16 @@ def built(family, seqs, delta=0.0):
     return vcs.eds_family(seqs) if family == "eds" else vcs.delta_family(seqs, delta)
 
 
-def resolution_report(family, seqs, weights, horizon=1e4, n_nodes=40, delta=0.0):
-    """One horizon's report of the run-level assembly."""
-    assembly = moments.resolution_assembly(built(family, seqs, delta), weights, n_nodes)
-    return assembly.report(horizon)
+def assembled(family, seqs, weights, n_nodes=40, delta=0.0):
+    """The run-level assembly of the family on ``seqs``."""
+    return moments.resolution_assembly(built(family, seqs, delta), weights, n_nodes)
 
 
 class TestResolutionCheck:
     def test_eds_family_small(self):
-        report = resolution_report("eds", eds_pair(), eds_weights())
-        assert report.diag_error <= 1e-8
+        assembly = assembled("eds", eds_pair(), eds_weights())
+        report = assembly.report(1e4)
+        assert assembly.diag_error <= 1e-8
         assert report.offdiag_error <= 1e-2
         assert report.hermiticity_defect <= 1e-12
         assert report.k_check == 15
@@ -145,19 +145,21 @@ class TestResolutionCheck:
         assembly = moments.resolution_assembly(vcs.eds_family(eds_pair()), eds_weights(), 40)
         reports = [assembly.report(horizon) for horizon in (1e2, 1e3, 1e4)]
         errs = [r.offdiag_error for r in reports]
-        diags = [r.diag_error for r in reports]
         assert errs[0] > errs[1] > errs[2]
         # full-window residual trends down toward the quadrature floor
         assert errs[2] <= errs[0] / 30
-        # the diagonal error is quadrature-limited: horizon independent
-        assert max(diags) - min(diags) <= 1e-13
+        # the phase average is exactly 1 on the diagonal, so the diagonal
+        # error the assembly reads once holds at every horizon, bit for bit
+        for horizon in (1e2, 1e3, 1e4):
+            diagonal = np.diag(assembly.candidate(horizon))
+            np.testing.assert_array_equal(diagonal, np.diag(assembly.phase_free))
 
     def test_delta_family(self):
         seqs = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
         weights = [moments.MomentWeight.gamma_family(1.0)] * 2
-        report = resolution_report("delta", seqs, weights, delta=0.5)
-        assert report.diag_error <= 1e-8
-        assert report.offdiag_error <= 1e-2
+        assembly = assembled("delta", seqs, weights, delta=0.5)
+        assert assembly.diag_error <= 1e-8
+        assert assembly.report(1e4).offdiag_error <= 1e-2
 
     # the assembly takes a built family: its builder rejects spectra and
     # regulators that cannot resolve the identity
@@ -188,12 +190,17 @@ class TestResolutionCheck:
         # caller's moment-verification check to reject
         seqs = eds_pair()
         weights = [moments.MomentWeight.gamma_family(2.0)] * 2  # wrong scales
-        report = resolution_report("eds", seqs, weights)
+        report = assembled("eds", seqs, weights).report(1e4)
         assert min(report.moment_errors) > 1e-8
 
-    def test_quadrature_spec_node_floor(self):
-        with pytest.raises(errors.ConfigError):
-            moments.resolution_assembly(vcs.eds_family(eds_pair()), eds_weights(), n_nodes=4)
+    def test_too_few_nodes_fail_moment_verification(self):
+        # the config rejects n_nodes below k_check / 2 + 1 at parse time; a
+        # direct call is judged by the moment check: at k_check 15, 4 and 6
+        # nodes miss the high moments, and 9 (the config's floor) is exact
+        tol = config.ResolutionParams.TOLERANCES["moment"]
+        for n_nodes in (4, 6):
+            assert min(assembled("eds", eds_pair(), eds_weights(), n_nodes).moment_errors) > tol
+        assert max(assembled("eds", eds_pair(), eds_weights(), 9).moment_errors) <= tol
 
 
 class TestLiteralAssemblyOracle:
@@ -326,7 +333,7 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
         ends = (horizons[0], horizons[-1])
 
         def entry(horizon, delta=0.0):
-            return moments.cross_entry(cfg.family, weights, p.n_nodes, p.k_check).report(horizon, delta)
+            return moments.cross_entry(cfg.family, weights, p.n_nodes).report(horizon, delta)
 
         first, last = (entry(h) for h in ends)
         probes = [entry(h, p.delta_probe) for h in ends]
@@ -335,14 +342,13 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
         assert values["cross-entry-horizon-drift"] == drift
         assert values["regulated-entry-decay-factor"] == probes[0].magnitude / probes[1].magnitude
         return
-    per_horizon = [
-        moments.resolution_assembly(cfg.family, weights, p.n_nodes, p.k_check).report(h)
-        for h in horizons
-    ]
+    assemblies = [moments.resolution_assembly(cfg.family, weights, p.n_nodes, p.k_check) for _ in horizons]
+    per_horizon = [a.report(h) for a, h in zip(assemblies, horizons)]
     assert values["moment-verification"] == max(max(r.moment_errors) for r in per_horizon)
-    assert values["diagonal-residual"] == max(r.diag_error for r in per_horizon)
+    assert values["diagonal-residual"] == max(a.diag_error for a in assemblies)
     assert values["assembly-hermiticity"] == max(r.hermiticity_defect for r in per_horizon)
     rows = [
-        f"{r.gamma_horizon:.17g}\t{r.diag_error:.17g}\t{r.offdiag_error:.17g}" for r in per_horizon
+        f"{r.gamma_horizon:.17g}\t{a.diag_error:.17g}\t{r.offdiag_error:.17g}"
+        for a, r in zip(assemblies, per_horizon)
     ]
     assert tables["residual-vs-horizon.tsv"].splitlines()[1:] == rows

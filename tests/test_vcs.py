@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -98,6 +99,26 @@ class TestSeriesNorm:
         shifted = spectra.shift(spectra.linear_sequence(10))
         with pytest.raises(errors.OutOfDiscError):
             vcs.series_norm(shifted, -0.1)
+
+    def test_intensity_at_the_estimated_radius_is_out_of_disc(self):
+        # the radius itself is outside the disc; past the top shifted level
+        # it would otherwise raise TailTooLargeError instead
+        shifted = spectra.shift(spectra.quon_sequence(50, 0.5))
+        limit = spectra.radius_estimate(shifted.as_sequence()).limit
+        assert limit > shifted.values[-1]
+        with pytest.raises(errors.OutOfDiscError, match="outside the estimated convergence disc"):
+            vcs.series_norm(shifted, limit)
+
+    def test_messages_name_the_first_offender(self):
+        # the first offender is not the first entry: a 0, no offender, comes
+        # before the negative one, and the first out-of-disc one sits exactly
+        # at the radius
+        shifted = spectra.shift(spectra.quon_sequence(50, 0.5))
+        with pytest.raises(errors.OutOfDiscError, match=r"nonnegative, got -0\.25$"):
+            vcs.series_norm(shifted, np.array([0.5, 0.0, -0.25, -3.0]))
+        limit = spectra.radius_estimate(shifted.as_sequence()).limit
+        with pytest.raises(errors.OutOfDiscError, match=rf"^J={re.escape(str(limit))} is outside"):
+            vcs.series_norm(shifted, np.array([0.5, limit, limit + 1.0]))
 
 
 class TestDeltaFamilyState:
