@@ -180,7 +180,8 @@ def certify(
     eigenvalues ``h[n]``, judged on the window levels ``n < keep`` against
     the mapped eigenvalues ``f(h[n])``.  ``x+`` and the companion after it
     each move ``e_n`` to one level, so their weights at source ``n`` are the
-    image ``x+ e_n`` and ``H x+ e_n``.
+    image ``x+ e_n`` and ``H x+ e_n``.  Pass the ``f`` the companion was
+    built with: against another map, beta and gamma measure the mismatch.
     """
     keep = problem.keep
     mapped = problem.h if f is None else apply_map(f, problem.h)

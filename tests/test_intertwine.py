@@ -343,6 +343,18 @@ class TestConstructCompanion:
         assert not np.isfinite(cert.gamma_residual)
         assert not within_tolerances(cert)
 
+    def test_certificate_against_another_map_fails(self):
+        # certify forms f(h) itself: a companion built with one map and judged
+        # against another must fail beta and gamma, not pass silently
+        problem = boson_problem()
+        square, cube = SpectralMap.polynomial([0, 0, 1]), SpectralMap.polynomial([0, 0, 0, 1])
+        companion = intertwine.construct_companion(problem, square)
+        assert within_tolerances(intertwine.certify(problem, companion, square))
+        for wrong in (None, cube):
+            cert = intertwine.certify(problem, companion, wrong)
+            assert cert.beta_residual > BETA_TOL
+            assert cert.gamma_residual > GAMMA_TOL
+
     def test_singular_n1_inside_window_rejected(self):
         # the problem checks its hypotheses at construction: no companion is needed
         dim = 20

@@ -9,13 +9,13 @@ Each mutant changes one site of one module of ``src/vcslab``:
 
 Docstrings and comments are never touched.  The mutated module is written
 back with ``ast.unparse`` into a copy of the repository, and the mutant is
-killed when ``python -m pytest -x -q tests`` fails there (a timeout counts as
-killed).  The working tree is never written to.
+killed when ``python -m pytest -x -q tests`` fails there (a run longer than
+``TIMEOUT`` seconds counts as killed).  The copy lives in a temporary
+directory that is removed at exit; the working tree is never written to.
 
 Run by hand from the repository root, standard library only::
 
     python tools/mutants.py moments intertwine
-    python tools/mutants.py vcs --timeout 300 --workdir /tmp/mutants
 
 Prints one line per mutant (``KILLED`` or ``SURVIVED``, the line and the
 change) and a kill count per module.  A full run takes the suite's run time
@@ -36,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds per suite run
 
 _SWAP = {
     ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
@@ -74,57 +75,56 @@ def _sites(tree: ast.Module):
                 yield node.lineno, "abs dropped", functools.partial(setattr, node, "func", identity)
 
 
-def _run_suite(workdir: Path, timeout: float) -> bool:
+def _run_suite(workdir: Path) -> bool:
     """True when the suite fails (the mutant is killed)."""
     env = dict(os.environ, PYTHONPATH=str(workdir / "src"))
     try:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
-            cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=timeout,
+            cwd=workdir, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT,
         )
     except subprocess.TimeoutExpired:
         return True
     return done.returncode != 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="+", help="module names under src/vcslab, without .py")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per suite run")
-    parser.add_argument("--workdir", help="where to copy the repository (default: a temporary directory)")
-    args = parser.parse_args(argv)
-
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="mutants-")) / "repo"
-    if workdir.exists():
-        shutil.rmtree(workdir)
-    shutil.copytree(ROOT, workdir, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", "out"))
-    if _run_suite(workdir, args.timeout):
+def _mutate(workdir: Path, modules: list[str]) -> int:
+    """Run every mutant of each of ``modules`` in the copy at ``workdir``."""
+    if _run_suite(workdir):
         print("the unmutated suite fails: no mutant can be judged", file=sys.stderr)
         return 1
 
     totals = []
-    for module in args.modules:
+    for module in modules:
         path = workdir / "src" / "vcslab" / f"{module}.py"
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
         sites = list(_sites(tree))
         killed = 0
-        try:
-            for index, (lineno, change, _) in enumerate(sites):
-                mutant = copy.deepcopy(tree)
-                list(_sites(mutant))[index][2]()
-                path.write_text(ast.unparse(mutant) + "\n", encoding="utf-8")
-                dead = _run_suite(workdir, args.timeout)
-                killed += dead
-                print(f"{'KILLED  ' if dead else 'SURVIVED'} {module}.py:{lineno}  {change}", flush=True)
-        finally:
-            path.write_text(source, encoding="utf-8")
+        for index, (lineno, change, _) in enumerate(sites):
+            mutant = copy.deepcopy(tree)
+            list(_sites(mutant))[index][2]()
+            path.write_text(ast.unparse(mutant) + "\n", encoding="utf-8")
+            dead = _run_suite(workdir)
+            killed += dead
+            print(f"{'KILLED  ' if dead else 'SURVIVED'} {module}.py:{lineno}  {change}", flush=True)
+        path.write_text(source, encoding="utf-8")
         totals.append((module, len(sites), killed))
 
     print("\n| module | mutants | killed | survived |\n| --- | --- | --- | --- |")
     for module, count, killed in totals:
         print(f"| `{module}.py` | {count} | {killed} | {count - killed} |")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("modules", nargs="+", help="module names under src/vcslab, without .py")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        workdir = Path(scratch) / "repo"
+        shutil.copytree(ROOT, workdir, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", "out"))
+        return _mutate(workdir, args.modules)
 
 
 if __name__ == "__main__":
