@@ -42,13 +42,13 @@ value = moments.cesaro_phase_average(np.array([theta]), horizon, 1e-3)[0]
 print(f"\nphase-average oracle: {value:.6e} vs sinc {np.sin(theta*horizon)/(theta*horizon):.6e}")
 
 # --- the zero-regulator failure ----------------------------------------------
-zero_ground = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
-flat = [moments.MomentWeight.gamma_family(1.0)] * 2
-# the delta family with no regulator given: its regulator is zero
-entry = moments.cross_entry(vcs.coherent_family("delta", zero_ground), flat, n_nodes=40)
-print("\nregulator   horizon   cross-entry magnitude")
+# the ground-ground cross entry is the product of the two zeroth weight
+# moments (1 for every verified weight) times the phase average at its
+# frequency difference, -2 delta for the delta family's equal grounds
+zero_ground = vcs.coherent_family("delta", [spectra.linear_sequence(16), spectra.linear_sequence(16)])
+print("\nregulator   horizon   cross-entry phase average")
 for delta in (0.0, 0.5):
     for horizon in (1e2, 1e4):
-        report = entry.report(horizon, delta)
-        print(f"{delta:>6.1f}   {horizon:>8.0e}   {report.magnitude:.6e}")
+        average = moments.cross_phase_average(zero_ground, horizon, delta)
+        print(f"{delta:>6.1f}   {horizon:>8.0e}   {average:.6e}")
 print("(at zero regulator the entry is frozen at 1; any positive value decays)")

@@ -2,9 +2,10 @@
 
 Replacing h by f(h) inside the companion construction produces an operator
 with spectrum f(e_n).  Does f(companion of h) equal companion of f(h)?  A
-sufficient condition is the projection identity (x N1^-1 x+) h^l x = h^l x;
-the probes below gather numerical evidence on the ladder cases, where the
-equality holds even though the range of x misses the two lowest levels.
+sufficient condition is the projection identity (x N1^-1 x+) h^l x = h^l x.
+With a diagonal h and a one-diagonal x it holds level by level, so the
+probes below compare the two companions directly on the ladder cases, where
+the equality holds even though the range of x misses the two lowest levels.
 """
 
 import numpy as np
@@ -38,10 +39,8 @@ print("  f(t)=t^2 companion equals (N+2)^2 to",
 probe = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([0, 0, 1]))
 print(f"  map-equality probe residual: {probe:.1e} (max-norm over the window)")
 
-check = intertwine.projection_identity_check(problem, l_max=4)
-print(f"  projection-identity residuals by order: "
-      f"{['%.1e' % r for r in check.order_residuals]}")
-print(f"  range deficiency on the window: {check.rank_deficiency} "
+projector = (problem.x @ problem.n1_inverse @ problem.x.adjoint()).blocks[0][window]
+print(f"  x N1^-1 x+ on the window: {projector[:4]} ... "
       "(the two lowest levels are orthogonal to Ran(x))")
 
 # --- deformed ladder ----------------------------------------------------------
@@ -59,6 +58,5 @@ print(f"deformed map-equality probe residual: {probe_q:.1e}")
 
 # --- invertible intertwiner: the sufficient condition holds trivially ----------
 problem_i = IntertwiningProblem(h=problem.h, x=BlockOperator([1.0 + n_op]))
-check_i = intertwine.projection_identity_check(problem_i, l_max=4)
-print(f"\ninvertible x = 1 + N: deficiency {check_i.rank_deficiency}, "
-      f"projection-identity residuals {['%.1e' % r for r in check_i.order_residuals]}")
+probe_i = intertwine.power_series_equality_probe(problem_i, SpectralMap.polynomial([0, 0, 1]))
+print(f"\ninvertible x = 1 + N: map-equality probe residual {probe_i:.1e}")

@@ -48,7 +48,7 @@ from .moments import (
     MomentWeight,
     verify_moments,
     resolution_assembly,
-    cross_entry,
+    cross_phase_average,
     cesaro_phase_average,
 )
 from .intertwine import (
@@ -59,7 +59,6 @@ from .intertwine import (
     example_problem,
     h_tau_residual,
     power_series_equality_probe,
-    projection_identity_check,
     ladder_problem,
     ladder_closed_forms,
     grid_partner_comparison,

@@ -43,7 +43,6 @@ __all__ = [
     "example_problem",
     "h_tau_residual",
     "power_series_equality_probe",
-    "projection_identity_check",
     "ladder_problem",
     "ladder_closed_forms",
     "grid_partner_comparison",
@@ -258,51 +257,6 @@ def power_series_equality_probe(problem: IntertwiningProblem, f: SpectralMap) ->
     """
     diff = apply_map(f, construct_companion(problem)) - construct_companion(problem, f)
     return diff.max_abs(problem.keep)
-
-
-@dataclass(frozen=True)
-class ProjectionIdentityReport:
-    """Per-order residuals of ``(x N1^-1 x+) h^l x phi = h^l x phi``.
-
-    ``rank_deficiency[j]`` counts window directions of sector ``j`` missing
-    from the range of ``x`` (diagnostic for the sufficient-condition
-    hypothesis; the probe itself decides nothing).
-    """
-
-    order_residuals: tuple
-    rank_deficiency: tuple
-
-
-def projection_identity_check(
-    problem: IntertwiningProblem, l_max: int = 4
-) -> ProjectionIdentityReport:
-    """Probe the sufficient condition for the power-series equality.
-
-    Residuals are relative (scaled by ``||h^l x phi||``) over window basis
-    vectors.  Also reports the per-sector numerical rank deficiency of ``x``
-    restricted to the window, read off its window weights (the singular
-    values of a weighted shift).  The projector ``x N1^-1 x+`` and ``h`` are
-    both diagonal, so they commute exactly.
-    """
-    keep = problem.keep
-    proj = problem.x @ problem.n1_inverse @ problem.x.adjoint()
-
-    # x e_n is one entry x_n at level n + k; h^l and the diagonal projector
-    # scale it there
-    k = problem.x.offset
-    sources = np.arange(max(0, -k), min(keep, problem.h.space.dim - max(0, k)))
-    p = proj.blocks.real[:, sources + k]
-    h = problem.h.blocks.real[:, sources + k]
-    x = problem.x.blocks[:, : sources.size]  # sources start at x's first source level
-    residuals = []
-    for l in range(l_max + 1):
-        v = np.abs(h**l * x)
-        residuals.append(float(np.max(np.abs(p - 1.0) * v / np.maximum(v, 1.0), initial=0.0)))
-
-    svals = np.abs(problem.x.window(keep))
-    floor = 1e-10 * np.maximum(np.max(svals, axis=1, initial=0.0), 1.0)
-    deficiency = [keep - int(r) for r in np.sum(svals > floor[:, None], axis=1)]
-    return ProjectionIdentityReport(order_residuals=tuple(residuals), rank_deficiency=tuple(deficiency))
 
 
 def ladder_problem(dim: int, q: float = 1.0) -> IntertwiningProblem:

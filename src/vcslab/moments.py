@@ -12,8 +12,12 @@ sum as the literal tensor-product quadrature, reorganized).
 
 Only the phase average depends on the horizon.  A run therefore computes the
 Gauss-Laguerre rule, the moment verification and the half-moments once
-(:func:`resolution_assembly`, or :func:`cross_entry` for the zero-regulator
-entry) and applies the phase average of each horizon to that (``report``).
+(:func:`resolution_assembly`) and applies the phase average of each horizon
+to that (``report``).  The zero-regulator demonstration needs no quadrature:
+the ground-ground cross entry is the product of two zeroth moments, which
+``moment-verification`` checks, times its phase average
+(:func:`cross_phase_average`), and only that factor depends on the regulator
+and the horizon.
 """
 
 from __future__ import annotations
@@ -32,11 +36,9 @@ __all__ = [
     "MomentWeight",
     "ResolutionReport",
     "ResolutionAssembly",
-    "CrossEntryReport",
-    "CrossEntry",
     "verify_moments",
     "resolution_assembly",
-    "cross_entry",
+    "cross_phase_average",
     "cesaro_phase_average",
 ]
 
@@ -137,18 +139,12 @@ class ResolutionReport:
     """Off-diagonal deviation of the assembled identity candidate from the
     identity at one horizon: phase-average-limited, it decays like
     ``1/(horizon * gap)``.  It restricts to levels whose moments were
-    checked.  ``n_samples`` counts the points of the uniform phase grid, and
-    ``moment_errors`` holds each sector's worst relative moment error, for
-    the caller to judge.
+    checked.  ``n_samples`` counts the points of the uniform phase grid.
     """
 
     gamma_horizon: float
     n_samples: int
-    n_nodes: int
-    k_check: int
     offdiag_error: float
-    hermiticity_defect: float
-    moment_errors: tuple
 
 
 def _phase_step(freqs, gamma_horizon: float) -> tuple:
@@ -156,12 +152,6 @@ def _phase_step(freqs, gamma_horizon: float) -> tuple:
     fastest = max(float(np.abs(freqs).max()), 1e-9)
     step = np.pi / (8.0 * fastest)
     return step, max(16, math.ceil(2.0 * gamma_horizon / step))
-
-
-def _run_quadratures(weights, n_nodes: int) -> list:
-    """Every weight's nodes and weights from one Gauss-Laguerre rule."""
-    rule = laggauss(n_nodes)
-    return [w.quadrature(rule) for w in weights]
 
 
 def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
@@ -207,7 +197,6 @@ class ResolutionAssembly:
     moments were checked.  :meth:`report` applies the phase average of one
     horizon."""
 
-    n_nodes: int
     k_check: int
     moment_errors: tuple
     diag_error: float
@@ -228,15 +217,7 @@ class ResolutionAssembly:
         _, m = _phase_step(self.freqs, gamma_horizon)
         dev = candidate[np.ix_(self.window, self.window)]
         np.fill_diagonal(dev, 0.0)
-        return ResolutionReport(
-            gamma_horizon=gamma_horizon,
-            n_samples=m + 1,
-            n_nodes=self.n_nodes,
-            k_check=self.k_check,
-            offdiag_error=float(np.abs(dev).max()),
-            hermiticity_defect=float(np.abs(candidate - candidate.T.conj()).max()),
-            moment_errors=self.moment_errors,
-        )
+        return ResolutionReport(gamma_horizon, m + 1, float(np.abs(dev).max()))
 
 
 def resolution_assembly(
@@ -248,21 +229,19 @@ def resolution_assembly(
 
     The phases are the family's own frequencies.  A delta family built
     without a regulator (``delta = 0``) does not resolve the identity, which
-    :func:`cross_entry` demonstrates.
+    :func:`cross_phase_average` demonstrates.
     """
     seqs = family.seqs
     dim = seqs[0].dim
     k_check = dim - 1 if k_check is None else k_check
-    quadratures = _run_quadratures(weights, n_nodes)
-    moment_errors = tuple(
-        float(verify_moments(q, s, k_check).max())
-        for w, s, q in zip(weights, seqs, quadratures)
-    )
+    # every weight's nodes and weights from one Gauss-Laguerre rule
+    rule = laggauss(n_nodes)
+    quadratures = [w.quadrature(rule) for w in weights]
+    moment_errors = tuple(float(verify_moments(q, s, k_check).max()) for s, q in zip(seqs, quadratures))
     # the levels whose moments were checked, in every sector
     window = np.tile(np.arange(dim) <= k_check, len(seqs))
     phase_free = _phase_free_candidate(seqs, quadratures)
     return ResolutionAssembly(
-        n_nodes=n_nodes,
         k_check=k_check,
         moment_errors=moment_errors,
         diag_error=float(np.abs(np.diag(phase_free)[window] - 1.0).max()),
@@ -272,56 +251,19 @@ def resolution_assembly(
     )
 
 
-@dataclass(frozen=True)
-class CrossEntryReport:
-    """The ground-ground cross-sector entry of the delta-family assembly.
+def cross_phase_average(family: CoherentFamily, gamma_horizon: float, delta: float = 0.0) -> float:
+    """The phase average over ``[-gamma_horizon, gamma_horizon]``, on the
+    assembly's step, at the frequency difference of the ground-ground cross
+    entry ``[0, dim]`` of a two-sector family rebuilt at regulator ``delta``.
 
-    At ``delta = 0`` its phase frequency vanishes exactly, so the entry is
-    the bare product of the zeroth weight moments: order one, independent of
-    the horizon.  For ``delta > 0`` the same entry is suppressed by the phase
-    average of ``exp(-2 i delta gamma)`` and decays like ``1/horizon``.
+    The entry is this factor times the product of the two zeroth weight
+    moments.  For the delta family's equal grounds the difference is
+    ``-2 delta``: at ``delta = 0`` the factor is exactly 1 at every horizon,
+    so the entry survives the phase average at full strength; for
+    ``delta > 0`` it decays like ``1/horizon``.
     """
-
-    magnitude: float
-    j_integral: float
-    cesaro_factor: float
-    delta: float
-    gamma_horizon: float
-
-
-@dataclass(frozen=True, eq=False)
-class CrossEntry:
-    """The ground-ground cross entry ``[0, dim]`` of a two-sector family's
-    assembly before its phase average, built once per run by
-    :func:`cross_entry`: the product ``j_integral`` of the two zeroth weight
-    moments.  The rest of the candidate is never formed."""
-
-    family: CoherentFamily
-    j_integral: float
-
-    def report(self, gamma_horizon: float, delta: float = 0.0) -> CrossEntryReport:
-        """The entry at regulator ``delta``: ``j_integral`` times the phase
-        average at the entry's frequency difference (``-2 delta`` for the
-        delta family's equal grounds), on the assembly's step."""
-        freqs = replace(self.family, delta=delta).frequencies.ravel()
-        step, _ = _phase_step(freqs, gamma_horizon)
-        dim = self.family.shape[1]
-        cesaro = float(cesaro_phase_average(freqs[0] - freqs[dim], gamma_horizon, step))
-        return CrossEntryReport(
-            magnitude=abs(self.j_integral * cesaro),
-            j_integral=self.j_integral,
-            cesaro_factor=cesaro,
-            delta=delta,
-            gamma_horizon=gamma_horizon,
-        )
-
-
-def cross_entry(family: CoherentFamily, weights, n_nodes: int = 40) -> CrossEntry:
-    """The cross entry of a two-sector family, the delta family's for the
-    regulator-failure demo, from one ``n_nodes``-point rule: the product of
-    the two zeroth weight moments, exact for any rule.  Its report sets the
-    regulator."""
     if family.shape[0] != 2:
         raise RegimeError(f"the cross entry is two-sector, got {family.shape[0]} sectors")
-    zeros = [float(wq.sum()) for _, wq in _run_quadratures(weights, n_nodes)]
-    return CrossEntry(family, zeros[0] * zeros[1])
+    freqs = replace(family, delta=delta).frequencies.ravel()
+    step, _ = _phase_step(freqs, gamma_horizon)
+    return float(cesaro_phase_average(freqs[0] - freqs[family.shape[1]], gamma_horizon, step))

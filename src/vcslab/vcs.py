@@ -201,7 +201,7 @@ def coherent_family(
     The delta family takes two spectra with ground level exactly zero and a
     regulator ``delta > 0``; with ``delta=None`` the regulator is zero and
     not checked, the case where the family fails to resolve the identity
-    (:func:`~vcslab.moments.cross_entry`).  The shift family ignores
+    (:func:`~vcslab.moments.cross_phase_average`).  The shift family ignores
     ``delta`` and takes one spectrum, or several with strictly positive
     ground levels that are pairwise disjoint (one O(D log D) scan per pair).
     All spectra share one truncation.  Messages name spectrum ``j`` as

@@ -92,10 +92,22 @@ MALFORMED = [
     ("domain-one-entry", small_grid_config(domain=[1]), "params.domain"),
     ("map-coeffs-text", small_grid_config(map_coeffs=["a"]), "params.map_coeffs[0]"),
     ("map-coeffs-null", small_grid_config(map_coeffs=None), "params.map_coeffs"),
+    # keys of the retired checks that no config could move: unknown now
+    ("l-max-removed", {"kind": "map-equality-probe", "dim": 8, "params": {"l_max": 4}}, "['l_max'] in params"),
     (
-        "l-max-negative",
-        {"kind": "map-equality-probe", "dim": 8, "params": {"l_max": -1}},
-        "params.l_max",
+        "order-tolerance-removed",
+        {"kind": "map-equality-probe", "dim": 8, "tolerances": {"order": 1e-10}},
+        "['order'] in tolerances",
+    ),
+    (
+        "hermiticity-tolerance-removed",
+        {**small_resolution_config(), "tolerances": {"hermiticity": 1e-12}},
+        "['hermiticity'] in tolerances",
+    ),
+    (
+        "entry-drift-tolerance-removed",
+        {**small_resolution_config(delta=0.0), "tolerances": {"entry_drift": 0.05}},
+        "['entry_drift'] in tolerances",
     ),
     ("q-above-one", {"kind": "map-equality-probe", "dim": 8, "params": {"q": 2.0}}, "params.q"),
     (
@@ -160,6 +172,17 @@ MALFORMED = [
         "map-probe-with-spectra",
         {"kind": "map-equality-probe", "dim": 8, "spectra": [{"form": "linear"}]},
         "spectra is not read",
+    ),
+    # the witness's j is bounded as j_max is; both raised at run time and exited 1
+    (
+        "witness-j-negative",
+        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [-1.0]}),
+        "params.witness.j[0]",
+    ),
+    (
+        "witness-j-above-top-level",
+        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [60.0]}),
+        "params.witness.j[0]",
     ),
     (
         "witness-dim-too-small",

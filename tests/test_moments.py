@@ -1,8 +1,10 @@
 import math
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 from numpy.polynomial.laguerre import laggauss
 
 from vcslab import config, errors, moments, spectra, vcs
@@ -138,8 +140,10 @@ class TestResolutionCheck:
         report = assembly.report(1e4)
         assert assembly.diag_error <= 1e-8
         assert report.offdiag_error <= 1e-2
-        assert report.hermiticity_defect <= 1e-12
-        assert report.k_check == 15
+        # the phase-free part is symmetric and the phase average even in theta
+        candidate = assembly.candidate(1e4)
+        np.testing.assert_array_equal(candidate, candidate.T)
+        assert assembly.k_check == 15
 
     def test_offdiag_shrinks_with_horizon(self):
         assembly = moments.resolution_assembly(vcs.eds_family(eds_pair()), eds_weights(), 40)
@@ -190,8 +194,7 @@ class TestResolutionCheck:
         # caller's moment-verification check to reject
         seqs = eds_pair()
         weights = [moments.MomentWeight.gamma_family(2.0)] * 2  # wrong scales
-        report = assembled("eds", seqs, weights).report(1e4)
-        assert min(report.moment_errors) > 1e-8
+        assert min(assembled("eds", seqs, weights).moment_errors) > 1e-8
 
     def test_too_few_nodes_fail_moment_verification(self):
         # the config rejects n_nodes below k_check / 2 + 1 at parse time; a
@@ -253,57 +256,84 @@ class TestLiteralAssemblyOracle:
 
 
 class TestDeltaZeroFailure:
-    def seqs_and_weights(self, dim=16):
+    """The phase average of the delta family's ground-ground cross entry."""
+
+    def family(self, dim=16, delta=None):
         seqs = [spectra.linear_sequence(dim), spectra.linear_sequence(dim)]
-        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
-        return seqs, weights
+        return vcs.coherent_family("delta", seqs, delta)
 
-    def entry(self, dim=16, n_nodes=40):
-        """The cross entry of the delta family at zero regulator."""
-        seqs, weights = self.seqs_and_weights(dim)
-        return moments.cross_entry(vcs.coherent_family("delta", seqs), weights, n_nodes)
+    def demo(self, **params):
+        """The shipped demo bundle as a mapping, with ``params`` overridden."""
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "delta-zero-failure.yaml").read_text())
+        raw["params"].update(params)
+        return raw
 
-    def test_cross_entry_is_order_one_and_horizon_stable(self):
-        entry = self.entry()
-        mags = [entry.report(horizon).magnitude for horizon in (1e2, 1e4)]
-        assert mags[0] == pytest.approx(1.0, abs=1e-10)
-        assert abs(mags[1] - mags[0]) / mags[0] < 0.05
+    def test_zero_regulator_average_is_one(self):
+        family = self.family()
+        assert [moments.cross_phase_average(family, h) for h in (1e2, 1e4)] == [1.0, 1.0]
 
     def test_positive_delta_restores_decay(self):
-        entry = self.entry()
-        mags = [entry.report(horizon, delta=0.5).magnitude for horizon in (1e2, 1e4)]
+        family = self.family()
+        mags = [abs(moments.cross_phase_average(family, h, 0.5)) for h in (1e2, 1e4)]
         # envelope of the phase average decays like 1/horizon
         assert 50 < mags[0] / mags[1] < 200
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_entry_without_the_overflowing_assembly(self, delta):
         # at dim 160 with 82 nodes the half moments of the full assembly
-        # overflow; the entry itself needs only the zeroth moments
-        seqs, weights = self.seqs_and_weights(160)
+        # overflow; the entry is its zeroth moments times the phase average
+        seqs = self.family(160).seqs
         rule = laggauss(82)
+        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
         with np.errstate(all="ignore"):
             phase_free = moments._phase_free_candidate(seqs, [w.quadrature(rule) for w in weights])
         assert np.isinf(phase_free).any()
         # the delta family's frequencies: -(e1[n] + delta), then +(e2[n] + delta)
         freqs = np.concatenate([-(seqs[0].values + delta), seqs[1].values + delta])
         step, _ = moments._phase_step(freqs, 1e4)
-        entry = phase_free[0, 160] * moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, step)
+        average = moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, step)
         with np.errstate(over="raise", invalid="raise"):
-            report = self.entry(160, 82).report(1e4, delta)
-        assert report.magnitude == pytest.approx(abs(entry), rel=1e-15)
+            assert moments.cross_phase_average(self.family(160), 1e4, delta) == average
+        assert phase_free[0, 160] == pytest.approx(1.0, rel=1e-15)
 
     def test_entry_needs_two_sectors(self):
         family = vcs.eds_family([spectra.linear_sequence(16)])
         with pytest.raises(errors.RegimeError, match="two-sector, got 1"):
-            moments.cross_entry(family, [moments.MomentWeight.gamma_family(1.0)])
+            moments.cross_phase_average(family, 1e2)
 
-    def test_entry_factorizes(self):
-        entry = self.entry()
-        for delta in (0.0, 0.5):
-            report = entry.report(1e3, delta)
-            assert report.magnitude == pytest.approx(
-                abs(report.j_integral * report.cesaro_factor), rel=1e-12
-            )
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    def test_average_is_the_assemblys_at_the_cross_entry(self, delta):
+        # the assembly of the family at regulator delta applies this factor
+        # to its ground-ground cross entry
+        family = self.family(delta=delta or None)
+        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
+        assembly = moments.resolution_assembly(family, weights, 40)
+        for horizon in (1e2, 1e3):
+            average = moments.cross_phase_average(family, horizon, delta)
+            assert assembly.candidate(horizon)[0, 16] == assembly.phase_free[0, 16] * average
+
+    def test_decay_factor_is_a_ratio_of_magnitudes(self):
+        # at delta 0.5 the averages at horizons 1e2 and 1e3 have opposite
+        # signs, and the factor divides the first horizon's by the last's
+        cfg = config.parse_config(self.demo(horizons=[1000.0, 100.0]))
+        averages = [moments.cross_phase_average(cfg.family, h, 0.5) for h in (100.0, 1000.0)]
+        assert averages[0] * averages[1] < 0
+        report, _ = run_experiment(cfg)
+        assert report.checks[0].value == abs(averages[0]) / abs(averages[1])
+
+    @pytest.mark.parametrize("dim, n_nodes", [(640, 321), (4096, 2049)])
+    def test_demo_is_finite_at_large_dims(self, dim, n_nodes):
+        # n_nodes at the floor the config asks for; the demo builds no rule,
+        # so laggauss's NaN weights from 187 nodes on cannot reach it
+        raw = {**self.demo(n_nodes=n_nodes), "dim": dim}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report, _ = run_experiment(config.parse_config(raw))
+        assert [c.name for c in report.checks] == [
+            "regulated-entry-decay-factor",
+            "regulated-entry-decay-factor-ceiling",
+        ]
+        assert all(math.isfinite(c.value) and c.passed for c in report.checks)
 
 
 @pytest.mark.parametrize("bundle", ["resolution-eds", "resolution-delta", "delta-zero-failure"])
@@ -318,35 +348,26 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
     monkeypatch.setattr(moments, "laggauss", counting)
     cfg = config.load_bundled(bundle)
     p, seqs = cfg.params, cfg.spectra
+    # the zero-regulator demo reads no quadrature at all
+    rules = [] if bundle == "delta-zero-failure" else [p.n_nodes]
     report, tables = run_experiment(cfg)
-    assert calls == [p.n_nodes]
+    assert calls == rules
     again, _ = run_experiment(cfg)
-    assert calls == [p.n_nodes] * 2  # no rule outlives its run
+    assert calls == rules * 2  # no rule outlives its run
     values = {c.name: c.value for c in report.checks}
     assert values == {c.name: c.value for c in again.checks}
 
     # the same bits as building everything again at every horizon
-    weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
     horizons = sorted(p.horizons)
-
-    if bundle == "delta-zero-failure":
-        ends = (horizons[0], horizons[-1])
-
-        def entry(horizon, delta=0.0):
-            return moments.cross_entry(cfg.family, weights, p.n_nodes).report(horizon, delta)
-
-        first, last = (entry(h) for h in ends)
-        probes = [entry(h, p.delta_probe) for h in ends]
-        drift = abs(last.magnitude - first.magnitude) / first.magnitude
-        assert values["cross-entry-magnitude"] == last.magnitude
-        assert values["cross-entry-horizon-drift"] == drift
-        assert values["regulated-entry-decay-factor"] == probes[0].magnitude / probes[1].magnitude
+    if not rules:
+        probes = [abs(moments.cross_phase_average(cfg.family, h, p.delta_probe)) for h in horizons]
+        assert values["regulated-entry-decay-factor"] == probes[0] / probes[-1]
         return
+    weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
     assemblies = [moments.resolution_assembly(cfg.family, weights, p.n_nodes, p.k_check) for _ in horizons]
     per_horizon = [a.report(h) for a, h in zip(assemblies, horizons)]
-    assert values["moment-verification"] == max(max(r.moment_errors) for r in per_horizon)
+    assert values["moment-verification"] == max(max(a.moment_errors) for a in assemblies)
     assert values["diagonal-residual"] == max(a.diag_error for a in assemblies)
-    assert values["assembly-hermiticity"] == max(r.hermiticity_defect for r in per_horizon)
     rows = [
         f"{r.gamma_horizon:.17g}\t{a.diag_error:.17g}\t{r.offdiag_error:.17g}"
         for a, r in zip(assemblies, per_horizon)
