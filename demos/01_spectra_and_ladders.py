@@ -1,13 +1,14 @@
 """Spectra and ladder realizations.
 
 Builds eigenvalue sequences (equally spaced, deformed, explicit), shifts them
-to zero ground level, inspects factorial products and convergence radii, and
-realizes the phase-twisted lowering operators on the two-sector space.
+to zero ground level, inspects factorial products and the intensities whose
+coefficient series a truncation controls, and realizes the phase-twisted
+lowering operators on the two-sector space.
 """
 
 import numpy as np
 
-from vcslab import spectra, hilbert
+from vcslab import errors, spectra, hilbert, vcs
 
 # --- eigenvalue sequences ----------------------------------------------------
 linear = spectra.linear_sequence(12, omega=1.0, offset=0.3)
@@ -25,10 +26,15 @@ print("\nshifted values:   ", np.round(shifted.values[:6], 3), "...")
 print("running products: ", np.round(cache.products[:6], 3), "...")
 print("log-domain column:", np.round(cache.log_products[:6], 3), "...")
 
-# the convergence radius is guessed from the tail increments
-for name, seq in (("linear", linear), ("deformed q=0.5", spectra.quon_sequence(50, 0.5))):
-    estimate = spectra.radius_estimate(seq)
-    print(f"radius estimate [{name}]: flag={estimate.flag} limit={estimate.limit}")
+# the series sum J^k / e~[k]! is bounded for J below the top shifted level
+# e~[D-1], never above the radius lim e~[n]; from there on no bound exists
+bounded = spectra.shift(spectra.quon_sequence(50, 0.5))  # radius 2
+for j in (1.9, 2.5):
+    try:
+        value, tail = vcs.series_norm(bounded, j)
+        print(f"deformed q=0.5 series at J={j}: {value:.6f}, tail bound {tail:.2e}")
+    except errors.TailTooLargeError as exc:
+        print(f"deformed q=0.5 series at J={j}: {exc}")
 
 # disjointness scan between two spectra
 other = spectra.linear_sequence(12, omega=np.sqrt(2.0), offset=0.55)
@@ -53,7 +59,7 @@ print("B+B diagonal head:", np.round(diag[:6], 3))
 
 # plain and deformed single-sector ladders: their commutation relations
 # hold exactly below the top level
-boson = hilbert.boson_ladder(8)
+boson = hilbert.quon_ladder(8, 1.0)
 quon = hilbert.quon_ladder(8, 0.5)
 commutator = (boson @ boson.adjoint() - boson.adjoint() @ boson).blocks[0] - 1.0
 qmutator = (quon @ quon.adjoint()).blocks[0] - 0.5 * (quon.adjoint() @ quon).blocks[0] - 1.0

@@ -16,7 +16,7 @@ eds_seqs = [
     spectra.linear_sequence(dim, np.sqrt(2.0), offset=0.55),
 ]
 
-family = vcs.eds_family(eds_seqs)
+family = vcs.coherent_family("eds", eds_seqs)
 intensities, gamma = (1.5, 2.5), 0.8
 state = family.states([intensities], [gamma])  # one row: one state
 c = state.coefficients[0].ravel()
@@ -43,14 +43,14 @@ witness_seqs = [
     spectra.quon_sequence(50, 0.5, offset=0.3),
     spectra.quon_sequence(50, 0.7, offset=0.55),
 ]
-w_family = vcs.eds_family(witness_seqs)
+w_family = vcs.coherent_family("eds", witness_seqs)
 w_state = w_family.states([(1.0, 1.0)], [0.4])
 mismatched = vcs.eigenstate_residuals(w_state, w_family.lowering_weights([1.4]))[0]
 print(f"eigenstate residual (mismatched phase, nonlinear spectra): {mismatched:.2e}")
 
 # --- the regulated family ----------------------------------------------------
 zero_ground = [spectra.linear_sequence(dim), spectra.linear_sequence(dim, np.sqrt(2.0))]
-d_family = vcs.delta_family(zero_ground, delta=0.5)
+d_family = vcs.coherent_family("delta", zero_ground, delta=0.5)
 d_state = d_family.states([(1.0, 2.0)], [0.7])
 print(f"\nregulated-family state: norm = {np.linalg.norm(d_state.coefficients[0]):.15f}")
 # its lowering operator twists the two sectors with opposite phase signs

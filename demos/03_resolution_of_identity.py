@@ -27,7 +27,7 @@ errs = moments.verify_moments(weights[0].quadrature(laggauss(40)), seqs[0], k_ma
 print("moment verification, sector 0, max relative error:", f"{errs.max():.2e}")
 
 # the horizon-independent work (rule, moments, half-moments) is done once
-assembly = moments.resolution_assembly(vcs.eds_family(seqs), weights, n_nodes=40)
+assembly = moments.resolution_assembly(vcs.coherent_family("eds", seqs), weights, n_nodes=40)
 # the phase average is 1 on the diagonal, so the diagonal error is the same
 # at every horizon: the quadrature floor
 print(f"\ndiagonal error (every horizon): {assembly.diag_error:.3e}")

@@ -6,13 +6,16 @@ sufficient condition is the projection identity (x N1^-1 x+) h^l x = h^l x.
 With a diagonal h and a one-diagonal x it holds level by level, so the
 probes below compare the two companions directly on the ladder cases, where
 the equality holds even though the range of x misses the two lowest levels.
+A map is any real callable on arrays; the polynomial ones here are numpy's
+Polynomial, with coefficients lowest order first.
 """
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from vcslab import hilbert, intertwine
 from vcslab.hilbert import BlockOperator
-from vcslab.intertwine import IntertwiningProblem, SpectralMap
+from vcslab.intertwine import IntertwiningProblem
 
 dim = 60
 
@@ -31,12 +34,12 @@ print("  N1 equals N^2+3N+2 to",
 print("  companion equals N+2 to",
       f"{hilbert.max_abs((iso.blocks[0] - (n_op + 2))[window]):.1e}")
 
-squared = intertwine.construct_companion(problem, SpectralMap.polynomial([0, 0, 1]))
+squared = intertwine.construct_companion(problem, Polynomial([0, 0, 1]))
 ref = (n_op + 2) * (n_op + 2)
 print("  f(t)=t^2 companion equals (N+2)^2 to",
       f"{hilbert.max_abs((squared.blocks[0] - ref)[window]):.1e}")
 
-probe = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([0, 0, 1]))
+probe = intertwine.power_series_equality_probe(problem, Polynomial([0, 0, 1]))
 print(f"  map-equality probe residual: {probe:.1e} (max-norm over the window)")
 
 projector = (problem.x @ problem.n1_inverse @ problem.x.adjoint()).blocks[0][window]
@@ -52,11 +55,11 @@ n1_dev, companion_dev = intertwine.ladder_closed_forms(
 print(f"\ndeformed ladder q={q}: closed-form deviations "
       f"N1 {n1_dev:.1e}, companion {companion_dev:.1e}")
 
-f = SpectralMap.polynomial([0.5, 1.0, 0.25])
+f = Polynomial([0.5, 1.0, 0.25])
 probe_q = intertwine.power_series_equality_probe(problem_q, f)
 print(f"deformed map-equality probe residual: {probe_q:.1e}")
 
 # --- invertible intertwiner: the sufficient condition holds trivially ----------
 problem_i = IntertwiningProblem(h=problem.h, x=BlockOperator([1.0 + n_op]))
-probe_i = intertwine.power_series_equality_probe(problem_i, SpectralMap.polynomial([0, 0, 1]))
+probe_i = intertwine.power_series_equality_probe(problem_i, Polynomial([0, 0, 1]))
 print(f"\ninvertible x = 1 + N: map-equality probe residual {probe_i:.1e}")

@@ -19,7 +19,6 @@ from .spectra import (
     shift,
     factorials,
     eds_check,
-    radius_estimate,
 )
 from .hilbert import (
     SectorSpace,
@@ -28,7 +27,6 @@ from .hilbert import (
     GridSpec,
     lowering_operator,
     lowering_weights,
-    boson_ladder,
     quon_ladder,
     grid_ladder,
     shifted_hamiltonian,
@@ -38,8 +36,6 @@ from .vcs import (
     CoherentStates,
     series_norm,
     coherent_family,
-    delta_family,
-    eds_family,
     action_identity_residuals,
     temporal_stability_residuals,
     eigenstate_residuals,
@@ -52,7 +48,6 @@ from .moments import (
     cesaro_phase_average,
 )
 from .intertwine import (
-    SpectralMap,
     IntertwiningProblem,
     construct_companion,
     certify,

@@ -102,7 +102,8 @@ def _built():
 @dataclass(frozen=True, kw_only=True)
 class Witness:
     """``params.witness``: its spectra have its own ``dim`` (default: the config's);
-    ``j`` (1.0 per spectrum) is bounded as ``params.j_max`` is."""
+    ``j`` (1.0 per spectrum) is bounded as ``params.j_max`` is, and is also
+    below the top shifted level itself, since it is the intensity of a state."""
 
     dim: Dim | None = None
     spectra: tuple[SpectralSequence, ...]
@@ -113,6 +114,9 @@ class Witness:
 
     def __post_init__(self):
         j = _per_spectrum(self.j, 1.0, self.spectra, "params.witness.j", "params.witness.spectra")
+        for i, (value, seq) in enumerate(zip(j, self.spectra)):
+            if value == seq.values[-1] - seq.values[0]:
+                raise ConfigError(f"params.witness.j[{i}] {value} reaches its top shifted level: no tail bound")
         object.__setattr__(self, "j", j)
         object.__setattr__(
             self, "built_family", _family("eds", self.spectra, None, "params.witness.spectra")
@@ -182,7 +186,7 @@ class VcsVerifyParams:
 
 @dataclass(frozen=True)
 class ResolutionParams:
-    """``family: delta`` at ``delta: 0`` runs the regulator-failure demo."""
+    """``family: delta`` at ``delta: 0`` runs the regulator-failure demo (:attr:`demo`)."""
 
     TOLERANCES = {
         "moment": 1e-8,
@@ -208,12 +212,20 @@ class ResolutionParams:
     k_check: int | None = None
     delta_probe: Positive = 0.5
 
+    @property
+    def demo(self) -> bool:
+        """Whether the run is the regulator-failure demo, which reads the
+        phase average alone: no quadrature, so no ``n_nodes`` or ``k_check``."""
+        return self.family == "delta" and self.delta == 0.0
+
     def resolve(self, dim, spectra):
         for i, seq in enumerate(spectra):
             gaps = np.diff(seq.values)
             if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
                 raise ConfigError(f"spectra[{i}] is not equally spaced: no closed-form weight")
         _distinct(self.horizons, "params.horizons")
+        if self.demo:
+            return self
         if self.k_check is not None and not 0 <= self.k_check <= dim - 1:
             raise ConfigError(f"params.k_check {self.k_check} outside 0..{dim - 1}")
         k = dim - 1 if self.k_check is None else self.k_check
@@ -227,8 +239,8 @@ class ResolutionParams:
         return self
 
     def coherent_family(self, spectra) -> CoherentFamily:
-        # zero regulator: the failure demo, which needs only the delta family's spectra
-        return _family(self.family, spectra, self.delta or None, "spectra")
+        # the demo's zero regulator is the one the delta family does not check
+        return _family(self.family, spectra, None if self.demo else self.delta, "spectra")
 
 
 # the companion certificate's tolerances: intertwine-example defaults, and fixed for the

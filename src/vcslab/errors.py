@@ -38,7 +38,7 @@ class GridOverflowError(VcsLabError):
 
 
 class OutOfDiscError(VcsLabError):
-    """Intensity J lies outside the convergence disc of the coefficient series."""
+    """A negative intensity J, outside the convergence disc of the coefficient series."""
 
 
 class TailTooLargeError(VcsLabError):

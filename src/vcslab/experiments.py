@@ -14,13 +14,13 @@ import datetime
 import time
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 from . import __version__
 from .config import KINDS, ExperimentConfig
-from .hilbert import GridSpec, BlockOperator, boson_ladder, max_abs, shifted_hamiltonian
+from .hilbert import GridSpec, BlockOperator, max_abs, shifted_hamiltonian
 from .intertwine import (
     IntertwiningProblem,
-    SpectralMap,
     certify,
     construct_companion,
     example_problem,
@@ -117,7 +117,7 @@ def _run_resolution(config: ExperimentConfig, seed: int):
     family = config.family
     horizons = sorted(params.horizons)
 
-    if params.family == "delta" and params.delta == 0.0:
+    if params.demo:
         # regulator-failure demonstration: at zero regulator the ground-ground
         # cross entry's phase average is exactly 1 at every horizon; the
         # probe regulator makes it decay like 1/horizon
@@ -177,7 +177,7 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int):
         # every operator here is diagonal: compare the window diagonals
         n_op = problem.h.blocks[0]
         sub = np.s_[: problem.keep]
-        maps = (None, SpectralMap.polynomial([0, 0, 1]), SpectralMap.exponential())
+        maps = (None, Polynomial([0, 0, 1]), np.exp)
         iso, squared, exponential = companions = [construct_companion(problem, f) for f in maps]
         deviations = ladder_closed_forms(problem, iso, 1.0)
         values += zip(("n1-closed-form", "companion-closed-form"), deviations)
@@ -208,15 +208,14 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int):
     for case in config.params.cases:
         if case == "boson":
             problem = ladder_problem(dim)
-            f = SpectralMap.polynomial([0, 0, 1])
+            f = Polynomial([0, 0, 1])
         elif case == "quon":
             problem = ladder_problem(dim, config.params.q)
-            f = SpectralMap.polynomial([0.5, 1.0, 0.25])
+            f = Polynomial([0.5, 1.0, 0.25])
         else:
-            a = boson_ladder(dim)
-            n_op = a.adjoint() @ a
-            problem = IntertwiningProblem(h=n_op, x=BlockOperator([1.0 + n_op.blocks[0]]))
-            f = SpectralMap.polynomial([0, 0, 1])
+            h = ladder_problem(dim).h  # a+ a on the plain ladder
+            problem = IntertwiningProblem(h=h, x=BlockOperator([1.0 + h.blocks[0]]))
+            f = Polynomial([0, 0, 1])
         values.append((f"map-equality-residual[{case}]", power_series_equality_probe(problem, f)))
     return values, {}
 

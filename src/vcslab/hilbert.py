@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BadDeformationError,
     DimensionMismatchError,
     GridOverflowError,
     LengthMismatchError,
@@ -31,7 +30,6 @@ __all__ = [
     "GridSpec",
     "lowering_operator",
     "lowering_weights",
-    "boson_ladder",
     "quon_ladder",
     "grid_ladder",
     "shifted_hamiltonian",
@@ -315,24 +313,15 @@ def lowering_weights(seqs, gammas) -> np.ndarray:
     return np.sqrt(values[:, 1:]) * np.exp(1j * np.diff(values, axis=1) * gammas)
 
 
-def boson_ladder(dim: int) -> BlockOperator:
-    """Standard Fock lowering operator ``a|n> = sqrt(n)|n-1>`` on one sector.
-
-    On the truncated space ``[a, a+] = 1`` holds exactly below the top level;
-    the top diagonal entry of the commutator is ``-dim`` instead of ``+1``.
-    Built as :func:`quon_ladder` at ``q = 1``, whose ``[n]_1`` is exactly ``n``.
-    """
-    return quon_ladder(dim, 1.0)
-
-
 def quon_ladder(dim: int, q: float) -> BlockOperator:
-    """Deformed lowering operator ``a|n> = sqrt([n]_q)|n-1>`` on one sector.
+    """Deformed lowering operator ``a|n> = sqrt([n]_q)|n-1>`` on one sector,
+    for q in (0, 1] (:func:`~vcslab.spectra.quon_numbers` checks it).
 
-    Satisfies ``a a+ - q a+ a = 1`` exactly below the top level; ``q = 1``
-    is :func:`boson_ladder`.
+    Satisfies ``a a+ - q a+ a = 1`` exactly below the top level.  ``q = 1``
+    is the standard Fock ladder ``a|n> = sqrt(n)|n-1>``, since ``[n]_1`` is
+    exactly ``n``: there ``[a, a+] = 1`` holds below the top level, whose
+    diagonal entry of the commutator is ``-(dim - 1)`` instead of ``+1``.
     """
-    if not (0 < q <= 1):
-        raise BadDeformationError(f"deformation q must lie in (0, 1], got {q}")
     return BlockOperator([np.sqrt(quon_numbers(dim, q)[1:])], -1)
 
 

@@ -5,7 +5,9 @@ Given a Hermitian ``h`` and an operator ``x`` with ``[x x+, h] = 0`` and
 weakly intertwined with ``h``, and carries the eigenvalues of ``h`` on the
 nonzero images ``x+ phi_n``.  Replacing ``h`` by ``f(h)`` for a real map
 ``f`` with a power-series form yields a companion with spectrum ``f(e_n)``
-instead.  In an :class:`IntertwiningProblem` ``x`` is one weighted shift,
+instead; a map is any real callable on arrays, such as a
+``numpy.polynomial.Polynomial`` or ``numpy.exp``.  In an
+:class:`IntertwiningProblem` ``x`` is one weighted shift,
 so ``x x+`` is diagonal, and ``h`` is diagonal, so the commutant hypothesis
 holds by construction; only the invertibility of ``N1`` is checked.
 Everything is verified numerically on the valid window: on the truncated
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, HypothesisViolatedError
+from .errors import DimensionMismatchError, HypothesisViolatedError, VcsLabError
 from .hilbert import (
     WINDOW_BUFFER,
     BlockOperator,
@@ -35,7 +37,6 @@ from .hilbert import (
 from .spectra import shift
 
 __all__ = [
-    "SpectralMap",
     "IntertwiningProblem",
     "Certificate",
     "construct_companion",
@@ -55,30 +56,6 @@ N1_CUTOFF = 1e-10
 
 #: images x+ phi_n shorter than this count as the zero vector
 IMAGE_CUTOFF = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectralMap:
-    """Real function of a real variable with a declared power-series form."""
-
-    kind: str
-    coeffs: tuple | None = None
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "SpectralMap":
-        return cls(kind="polynomial", coeffs=tuple(float(c) for c in coeffs))
-
-    @classmethod
-    def exponential(cls) -> "SpectralMap":
-        return cls(kind="exponential")
-
-    def __call__(self, values):
-        values = np.asarray(values, dtype=float)
-        if self.kind == "polynomial":
-            return np.polynomial.polynomial.polyval(values, self.coeffs)
-        if self.kind == "exponential":
-            return np.exp(values)
-        raise ConfigError(f"unknown spectral map kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +125,9 @@ class Certificate:
     skipped_levels: tuple = ()
 
 
-def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
-    """``f(op)`` of a diagonal Hermitian ``op``: ``f`` of each diagonal entry."""
+def apply_map(f, op: BlockOperator) -> BlockOperator:
+    """``f(op)`` of a diagonal Hermitian ``op``: the real callable ``f``
+    applied once to the array of its diagonal entries."""
     if op.offset != 0:
         raise HypothesisViolatedError(
             f"the mapped operator is a weighted shift at offset {op.offset}, "
@@ -158,22 +136,22 @@ def apply_map(f: SpectralMap, op: BlockOperator) -> BlockOperator:
     return BlockOperator(f(op.blocks.real))
 
 
-def construct_companion(problem: IntertwiningProblem, f: SpectralMap | None = None) -> BlockOperator:
+def construct_companion(problem: IntertwiningProblem, f=None) -> BlockOperator:
     """The companion ``H = N1^-1 (x+ f(h) x)``, uncertified.
 
     With ``f=None`` this is the isospectral construction (``f = id``, ``h``
-    used as it is); otherwise ``f(h)`` is ``f`` of each diagonal entry of
-    ``h``.  :func:`certify` checks the result where a caller reads it.
+    used as it is); otherwise ``f`` is a real callable with a power-series
+    form, and ``f(h)`` is ``f`` of each diagonal entry of ``h``
+    (:func:`apply_map`).  :func:`certify` checks the result where a caller reads it.
     """
     mapped = problem.h if f is None else apply_map(f, problem.h)
     return problem.n1_inverse @ (problem.x.adjoint() @ (mapped @ problem.x))
 
 
-def certify(
-    problem: IntertwiningProblem, companion: BlockOperator, f: SpectralMap | None = None
-) -> Certificate:
+def certify(problem: IntertwiningProblem, companion: BlockOperator, f=None) -> Certificate:
     """The scale-normalized alpha/beta/gamma residuals of ``companion`` as the
-    companion of ``f(h)`` (``f=None``: of ``h``), on the valid window.
+    companion of ``f(h)`` (``f=None``: of ``h``), on the valid window; ``f``
+    is a real callable, as in :func:`construct_companion`.
 
     ``h`` is diagonal, so its eigenvectors are the unit vectors ``e_n`` with
     eigenvalues ``h[n]``, judged on the window levels ``n < keep`` against
@@ -231,7 +209,7 @@ def example_problem(which: int, seqs, gamma: float) -> IntertwiningProblem:
         return IntertwiningProblem(h=bd @ b, x=bd @ bd @ bd)
     if which == 4:
         return IntertwiningProblem(h=bd @ bd @ b @ b, x=bd)
-    raise ConfigError(f"example number must be 1..4, got {which}")
+    raise VcsLabError(f"example number must be 1..4, got {which}")
 
 
 def h_tau_residual(seqs, gamma: float) -> float:
@@ -245,8 +223,9 @@ def h_tau_residual(seqs, gamma: float) -> float:
     return (h_tau - (b.adjoint() @ b)).max_abs()
 
 
-def power_series_equality_probe(problem: IntertwiningProblem, f: SpectralMap) -> float:
-    """Compare ``f(N1^-1 x+ h x)`` with ``N1^-1 x+ f(h) x`` on the window.
+def power_series_equality_probe(problem: IntertwiningProblem, f) -> float:
+    """Compare ``f(N1^-1 x+ h x)`` with ``N1^-1 x+ f(h) x`` on the window,
+    for a real callable ``f`` with a power-series form.
 
     Returns ``max ||P_w (f(H1) - H2) phi|| / ||phi||`` over window-supported
     ``phi``, with ``P_w`` the window projector: the operator norm of the
@@ -573,10 +552,11 @@ def grid_partner_comparison(
 
 
 def fit_power_law(x, y) -> float:
-    """Least-squares exponent p of ``y ~ C x^p`` on log-log axes."""
+    """Least-squares exponent p of ``y ~ C x^p`` on log-log axes; data that
+    are not all positive raise ``VcsLabError``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
-        raise ConfigError("power-law fit needs positive data")
+        raise VcsLabError("power-law fit needs positive data")
     slope, _ = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope)

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from .errors import ConfigError, RegimeError, UnverifiableWeightError
-from .spectra import SpectralSequence, factorials, shift
+from .errors import DimensionMismatchError, RegimeError, UnverifiableWeightError, VcsLabError
+from .spectra import factorials, shift
 from .vcs import CoherentFamily
 
 __all__ = [
@@ -56,7 +56,7 @@ class MomentWeight:
     @classmethod
     def gamma_family(cls, omega: float = 1.0) -> "MomentWeight":
         if not omega > 0:
-            raise ConfigError(f"weight scale must be positive, got {omega}")
+            raise VcsLabError(f"weight scale must be positive, got {omega}")
         return cls(float(omega))
 
     def quadrature(self, rule: tuple):
@@ -75,17 +75,18 @@ def verify_moments(quadrature, seq, k_max: int) -> np.ndarray:
     """Relative errors of a weight's moments against the factorial products.
 
     ``quadrature`` is the weight's nodes and weights (from
-    :meth:`MomentWeight.quadrature`).  ``seq`` may be a spectral sequence
-    (shifted internally) or an already shifted one.  Returns
-    ``errors[k] = |moment_k - e~[k]!| / e~[k]!`` for k = 0..k_max.  A
-    factorial product or a moment that overflows the float range raises
-    ``UnverifiableWeightError``; for a moment, it names the order.  So does
-    a quadrature with non-finite weights (``laggauss`` loses them to
-    overflow from 187 nodes on), before any moment is formed.
+    :meth:`MomentWeight.quadrature`), and ``seq`` a spectral sequence,
+    shifted here.  Returns ``errors[k] = |moment_k - e~[k]!| / e~[k]!`` for
+    k = 0..k_max; a ``k_max`` past the truncation raises
+    ``DimensionMismatchError``.  A factorial product or a moment that
+    overflows the float range raises ``UnverifiableWeightError``; for a
+    moment, it names the order.  So does a quadrature with non-finite
+    weights (``laggauss`` loses them to overflow from 187 nodes on), before
+    any moment is formed.
     """
-    shifted = shift(seq) if isinstance(seq, SpectralSequence) else seq
+    shifted = shift(seq)
     if k_max > shifted.dim - 1:
-        raise ConfigError(f"k_max {k_max} exceeds truncation {shifted.dim - 1}")
+        raise DimensionMismatchError(f"k_max {k_max} exceeds truncation {shifted.dim - 1}")
     reference = factorials(shifted).products[: k_max + 1]
     if not np.all(np.isfinite(reference)):
         raise UnverifiableWeightError(
@@ -118,14 +119,15 @@ def cesaro_phase_average(thetas, horizon: float, step: float):
 
         T(theta) = sinc(theta*horizon) * x*cot(x),   x = theta*s/2
 
-    with ``s`` the realized step.
+    with ``s`` the realized step, which must resolve every frequency
+    (``|x| < pi/2``); a coarser one raises ``VcsLabError``.
     """
     thetas = np.asarray(thetas, dtype=float)
     m = max(16, math.ceil(2.0 * horizon / step))
     s = 2.0 * horizon / m
     x = 0.5 * thetas * s
     if np.abs(x).max() >= 0.5 * np.pi:
-        raise ConfigError(
+        raise VcsLabError(
             f"phase step {s:.3e} does not resolve the fastest frequency "
             f"{np.abs(thetas).max():.3e}; decrease the step"
         )

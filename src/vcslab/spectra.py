@@ -9,18 +9,17 @@ denominators used everywhere else in the library.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeGroundError, NonMonotoneError
+from .errors import BadDeformationError, NegativeGroundError, NonMonotoneError
 
 __all__ = [
     "SpectralSequence",
     "ShiftedSequence",
     "FactorialCache",
     "DisjointnessReport",
-    "RadiusEstimate",
     "make_sequence",
     "linear_sequence",
     "quon_sequence",
@@ -28,7 +27,6 @@ __all__ = [
     "shift",
     "factorials",
     "eds_check",
-    "radius_estimate",
 ]
 
 #: gap below which two eigenvalues count as colliding
@@ -73,18 +71,13 @@ class ShiftedSequence:
     def dim(self) -> int:
         return len(self.values)
 
-    def as_sequence(self) -> SpectralSequence:
-        """The shifted values reinterpreted as a sequence in their own right."""
-        return SpectralSequence(self.values.copy())
-
 
 @dataclass(frozen=True)
 class FactorialCache:
     """Running products ``p[n] = e[1]*e[2]*...*e[n]`` with ``p[0] = 1``.
 
     Kept in both linear and log domain.  The linear entries may overflow to
-    ``inf``; above that point :meth:`log_product` is the authoritative value
-    and :meth:`product` refuses to answer.
+    ``inf``; above that point :meth:`log_product` is the authoritative value.
     """
 
     products: np.ndarray
@@ -93,15 +86,6 @@ class FactorialCache:
     def __post_init__(self):
         object.__setattr__(self, "products", _readonly(self.products))
         object.__setattr__(self, "log_products", _readonly(self.log_products))
-
-    def product(self, n: int) -> float:
-        value = self.products[n]
-        if not np.isfinite(value):
-            raise OverflowError(
-                f"factorial product at n={n} exceeds float range; "
-                "use log_product instead"
-            )
-        return float(value)
 
     def log_product(self, n: int) -> float:
         return float(self.log_products[n])
@@ -115,20 +99,6 @@ class DisjointnessReport:
     min_gap: float
     pair: tuple[int, int]
     tol: float
-
-
-@dataclass(frozen=True)
-class RadiusEstimate:
-    """Advisory guess at ``lim e[n]`` from a finite prefix.
-
-    ``flag`` is one of ``divergent``, ``bounded-suspect`` or
-    ``insufficient-data``; ``limit`` is only set for ``bounded-suspect``.
-    This is a heuristic report, never a hard error.
-    """
-
-    last_value: float
-    flag: str
-    limit: float | None = field(default=None)
 
 
 def make_sequence(values) -> SpectralSequence:
@@ -159,11 +129,14 @@ def linear_sequence(dim: int, omega: float = 1.0, offset: float = 0.0) -> Spectr
 
 
 def quon_numbers(dim: int, q: float) -> np.ndarray:
-    """Deformed integers ``[n]_q`` via the recurrence ``[n+1] = 1 + q*[n]``.
+    """Deformed integers ``[n]_q`` via the recurrence ``[n+1] = 1 + q*[n]``,
+    for q in (0, 1]; any other q raises ``BadDeformationError``.
 
     The recurrence is exact at q = 1 where the closed form (1-q^n)/(1-q)
     degenerates.
     """
+    if not (0 < q <= 1):
+        raise BadDeformationError(f"deformation q must lie in (0, 1], got {q}")
     out = np.empty(dim, dtype=float)
     out[0] = 0.0
     for n in range(1, dim):
@@ -173,8 +146,6 @@ def quon_numbers(dim: int, q: float) -> np.ndarray:
 
 def quon_sequence(dim: int, q: float, omega: float = 1.0, offset: float = 0.0) -> SpectralSequence:
     """Deformed spectrum ``e[n] = omega*[n]_q + offset`` for q in (0, 1]."""
-    if not (0 < q <= 1):
-        raise NonMonotoneError(f"quon spectrum needs q in (0, 1], got {q}")
     return make_sequence(omega * quon_numbers(dim, q) + offset)
 
 
@@ -219,32 +190,3 @@ def eds_check(s1: SpectralSequence, s2: SpectralSequence) -> DisjointnessReport:
     return DisjointnessReport(
         disjoint=min_gap > EDS_TOLERANCE, min_gap=min_gap, pair=(n, m), tol=EDS_TOLERANCE
     )
-
-
-# a last-quartile increment is "bounded away from zero" relative to the
-# largest increment of the whole prefix
-_DIVERGENCE_RATIO = 1e-3
-
-
-def radius_estimate(seq: SpectralSequence) -> RadiusEstimate:
-    """Heuristic divergence flag for the convergence radius ``lim e[n]``.
-
-    The limit is unknowable from a finite prefix; if the increments over the
-    last quartile stay bounded away from zero the sequence is flagged
-    ``divergent``, otherwise ``bounded-suspect`` together with a geometric
-    extrapolation of the limit.
-    """
-    values = seq.values
-    last = float(values[-1])
-    if len(values) < 5:
-        return RadiusEstimate(last_value=last, flag="insufficient-data")
-    d = np.diff(values)
-    quartile = d[-max(1, len(d) // 4):]
-    if quartile.min() > _DIVERGENCE_RATIO * d.max():
-        return RadiusEstimate(last_value=last, flag="divergent")
-    ratio = d[-1] / d[-2]
-    if not (0 < ratio < 1):
-        # erratic tail: treat as divergent rather than guess a limit
-        return RadiusEstimate(last_value=last, flag="divergent")
-    limit = last + d[-1] * ratio / (1.0 - ratio)
-    return RadiusEstimate(last_value=last, flag="bounded-suspect", limit=float(limit))

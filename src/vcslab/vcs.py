@@ -36,15 +36,13 @@ from .errors import (
     TailTooLargeError,
 )
 from .hilbert import WINDOW_BUFFER, BlockOperator, SectorSpace, lowering_weights, weighted_shift, window_levels
-from .spectra import ShiftedSequence, eds_check, radius_estimate, shift
+from .spectra import ShiftedSequence, eds_check, shift
 
 __all__ = [
     "CoherentFamily",
     "CoherentStates",
     "series_norm",
     "coherent_family",
-    "delta_family",
-    "eds_family",
     "action_identity_residuals",
     "temporal_stability_residuals",
     "eigenstate_residuals",
@@ -169,25 +167,21 @@ def series_norm(shifted: ShiftedSequence, j_value):
     bound have its shape.  The tail is bounded geometrically through the
     last term ratio ``r = J / e~[D-1]`` (valid because the shifted values
     increase); the bound is returned, not judged.  Raises ``OutOfDiscError``
-    when an intensity is negative or reaches the estimated convergence radius
-    of a bounded-looking sequence, and ``TailTooLargeError`` when ``r >= 1``,
-    where no geometric bound exists.
+    when an intensity is negative, and ``TailTooLargeError`` when ``r >= 1``,
+    where no geometric bound exists.  That guard alone decides convergence
+    on the truncated space: the series converges for ``J`` below the radius
+    ``lim e~[n]``, which is at least ``e~[D-1]`` since the shifted values
+    increase, so every ``J`` it accepts lies inside the disc.
     """
     j = np.asarray(j_value, dtype=float)
     if np.any(j < 0):
         raise OutOfDiscError(f"intensity must be nonnegative, got {j[j < 0].flat[0]}")
     terms = _series_terms(shifted, j)
-    guess = radius_estimate(shifted.as_sequence())
-    if guess.flag == "bounded-suspect" and np.any(j >= guess.limit):
-        raise OutOfDiscError(
-            f"J={j[j >= guess.limit].flat[0]} is outside the estimated convergence disc "
-            f"(radius ~ {guess.limit:.6g})"
-        )
     ratio = j / shifted.values[-1]
     if np.any(ratio >= 1.0):
         raise TailTooLargeError(
             f"no geometric tail control: J={j[ratio >= 1.0].flat[0]} >= top shifted level "
-            f"{shifted.values[-1]:.6g}; increase the truncation"
+            f"{shifted.values[-1]:.6g}; a larger truncation helps only below the radius lim e~[n]"
         )
     return terms.sum(axis=-1), terms[..., -1] * ratio / (1.0 - ratio)
 
@@ -198,13 +192,23 @@ def coherent_family(
     """The family ``family`` (``"eds"`` or ``"delta"``) on the spectra ``seqs``,
     built once they are checked to suit it.
 
-    The delta family takes two spectra with ground level exactly zero and a
-    regulator ``delta > 0``; with ``delta=None`` the regulator is zero and
-    not checked, the case where the family fails to resolve the identity
-    (:func:`~vcslab.moments.cross_phase_average`).  The shift family ignores
-    ``delta`` and takes one spectrum, or several with strictly positive
-    ground levels that are pairwise disjoint (one O(D log D) scan per pair).
-    All spectra share one truncation.  Messages name spectrum ``j`` as
+    The delta-regularized family takes two spectra with ground level exactly
+    zero and a regulator ``delta > 0``; with ``delta=None`` the regulator is
+    zero and not checked, the case where the family fails to resolve the
+    identity (:func:`~vcslab.moments.cross_phase_average`).  Its sectors
+    carry opposite phase signs::
+
+        c[n,0] = J1^(n/2) exp(-i (e1[n]+delta) gamma) / sqrt(e1[n]! * N)
+        c[n,1] = J2^(n/2) exp(+i (e2[n]+delta) gamma) / sqrt(e2[n]! * N)
+
+    with ``N`` the sum of the two coefficient series.  The shift family
+    ignores ``delta``, and every sector carries the same phase sign::
+
+        c[n,j] = Jj^(n/2) exp(-i ej[n] gamma) / sqrt(e~j[n]! * N~)
+
+    It takes one spectrum (the classic one-Hamiltonian coherent state), or
+    several with strictly positive ground levels that are pairwise disjoint
+    (one O(D log D) scan per pair).  All spectra share one truncation.  Messages name spectrum ``j`` as
     ``{where}[j]`` and the regulator as ``delta_key``, so a config can name
     its own keys.
     """
@@ -244,32 +248,6 @@ def coherent_family(
     if len(dims) != 1:
         raise LengthMismatchError(f"{where}: sector truncations differ: {sorted(dims)}")
     return CoherentFamily(tuple(seqs), tuple(shift(s) for s in seqs), signs, delta or 0.0)
-
-
-def delta_family(seqs, delta: float) -> CoherentFamily:
-    """The delta-regularized two-sector family: two spectra with ground level
-    exactly zero and a regulator ``delta > 0``.  Sector coefficients::
-
-        c[n,0] = J1^(n/2) exp(-i (e1[n]+delta) gamma) / sqrt(e1[n]! * N)
-        c[n,1] = J2^(n/2) exp(+i (e2[n]+delta) gamma) / sqrt(e2[n]! * N)
-
-    with ``N`` the sum of the two coefficient series.  Note the opposite
-    phase signs of the sectors.
-    """
-    return coherent_family("delta", seqs, delta)
-
-
-def eds_family(seqs) -> CoherentFamily:
-    """The shift-based family (no regulator).  Every sector carries the same
-    phase sign::
-
-        c[n,j] = Jj^(n/2) exp(-i ej[n] gamma) / sqrt(e~j[n]! * N~)
-
-    For two or more sectors the spectra must have strictly positive ground
-    levels and be pairwise disjoint; a single sector reproduces the classic
-    one-Hamiltonian coherent state and is exempt from both conditions.
-    """
-    return coherent_family("eds", seqs)
 
 
 def _real_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -323,26 +301,24 @@ def temporal_stability_residuals(
     return np.sqrt(_real_inner(diff, diff))
 
 
-def eigenstate_residuals(
-    states: CoherentStates, lowering: np.ndarray, offset: int = -1
-) -> np.ndarray:
+def eigenstate_residuals(states: CoherentStates, lowering: np.ndarray) -> np.ndarray:
     """Per state, the windowed norm of ``A psi - sqrt(J) psi``.
 
     ``lowering`` holds the sector blocks of each state's lowering operator
-    ``A`` at ``offset`` (as :meth:`CoherentFamily.lowering_weights` returns them,
-    ``S x N x (D - |offset|)``), or of one operator for all states (a
-    leading axis of one).  ``A`` must be built at the state's own gamma for
+    ``A`` at offset ``-1`` (as :meth:`CoherentFamily.lowering_weights` returns
+    them, ``S x N x (D - 1)``), or of one operator for all states (a leading
+    axis of one).  ``A`` must be built at the state's own gamma for
     the residual to vanish; a mismatched gamma is allowed input and simply
     produces a large residual.  The top levels are excluded because the
     truncated ladder cannot reproduce the coefficient recursion there.
     """
     space = states.family.space
     lowering = np.asarray(lowering)
-    if lowering.shape[1:] != (space.sectors, space.dim - abs(offset)):
+    if lowering.shape[1:] != (space.sectors, space.dim - 1):
         raise DimensionMismatchError("states and operator live on different spaces")
     keep = window_levels(space, EIGENSTATE_EXCLUDE_TOP)
     c = states.coefficients
-    diff = weighted_shift(lowering, offset, c)
+    diff = weighted_shift(lowering, -1, c)
     diff -= np.sqrt(states.intensities)[:, :, None] * c
     window = diff[:, :, :keep]
     return np.sqrt(_real_inner(window, window))

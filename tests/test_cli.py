@@ -184,6 +184,13 @@ MALFORMED = [
         with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [60.0]}),
         "params.witness.j[0]",
     ),
+    # a state's own intensity may not reach the top level, where series_norm
+    # has no tail bound; this one parsed and then exited 1 with no report
+    (
+        "witness-j-at-top-level",
+        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [39.0]}),
+        "params.witness.j[0]",
+    ),
     (
         "witness-dim-too-small",
         with_param(
@@ -287,6 +294,31 @@ class TestConfigValidation:
         assert config.parse_config(raw).params.j_max == (2.0, top)
         raw = with_param(small_vcs_config(dim=60), "j_max", [2.0, float(np.nextafter(top, np.inf))])
         with pytest.raises(errors.ConfigError, match=r"params\.j_max\[1\]"):
+            config.parse_config(raw)
+
+    def test_witness_j_just_below_the_top_shifted_level_runs(self, tmp_path, capsys):
+        # the next float below the top level parses and builds its state: the
+        # run writes a report, whose tail bound fails
+        top = 39.0  # spectra: [linear] at dim 40
+        j = float(np.nextafter(top, 0.0))
+        raw = with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [j]})
+        assert config.parse_config(raw).params.witness.j == (j,)
+        path = tmp_path / "witness.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads((tmp_path / "out" / "witness.report.json").read_text())
+        tail = next(c for c in report["checks"] if c["name"] == "truncation-tail-bound")
+        assert math.isfinite(tail["value"]) and not tail["passed"]
+
+    def test_only_the_demo_goes_without_a_node_floor(self):
+        # the zero-regulator demo builds no quadrature, so its shipped n_nodes
+        # (40) parses at dim 4096; with a regulator the family builds a rule
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "delta-zero-failure.yaml").read_text())
+        raw["dim"] = 4096
+        assert config.parse_config(raw).params.demo
+        raw["params"]["delta"] = 0.5
+        with pytest.raises(errors.ConfigError, match="params.n_nodes 40 cannot verify moments"):
             config.parse_config(raw)
 
     @pytest.mark.parametrize("raw, where", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
@@ -518,6 +550,17 @@ class TestCliEntryPoint:
             assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "experiment failed: 400 of the 400 quadrature weights are not finite" in err
+
+    def test_exit_one_on_a_zero_grid_map(self, tmp_path, capsys):
+        # both sides of the comparison vanish, so the power-law fit has no
+        # positive data: a failed run, not a config error
+        raw = small_grid_config(map_coeffs=[0.0], sizes=[256, 512], n_modes=8)
+        path = tmp_path / "zero-map.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "experiment failed: power-law fit needs positive data" in err
+        assert "config error:" not in err
 
     def test_exit_two_on_malformed_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"

@@ -62,7 +62,7 @@ def test_wrong_weight_scale_fails_moment_verification():
         spectra.linear_sequence(16, math.sqrt(2.0), offset=math.sqrt(2.0) / 2),
     ]
     weights = [moments.MomentWeight.gamma_family(2.0)] * 2
-    assembly = moments.resolution_assembly(vcs.eds_family(seqs), weights)
+    assembly = moments.resolution_assembly(vcs.coherent_family("eds", seqs), weights)
     tol = config.ResolutionParams.TOLERANCES
     assert min(assembly.moment_errors) > tol["moment"]
     assert assembly.diag_error > tol["diagonal"]
@@ -83,7 +83,7 @@ COLLIDING = [{"form": "linear", "offset": 0.3}, {"form": "linear", "offset": 0.3
 QUON_ZERO_GROUND = [{"form": "quon", "q": 0.5}, {"form": "quon", "q": 0.7}]
 
 # (case, config, the key the config error names): each spectrum set is one
-# that vcs.delta_family or vcs.eds_family rejects
+# that vcs.coherent_family rejects
 REGIME_CONTROLS = [
     ("resolution-delta-nonzero-grounds", edited("resolution-delta", LINEAR_OFFSETS), "spectra[0]"),
     ("resolution-delta-negative-delta", edited("resolution-delta", delta=-0.5), "params.delta"),

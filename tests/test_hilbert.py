@@ -37,7 +37,7 @@ class TestLoweringOperator:
         omegas = (1.0, math.sqrt(2.0))
         seqs = [spectra.shift(spectra.linear_sequence(dim, w)) for w in omegas]
         b = hilbert.lowering_operator(seqs, gamma)
-        a = hilbert.boson_ladder(dim)
+        a = hilbert.quon_ladder(dim, 1.0)
         assert b.offset == a.offset == -1
         for j, w in enumerate(omegas):
             expected = math.sqrt(w) * np.exp(1j * w * gamma) * a.blocks[0]
@@ -117,7 +117,7 @@ class TestDeltaVariant:
         return [spectra.quon_sequence(dim, 0.5), spectra.quon_sequence(dim, 0.7)]
 
     def lowering(self, seqs, gamma):
-        weights = vcs.delta_family(seqs, 0.5).lowering_weights([gamma])
+        weights = vcs.coherent_family("delta", seqs, 0.5).lowering_weights([gamma])
         return hilbert.BlockOperator(weights[0], -1)
 
     def test_zero_gamma_matches_plain_lowering(self):
@@ -147,24 +147,24 @@ class TestDeltaVariant:
     def test_requires_zero_ground(self):
         seqs = [spectra.linear_sequence(6, offset=0.3), spectra.linear_sequence(6)]
         with pytest.raises(errors.RegimeError, match=r"seqs\[0\] ground level 0.3 != 0"):
-            vcs.delta_family(seqs, 0.5)
+            vcs.coherent_family("delta", seqs, 0.5)
 
 
 class TestBosonLadder:
     def test_small_entries(self):
-        a = hilbert.boson_ladder(3).matrix
+        a = hilbert.quon_ladder(3, 1.0).matrix
         assert a[0, 1] == 1.0
         assert a[1, 2] == pytest.approx(math.sqrt(2.0))
         assert hilbert.max_abs(np.tril(a)) == 0
 
     def test_number_operator(self):
         dim = 9
-        a = hilbert.boson_ladder(dim).matrix
+        a = hilbert.quon_ladder(dim, 1.0).matrix
         np.testing.assert_allclose(np.diag(a.conj().T @ a), np.arange(dim), atol=1e-14)
 
     def test_commutator_truncation_artifact(self):
         dim = 7
-        a = hilbert.boson_ladder(dim)
+        a = hilbert.quon_ladder(dim, 1.0)
         commutator = a @ a.adjoint() - a.adjoint() @ a
         assert commutator.offset == 0
         defect = commutator.blocks[0] - 1.0
@@ -175,17 +175,16 @@ class TestBosonLadder:
 class TestQuonLadder:
     def test_boson_limit(self):
         a_q = hilbert.quon_ladder(10, 1.0).matrix
-        a_b = hilbert.boson_ladder(10).matrix
-        np.testing.assert_array_equal(a_q, a_b)
+        np.testing.assert_array_equal(a_q, np.diag(np.sqrt(np.arange(1.0, 10)), 1))
 
     @pytest.mark.parametrize("dim", [8, 697, 4096])
     def test_boson_limit_is_the_fock_ladder_byte_for_byte(self, dim):
         # [n]_1 is built by adding 1.0 n times, so it is exactly n
         fock = np.sqrt(np.arange(1.0, dim))
-        for a in (hilbert.boson_ladder(dim), hilbert.quon_ladder(dim, 1.0)):
-            assert a.offset == -1
-            assert a.blocks.dtype == fock.dtype
-            assert a.blocks[0].tobytes() == fock.tobytes()
+        a = hilbert.quon_ladder(dim, 1.0)
+        assert a.offset == -1
+        assert a.blocks.dtype == fock.dtype
+        assert a.blocks[0].tobytes() == fock.tobytes()
 
     def test_deformed_entry(self):
         # [2]_0.5 = 1 + 0.5 * [1] = 1.5
@@ -200,9 +199,11 @@ class TestQuonLadder:
         assert hilbert.max_abs(defect[: dim - 1, : dim - 1]) <= 1e-14
 
     def test_bad_deformation(self):
+        # one check, in quon_numbers, serves the ladder and the spectrum
         for q in (0.0, -0.2, 1.5):
-            with pytest.raises(errors.BadDeformationError):
-                hilbert.quon_ladder(6, q)
+            for build in (hilbert.quon_ladder, spectra.quon_sequence, spectra.quon_numbers):
+                with pytest.raises(errors.BadDeformationError, match=r"q must lie in \(0, 1\]"):
+                    build(6, q)
 
 
 def from_lower_bands(bands):
@@ -323,13 +324,13 @@ class TestBlockOperator:
 
     def test_equality_is_identity(self):
         # entries are arrays, so == answers by identity instead of raising
-        op = hilbert.boson_ladder(5)
-        assert (hilbert.boson_ladder(5) == hilbert.boson_ladder(5)) is False
+        op = hilbert.quon_ladder(5, 1.0)
+        assert (hilbert.quon_ladder(5, 1.0) == hilbert.quon_ladder(5, 1.0)) is False
         assert op == op
 
     def test_real_inputs_stay_real(self):
         seqs = [spectra.linear_sequence(6, 1.0, offset=0.3), spectra.linear_sequence(6, 1.5)]
-        a = hilbert.boson_ladder(6)
+        a = hilbert.quon_ladder(6, 1.0)
         aq = hilbert.quon_ladder(6, 0.5)
         h = hilbert.BlockOperator([s.values for s in seqs])
         h_tau = hilbert.shifted_hamiltonian(seqs)

@@ -2,7 +2,8 @@
 module lists in ``__all__`` exists, and no module but ``__init__.py`` (which
 re-exports) imports a name it never uses.  A deletion that leaves a stale
 export or import behind fails here.  One function alone builds check
-records, from the kinds' check tables.  One more check runs a fresh
+records, from the kinds' check tables, and only the parser and the CLI
+raise ``ConfigError``.  One more check runs a fresh
 interpreter: only the grid comparison may load scipy."""
 
 import ast
@@ -98,6 +99,13 @@ def test_check_records_are_built_in_one_function():
     # which checks a kind reports is its ``CHECKS`` table; one function reads it
     builders = [(p.name, scope) for p in MODULES for scope in calls_by_function(parse(p), "CheckRecord")]
     assert builders == [("experiments.py", "_records")]
+
+
+def test_only_the_parser_and_the_cli_raise_config_errors():
+    # a ConfigError exits 2 naming the key at fault, and only the parser knows
+    # the keys: the library raises VcsLabError or one of its subclasses
+    raisers = sorted({p.name for p in MODULES if calls_by_function(parse(p), "ConfigError")})
+    assert raisers == ["cli.py", "config.py"]
 
 
 # scipy costs about 0.3 s and 27 MiB to import; a user who never runs a grid

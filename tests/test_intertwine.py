@@ -5,13 +5,14 @@ import tracemalloc
 from importlib import resources
 
 import numpy as np
+from numpy.polynomial import Polynomial
 import pytest
 import yaml
 
 from vcslab import config, errors, experiments, hilbert, intertwine, spectra
 from vcslab.config import ALPHA_TOL, BETA_TOL, GAMMA_TOL
 from vcslab.hilbert import BlockOperator, max_abs
-from vcslab.intertwine import IntertwiningProblem, SpectralMap
+from vcslab.intertwine import IntertwiningProblem
 
 
 def within_tolerances(cert) -> bool:
@@ -28,7 +29,7 @@ def shifted_pair(dim=40, omegas=(1.0, math.sqrt(2.0))):
 
 
 def boson_problem(dim=60, power=2):
-    a = hilbert.boson_ladder(dim)
+    a = hilbert.quon_ladder(dim, 1.0)
     ad = a.adjoint()
     x = ad
     for _ in range(power - 1):
@@ -245,6 +246,12 @@ class TestConstructCompanion:
         assert (companion - h).max_abs() <= 1e-12
         assert within_tolerances(intertwine.certify(problem, companion))
 
+    def test_unknown_example_rejected(self):
+        # a library error (exit 1), not a config error: the config's Literal names the key
+        with pytest.raises(errors.VcsLabError, match="^example number must be 1..4, got 5$") as info:
+            intertwine.example_problem(5, shifted_pair(), 0.7)
+        assert not isinstance(info.value, errors.ConfigError)
+
     def test_certificates_at_production_size(self):
         seqs = shifted_pair(80)
         for which in (1, 2, 3, 4):
@@ -295,7 +302,7 @@ class TestConstructCompanion:
         # diagonal for every weighted shift x, so a non-diagonal h is the only
         # way to break [x x+, h] = 0, and it fails at construction
         dim = 20
-        h = hilbert.boson_ladder(dim).adjoint()
+        h = hilbert.quon_ladder(dim, 1.0).adjoint()
         x = BlockOperator([1.0 + np.arange(dim, dtype=float)])
         with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
             IntertwiningProblem(h=h, x=x)
@@ -303,11 +310,11 @@ class TestConstructCompanion:
     def test_shifted_h_rejected(self):
         # x = 1 commutes with anything, so only the diagonal requirement on h can fire
         dim = 20
-        h = hilbert.boson_ladder(dim).adjoint()
+        h = hilbert.quon_ladder(dim, 1.0).adjoint()
         with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
             IntertwiningProblem(h=h, x=BlockOperator([np.ones(dim)]))
         with pytest.raises(errors.HypothesisViolatedError, match="offset 1"):
-            intertwine.apply_map(SpectralMap.exponential(), h)
+            intertwine.apply_map(np.exp, h)
 
     def test_operators_on_different_spaces_rejected(self):
         h = BlockOperator([np.arange(20, dtype=float)])
@@ -337,7 +344,7 @@ class TestConstructCompanion:
         h = BlockOperator([np.linspace(0.0, 1000.0, dim)])
         x = BlockOperator([1.0 + np.arange(dim, dtype=float)])
         problem = IntertwiningProblem(h=h, x=x)
-        f = SpectralMap.exponential()
+        f = np.exp
         with np.errstate(over="ignore", invalid="ignore"):
             cert = intertwine.certify(problem, intertwine.construct_companion(problem, f), f)
         assert not np.isfinite(cert.gamma_residual)
@@ -347,7 +354,7 @@ class TestConstructCompanion:
         # certify forms f(h) itself: a companion built with one map and judged
         # against another must fail beta and gamma, not pass silently
         problem = boson_problem()
-        square, cube = SpectralMap.polynomial([0, 0, 1]), SpectralMap.polynomial([0, 0, 0, 1])
+        square, cube = Polynomial([0, 0, 1]), Polynomial([0, 0, 0, 1])
         companion = intertwine.construct_companion(problem, square)
         assert within_tolerances(intertwine.certify(problem, companion, square))
         for wrong in (None, cube):
@@ -398,7 +405,7 @@ class TestWeightedShiftCompanions:
 
     def test_no_eigendecomposition(self, eigh_calls):
         for problem in self.problems():
-            for f in (None, SpectralMap.polynomial([0, 0, 1])):
+            for f in (None, Polynomial([0, 0, 1])):
                 intertwine.certify(problem, intertwine.construct_companion(problem, f), f)
         assert eigh_calls == []
 
@@ -497,7 +504,7 @@ class TestNonIsospectral:
         )
         np.testing.assert_allclose(iso.blocks[0][sub], (n_op + 2)[sub], atol=1e-11)
 
-        f = SpectralMap.polynomial([0, 0, 1])
+        f = Polynomial([0, 0, 1])
         squared = intertwine.construct_companion(problem, f)
         ref = (n_op + 2) * (n_op + 2)
         np.testing.assert_allclose(squared.blocks[0][sub], ref[sub], atol=1e-11)
@@ -506,7 +513,7 @@ class TestNonIsospectral:
     def test_boson_exponential_map(self):
         dim = 60
         problem = boson_problem(dim)
-        companion = intertwine.construct_companion(problem, SpectralMap.exponential())
+        companion = intertwine.construct_companion(problem, np.exp)
         n = np.arange(dim, dtype=float)
         ref = np.exp(n + 2.0)
         sub = np.s_[: problem.keep]
@@ -544,8 +551,19 @@ class TestNonIsospectral:
     def test_identity_map_matches_plain_construction(self):
         problem = boson_problem(40)
         iso = intertwine.construct_companion(problem)
-        mapped = intertwine.construct_companion(problem, SpectralMap.polynomial([0, 1]))
+        mapped = intertwine.construct_companion(problem, Polynomial([0, 1]))
         assert (iso - mapped).max_abs(problem.keep) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [60, 240, 697, 4096])
+    def test_maps_evaluate_each_entry_bit_for_bit(self, dim):
+        # a Polynomial on its default domain maps its argument by 0 + 1 * t,
+        # so it evaluates polyval on the entries themselves, bit for bit
+        for q in (1.0, 0.5):
+            problem = intertwine.ladder_problem(dim, q)
+            entries = problem.h.blocks.real
+            for coeffs in ([0, 0, 1], [0.5, 1.0, 0.25]):
+                mapped = intertwine.apply_map(Polynomial(coeffs), problem.h)
+                assert mapped.blocks.tobytes() == np.polynomial.polynomial.polyval(entries, coeffs).tobytes()
 
 
 def closed_forms(dim, q):
@@ -591,7 +609,7 @@ class TestQuonClosedForms:
 class TestEqualityProbe:
     def test_boson_square_map(self):
         problem = boson_problem(60)
-        residual = intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([0, 0, 1]))
+        residual = intertwine.power_series_equality_probe(problem, Polynomial([0, 0, 1]))
         assert residual <= 1e-10
 
     def test_quon_polynomial_map(self):
@@ -599,7 +617,7 @@ class TestEqualityProbe:
         a = hilbert.quon_ladder(dim, q)
         ad = a.adjoint()
         problem = IntertwiningProblem(h=ad @ a, x=ad @ ad)
-        f = SpectralMap.polynomial([0.5, 1.0, 0.25])
+        f = Polynomial([0.5, 1.0, 0.25])
         assert intertwine.power_series_equality_probe(problem, f) <= 1e-10
         # companion of f(h) equals f(q^2 N + (1+q))
         mapped = intertwine.construct_companion(problem, f)
@@ -611,7 +629,7 @@ class TestEqualityProbe:
         # the dense oracle: spectral norm of the windowed difference of the
         # companions, formed as full matrices
         problem = boson_problem(60)
-        f = SpectralMap.polynomial([0, 0, 1])
+        f = Polynomial([0, 0, 1])
         residual = intertwine.power_series_equality_probe(problem, f)
         iso = intertwine.construct_companion(problem).matrix
         mapped = intertwine.construct_companion(problem, f).matrix
@@ -625,7 +643,7 @@ class TestEqualityProbe:
         h = BlockOperator([np.arange(dim, dtype=float)])
         eye = BlockOperator([np.ones(dim)])
         problem = IntertwiningProblem(h=h, x=eye)
-        assert intertwine.power_series_equality_probe(problem, SpectralMap.polynomial([1, 2])) <= 1e-12
+        assert intertwine.power_series_equality_probe(problem, Polynomial([1, 2])) <= 1e-12
 
 
 class TestRangeProjector:
@@ -646,7 +664,7 @@ class TestRangeProjector:
         self.check(boson_problem(60), 2)
 
     def test_invertible_intertwiner(self):
-        a = hilbert.boson_ladder(40)
+        a = hilbert.quon_ladder(40, 1.0)
         n_op = a.adjoint() @ a
         self.check(IntertwiningProblem(h=n_op, x=BlockOperator([1.0 + n_op.blocks[0]])), 0)
 
@@ -1040,5 +1058,7 @@ class TestFitPowerLaw:
         assert intertwine.fit_power_law(x, 3.0 * x**2) == pytest.approx(2.0)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(errors.ConfigError):
+        # a run-time failure (exit 1), not a config error: no key is at fault
+        with pytest.raises(errors.VcsLabError, match="positive data") as info:
             intertwine.fit_power_law([1.0, 2.0], [0.0, 1.0])
+        assert not isinstance(info.value, errors.ConfigError)

@@ -60,10 +60,20 @@ class TestVerifyMoments:
         assert errs.max() > 0.5
 
     def test_negative_weight_rejected(self):
-        # a scale omega <= 0 makes exp(-u/omega)/omega negative or undefined
+        # a scale omega <= 0 makes exp(-u/omega)/omega negative or undefined;
+        # a library error (exit 1), not a config error: no key is at fault
         for omega in (-2.0, 0.0):
-            with pytest.raises(errors.ConfigError):
+            with pytest.raises(errors.VcsLabError, match="weight scale must be positive") as info:
                 moments.MomentWeight.gamma_family(omega)
+            assert not isinstance(info.value, errors.ConfigError)
+
+    def test_order_past_the_truncation_rejected(self):
+        # orders 0..dim-1 have factorial products; dim has none
+        quadrature = gauss_laguerre(moments.MomentWeight.gamma_family(1.0))
+        seq = spectra.linear_sequence(8)
+        assert len(moments.verify_moments(quadrature, seq, 7)) == 8
+        with pytest.raises(errors.DimensionMismatchError, match="^k_max 8 exceeds truncation 7$"):
+            moments.verify_moments(quadrature, seq, 8)
 
     def test_overflowing_moment_names_its_order(self):
         # the factorial products are finite at dim 160, but nodes ** k is not from k = 125
@@ -120,13 +130,14 @@ class TestCesaroAverage:
         assert out[0] == pytest.approx(expected, abs=1e-6)
 
     def test_step_must_resolve_phases(self):
-        with pytest.raises(errors.ConfigError):
+        with pytest.raises(errors.VcsLabError, match="does not resolve the fastest frequency") as info:
             moments.cesaro_phase_average(np.array([50.0]), 10.0, 1.0)
+        assert not isinstance(info.value, errors.ConfigError)
 
 
 def built(family, seqs, delta=0.0):
     """The family ``"eds"`` or ``"delta"`` (at regulator ``delta``) on ``seqs``."""
-    return vcs.eds_family(seqs) if family == "eds" else vcs.delta_family(seqs, delta)
+    return vcs.coherent_family(family, seqs, delta)
 
 
 def assembled(family, seqs, weights, n_nodes=40, delta=0.0):
@@ -146,7 +157,7 @@ class TestResolutionCheck:
         assert assembly.k_check == 15
 
     def test_offdiag_shrinks_with_horizon(self):
-        assembly = moments.resolution_assembly(vcs.eds_family(eds_pair()), eds_weights(), 40)
+        assembly = moments.resolution_assembly(vcs.coherent_family("eds", eds_pair()), eds_weights(), 40)
         reports = [assembly.report(horizon) for horizon in (1e2, 1e3, 1e4)]
         errs = [r.offdiag_error for r in reports]
         assert errs[0] > errs[1] > errs[2]
@@ -171,13 +182,13 @@ class TestResolutionCheck:
     def test_delta_family_rejects_nonpositive_delta(self):
         seqs = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
         with pytest.raises(errors.NonPositiveDeltaError, match="needs delta > 0, got 0.0"):
-            vcs.delta_family(seqs, 0.0)
+            vcs.coherent_family("delta", seqs, 0.0)
 
     def test_delta_family_requires_zero_ground(self):
         # also the zero-regulator family, the one the cross entry reads
         seqs = [spectra.linear_sequence(16, offset=0.5), spectra.linear_sequence(16, offset=0.7)]
         with pytest.raises(errors.RegimeError, match=r"seqs\[0\] ground level 0.5"):
-            vcs.delta_family(seqs, 0.5)
+            vcs.coherent_family("delta", seqs, 0.5)
         with pytest.raises(errors.RegimeError, match=r"seqs\[0\] ground level 0.5"):
             vcs.coherent_family("delta", seqs)
 
@@ -187,7 +198,7 @@ class TestResolutionCheck:
             spectra.linear_sequence(12, offset=0.3),
         ]
         with pytest.raises(errors.SpectraNotDisjointError, match=r"seqs\[0\] and seqs\[1\] collide"):
-            vcs.eds_family(seqs)
+            vcs.coherent_family("eds", seqs)
 
     def test_bad_weight_rejected(self):
         # the wrong scales show in the reported moment errors, for the
@@ -297,7 +308,7 @@ class TestDeltaZeroFailure:
         assert phase_free[0, 160] == pytest.approx(1.0, rel=1e-15)
 
     def test_entry_needs_two_sectors(self):
-        family = vcs.eds_family([spectra.linear_sequence(16)])
+        family = vcs.coherent_family("eds", [spectra.linear_sequence(16)])
         with pytest.raises(errors.RegimeError, match="two-sector, got 1"):
             moments.cross_phase_average(family, 1e2)
 
@@ -321,11 +332,12 @@ class TestDeltaZeroFailure:
         report, _ = run_experiment(cfg)
         assert report.checks[0].value == abs(averages[0]) / abs(averages[1])
 
-    @pytest.mark.parametrize("dim, n_nodes", [(640, 321), (4096, 2049)])
-    def test_demo_is_finite_at_large_dims(self, dim, n_nodes):
-        # n_nodes at the floor the config asks for; the demo builds no rule,
-        # so laggauss's NaN weights from 187 nodes on cannot reach it
-        raw = {**self.demo(n_nodes=n_nodes), "dim": dim}
+    @pytest.mark.parametrize("dim", [640, 4096])
+    def test_demo_is_finite_at_large_dims(self, dim):
+        # the shipped n_nodes (40): the demo builds no rule, so the config
+        # asks for no node floor, and laggauss's NaN weights from 187 nodes
+        # on cannot reach it
+        raw = {**self.demo(), "dim": dim}
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report, _ = run_experiment(config.parse_config(raw))

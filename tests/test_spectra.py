@@ -48,8 +48,9 @@ class TestMakeSequence:
         np.testing.assert_allclose(s.values, expected, rtol=1e-14)
 
     def test_non_monotone_rejected(self):
-        with pytest.raises(errors.NonMonotoneError):
-            spectra.make_sequence([1, 0, 2])
+        for values in ([1, 0, 2], [0, 1, 1, 2]):
+            with pytest.raises(errors.NonMonotoneError):
+                spectra.make_sequence(values)
 
     def test_negative_ground_rejected(self):
         with pytest.raises(errors.NegativeGroundError):
@@ -89,7 +90,7 @@ class TestShift:
     def test_shift_idempotent(self, ground, step, n):
         seq = spectra.make_sequence(ground + step * np.arange(n))
         once = spectra.shift(seq)
-        twice = spectra.shift(once.as_sequence())
+        twice = spectra.shift(spectra.make_sequence(once.values))
         assert twice.shift == 0.0
         np.testing.assert_array_equal(once.values, twice.values)
 
@@ -97,13 +98,13 @@ class TestShift:
 class TestFactorials:
     def test_ordinary_factorial(self):
         cache = spectra.factorials(spectra.shift(spectra.linear_sequence(6)))
-        assert cache.product(4) == 24.0
-        assert cache.product(0) == 1.0
+        assert cache.products[4] == 24.0
+        assert cache.products[0] == 1.0
 
     def test_scaled_factorial(self):
         # e~[n] = 2n: product at n=3 is 2*4*6 = 48
         cache = spectra.factorials(spectra.shift(spectra.linear_sequence(5, omega=2.0)))
-        assert cache.product(3) == pytest.approx(48.0, rel=1e-14)
+        assert cache.products[3] == pytest.approx(48.0, rel=1e-14)
 
     def test_trivial_truncation(self):
         # length-2 minimum: products = [1, e~[1]]
@@ -121,8 +122,7 @@ class TestFactorials:
     def test_overflow_goes_to_log_domain(self):
         seq = spectra.linear_sequence(400, omega=10.0)
         cache = spectra.factorials(spectra.shift(seq))
-        with pytest.raises(OverflowError):
-            cache.product(399)
+        assert cache.products[399] == np.inf
         assert math.isfinite(cache.log_product(399))
 
     @given(
@@ -153,6 +153,12 @@ class TestEdsCheck:
         assert not report.disjoint
         assert report.pair == (0, 0)
         assert report.min_gap == 0.0
+
+    def test_gap_at_the_tolerance_collides(self):
+        # disjoint means every cross gap exceeds the tolerance
+        report = spectra.eds_check(spectra.make_sequence([0.0, 1.0]), spectra.make_sequence([1e-9, 2.0]))
+        assert report.min_gap == spectra.EDS_TOLERANCE
+        assert not report.disjoint
 
     def test_incommensurate_lattices(self):
         # n vs sqrt(2) n stays disjoint at any finite truncation (n >= 1)
@@ -216,20 +222,3 @@ class TestEdsCheck:
             tracemalloc.stop()
         assert report.disjoint
         assert peak < 2**20
-
-
-class TestRadiusEstimate:
-    def test_linear_is_divergent(self):
-        est = spectra.radius_estimate(spectra.linear_sequence(50))
-        assert est.flag == "divergent"
-        assert est.last_value == 49.0
-
-    def test_quon_limit(self):
-        q = 0.5
-        est = spectra.radius_estimate(spectra.quon_sequence(50, q))
-        assert est.flag == "bounded-suspect"
-        assert est.limit == pytest.approx(1.0 / (1.0 - q), rel=1e-9)
-
-    def test_degenerate_length(self):
-        est = spectra.radius_estimate(spectra.make_sequence([0.0, 1.0]))
-        assert est.flag == "insufficient-data"

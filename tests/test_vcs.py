@@ -25,14 +25,22 @@ def eds_quon_pair(dim=50):
     ]
 
 
+def geometric_limit(shifted):
+    """The geometric extrapolation ``e~[D-1] + d r / (1 - r)`` of a bounded
+    spectrum's limit, with ``d`` the last increment and ``r`` the ratio of
+    the last two: at least ``e~[D-1]`` whenever ``0 < r < 1``."""
+    d = np.diff(shifted.values)
+    r = d[-1] / d[-2]
+    return shifted.values[-1] + d[-1] * r / (1.0 - r)
+
+
 def zero_ground_pair(dim=60):
     return [spectra.linear_sequence(dim), spectra.linear_sequence(dim, 1.0)]
 
 
 def one_state(family, seqs, intensities, gamma, delta=0.5):
     """The one-row states of ``family`` (``"eds"`` or ``"delta"``) at the given labels."""
-    built = vcs.eds_family(seqs) if family == "eds" else vcs.delta_family(seqs, delta)
-    return built.states([intensities], [gamma])
+    return vcs.coherent_family(family, seqs, delta).states([intensities], [gamma])
 
 
 def sample_states(family, dim):
@@ -81,9 +89,9 @@ class TestSeriesNorm:
         value, _ = vcs.series_norm(shifted, j)
         assert value == pytest.approx(math.exp(j / omega), rel=1e-13)
 
-    def test_out_of_disc_for_bounded_spectrum(self):
+    def test_bounded_spectrum_past_its_radius(self):
         shifted = spectra.shift(spectra.quon_sequence(50, 0.5))  # radius 2
-        with pytest.raises(errors.OutOfDiscError):
+        with pytest.raises(errors.TailTooLargeError):
             vcs.series_norm(shifted, 2.5)
 
     def test_tail_too_large_near_disc_edge(self):
@@ -100,24 +108,24 @@ class TestSeriesNorm:
         with pytest.raises(errors.OutOfDiscError):
             vcs.series_norm(shifted, -0.1)
 
-    def test_intensity_at_the_estimated_radius_is_out_of_disc(self):
-        # the radius itself is outside the disc; past the top shifted level
-        # it would otherwise raise TailTooLargeError instead
+    def test_intensity_at_the_geometric_limit_has_no_tail_control(self):
+        # the geometric extrapolation of a bounded spectrum's limit lies at or
+        # above the top shifted level, so the tail guard rejects it
         shifted = spectra.shift(spectra.quon_sequence(50, 0.5))
-        limit = spectra.radius_estimate(shifted.as_sequence()).limit
+        limit = geometric_limit(shifted)
         assert limit > shifted.values[-1]
-        with pytest.raises(errors.OutOfDiscError, match="outside the estimated convergence disc"):
+        with pytest.raises(errors.TailTooLargeError, match="no geometric tail control"):
             vcs.series_norm(shifted, limit)
 
     def test_messages_name_the_first_offender(self):
         # the first offender is not the first entry: a 0, no offender, comes
-        # before the negative one, and the first out-of-disc one sits exactly
-        # at the radius
+        # before the negative one, and the first one past the top shifted
+        # level sits exactly at the geometric limit
         shifted = spectra.shift(spectra.quon_sequence(50, 0.5))
         with pytest.raises(errors.OutOfDiscError, match=r"nonnegative, got -0\.25$"):
             vcs.series_norm(shifted, np.array([0.5, 0.0, -0.25, -3.0]))
-        limit = spectra.radius_estimate(shifted.as_sequence()).limit
-        with pytest.raises(errors.OutOfDiscError, match=rf"^J={re.escape(str(limit))} is outside"):
+        limit = geometric_limit(shifted)
+        with pytest.raises(errors.TailTooLargeError, match=rf"^no geometric tail control: J={re.escape(str(limit))} >="):
             vcs.series_norm(shifted, np.array([0.5, limit, limit + 1.0]))
 
 
@@ -144,11 +152,11 @@ class TestDeltaFamilyState:
 
     def test_requires_positive_delta(self):
         with pytest.raises(errors.RegimeError):
-            vcs.delta_family(zero_ground_pair(12), 0.0)
+            vcs.coherent_family("delta", zero_ground_pair(12), 0.0)
 
     def test_requires_zero_ground(self):
         with pytest.raises(errors.RegimeError):
-            vcs.delta_family(eds_linear_pair(12), 0.5)
+            vcs.coherent_family("delta", eds_linear_pair(12), 0.5)
 
 
 class TestEdsFamilyState:
@@ -174,7 +182,7 @@ class TestEdsFamilyState:
     def test_unit_norm_random_params(self):
         rng = np.random.default_rng(3)
         draws = [(rng.uniform(0, 4, size=2), rng.uniform(-5, 5)) for _ in range(10)]
-        states = vcs.eds_family(eds_linear_pair()).states([j for j, _ in draws], [g for _, g in draws])
+        states = vcs.coherent_family("eds", eds_linear_pair()).states([j for j, _ in draws], [g for _, g in draws])
         norms = np.linalg.norm(states.coefficients, axis=(1, 2))
         assert np.all(np.abs(norms - 1.0) <= states.tail_bound + 1e-13)
 
@@ -190,11 +198,11 @@ class TestEdsFamilyState:
             spectra.linear_sequence(12, offset=0.3),
         ]
         with pytest.raises(errors.SpectraNotDisjointError):
-            vcs.eds_family(seqs)
+            vcs.coherent_family("eds", seqs)
 
     def test_rejects_zero_ground_multi_sector(self):
         with pytest.raises(errors.RegimeError):
-            vcs.eds_family(zero_ground_pair(12))
+            vcs.coherent_family("eds", zero_ground_pair(12))
 
 
 class TestActionIdentity:
@@ -223,7 +231,7 @@ class TestActionIdentity:
         seqs = eds_linear_pair()
         h_tau = hilbert.shifted_hamiltonian(seqs)
         draws = [(rng.uniform(0, 4, size=2), rng.uniform(-3, 3)) for _ in range(20)]
-        states = vcs.eds_family(seqs).states([j for j, _ in draws], [g for _, g in draws])
+        states = vcs.coherent_family("eds", seqs).states([j for j, _ in draws], [g for _, g in draws])
         resid = vcs.action_identity_residuals(states, h_tau)
         assert np.all(resid <= np.maximum(10 * states.tail_bound, 5e-13))
 
@@ -330,14 +338,14 @@ class TestTemporalStability:
 
 class TestEigenstateRelation:
     def test_zero_intensities(self):
-        family = vcs.eds_family(eds_linear_pair(12))
+        family = vcs.coherent_family("eds", eds_linear_pair(12))
         states = family.states([[0.0, 0.0]], [0.9])
         lowering = hilbert.lowering_weights(family.shifted, [0.9])
         assert vcs.eigenstate_residuals(states, lowering)[0] <= 1e-15
 
     def test_matched_gamma(self):
         rng = np.random.default_rng(5)
-        family = vcs.eds_family(eds_linear_pair())
+        family = vcs.coherent_family("eds", eds_linear_pair())
         draws = [(rng.uniform(0, 4, size=2), rng.uniform(-3, 3)) for _ in range(10)]
         states = family.states([j for j, _ in draws], [g for _, g in draws])
         lowering = hilbert.lowering_weights(family.shifted, states.gammas)
@@ -353,13 +361,13 @@ class TestEigenstateRelation:
 
     def test_single_sector_reduces_to_plain_coherent_state(self):
         # one sector: the classic construction, eigenstate of its own ladder
-        family = vcs.eds_family([spectra.linear_sequence(50)])
+        family = vcs.coherent_family("eds", [spectra.linear_sequence(50)])
         states = family.states([[1.5]], [0.8])
         lowering = hilbert.lowering_weights(family.shifted, [0.8])
         assert vcs.eigenstate_residuals(states, lowering)[0] <= 5e-13
 
     def test_mismatched_gamma_nonlinear_witness(self):
-        family = vcs.eds_family(eds_quon_pair())
+        family = vcs.coherent_family("eds", eds_quon_pair())
         gamma = 0.4
         states = family.states([[1.0, 1.0]], [gamma])
         matched = vcs.eigenstate_residuals(states, hilbert.lowering_weights(family.shifted, [gamma]))
@@ -372,7 +380,7 @@ class TestEigenstateRelation:
 
 class TestContinuity:
     def test_lipschitz_ratio_bounded(self):
-        family = vcs.eds_family(eds_linear_pair())
+        family = vcs.coherent_family("eds", eds_linear_pair())
         base = np.array([1.0, 2.0, 0.7])  # J1, J2, gamma
         direction = np.array([0.3, -0.2, 0.5])
         steps = np.array([1e-1, 1e-2, 1e-3, 1e-4])
@@ -498,7 +506,7 @@ def test_batched_residuals_match_the_literal_per_draw_oracle(bundle):
         worst = values.max()
         if key == "tail" and p.witness is not None:
             # the witness state's tail bound joins the draws'
-            witness = vcs.eds_family(p.witness.spectra).states([p.witness.j], [p.witness.gamma])
+            witness = vcs.coherent_family("eds", p.witness.spectra).states([p.witness.j], [p.witness.gamma])
             assert witness.tail_bound[0] != worst
             worst = max(worst, witness.tail_bound[0])
         assert reported[name] == worst, key
