@@ -45,7 +45,14 @@ def _report_stem(config: ExperimentConfig) -> str:
 
 def _cmd_run(args) -> int:
     try:
+        # the flags and the output path are checked before the run, as the config is
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed {args.seed} outside allowed range [0, inf]")
         config = _resolve(args.config)
+        out_dir = Path(args.out or config.output or "reports")
+        if blocker := next((p for p in (out_dir, *out_dir.parents) if p.exists() and not p.is_dir()), None):
+            key = "--out" if args.out else "output"
+            raise ConfigError(f"{key} {str(out_dir)!r} runs through {str(blocker)!r}, a file")
         report, tables = run_experiment(config, seed=args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -54,7 +61,6 @@ def _cmd_run(args) -> int:
         print(f"experiment failed: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = Path(args.out or config.output or "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = _report_stem(config)
     (out_dir / f"{stem}.report.json").write_text(report.to_json(), encoding="utf-8")

@@ -218,6 +218,15 @@ class ResolutionParams:
         phase average alone: no quadrature, so no ``n_nodes`` or ``k_check``."""
         return self.family == "delta" and self.delta == 0.0
 
+    @property
+    def unread(self) -> dict:
+        """The keys this run does not read, each with the run that ignores it (the
+        demo's ``n_nodes`` stays accepted: perfbench's scaled demo item sets it)."""
+        unread = {"k_check": "the zero-regulator demo"} if self.demo else {"delta_probe": "a quadrature run"}
+        if self.family == "eds":
+            unread["delta"] = "the eds family"
+        return unread
+
     def resolve(self, dim, spectra):
         for i, seq in enumerate(spectra):
             gaps = np.diff(seq.values)
@@ -506,6 +515,9 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
     params = _build(schema, raw.get("params", {}), "params", dim)
     if hasattr(params, "resolve"):
         params = params.resolve(dim, spectra)
+    for key, run in getattr(params, "unread", {}).items():
+        if key in raw.get("params", {}):
+            raise ConfigError(f"params.{key} is not read by {run}")
     # a repeated label would report one check twice and judge it once
     for key, label in getattr(schema, "LABELS", {}).items():
         labels = [label.format(v) for v in getattr(params, key)]

@@ -4,13 +4,13 @@ The working arena is ``C^N (x) H_D``: ``N`` sectors of one truncated
 ``D``-level space each.  Coefficients are ``N x D`` arrays, one row per
 sector, and dense exports are sector-major (``flat index = sector*D +
 level``); operators never mix sectors, and each block is a weighted shift
-stored as one weight vector.
+stored as one weight vector.  A band is a tuple of weighted shifts, the
+operator their sum (:func:`band_apply`, :func:`gram_products`).
 All values are immutable after construction; every function here is pure.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +35,8 @@ __all__ = [
     "shifted_hamiltonian",
     "window_levels",
     "weighted_shift",
+    "band_apply",
+    "gram_products",
     "max_abs",
 ]
 
@@ -72,7 +74,7 @@ def _source_range(dim: int, offset: int) -> tuple:
 
 
 def weighted_shift(weights: np.ndarray, offset: int, data: np.ndarray) -> np.ndarray:
-    """Weighted shifts applied along the last axis of ``data``, as complex.
+    """Weighted shifts applied along the last axis of ``data``, real when ``weights`` and ``data`` are.
 
     Level ``n`` goes to ``n + offset`` with weight ``weights[..., n - lo]``,
     ``[lo, hi)`` being the source levels the shift keeps; the other levels of
@@ -83,7 +85,7 @@ def weighted_shift(weights: np.ndarray, offset: int, data: np.ndarray) -> np.nda
     """
     lo, hi = _source_range(data.shape[-1], offset)
     shape = np.broadcast_shapes(weights.shape[:-1], data.shape[:-1]) + data.shape[-1:]
-    out = np.zeros(shape, dtype=complex)
+    out = np.zeros(shape, dtype=np.result_type(weights, data))
     np.multiply(weights, data[..., lo:hi], out=out[..., lo + offset : hi + offset])
     return out
 
@@ -183,6 +185,26 @@ class BlockOperator:
         return max_abs(self.window(keep))
 
 
+def band_apply(band, data: np.ndarray) -> np.ndarray:
+    """The sum of the weighted shifts in ``band`` applied along the last axis
+    of ``data`` (:func:`weighted_shift`), the terms added in order."""
+    return sum(weighted_shift(term.blocks, term.offset, data) for term in band)
+
+
+def gram_products(band) -> tuple:
+    """``a+ a`` and ``a a+`` of the band ``a``, each a band with one term per
+    offset, in increasing order: every pair of terms multiplies with ``@``,
+    and the products at one offset add with ``+``, left factor outermost."""
+    adjoint = tuple(term.adjoint() for term in band)
+    products = []
+    for left, right in ((adjoint, band), (band, adjoint)):
+        terms = {}
+        for term in (p @ q for p in left for q in right):
+            terms[term.offset] = terms[term.offset] + term if term.offset in terms else term
+        products.append(tuple(terms[k] for k in sorted(terms)))
+    return tuple(products)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform 1-d grid on [xmin, xmax] with a fixed number of points."""
@@ -196,8 +218,7 @@ class GridSpec:
             raise NonPositiveDerivativeError(
                 f"grid needs at least 64 points, got {self.points}"
             )
-        if not self.xmax > self.xmin:
-            raise NonPositiveDerivativeError("grid needs xmax > xmin")
+        # xmax <= xmin, or NaN, gives a step that is not positive
         if not 0.0 < self.dx < np.inf:
             raise NonPositiveDerivativeError(
                 f"grid step {self.dx} of [{self.xmin}, {self.xmax}] is not positive and finite"
@@ -212,68 +233,28 @@ class GridSpec:
         return (self.xmax - self.xmin) / (self.points - 1)
 
 
-def _tridiagonal_apply(lower, main, upper, v: np.ndarray) -> np.ndarray:
-    """``M v`` for the columns of the block ``v``, ``M`` tridiagonal with the
-    diagonals ``lower`` (``M[i+1, i]``), ``main`` and ``upper`` (``M[i, i+1]``);
-    each row sums its three terms left to right."""
-    out = main[:, None] * v
-    out[1:] += lower[:, None] * v[:-1]
-    out[:-1] += upper[:, None] * v[1:]
-    return out
-
-
 @dataclass(frozen=True)
 class GridLadder:
     """The grid lowering operator ``a = c d/dx + W(x)`` on a single sector,
-    stored as its three diagonals: ``lower[i] = a[i+1, i]``,
-    ``main[i] = a[i, i]`` and ``upper[i] = a[i, i+1]``.
+    stored as a band: ``terms`` are its one-sector weighted shifts at offsets
+    0 (the diagonal), +1 (``a[i+1, i]``) and -1 (``a[i, i+1]``).
 
-    ``a`` and ``a+`` act on blocks as three-point stencils; ``gram_bands``
-    gives the pentadiagonal ``a+ a`` or ``a a+`` as band storage, and
-    ``matrix`` is the dense export of ``a``.  ``w_prime`` is ``W'`` on the
-    grid; ``commutator_residual`` measures the deviation of ``[a, a+]`` from
+    :func:`band_apply` applies ``a`` and, with each term's ``adjoint``,
+    ``a+``; :func:`gram_products` forms ``a+ a`` and ``a a+``.  ``matrix`` is
+    the dense export of ``a``.  ``w_prime`` is ``W'`` on the grid;
+    ``commutator_residual`` measures the deviation of ``[a, a+]`` from
     ``2c W'`` (a discretization artifact).
     """
 
-    lower: np.ndarray
-    main: np.ndarray
-    upper: np.ndarray
+    terms: tuple
     c: float
     w_prime: np.ndarray
     commutator_residual: float
 
-    def __post_init__(self):
-        for name in ("lower", "main", "upper"):
-            d = np.array(getattr(self, name), dtype=float)
-            d.setflags(write=False)
-            object.__setattr__(self, name, d)
-
     @property
     def matrix(self) -> np.ndarray:
         """Dense ``n x n`` export of ``a``."""
-        return np.diag(self.lower, -1) + np.diag(self.main) + np.diag(self.upper, 1)
-
-    def apply(self, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
-        """``a v`` (``a+ v`` with ``adjoint``) for the columns of the ``n x k`` block ``v``, in O(n k)."""
-        # the transpose of a real tridiagonal matrix swaps its off-diagonals
-        lower, upper = (self.upper, self.lower) if adjoint else (self.lower, self.upper)
-        return _tridiagonal_apply(lower, self.main, upper, v)
-
-    def gram_bands(self, adjoint: bool = False) -> np.ndarray:
-        """``a+ a`` (``a a+`` with ``adjoint``) in symmetric lower band storage:
-        a ``(3, n)`` array whose row ``k`` holds the ``k``-th subdiagonal,
-        ``out[k, j] = (a+ a)[j + k, j]``, zero-padded at the end.  Filled in
-        O(n); each entry sums its terms in increasing inner index."""
-        # a a+ is the Gram matrix of a+, whose off-diagonals are a's swapped
-        lower, upper = (self.upper, self.lower) if adjoint else (self.lower, self.upper)
-        main = self.main
-        out = np.zeros((3, len(main)))
-        out[0] = main * main
-        out[0, 1:] += upper * upper
-        out[0, :-1] += lower * lower
-        out[1, :-1] = main[:-1] * upper + lower * main[1:]
-        out[2, :-2] = lower[:-1] * upper[1:]
-        return out
+        return sum(term.matrix for term in self.terms)
 
 
 def lowering_operator(seqs, gamma: float) -> BlockOperator:
@@ -325,24 +306,13 @@ def quon_ladder(dim: int, q: float) -> BlockOperator:
     return BlockOperator([np.sqrt(quon_numbers(dim, q)[1:])], -1)
 
 
-def _derivative_diagonals(grid: GridSpec) -> tuple:
-    """Central-difference first derivative, one-sided at the two boundary rows,
-    as its (lower, main, upper) diagonals."""
-    n, dx = grid.points, grid.dx
-    lower, main, upper = np.full(n - 1, -0.5 / dx), np.zeros(n), np.full(n - 1, 0.5 / dx)
-    main[0], upper[0] = -1.0 / dx, 1.0 / dx
-    lower[-1], main[-1] = -1.0 / dx, 1.0 / dx
-    return lower, main, upper
-
-
 def _gaussian_probes(grid: GridSpec) -> np.ndarray:
-    """Smooth confined test vectors for grid diagnostics (columns of the array)."""
-    x = grid.x
+    """Smooth confined test vectors for grid diagnostics (rows of the array)."""
     center = 0.5 * (grid.xmin + grid.xmax)
     sigma = (grid.xmax - grid.xmin) / 8.0
-    u = (x - center) / sigma
+    u = (grid.x - center) / sigma
     bump = np.exp(-0.5 * u * u)
-    return np.column_stack([bump, u * bump, (u * u - 1.0) * bump])
+    return np.array([bump, u * bump, (u * u - 1.0) * bump])
 
 
 def grid_ladder(
@@ -368,8 +338,11 @@ def grid_ladder(
             f"superpotential derivative reaches {w_prime.min():.3e} <= 0 on the grid"
         )
     c = hbar / np.sqrt(2.0 * mass)
-    lower, main, upper = (c * d for d in _derivative_diagonals(grid))
-    main += w_values
+    # c d/dx by central differences, one-sided at the two boundary rows
+    n, step = grid.points, c * (1.0 / grid.dx)
+    lower, main, upper = np.full(n - 1, -0.5 * step), w_values.copy(), np.full(n - 1, 0.5 * step)
+    main[0], upper[0] = w_values[0] - step, step
+    lower[-1], main[-1] = -step, w_values[-1] + step
     # an entry of a+ a, and a row sum of its band, adds at most nine products
     # of two entries of a, so (3 s)^2 bounds them, s the largest entry
     largest = max(np.abs(d).max() for d in (lower, main, upper))
@@ -379,17 +352,19 @@ def grid_ladder(
             "puts a+ a beyond the float range"
         )
 
-    # [a, a+] - 2c W' applied to the probes, one column each
+    a = (BlockOperator([main]), BlockOperator([lower], 1), BlockOperator([upper], -1))
+    ad = tuple(term.adjoint() for term in a)
+
+    # [a, a+] - 2c W' applied to the probes, one row each
     phis = _gaussian_probes(grid)
-    a = functools.partial(_tridiagonal_apply, lower, main, upper)
-    ad = functools.partial(_tridiagonal_apply, upper, main, lower)
-    defect = a(ad(phis)) - ad(a(phis)) - 2.0 * c * w_prime[:, None] * phis
-    # rows within 2 of the boundary carry one-sided-stencil corrections of
+    commutator = band_apply(a, band_apply(ad, phis)) - band_apply(ad, band_apply(a, phis))
+    defect = commutator - 2.0 * c * w_prime * phis
+    # points within 2 of the boundary carry one-sided-stencil corrections of
     # size O(1/dx^2); beyond that the derivative-matrix self-commutator
     # cancels exactly and only the O(dx^2) Taylor error remains
     interior = slice(3, grid.points - 3)
-    resid = np.max(np.abs(defect[interior]).max(axis=0) / np.abs(phis).max(axis=0))
-    return GridLadder(lower, main, upper, c, w_prime, commutator_residual=float(resid))
+    resid = np.max(np.abs(defect[:, interior]).max(axis=1) / np.abs(phis).max(axis=1))
+    return GridLadder(a, c, w_prime, commutator_residual=float(resid))
 
 
 def shifted_hamiltonian(seqs) -> BlockOperator:

@@ -27,6 +27,8 @@ from .hilbert import (
     WINDOW_BUFFER,
     BlockOperator,
     GridSpec,
+    band_apply,
+    gram_products,
     grid_ladder,
     lowering_operator,
     max_abs,
@@ -303,6 +305,13 @@ def _check_null_modes(null: np.ndarray, grid: GridSpec) -> None:
 CLUSTER_ANGLE = 1e-10
 
 
+def _lower_band(terms) -> np.ndarray:
+    """A symmetric one-sector band, one term per offset in increasing order
+    (:func:`~vcslab.hilbert.gram_products`), in LAPACK's lower band storage:
+    row ``k`` holds the ``k``-th subdiagonal, zero-padded at the end."""
+    return np.array([np.pad(term.blocks[0], (0, term.offset)) for term in terms if term.offset >= 0])
+
+
 def _band_norm(band: np.ndarray) -> float:
     """Infinity norm of the symmetric matrix in lower band storage ``band``."""
     mag = np.abs(band)
@@ -483,15 +492,16 @@ def _horner(coeffs, apply, v: np.ndarray) -> np.ndarray:
 
 
 def _companion_image(n1, null: np.ndarray, coeffs, phi: np.ndarray) -> np.ndarray:
-    """The companion ``N1^+ a f(h) a+`` of the grid, applied to the block ``phi``.
+    """The companion ``N1^+ a f(h) a+`` of the grid, applied to the rows of ``phi``.
 
     ``x = a+``, so ``N1 = x+ x = a a+``; ``a f(h) = f(N1) a`` turns the
     companion into ``N1^+ N1 f(N1) = P f(N1)``, with ``P = I - Q Q+`` the
-    projector off the unit null modes ``null`` of ``N1``.  ``n1`` applies
-    ``N1`` to a block and ``f`` is the polynomial with ``coeffs``.
+    projector off the unit null modes ``null`` of ``N1`` (its columns).
+    ``n1`` applies ``N1`` to the rows of a block and ``f`` is the polynomial
+    with ``coeffs``.
     """
     image = _horner(coeffs, n1, phi)
-    return image - null @ (null.T @ image)
+    return image - (image @ null) @ null.T
 
 
 def grid_partner_comparison(
@@ -511,14 +521,16 @@ def grid_partner_comparison(
     with ``coeffs``, lowest order first (default: the identity).  Residuals
     are measured on the ``n_modes`` lowest smooth eigenvectors of ``h``
     (default: the bottom quarter of the grid spectrum); hold it fixed for
-    scaling studies.  The ladder is banded, so no ``n x n`` array is formed:
-    the lowest eigenpairs of ``h`` come from band bisection and inverse
-    iteration, with the basis inside each cluster of near-equal eigenvalues
-    fixed by smoothness, and ``a``, ``a+`` and both sides of the comparison
-    act on the ``n x k`` block of probes as stencils, with ``f`` applied by
+    scaling studies.  The ladder is a band, so no ``n x n`` array is formed:
+    ``h`` and ``N1 = a a+`` are band products, formed once.  The lowest
+    eigenpairs of ``h`` come from band bisection and inverse iteration, with
+    the basis inside each cluster of near-equal eigenvalues fixed by
+    smoothness, and both sides of the comparison apply ``N1`` and
+    ``h + 2c W'`` to the ``k`` probes as bands, with ``f`` applied by
     Horner's rule.
     """
     ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
+    h, n1 = gram_products(ladder.terms)
 
     # central differences double the spectrum: every smooth eigenmode has a
     # checkerboard twin at a nearby eigenvalue on which the commutator flips
@@ -528,26 +540,24 @@ def grid_partner_comparison(
     # low-pass filters them (double three-point average: exact on the doubler
     # mode, relative O(dx^2) on resolved modes) before applying the operators.
     k_max = grid.points // 4 if n_modes is None else n_modes
-    evals, vecs, smoothness = _smooth_eigenpairs(ladder.gram_bands(), k_max)
-    phi = vecs[:, np.flatnonzero(smoothness > 2.0)[:k_max]]
-    null = _n1_null_modes(ladder.gram_bands(adjoint=True), vecs[:, evals <= N1_CUTOFF], grid)
+    evals, vecs, smoothness = _smooth_eigenpairs(_lower_band(h), k_max)
+    # the probes are rows, as the bands act along the last axis
+    phi = vecs[:, np.flatnonzero(smoothness > 2.0)[:k_max]].T
+    null = _n1_null_modes(_lower_band(n1), vecs[:, evals <= N1_CUTOFF], grid)
     del vecs
     for _ in range(2):
-        phi = 0.25 * (np.vstack((phi[:1], phi[:-1])) + 2.0 * phi + np.vstack((phi[1:], phi[-1:])))
-    phi = phi / np.linalg.norm(phi, axis=0)
+        phi = 0.25 * (np.hstack((phi[:, :1], phi[:, :-1])) + 2.0 * phi + np.hstack((phi[:, 1:], phi[:, -1:])))
+    phi = phi / np.linalg.norm(phi, axis=1)[:, None]
 
-    def n1(v):
-        return ladder.apply(ladder.apply(v, adjoint=True))
-
-    def target(v):
-        return ladder.apply(ladder.apply(v), adjoint=True) + 2.0 * ladder.c * ladder.w_prime[:, None] * v
-
-    diff = _companion_image(n1, null, coeffs, phi) - _horner(coeffs, target, phi)
+    # the target h + 2c W' as a band: the terms of h and one more diagonal
+    target = (*h, BlockOperator([2.0 * ladder.c * ladder.w_prime]))
+    image = _companion_image(lambda v: band_apply(n1, v), null, coeffs, phi)
+    diff = image - _horner(coeffs, lambda v: band_apply(target, v), phi)
     return GridComparisonReport(
         dx=grid.dx,
         commutator_residual=ladder.commutator_residual,
-        comparison_residual=float(np.max(np.linalg.norm(diff, axis=0), initial=0.0)),
-        n_modes=phi.shape[1],
+        comparison_residual=float(np.max(np.linalg.norm(diff, axis=1), initial=0.0)),
+        n_modes=phi.shape[0],
     )
 
 

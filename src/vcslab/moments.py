@@ -114,7 +114,7 @@ def verify_moments(quadrature, seq, k_max: int) -> np.ndarray:
 def cesaro_phase_average(thetas, horizon: float, step: float):
     """Trapezoid Cesaro mean of ``exp(i theta gamma)`` over ``[-horizon, horizon]``.
 
-    The uniform grid has ``M = ceil(2 horizon / step)`` panels.  The closed
+    The uniform grid has ``M = max(16, ceil(2 horizon / step))`` panels.  The closed
     form is the exact value of that trapezoid sum (a finite geometric sum):
 
         T(theta) = sinc(theta*horizon) * x*cot(x),   x = theta*s/2
@@ -123,8 +123,7 @@ def cesaro_phase_average(thetas, horizon: float, step: float):
     (``|x| < pi/2``); a coarser one raises ``VcsLabError``.
     """
     thetas = np.asarray(thetas, dtype=float)
-    m = max(16, math.ceil(2.0 * horizon / step))
-    s = 2.0 * horizon / m
+    s = 2.0 * horizon / _panels(horizon, step)
     x = 0.5 * thetas * s
     if np.abs(x).max() >= 0.5 * np.pi:
         raise VcsLabError(
@@ -149,11 +148,15 @@ class ResolutionReport:
     offdiag_error: float
 
 
-def _phase_step(freqs, gamma_horizon: float) -> tuple:
-    """The phase step ``pi / (8 * fastest frequency)`` and its panel count."""
+def _panels(horizon: float, step: float) -> int:
+    """Panels of the uniform phase grid on ``[-horizon, horizon]``, at least 16."""
+    return max(16, math.ceil(2.0 * horizon / step))
+
+
+def _phase_step(freqs) -> float:
+    """The phase step ``pi / (8 * fastest frequency)``, the same at every horizon."""
     fastest = max(float(np.abs(freqs).max()), 1e-9)
-    step = np.pi / (8.0 * fastest)
-    return step, max(16, math.ceil(2.0 * gamma_horizon / step))
+    return np.pi / (8.0 * fastest)
 
 
 def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
@@ -196,30 +199,29 @@ class ResolutionAssembly:
     each sector, the assembled candidate before its phase average, and its
     worst deviation from 1 on the diagonal, ``diag_error``, where the phase
     average is exactly 1 at every horizon.  ``window`` marks the levels whose
-    moments were checked.  :meth:`report` applies the phase average of one
-    horizon."""
+    moments were checked, and ``step`` is the phase step of the frequencies
+    ``freqs``.  :meth:`report` applies the phase average of one horizon."""
 
     k_check: int
     moment_errors: tuple
     diag_error: float
     window: np.ndarray = field(repr=False)
     freqs: np.ndarray = field(repr=False)
+    step: float = field(repr=False)
     phase_free: np.ndarray = field(repr=False)
 
     def candidate(self, gamma_horizon: float) -> np.ndarray:
         """The identity candidate: the phase-free assembly times the phase
         average over ``[-gamma_horizon, gamma_horizon]``."""
         theta = self.freqs[:, None] - self.freqs[None, :]
-        step, _ = _phase_step(self.freqs, gamma_horizon)
-        return self.phase_free * cesaro_phase_average(theta, gamma_horizon, step)
+        return self.phase_free * cesaro_phase_average(theta, gamma_horizon, self.step)
 
     def report(self, gamma_horizon: float) -> ResolutionReport:
         """The candidate's deviations from the identity at one horizon."""
-        candidate = self.candidate(gamma_horizon)
-        _, m = _phase_step(self.freqs, gamma_horizon)
-        dev = candidate[np.ix_(self.window, self.window)]
+        dev = self.candidate(gamma_horizon)[np.ix_(self.window, self.window)]
         np.fill_diagonal(dev, 0.0)
-        return ResolutionReport(gamma_horizon, m + 1, float(np.abs(dev).max()))
+        samples = _panels(gamma_horizon, self.step) + 1
+        return ResolutionReport(gamma_horizon, samples, float(np.abs(dev).max()))
 
 
 def resolution_assembly(
@@ -249,6 +251,7 @@ def resolution_assembly(
         diag_error=float(np.abs(np.diag(phase_free)[window] - 1.0).max()),
         window=window,
         freqs=family.frequencies.ravel(),
+        step=_phase_step(family.frequencies),
         phase_free=phase_free,
     )
 
@@ -267,5 +270,5 @@ def cross_phase_average(family: CoherentFamily, gamma_horizon: float, delta: flo
     if family.shape[0] != 2:
         raise RegimeError(f"the cross entry is two-sector, got {family.shape[0]} sectors")
     freqs = replace(family, delta=delta).frequencies.ravel()
-    step, _ = _phase_step(freqs, gamma_horizon)
-    return float(cesaro_phase_average(freqs[0] - freqs[family.shape[1]], gamma_horizon, step))
+    theta = freqs[0] - freqs[family.shape[1]]
+    return float(cesaro_phase_average(theta, gamma_horizon, _phase_step(freqs)))

@@ -68,13 +68,22 @@ MALFORMED = [
     ("k-check-negative", small_resolution_config(k_check=-1), "params.k_check"),
     (
         "k-check-one-level-window",
-        {**small_resolution_config(family="eds", k_check=0), "spectra": [{"form": "linear"}]},
+        {
+            "kind": "resolution",
+            "dim": 16,
+            "spectra": [{"form": "linear"}],
+            "params": {"family": "eds", "k_check": 0},
+        },
         "params.k_check",
     ),
     ("horizon-negative", small_resolution_config(horizons=[-10]), "params.horizons"),
+    # keys a resolution run never reads
+    ("demo-k-check", small_resolution_config(delta=0.0, k_check=4), "params.k_check is not read"),
+    ("eds-delta", small_resolution_config(family="eds"), "params.delta is not read"),
+    ("regulated-delta-probe", small_resolution_config(delta_probe=0.5), "params.delta_probe is not read"),
     # the Cesaro factor is even in delta: a negative probe would pass as its mirror
-    ("delta-probe-negative", small_resolution_config(delta_probe=-1.0), "params.delta_probe"),
-    ("delta-probe-zero", small_resolution_config(delta_probe=0.0), "params.delta_probe"),
+    ("delta-probe-negative", small_resolution_config(delta=0.0, delta_probe=-1.0), "params.delta_probe"),
+    ("delta-probe-zero", small_resolution_config(delta=0.0, delta_probe=0.0), "params.delta_probe"),
     ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),
     ("one-horizon", small_resolution_config(horizons=[1000.0]), "params.horizons"),
     ("eds-one-horizon", small_resolution_config(family="eds", horizons=[1000.0]), "params.horizons"),
@@ -575,6 +584,27 @@ class TestCliEntryPoint:
         path = tmp_path / "strict.yaml"
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("key", ["output", "--out"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_output_path_through_a_file_exits_two(self, tmp_path, capsys, key, below):
+        # checked before the run: no traceback, and the key is named
+        (tmp_path / "afile").write_text("")
+        target = str(tmp_path / "afile" / "sub") if below else str(tmp_path / "afile")
+        raw = small_vcs_config(**({"output": target} if key == "output" else {}))
+        path = tmp_path / "exp.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        extra = ["--out", target] if key == "--out" else []
+        assert cli.main(["run", str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} " in err and "a file" in err
+
+    @pytest.mark.parametrize("bundle", ["vcs-eds-properties", "boson-example2"])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, bundle):
+        # the config's rule, seed >= 0, holds for the flag too, on every kind
+        assert cli.main(["run", bundle, "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "config error: --seed -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_reports(self, tmp_path):
         for sub in ("a", "b"):

@@ -206,13 +206,9 @@ class TestQuonLadder:
                     build(6, q)
 
 
-def from_lower_bands(bands):
-    """Dense symmetric matrix from lower band storage: ``bands[k, j]`` is entry ``(j + k, j)``."""
-    n = bands.shape[1]
-    out = np.diag(bands[0])
-    for k in range(1, len(bands)):
-        out += np.diag(bands[k, : n - k], -k) + np.diag(bands[k, : n - k], k)
-    return out
+def band_matrix(band):
+    """Dense export of a band: the sum of its terms' dense exports."""
+    return sum(term.matrix for term in band)
 
 
 class TestGridLadder:
@@ -240,8 +236,30 @@ class TestGridLadder:
         with pytest.raises(errors.NonPositiveDerivativeError):
             hilbert.GridSpec(-1.0, 1.0, 32)
 
-    @pytest.mark.parametrize("xmin, xmax", [(0.0, 5e-324), (-1e308, 1e308)], ids=["underflow", "overflow"])
+    @pytest.mark.parametrize(
+        "w, hbar, mass",
+        [(lambda x: 0.0 * x, 1.0, 1.0), (lambda x: x, 0.0, 1.0), (lambda x: x, 1.0, 0.0)],
+        ids=["flat-superpotential", "zero-hbar", "zero-mass"],
+    )
+    def test_boundary_values_rejected(self, w, hbar, mass):
+        # W' = 0, hbar = 0 and mass = 0 sit on the boundaries of the rules
+        with pytest.raises(errors.NonPositiveDerivativeError):
+            hilbert.grid_ladder(w, hilbert.GridSpec(-1.0, 1.0, 64), hbar=hbar, mass=mass)
+
+    def test_probes_are_centred_on_the_domain(self):
+        # on [0, 8] the even probe peaks at 4, and the odd one changes sign there
+        grid = hilbert.GridSpec(0.0, 8.0, 65)
+        even, odd, _ = hilbert._gaussian_probes(grid)
+        assert grid.x[np.argmax(even)] == 4.0
+        assert odd[32] == 0.0 and odd[31] < 0.0 < odd[33]
+
+    @pytest.mark.parametrize(
+        "xmin, xmax",
+        [(0.0, 5e-324), (-1e308, 1e308), (1.0, 1.0), (1.0, 0.0), (np.nan, 1.0)],
+        ids=["underflow", "overflow", "empty", "reversed", "nan"],
+    )
     def test_step_must_be_positive_and_finite(self, xmin, xmax):
+        # a domain that does not increase, or a NaN end, gives such a step too
         with pytest.raises(errors.NonPositiveDerivativeError, match="grid step"):
             hilbert.GridSpec(xmin, xmax, 64)
 
@@ -264,9 +282,8 @@ class TestGridLadder:
         grid = hilbert.GridSpec(-10.0, 10.0, 64)
         bound = np.sqrt(np.finfo(float).max) / 3.0
         ladder = hilbert.grid_ladder(lambda x: x, grid, hbar=0.99 * bound * grid.dx * np.sqrt(2.0))
-        for adjoint in (False, True):
-            gram = from_lower_bands(ladder.gram_bands(adjoint=adjoint))
-            assert np.isfinite(np.abs(gram).sum(axis=1).max())
+        for gram in hilbert.gram_products(ladder.terms):
+            assert np.isfinite(np.abs(band_matrix(gram)).sum(axis=1).max())
 
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
     def test_matrix_is_dense_derivative_plus_superpotential(self, hbar, mass):
@@ -276,7 +293,7 @@ class TestGridLadder:
         c = hbar / np.sqrt(2.0 * mass)
         np.testing.assert_array_equal(ladder.matrix, c * dense_derivative_matrix(grid) + np.diag(w))
 
-    def test_stencils_match_dense_products(self):
+    def test_bands_match_dense_products(self):
         # the sums run in another order than BLAS: each entry of up to three
         # terms may differ by a few ulps of the largest term it sums
         grid = hilbert.GridSpec(-9.0, 9.0, 96)
@@ -284,19 +301,22 @@ class TestGridLadder:
         a = ladder.matrix
         v = np.random.default_rng(3).normal(size=(96, 4))
         term = np.abs(a).max() * np.abs(v).max()
+        h, n1 = hilbert.gram_products(ladder.terms)
+        adjoint = tuple(t.adjoint() for t in ladder.terms)
         for got, dense, scale in (
-            (ladder.apply(v), a @ v, term),
-            (ladder.apply(v, adjoint=True), a.T @ v, term),
-            (from_lower_bands(ladder.gram_bands()), a.T @ a, np.abs(a).max() ** 2),
-            (from_lower_bands(ladder.gram_bands(adjoint=True)), a @ a.T, np.abs(a).max() ** 2),
+            (hilbert.band_apply(ladder.terms, v.T).T, a @ v, term),
+            (hilbert.band_apply(adjoint, v.T).T, a.T @ v, term),
+            (band_matrix(h), a.T @ a, np.abs(a).max() ** 2),
+            (band_matrix(n1), a @ a.T, np.abs(a).max() ** 2),
         ):
             np.testing.assert_allclose(got, dense, rtol=0, atol=16 * np.finfo(float).eps * scale)
 
-    def test_gram_bands_pad_with_zeros(self):
+    def test_products_are_pentadiagonal_bands(self):
+        # one term per offset -2..2, each a single-sector weighted shift
         grid = hilbert.GridSpec(-9.0, 9.0, 96)
-        bands = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid).gram_bands()
-        assert bands.shape == (3, 96)
-        assert bands[1, -1] == 0.0 and (bands[2, -2:] == 0.0).all()
+        for band in hilbert.gram_products(hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid).terms):
+            assert [t.offset for t in band] == [-2, -1, 0, 1, 2]
+            assert all(t.space == hilbert.SectorSpace(1, 96) for t in band)
 
 
 class TestBlockOperator:
@@ -309,6 +329,19 @@ class TestBlockOperator:
         for ragged in ([[1.0, 2.0], [3.0]], [np.ones(3), np.ones((1, 3))]):
             with pytest.raises(errors.LengthMismatchError, match="sector blocks differ in shape"):
                 hilbert.BlockOperator(ragged)
+
+    def test_smallest_space_and_window(self):
+        # two levels and one sector are the least a space holds; a window may keep one level
+        space = hilbert.SectorSpace(1, 2)
+        assert space.total_dim == 2
+        assert hilbert.window_levels(hilbert.SectorSpace(1, 5), 4) == 1
+        with pytest.raises(errors.DimensionMismatchError, match="excludes all 5 levels"):
+            hilbert.window_levels(hilbert.SectorSpace(1, 5), 5)
+
+    def test_product_leaving_the_space_names_its_offset(self):
+        a = hilbert.quon_ladder(4, 1.0)
+        with pytest.raises(errors.DimensionMismatchError, match="offset -4 leaves all 4 levels"):
+            a @ a @ a @ a
 
     def test_one_level_block_rejected(self):
         with pytest.raises(errors.DimensionMismatchError):
@@ -337,9 +370,15 @@ class TestBlockOperator:
         ops = [a, aq, h, h_tau, a.adjoint() @ a, aq @ aq.adjoint(), h - h_tau]
         for op in ops:
             assert all(b.dtype == np.float64 for b in op.blocks)
-        # the grid ladder's dense export is real too
+        # so are a weighted shift of real data, the grid ladder, its
+        # products, their action and the dense export
+        assert hilbert.weighted_shift(a.blocks, a.offset, np.ones((3, 6))).dtype == np.float64
         grid = hilbert.GridSpec(-5.0, 5.0, 64)
-        ag = hilbert.grid_ladder(lambda x: x, grid).matrix
+        ladder = hilbert.grid_ladder(lambda x: x, grid)
+        for band in (ladder.terms, *hilbert.gram_products(ladder.terms)):
+            assert all(t.blocks.dtype == np.float64 for t in band)
+            assert hilbert.band_apply(band, np.ones((2, 64))).dtype == np.float64
+        ag = ladder.matrix
         assert ag.dtype == np.float64 and (ag.T @ ag).dtype == np.float64
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])

@@ -92,6 +92,12 @@ def dense_grid_comparison(w, grid, coeffs=None, n_modes=None):
     return len(probes), max(np.linalg.norm((companion - target) @ phi) for phi in probes)
 
 
+def gram_bands(ladder):
+    """``h = a+ a`` and ``N1 = a a+`` of a grid ladder in lower band storage,
+    as the grid comparison forms them."""
+    return tuple(intertwine._lower_band(band) for band in hilbert.gram_products(ladder.terms))
+
+
 def lower_bands(m, width):
     """Lower band storage of the symmetric ``m``: row ``k`` holds entries ``(j + k, j)``."""
     n = len(m)
@@ -118,7 +124,7 @@ def dense_commutator_residual(w, grid):
     defect = a @ a.T - a.T @ a - 2.0 * c * np.diag(ladder.w_prime)
     return max(
         np.abs((defect @ phi)[3:-3]).max() / np.abs(phi).max()
-        for phi in hilbert._gaussian_probes(grid).T
+        for phi in hilbert._gaussian_probes(grid)
     )
 
 
@@ -738,7 +744,7 @@ class TestGridPartner:
         # directly, do the arithmetic of a fresh solve_banded per run and
         # sweep.  A gbtrs or QR that worked on a copy would leave the starts
         # in place and fail here
-        band = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points)).gram_bands()
+        band, _ = gram_bands(hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points)))
         calls = recorded_shifts(monkeypatch)
         evals, vecs, starts = intertwine._lowest_eigenpairs(band, 80)
         ((_, shifts, seen_starts),) = calls
@@ -762,7 +768,7 @@ class TestGridPartner:
         # nothing: each cluster spans the eigenspace of the same eigenvalues
         # from a dense eigh, to the accuracy eps ||h|| / gap that fixes it
         ladder = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points))
-        evals, vecs, starts = intertwine._lowest_eigenpairs(ladder.gram_bands(), 80)
+        evals, vecs, starts = intertwine._lowest_eigenpairs(gram_bands(ladder)[0], 80)
         a = ladder.matrix
         dense_evals, dense_vecs = np.linalg.eigh(a.T @ a)
         np.testing.assert_allclose(evals, dense_evals[: len(evals)], rtol=0, atol=1e-10)
@@ -815,7 +821,7 @@ class TestGridPartner:
         # columns; two random columns join the null start so that it is shared
         grid = hilbert.GridSpec(-lo, lo, 256)
         ladder = hilbert.grid_ladder(lambda x: x, grid)
-        band = ladder.gram_bands(adjoint=True)
+        _, band = gram_bands(ladder)
         a = ladder.matrix
         evals, vecs = np.linalg.eigh(a.T @ a)
         null = (-1.0) ** np.arange(256)[:, None] * vecs[:, evals <= intertwine.N1_CUTOFF]
@@ -850,6 +856,18 @@ class TestGridPartner:
         assert runs == 41
         assert len(factored) == runs
         assert len(solved) == 2 * runs
+
+    def test_products_pack_into_lower_band_storage(self):
+        # row k holds the k-th subdiagonal of the dense product, zero-padded
+        # at the end; the terms above the diagonal are not read
+        ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, hilbert.GridSpec(-9.0, 9.0, 96))
+        a = ladder.matrix
+        h, n1 = gram_bands(ladder)
+        scale = 16 * np.finfo(float).eps * np.abs(a).max() ** 2
+        for band, dense in ((h, a.T @ a), (n1, a @ a.T)):
+            assert band.shape == (3, 96)
+            assert band[1, -1] == 0.0 and (band[2, -2:] == 0.0).all()
+            np.testing.assert_allclose(band, lower_bands(dense, 2), rtol=0, atol=scale)
 
     def test_singular_shift_raises(self):
         # the second shift hits a diagonal entry: the solve must refuse, not
@@ -893,11 +911,9 @@ class TestGridPartner:
         gaussians = [np.exp(-0.5 * (grid.x / s) ** 2) * grid.x**k for s, k in ((2.0, 0), (1.5, 1), (3.0, 2))]
         r = np.column_stack(gaussians + [(-1.0) ** np.arange(points) * gaussians[0]])
         evals, vecs = np.linalg.eigh(h)
-        null = intertwine._n1_null_modes(
-            ladder.gram_bands(adjoint=True), vecs[:, evals <= intertwine.N1_CUTOFF], grid
-        )
+        null = intertwine._n1_null_modes(gram_bands(ladder)[1], vecs[:, evals <= intertwine.N1_CUTOFF], grid)
         coeffs = (0.5, -1.0, 0.25)
-        got = intertwine._companion_image(lambda v: n1 @ v, null, coeffs, r)
+        got = intertwine._companion_image(lambda v: v @ n1, null, coeffs, r.T).T
         want = n1_pinv @ (a @ ((0.5 * np.eye(points) - h + 0.25 * h @ h) @ (a.T @ r)))
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -1042,7 +1058,7 @@ class TestGridPartner:
         evals, vecs = np.linalg.eigh(a.T @ a)
         null = intertwine._n1_null_modes(lower_bands(n1, 63), vecs[:, evals <= intertwine.N1_CUTOFF], grid)
         # f(N1) = 1 + N1 = 2 - v v+, and P = I - v v+
-        applied = intertwine._companion_image(lambda u: n1 @ u, null, (1.0, 1.0), rhs)
+        applied = intertwine._companion_image(lambda u: u @ n1, null, (1.0, 1.0), rhs.T).T
         assert np.abs(v @ applied).max() <= 1e-12
         np.testing.assert_allclose(applied, 2.0 * (rhs - np.outer(v, v @ rhs)), atol=1e-12)
 

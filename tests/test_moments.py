@@ -301,8 +301,7 @@ class TestDeltaZeroFailure:
         assert np.isinf(phase_free).any()
         # the delta family's frequencies: -(e1[n] + delta), then +(e2[n] + delta)
         freqs = np.concatenate([-(seqs[0].values + delta), seqs[1].values + delta])
-        step, _ = moments._phase_step(freqs, 1e4)
-        average = moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, step)
+        average = moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, moments._phase_step(freqs))
         with np.errstate(over="raise", invalid="raise"):
             assert moments.cross_phase_average(self.family(160), 1e4, delta) == average
         assert phase_free[0, 160] == pytest.approx(1.0, rel=1e-15)
