@@ -1,9 +1,13 @@
 """Grid-realized ladder: a = c d/dx + W(x), and its companion's closed form.
 
-For a strictly increasing superpotential the companion of f(a+ a) equals
-f(a+ a + 2 c W'(x)) up to discretization error.  Both the commutator
-diagnostic and the companion comparison shrink at second order in the grid
-step; the fitted exponents confirm it.
+The ladder is staggered: it maps the grid's nodes to its bond midpoints, so
+h = a+ a and N1 = a a+ are an exact SUSY pair, the nonzero eigenvalues of h
+being those of N1, and N1 is invertible.  The companion N1^-1 a f(h) a+ of
+f(h) is then f(N1), and for a strictly increasing superpotential N1 equals
+T = b+ b + 2 c W'(x) on the bonds (b the same ladder one level down) up to
+discretization error.  Both the commutator diagnostic, a a+ - T on smooth
+probes, and the companion comparison, f(N1) - f(T) on the lowest modes of
+N1, shrink at second order in the grid step; the fitted exponents confirm it.
 """
 
 from vcslab import hilbert, intertwine

@@ -46,7 +46,7 @@ __all__ = [
 # quon nonisospectral and map-equality bundle runs in 0.01-0.05 s within 38 MiB
 # peak RSS, and each vcs-verify bundle (100 samples) in about 0.45 s within
 # 39 MiB.  The grid comparison forms no n x n array: susy-grid-linear at
-# sizes [2048, 4096] runs in about 0.5 s within 69 MiB.  The resolution kind
+# sizes [2048, 4096] runs in about 0.38 s within 66 MiB.  The resolution kind
 # cannot verify its weight moments from dim 160 on: they overflow the float
 # range.
 DIM_RANGE = (8, 4096)
@@ -176,6 +176,11 @@ class VcsVerifyParams:
     delta: float = 0.5
     times: tuple[float, ...] = (0.1, 1.0, 10.0)
     witness: Witness | None = None
+
+    @property
+    def unread(self) -> dict:
+        """The keys this run does not read, each with the run that ignores it."""
+        return {"delta": "the eds family"} if self.family == "eds" else {}
 
     def resolve(self, dim, spectra):
         return replace(self, j_max=_per_spectrum(self.j_max, 4.0, spectra, "params.j_max", "spectra"))
@@ -346,6 +351,9 @@ class SusyGridParams:
         _distinct(self.sizes, "params.sizes")
         if not self.domain[0] < self.domain[1]:
             raise ConfigError(f"params.domain {list(self.domain)} must be increasing")
+        # N1 on the n - 1 bonds of the smallest grid has that many modes
+        if self.n_modes > (modes := min(self.sizes) - 1):
+            raise ConfigError(f"params.n_modes {self.n_modes} exceeds the {modes} modes of the smallest grid")
         return self
 
 

@@ -34,7 +34,7 @@ class NonPositiveDerivativeError(VcsLabError):
 
 
 class GridOverflowError(VcsLabError):
-    """The grid ladder's entries are too large for ``a+ a`` to stay in the float range."""
+    """The grid ladder's entries, or a map of ``a a+``, would leave the normal float range."""
 
 
 class OutOfDiscError(VcsLabError):

@@ -241,11 +241,9 @@ def _run_susy_grid(config: ExperimentConfig, seed: int):
     ):
         exponent = fit_power_law(dxs, residuals)
         values += [(f"{label}-scaling-exponent", exponent), (f"{label}-scaling-exponent-ceiling", exponent)]
-    # n_modes: the probes a size used, fewer than asked when its grid holds
-    # too few smooth modes; a fit over sizes with unequal counts mixes probe sets
-    lines = ["# dx\tcommutator_residual\tcomparison_residual\tn_modes"]
+    lines = ["# dx\tcommutator_residual\tcomparison_residual"]
     for r in reports:
-        lines.append(f"{r.dx:.17g}\t{r.commutator_residual:.17g}\t{r.comparison_residual:.17g}\t{r.n_modes}")
+        lines.append(f"{r.dx:.17g}\t{r.commutator_residual:.17g}\t{r.comparison_residual:.17g}")
     return values, {"residual-vs-dx.tsv": "\n".join(lines) + "\n"}
 
 

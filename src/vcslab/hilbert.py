@@ -235,26 +235,23 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridLadder:
-    """The grid lowering operator ``a = c d/dx + W(x)`` on a single sector,
-    stored as a band: ``terms`` are its one-sector weighted shifts at offsets
-    0 (the diagonal), +1 (``a[i+1, i]``) and -1 (``a[i, i+1]``).
+    """The staggered grid lowering operator ``a = c d/dx + W`` and the target
+    of its partner, each a band of one-sector weighted shifts on ``n`` levels.
 
-    :func:`band_apply` applies ``a`` and, with each term's ``adjoint``,
-    ``a+``; :func:`gram_products` forms ``a+ a`` and ``a a+``.  ``matrix`` is
-    the dense export of ``a``.  ``w_prime`` is ``W'`` on the grid;
-    ``commutator_residual`` measures the deviation of ``[a, a+]`` from
-    ``2c W'`` (a discretization artifact).
+    ``a`` (``terms``, offsets 0 and -1) maps the ``n`` nodes to the ``n - 1``
+    bond midpoints, and its last row, the dead bond, is zero; so is the last
+    row and column of ``N1 = a a+`` (:func:`gram_products`).  ``target`` is
+    ``T = b+ b + 2c W'`` on the bonds, ``b`` the same ladder one level down,
+    from the bonds to the inner nodes, tridiagonal and zero on the dead bond.
+    ``norm_bound`` bounds every entry and row sum of ``N1`` and ``T``;
+    ``commutator_residual`` measures ``a a+ - T`` on smooth probes (a
+    discretization artifact, second order in the step).
     """
 
     terms: tuple
-    c: float
-    w_prime: np.ndarray
+    target: tuple
+    norm_bound: float
     commutator_residual: float
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense ``n x n`` export of ``a``."""
-        return sum(term.matrix for term in self.terms)
 
 
 def lowering_operator(seqs, gamma: float) -> BlockOperator:
@@ -306,65 +303,79 @@ def quon_ladder(dim: int, q: float) -> BlockOperator:
     return BlockOperator([np.sqrt(quon_numbers(dim, q)[1:])], -1)
 
 
-def _gaussian_probes(grid: GridSpec) -> np.ndarray:
-    """Smooth confined test vectors for grid diagnostics (rows of the array)."""
+def _gaussian_probes(grid: GridSpec, x: np.ndarray) -> np.ndarray:
+    """Smooth test vectors at the points ``x``, confined to the middle of the
+    domain of ``grid`` (rows of the array)."""
     center = 0.5 * (grid.xmin + grid.xmax)
     sigma = (grid.xmax - grid.xmin) / 8.0
-    u = (grid.x - center) / sigma
+    u = (x - center) / sigma
     bump = np.exp(-0.5 * u * u)
     return np.array([bump, u * bump, (u * u - 1.0) * bump])
+
+
+def _staggered(step: float, left: np.ndarray, right: np.ndarray, n: int) -> tuple:
+    """The band ``(a f)_i = step (f_{i+1} - f_i) + left_i f_i + right_i f_{i+1}``
+    on ``n`` levels, its rows from ``len(left)`` on zero."""
+    diagonal, upper = np.zeros(n), np.zeros(n - 1)
+    diagonal[: len(left)] = left - step
+    upper[: len(right)] = right + step
+    return BlockOperator([diagonal]), BlockOperator([upper], -1)
 
 
 def grid_ladder(
     w, grid: GridSpec, hbar: float = 1.0, mass: float = 1.0
 ) -> GridLadder:
-    """First-order differential ladder ``a = c d/dx + W(x)``, ``c = hbar/sqrt(2m)``.
+    """Staggered first-order ladder ``a = c d/dx + W(x)``, ``c = hbar/sqrt(2m)``,
+    from the nodes to the bond midpoints ``xb`` (Yee's grid):
 
-    ``w`` is the superpotential, called once on the array of grid points and
-    returning the array of its values there; its derivative (central
-    differences) must be strictly positive everywhere.  The adjoint
-    is the matrix adjoint, so ``[a, a+]`` approximates ``2c W'(x)`` with a
-    second-order error.  The diagnostic measures that error on smooth
-    confined probe vectors over interior points.  Raises
-    ``GridOverflowError`` when an entry of ``a`` is so large that ``a+ a``
-    or its band norm could leave the float range.
+        (a f)_i = c (f_{i+1} - f_i) / dx + W(xb_i) (f_i + f_{i+1}) / 2
+
+    ``w`` is the superpotential, called once on the array of bond midpoints
+    and returning the array of its values there; its derivative there
+    (``np.gradient``) must be strictly positive.  The partner's ladder ``b``
+    maps the bonds to the inner nodes with the products averaged,
+    ``(b g)_j = c (g_{j+1} - g_j) / dx + (W_j g_j + W_{j+1} g_{j+1}) / 2``, so
+    the ``W^2`` parts of ``a a+`` and ``b+ b`` cancel in the interior and
+    ``a a+ - b+ b - 2c W'`` is a second-order error.  The diagnostic measures
+    it on smooth confined probes over interior bonds.  Raises
+    ``GridOverflowError`` when the entries of ``a`` are so large that ``a a+``
+    or ``T`` could overflow, or so small that their products underflow.
     """
     if not (hbar > 0 and mass > 0):
         raise NonPositiveDerivativeError("hbar and mass must be positive")
-    w_values = np.asarray(w(grid.x), dtype=float)
-    w_prime = np.gradient(w_values, grid.dx)
+    n, dx, x = grid.points, grid.dx, grid.x
+    bonds = 0.5 * (x[:-1] + x[1:])
+    w_values = np.asarray(w(bonds), dtype=float)
+    w_prime = np.gradient(w_values, dx)
     if w_prime.min() <= 0:
         raise NonPositiveDerivativeError(
             f"superpotential derivative reaches {w_prime.min():.3e} <= 0 on the grid"
         )
     c = hbar / np.sqrt(2.0 * mass)
-    # c d/dx by central differences, one-sided at the two boundary rows
-    n, step = grid.points, c * (1.0 / grid.dx)
-    lower, main, upper = np.full(n - 1, -0.5 * step), w_values.copy(), np.full(n - 1, 0.5 * step)
-    main[0], upper[0] = w_values[0] - step, step
-    lower[-1], main[-1] = -step, w_values[-1] + step
-    # an entry of a+ a, and a row sum of its band, adds at most nine products
-    # of two entries of a, so (3 s)^2 bounds them, s the largest entry
-    largest = max(np.abs(d).max() for d in (lower, main, upper))
-    if not 3.0 * largest <= np.sqrt(np.finfo(float).max):
+    half = 0.5 * w_values
+    a = _staggered(c / dx, half, half, n)
+    # a row or column of a holds two entries of at most s, the largest, so
+    # the entries and row sums of a a+ and b+ b are at most 4 s^2; c / dx
+    # and |W| / 2 are at most s, so 2c |W'| is at most 8 s^2: (4 s)^2 bounds
+    # them all, and must be a normal float
+    largest = max(np.abs(term.blocks).max() for term in a)
+    finfo = np.finfo(float)
+    if not np.sqrt(finfo.tiny) <= 4.0 * largest <= np.sqrt(finfo.max):
         raise GridOverflowError(
             f"grid ladder entry {largest:.3e} (hbar / sqrt(2 mass) / dx, or W on the domain) "
-            "puts a+ a beyond the float range"
+            "puts a a+ out of the float range"
         )
+    below, diagonal, above = gram_products(_staggered(c / dx, half[:-1], half[1:], n))[0]
+    target = (below, diagonal + BlockOperator([np.append(2.0 * c * w_prime, 0.0)]), above)
 
-    a = (BlockOperator([main]), BlockOperator([lower], 1), BlockOperator([upper], -1))
-    ad = tuple(term.adjoint() for term in a)
-
-    # [a, a+] - 2c W' applied to the probes, one row each
-    phis = _gaussian_probes(grid)
-    commutator = band_apply(a, band_apply(ad, phis)) - band_apply(ad, band_apply(a, phis))
-    defect = commutator - 2.0 * c * w_prime * phis
-    # points within 2 of the boundary carry one-sided-stencil corrections of
-    # size O(1/dx^2); beyond that the derivative-matrix self-commutator
-    # cancels exactly and only the O(dx^2) Taylor error remains
-    interior = slice(3, grid.points - 3)
+    # a a+ - T applied to the probes, one row each, zero on the dead bond
+    phis = np.pad(_gaussian_probes(grid, bonds), ((0, 0), (0, 1)))
+    defect = band_apply(gram_products(a)[1], phis) - band_apply(target, phis)
+    # the end rows of N1 and T differ by O(1/dx^2) edge terms: three rows at
+    # either end of the bonds are left out
+    interior = slice(3, n - 4)
     resid = np.max(np.abs(defect[:, interior]).max(axis=1) / np.abs(phis).max(axis=1))
-    return GridLadder(a, c, w_prime, commutator_residual=float(resid))
+    return GridLadder(a, target, (4.0 * largest) ** 2, commutator_residual=float(resid))
 
 
 def shifted_hamiltonian(seqs) -> BlockOperator:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, HypothesisViolatedError, VcsLabError
+from .errors import DimensionMismatchError, GridOverflowError, HypothesisViolatedError, VcsLabError
 from .hilbert import (
     WINDOW_BUFFER,
     BlockOperator,
@@ -273,235 +273,15 @@ class GridComparisonReport:
     dx: float
     commutator_residual: float
     comparison_residual: float
-    n_modes: int
 
 
-def _check_null_modes(null: np.ndarray, grid: GridSpec) -> None:
-    """Raise ``HypothesisViolatedError`` unless every column of ``null`` (unit
-    null vectors of the grid N1) is a discretization artifact.
-
-    Central differences admit a checkerboard quasi-kernel of the raising
-    operator (sign-alternating at the grid's highest frequency), and confining
-    superpotentials can pin further quasi-null modes to the outermost grid
-    points.  Both live outside the trustworthy low-frequency interior
-    subspace and are dropped; a smooth interior null direction is a
-    genuine invertibility failure.
-    """
-    band = max(4, grid.points // 32)
-    smoothness = np.sum((null[1:] + null[:-1]) ** 2, axis=0)  # ~4 smooth, ~0 Nyquist
-    edge_mass = np.sum(null[:band] ** 2, axis=0) + np.sum(null[-band:] ** 2, axis=0)
-    genuine = int(np.count_nonzero(~((smoothness < 0.5) | (edge_mass > 0.5))))
-    if genuine:
-        raise HypothesisViolatedError(
-            f"grid N1 has {genuine} eigenvalue(s) <= {N1_CUTOFF:.1e} with a smooth interior "
-            "eigenvector: not invertible"
-        )
-
-
-#: pairs of eigenvalues of the grid ``h`` closer than ``eps ||h|| / CLUSTER_ANGLE``
-#: form one cluster: a backward-stable eigensolver fixes the eigenvectors of
-#: a pair with gap ``g`` only to an angle of about ``eps ||h|| / g``, so below
-#: that gap the basis inside the pair is not a property of ``h``
-CLUSTER_ANGLE = 1e-10
-
-
-def _lower_band(terms) -> np.ndarray:
-    """A symmetric one-sector band, one term per offset in increasing order
-    (:func:`~vcslab.hilbert.gram_products`), in LAPACK's lower band storage:
-    row ``k`` holds the ``k``-th subdiagonal, zero-padded at the end."""
-    return np.array([np.pad(term.blocks[0], (0, term.offset)) for term in terms if term.offset >= 0])
-
-
-def _band_norm(band: np.ndarray) -> float:
-    """Infinity norm of the symmetric matrix in lower band storage ``band``."""
-    mag = np.abs(band)
-    rows = mag.sum(axis=0)
-    for k in range(1, len(band)):
-        rows[k:] += mag[k, :-k]
-    return float(rows.max())
-
-
-def _inverse_iteration(band: np.ndarray, shifts, x: np.ndarray, starts) -> np.ndarray:
-    """Two sweeps of inverse iteration on the symmetric matrix ``B`` in lower
-    band storage ``band``, from the starting block ``x``: column ``j`` is solved
-    against ``B - shifts[j]``, and after each sweep each group of columns
-    ``starts[g]:starts[g + 1]`` is re-orthonormalized by QR.  Groups are
-    independent, so they are done one at a time: each run of equal shifts in
-    the group is LU-factored once (``gbtrf``), each sweep solves the run's
-    columns as one block on that factor (``gbtrs``), and the QR is LAPACK's
-    (``geqrf`` and ``orgqr``), all in place on a Fortran-ordered copy of
-    ``x``, which is returned.  Raises ``LinAlgError`` when a shifted ``B`` is
-    singular."""
-    # imported here, not at module level: only the grid comparison needs
-    # scipy, and ``import vcslab`` should not pay its import time and memory
-    from scipy.linalg.lapack import dgbtrf, dgbtrs, dgeqrf, dorgqr
-
-    def check(name, info):
-        if info > 0 and name == "dgbtrf":
-            raise np.linalg.LinAlgError(f"shifted band matrix is singular at pivot {info}")
-        if info:
-            raise np.linalg.LinAlgError(f"{name} returned info = {info}")
-
-    # general band storage for gbtrf: rows 0..p-1 hold the fill-in of the LU
-    # factors, row 2p - k the k-th superdiagonal and row 2p + k the k-th
-    # subdiagonal
-    p = len(band) - 1
-    ab = np.zeros((3 * p + 1, band.shape[1]))
-    ab[2 * p :] = band
-    for k in range(1, p + 1):
-        ab[2 * p - k, k:] = band[k, :-k]
-    diagonal = ab[2 * p].copy()
-    shifts = np.asarray(shifts, dtype=float)
-    # the runs of equal shifts, none crossing a group boundary
-    edges = np.zeros(len(shifts) + 1, dtype=bool)
-    edges[1:-1] = shifts[1:] != shifts[:-1]
-    edges[starts] = True
-    edges = np.flatnonzero(edges)
-    x = np.asfortranarray(x)
-    for a, b in zip(starts[:-1], starts[1:]):
-        cuts = edges[(a <= edges) & (edges <= b)]
-        runs = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            ab[2 * p] = diagonal - shifts[lo]
-            lu, piv, info = dgbtrf(ab, p, p)
-            check("dgbtrf", info)
-            # columns lo:hi of the Fortran-ordered x are contiguous, so gbtrs
-            # solves the block in place
-            runs.append((lu, piv, x[:, lo:hi]))
-        group = x[:, a:b]
-        for _ in range(2):
-            for lu, piv, block in runs:
-                check("dgbtrs", dgbtrs(lu, p, p, block, piv, overwrite_b=1)[1])
-            qr, tau, _, info = dgeqrf(group, overwrite_a=1)
-            check("dgeqrf", info)
-            check("dorgqr", dorgqr(qr, tau, overwrite_a=1)[2])
-    return x
-
-
-def _cluster_shifts(evals: np.ndarray, starts) -> np.ndarray:
-    """The inverse-iteration shift of each eigenvalue in ``evals``, whose
-    clusters are ``starts[g]:starts[g + 1]``.
-
-    A cluster whose spread is at most ``sqrt(eps)`` times its distance to the
-    nearest eigenvalue outside it shares one shift, its lowest eigenvalue:
-    each sweep then damps the other clusters by at least ``sqrt(eps)``
-    against it, so two leave about ``eps`` of them in its block.  Any other
-    cluster keeps one shift per eigenvalue.
-    """
-    lowest, highest = evals[starts[:-1]], evals[starts[1:] - 1]
-    gaps = lowest[1:] - highest[:-1]
-    distance = np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
-    shared = highest - lowest <= np.sqrt(np.finfo(float).eps) * distance
-    sizes = np.diff(starts)
-    return np.where(np.repeat(shared, sizes), np.repeat(lowest, sizes), evals)
-
-
-def _lowest_eigenpairs(band: np.ndarray, count: int):
-    """The lowest eigenpairs of the symmetric matrix ``B`` in lower band
-    storage, grouped into clusters of near-equal eigenvalues.
-
-    The ``count`` lowest eigenvalues come from band bisection (``dsbevx``) to
-    LAPACK's default tolerance ``eps ||T||_1``, ``T`` the tridiagonal form of
-    ``B``: the reduction to ``T`` is backward stable, so no eigenvalue of
-    ``B`` is fixed more closely than about ``eps ||B||``.  When ``count < n``
-    the top cluster may continue past them and is dropped.  The eigenvectors
-    come from two sweeps of inverse iteration from seeded random starts, with
-    the shifts of ``_cluster_shifts``: a cluster that shares one shift gets
-    one band LU factor and one block solve per sweep, and each cluster a QR
-    after each sweep.  Returns ``(evals, vecs, starts)`` with cluster ``g``
-    in columns ``starts[g]:starts[g + 1]`` of the Fortran-ordered ``vecs``.
-    """
-    from scipy.linalg.lapack import dsbevx  # see _inverse_iteration
-
-    n = band.shape[1]
-    evals, _, _, _, info = dsbevx(
-        band, 0.0, 0.0, 1, count, compute_v=0, range=2, lower=1, abstol=0.0, mmax=1, overwrite_ab=0
-    )
-    if info:
-        raise np.linalg.LinAlgError(f"dsbevx returned info = {info}")
-    evals = evals[:count]
-    tol = np.finfo(float).eps * _band_norm(band) / CLUSTER_ANGLE
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(evals) > tol) + 1, [count]))
-    shifts = _cluster_shifts(evals, starts)
-    if count < n:
-        starts = starts[:-1]
-        evals, shifts = evals[: starts[-1]], shifts[: starts[-1]]
-    # random starts: a structured one such as all ones is orthogonal to every
-    # odd eigenvector when the superpotential is odd
-    x = np.asfortranarray(np.random.default_rng(0).standard_normal((n, len(evals))))
-    return evals, _inverse_iteration(band, shifts, x, starts), starts
-
-
-def _smoothness_basis(vecs: np.ndarray, starts):
-    """Rotate each cluster of ``vecs`` to the eigenbasis of the smoothness
-    form ``sum_i (v_i + v_{i+1})^2`` (about 4 on smooth modes, 0 on the
-    checkerboard), in ascending order, with one batched ``eigh`` over the
-    clusters of each size.  Returns the rotated vectors and the form on each."""
-    d = vecs[1:] + vecs[:-1]
-    form = d.T @ d
-    del d
-    rot = np.eye(len(form))
-    sizes = np.diff(starts)
-    for size in np.unique(sizes[sizes > 1]):
-        cols = starts[:-1][sizes == size][:, None] + np.arange(size)
-        block = (cols[:, :, None], cols[:, None, :])
-        rot[block] = np.linalg.eigh(form[block])[1]
-    return vecs @ rot, np.einsum("jk,jl,lk->k", rot, form, rot)
-
-
-def _smooth_eigenpairs(band: np.ndarray, k: int):
-    """The lowest eigenpairs of the grid ``h`` with every cluster in its
-    smoothness basis, enough of them to hold ``k`` smooth modes and all null
-    modes: ``2k + 16`` at first, doubled up to ``n`` until they do.  Returns
-    ``(evals, vecs, smoothness)``."""
-    n = band.shape[1]
-    count = min(n, 2 * k + 16)
-    while True:
-        evals, vecs, starts = _lowest_eigenpairs(band, count)
-        vecs, smoothness = _smoothness_basis(vecs, starts)
-        enough = np.count_nonzero(smoothness > 2.0) >= k and evals.size > 0 and evals[-1] > N1_CUTOFF
-        if enough or count == n:
-            return evals, vecs, smoothness
-        count = min(n, 2 * count)
-
-
-def _n1_null_modes(n1_band: np.ndarray, h_null: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Unit null vectors of ``N1 = a a+`` (lower band storage ``n1_band``),
-    checked by ``_check_null_modes``.
-
-    ``N1`` and ``h = a+ a`` have equally many null modes, and central
-    differences make ``N1 ~ S h S`` with the checkerboard sign
-    ``S = (-1)^i``, so ``S`` carries the null vectors ``h_null`` of ``h``
-    close to those of ``N1``.  Inverse iteration on ``N1 + N1_CUTOFF`` from
-    there corrects them where the two differ, at the one-sided boundary rows.
-    """
-    null = np.where(np.arange(len(h_null)) % 2, -1.0, 1.0)[:, None] * h_null
-    count = null.shape[1]
-    null = _inverse_iteration(n1_band, np.full(count, -N1_CUTOFF), null, [0, count])
-    _check_null_modes(null, grid)
-    return null
-
-
-def _horner(coeffs, apply, v: np.ndarray) -> np.ndarray:
+def _horner(coeffs, band, v: np.ndarray) -> np.ndarray:
     """``p(A) v`` by Horner's rule, for the polynomial ``p`` with ``coeffs``
-    (lowest order first) and ``A`` given by its action ``apply`` on a block."""
+    (lowest order first) and the band ``A``, applied to the rows of ``v``."""
     out = coeffs[-1] * v
     for c in coeffs[-2::-1]:
-        out = apply(out) + c * v
+        out = band_apply(band, out) + c * v
     return out
-
-
-def _companion_image(n1, null: np.ndarray, coeffs, phi: np.ndarray) -> np.ndarray:
-    """The companion ``N1^+ a f(h) a+`` of the grid, applied to the rows of ``phi``.
-
-    ``x = a+``, so ``N1 = x+ x = a a+``; ``a f(h) = f(N1) a`` turns the
-    companion into ``N1^+ N1 f(N1) = P f(N1)``, with ``P = I - Q Q+`` the
-    projector off the unit null modes ``null`` of ``N1`` (its columns).
-    ``n1`` applies ``N1`` to the rows of a block and ``f`` is the polynomial
-    with ``coeffs``.
-    """
-    image = _horner(coeffs, n1, phi)
-    return image - (image @ null) @ null.T
 
 
 def grid_partner_comparison(
@@ -514,51 +294,45 @@ def grid_partner_comparison(
 ) -> GridComparisonReport:
     """Compare the companion of the grid ladder against its closed form.
 
-    With ``a = c d/dx + W`` (``x = a+``, ``h = a+ a``) the companion of
-    ``f(h)`` equals ``f(a a+)``, whose continuum form is
-    ``f(a+ a + 2 c W'(x))``; the two differ by the discretization error of
-    the commutator, second order in the grid step.  ``f`` is the polynomial
-    with ``coeffs``, lowest order first (default: the identity).  Residuals
-    are measured on the ``n_modes`` lowest smooth eigenvectors of ``h``
-    (default: the bottom quarter of the grid spectrum); hold it fixed for
-    scaling studies.  The ladder is a band, so no ``n x n`` array is formed:
-    ``h`` and ``N1 = a a+`` are band products, formed once.  The lowest
-    eigenpairs of ``h`` come from band bisection and inverse iteration, with
-    the basis inside each cluster of near-equal eigenvalues fixed by
-    smoothness, and both sides of the comparison apply ``N1`` and
-    ``h + 2c W'`` to the ``k`` probes as bands, with ``f`` applied by
-    Horner's rule.
+    With the staggered ``a = c d/dx + W`` (:func:`~vcslab.hilbert.grid_ladder`),
+    ``x = a+`` and ``h = a+ a``, ``N1 = a a+`` is invertible on the bonds, so
+    ``a f(h) = f(N1) a`` makes the companion ``N1^-1 a f(h) a+`` equal to
+    ``f(N1)``, whose continuum form is ``f(T)``, ``T = b+ b + 2c W'``; the two
+    differ by the discretization error of the commutator, second order in the
+    grid step.  ``f`` is the polynomial with ``coeffs``, lowest order first
+    (default: the identity).  Residuals are ``max ||(f(N1) - f(T)) phi||`` over
+    the ``n_modes`` lowest eigenvectors ``phi`` of ``N1`` (default: a quarter
+    of the grid); hold it fixed for scaling studies.  ``N1`` is tridiagonal,
+    and its last row, the dead bond, is zero: the probes come from
+    ``eigh_tridiagonal`` on the leading ``n - 1`` block, and ``f`` is applied
+    to them by Horner's rule over the bands.  Raises ``GridOverflowError``
+    when ``f`` of the ladder's norm bound leaves the float range.
     """
+    # imported here, not at module level: only the grid comparison needs
+    # scipy, and ``import vcslab`` should not pay its import time and memory
+    from scipy.linalg import eigh_tridiagonal
+
     ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
-    h, n1 = gram_products(ladder.terms)
-
-    # central differences double the spectrum: every smooth eigenmode has a
-    # checkerboard twin at a nearby eigenvalue on which the commutator flips
-    # sign, and excited eigenvectors hybridize weakly with the doubler branch
-    # near their turning points.  Only smooth content represents the continuum
-    # operator, so the comparison keeps the lowest smooth eigenvectors and
-    # low-pass filters them (double three-point average: exact on the doubler
-    # mode, relative O(dx^2) on resolved modes) before applying the operators.
-    k_max = grid.points // 4 if n_modes is None else n_modes
-    evals, vecs, smoothness = _smooth_eigenpairs(_lower_band(h), k_max)
-    # the probes are rows, as the bands act along the last axis
-    phi = vecs[:, np.flatnonzero(smoothness > 2.0)[:k_max]].T
-    null = _n1_null_modes(_lower_band(n1), vecs[:, evals <= N1_CUTOFF], grid)
-    del vecs
-    for _ in range(2):
-        phi = 0.25 * (np.hstack((phi[:, :1], phi[:, :-1])) + 2.0 * phi + np.hstack((phi[:, 1:], phi[:, -1:])))
-    phi = phi / np.linalg.norm(phi, axis=1)[:, None]
-
-    # the target h + 2c W' as a band: the terms of h and one more diagonal
-    target = (*h, BlockOperator([2.0 * ladder.c * ladder.w_prime]))
-    image = _companion_image(lambda v: band_apply(n1, v), null, coeffs, phi)
-    diff = image - _horner(coeffs, lambda v: band_apply(target, v), phi)
-    return GridComparisonReport(
-        dx=grid.dx,
-        commutator_residual=ladder.commutator_residual,
-        comparison_residual=float(np.max(np.linalg.norm(diff, axis=1), initial=0.0)),
-        n_modes=phi.shape[0],
-    )
+    # every Horner step, and the norm of the difference of the two sides, is
+    # at most 2 sqrt(n) times this polynomial of the bound on N1 and T
+    with np.errstate(over="ignore"):
+        bound = np.polynomial.polynomial.polyval(max(1.0, ladder.norm_bound), np.abs(coeffs))
+    if not bound <= np.finfo(float).max / (2.0 * np.sqrt(grid.points)):
+        raise GridOverflowError(
+            f"map {list(coeffs)} of N1 and its target, bounded by {ladder.norm_bound:.3e}, "
+            "can leave the float range"
+        )
+    n1 = gram_products(ladder.terms)[1]
+    k = grid.points // 4 if n_modes is None else n_modes
+    # scaled to entries below 1: the solver squares them
+    diagonal, off = (term.blocks[0][:-1] / ladder.norm_bound for term in n1[1:])
+    _, vecs = eigh_tridiagonal(diagonal, off, select="i", select_range=(0, k - 1))
+    # the probes are rows, as the bands act along the last axis, and vanish on the dead bond
+    phi = np.pad(vecs.T, ((0, 0), (0, 1)))
+    diff = _horner(coeffs, n1, phi) - _horner(coeffs, ladder.target, phi)
+    # hypot, not a sum of squares: entries above 1e154 must not overflow
+    residual = float(np.max(np.hypot.reduce(diff, axis=1)))
+    return GridComparisonReport(grid.dx, ladder.commutator_residual, residual)
 
 
 def fit_power_law(x, y) -> float:

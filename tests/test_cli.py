@@ -143,6 +143,10 @@ MALFORMED = [
     ("hbar-negative", small_grid_config(hbar=-1.0), "params.hbar"),
     ("domain-reversed", small_grid_config(domain=[5.0, 1.0]), "params.domain"),
     ("n-modes-zero", small_grid_config(n_modes=0), "params.n_modes"),
+    # N1 on the 63 bonds of the 64-point grid has 63 modes: a request past
+    # them was cut short at run time, and the table reported the count used
+    ("n-modes-above-the-smallest-grid", small_grid_config(n_modes=64), "params.n_modes 64 exceeds the 63 modes"),
+    ("vcs-eds-delta", with_param(small_vcs_config(), "delta", 7.0), "params.delta is not read by the eds family"),
     (
         "grid-with-spectra",
         {**small_grid_config(), "spectra": [{"form": "linear"}]},
@@ -445,6 +449,10 @@ class TestRunExperiment:
         with pytest.raises(errors.ConfigError, match="params.n_samples"):
             config.parse_config(raw)
 
+    def test_n_modes_may_reach_the_modes_of_the_smallest_grid(self):
+        cfg = config.parse_config(small_grid_config(n_modes=63, sizes=[128, 64]))
+        assert cfg.params.n_modes == 63
+
     def test_single_grid_size_rejected(self):
         raw = {
             "kind": "susy-grid",
@@ -538,16 +546,48 @@ class TestCliEntryPoint:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "experiment failed: factorial products overflow" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override", [{"hbar": 1e300}, {"domain": [0.0, 1e-300]}], ids=["hbar", "domain"])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"hbar": 1e300},
+            {"domain": [0.0, 1e-300]},
+            {"w_coeffs": [0.0, 1e160]},
+            {"hbar": 1e-200, "w_coeffs": [0.0, 1e-200]},
+        ],
+        ids=["hbar", "domain", "superpotential", "underflow"],
+    )
     def test_exit_one_on_an_overflowing_grid(self, override, tmp_path, capsys):
-        # c or 1 / dx puts a+ a beyond the float range: the run stops before
-        # the eigensolver, which would otherwise fail on a non-finite band
+        # c, 1 / dx or W puts a a+ out of the float range: the run stops
+        # before the eigensolver, which would otherwise fail on a non-finite
+        # band (the underflowing grid raised a LinAlgError with a traceback)
         raw = yaml.safe_load((resources.files("vcslab") / "configs" / "susy-grid-linear.yaml").read_text())
         raw["params"].update(override)
         path = tmp_path / "grid.yaml"
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert "experiment failed: grid ladder entry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "override, failure",
+        [
+            # W is below the rounding of c / dx: a a+ and the target agree exactly
+            ({}, "power-law fit needs positive data"),
+            ({"map_coeffs": [0, 0, 1]}, "map [0.0, 0.0, 1.0] of N1 and its target, bounded by"),
+        ],
+        ids=["identity", "squared"],
+    )
+    def test_hbar_1e100_stops_on_a_named_failure(self, override, failure, tmp_path, capsys):
+        # the residuals were inf from hbar = 1e100 on, so the exponents read
+        # NaN: now every admitted value is finite, and the squared map, whose
+        # N1^2 could leave the float range, is not admitted
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "susy-grid-linear.yaml").read_text())
+        raw["params"].update(hbar=1e100, **override)
+        path = tmp_path / "grid.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"experiment failed: {failure}" in capsys.readouterr().err
 
     def test_exit_one_names_nonfinite_quadrature_weights(self, tmp_path, capsys):
         raw = yaml.safe_load((resources.files("vcslab") / "configs" / "resolution-eds.yaml").read_text())

@@ -17,17 +17,20 @@ def two_linear_shifted(dim, omegas=(1.0, math.sqrt(2.0)), offsets=(0.3, 0.55)):
     ]
 
 
-def dense_derivative_matrix(grid):
-    """Oracle for the grid ladder's derivative part: the central-difference
-    matrix written out entry by entry, one-sided at the two boundary rows."""
-    n, dx = grid.points, grid.dx
-    m = np.zeros((n, n))
-    i = np.arange(1, n - 1)
-    m[i, i + 1] = 0.5 / dx
-    m[i, i - 1] = -0.5 / dx
-    m[0, 0], m[0, 1] = -1.0 / dx, 1.0 / dx
-    m[-1, -2], m[-1, -1] = -1.0 / dx, 1.0 / dx
-    return m
+def staggered_oracle(w, grid, hbar=1.0, mass=1.0):
+    """Oracle for the grid ladder, written out entry by entry from the
+    formulas on ``n`` levels, the last row of ``a`` (the dead bond) zero:
+    ``(a f)_i = c (f_{i+1} - f_i) / dx + W(xb_i) (f_i + f_{i+1}) / 2`` and
+    ``(b g)_j = c (g_{j+1} - g_j) / dx + (W_j g_j + W_{j+1} g_{j+1}) / 2``,
+    ``W_j = W(xb_j)``.  Returns ``a`` and ``T = b+ b + 2c W'``."""
+    n, dx, c = grid.points, grid.dx, hbar / np.sqrt(2.0 * mass)
+    wb = w(0.5 * (grid.x[:-1] + grid.x[1:]))
+    a, b = np.zeros((n, n)), np.zeros((n, n))
+    for i in range(n - 1):
+        a[i, i], a[i, i + 1] = -c / dx + wb[i] / 2, c / dx + wb[i] / 2
+    for j in range(n - 2):
+        b[j, j], b[j, j + 1] = -c / dx + wb[j] / 2, c / dx + wb[j + 1] / 2
+    return a, b.T @ b + np.diag(np.append(2.0 * c * np.gradient(wb, dx), 0.0))
 
 
 class TestLoweringOperator:
@@ -206,6 +209,12 @@ class TestQuonLadder:
                     build(6, q)
 
 
+#: W = SLOPE x on [0, 1] at 64 points with c / dx = SLOPE / 2: the diagonal
+#: W / 2 - c / dx of the grid ladder stays within SLOPE / 2 of zero, while its
+#: upper entry W / 2 + c / dx reaches SLOPE, beyond sqrt(float max) / 4
+SLOPE = 0.3 * np.sqrt(np.finfo(float).max)
+
+
 def band_matrix(band):
     """Dense export of a band: the sum of its terms' dense exports."""
     return sum(term.matrix for term in band)
@@ -249,7 +258,7 @@ class TestGridLadder:
     def test_probes_are_centred_on_the_domain(self):
         # on [0, 8] the even probe peaks at 4, and the odd one changes sign there
         grid = hilbert.GridSpec(0.0, 8.0, 65)
-        even, odd, _ = hilbert._gaussian_probes(grid)
+        even, odd, _ = hilbert._gaussian_probes(grid, grid.x)
         assert grid.x[np.argmax(even)] == 4.0
         assert odd[32] == 0.0 and odd[31] < 0.0 < odd[33]
 
@@ -264,41 +273,59 @@ class TestGridLadder:
             hilbert.GridSpec(xmin, xmax, 64)
 
     @pytest.mark.parametrize(
-        "w, hbar, lo",
-        [(lambda x: x, 1e154, 10.0), (lambda x: x, 1.0, 1e-153), (lambda x: 1e154 * x, 1.0, 10.0)],
-        ids=["hbar", "narrow-domain", "superpotential"],
+        "w, hbar, lo, hi",
+        [
+            (lambda x: x, 1e154, -10.0, 10.0),
+            (lambda x: x, 1.0, -1e-153, 1e-153),
+            (lambda x: 1e154 * x, 1.0, -10.0, 10.0),
+            (lambda x: SLOPE * x, 0.5 * SLOPE / 63 * np.sqrt(2.0), 0.0, 1.0),
+            (lambda x: 1e-160 * x, 1e-160, -10.0, 10.0),
+        ],
+        ids=["hbar", "narrow-domain", "superpotential", "upper-entry-only", "underflow"],
     )
-    def test_entries_beyond_the_gram_range_rejected(self, w, hbar, lo):
-        # each puts an entry of a above sqrt(float max) / 3, where a+ a and
-        # its band norm could overflow, before anything is squared
+    def test_entries_beyond_the_gram_range_rejected(self, w, hbar, lo, hi):
+        # each puts an entry of a above sqrt(float max) / 4, where a a+ and
+        # the target could overflow, before anything is squared; the last
+        # keeps every entry below sqrt(float tiny) / 4, where their products
+        # underflow and N1 carries no digits
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(errors.GridOverflowError, match="beyond the float range"):
-                hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, 64), hbar=hbar)
+            with pytest.raises(errors.GridOverflowError, match="out of the float range"):
+                hilbert.grid_ladder(w, hilbert.GridSpec(lo, hi, 64), hbar=hbar)
 
     def test_entries_just_inside_the_gram_range_are_kept(self):
-        # the largest entry of a is c / dx at the one-sided boundary rows;
-        # at 0.99 of the bound a+ a and its band norm stay finite
+        # the largest entry of a is c / dx + |W| / 2, where W = x is
+        # negligible; at 0.99 of the bound sqrt(float max) / 4 the products,
+        # the target and the diagnostic stay finite
         grid = hilbert.GridSpec(-10.0, 10.0, 64)
-        bound = np.sqrt(np.finfo(float).max) / 3.0
-        ladder = hilbert.grid_ladder(lambda x: x, grid, hbar=0.99 * bound * grid.dx * np.sqrt(2.0))
-        for gram in hilbert.gram_products(ladder.terms):
-            assert np.isfinite(np.abs(band_matrix(gram)).sum(axis=1).max())
+        bound = np.sqrt(np.finfo(float).max) / 4.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ladder = hilbert.grid_ladder(lambda x: x, grid, hbar=0.99 * bound * grid.dx * np.sqrt(2.0))
+            for band in (*hilbert.gram_products(ladder.terms), ladder.target):
+                assert np.isfinite(np.abs(band_matrix(band)).sum(axis=1).max())
+        assert np.isfinite(ladder.commutator_residual)
+        assert ladder.norm_bound == pytest.approx((4 * 0.99 * bound) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
-    def test_matrix_is_dense_derivative_plus_superpotential(self, hbar, mass):
+    def test_entries_follow_the_staggered_formula(self, hbar, mass):
+        def w(x):
+            return x + 0.1 * x**3
+
         grid = hilbert.GridSpec(-9.0, 9.0, 96)
-        w = grid.x + 0.1 * grid.x**3
-        ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid, hbar=hbar, mass=mass)
-        c = hbar / np.sqrt(2.0 * mass)
-        np.testing.assert_array_equal(ladder.matrix, c * dense_derivative_matrix(grid) + np.diag(w))
+        ladder = hilbert.grid_ladder(w, grid, hbar=hbar, mass=mass)
+        a, target = staggered_oracle(w, grid, hbar, mass)
+        np.testing.assert_array_equal(band_matrix(ladder.terms), a)
+        # b+ b sums its products in another order than BLAS
+        scale = 16 * np.finfo(float).eps * np.abs(a).max() ** 2
+        np.testing.assert_allclose(band_matrix(ladder.target), target, rtol=0, atol=scale)
 
     def test_bands_match_dense_products(self):
-        # the sums run in another order than BLAS: each entry of up to three
+        # the sums run in another order than BLAS: each entry of up to two
         # terms may differ by a few ulps of the largest term it sums
         grid = hilbert.GridSpec(-9.0, 9.0, 96)
         ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid)
-        a = ladder.matrix
+        a = band_matrix(ladder.terms)
         v = np.random.default_rng(3).normal(size=(96, 4))
         term = np.abs(a).max() * np.abs(v).max()
         h, n1 = hilbert.gram_products(ladder.terms)
@@ -311,12 +338,51 @@ class TestGridLadder:
         ):
             np.testing.assert_allclose(got, dense, rtol=0, atol=16 * np.finfo(float).eps * scale)
 
-    def test_products_are_pentadiagonal_bands(self):
-        # one term per offset -2..2, each a single-sector weighted shift
+    def test_products_are_tridiagonal_with_a_dead_bond(self):
+        # one term per offset -1..1, each a single-sector weighted shift; the
+        # last row and column of N1 and of the target, the dead bond, are zero
         grid = hilbert.GridSpec(-9.0, 9.0, 96)
-        for band in hilbert.gram_products(hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid).terms):
-            assert [t.offset for t in band] == [-2, -1, 0, 1, 2]
+        ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid)
+        h, n1 = hilbert.gram_products(ladder.terms)
+        for band in (h, n1, ladder.target):
+            assert [t.offset for t in band] == [-1, 0, 1]
             assert all(t.space == hilbert.SectorSpace(1, 96) for t in band)
+        for band in (n1, ladder.target):
+            m = band_matrix(band)
+            assert not m[-1].any() and not m[:, -1].any()
+            assert (np.diag(m)[:-1] > 0).all()
+
+    @pytest.mark.parametrize("points", [128, 256, 512])
+    @pytest.mark.parametrize(
+        "w, lo, lowest",
+        [(lambda x: x, 12.0, np.sqrt(2.0)), (lambda x: x + 0.1 * x**3, 9.0, 1.5420)],
+        ids=["linear", "anharmonic"],
+    )
+    def test_susy_partners_are_isospectral(self, w, lo, lowest, points):
+        # h = a+ a keeps the exact zero mode of a, at rounding level, and
+        # N1 = a a+ on the n - 1 bonds has the rest of its spectrum: no
+        # doubler and no null mode.  N1's lowest eigenvalue, h's second,
+        # nears 2c = sqrt(2) for W = x and 1.5420 for the anharmonic W
+        ladder = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points))
+        a = band_matrix(ladder.terms)
+        h = np.linalg.eigvalsh(a.T @ a)
+        n1 = np.linalg.eigvalsh((a @ a.T)[:-1, :-1])
+        assert abs(h[0]) <= 1e-12 * np.abs(h).max()
+        np.testing.assert_allclose(n1, h[1:], rtol=1e-9, atol=0)
+        assert n1[0] == pytest.approx(lowest, rel=0.02)
+
+    @pytest.mark.parametrize("points", [128, 256])
+    @pytest.mark.parametrize(
+        "w, lo, k", [(lambda x: x, 12.0, 32), (lambda x: x + 0.1 * x**3, 9.0, 24)], ids=["linear", "anharmonic"]
+    )
+    def test_low_modes_hold_no_edge_state(self, w, lo, k, points):
+        # the k lowest modes of N1, the grid comparison's probes, vanish on
+        # the three outermost bonds at either end, also where |W| exceeds
+        # 2c / dx there (81.9 against 10 and 20 for the anharmonic W)
+        ladder = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points))
+        a = band_matrix(ladder.terms)
+        modes = np.linalg.eigh((a @ a.T)[:-1, :-1])[1][:, :k]
+        assert np.abs(modes[[0, 1, 2, -3, -2, -1]]).max() <= 1e-12
 
 
 class TestBlockOperator:
@@ -375,11 +441,10 @@ class TestBlockOperator:
         assert hilbert.weighted_shift(a.blocks, a.offset, np.ones((3, 6))).dtype == np.float64
         grid = hilbert.GridSpec(-5.0, 5.0, 64)
         ladder = hilbert.grid_ladder(lambda x: x, grid)
-        for band in (ladder.terms, *hilbert.gram_products(ladder.terms)):
+        for band in (ladder.terms, ladder.target, *hilbert.gram_products(ladder.terms)):
             assert all(t.blocks.dtype == np.float64 for t in band)
             assert hilbert.band_apply(band, np.ones((2, 64))).dtype == np.float64
-        ag = ladder.matrix
-        assert ag.dtype == np.float64 and (ag.T @ ag).dtype == np.float64
+        assert band_matrix(ladder.terms).dtype == np.float64
 
     @pytest.mark.parametrize("gamma", [0.0, 0.7])
     def test_phase_twisted_lowering_is_complex(self, gamma):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -37,146 +38,36 @@ def boson_problem(dim=60, power=2):
     return IntertwiningProblem(h=ad @ a, x=x)
 
 
-def smoothness_rotated(h, evals, vecs):
-    """Dense counterpart of the grid comparison's basis fix: eigenvalues whose
-    gap is at most ``eps ||h||_inf / CLUSTER_ANGLE`` form one cluster, and each
-    cluster is rotated to the eigenbasis of the smoothness form
-    ``||E v||^2`` (``(E v)_i = v_i + v_{i+1}``), in ascending order.  Returns
-    the rotated vectors and the form on each."""
-    n = len(evals)
-    e = np.eye(n - 1, n) + np.eye(n - 1, n, 1)
-    form = e.T @ e
-    tol = np.finfo(float).eps * np.abs(h).sum(axis=1).max() / intertwine.CLUSTER_ANGLE
-    edges = [0] + [i + 1 for i in range(n - 1) if evals[i + 1] - evals[i] > tol] + [n]
-    vecs = vecs.copy()
-    smoothness = np.empty(n)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block = vecs[:, lo:hi]
-        values, rot = np.linalg.eigh(block.T @ form @ block)
-        vecs[:, lo:hi] = block @ rot
-        smoothness[lo:hi] = values
-    return vecs, smoothness
+def dense_grid_comparison(w, grid, coeffs, n_modes, hbar=1.0, mass=1.0):
+    """Oracle for ``grid_partner_comparison``, formed in full from the
+    formulas, with no dead bond: the staggered ``a`` from the
+    ``n`` nodes to the ``n - 1`` bonds, ``h = a+ a``, ``N1 = a a+``, the
+    companion ``N1^-1 a f(h) a+`` formed literally, and ``f(T)`` with
+    ``T = b+ b + 2c W'``, ``b`` from the bonds to the ``n - 2`` inner nodes;
+    ``f`` is the polynomial with ``coeffs``, by matrix powers.  The probes are
+    the ``n_modes`` lowest eigenvectors of a dense ``eigh`` of ``N1``, and the
+    commutator ``N1 - T`` is read on the Gaussian probes over the bonds
+    ``3:-3``.  Returns ``(commutator_residual, comparison_residual)``."""
+    n, dx, c = grid.points, grid.dx, hbar / np.sqrt(2.0 * mass)
+    bonds = 0.5 * (grid.x[:-1] + grid.x[1:])
+    wb = w(bonds)
+    a, b = np.zeros((n - 1, n)), np.zeros((n - 2, n - 1))
+    i, j = np.arange(n - 1), np.arange(n - 2)
+    a[i, i], a[i, i + 1] = -c / dx + wb / 2, c / dx + wb / 2
+    b[j, j], b[j, j + 1] = -c / dx + wb[:-1] / 2, c / dx + wb[1:] / 2
+    h, n1 = a.T @ a, a @ a.T
+    target = b.T @ b + np.diag(2.0 * c * np.gradient(wb, dx))
 
+    def f(m):
+        return sum(coeff * np.linalg.matrix_power(m, k) for k, coeff in enumerate(coeffs))
 
-def dense_grid_comparison(w, grid, coeffs=None, n_modes=None):
-    """Oracle for ``grid_partner_comparison``: the companion ``N1^+ a f(h) a+``
-    and the target ``f(h + 2c W')`` formed as full ``n x n`` matrices, then
-    read through the same low-pass-filtered smooth eigenvectors of ``h``,
-    taken from a dense ``eigh`` in the smoothness basis of each cluster.
-    ``f`` is the polynomial with ``coeffs``; ``None`` uses ``h`` and the
-    target as they are.  Returns ``(n_modes, comparison_residual)``."""
-    f = None if coeffs is None else (lambda v: np.polynomial.polynomial.polyval(v, coeffs))
-    ladder = hilbert.grid_ladder(w, grid)
-    a = ladder.matrix
-    h = a.T @ a
-    evals, vecs = np.linalg.eigh(h)
-    rotated, smoothness = smoothness_rotated(h, evals, vecs)
-    k_max = grid.points // 4 if n_modes is None else n_modes
-    probes = []
-    for k in np.flatnonzero(smoothness > 2.0)[:k_max]:
-        phi = rotated[:, k]
-        for _ in range(2):
-            phi = 0.25 * (
-                np.concatenate(([phi[0]], phi[:-1])) + 2.0 * phi + np.concatenate((phi[1:], [phi[-1]]))
-            )
-        probes.append(phi / np.linalg.norm(phi))
-    mapped = h if f is None else (vecs * f(evals)) @ vecs.T
-    n1_evals, n1_vecs = np.linalg.eigh(a @ a.T)
-    live = n1_evals > intertwine.N1_CUTOFF
-    n1_inv = (n1_vecs[:, live] / n1_evals[live]) @ n1_vecs[:, live].T
-    companion = n1_inv @ (a @ (mapped @ a.T))
-    target = h + 2.0 * ladder.c * np.diag(ladder.w_prime)
-    if f is not None:
-        t_evals, t_vecs = np.linalg.eigh(target)
-        target = (t_vecs * f(t_evals)) @ t_vecs.T
-    return len(probes), max(np.linalg.norm((companion - target) @ phi) for phi in probes)
-
-
-def gram_bands(ladder):
-    """``h = a+ a`` and ``N1 = a a+`` of a grid ladder in lower band storage,
-    as the grid comparison forms them."""
-    return tuple(intertwine._lower_band(band) for band in hilbert.gram_products(ladder.terms))
-
-
-def lower_bands(m, width):
-    """Lower band storage of the symmetric ``m``: row ``k`` holds entries ``(j + k, j)``."""
-    n = len(m)
-    out = np.zeros((width + 1, n))
-    for k in range(width + 1):
-        out[k, : n - k] = np.diag(m, -k)
-    return out
-
-
-def assert_matches_dense(w, grid, coeffs, n_modes):
-    """``coeffs=None``: the comparison at its default map, against the oracle unmapped."""
-    mapped = {} if coeffs is None else {"coeffs": coeffs}
-    report = intertwine.grid_partner_comparison(w, grid, n_modes=n_modes, **mapped)
-    modes, residual = dense_grid_comparison(w, grid, coeffs, n_modes=n_modes)
-    assert report.n_modes == modes
-    assert report.comparison_residual == pytest.approx(residual, rel=1e-9)
-    assert report.commutator_residual == pytest.approx(dense_commutator_residual(w, grid), rel=1e-9)
-
-
-def dense_commutator_residual(w, grid):
-    """Oracle for ``grid_ladder``'s diagnostic: ``a a+ - a+ a - 2c W'`` formed in full."""
-    ladder = hilbert.grid_ladder(w, grid)
-    a, c = ladder.matrix, ladder.c
-    defect = a @ a.T - a.T @ a - 2.0 * c * np.diag(ladder.w_prime)
-    return max(
-        np.abs((defect @ phi)[3:-3]).max() / np.abs(phi).max()
-        for phi in hilbert._gaussian_probes(grid)
-    )
-
-
-def run_edges(shifts, starts) -> list:
-    """The edges of the runs of equal shifts, none crossing a group boundary."""
-    return sorted(set(starts) | {j for j in range(1, len(shifts)) if shifts[j] != shifts[j - 1]})
-
-
-def reference_inverse_iteration(band, shifts, x, starts):
-    """Oracle for ``_inverse_iteration``, written plainly: in each of two
-    sweeps, every run of equal shifts inside a group ``starts[g]:starts[g + 1]``
-    is solved as one block against ``B - shift``, factored afresh by
-    ``solve_banded``, and each sweep is followed by ``np.linalg.qr`` of every
-    group."""
-    from scipy.linalg import solve_banded
-
-    p = len(band) - 1
-    ab = np.zeros((2 * p + 1, band.shape[1]))
-    ab[p:] = band
-    for k in range(1, p + 1):
-        ab[p - k, k:] = band[k, :-k]
-    diagonal = ab[p].copy()
-    edges = run_edges(shifts, starts)
-    x = x.copy()
-    for _ in range(2):
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            ab[p] = diagonal - shifts[lo]
-            x[:, lo:hi] = solve_banded((p, p), ab, x[:, lo:hi], check_finite=False)
-        for a, b in zip(starts[:-1], starts[1:]):
-            x[:, a:b] = np.linalg.qr(x[:, a:b])[0]
-    return x
-
-
-def recorded_shifts(monkeypatch):
-    """List that gains ``(band, shifts, starts)`` for each ``_inverse_iteration``
-    call made in the test."""
-    calls = []
-    iterate = intertwine._inverse_iteration
-
-    def recording(band, shifts, x, starts):
-        calls.append((band, np.array(shifts), np.array(starts)))
-        return iterate(band, shifts, x, starts)
-
-    monkeypatch.setattr(intertwine, "_inverse_iteration", recording)
-    return calls
-
-
-
-
-def null_mode_n1(v):
-    """Synthetic N1 with eigenvalue 0 along the unit vector ``v`` and 1 elsewhere."""
-    return np.eye(len(v)) - np.outer(v, v)
+    companion = np.linalg.solve(n1, a @ f(h) @ a.T)
+    phi = np.linalg.eigh(n1)[1][:, :n_modes]
+    comparison = np.linalg.norm((companion - f(target)) @ phi, axis=0).max()
+    probes = hilbert._gaussian_probes(grid, bonds)
+    defect = (n1 - target) @ probes.T
+    commutator = (np.abs(defect[3:-3]).max(axis=0) / np.abs(probes).max(axis=1)).max()
+    return commutator, comparison
 
 
 class TestConstructCompanion:
@@ -687,7 +578,6 @@ class TestGridPartner:
         # companion approximates a+a + sqrt(2): residual at the dx^2 scale
         assert report.comparison_residual <= 0.2
         assert report.comparison_residual > 1e-6
-        assert report.n_modes == 32
 
     def test_second_order_scaling_linear(self):
         reports = [
@@ -722,283 +612,60 @@ class TestGridPartner:
         ratio = reports[0].comparison_residual / reports[1].comparison_residual
         assert 2.8 < ratio < 5.5
 
-    def test_h_is_decomposed_once(self, eigh_calls):
-        # band bisection and inverse iteration give the eigenpairs of h; the
-        # one eigh is the batched one over the 2 x 2 smoothness forms of its
-        # degenerate pairs, and a polynomial map is applied by Horner's rule
-        # and adds none
+    @pytest.mark.parametrize("n_modes, selected", [(16, (0, 15)), (None, (0, 127))], ids=["asked", "default"])
+    def test_n1_is_decomposed_once_by_the_tridiagonal_solver(self, monkeypatch, eigh_calls, n_modes, selected):
+        # N1 is tridiagonal: its lowest n_modes eigenpairs (by default a
+        # quarter of the grid) come from one eigh_tridiagonal call on the
+        # leading n - 1 block and no dense eigh, and a polynomial map is
+        # applied by Horner's rule and adds none
+        import scipy.linalg
+
+        calls = []
+        solve = scipy.linalg.eigh_tridiagonal
+
+        def counting(d, e, **kwargs):
+            calls.append((len(d), len(e), kwargs))
+            return solve(d, e, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
         grid = hilbert.GridSpec(-12.0, 12.0, 512)
         for coeffs in ((0.0, 1.0), (0, 0, 1)):
-            eigh_calls.clear()
-            intertwine.grid_partner_comparison(lambda x: x, grid, coeffs, n_modes=16)
-            assert len(eigh_calls) == 1
-            assert eigh_calls[0][-2:] == (2, 2)
-
-    @pytest.mark.parametrize("points", [256, 1024])
-    @pytest.mark.parametrize(
-        "w, lo", [(lambda x: x, 12.0), (lambda x: x + 0.1 * x**3, 9.0)], ids=["linear", "anharmonic"]
-    )
-    def test_inverse_iteration_matches_the_solve_banded_oracle(self, monkeypatch, w, lo, points):
-        # bit for bit: one LU factor per run of equal shifts reused by both
-        # sweeps, each run solved as one block, and LAPACK's QR called
-        # directly, do the arithmetic of a fresh solve_banded per run and
-        # sweep.  A gbtrs or QR that worked on a copy would leave the starts
-        # in place and fail here
-        band, _ = gram_bands(hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points)))
-        calls = recorded_shifts(monkeypatch)
-        evals, vecs, starts = intertwine._lowest_eigenpairs(band, 80)
-        ((_, shifts, seen_starts),) = calls
-        assert np.diff(starts).max() == 2
-        np.testing.assert_array_equal(seen_starts, starts)
-        # every pair that shares a shift shares its lower eigenvalue
-        for a, b in zip(starts[:-1], starts[1:]):
-            assert (shifts[a:b] == evals[a]).all() or (shifts[a:b] == evals[a:b]).all()
-        assert len(run_edges(shifts, starts)) - 1 < len(evals)
-        start = np.random.default_rng(0).standard_normal((points, len(evals)))
-        want = reference_inverse_iteration(band, shifts, start, starts)
-        np.testing.assert_array_equal(intertwine._inverse_iteration(band, shifts, start, starts), want)
-        np.testing.assert_array_equal(vecs, want)
-
-    @pytest.mark.parametrize("points", [256, 1024])
-    @pytest.mark.parametrize(
-        "w, lo", [(lambda x: x, 12.0), (lambda x: x + 0.1 * x**3, 9.0)], ids=["linear", "anharmonic"]
-    )
-    def test_clusters_span_the_dense_eigenspaces(self, w, lo, points):
-        # bisection to LAPACK's tolerance and a shared shift per pair lose
-        # nothing: each cluster spans the eigenspace of the same eigenvalues
-        # from a dense eigh, to the accuracy eps ||h|| / gap that fixes it
-        ladder = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points))
-        evals, vecs, starts = intertwine._lowest_eigenpairs(gram_bands(ladder)[0], 80)
-        a = ladder.matrix
-        dense_evals, dense_vecs = np.linalg.eigh(a.T @ a)
-        np.testing.assert_allclose(evals, dense_evals[: len(evals)], rtol=0, atol=1e-10)
-        for first, end in zip(starts[:-1], starts[1:]):
-            q = dense_vecs[:, first:end]
-            block = vecs[:, first:end]
-            sines = np.linalg.svd(block - q @ (q.T @ block), compute_uv=False)
-            assert sines.max() <= 1e-12
-
-    def test_a_wide_cluster_keeps_one_shift_per_eigenvalue(self, monkeypatch):
-        # two uncoupled copies of a tridiagonal t, the second shifted by
-        # spread: every eigenvalue of t becomes a pair of that spread, about
-        # 0.1 from the next pair.  Pairs 1e-7 wide exceed sqrt(eps) = 1.5e-8
-        # times the gap and keep their own shifts; pairs 1e-11 wide share
-        # the lower one
-        m = 24
-        t = np.zeros((3, m))
-        t[0] = 0.1 * np.arange(m)
-        t[1, :-1] = 1e-3
-        for spread, shared in ((1e-7, False), (1e-11, True)):
-            band = np.hstack((t, t))
-            band[0, m:] += spread
-            calls = recorded_shifts(monkeypatch)
-            evals, vecs, starts = intertwine._lowest_eigenpairs(band, 2 * m)
-            ((_, shifts, _),) = calls
-            assert np.diff(starts).tolist() == [2] * m
-            np.testing.assert_allclose(evals[1::2] - evals[::2], spread, rtol=1e-3)
-            np.testing.assert_array_equal(shifts, np.repeat(evals[::2], 2) if shared else evals)
-            dense = np.diag(band[0]) + np.diag(band[1, :-1], -1) + np.diag(band[1, :-1], 1)
-            dense_vecs = np.linalg.eigh(dense)[1]
-            for first in starts[:-1]:
-                q = dense_vecs[:, first : first + 2]
-                block = vecs[:, first : first + 2]
-                assert np.linalg.svd(block - q @ (q.T @ block), compute_uv=False).max() <= 1e-12
-
-    def test_shift_rule_compares_the_spread_with_sqrt_eps_times_the_distance(self):
-        root = math.sqrt(np.finfo(float).eps)
-        for ratio, shared in ((0.5, True), (2.0, False)):
-            spread = ratio * root
-            # the middle cluster's nearest outside eigenvalue lies 1 above it,
-            # the outer two are single eigenvalues
-            evals = np.array([-3.0, 0.0, spread, 1.0 + spread])
-            shifts = intertwine._cluster_shifts(evals, np.array([0, 1, 3, 4]))
-            want = [-3.0, 0.0, 0.0 if shared else spread, 1.0 + spread]
-            np.testing.assert_array_equal(shifts, want)
-
-    @pytest.mark.parametrize("lo", [12.0, 3.0], ids=["linear", "linear-narrow"])
-    def test_null_mode_iteration_matches_the_solve_banded_oracle(self, lo):
-        # the N1 call: every shift is -N1_CUTOFF, so one factor serves all
-        # columns; two random columns join the null start so that it is shared
-        grid = hilbert.GridSpec(-lo, lo, 256)
-        ladder = hilbert.grid_ladder(lambda x: x, grid)
-        _, band = gram_bands(ladder)
-        a = ladder.matrix
-        evals, vecs = np.linalg.eigh(a.T @ a)
-        null = (-1.0) ** np.arange(256)[:, None] * vecs[:, evals <= intertwine.N1_CUTOFF]
-        start = np.column_stack((null, np.random.default_rng(3).standard_normal((256, 2))))
-        shifts = np.full(start.shape[1], -intertwine.N1_CUTOFF)
-        want = reference_inverse_iteration(band, shifts, start, [0, start.shape[1]])
-        got = intertwine._inverse_iteration(band, shifts, start, [0, start.shape[1]])
-        np.testing.assert_array_equal(got, want)
-
-    def test_each_shift_is_factored_once(self, monkeypatch):
-        from scipy.linalg import lapack
-
-        factored, solved = [], []
-        dgbtrf, dgbtrs = lapack.dgbtrf, lapack.dgbtrs
-
-        def counting_factors(*args, **kwargs):
-            factored.append(args)
-            return dgbtrf(*args, **kwargs)
-
-        def counting_solves(*args, **kwargs):
-            solved.append(args)
-            return dgbtrs(*args, **kwargs)
-
-        monkeypatch.setattr(lapack, "dgbtrf", counting_factors)
-        monkeypatch.setattr(lapack, "dgbtrs", counting_solves)
-        calls = recorded_shifts(monkeypatch)
-        intertwine.grid_partner_comparison(lambda x: x, hilbert.GridSpec(-12.0, 12.0, 512), n_modes=32)
-        # h: 39 pairs, each sharing its lower eigenvalue, and the null mode
-        # alone; N1: its null modes, whose shifts are all equal.  One factor
-        # per run, and one block solve per run in each of the two sweeps
-        runs = sum(len(run_edges(shifts, starts)) - 1 for _, shifts, starts in calls)
-        assert runs == 41
-        assert len(factored) == runs
-        assert len(solved) == 2 * runs
-
-    def test_products_pack_into_lower_band_storage(self):
-        # row k holds the k-th subdiagonal of the dense product, zero-padded
-        # at the end; the terms above the diagonal are not read
-        ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, hilbert.GridSpec(-9.0, 9.0, 96))
-        a = ladder.matrix
-        h, n1 = gram_bands(ladder)
-        scale = 16 * np.finfo(float).eps * np.abs(a).max() ** 2
-        for band, dense in ((h, a.T @ a), (n1, a @ a.T)):
-            assert band.shape == (3, 96)
-            assert band[1, -1] == 0.0 and (band[2, -2:] == 0.0).all()
-            np.testing.assert_allclose(band, lower_bands(dense, 2), rtol=0, atol=scale)
-
-    def test_singular_shift_raises(self):
-        # the second shift hits a diagonal entry: the solve must refuse, not
-        # return a vector of infinities
-        band = np.array([[1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0]])
-        with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            intertwine._inverse_iteration(band, [0.5, 2.0], np.ones((4, 2)), [0, 1, 2])
-
-    def test_table_reports_the_probes_each_size_used(self):
-        # 128 points hold too few smooth modes for 32 probes: the table shows it
-        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "susy-grid-linear.yaml").read_text())
-        scaled = config.parse_config({**raw, "params": {**raw["params"], "sizes": [128, 256], "n_modes": 32}})
-        _, tables = experiments.run_experiment(scaled)
-        header, *rows = tables["residual-vs-dx.tsv"].splitlines()
-        assert header.split("\t")[-1] == "n_modes"
-        assert [int(row.split("\t")[-1]) for row in rows] == [17, 32]
-
-    @pytest.mark.parametrize("points", [128, 256])
-    @pytest.mark.parametrize(
-        "w, lo",
-        [(lambda x: x, 12.0), (lambda x: x + 0.1 * x**3, 9.0), (lambda x: x, 3.0)],
-        ids=["linear", "anharmonic", "linear-narrow"],
-    )
-    def test_range_inverse_matches_n1_pseudo_inverse(self, monkeypatch, w, lo, points):
-        # oracle: N1 = a a+ formed densely and decomposed on its own, and the
-        # companion N1^+ a f(h) a+ formed literally.  f has a constant term
-        # and one probe carries the checkerboard, so the projection P off the
-        # null modes of N1 moves the image by O(1).  On the narrow domain the
-        # null mode reaches the one-sided boundary rows, where N1 and S h S
-        # differ, so the inverse iteration has to correct it (by ~1e-8)
-        grid = hilbert.GridSpec(-lo, lo, points)
-        ladder = hilbert.grid_ladder(w, grid)
-        a = ladder.matrix
-        h, n1 = a.T @ a, a @ a.T
-        n1_evals, n1_vecs = np.linalg.eigh(n1)
-        live = n1_evals > intertwine.N1_CUTOFF
-        n1_pinv = (n1_vecs[:, live] / n1_evals[live]) @ n1_vecs[:, live].T
-        seen = []
-        monkeypatch.setattr(intertwine, "_check_null_modes", lambda null, grid: seen.append(null))
-
-        gaussians = [np.exp(-0.5 * (grid.x / s) ** 2) * grid.x**k for s, k in ((2.0, 0), (1.5, 1), (3.0, 2))]
-        r = np.column_stack(gaussians + [(-1.0) ** np.arange(points) * gaussians[0]])
-        evals, vecs = np.linalg.eigh(h)
-        null = intertwine._n1_null_modes(gram_bands(ladder)[1], vecs[:, evals <= intertwine.N1_CUTOFF], grid)
-        coeffs = (0.5, -1.0, 0.25)
-        got = intertwine._companion_image(lambda v: v @ n1, null, coeffs, r.T).T
-        want = n1_pinv @ (a @ ((0.5 * np.eye(points) - h + 0.25 * h @ h) @ (a.T @ r)))
-        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
-
-        (checked,) = seen
-        assert checked is null
-        oracle_null = n1_vecs[:, ~live]
-        assert null.shape == oracle_null.shape
-        overlap = np.linalg.svd(null.T @ oracle_null, compute_uv=False)
-        assert overlap.min() >= 1 - 1e-10
+            calls.clear()
+            intertwine.grid_partner_comparison(lambda x: x, grid, coeffs, n_modes=n_modes)
+            assert calls == [(511, 510, {"select": "i", "select_range": selected})]
+        assert eigh_calls == []
 
     def test_no_map_matches_identity_map(self):
         grid = hilbert.GridSpec(-12.0, 12.0, 128)
         plain = intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=16)
         mapped = intertwine.grid_partner_comparison(lambda x: x, grid, coeffs=[0, 1], n_modes=16)
-        assert plain.n_modes == mapped.n_modes
         assert plain.comparison_residual == pytest.approx(mapped.comparison_residual, rel=1e-9)
 
+    # at an odd point count the domain's centre is a node, so no probe
+    # reaches its peak on the bonds and the probe norms are read
+    @pytest.mark.parametrize("points", [129, 256, 512])
     @pytest.mark.parametrize(
-        "w, lo, coeffs, n_modes",
+        "w, lo, coeffs, n_modes, hbar, mass",
         [
-            (lambda x: x, 12.0, None, 32),
-            (lambda x: x, 12.0, (0, 0, 1), 32),
-            (lambda x: x, 12.0, (0.5, -1.0, 0.25), 32),
-            (lambda x: x + 0.1 * x**3, 9.0, None, 24),
+            (lambda x: x, 12.0, (0.0, 1.0), 32, 1.0, 1.0),
+            (lambda x: x, 12.0, (0, 0, 1), 32, 1.0, 1.0),
+            (lambda x: x, 12.0, (0.5, -1.0, 0.25), 32, 1.0, 1.0),
+            (lambda x: x + 0.1 * x**3, 9.0, (0.0, 1.0), 24, 1.0, 1.0),
+            (lambda x: x + 0.1 * x**3, 9.0, (0, 0, 1), 24, 0.7, 2.5),
         ],
-        ids=["linear", "linear-squared", "linear-constant-odd", "anharmonic"],
+        ids=["linear", "linear-squared", "linear-constant-odd", "anharmonic", "anharmonic-squared-heavy"],
     )
-    def test_matches_dense_formation(self, w, lo, coeffs, n_modes):
-        assert_matches_dense(w, hilbert.GridSpec(-lo, lo, 128), coeffs, n_modes)
-
-    @pytest.mark.parametrize(
-        "w, lo, coeffs, n_modes, points",
-        [
-            (lambda x: x, 12.0, None, 32, 512),
-            (lambda x: x, 12.0, (0, 0, 1), 32, 512),
-            (lambda x: x, 12.0, (0.5, -1.0, 0.25), 32, 512),
-            (lambda x: x + 0.1 * x**3, 9.0, None, 24, 512),
-            (lambda x: x, 12.0, None, 32, 1024),
-        ],
-        ids=["linear-512", "linear-squared-512", "linear-constant-odd-512", "anharmonic-512", "linear-1024"],
-    )
-    def test_matches_dense_formation_at_shipped_sizes(self, w, lo, coeffs, n_modes, points):
-        assert_matches_dense(w, hilbert.GridSpec(-lo, lo, points), coeffs, n_modes)
-
-    @pytest.mark.parametrize(
-        "w, lo, coeffs, n_modes",
-        [
-            (lambda x: x, 12.0, (0.0, 1.0), 32),
-            (lambda x: x, 12.0, (0.5, -1.0, 0.25), 32),
-            (lambda x: x + 0.1 * x**3, 9.0, (0.0, 1.0), 24),
-        ],
-        ids=["linear", "linear-constant-odd", "anharmonic"],
-    )
-    @pytest.mark.parametrize("points", [256, 1024])
-    def test_values_do_not_depend_on_the_basis_inside_pairs(self, monkeypatch, w, lo, coeffs, n_modes, points):
-        # a degenerate pair has no preferred eigenbasis, so each LAPACK build
-        # may return another one: seeded random rotations inside every pair
-        # must leave every reported value where it was
+    def test_matches_dense_formation(self, w, lo, coeffs, n_modes, hbar, mass, points):
         grid = hilbert.GridSpec(-lo, lo, points)
-        before = intertwine.grid_partner_comparison(w, grid, coeffs, n_modes=n_modes)
-        lowest = intertwine._lowest_eigenpairs
-        rng = np.random.default_rng(11)
-        rotated = []
-
-        def rotating(band, count):
-            evals, vecs, starts = lowest(band, count)
-            vecs = vecs.copy()
-            for first in starts[:-1][np.diff(starts) == 2]:
-                t = rng.uniform(0.0, 2.0 * np.pi)
-                turn = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-                vecs[:, first : first + 2] = vecs[:, first : first + 2] @ turn
-                rotated.append(first)
-            return evals, vecs, starts
-
-        monkeypatch.setattr(intertwine, "_lowest_eigenpairs", rotating)
-        after = intertwine.grid_partner_comparison(w, grid, coeffs, n_modes=n_modes)
-        assert len(rotated) >= n_modes
-        assert after.n_modes == before.n_modes
-        assert after.commutator_residual == before.commutator_residual
-        assert after.comparison_residual == pytest.approx(before.comparison_residual, rel=1e-12, abs=0)
+        report = intertwine.grid_partner_comparison(w, grid, coeffs, hbar, mass, n_modes)
+        commutator, comparison = dense_grid_comparison(w, grid, coeffs, n_modes, hbar, mass)
+        assert report.commutator_residual == pytest.approx(commutator, rel=1e-9)
+        assert report.comparison_residual == pytest.approx(comparison, rel=1e-9)
 
     @pytest.mark.parametrize("coeffs", [(0.0, 1.0), (0, 0, 1)], ids=["plain", "squared"])
-    def test_peak_memory_stays_within_six_grid_matrices(self, coeffs):
-        # O(n k): the eigenvector block is n x (2k + 16), and one n x n array
-        # (32 MiB at n = 2048) would break the bound many times over
+    def test_peak_memory_stays_at_a_few_probe_blocks(self, coeffs):
+        # O(n k): the probes are k x n, and one n x n array (32 MiB at
+        # n = 2048) would break the bound many times over
         small = hilbert.GridSpec(-12.0, 12.0, 64)
         intertwine.grid_partner_comparison(lambda x: x, small, n_modes=4)  # imports scipy untraced
         grid = hilbert.GridSpec(-12.0, 12.0, 2048)
@@ -1009,7 +676,7 @@ class TestGridPartner:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * grid.points * (2 * k + 16) * 8
+        assert peak <= 8 * grid.points * k * 8
 
     def test_linear_bundle_runs_at_the_grid_ceiling(self):
         # no n x n array: a dense eigh alone took 18 s and 687 MiB at these sizes
@@ -1022,45 +689,33 @@ class TestGridPartner:
         assert report.overall_pass
         assert report.config["params"]["sizes"] == [2048, 4096]
 
-    def test_smooth_interior_null_mode_violates_hypothesis(self):
-        grid = hilbert.GridSpec(-1.0, 1.0, 64)
-        bump = np.exp(-0.5 * (grid.x / 0.2) ** 2)
-        with pytest.raises(errors.HypothesisViolatedError):
-            intertwine._check_null_modes((bump / np.linalg.norm(bump))[:, None], grid)
+    @pytest.mark.parametrize("side", [0.99, 1.01], ids=["inside", "beyond"])
+    @pytest.mark.parametrize("coeffs", [(0, 0, 1), (0, 0, -1)], ids=["squared", "negated"])
+    def test_map_beyond_the_float_range_rejected(self, side, coeffs):
+        # the ladder's bound (4 s)^2 on N1 and T, squared by the map, against
+        # float max / (2 sqrt(n)): at 0.99 of the largest entry s admitted the
+        # residuals are finite, at 1.01 the run stops before any product.  The
+        # bound reads |coeffs|, so a negative leading coefficient counts too
+        grid = hilbert.GridSpec(-12.0, 12.0, 64)
+        largest = (np.finfo(float).max / (2.0 * np.sqrt(64))) ** 0.25 / 4.0
+        hbar = side * largest * grid.dx * np.sqrt(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            if side > 1:
+                with pytest.raises(errors.GridOverflowError, match="can leave the float range"):
+                    intertwine.grid_partner_comparison(lambda x: x, grid, coeffs, hbar=hbar, n_modes=8)
+            else:
+                report = intertwine.grid_partner_comparison(lambda x: x, grid, coeffs, hbar=hbar, n_modes=8)
+                assert np.isfinite([report.commutator_residual, report.comparison_residual]).all()
 
-    def test_null_mode_at_the_right_edge_alone_is_dropped(self):
-        # the edge mass sums both ends: a mode at the right edge counts as
-        # much as one at the left
-        grid = hilbert.GridSpec(-1.0, 1.0, 256)
-        v = np.exp(-np.arange(256)[::-1] / 2.0)
-        intertwine._check_null_modes((v / np.linalg.norm(v))[:, None], grid)
-
-    def test_smooth_bump_inside_the_edge_band_is_dropped(self):
-        # at 256 points the edge band is 256 // 32 = 8 points wide, not the
-        # floor of 4: a smooth bump 5 to 7 points from the right edge lies in it
-        grid = hilbert.GridSpec(-1.0, 1.0, 256)
-        v = np.zeros(256)
-        v[248:251] = [1.0, 2.0, 1.0]
-        intertwine._check_null_modes((v / np.linalg.norm(v))[:, None], grid)
-
-    @pytest.mark.parametrize("mode", ["checkerboard", "edge"])
-    def test_artifact_null_modes_are_projected_out(self, mode):
-        grid = hilbert.GridSpec(-1.0, 1.0, 64)
-        i = np.arange(64)
-        # the edge mode is smooth, so only its mass in the outer band drops it
-        v = (-1.0) ** i if mode == "checkerboard" else np.exp(-i / 2.0)
-        v = v / np.linalg.norm(v)
-        # a = N1 S with S = (-1)^i, so that N1 = a a+ = null_mode_n1(v) and
-        # h = a+ a = S N1 S, the checkerboard relation of central differences
-        n1 = null_mode_n1(v)
-        a = n1 * (-1.0) ** i
-        rhs = np.random.default_rng(5).normal(size=(64, 3))
-        evals, vecs = np.linalg.eigh(a.T @ a)
-        null = intertwine._n1_null_modes(lower_bands(n1, 63), vecs[:, evals <= intertwine.N1_CUTOFF], grid)
-        # f(N1) = 1 + N1 = 2 - v v+, and P = I - v v+
-        applied = intertwine._companion_image(lambda u: u @ n1, null, (1.0, 1.0), rhs.T).T
-        assert np.abs(v @ applied).max() <= 1e-12
-        np.testing.assert_allclose(applied, 2.0 * (rhs - np.outer(v, v @ rhs)), atol=1e-12)
+    def test_residuals_above_the_square_root_of_float_max_stay_finite(self):
+        # at hbar = 1e100 the entries of N1 phi reach about 1e201: a sum of
+        # their squares would overflow, their hypot does not
+        grid = hilbert.GridSpec(-12.0, 12.0, 256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = intertwine.grid_partner_comparison(lambda x: x, grid, hbar=1e100, n_modes=32)
+        assert 1e154 < report.comparison_residual < np.inf
 
     def test_nonpositive_derivative_rejected(self):
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
