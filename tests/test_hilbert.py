@@ -307,6 +307,27 @@ class TestGridLadder:
         assert np.isfinite(ladder.commutator_residual)
         assert ladder.norm_bound == pytest.approx((4 * 0.99 * bound) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "w, lo, points, hbar, mass",
+        [
+            (lambda x: x, 12.0, 128, 1.0, 1.0),
+            (lambda x: x + 0.1 * x**3, 9.0, 96, 0.7, 2.5),
+            (lambda x: 50.0 * x, 12.0, 64, 1.0, 1.0),
+            (lambda x: np.sinh(x), 6.0, 64, 0.01, 1.0),
+        ],
+        ids=["linear", "anharmonic-heavy", "steep-superpotential", "steep-small-hbar"],
+    )
+    def test_norm_bound_covers_every_row_sum_of_n1_and_the_target(self, w, lo, points, hbar, mass):
+        # the overflow guards of the ladder and of the grid comparison read
+        # norm_bound in place of N1 and T: it must bound every row sum (and
+        # so every entry) of both, whether c / dx or |W| / 2 is the largest
+        # entry of a, and stay within 16x of the largest, so the guards
+        # refuse no input far from the float range
+        ladder = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points), hbar=hbar, mass=mass)
+        for band in (hilbert.gram_products(ladder.terms)[1], ladder.target):
+            row_sum = np.abs(band_matrix(band)).sum(axis=1).max()
+            assert ladder.norm_bound / 16.0 < row_sum <= ladder.norm_bound
+
     @pytest.mark.parametrize("hbar, mass", [(1.0, 1.0), (0.7, 2.5)])
     def test_entries_follow_the_staggered_formula(self, hbar, mass):
         def w(x):
