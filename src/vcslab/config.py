@@ -6,12 +6,14 @@ silently disable a check.  Each kind's parameters are one frozen dataclass
 at parse time naming its key (``params.times[0]``); a ``resolve`` method
 checks what needs the spectra or ``dim``.  Beside its ``TOLERANCES`` each
 kind declares its ``CHECKS``: for every check it reports, keyed by the base
-name (the name up to any ``[...]``), the anchor, the tolerance (a
-``TOLERANCES`` key, or a fixed number that no config sets) and the
-comparator; ``LABELS`` formats the check label of each entry of a list,
-which must not repeat.  Spectra are built here, and so is each coherent
-family, once, while its spectra are checked.  A bundled inventory of
-ready-to-run configs ships inside the package (``vcslab list`` prints it).
+name (the name up to any ``[...]``), the anchor, the tolerance and the
+comparator: ``<=`` or ``>=`` one tolerance (a ``TOLERANCES`` key, or a fixed
+number that no config sets), or ``within`` the window of two keys, low then
+high.  ``LABELS`` formats the check label of each entry of a list
+(:func:`check_labels`), which must not repeat.  Spectra are built here, and
+so is each coherent family, once, while its spectra are checked.  A bundled
+inventory of ready-to-run configs ships inside the package (``vcslab list``
+prints it).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "parse_config",
     "bundled_names",
     "load_bundled",
+    "check_labels",
     "KINDS",
 ]
 
@@ -204,10 +207,8 @@ class ResolutionParams:
     CHECKS = {
         "moment-verification": ("moment-weights", "moment", "<="),
         "diagonal-residual": ("resolution-of-identity", "diagonal", "<="),
-        "offdiagonal-decay-exponent": ("resolution-of-identity", "decay_low", ">="),
-        "offdiagonal-decay-exponent-ceiling": ("resolution-of-identity", "decay_high", "<="),
-        "regulated-entry-decay-factor": ("regulator-dichotomy", "decay_factor_low", ">="),
-        "regulated-entry-decay-factor-ceiling": ("regulator-dichotomy", "decay_factor_high", "<="),
+        "offdiagonal-decay-exponent": ("resolution-of-identity", ("decay_low", "decay_high"), "within"),
+        "regulated-entry-decay-factor": ("regulator-dichotomy", ("decay_factor_low", "decay_factor_high"), "within"),
     }
 
     family: Literal["eds", "delta"] = "eds"
@@ -333,10 +334,8 @@ class SusyGridParams:
     }
     CHECKS = {
         "commutator-residual-finest": ("grid-discretization", "commutator", "<="),
-        "commutator-scaling-exponent": ("grid-discretization", "exponent_low", ">="),
-        "commutator-scaling-exponent-ceiling": ("grid-discretization", "exponent_high", "<="),
-        "partner-comparison-scaling-exponent": ("grid-discretization", "exponent_low", ">="),
-        "partner-comparison-scaling-exponent-ceiling": ("grid-discretization", "exponent_high", "<="),
+        "commutator-scaling-exponent": ("grid-discretization", ("exponent_low", "exponent_high"), "within"),
+        "partner-comparison-scaling-exponent": ("grid-discretization", ("exponent_low", "exponent_high"), "within"),
     }
 
     sizes: tuple[Annotated[int, GRID_RANGE], ...]
@@ -403,6 +402,11 @@ class ExperimentConfig:
             "params": dict(self.as_written["params"]),
             "tolerances": dict(self.tolerances),
         }
+
+
+def check_labels(params, key) -> list:
+    """The check label of each entry of ``params.<key>``, as its kind's ``LABELS`` formats it."""
+    return [type(params).LABELS[key].format(v) for v in getattr(params, key)]
 
 
 def _reject_unknown(mapping, allowed, where: str):
@@ -527,8 +531,8 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
         if key in raw.get("params", {}):
             raise ConfigError(f"params.{key} is not read by {run}")
     # a repeated label would report one check twice and judge it once
-    for key, label in getattr(schema, "LABELS", {}).items():
-        labels = [label.format(v) for v in getattr(params, key)]
+    for key in getattr(schema, "LABELS", {}):
+        labels = check_labels(params, key)
         for i, name in enumerate(labels):
             if (first := labels.index(name)) < i:
                 raise ConfigError(f"params.{key}[{i}] repeats the check label {name} of entry {first}")

@@ -37,6 +37,10 @@ class GridOverflowError(VcsLabError):
     """The grid ladder's entries, or a map of ``a a+``, would leave the normal float range."""
 
 
+class ProbeCountError(VcsLabError):
+    """A grid comparison asks for more probes than ``N1`` has modes on the bonds, or for none."""
+
+
 class OutOfDiscError(VcsLabError):
     """A negative intensity J, outside the convergence disc of the coefficient series."""
 

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import Polynomial
 
 from . import __version__
-from .config import KINDS, ExperimentConfig
+from .config import KINDS, ExperimentConfig, check_labels
 from .hilbert import GridSpec, BlockOperator, max_abs, shifted_hamiltonian
 from .intertwine import (
     IntertwiningProblem,
@@ -53,13 +53,15 @@ def _records(config: ExperimentConfig, values) -> list:
     """A :class:`CheckRecord` per measured ``(name, value)``, in that order,
     judged as the kind's ``CHECKS`` row of its base name (the part before
     any ``[...]``) says: a tolerance is a key of the config's tolerances or
-    a fixed number."""
-    rows = KINDS[config.kind].CHECKS
+    a fixed number, and a ``within`` row's is a pair of those."""
+
+    def resolved(tolerance):
+        return config.tolerances[tolerance] if isinstance(tolerance, str) else tolerance
+
     records = []
     for name, value in values:
-        anchor, tolerance, comparator = rows[name.split("[")[0]]
-        if isinstance(tolerance, str):
-            tolerance = config.tolerances[tolerance]
+        anchor, tolerance, comparator = KINDS[config.kind].CHECKS[name.split("[")[0]]
+        tolerance = tuple(map(resolved, tolerance)) if comparator == "within" else resolved(tolerance)
         records.append(CheckRecord(name, anchor, float(value), tolerance, comparator))
     return records
 
@@ -76,6 +78,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
     high = [*params.j_max, params.gamma_max]
     draws = rng.uniform(low, high, size=(params.n_samples, len(high)))
     intensities, gammas = draws[:, :-1], draws[:, -1]
+    labels = check_labels(params, "times")
 
     def block_residuals(block):
         states = family.states(intensities[block], gammas[block])
@@ -84,8 +87,8 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
             "action": action_identity_residuals(states, hamiltonian),
             "eigenstate": eigenstate_residuals(states, family.lowering_weights(states.gammas)),
         }
-        for t in params.times:
-            out[f"t={t:g}"] = temporal_stability_residuals(states, t)
+        for t, label in zip(params.times, labels):
+            out[label] = temporal_stability_residuals(states, t)
         return out
 
     per_block = max(1, _VCS_BLOCK // family.space.total_dim)
@@ -103,7 +106,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
         ("truncation-tail-bound", worst["tail"]),
         ("action-identity-residual", worst["action"]),
         ("annihilation-eigenstate-residual", worst["eigenstate"]),
-        *((f"temporal-stability-residual[t={t:g}]", worst[f"t={t:g}"]) for t in params.times),
+        *((f"temporal-stability-residual[{label}]", worst[label]) for label in labels),
     ]
     if witness is not None:
         mismatched = witness.built_family.lowering_weights([witness.gamma + witness.gamma_offset])
@@ -123,22 +126,16 @@ def _run_resolution(config: ExperimentConfig, seed: int):
         # probe regulator makes it decay like 1/horizon
         ends = (horizons[0], horizons[-1])
         first, last = (abs(cross_phase_average(family, h, params.delta_probe)) for h in ends)
-        factor = first / last
-        return [
-            ("regulated-entry-decay-factor", factor),
-            ("regulated-entry-decay-factor-ceiling", factor),
-        ], {}
+        return [("regulated-entry-decay-factor", first / last)], {}
 
     # the config checked that each spectrum is equally spaced
     weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in config.spectra]
     assembly = resolution_assembly(family, weights, params.n_nodes, params.k_check)
     reports = [assembly.report(horizon) for horizon in horizons]
-    exponent = -fit_power_law(horizons, [r.offdiag_error for r in reports])
     values = [
         ("moment-verification", _worst(assembly.moment_errors)),
         ("diagonal-residual", assembly.diag_error),
-        ("offdiagonal-decay-exponent", exponent),
-        ("offdiagonal-decay-exponent-ceiling", exponent),
+        ("offdiagonal-decay-exponent", -fit_power_law(horizons, [r.offdiag_error for r in reports])),
     ]
     lines = ["# horizon\tdiag_error\toffdiag_error"]
     for h, r in zip(horizons, reports):
@@ -192,10 +189,10 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int):
             ("certificate-gamma", _worst([c.gamma_residual for c in certs])),
         ]
     else:
-        for q in config.params.q_values:
+        for q, label in zip(config.params.q_values, check_labels(config.params, "q_values")):
             problem = ladder_problem(dim, q)
             deviations = ladder_closed_forms(problem, construct_companion(problem), q)
-            values += zip((f"n1-closed-form[q={q:g}]", f"companion-closed-form[q={q:g}]"), deviations)
+            values += zip((f"n1-closed-form[{label}]", f"companion-closed-form[{label}]"), deviations)
         limit = ladder_problem(dim)
         deviations = ladder_closed_forms(limit, construct_companion(limit), 1.0)
         values.append(("undeformed-limit-matches-plain-ladder", _worst(deviations)))
@@ -205,7 +202,7 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int):
 def _run_map_equality_probe(config: ExperimentConfig, seed: int):
     dim = config.dim
     values = []
-    for case in config.params.cases:
+    for case, label in zip(config.params.cases, check_labels(config.params, "cases")):
         if case == "boson":
             problem = ladder_problem(dim)
             f = Polynomial([0, 0, 1])
@@ -216,31 +213,25 @@ def _run_map_equality_probe(config: ExperimentConfig, seed: int):
             h = ladder_problem(dim).h  # a+ a on the plain ladder
             problem = IntertwiningProblem(h=h, x=BlockOperator([1.0 + h.blocks[0]]))
             f = Polynomial([0, 0, 1])
-        values.append((f"map-equality-residual[{case}]", power_series_equality_probe(problem, f)))
+        values.append((f"map-equality-residual[{label}]", power_series_equality_probe(problem, f)))
     return values, {}
 
 
 def _run_susy_grid(config: ExperimentConfig, seed: int):
     params = config.params
-    lo, hi = params.domain
-
-    def w(x):
-        return np.polynomial.polynomial.polyval(x, params.w_coeffs)
-
+    w = Polynomial(params.w_coeffs)
     reports = [
         grid_partner_comparison(
-            w, GridSpec(lo, hi, n), params.map_coeffs, params.hbar, params.mass, params.n_modes
+            w, GridSpec(*params.domain, n), params.map_coeffs, params.hbar, params.mass, params.n_modes
         )
         for n in params.sizes
     ]
     dxs = [r.dx for r in reports]
-    values = [("commutator-residual-finest", reports[-1].commutator_residual)]
-    for label, residuals in (
-        ("commutator", [r.commutator_residual for r in reports]),
-        ("partner-comparison", [r.comparison_residual for r in reports]),
-    ):
-        exponent = fit_power_law(dxs, residuals)
-        values += [(f"{label}-scaling-exponent", exponent), (f"{label}-scaling-exponent-ceiling", exponent)]
+    values = [
+        ("commutator-residual-finest", reports[-1].commutator_residual),
+        ("commutator-scaling-exponent", fit_power_law(dxs, [r.commutator_residual for r in reports])),
+        ("partner-comparison-scaling-exponent", fit_power_law(dxs, [r.comparison_residual for r in reports])),
+    ]
     lines = ["# dx\tcommutator_residual\tcomparison_residual"]
     for r in reports:
         lines.append(f"{r.dx:.17g}\t{r.commutator_residual:.17g}\t{r.comparison_residual:.17g}")

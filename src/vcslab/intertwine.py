@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, GridOverflowError, HypothesisViolatedError, VcsLabError
+from .errors import DimensionMismatchError, GridOverflowError, HypothesisViolatedError, ProbeCountError, VcsLabError
 from .hilbert import (
     WINDOW_BUFFER,
     BlockOperator,
@@ -305,13 +305,17 @@ def grid_partner_comparison(
     of the grid); hold it fixed for scaling studies.  ``N1`` is tridiagonal,
     and its last row, the dead bond, is zero: the probes come from
     ``eigh_tridiagonal`` on the leading ``n - 1`` block, and ``f`` is applied
-    to them by Horner's rule over the bands.  Raises ``GridOverflowError``
-    when ``f`` of the ladder's norm bound leaves the float range.
+    to them by Horner's rule over the bands.  Raises ``ProbeCountError`` for
+    ``n_modes`` outside ``1..n - 1``, and ``GridOverflowError`` when ``f`` of
+    the ladder's norm bound leaves the float range.
     """
     # imported here, not at module level: only the grid comparison needs
     # scipy, and ``import vcslab`` should not pay its import time and memory
     from scipy.linalg import eigh_tridiagonal
 
+    k = grid.points // 4 if n_modes is None else n_modes
+    if not 1 <= k <= grid.points - 1:
+        raise ProbeCountError(f"n_modes {k} outside 1..{grid.points - 1}, the modes of N1 on the n - 1 bonds")
     ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
     # every Horner step, and the norm of the difference of the two sides, is
     # at most 2 sqrt(n) times this polynomial of the bound on N1 and T
@@ -323,7 +327,6 @@ def grid_partner_comparison(
             "can leave the float range"
         )
     n1 = gram_products(ladder.terms)[1]
-    k = grid.points // 4 if n_modes is None else n_modes
     # scaled to entries below 1: the solver squares them
     diagonal, off = (term.blocks[0][:-1] / ladder.norm_bound for term in n1[1:])
     _, vecs = eigh_tridiagonal(diagonal, off, select="i", select_range=(0, k - 1))

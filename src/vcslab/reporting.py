@@ -8,34 +8,35 @@ keys so the byte layout is stable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["CheckRecord", "VerificationReport", "REPORT_SCHEMA_VERSION"]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class CheckRecord:
     """One numeric check: a value compared against a tolerance.
 
-    ``comparator`` is ``"<="`` for residual-style checks and ``">="`` for
-    witness-style checks that must stay large.
+    ``comparator`` is ``"<="`` for residual-style checks, ``">="`` for
+    witness-style checks that must stay large, and ``"within"`` for a value
+    that must stay in the window ``tolerance = (low, high)``, both ends
+    included.  A NaN or an infinite value fails every comparator.
     """
 
     name: str
     anchor: str
     value: float
-    tolerance: float
+    tolerance: float | tuple[float, float]
     comparator: str = "<="
 
     @property
     def passed(self) -> bool:
-        if self.comparator == "<=":
-            return self.value <= self.tolerance
-        if self.comparator == ">=":
-            return self.value >= self.tolerance
-        raise ValueError(f"unknown comparator {self.comparator!r}")
+        one_sided = {"<=": (-math.inf, self.tolerance), ">=": (self.tolerance, math.inf)}
+        low, high = one_sided.get(self.comparator, self.tolerance)
+        return math.isfinite(self.value) and low <= self.value <= high
 
     def to_dict(self) -> dict:
         return {
@@ -87,16 +88,14 @@ class VerificationReport:
         lines = [
             f"{self.title}",
             f"kind: {self.kind}   anchor: {self.anchor}   seed: {self.seed}",
-            "-" * 78,
-            f"{'check':<44}{'value':>12}{'':^4}{'tolerance':>10}  result",
-            "-" * 78,
+            "-" * 84,
+            f"{'check':<44}{'value':>12}  {'bound':<22}result",
+            "-" * 84,
         ]
         for check in self.checks:
+            bound = f"{check.comparator} {json.dumps(check.tolerance)}"
             verdict = "pass" if check.passed else "FAIL"
-            lines.append(
-                f"{check.name:<44}{check.value:>12.3e}{check.comparator:^4}"
-                f"{check.tolerance:>10.1e}  {verdict}"
-            )
-        lines.append("-" * 78)
+            lines.append(f"{check.name:<44}{check.value:>12.3e}  {bound:<22}{verdict}")
+        lines.append("-" * 84)
         lines.append(f"overall: {'PASS' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"

@@ -2,9 +2,10 @@
 
 ``golden_checks.json`` holds, for every bundle shipped in
 ``src/vcslab/configs``, each check's name, comparator, tolerance and value,
-in report order, and each table's lines.  ``tests/test_bundles.py`` compares
-a fresh run against it.  Rewrite the file after a change that moves a value
-on purpose, and name each moved value and its cause in CHANGES.md::
+in report order, as the report's JSON writes them (a ``within`` tolerance is
+the list ``[low, high]``), and each table's lines.  ``tests/test_bundles.py``
+compares a fresh run against it.  Rewrite the file after a change that moves
+a value on purpose, and name each moved value and its cause in CHANGES.md::
 
     PYTHONPATH=src python tests/golden.py
 
@@ -26,9 +27,10 @@ PATH = Path(__file__).with_name("golden_checks.json")
 
 
 def record(report, tables) -> dict:
-    """The golden entry of one run: its checks and its tables, as lines."""
+    """The golden entry of one run: its checks as its JSON reads back, and its tables, as lines."""
+    checks = json.loads(report.to_json())["checks"]
     return {
-        "checks": [[c.name, c.comparator, c.tolerance, c.value] for c in report.checks],
+        "checks": [[c["name"], c["comparator"], c["tolerance"], c["value"]] for c in checks],
         "tables": {name: text.splitlines() for name, text in sorted(tables.items())},
     }
 

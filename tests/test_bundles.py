@@ -1,14 +1,18 @@
 """Every shipped bundle, run as shipped: it passes, with exactly its checks,
-and every check value and table matches the golden file.
+every check value and table matches the golden file, and every record keeps
+the keys a report reader needs.  The ``CHECKS`` rows of every kind are
+checked here too: their comparators, their tolerances, and their verdicts at
+and one float either side of each bound.
 
 The acceptance tests call the library directly; this is the one tier-1 test
 that runs each bundled config through ``run_experiment``, so a fault in a
 runner (a sign, a worst-case reduction, a dropped check) fails here, and so
 does a value that moves.  A RuntimeWarning (an overflow, say) fails too.
-Each bundle runs once per session; both tests read that run.
+Each bundle runs once per session; every test here reads that run.
 """
 
 import functools
+import json
 import math
 
 import golden
@@ -16,6 +20,7 @@ import pytest
 
 from vcslab import config
 from vcslab.experiments import run_experiment
+from vcslab.reporting import CheckRecord
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -35,14 +40,11 @@ _RESOLUTION = [
     "moment-verification",
     "diagonal-residual",
     "offdiagonal-decay-exponent",
-    "offdiagonal-decay-exponent-ceiling",
 ]
 _GRID = [
     "commutator-residual-finest",
     "commutator-scaling-exponent",
-    "commutator-scaling-exponent-ceiling",
     "partner-comparison-scaling-exponent",
-    "partner-comparison-scaling-exponent-ceiling",
 ]
 _VCS = [
     "truncation-tail-bound",
@@ -62,10 +64,7 @@ SHIPPED_CHECKS = {
         "certificate-beta",
         "certificate-gamma",
     ],
-    "delta-zero-failure": [
-        "regulated-entry-decay-factor",
-        "regulated-entry-decay-factor-ceiling",
-    ],
+    "delta-zero-failure": ["regulated-entry-decay-factor"],
     "example1-susy-qm": _COMPANION,
     "example2-squared-intertwiner": _COMPANION,
     "example3-cubed-intertwiner": _COMPANION,
@@ -88,19 +87,43 @@ def test_every_shipped_bundle_is_listed():
     assert sorted(SHIPPED_CHECKS) == config.bundled_names()
 
 
+def row_keys(tolerance, comparator) -> tuple:
+    """The tolerances a row names: two for ``within`` (low, then high), else one."""
+    return tolerance if comparator == "within" else (tolerance,)
+
+
+def either_side(bound: float) -> tuple:
+    """One float below ``bound``, ``bound`` itself, and one float above it."""
+    return math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)
+
+
 @pytest.mark.parametrize("kind", sorted(config.KINDS))
 def test_every_check_row_is_judged_by_its_kinds_tolerance_or_a_number(kind):
     schema = config.KINDS[kind]
     for name, (anchor, tolerance, comparator) in schema.CHECKS.items():
-        assert isinstance(tolerance, float) or tolerance in schema.TOLERANCES, name
-        assert comparator in ("<=", ">="), name
         assert anchor, name
+        assert comparator in ("<=", ">=", "within"), name
+        keys = row_keys(tolerance, comparator)
+        assert len(keys) == (2 if comparator == "within" else 1), name
+        assert all(isinstance(key, float) or key in schema.TOLERANCES for key in keys), name
+        # the row as its kind's defaults judge it
+        bounds = [schema.TOLERANCES[key] if isinstance(key, str) else key for key in keys]
+        judged = tuple(bounds) if comparator == "within" else bounds[0]
+        for value in (math.nan, math.inf, -math.inf):
+            assert not CheckRecord(name, anchor, value, judged, comparator).passed, (name, value)
+        for value in (v for bound in bounds for v in either_side(bound)):
+            # a window fails exactly when its floor (>=) or its ceiling (<=),
+            # each judged as a one-sided row, would fail
+            floor, ceiling = value >= bounds[0], value <= bounds[-1]
+            expected = {"<=": ceiling, ">=": floor, "within": floor and ceiling}[comparator]
+            assert CheckRecord(name, anchor, value, judged, comparator).passed is expected, (name, value)
 
 
 @pytest.mark.parametrize("kind", sorted(config.KINDS))
 def test_every_tolerance_is_read_by_a_check_row(kind):
     schema = config.KINDS[kind]
-    assert set(schema.TOLERANCES) <= {tolerance for _, tolerance, _ in schema.CHECKS.values()}
+    read = {key for _, tolerance, comparator in schema.CHECKS.values() for key in row_keys(tolerance, comparator)}
+    assert set(schema.TOLERANCES) <= read
 
 
 def test_the_shipped_bundles_report_every_check_row():
@@ -184,6 +207,28 @@ def test_shipped_bundle_matches_its_golden_values(bundle):
     assert sorted(got["tables"]) == sorted(want["tables"])
     for name, lines in want["tables"].items():
         assert moved_cells(got["tables"][name], lines) == [], name
+
+
+#: the keys of a check record; ``perfbench/run.py`` (``CHECK_KEYS``) marks a
+#: report whose records lack one of them incorrect
+RECORD_KEYS = {"name", "anchor", "value", "tolerance", "comparator", "passed"}
+
+
+@pytest.mark.parametrize("bundle", sorted(SHIPPED_CHECKS))
+def test_shipped_report_records_keep_their_keys(bundle):
+    report, _ = shipped_run(bundle)
+    assert [set(check) for check in report.to_dict()["checks"]] == [RECORD_KEYS] * len(report.checks)
+    written = json.loads(report.to_json())["checks"]
+    summary = report.summary_text().splitlines()
+    for check, row in zip(written, golden.load()[bundle]["checks"], strict=True):
+        if check["comparator"] == "within":
+            # a window reads back as the list [low, high]
+            assert isinstance(check["tolerance"], list) and len(check["tolerance"]) == 2
+        assert [check["name"], check["comparator"], check["tolerance"]] == row[:3]
+        # the summary shows each bound as the report writes it
+        line = next(line for line in summary if line.startswith(check["name"] + " "))
+        assert f"{check['comparator']} {json.dumps(check['tolerance'])} " in line, line
+        assert line.endswith("pass" if check["passed"] else "FAIL")
 
 
 @pytest.mark.parametrize("bundle", sorted(SHIPPED_CHECKS))

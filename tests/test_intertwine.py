@@ -717,6 +717,18 @@ class TestGridPartner:
             report = intertwine.grid_partner_comparison(lambda x: x, grid, hbar=1e100, n_modes=32)
         assert 1e154 < report.comparison_residual < np.inf
 
+    @pytest.mark.parametrize("n_modes", [0, 64])
+    def test_probe_count_outside_the_bonds_rejected(self, n_modes):
+        # N1 has n - 1 = 63 modes on the bonds of a 64-point grid
+        grid = hilbert.GridSpec(-12.0, 12.0, 64)
+        with pytest.raises(errors.ProbeCountError, match=rf"n_modes {n_modes} outside 1\.\.63, .* n - 1 bonds"):
+            intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=n_modes)
+
+    def test_every_mode_of_n1_can_be_a_probe(self):
+        grid = hilbert.GridSpec(-12.0, 12.0, 64)
+        report = intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=63)
+        assert np.isfinite([report.commutator_residual, report.comparison_residual]).all()
+
     def test_nonpositive_derivative_rejected(self):
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
         with pytest.raises(errors.NonPositiveDerivativeError):

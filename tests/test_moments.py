@@ -340,10 +340,7 @@ class TestDeltaZeroFailure:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             report, _ = run_experiment(config.parse_config(raw))
-        assert [c.name for c in report.checks] == [
-            "regulated-entry-decay-factor",
-            "regulated-entry-decay-factor-ceiling",
-        ]
+        assert [c.name for c in report.checks] == ["regulated-entry-decay-factor"]
         assert all(math.isfinite(c.value) and c.passed for c in report.checks)
 
 
