@@ -180,11 +180,6 @@ class VcsVerifyParams:
     times: tuple[float, ...] = (0.1, 1.0, 10.0)
     witness: Witness | None = None
 
-    @property
-    def unread(self) -> dict:
-        """The keys this run does not read, each with the run that ignores it."""
-        return {"delta": "the eds family"} if self.family == "eds" else {}
-
     def resolve(self, dim, spectra):
         return replace(self, j_max=_per_spectrum(self.j_max, 4.0, spectra, "params.j_max", "spectra"))
 
@@ -194,7 +189,9 @@ class VcsVerifyParams:
 
 @dataclass(frozen=True)
 class ResolutionParams:
-    """``family: delta`` at ``delta: 0`` runs the regulator-failure demo (:attr:`demo`)."""
+    """The check covers every level of every sector, so ``n_nodes`` must verify
+    the weights' moments to order ``dim - 1``.  ``family: delta`` at
+    ``delta: 0`` runs the regulator-failure demo (:attr:`demo`)."""
 
     TOLERANCES = {
         "moment": 1e-8,
@@ -215,23 +212,13 @@ class ResolutionParams:
     delta: float = 0.0
     horizons: tuple[Positive, ...] = (1e2, 1e3, 1e4)
     n_nodes: int = 40
-    k_check: int | None = None
-    delta_probe: Positive = 0.5
 
     @property
     def demo(self) -> bool:
         """Whether the run is the regulator-failure demo, which reads the
-        phase average alone: no quadrature, so no ``n_nodes`` or ``k_check``."""
+        phase average alone: no quadrature, so no node floor (its ``n_nodes``
+        stays accepted: perfbench's scaled demo item sets it)."""
         return self.family == "delta" and self.delta == 0.0
-
-    @property
-    def unread(self) -> dict:
-        """The keys this run does not read, each with the run that ignores it (the
-        demo's ``n_nodes`` stays accepted: perfbench's scaled demo item sets it)."""
-        unread = {"k_check": "the zero-regulator demo"} if self.demo else {"delta_probe": "a quadrature run"}
-        if self.family == "eds":
-            unread["delta"] = "the eds family"
-        return unread
 
     def resolve(self, dim, spectra):
         for i, seq in enumerate(spectra):
@@ -239,17 +226,10 @@ class ResolutionParams:
             if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
                 raise ConfigError(f"spectra[{i}] is not equally spaced: no closed-form weight")
         _distinct(self.horizons, "params.horizons")
-        if self.demo:
-            return self
-        if self.k_check is not None and not 0 <= self.k_check <= dim - 1:
-            raise ConfigError(f"params.k_check {self.k_check} outside 0..{dim - 1}")
-        k = dim - 1 if self.k_check is None else self.k_check
-        if len(spectra) * (k + 1) < 2:
-            raise ConfigError(f"params.k_check {k} leaves a one-level window: no off-diagonal entry to fit")
-        if self.n_nodes < k / 2 + 1:
+        if not self.demo and self.n_nodes < (dim - 1) / 2 + 1:
             raise ConfigError(
-                f"params.n_nodes {self.n_nodes} cannot verify moments to order {k}; "
-                f"need at least {math.ceil(k / 2 + 1)}"
+                f"params.n_nodes {self.n_nodes} cannot verify moments to order {dim - 1}; "
+                f"need at least {math.ceil((dim - 1) / 2 + 1)}"
             )
         return self
 
@@ -325,7 +305,10 @@ class MapEqualityProbeParams:
 
 @dataclass(frozen=True)
 class SusyGridParams:
-    """Polynomial coefficients lowest order first; ``map_coeffs`` defaults to the identity map."""
+    """Polynomial coefficients lowest order first; ``map_coeffs`` defaults to the identity map.
+    The ladder is ``a = d/dx / sqrt(2) + W``, in units where hbar = m = 1:
+    other units are the rescaling ``x = kappa y``, ``kappa = hbar / sqrt(m)``,
+    of ``domain`` and ``w_coeffs``."""
 
     TOLERANCES = {
         "exponent_low": 1.7,
@@ -343,8 +326,6 @@ class SusyGridParams:
     domain: tuple[float, float] = (-12.0, 12.0)
     n_modes: Annotated[int, (1, math.inf)] = 32
     map_coeffs: tuple[float, ...] = (0.0, 1.0)
-    hbar: Positive = 1.0
-    mass: Positive = 1.0
 
     def resolve(self, dim, spectra):
         _distinct(self.sizes, "params.sizes")
@@ -527,9 +508,8 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
     params = _build(schema, raw.get("params", {}), "params", dim)
     if hasattr(params, "resolve"):
         params = params.resolve(dim, spectra)
-    for key, run in getattr(params, "unread", {}).items():
-        if key in raw.get("params", {}):
-            raise ConfigError(f"params.{key} is not read by {run}")
+    if getattr(params, "family", None) == "eds" and "delta" in raw.get("params", {}):
+        raise ConfigError("params.delta is not read by the eds family")
     # a repeated label would report one check twice and judge it once
     for key in getattr(schema, "LABELS", {}):
         labels = check_labels(params, key)
@@ -544,6 +524,12 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
     _reject_unknown(overrides, set(tolerances), f"tolerances of kind {kind}")
     for key, value in overrides.items():
         tolerances[key] = _check(value, Positive, f"tolerances.{key}")
+    # an inverted window would fail every value
+    for low, high in (bounds for _, bounds, comparator in schema.CHECKS.values() if comparator == "within"):
+        if tolerances[low] > tolerances[high]:
+            raise ConfigError(
+                f"tolerances.{low} {tolerances[low]} exceeds tolerances.{high} {tolerances[high]}: no value can pass"
+            )
 
     seed = _check(raw.get("seed", 0), Annotated[int, (0, math.inf)], "seed")
     output = raw.get("output")

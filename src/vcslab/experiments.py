@@ -38,6 +38,9 @@ from .vcs import action_identity_residuals, eigenstate_residuals, temporal_stabi
 
 __all__ = ["run_experiment"]
 
+#: the regulator at which the zero-regulator demo shows the decay it lacks
+DELTA_PROBE = 0.5
+
 
 #: coefficients per block of vcs-verify draws: the arrays of one block stay
 #: small heap allocations, and memory does not grow with ``n_samples``
@@ -125,12 +128,12 @@ def _run_resolution(config: ExperimentConfig, seed: int):
         # cross entry's phase average is exactly 1 at every horizon; the
         # probe regulator makes it decay like 1/horizon
         ends = (horizons[0], horizons[-1])
-        first, last = (abs(cross_phase_average(family, h, params.delta_probe)) for h in ends)
+        first, last = (abs(cross_phase_average(family, h, DELTA_PROBE)) for h in ends)
         return [("regulated-entry-decay-factor", first / last)], {}
 
     # the config checked that each spectrum is equally spaced
     weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in config.spectra]
-    assembly = resolution_assembly(family, weights, params.n_nodes, params.k_check)
+    assembly = resolution_assembly(family, weights, params.n_nodes)
     reports = [assembly.report(horizon) for horizon in horizons]
     values = [
         ("moment-verification", _worst(assembly.moment_errors)),
@@ -221,9 +224,7 @@ def _run_susy_grid(config: ExperimentConfig, seed: int):
     params = config.params
     w = Polynomial(params.w_coeffs)
     reports = [
-        grid_partner_comparison(
-            w, GridSpec(*params.domain, n), params.map_coeffs, params.hbar, params.mass, params.n_modes
-        )
+        grid_partner_comparison(w, GridSpec(*params.domain, n), params.map_coeffs, n_modes=params.n_modes)
         for n in params.sizes
     ]
     dxs = [r.dx for r in reports]

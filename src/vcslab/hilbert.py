@@ -322,10 +322,8 @@ def _staggered(step: float, left: np.ndarray, right: np.ndarray, n: int) -> tupl
     return BlockOperator([diagonal]), BlockOperator([upper], -1)
 
 
-def grid_ladder(
-    w, grid: GridSpec, hbar: float = 1.0, mass: float = 1.0
-) -> GridLadder:
-    """Staggered first-order ladder ``a = c d/dx + W(x)``, ``c = hbar/sqrt(2m)``,
+def grid_ladder(w, grid: GridSpec) -> GridLadder:
+    """Staggered first-order ladder ``a = c d/dx + W(x)``, ``c = 1/sqrt(2)``,
     from the nodes to the bond midpoints ``xb`` (Yee's grid):
 
         (a f)_i = c (f_{i+1} - f_i) / dx + W(xb_i) (f_i + f_{i+1}) / 2
@@ -340,9 +338,12 @@ def grid_ladder(
     it on smooth confined probes over interior bonds.  Raises
     ``GridOverflowError`` when the entries of ``a`` are so large that ``a a+``
     or ``T`` could overflow, or so small that their products underflow.
+
+    ``c`` is ``hbar/sqrt(2m)`` at ``hbar = m = 1``; any other ``hbar`` and
+    ``m`` give the same ladder on the grid rescaled by ``x = kappa y``,
+    ``kappa = hbar/sqrt(m)``: pass ``W(kappa y)`` on the domain divided by
+    ``kappa``.
     """
-    if not (hbar > 0 and mass > 0):
-        raise NonPositiveDerivativeError("hbar and mass must be positive")
     n, dx, x = grid.points, grid.dx, grid.x
     bonds = 0.5 * (x[:-1] + x[1:])
     w_values = np.asarray(w(bonds), dtype=float)
@@ -351,7 +352,7 @@ def grid_ladder(
         raise NonPositiveDerivativeError(
             f"superpotential derivative reaches {w_prime.min():.3e} <= 0 on the grid"
         )
-    c = hbar / np.sqrt(2.0 * mass)
+    c = 1.0 / np.sqrt(2.0)
     half = 0.5 * w_values
     a = _staggered(c / dx, half, half, n)
     # a row or column of a holds two entries of at most s, the largest, so
@@ -362,7 +363,7 @@ def grid_ladder(
     finfo = np.finfo(float)
     if not np.sqrt(finfo.tiny) <= 4.0 * largest <= np.sqrt(finfo.max):
         raise GridOverflowError(
-            f"grid ladder entry {largest:.3e} (hbar / sqrt(2 mass) / dx, or W on the domain) "
+            f"grid ladder entry {largest:.3e} (c / dx, or W on the domain) "
             "puts a a+ out of the float range"
         )
     below, diagonal, above = gram_products(_staggered(c / dx, half[:-1], half[1:], n))[0]

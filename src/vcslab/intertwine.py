@@ -284,14 +284,7 @@ def _horner(coeffs, band, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def grid_partner_comparison(
-    w,
-    grid: GridSpec,
-    coeffs=(0.0, 1.0),
-    hbar: float = 1.0,
-    mass: float = 1.0,
-    n_modes: int | None = None,
-) -> GridComparisonReport:
+def grid_partner_comparison(w, grid: GridSpec, coeffs=(0.0, 1.0), *, n_modes: int) -> GridComparisonReport:
     """Compare the companion of the grid ladder against its closed form.
 
     With the staggered ``a = c d/dx + W`` (:func:`~vcslab.hilbert.grid_ladder`),
@@ -301,22 +294,21 @@ def grid_partner_comparison(
     differ by the discretization error of the commutator, second order in the
     grid step.  ``f`` is the polynomial with ``coeffs``, lowest order first
     (default: the identity).  Residuals are ``max ||(f(N1) - f(T)) phi||`` over
-    the ``n_modes`` lowest eigenvectors ``phi`` of ``N1`` (default: a quarter
-    of the grid); hold it fixed for scaling studies.  ``N1`` is tridiagonal,
-    and its last row, the dead bond, is zero: the probes come from
-    ``eigh_tridiagonal`` on the leading ``n - 1`` block, and ``f`` is applied
-    to them by Horner's rule over the bands.  Raises ``ProbeCountError`` for
-    ``n_modes`` outside ``1..n - 1``, and ``GridOverflowError`` when ``f`` of
-    the ladder's norm bound leaves the float range.
+    the ``n_modes`` lowest eigenvectors ``phi`` of ``N1``; hold it fixed for
+    scaling studies.  ``N1`` is tridiagonal, and its last row, the dead bond,
+    is zero: the probes come from ``eigh_tridiagonal`` on the leading
+    ``n - 1`` block, and ``f`` is applied to them by Horner's rule over the
+    bands.  Raises ``ProbeCountError`` for ``n_modes`` outside ``1..n - 1``,
+    and ``GridOverflowError`` when ``f`` of the ladder's norm bound leaves
+    the float range.
     """
     # imported here, not at module level: only the grid comparison needs
     # scipy, and ``import vcslab`` should not pay its import time and memory
     from scipy.linalg import eigh_tridiagonal
 
-    k = grid.points // 4 if n_modes is None else n_modes
-    if not 1 <= k <= grid.points - 1:
-        raise ProbeCountError(f"n_modes {k} outside 1..{grid.points - 1}, the modes of N1 on the n - 1 bonds")
-    ladder = grid_ladder(w, grid, hbar=hbar, mass=mass)
+    if not 1 <= n_modes <= grid.points - 1:
+        raise ProbeCountError(f"n_modes {n_modes} outside 1..{grid.points - 1}, the modes of N1 on the n - 1 bonds")
+    ladder = grid_ladder(w, grid)
     # every Horner step, and the norm of the difference of the two sides, is
     # at most 2 sqrt(n) times this polynomial of the bound on N1 and T
     with np.errstate(over="ignore"):
@@ -329,7 +321,7 @@ def grid_partner_comparison(
     n1 = gram_products(ladder.terms)[1]
     # scaled to entries below 1: the solver squares them
     diagonal, off = (term.blocks[0][:-1] / ladder.norm_bound for term in n1[1:])
-    _, vecs = eigh_tridiagonal(diagonal, off, select="i", select_range=(0, k - 1))
+    _, vecs = eigh_tridiagonal(diagonal, off, select="i", select_range=(0, n_modes - 1))
     # the probes are rows, as the bands act along the last axis, and vanish on the dead bond
     phi = np.pad(vecs.T, ((0, 0), (0, 1)))
     diff = _horner(coeffs, n1, phi) - _horner(coeffs, ladder.target, phi)

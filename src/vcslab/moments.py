@@ -130,17 +130,18 @@ def cesaro_phase_average(thetas, horizon: float, step: float):
             f"phase step {s:.3e} does not resolve the fastest frequency "
             f"{np.abs(thetas).max():.3e}; decrease the step"
         )
+    # below |x| = 1e-8, x cot x = 1 - x^2/3 + ... rounds to 1, and 0/0 at x = 0 is avoided
     small = np.abs(x) < 1e-8
-    xcot = np.where(small, 1.0 - x * x / 3.0, x / np.tan(np.where(small, 1.0, x)))
+    xcot = np.where(small, 1.0, x / np.tan(np.where(small, 1.0, x)))
     return np.sinc(thetas * horizon / np.pi) * xcot
 
 
 @dataclass(frozen=True)
 class ResolutionReport:
     """Off-diagonal deviation of the assembled identity candidate from the
-    identity at one horizon: phase-average-limited, it decays like
-    ``1/(horizon * gap)``.  It restricts to levels whose moments were
-    checked.  ``n_samples`` counts the points of the uniform phase grid.
+    identity at one horizon, over every level of every sector:
+    phase-average-limited, it decays like ``1/(horizon * gap)``.
+    ``n_samples`` counts the points of the uniform phase grid.
     """
 
     gamma_horizon: float
@@ -196,16 +197,14 @@ def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
 class ResolutionAssembly:
     """The horizon-independent part of a resolution check, built once per
     run by :func:`resolution_assembly`: the worst relative moment error of
-    each sector, the assembled candidate before its phase average, and its
-    worst deviation from 1 on the diagonal, ``diag_error``, where the phase
-    average is exactly 1 at every horizon.  ``window`` marks the levels whose
-    moments were checked, and ``step`` is the phase step of the frequencies
-    ``freqs``.  :meth:`report` applies the phase average of one horizon."""
+    each sector, to order ``dim - 1``, the assembled candidate before its
+    phase average, and its worst deviation from 1 on the diagonal,
+    ``diag_error``, where the phase average is exactly 1 at every horizon.
+    ``step`` is the phase step of the frequencies ``freqs``.  :meth:`report`
+    applies the phase average of one horizon."""
 
-    k_check: int
     moment_errors: tuple
     diag_error: float
-    window: np.ndarray = field(repr=False)
     freqs: np.ndarray = field(repr=False)
     step: float = field(repr=False)
     phase_free: np.ndarray = field(repr=False)
@@ -218,38 +217,30 @@ class ResolutionAssembly:
 
     def report(self, gamma_horizon: float) -> ResolutionReport:
         """The candidate's deviations from the identity at one horizon."""
-        dev = self.candidate(gamma_horizon)[np.ix_(self.window, self.window)]
+        dev = self.candidate(gamma_horizon)
         np.fill_diagonal(dev, 0.0)
         samples = _panels(gamma_horizon, self.step) + 1
         return ResolutionReport(gamma_horizon, samples, float(np.abs(dev).max()))
 
 
-def resolution_assembly(
-    family: CoherentFamily, weights, n_nodes: int = 40, k_check: int | None = None
-) -> ResolutionAssembly:
-    """Check the weights' moments to order ``k_check`` (default ``dim - 1``)
-    and assemble the candidate of ``family`` up to its phase average, from
-    one ``n_nodes``-point rule; too few nodes show as moment errors.
+def resolution_assembly(family: CoherentFamily, weights, n_nodes: int = 40) -> ResolutionAssembly:
+    """Check the weights' moments to order ``dim - 1`` and assemble the
+    candidate of ``family`` up to its phase average, from one
+    ``n_nodes``-point rule; too few nodes show as moment errors.
 
     The phases are the family's own frequencies.  A delta family built
     without a regulator (``delta = 0``) does not resolve the identity, which
     :func:`cross_phase_average` demonstrates.
     """
     seqs = family.seqs
-    dim = seqs[0].dim
-    k_check = dim - 1 if k_check is None else k_check
     # every weight's nodes and weights from one Gauss-Laguerre rule
     rule = laggauss(n_nodes)
     quadratures = [w.quadrature(rule) for w in weights]
-    moment_errors = tuple(float(verify_moments(q, s, k_check).max()) for s, q in zip(seqs, quadratures))
-    # the levels whose moments were checked, in every sector
-    window = np.tile(np.arange(dim) <= k_check, len(seqs))
+    moment_errors = tuple(float(verify_moments(q, s, s.dim - 1).max()) for s, q in zip(seqs, quadratures))
     phase_free = _phase_free_candidate(seqs, quadratures)
     return ResolutionAssembly(
-        k_check=k_check,
         moment_errors=moment_errors,
-        diag_error=float(np.abs(np.diag(phase_free)[window] - 1.0).max()),
-        window=window,
+        diag_error=float(np.abs(np.diag(phase_free) - 1.0).max()),
         freqs=family.frequencies.ravel(),
         step=_phase_step(family.frequencies),
         phase_free=phase_free,

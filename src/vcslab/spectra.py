@@ -77,7 +77,7 @@ class FactorialCache:
     """Running products ``p[n] = e[1]*e[2]*...*e[n]`` with ``p[0] = 1``.
 
     Kept in both linear and log domain.  The linear entries may overflow to
-    ``inf``; above that point :meth:`log_product` is the authoritative value.
+    ``inf``; above that point ``log_products[n]`` is the authoritative value.
     """
 
     products: np.ndarray
@@ -86,9 +86,6 @@ class FactorialCache:
     def __post_init__(self):
         object.__setattr__(self, "products", _readonly(self.products))
         object.__setattr__(self, "log_products", _readonly(self.log_products))
-
-    def log_product(self, n: int) -> float:
-        return float(self.log_products[n])
 
 
 @dataclass(frozen=True)

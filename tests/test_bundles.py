@@ -11,12 +11,15 @@ does a value that moves.  A RuntimeWarning (an overflow, say) fails too.
 Each bundle runs once per session; every test here reads that run.
 """
 
+import dataclasses
 import functools
 import json
 import math
+from importlib import resources
 
 import golden
 import pytest
+import yaml
 
 from vcslab import config
 from vcslab.experiments import run_experiment
@@ -85,6 +88,33 @@ SHIPPED_CHECKS = {
 
 def test_every_shipped_bundle_is_listed():
     assert sorted(SHIPPED_CHECKS) == config.bundled_names()
+
+
+#: schema fields that no shipped bundle sets, each with its reason
+UNSET_FIELDS = {
+    ("SusyGridParams", "map_coeffs"): "set by perfbench's susy-grid-linear.squared item",
+    ("Spectrum", "values"): "the arbitrary-spectrum form (ROADMAP item 15)",
+}
+
+
+def test_every_schema_field_is_set_by_a_shipped_bundle():
+    # a field that no bundle sets and no reason keeps is a knob with one value
+    set_fields = set()
+
+    def spectra(entries):
+        set_fields.update(("Spectrum", key) for entry in entries for key in entry)
+
+    for bundle in config.bundled_names():
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
+        params = raw.get("params", {})
+        set_fields.update((config.KINDS[raw["kind"]].__name__, key) for key in params)
+        spectra(raw.get("spectra", []))
+        witness = params.get("witness", {})
+        set_fields.update(("Witness", key) for key in witness)
+        spectra(witness.get("spectra", []))
+    schemas = [*config.KINDS.values(), config.Witness, config.Spectrum]
+    every = {(cls.__name__, f.name) for cls in schemas for f in dataclasses.fields(cls) if f.init}
+    assert every - set_fields == set(UNSET_FIELDS)
 
 
 def row_keys(tolerance, comparator) -> tuple:

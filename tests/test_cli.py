@@ -65,25 +65,20 @@ MALFORMED = [
     ("j-max-negative", with_param(small_vcs_config(), "j_max", [-1.0, 1.0]), "params.j_max[0]"),
     ("n-nodes-text", small_resolution_config(n_nodes="x"), "params.n_nodes"),
     ("n-nodes-too-few", small_resolution_config(n_nodes=0), "params.n_nodes"),
-    ("k-check-negative", small_resolution_config(k_check=-1), "params.k_check"),
-    (
-        "k-check-one-level-window",
-        {
-            "kind": "resolution",
-            "dim": 16,
-            "spectra": [{"form": "linear"}],
-            "params": {"family": "eds", "k_check": 0},
-        },
-        "params.k_check",
-    ),
     ("horizon-negative", small_resolution_config(horizons=[-10]), "params.horizons"),
-    # keys a resolution run never reads
-    ("demo-k-check", small_resolution_config(delta=0.0, k_check=4), "params.k_check is not read"),
+    # a key a resolution run never reads
     ("eds-delta", small_resolution_config(family="eds"), "params.delta is not read"),
-    ("regulated-delta-probe", small_resolution_config(delta_probe=0.5), "params.delta_probe is not read"),
-    # the Cesaro factor is even in delta: a negative probe would pass as its mirror
-    ("delta-probe-negative", small_resolution_config(delta=0.0, delta_probe=-1.0), "params.delta_probe"),
-    ("delta-probe-zero", small_resolution_config(delta=0.0, delta_probe=0.0), "params.delta_probe"),
+    # an inverted window, as written or against the other bound's default
+    (
+        "decay-window-inverted",
+        {**small_resolution_config(), "tolerances": {"decay_low": 1.3, "decay_high": 0.7}},
+        "tolerances.decay_low 1.3 exceeds tolerances.decay_high 0.7",
+    ),
+    (
+        "exponent-window-inverted",
+        {**small_grid_config(), "tolerances": {"exponent_low": 2.5}},
+        "tolerances.exponent_low 2.5 exceeds tolerances.exponent_high 2.3",
+    ),
     ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),
     ("one-horizon", small_resolution_config(horizons=[1000.0]), "params.horizons"),
     ("eds-one-horizon", small_resolution_config(family="eds", horizons=[1000.0]), "params.horizons"),
@@ -101,7 +96,13 @@ MALFORMED = [
     ("domain-one-entry", small_grid_config(domain=[1]), "params.domain"),
     ("map-coeffs-text", small_grid_config(map_coeffs=["a"]), "params.map_coeffs[0]"),
     ("map-coeffs-null", small_grid_config(map_coeffs=None), "params.map_coeffs"),
-    # keys of the retired checks that no config could move: unknown now
+    # keys of the retired checks that no config could move, and of the
+    # retired knobs (hbar and mass rescale the grid; k_check and delta_probe
+    # had one value): unknown now
+    ("hbar-removed", small_grid_config(hbar=1.0), "['hbar'] in params"),
+    ("mass-removed", small_grid_config(mass=1.0), "['mass'] in params"),
+    ("k-check-removed", small_resolution_config(k_check=15), "['k_check'] in params"),
+    ("delta-probe-removed", small_resolution_config(delta=0.0, delta_probe=0.5), "['delta_probe'] in params"),
     ("l-max-removed", {"kind": "map-equality-probe", "dim": 8, "params": {"l_max": 4}}, "['l_max'] in params"),
     (
         "order-tolerance-removed",
@@ -140,8 +141,8 @@ MALFORMED = [
         {"kind": "map-equality-probe", "dim": 8, "params": {"cases": ["boson", "boson"]}},
         "params.cases[1]",
     ),
-    ("hbar-negative", small_grid_config(hbar=-1.0), "params.hbar"),
     ("domain-reversed", small_grid_config(domain=[5.0, 1.0]), "params.domain"),
+    ("domain-empty", small_grid_config(domain=[1.0, 1.0]), "params.domain"),
     ("n-modes-zero", small_grid_config(n_modes=0), "params.n_modes"),
     # N1 on the 63 bonds of the 64-point grid has 63 modes: a request past
     # them was cut short at run time, and the table reported the count used
@@ -202,6 +203,12 @@ MALFORMED = [
     (
         "witness-j-at-top-level",
         with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [39.0]}),
+        "params.witness.j[0]",
+    ),
+    # the top shifted level is the top level less the ground: 39 here too
+    (
+        "witness-j-at-offset-top-level",
+        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear", "offset": 0.5}], "j": [39.0]}),
         "params.witness.j[0]",
     ),
     (
@@ -290,6 +297,23 @@ class TestConfigValidation:
         assert replaced.family.delta == parsed.family.delta == 0.9
         with pytest.raises(errors.ConfigError, match="params.delta"):
             dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, delta=-1.0))
+
+    def test_node_floor_verifies_the_top_moment(self):
+        # n Gauss-Laguerre nodes are exact to degree 2n - 1: at dim 17 the
+        # moments to order 16 need 9
+        raw = {**small_resolution_config(n_nodes=9), "dim": 17}
+        assert config.parse_config(raw).params.n_nodes == 9
+        raw = {**small_resolution_config(n_nodes=8), "dim": 17}
+        message = "params.n_nodes 8 cannot verify moments to order 16; need at least 9"
+        with pytest.raises(errors.ConfigError, match=f"^{message}$"):
+            config.parse_config(raw)
+
+    def test_equal_window_bounds_parse(self):
+        # a one-point window admits exactly its bound
+        raw = {**small_resolution_config(), "tolerances": {"decay_low": 1.0, "decay_high": 1.0}}
+        assert config.parse_config(raw).tolerances["decay_low"] == 1.0
+        raw = {**small_grid_config(), "tolerances": {"exponent_low": 2.3}}
+        assert config.parse_config(raw).tolerances["exponent_high"] == 2.3
 
     def test_echo_keeps_the_mappings_as_parsed(self):
         raw = small_vcs_config()
@@ -549,15 +573,17 @@ class TestCliEntryPoint:
     @pytest.mark.parametrize(
         "override",
         [
-            {"hbar": 1e300},
+            # hbar = 1e300: the domain over kappa = 1e300, W(kappa y)
+            {"domain": [-1.2e-299, 1.2e-299], "w_coeffs": [0.0, 1e300]},
             {"domain": [0.0, 1e-300]},
             {"w_coeffs": [0.0, 1e160]},
-            {"hbar": 1e-200, "w_coeffs": [0.0, 1e-200]},
+            # hbar = 1e-160 with W = 1e-160 x, rescaled as above
+            {"domain": [-1.2e161, 1.2e161], "w_coeffs": [0.0, 1e-320]},
         ],
         ids=["hbar", "domain", "superpotential", "underflow"],
     )
     def test_exit_one_on_an_overflowing_grid(self, override, tmp_path, capsys):
-        # c, 1 / dx or W puts a a+ out of the float range: the run stops
+        # 1 / dx or W puts a a+ out of the float range: the run stops
         # before the eigensolver, which would otherwise fail on a non-finite
         # band (the underflowing grid raised a LinAlgError with a traceback)
         raw = yaml.safe_load((resources.files("vcslab") / "configs" / "susy-grid-linear.yaml").read_text())
@@ -579,9 +605,10 @@ class TestCliEntryPoint:
     def test_hbar_1e100_stops_on_a_named_failure(self, override, failure, tmp_path, capsys):
         # the residuals were inf from hbar = 1e100 on, so the exponents read
         # NaN: now every admitted value is finite, and the squared map, whose
-        # N1^2 could leave the float range, is not admitted
+        # N1^2 could leave the float range, is not admitted.  The grid of
+        # hbar = 1e100 is the domain over kappa = 1e100, with W(kappa y)
         raw = yaml.safe_load((resources.files("vcslab") / "configs" / "susy-grid-linear.yaml").read_text())
-        raw["params"].update(hbar=1e100, **override)
+        raw["params"].update(domain=[-1.2e-99, 1.2e-99], w_coeffs=[0.0, 1e100], **override)
         path = tmp_path / "grid.yaml"
         path.write_text(yaml.safe_dump(raw))
         with warnings.catch_warnings():

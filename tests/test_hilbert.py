@@ -10,6 +10,15 @@ from hypothesis import strategies as st
 from vcslab import errors, hilbert, spectra, vcs
 
 
+def rescaled(w, xmin, xmax, hbar, mass=1.0):
+    """The ladder ``c d/dx + W`` with ``c = hbar / sqrt(2 mass)`` on
+    ``[xmin, xmax]``, in the library's units ``c = 1/sqrt(2)``: with
+    ``x = kappa y``, ``kappa = hbar / sqrt(mass)``, it is ``W(kappa y)`` on the
+    domain divided by ``kappa``.  Returns that superpotential and domain."""
+    kappa = hbar / np.sqrt(mass)
+    return (lambda y: w(kappa * y)), xmin / kappa, xmax / kappa
+
+
 def two_linear_shifted(dim, omegas=(1.0, math.sqrt(2.0)), offsets=(0.3, 0.55)):
     return [
         spectra.shift(spectra.linear_sequence(dim, w, offset=c))
@@ -17,13 +26,13 @@ def two_linear_shifted(dim, omegas=(1.0, math.sqrt(2.0)), offsets=(0.3, 0.55)):
     ]
 
 
-def staggered_oracle(w, grid, hbar=1.0, mass=1.0):
+def staggered_oracle(w, grid, c=1.0 / np.sqrt(2.0)):
     """Oracle for the grid ladder, written out entry by entry from the
     formulas on ``n`` levels, the last row of ``a`` (the dead bond) zero:
     ``(a f)_i = c (f_{i+1} - f_i) / dx + W(xb_i) (f_i + f_{i+1}) / 2`` and
     ``(b g)_j = c (g_{j+1} - g_j) / dx + (W_j g_j + W_{j+1} g_{j+1}) / 2``,
     ``W_j = W(xb_j)``.  Returns ``a`` and ``T = b+ b + 2c W'``."""
-    n, dx, c = grid.points, grid.dx, hbar / np.sqrt(2.0 * mass)
+    n, dx = grid.points, grid.dx
     wb = w(0.5 * (grid.x[:-1] + grid.x[1:]))
     a, b = np.zeros((n, n)), np.zeros((n, n))
     for i in range(n - 1):
@@ -245,15 +254,11 @@ class TestGridLadder:
         with pytest.raises(errors.NonPositiveDerivativeError):
             hilbert.GridSpec(-1.0, 1.0, 32)
 
-    @pytest.mark.parametrize(
-        "w, hbar, mass",
-        [(lambda x: 0.0 * x, 1.0, 1.0), (lambda x: x, 0.0, 1.0), (lambda x: x, 1.0, 0.0)],
-        ids=["flat-superpotential", "zero-hbar", "zero-mass"],
-    )
-    def test_boundary_values_rejected(self, w, hbar, mass):
-        # W' = 0, hbar = 0 and mass = 0 sit on the boundaries of the rules
+    @pytest.mark.parametrize("w", [lambda x: 0.0 * x], ids=["flat-superpotential"])
+    def test_boundary_values_rejected(self, w):
+        # W' = 0 sits on the boundary of the rule
         with pytest.raises(errors.NonPositiveDerivativeError):
-            hilbert.grid_ladder(w, hilbert.GridSpec(-1.0, 1.0, 64), hbar=hbar, mass=mass)
+            hilbert.grid_ladder(w, hilbert.GridSpec(-1.0, 1.0, 64))
 
     def test_probes_are_centred_on_the_domain(self):
         # on [0, 8] the even probe peaks at 4, and the odd one changes sign there
@@ -287,21 +292,24 @@ class TestGridLadder:
         # each puts an entry of a above sqrt(float max) / 4, where a a+ and
         # the target could overflow, before anything is squared; the last
         # keeps every entry below sqrt(float tiny) / 4, where their products
-        # underflow and N1 carries no digits
+        # underflow and N1 carries no digits.  An hbar other than 1 is its
+        # rescaled grid: c / dx grows as the domain shrinks
+        w, lo, hi = rescaled(w, lo, hi, hbar)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(errors.GridOverflowError, match="out of the float range"):
-                hilbert.grid_ladder(w, hilbert.GridSpec(lo, hi, 64), hbar=hbar)
+                hilbert.grid_ladder(w, hilbert.GridSpec(lo, hi, 64))
 
     def test_entries_just_inside_the_gram_range_are_kept(self):
         # the largest entry of a is c / dx + |W| / 2, where W = x is
         # negligible; at 0.99 of the bound sqrt(float max) / 4 the products,
         # the target and the diagnostic stay finite
-        grid = hilbert.GridSpec(-10.0, 10.0, 64)
         bound = np.sqrt(np.finfo(float).max) / 4.0
+        hbar = 0.99 * bound * hilbert.GridSpec(-10.0, 10.0, 64).dx * np.sqrt(2.0)
+        w, lo, hi = rescaled(lambda x: x, -10.0, 10.0, hbar)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            ladder = hilbert.grid_ladder(lambda x: x, grid, hbar=0.99 * bound * grid.dx * np.sqrt(2.0))
+            ladder = hilbert.grid_ladder(w, hilbert.GridSpec(lo, hi, 64))
             for band in (*hilbert.gram_products(ladder.terms), ladder.target):
                 assert np.isfinite(np.abs(band_matrix(band)).sum(axis=1).max())
         assert np.isfinite(ladder.commutator_residual)
@@ -323,7 +331,8 @@ class TestGridLadder:
         # so every entry) of both, whether c / dx or |W| / 2 is the largest
         # entry of a, and stay within 16x of the largest, so the guards
         # refuse no input far from the float range
-        ladder = hilbert.grid_ladder(w, hilbert.GridSpec(-lo, lo, points), hbar=hbar, mass=mass)
+        w, xmin, xmax = rescaled(w, -lo, lo, hbar, mass)
+        ladder = hilbert.grid_ladder(w, hilbert.GridSpec(xmin, xmax, points))
         for band in (hilbert.gram_products(ladder.terms)[1], ladder.target):
             row_sum = np.abs(band_matrix(band)).sum(axis=1).max()
             assert ladder.norm_bound / 16.0 < row_sum <= ladder.norm_bound
@@ -333,13 +342,19 @@ class TestGridLadder:
         def w(x):
             return x + 0.1 * x**3
 
-        grid = hilbert.GridSpec(-9.0, 9.0, 96)
-        ladder = hilbert.grid_ladder(w, grid, hbar=hbar, mass=mass)
-        a, target = staggered_oracle(w, grid, hbar, mass)
+        scaled_w, lo, hi = rescaled(w, -9.0, 9.0, hbar, mass)
+        grid = hilbert.GridSpec(lo, hi, 96)
+        ladder = hilbert.grid_ladder(scaled_w, grid)
+        a, target = staggered_oracle(scaled_w, grid)
         np.testing.assert_array_equal(band_matrix(ladder.terms), a)
         # b+ b sums its products in another order than BLAS
         scale = 16 * np.finfo(float).eps * np.abs(a).max() ** 2
         np.testing.assert_allclose(band_matrix(ladder.target), target, rtol=0, atol=scale)
+        # the rescaled grid carries the ladder of c = hbar / sqrt(2 mass) on
+        # [-9, 9], to the rounding of the rescaling
+        unscaled_a, unscaled_target = staggered_oracle(w, hilbert.GridSpec(-9.0, 9.0, 96), hbar / np.sqrt(2.0 * mass))
+        np.testing.assert_allclose(a, unscaled_a, rtol=0, atol=16 * np.finfo(float).eps * np.abs(a).max())
+        np.testing.assert_allclose(target, unscaled_target, rtol=0, atol=scale)
 
     def test_bands_match_dense_products(self):
         # the sums run in another order than BLAS: each entry of up to two

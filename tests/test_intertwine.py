@@ -38,7 +38,7 @@ def boson_problem(dim=60, power=2):
     return IntertwiningProblem(h=ad @ a, x=x)
 
 
-def dense_grid_comparison(w, grid, coeffs, n_modes, hbar=1.0, mass=1.0):
+def dense_grid_comparison(w, grid, coeffs, n_modes):
     """Oracle for ``grid_partner_comparison``, formed in full from the
     formulas, with no dead bond: the staggered ``a`` from the
     ``n`` nodes to the ``n - 1`` bonds, ``h = a+ a``, ``N1 = a a+``, the
@@ -48,7 +48,7 @@ def dense_grid_comparison(w, grid, coeffs, n_modes, hbar=1.0, mass=1.0):
     the ``n_modes`` lowest eigenvectors of a dense ``eigh`` of ``N1``, and the
     commutator ``N1 - T`` is read on the Gaussian probes over the bonds
     ``3:-3``.  Returns ``(commutator_residual, comparison_residual)``."""
-    n, dx, c = grid.points, grid.dx, hbar / np.sqrt(2.0 * mass)
+    n, dx, c = grid.points, grid.dx, 1.0 / np.sqrt(2.0)
     bonds = 0.5 * (grid.x[:-1] + grid.x[1:])
     wb = w(bonds)
     a, b = np.zeros((n - 1, n)), np.zeros((n - 2, n - 1))
@@ -571,6 +571,11 @@ class TestRangeProjector:
         self.check(problem, 2)
 
 
+#: kappa = hbar / sqrt(mass) of hbar = 0.7 and mass = 2.5: the grid ladder of
+#: those units is the library's on the domain divided by kappa, W(kappa y)
+HEAVY = 0.7 / np.sqrt(2.5)
+
+
 class TestGridPartner:
     def test_linear_superpotential_closed_form(self):
         grid = hilbert.GridSpec(-12.0, 12.0, 512)
@@ -612,10 +617,12 @@ class TestGridPartner:
         ratio = reports[0].comparison_residual / reports[1].comparison_residual
         assert 2.8 < ratio < 5.5
 
-    @pytest.mark.parametrize("n_modes, selected", [(16, (0, 15)), (None, (0, 127))], ids=["asked", "default"])
+    @pytest.mark.parametrize(
+        "n_modes, selected", [(16, (0, 15)), (config.SusyGridParams.n_modes, (0, 31))], ids=["asked", "default"]
+    )
     def test_n1_is_decomposed_once_by_the_tridiagonal_solver(self, monkeypatch, eigh_calls, n_modes, selected):
-        # N1 is tridiagonal: its lowest n_modes eigenpairs (by default a
-        # quarter of the grid) come from one eigh_tridiagonal call on the
+        # N1 is tridiagonal: its lowest n_modes eigenpairs (asked, or the
+        # config's default) come from one eigh_tridiagonal call on the
         # leading n - 1 block and no dense eigh, and a polynomial map is
         # applied by Horner's rule and adds none
         import scipy.linalg
@@ -645,20 +652,21 @@ class TestGridPartner:
     # reaches its peak on the bonds and the probe norms are read
     @pytest.mark.parametrize("points", [129, 256, 512])
     @pytest.mark.parametrize(
-        "w, lo, coeffs, n_modes, hbar, mass",
+        "w, lo, coeffs, n_modes",
         [
-            (lambda x: x, 12.0, (0.0, 1.0), 32, 1.0, 1.0),
-            (lambda x: x, 12.0, (0, 0, 1), 32, 1.0, 1.0),
-            (lambda x: x, 12.0, (0.5, -1.0, 0.25), 32, 1.0, 1.0),
-            (lambda x: x + 0.1 * x**3, 9.0, (0.0, 1.0), 24, 1.0, 1.0),
-            (lambda x: x + 0.1 * x**3, 9.0, (0, 0, 1), 24, 0.7, 2.5),
+            (lambda x: x, 12.0, (0.0, 1.0), 32),
+            (lambda x: x, 12.0, (0, 0, 1), 32),
+            (lambda x: x, 12.0, (0.5, -1.0, 0.25), 32),
+            (lambda x: x + 0.1 * x**3, 9.0, (0.0, 1.0), 24),
+            # the anharmonic case at hbar = 0.7 and mass = 2.5: x = HEAVY y
+            (lambda y: HEAVY * y + 0.1 * (HEAVY * y) ** 3, 9.0 / HEAVY, (0, 0, 1), 24),
         ],
         ids=["linear", "linear-squared", "linear-constant-odd", "anharmonic", "anharmonic-squared-heavy"],
     )
-    def test_matches_dense_formation(self, w, lo, coeffs, n_modes, hbar, mass, points):
+    def test_matches_dense_formation(self, w, lo, coeffs, n_modes, points):
         grid = hilbert.GridSpec(-lo, lo, points)
-        report = intertwine.grid_partner_comparison(w, grid, coeffs, hbar, mass, n_modes)
-        commutator, comparison = dense_grid_comparison(w, grid, coeffs, n_modes, hbar, mass)
+        report = intertwine.grid_partner_comparison(w, grid, coeffs, n_modes=n_modes)
+        commutator, comparison = dense_grid_comparison(w, grid, coeffs, n_modes)
         assert report.commutator_residual == pytest.approx(commutator, rel=1e-9)
         assert report.comparison_residual == pytest.approx(comparison, rel=1e-9)
 
@@ -695,26 +703,28 @@ class TestGridPartner:
         # the ladder's bound (4 s)^2 on N1 and T, squared by the map, against
         # float max / (2 sqrt(n)): at 0.99 of the largest entry s admitted the
         # residuals are finite, at 1.01 the run stops before any product.  The
-        # bound reads |coeffs|, so a negative leading coefficient counts too
-        grid = hilbert.GridSpec(-12.0, 12.0, 64)
+        # bound reads |coeffs|, so a negative leading coefficient counts too.
+        # The linear grid on [-12, 12] is rescaled by kappa, c / dx with it
         largest = (np.finfo(float).max / (2.0 * np.sqrt(64))) ** 0.25 / 4.0
-        hbar = side * largest * grid.dx * np.sqrt(2.0)
+        kappa = side * largest * hilbert.GridSpec(-12.0, 12.0, 64).dx * np.sqrt(2.0)
+        grid = hilbert.GridSpec(-12.0 / kappa, 12.0 / kappa, 64)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             if side > 1:
                 with pytest.raises(errors.GridOverflowError, match="can leave the float range"):
-                    intertwine.grid_partner_comparison(lambda x: x, grid, coeffs, hbar=hbar, n_modes=8)
+                    intertwine.grid_partner_comparison(lambda y: kappa * y, grid, coeffs, n_modes=8)
             else:
-                report = intertwine.grid_partner_comparison(lambda x: x, grid, coeffs, hbar=hbar, n_modes=8)
+                report = intertwine.grid_partner_comparison(lambda y: kappa * y, grid, coeffs, n_modes=8)
                 assert np.isfinite([report.commutator_residual, report.comparison_residual]).all()
 
     def test_residuals_above_the_square_root_of_float_max_stay_finite(self):
-        # at hbar = 1e100 the entries of N1 phi reach about 1e201: a sum of
-        # their squares would overflow, their hypot does not
-        grid = hilbert.GridSpec(-12.0, 12.0, 256)
+        # on [-12, 12] rescaled by 1e100 (hbar = 1e100) the entries of N1 phi
+        # reach about 1e201: a sum of their squares would overflow, their
+        # hypot does not
+        grid = hilbert.GridSpec(-12e-100, 12e-100, 256)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = intertwine.grid_partner_comparison(lambda x: x, grid, hbar=1e100, n_modes=32)
+            report = intertwine.grid_partner_comparison(lambda y: 1e100 * y, grid, n_modes=32)
         assert 1e154 < report.comparison_residual < np.inf
 
     @pytest.mark.parametrize("n_modes", [0, 64])
@@ -732,7 +742,7 @@ class TestGridPartner:
     def test_nonpositive_derivative_rejected(self):
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
         with pytest.raises(errors.NonPositiveDerivativeError):
-            intertwine.grid_partner_comparison(lambda x: -x, grid)
+            intertwine.grid_partner_comparison(lambda x: -x, grid, n_modes=32)
 
 
 class TestFitPowerLaw:

@@ -7,7 +7,7 @@ import pytest
 import yaml
 from numpy.polynomial.laguerre import laggauss
 
-from vcslab import config, errors, moments, spectra, vcs
+from vcslab import config, errors, experiments, moments, spectra, vcs
 from vcslab.experiments import run_experiment
 
 
@@ -133,6 +133,10 @@ class TestCesaroAverage:
         with pytest.raises(errors.VcsLabError, match="does not resolve the fastest frequency") as info:
             moments.cesaro_phase_average(np.array([50.0]), 10.0, 1.0)
         assert not isinstance(info.value, errors.ConfigError)
+        # 16 panels on [-8, 8] make the step exactly 1: x = theta / 2 reaches pi / 2
+        with pytest.raises(errors.VcsLabError, match="does not resolve"):
+            moments.cesaro_phase_average(np.array([np.pi]), 8.0, 1.0)
+        assert np.isfinite(moments.cesaro_phase_average(np.array([np.nextafter(np.pi, 0.0)]), 8.0, 1.0)).all()
 
 
 def built(family, seqs, delta=0.0):
@@ -154,7 +158,6 @@ class TestResolutionCheck:
         # the phase-free part is symmetric and the phase average even in theta
         candidate = assembly.candidate(1e4)
         np.testing.assert_array_equal(candidate, candidate.T)
-        assert assembly.k_check == 15
 
     def test_offdiag_shrinks_with_horizon(self):
         assembly = moments.resolution_assembly(vcs.coherent_family("eds", eds_pair()), eds_weights(), 40)
@@ -208,9 +211,9 @@ class TestResolutionCheck:
         assert min(assembled("eds", seqs, weights).moment_errors) > 1e-8
 
     def test_too_few_nodes_fail_moment_verification(self):
-        # the config rejects n_nodes below k_check / 2 + 1 at parse time; a
-        # direct call is judged by the moment check: at k_check 15, 4 and 6
-        # nodes miss the high moments, and 9 (the config's floor) is exact
+        # the config rejects n_nodes below (dim - 1) / 2 + 1 at parse time; a
+        # direct call is judged by the moment check: at dim 16, 4 and 6 nodes
+        # miss the high moments, and 9 (the config's floor) is exact
         tol = config.ResolutionParams.TOLERANCES["moment"]
         for n_nodes in (4, 6):
             assert min(assembled("eds", eds_pair(), eds_weights(), n_nodes).moment_errors) > tol
@@ -253,14 +256,14 @@ class TestLiteralAssemblyOracle:
 
     @pytest.mark.parametrize("family,delta", [("eds", 0.0), ("delta", 0.7)])
     def test_factorized_assembly_matches_literal(self, family, delta):
-        dim, n_nodes, horizon = 20, 6, 5.0
+        dim, n_nodes, horizon = 9, 6, 5.0
         if family == "eds":
             seqs = eds_pair(dim)
             wts = eds_weights()
         else:
             seqs = [spectra.linear_sequence(dim), spectra.linear_sequence(dim)]
             wts = [moments.MomentWeight.gamma_family(1.0)] * 2
-        assembly = moments.resolution_assembly(built(family, seqs, delta), wts, n_nodes, k_check=8)
+        assembly = moments.resolution_assembly(built(family, seqs, delta), wts, n_nodes)
         panels = assembly.report(horizon).n_samples - 1
         literal = self.literal_identity(family, seqs, wts, n_nodes, horizon, panels, delta)
         np.testing.assert_allclose(assembly.candidate(horizon), literal, atol=5e-12)
@@ -368,11 +371,11 @@ def test_one_quadrature_rule_per_run(bundle, monkeypatch):
     # the same bits as building everything again at every horizon
     horizons = sorted(p.horizons)
     if not rules:
-        probes = [abs(moments.cross_phase_average(cfg.family, h, p.delta_probe)) for h in horizons]
+        probes = [abs(moments.cross_phase_average(cfg.family, h, experiments.DELTA_PROBE)) for h in horizons]
         assert values["regulated-entry-decay-factor"] == probes[0] / probes[-1]
         return
     weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
-    assemblies = [moments.resolution_assembly(cfg.family, weights, p.n_nodes, p.k_check) for _ in horizons]
+    assemblies = [moments.resolution_assembly(cfg.family, weights, p.n_nodes) for _ in horizons]
     per_horizon = [a.report(h) for a, h in zip(assemblies, horizons)]
     assert values["moment-verification"] == max(max(a.moment_errors) for a in assemblies)
     assert values["diagonal-residual"] == max(a.diag_error for a in assemblies)
