@@ -147,9 +147,10 @@ def _family(family, spectra, delta, where) -> CoherentFamily:
 
 
 def _distinct(values, key):
-    """Two or more entries, none repeated: the points of a power-law fit."""
+    """Two or more entries, none repeated: the points of a power-law fit, or
+    the members a comparison across members needs."""
     if len(set(values)) < max(2, len(values)):
-        raise ConfigError(f"{key} needs two or more distinct entries for a power-law fit")
+        raise ConfigError(f"{key} needs two or more distinct entries")
 
 
 @dataclass(frozen=True)
@@ -226,10 +227,11 @@ class ResolutionParams:
             if not np.allclose(gaps, gaps[0], rtol=1e-12, atol=0.0):
                 raise ConfigError(f"spectra[{i}] is not equally spaced: no closed-form weight")
         _distinct(self.horizons, "params.horizons")
-        if not self.demo and self.n_nodes < (dim - 1) / 2 + 1:
+        # n Gauss-Laguerre nodes are exact to degree 2n - 1
+        if not self.demo and self.n_nodes < (floor := math.ceil(dim / 2)):
             raise ConfigError(
                 f"params.n_nodes {self.n_nodes} cannot verify moments to order {dim - 1}; "
-                f"need at least {math.ceil((dim - 1) / 2 + 1)}"
+                f"need at least {floor}"
             )
         return self
 
@@ -264,6 +266,11 @@ class IntertwineExampleParams:
 
     example: Literal[1, 2, 3, 4] = 1
     gammas: tuple[float, ...] = (0.0, 0.7, 3.1)
+
+    def resolve(self, dim, spectra):
+        # phase-independence compares the members: one gamma compares nothing
+        _distinct(self.gammas, "params.gammas")
+        return self
 
 
 @dataclass(frozen=True)

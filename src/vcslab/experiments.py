@@ -149,23 +149,21 @@ def _run_resolution(config: ExperimentConfig, seed: int):
 def _run_intertwine_example(config: ExperimentConfig, seed: int):
     gammas = config.params.gammas
     seqs = config.spectra
-    shifted = [shift(s) for s in seqs]
 
-    problems = [example_problem(config.params.example, shifted, g) for g in gammas]
-    companions = [construct_companion(p) for p in problems]
-    h_scale = np.maximum(1.0, problems[0].h.max_abs())
-    c_scale = np.maximum(1.0, companions[0].max_abs())
-    drifts = [0.0]
-    for problem, companion in zip(problems[1:], companions[1:]):
-        drifts.append((problems[0].h - problem.h).max_abs() / h_scale)
-        drifts.append((companions[0] - companion).max_abs() / c_scale)
-    certs = [certify(p, c) for p, c in zip(problems, companions)]
+    # every gamma is a member of one problem, its sectors member-major
+    problem = example_problem(config.params.example, [shift(s) for s in seqs], gammas)
+    companion = construct_companion(problem)
+    cert = certify(problem, companion)
+    drifts = []
+    for op in (problem.h, companion):
+        members = op.blocks.reshape(len(gammas), len(seqs), -1)
+        drifts.append(max_abs(members[1:] - members[0]) / np.maximum(1.0, max_abs(members[0])))
     return [
-        ("hermiticity[alpha]", _worst([c.alpha_residual for c in certs])),
-        ("weak-intertwining[beta]", _worst([c.beta_residual for c in certs])),
-        ("eigenvalue-transport[gamma]", _worst([c.gamma_residual for c in certs])),
+        ("hermiticity[alpha]", cert.alpha_residual),
+        ("weak-intertwining[beta]", cert.beta_residual),
+        ("eigenvalue-transport[gamma]", cert.gamma_residual),
         ("phase-independence", _worst(drifts)),
-        ("shifted-hamiltonian-factorization", _worst([h_tau_residual(seqs, g) for g in gammas])),
+        ("shifted-hamiltonian-factorization", h_tau_residual(seqs, gammas)),
     ], {}
 
 
@@ -192,13 +190,13 @@ def _run_nonisospectral(config: ExperimentConfig, seed: int):
             ("certificate-gamma", _worst([c.gamma_residual for c in certs])),
         ]
     else:
-        for q, label in zip(config.params.q_values, check_labels(config.params, "q_values")):
-            problem = ladder_problem(dim, q)
-            deviations = ladder_closed_forms(problem, construct_companion(problem), q)
-            values += zip((f"n1-closed-form[{label}]", f"companion-closed-form[{label}]"), deviations)
-        limit = ladder_problem(dim)
-        deviations = ladder_closed_forms(limit, construct_companion(limit), 1.0)
-        values.append(("undeformed-limit-matches-plain-ladder", _worst(deviations)))
+        # one sector per q, the undeformed limit q = 1 last
+        q_values = (*config.params.q_values, 1.0)
+        problem = ladder_problem(dim, q_values)
+        n1, companion = ladder_closed_forms(problem, construct_companion(problem), q_values)
+        for label, n1_dev, companion_dev in zip(check_labels(config.params, "q_values"), n1, companion):
+            values += [(f"n1-closed-form[{label}]", n1_dev), (f"companion-closed-form[{label}]", companion_dev)]
+        values.append(("undeformed-limit-matches-plain-ladder", _worst([n1[-1], companion[-1]])))
     return values, {}
 
 

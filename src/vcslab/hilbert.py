@@ -254,7 +254,7 @@ class GridLadder:
     commutator_residual: float
 
 
-def lowering_operator(seqs, gamma: float) -> BlockOperator:
+def lowering_operator(seqs, gamma) -> BlockOperator:
     """Block-diagonal lowering operator, one phase-twisted ladder per sector.
 
     Each block acts as ``sqrt(e~[n]) * exp(i*(e[n]-e[n-1])*gamma)`` on level
@@ -266,10 +266,13 @@ def lowering_operator(seqs, gamma: float) -> BlockOperator:
     ----------
     seqs : list of ShiftedSequence
         One shifted spectrum per sector (any number of sectors).
-    gamma : float
-        Phase parameter shared by all sectors.
+    gamma : float or sequence of float
+        Phase parameter shared by all sectors.  A sequence of ``S`` phases
+        gives ``S`` members on ``S*N`` sectors, member-major: sector
+        ``s*N + j`` is sector ``j`` at ``gamma[s]``.
     """
-    return BlockOperator(lowering_weights(seqs, [gamma])[0], -1)
+    weights = lowering_weights(seqs, np.atleast_1d(gamma))
+    return BlockOperator(weights.reshape(-1, weights.shape[-1]), -1)
 
 
 def lowering_weights(seqs, gammas) -> np.ndarray:
@@ -291,16 +294,17 @@ def lowering_weights(seqs, gammas) -> np.ndarray:
     return np.sqrt(values[:, 1:]) * np.exp(1j * np.diff(values, axis=1) * gammas)
 
 
-def quon_ladder(dim: int, q: float) -> BlockOperator:
-    """Deformed lowering operator ``a|n> = sqrt([n]_q)|n-1>`` on one sector,
-    for q in (0, 1] (:func:`~vcslab.spectra.quon_numbers` checks it).
+def quon_ladder(dim: int, q) -> BlockOperator:
+    """Deformed lowering operator ``a|n> = sqrt([n]_q)|n-1>`` for q in (0, 1]
+    (:func:`~vcslab.spectra.quon_numbers` checks it), on one sector, or on
+    one sector per entry when ``q`` is a sequence.
 
     Satisfies ``a a+ - q a+ a = 1`` exactly below the top level.  ``q = 1``
     is the standard Fock ladder ``a|n> = sqrt(n)|n-1>``, since ``[n]_1`` is
     exactly ``n``: there ``[a, a+] = 1`` holds below the top level, whose
     diagonal entry of the commutator is ``-(dim - 1)`` instead of ``+1``.
     """
-    return BlockOperator([np.sqrt(quon_numbers(dim, q)[1:])], -1)
+    return BlockOperator([np.sqrt(quon_numbers(dim, qk)[1:]) for qk in np.atleast_1d(q)], -1)
 
 
 def _gaussian_probes(grid: GridSpec, x: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from .hilbert import (
     gram_products,
     grid_ladder,
     lowering_operator,
-    max_abs,
     quon_ladder,
     shifted_hamiltonian,
     window_levels,
@@ -73,7 +72,8 @@ class IntertwiningProblem:
     except its ``dropped_modes`` entries at most ``N1_CUTOFF``, truncation
     artifacts above the window; such an entry inside it violates the
     invertibility hypothesis.  A violated hypothesis raises
-    ``HypothesisViolatedError``.
+    ``HypothesisViolatedError``; the sector it names counts the sectors of
+    every member of a batched problem, member-major (:func:`example_problem`).
     """
 
     h: BlockOperator
@@ -118,7 +118,8 @@ class Certificate:
     natural magnitude of the quantities whose cancellation they certify
     (operator scale for alpha, product scale for beta, eigenvalue scale for
     gamma), so a genuine O(1) violation of a condition shows up as an O(1)
-    residual at every truncation size.
+    residual at every truncation size.  Each scale is a maximum over all
+    sectors, so in a batched problem over every member's sectors too.
     """
 
     alpha_residual: float
@@ -161,6 +162,8 @@ def certify(problem: IntertwiningProblem, companion: BlockOperator, f=None) -> C
     each move ``e_n`` to one level, so their weights at source ``n`` are the
     image ``x+ e_n`` and ``H x+ e_n``.  Pass the ``f`` the companion was
     built with: against another map, beta and gamma measure the mismatch.
+    The alpha and beta scales are maxima over all sectors, members of a
+    batched problem included; gamma is judged level by level.
     """
     keep = problem.keep
     mapped = problem.h if f is None else apply_map(f, problem.h)
@@ -190,7 +193,7 @@ def certify(problem: IntertwiningProblem, companion: BlockOperator, f=None) -> C
     )
 
 
-def example_problem(which: int, seqs, gamma: float) -> IntertwiningProblem:
+def example_problem(which: int, seqs, gamma) -> IntertwiningProblem:
     """The four worked ladder constructions on the two-sector space.
 
     1: h = B+B,      x = B+    (plain partner pair)
@@ -199,7 +202,10 @@ def example_problem(which: int, seqs, gamma: float) -> IntertwiningProblem:
     4: h = (B+)^2B^2, x = B+   (h has eigenvalues e~[n] e~[n-1])
 
     ``seqs`` are per-sector shifted sequences; ``h`` and the companion come
-    out independent of ``gamma`` in all four cases.
+    out independent of ``gamma`` in all four cases.  A sequence of ``S``
+    gammas builds all ``S`` members as one problem on ``S*N`` sectors,
+    member-major (:func:`~vcslab.hilbert.lowering_operator`): its blocks,
+    reshaped to ``(S, N, ...)``, are those of each member's own problem.
     """
     b = lowering_operator(seqs, gamma)
     bd = b.adjoint()
@@ -214,14 +220,16 @@ def example_problem(which: int, seqs, gamma: float) -> IntertwiningProblem:
     raise VcsLabError(f"example number must be 1..4, got {which}")
 
 
-def h_tau_residual(seqs, gamma: float) -> float:
+def h_tau_residual(seqs, gamma) -> float:
     """Max-norm of ``(H - ground shifts) - B+ B`` on the full truncated space.
 
     Both sides are diagonal with the shifted eigenvalues, so this vanishes to
-    rounding; the phases of B cancel in the product.
+    rounding; the phases of B cancel in the product.  A sequence of gammas
+    gives the worst member: ``B`` holds every member's sectors, member-major,
+    and ``H`` is repeated once per member to match.
     """
-    h_tau = shifted_hamiltonian(seqs)
     b = lowering_operator([shift(s) for s in seqs], gamma)
+    h_tau = shifted_hamiltonian(list(seqs) * (b.space.sectors // len(seqs)))
     return (h_tau - (b.adjoint() @ b)).max_abs()
 
 
@@ -240,29 +248,38 @@ def power_series_equality_probe(problem: IntertwiningProblem, f) -> float:
     return diff.max_abs(problem.keep)
 
 
-def ladder_problem(dim: int, q: float = 1.0) -> IntertwiningProblem:
+def ladder_problem(dim: int, q=1.0) -> IntertwiningProblem:
     """``h = a+ a`` and ``x = (a+)^2`` for the deformed lowering operator
-    ``a = quon_ladder(dim, q)``; ``q = 1`` is the plain (boson) ladder."""
+    ``a = quon_ladder(dim, q)``; ``q = 1`` is the plain (boson) ladder.  A
+    sequence of q values builds one sector per value, in that order, each
+    the one-sector problem at its q."""
     a = quon_ladder(dim, q)
     ad = a.adjoint()
     return IntertwiningProblem(h=ad @ a, x=ad @ ad)
 
 
-def ladder_closed_forms(problem: IntertwiningProblem, companion: BlockOperator, q: float) -> tuple:
-    """Worst window entries ``(n1_deviation, companion_deviation)`` of ``N1``
-    and the isospectral ``companion`` of ``ladder_problem(dim, q)`` against
-    their closed forms in ``h = a+ a`` (at ``q = 1``, ``h^2 + 3h + 2`` and ``h + 2``):
+def ladder_closed_forms(problem: IntertwiningProblem, companion: BlockOperator, q) -> tuple:
+    """Worst window entries ``(n1_deviations, companion_deviations)`` of
+    ``N1`` and the isospectral ``companion`` of ``ladder_problem(dim, q)``
+    against their closed forms in ``h = a+ a`` (at ``q = 1``, ``h^2 + 3h + 2``
+    and ``h + 2``):
 
         N1 = q^3 h^2 + q (1 + 2q) h + (1 + q) 1
         N1^-1 (x+ h x) = (1 + q) 1 + q^2 h
+
+    ``q`` is broadcast as a column, one value per sector, and each deviation
+    takes its shape: a float for one q, an array of one entry per sector for
+    a sequence.  A NaN deviation propagates.
     """
-    num = problem.h.blocks[0]
+    shape = np.shape(q)
+    q = np.reshape(q, (-1, 1))
+    num = problem.h.blocks
     n1_closed = q**3 * (num * num) + q * (1 + 2 * q) * num + (1 + q)
     h_closed = (1 + q) + q**2 * num
-    window = np.s_[: problem.keep]
-    return (
-        max_abs((problem.n1.blocks[0] - n1_closed)[window]),
-        max_abs((companion.blocks[0] - h_closed)[window]),
+    window = np.s_[:, : problem.keep]
+    return tuple(
+        np.abs((op.blocks - closed)[window]).max(axis=1).reshape(shape)[()]
+        for op, closed in ((problem.n1, n1_closed), (companion, h_closed))
     )
 
 

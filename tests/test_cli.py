@@ -39,6 +39,15 @@ def small_resolution_config(**params):
     }
 
 
+def small_example_config(**params):
+    return {
+        "kind": "intertwine-example",
+        "dim": 8,
+        "spectra": [{"form": "linear", "omega": 1.0}, {"form": "linear", "omega": 1.5}],
+        "params": params,
+    }
+
+
 def small_grid_config(**params):
     return {"kind": "susy-grid", "params": {"w_coeffs": [0.0, 1.0], "sizes": [64, 128], **params}}
 
@@ -84,6 +93,9 @@ MALFORMED = [
     ("eds-one-horizon", small_resolution_config(family="eds", horizons=[1000.0]), "params.horizons"),
     ("repeated-horizons", small_resolution_config(horizons=[1000.0, 1000.0]), "params.horizons"),
     ("repeated-sizes", small_grid_config(sizes=[256, 256]), "params.sizes"),
+    # phase-independence compares members: with one gamma it read 0.0 and passed
+    ("one-gamma", small_example_config(gammas=[0.7]), "params.gammas"),
+    ("repeated-gammas", small_example_config(gammas=[0.7, 0.7]), "params.gammas"),
     ("j-max-length", with_param(small_vcs_config(), "j_max", [1.0]), "params.j_max"),
     # the top shifted level of spectra[0] at dim 60 is 59: some seeds raised
     # TailTooLargeError at run time, the rest wrote a failing report
@@ -307,6 +319,15 @@ class TestConfigValidation:
         message = "params.n_nodes 8 cannot verify moments to order 16; need at least 9"
         with pytest.raises(errors.ConfigError, match=f"^{message}$"):
             config.parse_config(raw)
+
+    def test_node_floor_at_even_dim_is_half_the_dim(self):
+        # at dim 16 the moments to order 15 need 8 nodes, not 9
+        report, _ = run_experiment(config.parse_config(small_resolution_config(n_nodes=8)))
+        (moment,) = [c for c in report.checks if c.name == "moment-verification"]
+        assert moment.passed
+        message = "params.n_nodes 7 cannot verify moments to order 15; need at least 8"
+        with pytest.raises(errors.ConfigError, match=f"^{message}$"):
+            config.parse_config(small_resolution_config(n_nodes=7))
 
     def test_equal_window_bounds_parse(self):
         # a one-point window admits exactly its bound

@@ -269,6 +269,15 @@ class TestConstructCompanion:
         with pytest.raises(errors.HypothesisViolatedError, match="level 3 of sector 0"):
             IntertwiningProblem(h=h, x=x)
 
+    def test_lowering_intertwiner_rejected_on_its_window(self):
+        # a lowering x annihilates the ground level, so N1 = x+ x is singular
+        # there; the window still excludes the |offset| = 1 level x moves by
+        # plus the buffer: 8 - 3 = 5 levels
+        h = BlockOperator([np.arange(8, dtype=float)])
+        x = hilbert.quon_ladder(8, 1.0)
+        with pytest.raises(errors.HypothesisViolatedError, match="at level 0 of sector 0, inside the 5-level window"):
+            IntertwiningProblem(h=h, x=x)
+
     def test_window_inverse_drops_the_null_modes_above_the_window(self):
         # x = (a+)^2 sends the top two levels out of the space: N1 vanishes there
         problem = boson_problem(40)
@@ -318,10 +327,8 @@ class TestWeightedShiftCompanions:
         assert within_tolerances(cert)
         assert peak < 2**20
 
-    @pytest.mark.parametrize("bundle", COMPANION_BUNDLES)
-    def test_certificates_built_only_where_a_check_reads_them(self, monkeypatch, bundle):
-        # one per gamma for the examples, one per map for the boson case,
-        # none for the quon closed forms and the map-equality probes
+    @staticmethod
+    def certify_calls(monkeypatch, cfg) -> int:
         calls = []
         certify = intertwine.certify
 
@@ -331,13 +338,22 @@ class TestWeightedShiftCompanions:
 
         monkeypatch.setattr(experiments, "certify", counting)
         monkeypatch.setattr(intertwine, "certify", counting)
-        cfg = config.load_bundled(bundle)
         experiments.run_experiment(cfg)
-        if bundle.startswith("example"):
-            assert len(calls) == len(cfg.params.gammas)
-        else:
-            expected = {"boson-example2": 3, "quon-closed-forms": 0, "map-equality-probes": 0}
-            assert len(calls) == expected[bundle]
+        return len(calls)
+
+    @pytest.mark.parametrize("bundle", COMPANION_BUNDLES)
+    def test_certificates_built_only_where_a_check_reads_them(self, monkeypatch, bundle):
+        # one per example run, all its gammas batched into one problem, one
+        # per map for the boson case, none for the quon closed forms and the
+        # map-equality probes
+        expected = {"boson-example2": 3, "quon-closed-forms": 0, "map-equality-probes": 0}
+        assert self.certify_calls(monkeypatch, config.load_bundled(bundle)) == expected.get(bundle, 1)
+
+    @pytest.mark.parametrize("bundle", COMPANION_BUNDLES[:4])
+    def test_one_certificate_however_many_gammas(self, monkeypatch, bundle):
+        cfg = config.load_bundled(bundle)
+        cfg = dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, gammas=(0.0, 0.3, 0.7, 1.9, 3.1)))
+        assert self.certify_calls(monkeypatch, cfg) == 1
 
     @pytest.mark.parametrize("bundle", COMPANION_BUNDLES)
     def test_bundle_runs_at_the_dim_ceiling(self, bundle):
@@ -353,6 +369,62 @@ class TestWeightedShiftCompanions:
         assert [c.name for c in report.checks] == [
             c.name for c in experiments.run_experiment(config.load_bundled(bundle))[0].checks
         ]
+
+
+class TestBatchedMembers:
+    """A run's members as sectors of one problem, member-major: each member's
+    blocks are bit for bit those of its own problem."""
+
+    GAMMAS = (0.0, 0.7, 3.1)
+    QS = (0.3, 0.5, 0.9, 1.0)
+
+    @staticmethod
+    def members(op, count):
+        return op.blocks.reshape(count, -1, op.blocks.shape[-1])
+
+    @pytest.mark.parametrize("which", [1, 2, 3, 4])
+    def test_gamma_members_match_their_own_problems(self, which):
+        seqs = shifted_pair()
+        batched = intertwine.example_problem(which, seqs, self.GAMMAS)
+        companion = intertwine.construct_companion(batched)
+        assert batched.h.space.sectors == len(self.GAMMAS) * len(seqs)
+        for s, gamma in enumerate(self.GAMMAS):
+            own = intertwine.example_problem(which, seqs, gamma)
+            own_companion = intertwine.construct_companion(own)
+            for op, own_op in ((batched.h, own.h), (batched.n1, own.n1), (companion, own_companion)):
+                assert self.members(op, len(self.GAMMAS))[s].tobytes() == own_op.blocks.tobytes()
+
+    def test_deformation_members_match_their_own_problems(self):
+        batched = intertwine.ladder_problem(40, self.QS)
+        companion = intertwine.construct_companion(batched)
+        n1_devs, companion_devs = intertwine.ladder_closed_forms(batched, companion, self.QS)
+        for s, q in enumerate(self.QS):
+            own = intertwine.ladder_problem(40, q)
+            own_companion = intertwine.construct_companion(own)
+            for op, own_op in ((batched.h, own.h), (batched.n1, own.n1), (companion, own_companion)):
+                assert self.members(op, len(self.QS))[s].tobytes() == own_op.blocks.tobytes()
+            own_devs = intertwine.ladder_closed_forms(own, own_companion, q)
+            assert (n1_devs[s], companion_devs[s]) == own_devs
+
+    @pytest.mark.parametrize("which", [1, 2, 3, 4])
+    def test_batched_certificate_is_the_worst_member(self, which):
+        seqs = shifted_pair()
+        batched = intertwine.example_problem(which, seqs, self.GAMMAS)
+        cert = intertwine.certify(batched, intertwine.construct_companion(batched))
+        own = []
+        for gamma in self.GAMMAS:
+            problem = intertwine.example_problem(which, seqs, gamma)
+            own.append(intertwine.certify(problem, intertwine.construct_companion(problem)))
+        assert cert.gamma_residual == max(c.gamma_residual for c in own)
+        # alpha and beta divide by scales that are maxima over all members
+        for name in ("alpha_residual", "beta_residual"):
+            worst = max(getattr(c, name) for c in own)
+            assert abs(getattr(cert, name) - worst) <= 4 * np.finfo(float).eps * worst
+
+    def test_h_tau_residual_is_the_worst_member(self):
+        seqs = [spectra.linear_sequence(80, 1.0, offset=0.3), spectra.quon_sequence(80, 0.9, offset=0.55)]
+        worst = max(intertwine.h_tau_residual(seqs, g) for g in self.GAMMAS)
+        assert intertwine.h_tau_residual(seqs, self.GAMMAS) == worst > 0.0
 
 
 class TestHTauFactorization:
@@ -739,6 +811,11 @@ class TestGridPartner:
         report = intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=63)
         assert np.isfinite([report.commutator_residual, report.comparison_residual]).all()
 
+    def test_one_probe_is_enough(self):
+        grid = hilbert.GridSpec(-12.0, 12.0, 64)
+        report = intertwine.grid_partner_comparison(lambda x: x, grid, n_modes=1)
+        assert np.isfinite([report.commutator_residual, report.comparison_residual]).all()
+
     def test_nonpositive_derivative_rejected(self):
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
         with pytest.raises(errors.NonPositiveDerivativeError):
@@ -755,3 +832,7 @@ class TestFitPowerLaw:
         with pytest.raises(errors.VcsLabError, match="positive data") as info:
             intertwine.fit_power_law([1.0, 2.0], [0.0, 1.0])
         assert not isinstance(info.value, errors.ConfigError)
+
+    def test_rejects_nonpositive_abscissae(self):
+        with pytest.raises(errors.VcsLabError, match="positive data"):
+            intertwine.fit_power_law([0.0, 1.0], [1.0, 2.0])

@@ -211,13 +211,14 @@ class TestResolutionCheck:
         assert min(assembled("eds", seqs, weights).moment_errors) > 1e-8
 
     def test_too_few_nodes_fail_moment_verification(self):
-        # the config rejects n_nodes below (dim - 1) / 2 + 1 at parse time; a
-        # direct call is judged by the moment check: at dim 16, 4 and 6 nodes
-        # miss the high moments, and 9 (the config's floor) is exact
+        # the config rejects n_nodes below ceil(dim / 2) at parse time; a
+        # direct call is judged by the moment check: at dim 16, 4, 6 and 7
+        # nodes miss the high moments, and 8 (the config's floor) and 9 are exact
         tol = config.ResolutionParams.TOLERANCES["moment"]
-        for n_nodes in (4, 6):
+        for n_nodes in (4, 6, 7):
             assert min(assembled("eds", eds_pair(), eds_weights(), n_nodes).moment_errors) > tol
-        assert max(assembled("eds", eds_pair(), eds_weights(), 9).moment_errors) <= tol
+        for n_nodes in (8, 9):
+            assert max(assembled("eds", eds_pair(), eds_weights(), n_nodes).moment_errors) <= tol
 
 
 class TestLiteralAssemblyOracle:
