@@ -240,15 +240,16 @@ class GridLadder:
 
     ``a`` (``terms``, offsets 0 and -1) maps the ``n`` nodes to the ``n - 1``
     bond midpoints, and its last row, the dead bond, is zero; so is the last
-    row and column of ``N1 = a a+`` (:func:`gram_products`).  ``target`` is
-    ``T = b+ b + 2c W'`` on the bonds, ``b`` the same ladder one level down,
-    from the bonds to the inner nodes, tridiagonal and zero on the dead bond.
-    ``norm_bound`` bounds every entry and row sum of ``N1`` and ``T``;
-    ``commutator_residual`` measures ``a a+ - T`` on smooth probes (a
+    row and column of ``n1``, the band ``N1 = a a+`` (:func:`gram_products`).
+    ``target`` is ``T = b+ b + 2c W'`` on the bonds, ``b`` the same ladder one
+    level down, from the bonds to the inner nodes, tridiagonal and zero on the
+    dead bond.  ``norm_bound`` bounds every entry and row sum of ``N1`` and
+    ``T``; ``commutator_residual`` measures ``a a+ - T`` on smooth probes (a
     discretization artifact, second order in the step).
     """
 
     terms: tuple
+    n1: tuple
     target: tuple
     norm_bound: float
     commutator_residual: float
@@ -375,12 +376,13 @@ def grid_ladder(w, grid: GridSpec) -> GridLadder:
 
     # a a+ - T applied to the probes, one row each, zero on the dead bond
     phis = np.pad(_gaussian_probes(grid, bonds), ((0, 0), (0, 1)))
-    defect = band_apply(gram_products(a)[1], phis) - band_apply(target, phis)
+    n1 = gram_products(a)[1]
+    defect = band_apply(n1, phis) - band_apply(target, phis)
     # the end rows of N1 and T differ by O(1/dx^2) edge terms: three rows at
     # either end of the bonds are left out
     interior = slice(3, n - 4)
     resid = np.max(np.abs(defect[:, interior]).max(axis=1) / np.abs(phis).max(axis=1))
-    return GridLadder(a, target, (4.0 * largest) ** 2, commutator_residual=float(resid))
+    return GridLadder(a, n1, target, (4.0 * largest) ** 2, commutator_residual=float(resid))
 
 
 def shifted_hamiltonian(seqs) -> BlockOperator:

@@ -376,10 +376,12 @@ class TestGridLadder:
 
     def test_products_are_tridiagonal_with_a_dead_bond(self):
         # one term per offset -1..1, each a single-sector weighted shift; the
-        # last row and column of N1 and of the target, the dead bond, are zero
+        # last row and column of N1 and of the target, the dead bond, are
+        # zero; the ladder carries N1 as gram_products forms it
         grid = hilbert.GridSpec(-9.0, 9.0, 96)
         ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid)
         h, n1 = hilbert.gram_products(ladder.terms)
+        assert [(t.offset, t.blocks.tolist()) for t in ladder.n1] == [(t.offset, t.blocks.tolist()) for t in n1]
         for band in (h, n1, ladder.target):
             assert [t.offset for t in band] == [-1, 0, 1]
             assert all(t.space == hilbert.SectorSpace(1, 96) for t in band)

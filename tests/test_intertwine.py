@@ -648,6 +648,34 @@ class TestRangeProjector:
 HEAVY = 0.7 / np.sqrt(2.5)
 
 
+@pytest.fixture
+def tridiagonal_calls(monkeypatch):
+    """List that gains ``(len(d), len(e), kwargs)`` per ``eigh_tridiagonal``
+    call made in the test."""
+    import scipy.linalg
+
+    calls = []
+    solve = scipy.linalg.eigh_tridiagonal
+
+    def counting(d, e, **kwargs):
+        calls.append((len(d), len(e), kwargs))
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    return calls
+
+
+def full_accuracy_comparison(monkeypatch, *args, **kwargs):
+    """``grid_partner_comparison`` with every eigenvalue bisected at scipy's
+    default tolerance, the reference of the loose one."""
+    import scipy.linalg
+
+    solve = scipy.linalg.eigh_tridiagonal
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.linalg, "eigh_tridiagonal", lambda d, e, tol=None, **kw: solve(d, e, **kw))
+        return intertwine.grid_partner_comparison(*args, **kwargs)
+
+
 class TestGridPartner:
     def test_linear_superpotential_closed_form(self):
         grid = hilbert.GridSpec(-12.0, 12.0, 512)
@@ -689,30 +717,84 @@ class TestGridPartner:
         ratio = reports[0].comparison_residual / reports[1].comparison_residual
         assert 2.8 < ratio < 5.5
 
-    @pytest.mark.parametrize(
-        "n_modes, selected", [(16, (0, 15)), (config.SusyGridParams.n_modes, (0, 31))], ids=["asked", "default"]
-    )
-    def test_n1_is_decomposed_once_by_the_tridiagonal_solver(self, monkeypatch, eigh_calls, n_modes, selected):
+    @pytest.mark.parametrize("n_modes", [16, config.SusyGridParams.n_modes], ids=["asked", "default"])
+    def test_n1_is_decomposed_once_by_the_tridiagonal_solver(self, eigh_calls, tridiagonal_calls, n_modes):
         # N1 is tridiagonal: its lowest n_modes eigenpairs (asked, or the
-        # config's default) come from one eigh_tridiagonal call on the
-        # leading n - 1 block and no dense eigh, and a polynomial map is
-        # applied by Horner's rule and adds none
-        import scipy.linalg
-
-        calls = []
-        solve = scipy.linalg.eigh_tridiagonal
-
-        def counting(d, e, **kwargs):
-            calls.append((len(d), len(e), kwargs))
-            return solve(d, e, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+        # config's default), and one more whose gap is read, come from one
+        # eigh_tridiagonal call on the leading n - 1 block at the loose
+        # tolerance and no dense eigh, and a polynomial map is applied by
+        # Horner's rule and adds none
         grid = hilbert.GridSpec(-12.0, 12.0, 512)
         for coeffs in ((0.0, 1.0), (0, 0, 1)):
-            calls.clear()
+            tridiagonal_calls.clear()
             intertwine.grid_partner_comparison(lambda x: x, grid, coeffs, n_modes=n_modes)
-            assert calls == [(511, 510, {"select": "i", "select_range": selected})]
+            assert tridiagonal_calls == [
+                (511, 510, {"tol": intertwine.PROBE_TOL, "select": "i", "select_range": (0, n_modes)})
+            ]
         assert eigh_calls == []
+
+    def test_a_a_dagger_is_formed_once(self, monkeypatch):
+        # two gram products per size: b+ b for the target and a a+, which
+        # the commutator diagnostic and the comparison share; the name is
+        # patched in both modules, so a call from either is counted
+        calls = []
+        gram = hilbert.gram_products
+
+        def counting(band):
+            calls.append(band)
+            return gram(band)
+
+        monkeypatch.setattr(hilbert, "gram_products", counting)
+        monkeypatch.setattr(intertwine, "gram_products", counting, raising=False)
+        intertwine.grid_partner_comparison(lambda x: x, hilbert.GridSpec(-12.0, 12.0, 256), (0, 0, 1), n_modes=32)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "w, lo, n_modes",
+        [(lambda x: x, 12.0, 32), (lambda x: x + 0.1 * x**3, 9.0, 24)],
+        ids=["linear", "anharmonic"],
+    )
+    def test_shipped_superpotentials_take_one_loose_solve_at_the_grid_ceiling(
+        self, monkeypatch, tridiagonal_calls, w, lo, n_modes
+    ):
+        # the smallest gap among the probes' eigenvalues, 5.5e-6 and 2.7e-6
+        # of the norm bound at n = 4096, clears 1e4 PROBE_TOL: the shifts of
+        # inverse iteration are close enough.  At this size the residual
+        # reads the vectors only to about eps / gap: two full-accuracy
+        # solves (the default bisection and one to relative accuracy, or
+        # stemr) already differ by up to 9e-11 relative, the loose one from
+        # the default by 7e-11
+        grid = hilbert.GridSpec(-lo, lo, config.GRID_RANGE[1])
+        loose = intertwine.grid_partner_comparison(w, grid, n_modes=n_modes)
+        assert [call[2].get("tol") for call in tridiagonal_calls] == [intertwine.PROBE_TOL]
+        full = full_accuracy_comparison(monkeypatch, w, grid, n_modes=n_modes)
+        assert loose.comparison_residual == pytest.approx(full.comparison_residual, rel=2e-10, abs=0.0)
+
+    def test_a_small_gap_repeats_the_solve_at_full_accuracy(self, monkeypatch, tridiagonal_calls):
+        # W = 1e-3 x at n = 4096: the lowest eigenvalues of N1 lie 1.1e-7 of
+        # the norm bound apart, below 1e4 PROBE_TOL, and the loose shifts
+        # would drift the vectors; the second solve is scipy's default
+        grid = hilbert.GridSpec(-12.0, 12.0, config.GRID_RANGE[1])
+        report = intertwine.grid_partner_comparison(lambda x: 1e-3 * x, grid, n_modes=32)
+        assert [call[2].get("tol") for call in tridiagonal_calls] == [intertwine.PROBE_TOL, None]
+        full = full_accuracy_comparison(monkeypatch, lambda x: 1e-3 * x, grid, n_modes=32)
+        assert report.comparison_residual == pytest.approx(full.comparison_residual, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("below", [False, True], ids=["at", "below"])
+    def test_a_gap_of_at_least_the_threshold_keeps_the_loose_solve(self, monkeypatch, tridiagonal_calls, below):
+        # the solver's eigenvalues replaced by two that lie exactly 1e4
+        # PROBE_TOL apart, or one float less: the first solve is kept, the
+        # second is repeated
+        import scipy.linalg
+
+        counting = scipy.linalg.eigh_tridiagonal
+        gap = 1e4 * intertwine.PROBE_TOL
+        gap = np.nextafter(gap, 0.0) if below else gap
+        monkeypatch.setattr(
+            scipy.linalg, "eigh_tridiagonal", lambda d, e, **kw: (np.array([0.0, gap]), counting(d, e, **kw)[1])
+        )
+        intertwine.grid_partner_comparison(lambda x: x, hilbert.GridSpec(-12.0, 12.0, 64), n_modes=8)
+        assert len(tridiagonal_calls) == 1 + below
 
     def test_no_map_matches_identity_map(self):
         grid = hilbert.GridSpec(-12.0, 12.0, 128)
@@ -791,8 +873,8 @@ class TestGridPartner:
 
     def test_residuals_above_the_square_root_of_float_max_stay_finite(self):
         # on [-12, 12] rescaled by 1e100 (hbar = 1e100) the entries of N1 phi
-        # reach about 1e201: a sum of their squares would overflow, their
-        # hypot does not
+        # reach about 1e201: a sum of their squares would overflow, the norm
+        # of the row scaled by its largest entry does not
         grid = hilbert.GridSpec(-12e-100, 12e-100, 256)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -820,6 +902,31 @@ class TestGridPartner:
         grid = hilbert.GridSpec(-5.0, 5.0, 128)
         with pytest.raises(errors.NonPositiveDerivativeError):
             intertwine.grid_partner_comparison(lambda x: -x, grid, n_modes=32)
+
+
+class TestRowNorms:
+    def test_matches_hypot(self):
+        rows = np.random.default_rng(5).standard_normal((200, 32)) * np.logspace(-150, 150, 200)[:, None]
+        np.testing.assert_allclose(intertwine._row_norms(rows), np.hypot.reduce(rows, axis=1), rtol=1e-15, atol=0.0)
+
+    def test_zero_row_is_zero_and_nan_stays(self):
+        rows = np.zeros((3, 8))
+        rows[1, 2] = np.nan
+        rows[2, 5] = -3.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = intertwine._row_norms(rows)
+        assert norms[0] == 0.0
+        assert np.isnan(norms[1])
+        assert norms[2] == 3.0
+
+    def test_no_overflow_above_the_square_root_of_float_max(self):
+        rows = np.full((2, 16), 1e200)
+        rows[1] *= -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = intertwine._row_norms(rows)
+        np.testing.assert_allclose(norms, 4e200, rtol=1e-15)
 
 
 class TestFitPowerLaw:
