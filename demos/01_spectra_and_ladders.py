@@ -23,8 +23,8 @@ print("explicit spectrum:", explicit.values)
 shifted = spectra.shift(linear)
 cache = spectra.factorials(shifted)
 print("\nshifted values:   ", np.round(shifted.values[:6], 3), "...")
-print("running products: ", np.round(cache.products[:6], 3), "...")
-print("log-domain column:", np.round(cache.log_products[:6], 3), "...")
+print("running products: ", np.round(np.exp(cache.log_products[:6]), 3), "...")
+print("their logs:       ", np.round(cache.log_products[:6], 3), "...")
 
 # the series sum J^k / e~[k]! is bounded for J below the top shifted level
 # e~[D-1], never above the radius lim e~[n]; from there on no bound exists

@@ -1,14 +1,14 @@
-"""Resolution of the identity by quadrature, and why the regulator matters.
+"""Resolution of the identity from closed-form moments, and why the regulator matters.
 
 The coherent-state projector, integrated against verified moment weights and
-a long-horizon phase average, reassembles the identity.  Diagonal deviations
-are quadrature-limited; off-diagonal deviations decay like one over the
-horizon.  At zero regulator the two-sector family provably fails: the
-ground-ground cross entry survives the phase average at full strength.
+a long-horizon phase average, reassembles the identity.  The gamma weights'
+moments are closed forms, so the diagonal deviations are rounding alone;
+off-diagonal deviations decay like one over the horizon.  At zero regulator
+the two-sector family provably fails: the ground-ground cross entry survives
+the phase average at full strength.
 """
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from vcslab import spectra, moments, vcs
 
@@ -23,13 +23,13 @@ weights = [
 ]
 
 # the weights must reproduce the factorial products as moments
-errs = moments.verify_moments(weights[0].quadrature(laggauss(40)), seqs[0], k_max=12)
+errs = moments.verify_moments(weights[0], seqs[0], k_max=12)
 print("moment verification, sector 0, max relative error:", f"{errs.max():.2e}")
 
-# the horizon-independent work (rule, moments, half-moments) is done once
-assembly = moments.resolution_assembly(vcs.coherent_family("eds", seqs), weights, n_nodes=40)
+# the horizon-independent work (moments, half-moments, factorials) is done once
+assembly = moments.resolution_assembly(vcs.coherent_family("eds", seqs), weights)
 # the phase average is 1 on the diagonal, so the diagonal error is the same
-# at every horizon: the quadrature floor
+# at every horizon: the moment errors, rounding alone
 print(f"\ndiagonal error (every horizon): {assembly.diag_error:.3e}")
 print("horizon      off-diagonal err")
 for horizon in (1e2, 1e3, 1e4):

@@ -57,10 +57,6 @@ class DimensionMismatchError(VcsLabError):
     """Operands live on different truncated spaces."""
 
 
-class UnverifiableWeightError(VcsLabError):
-    """Moments of a weight cannot be verified in the float range at this order."""
-
-
 class NonPositiveDeltaError(RegimeError):
     """The delta family called with a regulator delta <= 0."""
 

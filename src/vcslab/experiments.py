@@ -133,7 +133,7 @@ def _run_resolution(config: ExperimentConfig, seed: int):
 
     # the config checked that each spectrum is equally spaced
     weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in config.spectra]
-    assembly = resolution_assembly(family, weights, params.n_nodes)
+    assembly = resolution_assembly(family, weights)
     reports = [assembly.report(horizon) for horizon in horizons]
     values = [
         ("moment-verification", _worst(assembly.moment_errors)),

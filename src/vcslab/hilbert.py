@@ -5,7 +5,7 @@ The working arena is ``C^N (x) H_D``: ``N`` sectors of one truncated
 sector, and dense exports are sector-major (``flat index = sector*D +
 level``); operators never mix sectors, and each block is a weighted shift
 stored as one weight vector.  A band is a tuple of weighted shifts, the
-operator their sum (:func:`band_apply`, :func:`gram_products`).
+operator their sum (:func:`band_apply`, :func:`gram_product`).
 All values are immutable after construction; every function here is pure.
 """
 
@@ -36,7 +36,7 @@ __all__ = [
     "window_levels",
     "weighted_shift",
     "band_apply",
-    "gram_products",
+    "gram_product",
     "max_abs",
 ]
 
@@ -191,18 +191,17 @@ def band_apply(band, data: np.ndarray) -> np.ndarray:
     return sum(weighted_shift(term.blocks, term.offset, data) for term in band)
 
 
-def gram_products(band) -> tuple:
-    """``a+ a`` and ``a a+`` of the band ``a``, each a band with one term per
-    offset, in increasing order: every pair of terms multiplies with ``@``,
-    and the products at one offset add with ``+``, left factor outermost."""
+def gram_product(band, adjoint_first: bool = True) -> tuple:
+    """``a+ a`` of the band ``a``, or ``a a+`` unless ``adjoint_first``: a
+    band with one term per offset, in increasing order.  Every pair of terms
+    multiplies with ``@``, and the products at one offset add with ``+``,
+    left factor outermost."""
     adjoint = tuple(term.adjoint() for term in band)
-    products = []
-    for left, right in ((adjoint, band), (band, adjoint)):
-        terms = {}
-        for term in (p @ q for p in left for q in right):
-            terms[term.offset] = terms[term.offset] + term if term.offset in terms else term
-        products.append(tuple(terms[k] for k in sorted(terms)))
-    return tuple(products)
+    left, right = (adjoint, band) if adjoint_first else (band, adjoint)
+    terms = {}
+    for term in (p @ q for p in left for q in right):
+        terms[term.offset] = terms[term.offset] + term if term.offset in terms else term
+    return tuple(terms[k] for k in sorted(terms))
 
 
 @dataclass(frozen=True)
@@ -240,7 +239,7 @@ class GridLadder:
 
     ``a`` (``terms``, offsets 0 and -1) maps the ``n`` nodes to the ``n - 1``
     bond midpoints, and its last row, the dead bond, is zero; so is the last
-    row and column of ``n1``, the band ``N1 = a a+`` (:func:`gram_products`).
+    row and column of ``n1``, the band ``N1 = a a+`` (:func:`gram_product`).
     ``target`` is ``T = b+ b + 2c W'`` on the bonds, ``b`` the same ladder one
     level down, from the bonds to the inner nodes, tridiagonal and zero on the
     dead bond.  ``norm_bound`` bounds every entry and row sum of ``N1`` and
@@ -371,12 +370,12 @@ def grid_ladder(w, grid: GridSpec) -> GridLadder:
             f"grid ladder entry {largest:.3e} (c / dx, or W on the domain) "
             "puts a a+ out of the float range"
         )
-    below, diagonal, above = gram_products(_staggered(c / dx, half[:-1], half[1:], n))[0]
+    below, diagonal, above = gram_product(_staggered(c / dx, half[:-1], half[1:], n))
     target = (below, diagonal + BlockOperator([np.append(2.0 * c * w_prime, 0.0)]), above)
 
     # a a+ - T applied to the probes, one row each, zero on the dead bond
     phis = np.pad(_gaussian_probes(grid, bonds), ((0, 0), (0, 1)))
-    n1 = gram_products(a)[1]
+    n1 = gram_product(a, adjoint_first=False)
     defect = band_apply(n1, phis) - band_apply(target, phis)
     # the end rows of N1 and T differ by O(1/dx^2) edge terms: three rows at
     # either end of the bonds are left out

@@ -1,34 +1,45 @@
-"""Moment weights, quadrature, and resolution-of-identity checks.
+"""Moment weights and resolution-of-identity checks, in closed form.
 
 The coherent-state families resolve the identity when integrated against
 ``N(J) rho1(J1) dJ1 rho2(J2) dJ2`` and a phase average over gamma.  The
 weights ``rho_j`` must reproduce the shifted factorial products as their
 moments; the phase average is the large-horizon Cesaro mean, realized as a
 uniform trapezoid sum.  Because the normalization in the measure cancels the
-normalization of the state, the assembled operator factorizes exactly into
-per-sector half-integer moments times one phase-average factor per entry
-pair; the assembly below evaluates that factorization (it is the same finite
-sum as the literal tensor-product quadrature, reorganized).
+normalization of the state, entry ``(p, q)`` of the assembled candidate is
+``g[p, q] / sqrt(e~[p]! e~[q]!)`` times the phase average at the frequency
+difference of ``p`` and ``q``.  Here ``g`` is ``hm[n + m]`` within a sector
+and ``hm_a[n] hm_b[m]`` across sectors, with the half-integer moments
+``hm[t] = int rho(u) u^(t/2) du = omega^(t/2) Gamma(t/2 + 1)`` of the gamma
+weight (Gazeau and Klauder, J. Phys. A 32, 123, 1999), exact at every order
+and formed in the log domain, so none overflows.  Moment ``k`` is ``hm[2k]``
+and the phase average is 1 on the diagonal, so the moment errors and the
+diagonal error read one quantity, ``|expm1(log hm[2n] - log e~[n]!)|``.
 
-Only the phase average depends on the horizon.  A run therefore computes the
-Gauss-Laguerre rule, the moment verification and the half-moments once
-(:func:`resolution_assembly`) and applies the phase average of each horizon
-to that (``report``).  The zero-regulator demonstration needs no quadrature:
-the ground-ground cross entry is the product of two zeroth moments, which
-``moment-verification`` checks, times its phase average
-(:func:`cross_phase_average`), and only that factor depends on the regulator
-and the horizon.
+No candidate matrix is formed: its largest off-diagonal entry comes from a
+few vectors.  The phase average is at most 1 in magnitude.  Within a sector
+the moment factor of ``(n, n + k)`` grows with ``n``, since the digamma
+function is concave, and the phase average depends on ``k`` alone, so each
+diagonal peaks at its bottom entry.  Across sectors the factor is
+``exp(u_a[n] + u_b[m])``, ``u[n] = log hm[n] - log e~[n]! / 2``, which falls
+from ``u[0] = 0`` (Gautschi's inequality), so only a leading corner can beat
+the same-sector maximum.
+
+Only the phase average depends on the horizon: :func:`resolution_assembly`
+does the rest once per run, and its ``report`` applies one horizon.  The
+zero-regulator demonstration reads the ground-ground cross entry, two zeroth
+moments times its phase average (:func:`cross_phase_average`), the only
+factor the regulator and the horizon move.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
-from .errors import DimensionMismatchError, RegimeError, UnverifiableWeightError, VcsLabError
+from .errors import DimensionMismatchError, RegimeError, VcsLabError
 from .spectra import factorials, shift
 from .vcs import CoherentFamily
 
@@ -59,56 +70,25 @@ class MomentWeight:
             raise VcsLabError(f"weight scale must be positive, got {omega}")
         return cls(float(omega))
 
-    def quadrature(self, rule: tuple):
-        """Nodes and weights such that ``sum w_k f(x_k) ~ int rho(u) f(u) du``.
-
-        ``rule`` is the Gauss-Laguerre rule ``laggauss(n_nodes)`` of the
-        weight ``exp(-x)``, so one rule serves every weight of a run.  It
-        maps onto this weight with its nodes scaled by omega, exact for
-        polynomial f up to degree ``2 n_nodes - 1``.
-        """
-        x, w = rule
-        return self.omega * x, w
+    def log_moments(self, orders) -> np.ndarray:
+        """``log int rho(u) u^s du = s log omega + lgamma(s + 1)`` at each real order ``s``."""
+        orders = np.asarray(orders, dtype=float)
+        return orders * math.log(self.omega) + np.array([math.lgamma(s + 1.0) for s in orders])
 
 
-def verify_moments(quadrature, seq, k_max: int) -> np.ndarray:
+def verify_moments(weight: MomentWeight, seq, k_max: int) -> np.ndarray:
     """Relative errors of a weight's moments against the factorial products.
 
-    ``quadrature`` is the weight's nodes and weights (from
-    :meth:`MomentWeight.quadrature`), and ``seq`` a spectral sequence,
-    shifted here.  Returns ``errors[k] = |moment_k - e~[k]!| / e~[k]!`` for
-    k = 0..k_max; a ``k_max`` past the truncation raises
-    ``DimensionMismatchError``.  A factorial product or a moment that
-    overflows the float range raises ``UnverifiableWeightError``; for a
-    moment, it names the order.  So does a quadrature with non-finite
-    weights (``laggauss`` loses them to overflow from 187 nodes on), before
-    any moment is formed.
+    ``seq`` is a spectral sequence, shifted here.  Returns ``errors[k] =
+    |moment_k - e~[k]!| / e~[k]! = |expm1(log moment_k - log e~[k]!)|`` for
+    k = 0..k_max, in the log domain, so no order overflows; a ``k_max`` past
+    the truncation raises ``DimensionMismatchError``.
     """
     shifted = shift(seq)
     if k_max > shifted.dim - 1:
         raise DimensionMismatchError(f"k_max {k_max} exceeds truncation {shifted.dim - 1}")
-    reference = factorials(shifted).products[: k_max + 1]
-    if not np.all(np.isfinite(reference)):
-        raise UnverifiableWeightError(
-            "factorial products overflow the float range at this order; "
-            "reduce k_max or the truncation"
-        )
-    nodes, weights = quadrature
-    broken = np.count_nonzero(~np.isfinite(weights))
-    if broken:
-        raise UnverifiableWeightError(
-            f"{broken} of the {len(nodes)} quadrature weights are not finite: "
-            f"the {len(nodes)}-node Gauss-Laguerre rule overflows the float range"
-        )
-    with np.errstate(over="ignore"):
-        moments = weights @ (nodes[:, None] ** np.arange(k_max + 1)[None, :])
-    overflowing = np.flatnonzero(~np.isfinite(moments))
-    if overflowing.size:
-        raise UnverifiableWeightError(
-            f"the quadrature moment of order {overflowing[0]} ({len(nodes)} nodes) overflows "
-            "the float range: a limit of linear-domain moments, not a fault in the weight"
-        )
-    return np.abs(moments - reference) / reference
+    log_products = factorials(shifted).log_products[: k_max + 1]
+    return np.abs(np.expm1(weight.log_moments(np.arange(k_max + 1)) - log_products))
 
 
 def cesaro_phase_average(thetas, horizon: float, step: float):
@@ -125,7 +105,7 @@ def cesaro_phase_average(thetas, horizon: float, step: float):
     thetas = np.asarray(thetas, dtype=float)
     s = 2.0 * horizon / _panels(horizon, step)
     x = 0.5 * thetas * s
-    if np.abs(x).max() >= 0.5 * np.pi:
+    if np.any(np.abs(x) >= 0.5 * np.pi):
         raise VcsLabError(
             f"phase step {s:.3e} does not resolve the fastest frequency "
             f"{np.abs(thetas).max():.3e}; decrease the step"
@@ -160,90 +140,71 @@ def _phase_step(freqs) -> float:
     return np.pi / (8.0 * fastest)
 
 
-def _phase_free_candidate(seqs, quadratures) -> np.ndarray:
-    """The factorized assembly of ``int |psi><psi| d nu`` before the phase
-    average: ``g[p, q] / sqrt(e~[n]! e~[m]!)``, with ``g`` the products of
-    per-sector half-integer moments; the other sectors' zeroth moments are 1
-    for every weight that passes the moment check, so ``g`` leaves them out."""
-    dim = seqs[0].dim
-    n = len(seqs)
-
-    # per-sector half-integer moments hm[t] = int rho(u) u^(t/2) du
-    half_moments = []
-    for nodes, wq in quadratures:
-        powers = nodes[:, None] ** (0.5 * np.arange(2 * dim - 1)[None, :])
-        half_moments.append(wq @ powers)
-
-    facts = [factorials(shift(s)).products for s in seqs]
-    if not all(np.all(np.isfinite(f)) for f in facts):
-        raise UnverifiableWeightError("factorial products overflow at this truncation")
-    inv_sqrt_fact = 1.0 / np.sqrt(np.concatenate(facts))
-
-    g = np.empty((n * dim, n * dim))
-    idx = np.arange(dim)
-    pair_sums = idx[:, None] + idx[None, :]
-    for a in range(n):
-        for b in range(n):
-            rows = slice(a * dim, (a + 1) * dim)
-            cols = slice(b * dim, (b + 1) * dim)
-            if a == b:
-                g[rows, cols] = half_moments[a][pair_sums]
-            else:
-                g[rows, cols] = np.outer(half_moments[a][idx], half_moments[b][idx])
-    return g * np.outer(inv_sqrt_fact, inv_sqrt_fact)
-
-
 @dataclass(frozen=True, eq=False)
 class ResolutionAssembly:
     """The horizon-independent part of a resolution check, built once per
     run by :func:`resolution_assembly`: the worst relative moment error of
-    each sector, to order ``dim - 1``, the assembled candidate before its
-    phase average, and its worst deviation from 1 on the diagonal,
-    ``diag_error``, where the phase average is exactly 1 at every horizon.
-    ``step`` is the phase step of the frequencies ``freqs``.  :meth:`report`
-    applies the phase average of one horizon."""
+    each sector, to order ``dim - 1``, and ``diag_error``, their worst, which
+    is the candidate's deviation from 1 on the diagonal at every horizon.
+    Per sector it keeps the frequencies ``freqs`` (``N x D``), with their
+    phase step ``step``, the log half-moments ``log hm[t]``, ``t < 2D - 1``,
+    and the log factorial products.  :meth:`report` applies the phase
+    average of one horizon."""
 
     moment_errors: tuple
     diag_error: float
     freqs: np.ndarray = field(repr=False)
     step: float = field(repr=False)
-    phase_free: np.ndarray = field(repr=False)
-
-    def candidate(self, gamma_horizon: float) -> np.ndarray:
-        """The identity candidate: the phase-free assembly times the phase
-        average over ``[-gamma_horizon, gamma_horizon]``."""
-        theta = self.freqs[:, None] - self.freqs[None, :]
-        return self.phase_free * cesaro_phase_average(theta, gamma_horizon, self.step)
+    log_half_moments: np.ndarray = field(repr=False)
+    log_products: np.ndarray = field(repr=False)
 
     def report(self, gamma_horizon: float) -> ResolutionReport:
-        """The candidate's deviations from the identity at one horizon."""
-        dev = self.candidate(gamma_horizon)
-        np.fill_diagonal(dev, 0.0)
+        """The candidate's largest off-diagonal deviation from the identity
+        at one horizon.  It is exact when each weight's scale is its sector's
+        spacing, as for the weights a config builds (module docstring)."""
+
+        def entries(log_factor, theta):
+            return np.exp(log_factor) * np.abs(cesaro_phase_average(theta, gamma_horizon, self.step))
+
+        top = self.freqs.shape[1] - 1
+        k = np.arange(1, top + 1)
+        # the bottom entry (top - k, top) of every diagonal k of each sector
+        bottoms = [
+            entries(hm[2 * top - k] - 0.5 * (lp[top - k] + lp[top]), f[top - k] - f[top])
+            for f, hm, lp in zip(self.freqs, self.log_half_moments, self.log_products)
+        ]
+        worst = float(np.max(bottoms))
+        # across sectors, an entry of row n is at most exp(u_a[n]) and one of
+        # column m at most exp(u_b[m]): only rows and columns from there up
+        u = self.log_half_moments[:, : top + 1] - 0.5 * self.log_products
+        for a, b in itertools.combinations(range(len(u)), 2):
+            floor = math.log(worst) if worst > 0 else -math.inf
+            rows, cols = u[a] >= floor, u[b] >= floor
+            theta = self.freqs[a][rows, None] - self.freqs[b][None, cols]
+            corner = entries(u[a][rows, None] + u[b][None, cols], theta)
+            worst = float(np.max(corner, initial=worst))
         samples = _panels(gamma_horizon, self.step) + 1
-        return ResolutionReport(gamma_horizon, samples, float(np.abs(dev).max()))
+        return ResolutionReport(gamma_horizon, samples, worst)
 
 
-def resolution_assembly(family: CoherentFamily, weights, n_nodes: int = 40) -> ResolutionAssembly:
-    """Check the weights' moments to order ``dim - 1`` and assemble the
-    candidate of ``family`` up to its phase average, from one
-    ``n_nodes``-point rule; too few nodes show as moment errors.
+def resolution_assembly(family: CoherentFamily, weights) -> ResolutionAssembly:
+    """Check the weights' moments to order ``dim - 1`` and gather the
+    horizon-independent factors of the candidate of ``family``.
 
     The phases are the family's own frequencies.  A delta family built
     without a regulator (``delta = 0``) does not resolve the identity, which
     :func:`cross_phase_average` demonstrates.
     """
     seqs = family.seqs
-    # every weight's nodes and weights from one Gauss-Laguerre rule
-    rule = laggauss(n_nodes)
-    quadratures = [w.quadrature(rule) for w in weights]
-    moment_errors = tuple(float(verify_moments(q, s, s.dim - 1).max()) for s, q in zip(seqs, quadratures))
-    phase_free = _phase_free_candidate(seqs, quadratures)
+    moment_errors = tuple(float(verify_moments(w, s, s.dim - 1).max()) for w, s in zip(weights, seqs))
+    half_orders = 0.5 * np.arange(2 * family.shape[1] - 1)
     return ResolutionAssembly(
         moment_errors=moment_errors,
-        diag_error=float(np.abs(np.diag(phase_free) - 1.0).max()),
-        freqs=family.frequencies.ravel(),
+        diag_error=float(np.max(moment_errors)),
+        freqs=family.frequencies,
         step=_phase_step(family.frequencies),
-        phase_free=phase_free,
+        log_half_moments=np.array([w.log_moments(half_orders) for w in weights]),
+        log_products=np.array([factorials(s).log_products for s in family.shifted]),
     )
 
 

@@ -74,17 +74,12 @@ class ShiftedSequence:
 
 @dataclass(frozen=True)
 class FactorialCache:
-    """Running products ``p[n] = e[1]*e[2]*...*e[n]`` with ``p[0] = 1``.
+    """Running products ``p[n] = e[1]*e[2]*...*e[n]`` with ``p[0] = 1``, kept
+    in the log domain only, where no truncation of interest overflows."""
 
-    Kept in both linear and log domain.  The linear entries may overflow to
-    ``inf``; above that point ``log_products[n]`` is the authoritative value.
-    """
-
-    products: np.ndarray
     log_products: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "products", _readonly(self.products))
         object.__setattr__(self, "log_products", _readonly(self.log_products))
 
 
@@ -154,17 +149,9 @@ def shift(seq: SpectralSequence) -> ShiftedSequence:
 
 
 def factorials(shifted: ShiftedSequence) -> FactorialCache:
-    """Running products of a shifted sequence, linear and log domain.
-
-    ``products[0] = 1`` (empty product).  Entries that overflow the linear
-    float range are left as ``inf``; the log-domain column never overflows
-    at any truncation size of interest.
-    """
-    tail = shifted.values[1:]
-    with np.errstate(over="ignore", divide="ignore"):
-        products = np.concatenate(([1.0], np.cumprod(tail)))
-        log_products = np.concatenate(([0.0], np.cumsum(np.log(tail))))
-    return FactorialCache(products=products, log_products=log_products)
+    """Running products of a shifted sequence, in the log domain:
+    ``log_products[0] = 0`` (the empty product)."""
+    return FactorialCache(np.concatenate(([0.0], np.cumsum(np.log(shifted.values[1:])))))
 
 
 def eds_check(s1: SpectralSequence, s2: SpectralSequence) -> DisjointnessReport:

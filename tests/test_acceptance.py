@@ -178,7 +178,7 @@ def test_criterion_5_resolution_of_identity():
         moments.MomentWeight.gamma_family(math.sqrt(2.0)),
     ]
     horizons = (1e2, 1e3, 1e4)
-    assembly = moments.resolution_assembly(vcs.coherent_family("eds", seqs), weights, n_nodes=40)
+    assembly = moments.resolution_assembly(vcs.coherent_family("eds", seqs), weights)
     reports = [assembly.report(horizon) for horizon in horizons]
     offdiag_errors = [r.offdiag_error for r in reports]
     exponent = -intertwine.fit_power_law(horizons, offdiag_errors)

@@ -94,6 +94,7 @@ def test_every_shipped_bundle_is_listed():
 UNSET_FIELDS = {
     ("SusyGridParams", "map_coeffs"): "set by perfbench's susy-grid-linear.squared item",
     ("Spectrum", "values"): "the arbitrary-spectrum form (ROADMAP item 15)",
+    ("ResolutionParams", "n_nodes"): "not read; accepted for perfbench's resolution .d160 items (ROADMAP item 8)",
 }
 
 

@@ -310,25 +310,6 @@ class TestConfigValidation:
         with pytest.raises(errors.ConfigError, match="params.delta"):
             dataclasses.replace(cfg, params=dataclasses.replace(cfg.params, delta=-1.0))
 
-    def test_node_floor_verifies_the_top_moment(self):
-        # n Gauss-Laguerre nodes are exact to degree 2n - 1: at dim 17 the
-        # moments to order 16 need 9
-        raw = {**small_resolution_config(n_nodes=9), "dim": 17}
-        assert config.parse_config(raw).params.n_nodes == 9
-        raw = {**small_resolution_config(n_nodes=8), "dim": 17}
-        message = "params.n_nodes 8 cannot verify moments to order 16; need at least 9"
-        with pytest.raises(errors.ConfigError, match=f"^{message}$"):
-            config.parse_config(raw)
-
-    def test_node_floor_at_even_dim_is_half_the_dim(self):
-        # at dim 16 the moments to order 15 need 8 nodes, not 9
-        report, _ = run_experiment(config.parse_config(small_resolution_config(n_nodes=8)))
-        (moment,) = [c for c in report.checks if c.name == "moment-verification"]
-        assert moment.passed
-        message = "params.n_nodes 7 cannot verify moments to order 15; need at least 8"
-        with pytest.raises(errors.ConfigError, match=f"^{message}$"):
-            config.parse_config(small_resolution_config(n_nodes=7))
-
     def test_equal_window_bounds_parse(self):
         # a one-point window admits exactly its bound
         raw = {**small_resolution_config(), "tolerances": {"decay_low": 1.0, "decay_high": 1.0}}
@@ -368,16 +349,6 @@ class TestConfigValidation:
         report = json.loads((tmp_path / "out" / "witness.report.json").read_text())
         tail = next(c for c in report["checks"] if c["name"] == "truncation-tail-bound")
         assert math.isfinite(tail["value"]) and not tail["passed"]
-
-    def test_only_the_demo_goes_without_a_node_floor(self):
-        # the zero-regulator demo builds no quadrature, so its shipped n_nodes
-        # (40) parses at dim 4096; with a regulator the family builds a rule
-        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "delta-zero-failure.yaml").read_text())
-        raw["dim"] = 4096
-        assert config.parse_config(raw).params.demo
-        raw["params"]["delta"] = 0.5
-        with pytest.raises(errors.ConfigError, match="params.n_nodes 40 cannot verify moments"):
-            config.parse_config(raw)
 
     @pytest.mark.parametrize("raw, where", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
     def test_malformed_value_names_its_key(self, raw, where, tmp_path, capsys):
@@ -582,14 +553,21 @@ class TestCliEntryPoint:
         path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(path)]) == 2
 
-    def test_exit_one_on_overflowing_resolution(self, tmp_path, capsys):
-        # dim 240 overflows the linear-domain factorial products
-        raw = small_resolution_config(n_nodes=121)
-        raw["dim"] = 240
+    def test_resolution_past_the_float_range_of_its_products_runs(self, tmp_path):
+        # the factorial products of dim 240 overflow the float range, their
+        # logs do not; n_nodes is accepted and not read
+        raw = {**small_resolution_config(n_nodes=121), "dim": 240}
         path = tmp_path / "d240.yaml"
         path.write_text(yaml.safe_dump(raw))
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert "experiment failed: factorial products overflow" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "d240.report.json").read_text())
+        raw["params"]["n_nodes"] = 1
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "again")]) == 0
+        again = json.loads((tmp_path / "again" / "d240.report.json").read_text())
+        assert [c["value"] for c in again["checks"]] == [c["value"] for c in report["checks"]]
 
     @pytest.mark.parametrize(
         "override",
@@ -636,17 +614,6 @@ class TestCliEntryPoint:
             warnings.simplefilter("error", RuntimeWarning)
             assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         assert f"experiment failed: {failure}" in capsys.readouterr().err
-
-    def test_exit_one_names_nonfinite_quadrature_weights(self, tmp_path, capsys):
-        raw = yaml.safe_load((resources.files("vcslab") / "configs" / "resolution-eds.yaml").read_text())
-        raw["params"]["n_nodes"] = 400
-        path = tmp_path / "eds.yaml"
-        path.write_text(yaml.safe_dump(raw))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # laggauss's own overflow
-            assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert "experiment failed: 400 of the 400 quadrature weights are not finite" in err
 
     def test_exit_one_on_a_zero_grid_map(self, tmp_path, capsys):
         # both sides of the comparison vanish, so the power-law fit has no

@@ -310,7 +310,7 @@ class TestGridLadder:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             ladder = hilbert.grid_ladder(w, hilbert.GridSpec(lo, hi, 64))
-            for band in (*hilbert.gram_products(ladder.terms), ladder.target):
+            for band in (hilbert.gram_product(ladder.terms), ladder.n1, ladder.target):
                 assert np.isfinite(np.abs(band_matrix(band)).sum(axis=1).max())
         assert np.isfinite(ladder.commutator_residual)
         assert ladder.norm_bound == pytest.approx((4 * 0.99 * bound) ** 2, rel=1e-12)
@@ -333,7 +333,7 @@ class TestGridLadder:
         # refuse no input far from the float range
         w, xmin, xmax = rescaled(w, -lo, lo, hbar, mass)
         ladder = hilbert.grid_ladder(w, hilbert.GridSpec(xmin, xmax, points))
-        for band in (hilbert.gram_products(ladder.terms)[1], ladder.target):
+        for band in (ladder.n1, ladder.target):
             row_sum = np.abs(band_matrix(band)).sum(axis=1).max()
             assert ladder.norm_bound / 16.0 < row_sum <= ladder.norm_bound
 
@@ -364,7 +364,7 @@ class TestGridLadder:
         a = band_matrix(ladder.terms)
         v = np.random.default_rng(3).normal(size=(96, 4))
         term = np.abs(a).max() * np.abs(v).max()
-        h, n1 = hilbert.gram_products(ladder.terms)
+        h, n1 = (hilbert.gram_product(ladder.terms, first) for first in (True, False))
         adjoint = tuple(t.adjoint() for t in ladder.terms)
         for got, dense, scale in (
             (hilbert.band_apply(ladder.terms, v.T).T, a @ v, term),
@@ -377,10 +377,10 @@ class TestGridLadder:
     def test_products_are_tridiagonal_with_a_dead_bond(self):
         # one term per offset -1..1, each a single-sector weighted shift; the
         # last row and column of N1 and of the target, the dead bond, are
-        # zero; the ladder carries N1 as gram_products forms it
+        # zero; the ladder carries N1 as gram_product forms it
         grid = hilbert.GridSpec(-9.0, 9.0, 96)
         ladder = hilbert.grid_ladder(lambda x: x + 0.1 * x**3, grid)
-        h, n1 = hilbert.gram_products(ladder.terms)
+        h, n1 = (hilbert.gram_product(ladder.terms, first) for first in (True, False))
         assert [(t.offset, t.blocks.tolist()) for t in ladder.n1] == [(t.offset, t.blocks.tolist()) for t in n1]
         for band in (h, n1, ladder.target):
             assert [t.offset for t in band] == [-1, 0, 1]
@@ -479,7 +479,7 @@ class TestBlockOperator:
         assert hilbert.weighted_shift(a.blocks, a.offset, np.ones((3, 6))).dtype == np.float64
         grid = hilbert.GridSpec(-5.0, 5.0, 64)
         ladder = hilbert.grid_ladder(lambda x: x, grid)
-        for band in (ladder.terms, ladder.target, *hilbert.gram_products(ladder.terms)):
+        for band in (ladder.terms, ladder.target, ladder.n1, hilbert.gram_product(ladder.terms)):
             assert all(t.blocks.dtype == np.float64 for t in band)
             assert hilbert.band_apply(band, np.ones((2, 64))).dtype == np.float64
         assert band_matrix(ladder.terms).dtype == np.float64

@@ -734,20 +734,19 @@ class TestGridPartner:
         assert eigh_calls == []
 
     def test_a_a_dagger_is_formed_once(self, monkeypatch):
-        # two gram products per size: b+ b for the target and a a+, which
-        # the commutator diagnostic and the comparison share; the name is
-        # patched in both modules, so a call from either is counted
+        # two gram products per size, b+ b for the target and a a+, which
+        # the commutator diagnostic and the comparison share, and no other:
+        # each multiplies the two terms of one band by the two of its adjoint
         calls = []
-        gram = hilbert.gram_products
+        matmul = hilbert.BlockOperator.__matmul__
 
-        def counting(band):
-            calls.append(band)
-            return gram(band)
+        def counting(self, other):
+            calls.append((self.offset, other.offset))
+            return matmul(self, other)
 
-        monkeypatch.setattr(hilbert, "gram_products", counting)
-        monkeypatch.setattr(intertwine, "gram_products", counting, raising=False)
+        monkeypatch.setattr(hilbert.BlockOperator, "__matmul__", counting)
         intertwine.grid_partner_comparison(lambda x: x, hilbert.GridSpec(-12.0, 12.0, 256), (0, 0, 1), n_modes=32)
-        assert len(calls) == 2
+        assert calls == [(0, 0), (0, -1), (1, 0), (1, -1), (0, 0), (0, 1), (-1, 0), (-1, 1)]
 
     @pytest.mark.parametrize(
         "w, lo, n_modes",

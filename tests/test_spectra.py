@@ -98,18 +98,18 @@ class TestShift:
 class TestFactorials:
     def test_ordinary_factorial(self):
         cache = spectra.factorials(spectra.shift(spectra.linear_sequence(6)))
-        assert cache.products[4] == 24.0
-        assert cache.products[0] == 1.0
+        assert math.exp(cache.log_products[4]) == pytest.approx(24.0, rel=1e-15)
+        assert cache.log_products[0] == 0.0
 
     def test_scaled_factorial(self):
         # e~[n] = 2n: product at n=3 is 2*4*6 = 48
         cache = spectra.factorials(spectra.shift(spectra.linear_sequence(5, omega=2.0)))
-        assert cache.products[3] == pytest.approx(48.0, rel=1e-14)
+        assert math.exp(cache.log_products[3]) == pytest.approx(48.0, rel=1e-14)
 
     def test_trivial_truncation(self):
         # length-2 minimum: products = [1, e~[1]]
         cache = spectra.factorials(spectra.shift(spectra.make_sequence([0.0, 3.0])))
-        np.testing.assert_array_equal(cache.products, [1.0, 3.0])
+        np.testing.assert_array_equal(cache.log_products, [0.0, math.log(3.0)])
 
     def test_log_domain_matches_scaled_closed_form(self):
         # log(omega^n n!) to 1e-12 relative for n <= 30
@@ -122,8 +122,8 @@ class TestFactorials:
     def test_overflow_goes_to_log_domain(self):
         seq = spectra.linear_sequence(400, omega=10.0)
         cache = spectra.factorials(spectra.shift(seq))
-        assert cache.products[399] == np.inf
-        assert math.isfinite(cache.log_products[399])
+        # 10^399 399! is far beyond the float range; its log is not
+        assert cache.log_products[399] == pytest.approx(399 * math.log(10.0) + math.lgamma(400), rel=1e-13)
 
     @given(
         step=st.floats(min_value=0.05, max_value=3.0),
@@ -133,7 +133,8 @@ class TestFactorials:
     def test_products_positive(self, step, n):
         seq = spectra.make_sequence(step * np.arange(n) + 0.4)
         cache = spectra.factorials(spectra.shift(seq))
-        assert np.all(cache.products > 0)
+        # positive products: every log is finite
+        assert np.all(np.isfinite(cache.log_products))
 
 
 class TestEdsCheck:
