@@ -44,11 +44,14 @@ print(f"\nphase-average oracle: {value:.6e} vs sinc {np.sin(theta*horizon)/(thet
 # --- the zero-regulator failure ----------------------------------------------
 # the ground-ground cross entry is the product of the two zeroth weight
 # moments (1 for every verified weight) times the phase average at its
-# frequency difference, -2 delta for the delta family's equal grounds
-zero_ground = vcs.coherent_family("delta", [spectra.linear_sequence(16), spectra.linear_sequence(16)])
-print("\nregulator   horizon   cross-entry phase average")
-for delta in (0.0, 0.5):
+# frequency difference, -2 delta for the delta family's equal grounds: at
+# zero regulator it is 1 at every horizon, and no entry is larger
+zero_ground = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
+unit_weights = [moments.MomentWeight.gamma_family(1.0)] * 2
+print("\nregulator   horizon   off-diagonal err")
+for delta in (None, 0.5):
+    family = vcs.coherent_family("delta", zero_ground, delta)
+    delta_assembly = moments.resolution_assembly(family, unit_weights)
     for horizon in (1e2, 1e4):
-        average = moments.cross_phase_average(zero_ground, horizon, delta)
-        print(f"{delta:>6.1f}   {horizon:>8.0e}   {average:.6e}")
-print("(at zero regulator the entry is frozen at 1; any positive value decays)")
+        print(f"{delta or 0.0:>6.1f}   {horizon:>8.0e}   {delta_assembly.report(horizon).offdiag_error:.6e}")
+print("(at zero regulator the error is frozen at 1: a decay exponent of 0; any positive value decays)")

@@ -44,7 +44,6 @@ from .moments import (
     MomentWeight,
     verify_moments,
     resolution_assembly,
-    cross_phase_average,
     cesaro_phase_average,
 )
 from .intertwine import (

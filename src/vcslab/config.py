@@ -192,35 +192,27 @@ class VcsVerifyParams:
 @dataclass(frozen=True)
 class ResolutionParams:
     """The check covers every level of every sector.  ``family: delta`` at
-    ``delta: 0`` runs the regulator-failure demo (:attr:`demo`).  The moments
-    are closed forms, so ``n_nodes`` is not read; it is still accepted, since
-    perfbench's scaled resolution items set it."""
+    ``delta: 0`` builds the unregulated family, which does not resolve the
+    identity: its off-diagonal error is exactly 1 at every horizon.  The
+    moments are closed forms, so ``n_nodes`` is not read; it is still
+    accepted, since perfbench's scaled resolution items set it."""
 
     TOLERANCES = {
         "moment": 1e-8,
         "diagonal": 1e-7,
         "decay_low": 0.8,
         "decay_high": 1.2,
-        "decay_factor_low": 50.0,
-        "decay_factor_high": 200.0,
     }
     CHECKS = {
         "moment-verification": ("moment-weights", "moment", "<="),
         "diagonal-residual": ("resolution-of-identity", "diagonal", "<="),
         "offdiagonal-decay-exponent": ("resolution-of-identity", ("decay_low", "decay_high"), "within"),
-        "regulated-entry-decay-factor": ("regulator-dichotomy", ("decay_factor_low", "decay_factor_high"), "within"),
     }
 
     family: Literal["eds", "delta"] = "eds"
     delta: float = 0.0
     horizons: tuple[Positive, ...] = (1e2, 1e3, 1e4)
     n_nodes: Annotated[int, (1, math.inf)] = 40
-
-    @property
-    def demo(self) -> bool:
-        """Whether the run is the regulator-failure demo, which reads the
-        phase average alone."""
-        return self.family == "delta" and self.delta == 0.0
 
     def resolve(self, dim, spectra):
         for i, seq in enumerate(spectra):
@@ -231,8 +223,8 @@ class ResolutionParams:
         return self
 
     def coherent_family(self, spectra) -> CoherentFamily:
-        # the demo's zero regulator is the one the delta family does not check
-        return _family(self.family, spectra, None if self.demo else self.delta, "spectra")
+        # a zero regulator is the one the delta family does not check
+        return _family(self.family, spectra, self.delta or None, "spectra")
 
 
 # the companion certificate's tolerances: intertwine-example defaults, and fixed for the
@@ -524,10 +516,13 @@ def parse_config(raw: dict, source: str | None = None) -> ExperimentConfig:
     if not isinstance(overrides, dict):
         raise ConfigError("'tolerances' must be a mapping")
     _reject_unknown(overrides, set(tolerances), f"tolerances of kind {kind}")
+    windows = [bounds for _, bounds, comparator in schema.CHECKS.values() if comparator == "within"]
+    # a window's bounds may take either sign, as an exponent does; a one-sided tolerance is > 0
+    signed = {key for bounds in windows for key in bounds}
     for key, value in overrides.items():
-        tolerances[key] = _check(value, Positive, f"tolerances.{key}")
+        tolerances[key] = _check(value, float if key in signed else Positive, f"tolerances.{key}")
     # an inverted window would fail every value
-    for low, high in (bounds for _, bounds, comparator in schema.CHECKS.values() if comparator == "within"):
+    for low, high in windows:
         if tolerances[low] > tolerances[high]:
             raise ConfigError(
                 f"tolerances.{low} {tolerances[low]} exceeds tolerances.{high} {tolerances[high]}: no value can pass"

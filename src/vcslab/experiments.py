@@ -31,16 +31,12 @@ from .intertwine import (
     ladder_problem,
     power_series_equality_probe,
 )
-from .moments import MomentWeight, cross_phase_average, resolution_assembly
+from .moments import MomentWeight, resolution_assembly
 from .reporting import CheckRecord, VerificationReport
 from .spectra import shift
 from .vcs import action_identity_residuals, eigenstate_residuals, temporal_stability_residuals
 
 __all__ = ["run_experiment"]
-
-#: the regulator at which the zero-regulator demo shows the decay it lacks
-DELTA_PROBE = 0.5
-
 
 #: coefficients per block of vcs-verify draws: the arrays of one block stay
 #: small heap allocations, and memory does not grow with ``n_samples``
@@ -119,21 +115,10 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
 
 
 def _run_resolution(config: ExperimentConfig, seed: int):
-    params = config.params
-    family = config.family
-    horizons = sorted(params.horizons)
-
-    if params.demo:
-        # regulator-failure demonstration: at zero regulator the ground-ground
-        # cross entry's phase average is exactly 1 at every horizon; the
-        # probe regulator makes it decay like 1/horizon
-        ends = (horizons[0], horizons[-1])
-        first, last = (abs(cross_phase_average(family, h, DELTA_PROBE)) for h in ends)
-        return [("regulated-entry-decay-factor", first / last)], {}
-
+    horizons = sorted(config.params.horizons)
     # the config checked that each spectrum is equally spaced
     weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in config.spectra]
-    assembly = resolution_assembly(family, weights)
+    assembly = resolution_assembly(config.family, weights)
     reports = [assembly.report(horizon) for horizon in horizons]
     values = [
         ("moment-verification", _worst(assembly.moment_errors)),

@@ -25,21 +25,18 @@ from ``u[0] = 0`` (Gautschi's inequality), so only a leading corner can beat
 the same-sector maximum.
 
 Only the phase average depends on the horizon: :func:`resolution_assembly`
-does the rest once per run, and its ``report`` applies one horizon.  The
-zero-regulator demonstration reads the ground-ground cross entry, two zeroth
-moments times its phase average (:func:`cross_phase_average`), the only
-factor the regulator and the horizon move.
+does the rest once per run, and its ``report`` applies one horizon.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RegimeError, VcsLabError
+from .errors import DimensionMismatchError, VcsLabError
 from .spectra import factorials, shift
 from .vcs import CoherentFamily
 
@@ -49,7 +46,6 @@ __all__ = [
     "ResolutionAssembly",
     "verify_moments",
     "resolution_assembly",
-    "cross_phase_average",
     "cesaro_phase_average",
 ]
 
@@ -192,8 +188,9 @@ def resolution_assembly(family: CoherentFamily, weights) -> ResolutionAssembly:
     horizon-independent factors of the candidate of ``family``.
 
     The phases are the family's own frequencies.  A delta family built
-    without a regulator (``delta = 0``) does not resolve the identity, which
-    :func:`cross_phase_average` demonstrates.
+    without a regulator (``delta = 0``) does not resolve the identity: its
+    ground-ground cross entry, two zeroth moments times the phase average at
+    the frequency difference ``-2 delta``, is exactly 1 at every horizon.
     """
     seqs = family.seqs
     moment_errors = tuple(float(verify_moments(w, s, s.dim - 1).max()) for w, s in zip(weights, seqs))
@@ -206,21 +203,3 @@ def resolution_assembly(family: CoherentFamily, weights) -> ResolutionAssembly:
         log_half_moments=np.array([w.log_moments(half_orders) for w in weights]),
         log_products=np.array([factorials(s).log_products for s in family.shifted]),
     )
-
-
-def cross_phase_average(family: CoherentFamily, gamma_horizon: float, delta: float = 0.0) -> float:
-    """The phase average over ``[-gamma_horizon, gamma_horizon]``, on the
-    assembly's step, at the frequency difference of the ground-ground cross
-    entry ``[0, dim]`` of a two-sector family rebuilt at regulator ``delta``.
-
-    The entry is this factor times the product of the two zeroth weight
-    moments.  For the delta family's equal grounds the difference is
-    ``-2 delta``: at ``delta = 0`` the factor is exactly 1 at every horizon,
-    so the entry survives the phase average at full strength; for
-    ``delta > 0`` it decays like ``1/horizon``.
-    """
-    if family.shape[0] != 2:
-        raise RegimeError(f"the cross entry is two-sector, got {family.shape[0]} sectors")
-    freqs = replace(family, delta=delta).frequencies.ravel()
-    theta = freqs[0] - freqs[family.shape[1]]
-    return float(cesaro_phase_average(theta, gamma_horizon, _phase_step(freqs)))

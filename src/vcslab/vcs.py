@@ -195,7 +195,7 @@ def coherent_family(
     The delta-regularized family takes two spectra with ground level exactly
     zero and a regulator ``delta > 0``; with ``delta=None`` the regulator is
     zero and not checked, the case where the family fails to resolve the
-    identity (:func:`~vcslab.moments.cross_phase_average`).  Its sectors
+    identity (:func:`~vcslab.moments.resolution_assembly`).  Its sectors
     carry opposite phase signs::
 
         c[n,0] = J1^(n/2) exp(-i (e1[n]+delta) gamma) / sqrt(e1[n]! * N)

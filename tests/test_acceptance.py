@@ -200,19 +200,24 @@ def test_criterion_5_resolution_of_identity():
 def test_criterion_6_regulator_dichotomy():
     dim = 16
     seqs = [spectra.linear_sequence(dim), spectra.linear_sequence(dim)]
-    family = vcs.coherent_family("delta", seqs)
-    # the ground-ground cross entry is the product of the zeroth moments
-    # (1, checked by moment-verification) times this phase average
-    frozen = {horizon: moments.cross_phase_average(family, horizon) for horizon in (1e2, 1e4)}
-    probes = {horizon: abs(moments.cross_phase_average(family, horizon, 0.5)) for horizon in (1e2, 1e4)}
-    factor = probes[1e2] / probes[1e4]
+    weights = [moments.MomentWeight.gamma_family(1.0)] * 2
+    horizons = (1e2, 1e4)
+    # the worst off-diagonal error of the candidate: at zero regulator the
+    # ground-ground cross entry, its two zeroth moments (1) times a phase
+    # average at frequency difference 0, stays exactly 1
+    errors = {}
+    for delta in (None, 0.5):
+        assembly = moments.resolution_assembly(vcs.coherent_family("delta", seqs, delta), weights)
+        errors[delta] = {horizon: assembly.report(horizon).offdiag_error for horizon in horizons}
+    frozen = errors[None]
+    factor = errors[0.5][1e2] / errors[0.5][1e4]
 
     ok = frozen == {1e2: 1.0, 1e4: 1.0} and 50.0 <= factor <= 200.0
     record_criterion(
         6,
         "regulator dichotomy",
         ok,
-        f"zero-regulator average {frozen[1e2]!r} / {frozen[1e4]!r} decay factor {factor:.1f}",
+        f"zero-regulator off-diagonal {frozen[1e2]!r} / {frozen[1e4]!r} decay factor {factor:.1f}",
     )
     assert frozen == {1e2: 1.0, 1e4: 1.0}
     assert 50.0 <= factor <= 200.0

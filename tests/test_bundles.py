@@ -27,11 +27,6 @@ from vcslab.reporting import CheckRecord
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-#: how far a value may move, relative to its golden value.  Rounding on
-#: another BLAS or LAPACK build moves the grid values by far less; the 1.5e-4
-#: relative move of a change of eigenbasis trips it.  A zero stays exactly zero.
-REL_BOUND = 1e-9
-
 _COMPANION = [
     "hermiticity[alpha]",
     "weak-intertwining[beta]",
@@ -67,7 +62,7 @@ SHIPPED_CHECKS = {
         "certificate-beta",
         "certificate-gamma",
     ],
-    "delta-zero-failure": ["regulated-entry-decay-factor"],
+    "delta-zero-failure": _RESOLUTION,
     "example1-susy-qm": _COMPANION,
     "example2-squared-intertwiner": _COMPANION,
     "example3-cubed-intertwiner": _COMPANION,
@@ -171,17 +166,8 @@ def shipped_run(bundle):
     return run_experiment(config.load_bundled(bundle))
 
 
-def close(got: float, want: float) -> bool:
-    """``got`` within ``REL_BOUND`` of ``want``; a NaN or an inf matches only itself."""
-    if math.isnan(want):
-        return math.isnan(got)
-    if math.isinf(want):
-        return got == want
-    return abs(got - want) <= REL_BOUND * abs(want)
-
-
 def moved_cells(got_lines, want_lines) -> list:
-    """The cells of a table that differ: headers exactly, numbers beyond ``REL_BOUND``."""
+    """The cells of a table that differ: headers exactly, numbers beyond ``golden.REL_BOUND``."""
     assert len(got_lines) == len(want_lines)
     moved = []
     for row, (got, want) in enumerate(zip(got_lines, want_lines)):
@@ -190,7 +176,7 @@ def moved_cells(got_lines, want_lines) -> list:
                 moved.append((row, got, want))
             continue
         cells = list(zip(got.split("\t"), want.split("\t"), strict=True))
-        moved += [(row, g, w) for g, w in cells if not close(float(g), float(w))]
+        moved += [(row, g, w) for g, w in cells if not golden.close(float(g), float(w))]
     return moved
 
 
@@ -215,6 +201,43 @@ def test_golden_changes_name_each_added_removed_and_moved_row():
     assert golden.changes(new, new) == []
 
 
+def test_golden_rewrite_keeps_each_value_within_the_bound():
+    def bundle(rows, table):
+        return {"checks": [list(row) for row in rows], "tables": {"t.tsv": table}}
+
+    ulp = math.ulp(0.5)
+    old = {
+        "a": bundle(
+            [("rounded", "<=", 1.0, 0.5), ("moved", "<=", 1.0, 0.5), ("gone", "<=", 1.0, 0.5)],
+            ["# x\ty", "1\t0.5", "2\t0.5"],
+        ),
+        "b": bundle([("resized", "<=", 1.0, 0.5)], ["# x", "1"]),
+    }
+    new = {
+        "a": bundle(
+            [("rounded", "<=", 1.0, 0.5 + ulp), ("moved", "<=", 1.0, 0.5 + 1e-6), ("new", "<=", 1.0, 0.5)],
+            ["# x\tz", f"1\t{0.5 + ulp!r}", f"2\t{0.5 + 1e-6!r}"],
+        ),
+        "b": bundle([("resized", "<=", 1.0, 0.5 + ulp)], ["# x", "1", f"{1 + ulp!r}"]),
+        "c": bundle([("added", "<=", 1.0, 0.5)], ["# x", "1"]),
+    }
+    written = golden.kept(old, new)
+    # a one-ulp move keeps the committed value; a 1e-6 move and a new header are written
+    assert written["a"] == bundle(
+        [("rounded", "<=", 1.0, 0.5), ("moved", "<=", 1.0, 0.5 + 1e-6), ("new", "<=", 1.0, 0.5)],
+        ["# x\tz", "1\t0.5", f"2\t{0.5 + 1e-6!r}"],
+    )
+    # a table whose length changed is written whole
+    assert written["b"]["tables"] == new["b"]["tables"]
+    assert written["c"] == new["c"]
+    assert golden.changes(old, written) == [
+        "removed a gone: 0.5 (<= 1.0) -> -",
+        "moved a moved: 0.5 (<= 1.0) -> 0.500001 (<= 1.0)",
+        "added a new: - -> 0.5 (<= 1.0)",
+        "added c added: - -> 0.5 (<= 1.0)",
+    ]
+
+
 def test_undeformed_limit_is_the_plain_ladders_closed_forms():
     # the q = 1 limit and the boson case check one pair of closed forms on one problem
     assert config.load_bundled("quon-closed-forms").dim == config.load_bundled("boson-example2").dim
@@ -233,7 +256,7 @@ def test_every_shipped_bundle_has_golden_values():
 def test_shipped_bundle_matches_its_golden_values(bundle):
     got, want = golden.record(*shipped_run(bundle)), golden.load()[bundle]
     assert [row[:3] for row in got["checks"]] == [row[:3] for row in want["checks"]]
-    moved = [(g[0], g[3], w[3]) for g, w in zip(got["checks"], want["checks"]) if not close(g[3], w[3])]
+    moved = [(g[0], g[3], w[3]) for g, w in zip(got["checks"], want["checks"]) if not golden.close(g[3], w[3])]
     assert moved == []
     assert sorted(got["tables"]) == sorted(want["tables"])
     for name, lines in want["tables"].items():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 import warnings
 from importlib import resources
 
@@ -87,6 +88,21 @@ MALFORMED = [
         "exponent-window-inverted",
         {**small_grid_config(), "tolerances": {"exponent_low": 2.5}},
         "tolerances.exponent_low 2.5 exceeds tolerances.exponent_high 2.3",
+    ),
+    (
+        "zero-regulator-window-inverted",
+        {**small_resolution_config(delta=0.0), "tolerances": {"decay_low": 0.2, "decay_high": -0.2}},
+        "tolerances.decay_low 0.2 exceeds tolerances.decay_high -0.2",
+    ),
+    # a window's bounds take either sign, but stay finite; a one-sided tolerance stays > 0
+    *(
+        (case, {**small_resolution_config(), "tolerances": {key: value}}, f"tolerances.{key}")
+        for case, key, value in [
+            ("decay-high-infinite", "decay_high", math.inf),
+            ("decay-low-nan", "decay_low", math.nan),
+            ("moment-tolerance-zero", "moment", 0.0),
+            ("diagonal-tolerance-negative", "diagonal", -1e-7),
+        ]
     ),
     ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),
     ("one-horizon", small_resolution_config(horizons=[1000.0]), "params.horizons"),
@@ -316,6 +332,18 @@ class TestConfigValidation:
         assert config.parse_config(raw).tolerances["decay_low"] == 1.0
         raw = {**small_grid_config(), "tolerances": {"exponent_low": 2.3}}
         assert config.parse_config(raw).tolerances["exponent_high"] == 2.3
+
+    def test_signed_window_bounds_parse(self, tmp_path):
+        # an exponent is signed: a window's bounds may be zero or negative
+        raw = {**small_resolution_config(delta=0.0), "tolerances": {"decay_low": -0.2, "decay_high": 0.0}}
+        cfg = config.parse_config(raw)
+        assert (cfg.tolerances["decay_low"], cfg.tolerances["decay_high"]) == (-0.2, 0.0)
+        raw = {**small_grid_config(), "tolerances": {"exponent_low": -1.0, "exponent_high": 0.0}}
+        assert config.parse_config(raw).tolerances["exponent_low"] == -1.0
+        # the zero-regulator exponent, -0.0, passes the window [-0.2, 0.0] from a file too
+        path = tmp_path / "signed.yaml"
+        path.write_text(yaml.safe_dump({**small_resolution_config(delta=0.0), "tolerances": cfg.tolerances}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
 
     def test_echo_keeps_the_mappings_as_parsed(self):
         raw = small_vcs_config()
@@ -675,3 +703,9 @@ class TestCliEntryPoint:
             ]
 
         assert stripped("a") == stripped("b")
+
+    def test_wall_time_is_the_runs_own_duration(self):
+        cfg = config.parse_config(small_resolution_config())
+        before = time.perf_counter()
+        report, _ = run_experiment(cfg)
+        assert 0.0 < report.wall_time_s <= time.perf_counter() - before

@@ -109,3 +109,28 @@ def test_family_regime_is_checked_at_parse_time(raw, key, tmp_path, capsys):
     assert "config error:" in err
     assert key in err
     assert not (tmp_path / "out").exists()
+
+
+# (case, config, the exponent's window): the regulator dichotomy read both
+# ways, so the decay exponent is shown able to fail from either side of its window
+DECAY_CONTROLS = [
+    # regulated, the off-diagonal error decays like 1/horizon: about 1.11
+    ("zero-regulator-bundle-regulated", edited("delta-zero-failure", delta=0.5), [-0.2, 0.2]),
+    # unregulated, the ground-ground cross entry stays exactly 1: exactly 0
+    ("regulated-bundle-unregulated", edited("resolution-delta", delta=0.0), [0.8, 1.2]),
+]
+
+
+@pytest.mark.parametrize("raw, window", [c[1:] for c in DECAY_CONTROLS], ids=[c[0] for c in DECAY_CONTROLS])
+def test_regulator_flip_fails_the_decay_exponent(raw, window, tmp_path):
+    path = tmp_path / "flipped.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    code, checks = run_cli(path, tmp_path / "out")
+    assert code == 1
+    exponent = checks["offdiagonal-decay-exponent"]
+    assert exponent["tolerance"] == window
+    assert not exponent["passed"]
+    expected = 0.0 if raw["params"]["delta"] == 0.0 else pytest.approx(1.11, abs=0.01)
+    assert exponent["value"] == expected
+    # the moments and the diagonal are the same at every regulator
+    assert checks["moment-verification"]["passed"] and checks["diagonal-residual"]["passed"]

@@ -305,25 +305,31 @@ class TestDenseOracle:
 
 
 class TestDeltaZeroFailure:
-    """The phase average of the delta family's ground-ground cross entry."""
+    """The delta family's ground-ground cross entry, and the unregulated
+    family through the ordinary resolution check."""
 
     def family(self, dim=16, delta=None):
         seqs = [spectra.linear_sequence(dim), spectra.linear_sequence(dim)]
         return vcs.coherent_family("delta", seqs, delta)
 
-    def demo(self, **params):
-        """The shipped demo bundle as a mapping, with ``params`` overridden."""
+    def weights(self):
+        return [moments.MomentWeight.gamma_family(1.0)] * 2
+
+    def bundle(self, **params):
+        """The shipped zero-regulator bundle as a mapping, with ``params`` overridden."""
         raw = yaml.safe_load((resources.files("vcslab") / "configs" / "delta-zero-failure.yaml").read_text())
         raw["params"].update(params)
         return raw
 
     def test_zero_regulator_average_is_one(self):
+        # the entry [0, dim] is its two zeroth moments, 1, times the phase
+        # average at the frequency difference -2 delta = 0: exactly 1
         family = self.family()
-        assert [moments.cross_phase_average(family, h) for h in (1e2, 1e4)] == [1.0, 1.0]
+        assert [dense_candidate(family, self.weights(), h)[0, 16] for h in (1e2, 1e4)] == [1.0, 1.0]
 
     def test_positive_delta_restores_decay(self):
-        family = self.family()
-        mags = [abs(moments.cross_phase_average(family, h, 0.5)) for h in (1e2, 1e4)]
+        family = self.family(delta=0.5)
+        mags = [abs(dense_candidate(family, self.weights(), h)[0, 16]) for h in (1e2, 1e4)]
         # envelope of the phase average decays like 1/horizon
         assert 50 < mags[0] / mags[1] < 200
 
@@ -332,50 +338,58 @@ class TestDeltaZeroFailure:
         # the entry is its two zeroth moments, exactly 1, times the phase
         # average, and no factor of the candidate overflows at this size
         family = self.family(160, delta or None)
-        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
         # the delta family's frequencies: -(e1[n] + delta), then +(e2[n] + delta)
         freqs = np.concatenate([-(family.seqs[0].values + delta), family.seqs[1].values + delta])
         average = moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, moments._phase_step(freqs))
         with np.errstate(over="raise", invalid="raise"):
-            assert moments.cross_phase_average(family, 1e4, delta) == average
-            assert dense_candidate(family, weights, 1e4)[0, 160] == average
+            assert dense_candidate(family, self.weights(), 1e4)[0, 160] == average
 
     def test_entry_needs_two_sectors(self):
-        family = vcs.coherent_family("eds", [spectra.linear_sequence(16)])
+        # the cross entry joins the delta family's two sectors, at any regulator
         with pytest.raises(errors.RegimeError, match="two-sector, got 1"):
-            moments.cross_phase_average(family, 1e2)
+            vcs.coherent_family("delta", [spectra.linear_sequence(16)])
+        one = self.bundle()
+        one["spectra"] = one["spectra"][:1]
+        with pytest.raises(errors.ConfigError, match="spectra: the delta family is two-sector, got 1"):
+            config.parse_config(one)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5])
     def test_average_is_the_assemblys_at_the_cross_entry(self, delta):
-        # the assembly of the family at regulator delta applies this factor
-        # to its ground-ground cross entry, whose moment factor is 1; at zero
-        # regulator the factor is 1 too, and no entry is larger
-        family = self.family(delta=delta or None)
-        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
+        # the assembly of the family at regulator delta applies the phase
+        # average at -2 delta to its ground-ground cross entry, whose moment
+        # factor is 1; at zero regulator that is 1 too, and no entry is larger
+        family, weights = self.family(delta=delta or None), self.weights()
         assembly = moments.resolution_assembly(family, weights)
         for horizon in (1e2, 1e3):
-            average = moments.cross_phase_average(family, horizon, delta)
+            average = moments.cesaro_phase_average(-2.0 * delta, horizon, assembly.step)
             assert dense_candidate(family, weights, horizon)[0, 16] == average
             offdiag = assembly.report(horizon).offdiag_error
             assert offdiag == 1.0 if delta == 0.0 else abs(average) <= offdiag < 1.0
 
     def test_decay_factor_is_a_ratio_of_magnitudes(self):
-        # at delta 0.5 the averages at horizons 1e2 and 1e3 have opposite
-        # signs, and the factor divides the first horizon's by the last's
-        cfg = config.parse_config(self.demo(horizons=[1000.0, 100.0]))
-        averages = [moments.cross_phase_average(cfg.family, h, 0.5) for h in (100.0, 1000.0)]
+        # at delta 0.5 the cross entry's averages at horizons 1e2 and 1e3 have
+        # opposite signs; the run's exponent reads the off-diagonal
+        # magnitudes, its horizons in order: 10 to its power is their ratio
+        cfg = config.parse_config(self.bundle(delta=0.5, horizons=[1000.0, 100.0]))
+        assembly = moments.resolution_assembly(cfg.family, self.weights())
+        averages = [moments.cesaro_phase_average(-1.0, h, assembly.step) for h in (100.0, 1000.0)]
         assert averages[0] * averages[1] < 0
+        first, last = (assembly.report(h).offdiag_error for h in (100.0, 1000.0))
         report, _ = run_experiment(cfg)
-        assert report.checks[0].value == abs(averages[0]) / abs(averages[1])
+        exponent = {c.name: c.value for c in report.checks}["offdiagonal-decay-exponent"]
+        assert 10.0**exponent == pytest.approx(first / last, rel=1e-12)
 
     @pytest.mark.parametrize("dim", [640, 4096])
-    def test_demo_is_finite_at_large_dims(self, dim):
-        raw = {**self.demo(), "dim": dim}
+    def test_zero_regulator_is_exact_at_large_dims(self, dim):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report, _ = run_experiment(config.parse_config(raw))
-        assert [c.name for c in report.checks] == ["regulated-entry-decay-factor"]
-        assert all(math.isfinite(c.value) and c.passed for c in report.checks)
+            report, tables = run_experiment(config.parse_config({**self.bundle(), "dim": dim}))
+        # the off-diagonal error is exactly 1 at every horizon, so the exponent is exactly 0
+        rows = [line.split("\t") for line in tables["residual-vs-horizon.tsv"].splitlines()[1:]]
+        assert [float(row[2]) for row in rows] == [1.0, 1.0]
+        values = {c.name: c.value for c in report.checks}
+        assert values["offdiagonal-decay-exponent"] == 0.0
+        assert report.overall_pass
 
 
 @pytest.mark.parametrize("bundle", ["resolution-eds", "resolution-delta", "delta-zero-failure"])
@@ -390,21 +404,15 @@ def test_one_assembly_per_run(bundle, monkeypatch):
     monkeypatch.setattr(experiments, "resolution_assembly", counting)
     cfg = config.load_bundled(bundle)
     p, seqs = cfg.params, cfg.spectra
-    # the zero-regulator demo reads no moments at all
-    runs = 0 if p.demo else 1
     report, tables = run_experiment(cfg)
-    assert len(calls) == runs
+    assert len(calls) == 1
     again, _ = run_experiment(cfg)
-    assert len(calls) == 2 * runs
+    assert len(calls) == 2
     values = {c.name: c.value for c in report.checks}
     assert values == {c.name: c.value for c in again.checks}
 
     # the same bits as building everything again at every horizon
     horizons = sorted(p.horizons)
-    if p.demo:
-        probes = [abs(moments.cross_phase_average(cfg.family, h, experiments.DELTA_PROBE)) for h in horizons]
-        assert values["regulated-entry-decay-factor"] == probes[0] / probes[-1]
-        return
     weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
     assemblies = [moments.resolution_assembly(cfg.family, weights) for _ in horizons]
     per_horizon = [a.report(h) for a, h in zip(assemblies, horizons)]
