@@ -12,7 +12,6 @@ from . import errors
 from .spectra import (
     SpectralSequence,
     ShiftedSequence,
-    FactorialCache,
     make_sequence,
     linear_sequence,
     quon_sequence,

@@ -199,13 +199,11 @@ class ResolutionParams:
 
     TOLERANCES = {
         "moment": 1e-8,
-        "diagonal": 1e-7,
         "decay_low": 0.8,
         "decay_high": 1.2,
     }
     CHECKS = {
         "moment-verification": ("moment-weights", "moment", "<="),
-        "diagonal-residual": ("resolution-of-identity", "diagonal", "<="),
         "offdiagonal-decay-exponent": ("resolution-of-identity", ("decay_low", "decay_high"), "within"),
     }
 

@@ -119,15 +119,15 @@ def _run_resolution(config: ExperimentConfig, seed: int):
     # the config checked that each spectrum is equally spaced
     weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in config.spectra]
     assembly = resolution_assembly(config.family, weights)
-    reports = [assembly.report(horizon) for horizon in horizons]
+    offdiag_errors = [assembly.offdiag_error(horizon) for horizon in horizons]
     values = [
         ("moment-verification", _worst(assembly.moment_errors)),
-        ("diagonal-residual", assembly.diag_error),
-        ("offdiagonal-decay-exponent", -fit_power_law(horizons, [r.offdiag_error for r in reports])),
+        # 0.0 minus, not unary minus: a zero slope reports as 0.0, not -0.0
+        ("offdiagonal-decay-exponent", 0.0 - fit_power_law(horizons, offdiag_errors)),
     ]
-    lines = ["# horizon\tdiag_error\toffdiag_error"]
-    for h, r in zip(horizons, reports):
-        lines.append(f"{h:.17g}\t{assembly.diag_error:.17g}\t{r.offdiag_error:.17g}")
+    lines = ["# horizon\toffdiag_error"]
+    for h, e in zip(horizons, offdiag_errors):
+        lines.append(f"{h:.17g}\t{e:.17g}")
     return values, {"residual-vs-horizon.tsv": "\n".join(lines) + "\n"}
 
 

@@ -18,7 +18,6 @@ from .errors import BadDeformationError, NegativeGroundError, NonMonotoneError
 __all__ = [
     "SpectralSequence",
     "ShiftedSequence",
-    "FactorialCache",
     "DisjointnessReport",
     "make_sequence",
     "linear_sequence",
@@ -70,17 +69,6 @@ class ShiftedSequence:
     @property
     def dim(self) -> int:
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class FactorialCache:
-    """Running products ``p[n] = e[1]*e[2]*...*e[n]`` with ``p[0] = 1``, kept
-    in the log domain only, where no truncation of interest overflows."""
-
-    log_products: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "log_products", _readonly(self.log_products))
 
 
 @dataclass(frozen=True)
@@ -148,10 +136,11 @@ def shift(seq: SpectralSequence) -> ShiftedSequence:
     return ShiftedSequence(values=shifted, shift=seq.ground)
 
 
-def factorials(shifted: ShiftedSequence) -> FactorialCache:
-    """Running products of a shifted sequence, in the log domain:
-    ``log_products[0] = 0`` (the empty product)."""
-    return FactorialCache(np.concatenate(([0.0], np.cumsum(np.log(shifted.values[1:])))))
+def factorials(shifted: ShiftedSequence) -> np.ndarray:
+    """Running products ``p[n] = e[1]*e[2]*...*e[n]`` of a shifted sequence,
+    kept in the log domain only, where no truncation of interest overflows:
+    a read-only array with ``log p[0] = 0`` (the empty product)."""
+    return _readonly(np.concatenate(([0.0], np.cumsum(np.log(shifted.values[1:])))))
 
 
 def eds_check(s1: SpectralSequence, s2: SpectralSequence) -> DisjointnessReport:

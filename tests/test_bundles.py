@@ -36,7 +36,6 @@ _COMPANION = [
 ]
 _RESOLUTION = [
     "moment-verification",
-    "diagonal-residual",
     "offdiagonal-decay-exponent",
 ]
 _GRID = [

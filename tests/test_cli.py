@@ -101,7 +101,7 @@ MALFORMED = [
             ("decay-high-infinite", "decay_high", math.inf),
             ("decay-low-nan", "decay_low", math.nan),
             ("moment-tolerance-zero", "moment", 0.0),
-            ("diagonal-tolerance-negative", "diagonal", -1e-7),
+            ("moment-tolerance-negative", "moment", -1e-8),
         ]
     ),
     ("demo-one-horizon", small_resolution_config(delta=0.0, horizons=[100.0]), "params.horizons"),
@@ -141,6 +141,12 @@ MALFORMED = [
         "hermiticity-tolerance-removed",
         {**small_resolution_config(), "tolerances": {"hermiticity": 1e-12}},
         "['hermiticity'] in tolerances",
+    ),
+    # the diagonal of the candidate is its moments: the moment tolerance judges it
+    (
+        "diagonal-tolerance-removed",
+        {**small_resolution_config(), "tolerances": {"diagonal": 1e-7}},
+        "['diagonal'] in tolerances",
     ),
     (
         "entry-drift-tolerance-removed",

@@ -65,7 +65,6 @@ def test_wrong_weight_scale_fails_moment_verification():
     assembly = moments.resolution_assembly(vcs.coherent_family("eds", seqs), weights)
     tol = config.ResolutionParams.TOLERANCES
     assert min(assembly.moment_errors) > tol["moment"]
-    assert assembly.diag_error > tol["diagonal"]
 
 
 def edited(name, spectra=None, **params):
@@ -132,5 +131,5 @@ def test_regulator_flip_fails_the_decay_exponent(raw, window, tmp_path):
     assert not exponent["passed"]
     expected = 0.0 if raw["params"]["delta"] == 0.0 else pytest.approx(1.11, abs=0.01)
     assert exponent["value"] == expected
-    # the moments and the diagonal are the same at every regulator
-    assert checks["moment-verification"]["passed"] and checks["diagonal-residual"]["passed"]
+    # the moments are the same at every regulator
+    assert checks["moment-verification"]["passed"]

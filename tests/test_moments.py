@@ -93,45 +93,32 @@ class TestVerifyMoments:
                 assert np.isfinite(errs).all() and errs.max() <= tol
 
 
-def direct_phase_average(thetas, horizon, step):
-    """Literal trapezoid Cesaro mean on the grid ``cesaro_phase_average`` realizes."""
-    m = max(16, math.ceil(2.0 * horizon / step))
-    s = 2.0 * horizon / m
-    grid = -horizon + s * np.arange(m + 1)
-    res = np.empty(thetas.shape)
-    for i, th in enumerate(thetas):
-        samples = np.exp(1j * th * grid)
-        total = samples.sum() - 0.5 * (samples[0] + samples[-1])
-        res[i] = (s * total / (2.0 * horizon)).real
-    return res
-
-
 class TestCesaroAverage:
     def test_zero_frequency(self):
-        out = moments.cesaro_phase_average(np.array([0.0]), 100.0, 0.01)
-        assert out[0] == pytest.approx(1.0)
+        out = moments.cesaro_phase_average(np.array([0.0]), 100.0)
+        assert out[0] == 1.0
 
     def test_matches_direct_summation(self):
+        # Gauss-Legendre quadrature of exp(i theta gamma) over [-5, 5] is
+        # exact to rounding at 60 nodes for these frequencies
         thetas = np.array([0.0, 0.13, 0.9, -2.4])
-        closed = moments.cesaro_phase_average(thetas, 5.0, 0.05)
-        direct = direct_phase_average(thetas, 5.0, 0.05)
-        np.testing.assert_allclose(closed, direct, atol=1e-12)
+        nodes, weights = np.polynomial.legendre.leggauss(60)
+        direct = (weights * np.exp(1j * thetas[:, None] * 5.0 * nodes)).sum(axis=1).real / 2.0
+        np.testing.assert_allclose(moments.cesaro_phase_average(thetas, 5.0), direct, rtol=0.0, atol=1e-14)
 
     def test_single_mode_oracle(self):
-        # the large-horizon average of exp(i theta gamma) is sin(tG)/(tG)
-        theta, horizon = 0.8, 2000.0
-        out = moments.cesaro_phase_average(np.array([theta]), horizon, 1e-3)
-        expected = math.sin(theta * horizon) / (theta * horizon)
-        assert out[0] == pytest.approx(expected, abs=1e-6)
+        # the mean of exp(i theta gamma) over [-H, H] is sin(theta H)/(theta H)
+        for theta, horizon in [(0.13, 5.0), (0.8, 2000.0), (-1.0, 1e3), (1.0, 1e4)]:
+            out = moments.cesaro_phase_average(np.array([theta]), horizon)
+            expected = math.sin(theta * horizon) / (theta * horizon)
+            assert out[0] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
-    def test_step_must_resolve_phases(self):
-        with pytest.raises(errors.VcsLabError, match="does not resolve the fastest frequency") as info:
-            moments.cesaro_phase_average(np.array([50.0]), 10.0, 1.0)
-        assert not isinstance(info.value, errors.ConfigError)
-        # 16 panels on [-8, 8] make the step exactly 1: x = theta / 2 reaches pi / 2
-        with pytest.raises(errors.VcsLabError, match="does not resolve"):
-            moments.cesaro_phase_average(np.array([np.pi]), 8.0, 1.0)
-        assert np.isfinite(moments.cesaro_phase_average(np.array([np.nextafter(np.pi, 0.0)]), 8.0, 1.0)).all()
+    def test_even_in_the_frequency(self):
+        thetas = np.array([0.13, 0.9, 2.4, 1e-9, 50.0])
+        for horizon in (5.0, 1e2, 1e4):
+            np.testing.assert_array_equal(
+                moments.cesaro_phase_average(-thetas, horizon), moments.cesaro_phase_average(thetas, horizon)
+            )
 
 
 def built(family, seqs, delta=0.0):
@@ -163,7 +150,7 @@ def dense_candidate(family, weights, horizon):
     log_g = np.where(same, log_hm(level[:, None] + level[None, :], log_omega[:, None]), single[:, None] + single)
     log_fact = np.concatenate([np.cumsum(np.log(np.r_[1.0, s.values[1:]])) for s in family.shifted])
     freqs = family.frequencies.ravel()
-    average = moments.cesaro_phase_average(freqs[:, None] - freqs, horizon, moments._phase_step(freqs))
+    average = moments.cesaro_phase_average(freqs[:, None] - freqs, horizon)
     return np.exp(log_g - 0.5 * (log_fact[:, None] + log_fact)) * average
 
 
@@ -176,30 +163,29 @@ def dense_offdiag_error(family, weights, horizon) -> float:
 class TestResolutionCheck:
     def test_eds_family_small(self):
         assembly = assembled("eds", eds_pair(), eds_weights())
-        report = assembly.report(1e4)
-        assert assembly.diag_error <= 1e-8
-        assert report.offdiag_error <= 1e-2
-        assert report.offdiag_error == dense_offdiag_error(built("eds", eds_pair()), eds_weights(), 1e4)
+        offdiag = assembly.offdiag_error(1e4)
+        assert max(assembly.moment_errors) <= 1e-8
+        assert offdiag <= 1e-2
+        assert offdiag == dense_offdiag_error(built("eds", eds_pair()), eds_weights(), 1e4)
 
     def test_offdiag_shrinks_with_horizon(self):
         assembly = moments.resolution_assembly(vcs.coherent_family("eds", eds_pair()), eds_weights())
-        reports = [assembly.report(horizon) for horizon in (1e2, 1e3, 1e4)]
-        errs = [r.offdiag_error for r in reports]
+        errs = [assembly.offdiag_error(horizon) for horizon in (1e2, 1e3, 1e4)]
         assert errs[0] > errs[1] > errs[2]
         # the error decays like 1/horizon, with no floor of its own
         assert errs[2] <= errs[0] / 30
-        # the phase average is exactly 1 on the diagonal, so the one diagonal
-        # error of the assembly is the candidate's at every horizon
+        # the phase average is exactly 1 on the diagonal, so the worst moment
+        # error of the assembly is the candidate's diagonal error at every horizon
         for horizon in (1e2, 1e3, 1e4):
             diagonal = np.diag(dense_candidate(built("eds", eds_pair()), eds_weights(), horizon))
-            assert np.abs(diagonal - 1.0).max() == pytest.approx(assembly.diag_error, abs=1e-15)
+            assert np.abs(diagonal - 1.0).max() == pytest.approx(max(assembly.moment_errors), abs=1e-15)
 
     def test_delta_family(self):
         seqs = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
         weights = [moments.MomentWeight.gamma_family(1.0)] * 2
         assembly = assembled("delta", seqs, weights, delta=0.5)
-        assert assembly.diag_error <= 1e-8
-        assert assembly.report(1e4).offdiag_error <= 1e-2
+        assert max(assembly.moment_errors) <= 1e-8
+        assert assembly.offdiag_error(1e4) <= 1e-2
 
     # the assembly takes a built family: its builder rejects spectra and
     # regulators that cannot resolve the identity
@@ -240,7 +226,7 @@ class TestResolutionCheck:
         family, weights = built("eds", eds_pair()), [moments.MomentWeight.gamma_family(1e-300)] * 2
         assembly = moments.resolution_assembly(family, weights)
         for horizon in (1e2, 1e4):
-            offdiag = assembly.report(horizon).offdiag_error
+            offdiag = assembly.offdiag_error(horizon)
             assert 0.0 < offdiag == dense_offdiag_error(family, weights, horizon)
 
     def test_smallest_truncation_reads_its_one_offdiagonal_entry(self):
@@ -248,19 +234,8 @@ class TestResolutionCheck:
         # the whole of the last
         family = built("eds", [spectra.linear_sequence(2, 1.5, 0.2)])
         weights = [moments.MomentWeight.gamma_family(1.5)]
-        offdiag = moments.resolution_assembly(family, weights).report(1e2).offdiag_error
+        offdiag = moments.resolution_assembly(family, weights).offdiag_error(1e2)
         assert offdiag == dense_offdiag_error(family, weights, 1e2) > 0.0
-
-    def test_sample_count_is_the_phase_grid_of_the_average(self):
-        # n_samples points on [-horizon, horizon] make the trapezoid sum whose
-        # closed form the assembly applies
-        assembly = assembled("eds", eds_pair(9), eds_weights())
-        horizon = 5.0
-        points = assembly.report(horizon).n_samples
-        grid = np.linspace(-horizon, horizon, points)
-        samples = np.exp(1j * 0.9 * grid)
-        literal = ((samples.sum() - 0.5 * (samples[0] + samples[-1])) / (points - 1)).real
-        assert moments.cesaro_phase_average(0.9, horizon, assembly.step) == pytest.approx(literal, abs=1e-12)
 
 
 @st.composite
@@ -289,7 +264,7 @@ def resolution_configs(draw, family):
 
 
 class TestDenseOracle:
-    """The pruned maximum of ``ResolutionAssembly.report`` against every
+    """The pruned maximum of ``ResolutionAssembly.offdiag_error`` against every
     entry of the candidate, on the weights a run builds."""
 
     @pytest.mark.parametrize("family", ["eds", "delta"])
@@ -301,7 +276,7 @@ class TestDenseOracle:
         assembly = moments.resolution_assembly(cfg.family, weights)
         for horizon in cfg.params.horizons:
             dense = dense_offdiag_error(cfg.family, weights, horizon)
-            assert assembly.report(horizon).offdiag_error == pytest.approx(dense, rel=1e-12, abs=0.0)
+            assert assembly.offdiag_error(horizon) == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
 class TestDeltaZeroFailure:
@@ -340,7 +315,7 @@ class TestDeltaZeroFailure:
         family = self.family(160, delta or None)
         # the delta family's frequencies: -(e1[n] + delta), then +(e2[n] + delta)
         freqs = np.concatenate([-(family.seqs[0].values + delta), family.seqs[1].values + delta])
-        average = moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4, moments._phase_step(freqs))
+        average = moments.cesaro_phase_average(freqs[0] - freqs[160], 1e4)
         with np.errstate(over="raise", invalid="raise"):
             assert dense_candidate(family, self.weights(), 1e4)[0, 160] == average
 
@@ -361,9 +336,9 @@ class TestDeltaZeroFailure:
         family, weights = self.family(delta=delta or None), self.weights()
         assembly = moments.resolution_assembly(family, weights)
         for horizon in (1e2, 1e3):
-            average = moments.cesaro_phase_average(-2.0 * delta, horizon, assembly.step)
+            average = moments.cesaro_phase_average(-2.0 * delta, horizon)
             assert dense_candidate(family, weights, horizon)[0, 16] == average
-            offdiag = assembly.report(horizon).offdiag_error
+            offdiag = assembly.offdiag_error(horizon)
             assert offdiag == 1.0 if delta == 0.0 else abs(average) <= offdiag < 1.0
 
     def test_decay_factor_is_a_ratio_of_magnitudes(self):
@@ -372,9 +347,9 @@ class TestDeltaZeroFailure:
         # magnitudes, its horizons in order: 10 to its power is their ratio
         cfg = config.parse_config(self.bundle(delta=0.5, horizons=[1000.0, 100.0]))
         assembly = moments.resolution_assembly(cfg.family, self.weights())
-        averages = [moments.cesaro_phase_average(-1.0, h, assembly.step) for h in (100.0, 1000.0)]
+        averages = [moments.cesaro_phase_average(-1.0, h) for h in (100.0, 1000.0)]
         assert averages[0] * averages[1] < 0
-        first, last = (assembly.report(h).offdiag_error for h in (100.0, 1000.0))
+        first, last = (assembly.offdiag_error(h) for h in (100.0, 1000.0))
         report, _ = run_experiment(cfg)
         exponent = {c.name: c.value for c in report.checks}["offdiagonal-decay-exponent"]
         assert 10.0**exponent == pytest.approx(first / last, rel=1e-12)
@@ -386,9 +361,10 @@ class TestDeltaZeroFailure:
             report, tables = run_experiment(config.parse_config({**self.bundle(), "dim": dim}))
         # the off-diagonal error is exactly 1 at every horizon, so the exponent is exactly 0
         rows = [line.split("\t") for line in tables["residual-vs-horizon.tsv"].splitlines()[1:]]
-        assert [float(row[2]) for row in rows] == [1.0, 1.0]
-        values = {c.name: c.value for c in report.checks}
-        assert values["offdiagonal-decay-exponent"] == 0.0
+        assert [float(row[1]) for row in rows] == [1.0, 1.0]
+        exponent = {c.name: c.value for c in report.checks}["offdiagonal-decay-exponent"]
+        # a positive zero: the report's JSON and summary show 0.0, not -0.0
+        assert exponent == 0.0 and math.copysign(1.0, exponent) == 1.0
         assert report.overall_pass
 
 
@@ -415,13 +391,8 @@ def test_one_assembly_per_run(bundle, monkeypatch):
     horizons = sorted(p.horizons)
     weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
     assemblies = [moments.resolution_assembly(cfg.family, weights) for _ in horizons]
-    per_horizon = [a.report(h) for a, h in zip(assemblies, horizons)]
     assert values["moment-verification"] == max(max(a.moment_errors) for a in assemblies)
-    assert values["diagonal-residual"] == max(a.diag_error for a in assemblies)
-    rows = [
-        f"{r.gamma_horizon:.17g}\t{a.diag_error:.17g}\t{r.offdiag_error:.17g}"
-        for a, r in zip(assemblies, per_horizon)
-    ]
+    rows = [f"{h:.17g}\t{a.offdiag_error(h):.17g}" for a, h in zip(assemblies, horizons)]
     assert tables["residual-vs-horizon.tsv"].splitlines()[1:] == rows
 
 

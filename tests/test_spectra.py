@@ -97,33 +97,34 @@ class TestShift:
 
 class TestFactorials:
     def test_ordinary_factorial(self):
-        cache = spectra.factorials(spectra.shift(spectra.linear_sequence(6)))
-        assert math.exp(cache.log_products[4]) == pytest.approx(24.0, rel=1e-15)
-        assert cache.log_products[0] == 0.0
+        log_products = spectra.factorials(spectra.shift(spectra.linear_sequence(6)))
+        assert math.exp(log_products[4]) == pytest.approx(24.0, rel=1e-15)
+        assert log_products[0] == 0.0
 
     def test_scaled_factorial(self):
         # e~[n] = 2n: product at n=3 is 2*4*6 = 48
-        cache = spectra.factorials(spectra.shift(spectra.linear_sequence(5, omega=2.0)))
-        assert math.exp(cache.log_products[3]) == pytest.approx(48.0, rel=1e-14)
+        log_products = spectra.factorials(spectra.shift(spectra.linear_sequence(5, omega=2.0)))
+        assert math.exp(log_products[3]) == pytest.approx(48.0, rel=1e-14)
 
     def test_trivial_truncation(self):
         # length-2 minimum: products = [1, e~[1]]
-        cache = spectra.factorials(spectra.shift(spectra.make_sequence([0.0, 3.0])))
-        np.testing.assert_array_equal(cache.log_products, [0.0, math.log(3.0)])
+        log_products = spectra.factorials(spectra.shift(spectra.make_sequence([0.0, 3.0])))
+        np.testing.assert_array_equal(log_products, [0.0, math.log(3.0)])
+        assert not log_products.flags.writeable
 
     def test_log_domain_matches_scaled_closed_form(self):
         # log(omega^n n!) to 1e-12 relative for n <= 30
         omega = 2.0
-        cache = spectra.factorials(spectra.shift(spectra.linear_sequence(31, omega)))
+        log_products = spectra.factorials(spectra.shift(spectra.linear_sequence(31, omega)))
         for n in range(31):
             expected = n * math.log(omega) + math.lgamma(n + 1)
-            assert cache.log_products[n] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert log_products[n] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_overflow_goes_to_log_domain(self):
         seq = spectra.linear_sequence(400, omega=10.0)
-        cache = spectra.factorials(spectra.shift(seq))
+        log_products = spectra.factorials(spectra.shift(seq))
         # 10^399 399! is far beyond the float range; its log is not
-        assert cache.log_products[399] == pytest.approx(399 * math.log(10.0) + math.lgamma(400), rel=1e-13)
+        assert log_products[399] == pytest.approx(399 * math.log(10.0) + math.lgamma(400), rel=1e-13)
 
     @given(
         step=st.floats(min_value=0.05, max_value=3.0),
@@ -132,9 +133,9 @@ class TestFactorials:
     @settings(max_examples=50, deadline=None)
     def test_products_positive(self, step, n):
         seq = spectra.make_sequence(step * np.arange(n) + 0.4)
-        cache = spectra.factorials(spectra.shift(seq))
+        log_products = spectra.factorials(spectra.shift(seq))
         # positive products: every log is finite
-        assert np.all(np.isfinite(cache.log_products))
+        assert np.all(np.isfinite(log_products))
 
 
 class TestEdsCheck:
