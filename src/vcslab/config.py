@@ -48,8 +48,9 @@ __all__ = [
 # with one BLAS thread (2-vCPU Xeon, Python 3.11, numpy 2.4), each within
 # 39 MiB peak RSS unless stated: at dim 4096 each companion, quon
 # nonisospectral and map-equality bundle runs in 0.005-0.008 s (the boson
-# case stops at BOSON_EXP_DIM_MAX), each vcs-verify bundle (100 samples) in
-# 0.35-0.55 s, and each resolution bundle in about 0.01 s.  The grid
+# case stops at BOSON_EXP_DIM_MAX), each vcs-verify bundle (100 samples, one
+# draw per block) in 0.17-0.20 s (here the median of seven runs, over two
+# rounds), and each resolution bundle in about 0.01 s.  The grid
 # comparison forms no n x n array: each susy-grid bundle at sizes [2048, 4096]
 # runs in about 0.07 s within 67 MiB.  Verdicts at these sizes are another
 # matter: rounding alone fails some companion checks from dim 150 on.

@@ -78,6 +78,8 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
     draws = rng.uniform(low, high, size=(params.n_samples, len(high)))
     intensities, gammas = draws[:, :-1], draws[:, -1]
     labels = check_labels(params, "times")
+    # the evolution phases depend on the time alone: formed once for every block
+    phases = [family.evolution_phases(t) for t in params.times]
 
     def block_residuals(block):
         states = family.states(intensities[block], gammas[block])
@@ -86,8 +88,8 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
             "action": action_identity_residuals(states, hamiltonian),
             "eigenstate": eigenstate_residuals(states, family.lowering_weights(states.gammas)),
         }
-        for t, label in zip(params.times, labels):
-            out[label] = temporal_stability_residuals(states, t)
+        for t, label, p in zip(params.times, labels, phases):
+            out[label] = temporal_stability_residuals(states, t, phases=p)
         return out
 
     per_block = max(1, _VCS_BLOCK // family.space.total_dim)

@@ -69,8 +69,21 @@ class MomentWeight:
 
     def log_moments(self, orders) -> np.ndarray:
         """``log int rho(u) u^s du = s log omega + lgamma(s + 1)`` at each real order ``s``."""
-        orders = np.asarray(orders, dtype=float)
-        return orders * math.log(self.omega) + np.array([math.lgamma(s + 1.0) for s in orders])
+        return _log_moment_rows([self], orders)[0]
+
+
+def _log_moment_rows(weights, orders) -> np.ndarray:
+    """:meth:`MomentWeight.log_moments` of each weight, one row each: the
+    ``lgamma`` term does not depend on the weight, so it is evaluated once
+    per order for all of them."""
+    orders = np.asarray(orders, dtype=float)
+    lgammas = np.array([math.lgamma(s + 1.0) for s in orders])
+    return np.array([orders * math.log(w.omega) + lgammas for w in weights])
+
+
+def _moment_errors(log_moments, log_products) -> np.ndarray:
+    """``|expm1(log moment_k - log e~[k]!)|``: relative moment errors, from logs."""
+    return np.abs(np.expm1(log_moments - log_products))
 
 
 def verify_moments(weight: MomentWeight, seq, k_max: int) -> np.ndarray:
@@ -84,8 +97,7 @@ def verify_moments(weight: MomentWeight, seq, k_max: int) -> np.ndarray:
     shifted = shift(seq)
     if k_max > shifted.dim - 1:
         raise DimensionMismatchError(f"k_max {k_max} exceeds truncation {shifted.dim - 1}")
-    log_products = factorials(shifted)[: k_max + 1]
-    return np.abs(np.expm1(weight.log_moments(np.arange(k_max + 1)) - log_products))
+    return _moment_errors(weight.log_moments(np.arange(k_max + 1)), factorials(shifted)[: k_max + 1])
 
 
 def cesaro_phase_average(thetas, horizon: float):
@@ -148,12 +160,16 @@ def resolution_assembly(family: CoherentFamily, weights) -> ResolutionAssembly:
     ground-ground cross entry, two zeroth moments times the phase average at
     the frequency difference ``-2 delta``, is exactly 1 at every horizon.
     """
-    seqs = family.seqs
-    moment_errors = tuple(float(verify_moments(w, s, s.dim - 1).max()) for w, s in zip(weights, seqs))
     half_orders = 0.5 * np.arange(2 * family.shape[1] - 1)
+    log_half_moments = _log_moment_rows(weights, half_orders)
+    log_products = np.array([factorials(s) for s in family.shifted])
+    # moment k is half-moment 2k: the floats verify_moments(w, s, dim - 1) computes
+    moment_errors = tuple(
+        float(_moment_errors(hm[::2], lp).max()) for hm, lp in zip(log_half_moments, log_products)
+    )
     return ResolutionAssembly(
         moment_errors=moment_errors,
         freqs=family.frequencies,
-        log_half_moments=np.array([w.log_moments(half_orders) for w in weights]),
-        log_products=np.array([factorials(s) for s in family.shifted]),
+        log_half_moments=log_half_moments,
+        log_products=log_products,
     )

@@ -11,11 +11,11 @@ stability and the annihilation-eigenstate relation on the truncated space.
 A family (:class:`CoherentFamily`, from :func:`coherent_family`, which
 checks each family's conditions on its spectra) holds what does not depend
 on the labels: the checked spectra, their shifts and the phase convention,
-which nothing else writes: its ``frequencies`` and ``lowering_weights``
-give every phase.  It builds the states of ``S`` label draws as one
-:class:`CoherentStates`, with ``S x N x D`` coefficients, and each
-``*_residuals`` function returns one value per state in one array pass;
-one state is the case ``S = 1``.
+which nothing else writes: its ``frequencies``, ``evolution_phases`` and
+``lowering_weights`` give every phase.  It builds the states of ``S`` label
+draws as one :class:`CoherentStates`, with ``S x N x D`` coefficients, and
+each ``*_residuals`` function returns one value per state in one array
+pass; one state is the case ``S = 1``.
 """
 
 from __future__ import annotations
@@ -92,18 +92,39 @@ class CoherentFamily:
         weight ``sqrt(e~[n]) exp(-i sign_j (e~[n] - e~[n-1]) gamma)``."""
         return lowering_weights(self.shifted, -np.multiply.outer(gammas, self.phase_signs))
 
-    def coefficients(self, intensities, gammas, norm_const) -> np.ndarray:
-        """``(S, N, D)`` coefficients of the members with labels ``intensities``
-        (``S x N``) and ``gammas``, divided by ``sqrt(norm_const)``.
+    def evolution_phases(self, t: float, evolution: str = "family") -> np.ndarray:
+        """``N x D``: the phase of each level under evolution by ``t``.
 
-        Phases are :attr:`frequencies` times gamma; amplitudes always use the
-        shifted factorial terms.
+        ``evolution="family"`` is the family's own invariance operator, the
+        phase ``exp(i f t)`` of :attr:`frequencies`: the physical ``exp(-i H
+        t)`` for the shift family, the ad-hoc split-sign operator for the
+        delta family.  ``evolution="physical"`` is ``exp(-i H t)`` in both
+        cases, ``exp(-i e[n] t)`` per level.
         """
-        out = np.empty((len(gammas), *self.shape), dtype=complex)
-        for n, (f, sh) in enumerate(zip(self.frequencies, self.shifted)):
-            phases = np.exp(1j * f * gammas[:, None])
-            np.multiply(np.sqrt(_series_terms(sh, intensities[:, n])), phases, out=out[:, n])
-        out /= np.sqrt(norm_const)[:, None, None]
+        if evolution == "family":
+            return np.exp(1j * self.frequencies * t)
+        if evolution == "physical":
+            return np.exp(-1j * np.stack([s.values for s in self.seqs]) * t)
+        raise RegimeError(f"unknown evolution {evolution!r}")
+
+    def coefficients(self, amplitudes, gammas, norm_const) -> np.ndarray:
+        """``(S, N, D)`` coefficients of the members with ``amplitudes``
+        ``sqrt(J^n / e~[n]!)`` (``S x N x D``, as :class:`CoherentStates`
+        keeps them) at the phases ``gammas``, divided by ``sqrt(norm_const)``.
+
+        Real arithmetic throughout: the cosine and sine of :attr:`frequencies`
+        times gamma fill the real and imaginary parts, each multiplied by the
+        amplitudes, then by ``1 / sqrt(norm_const)``.  These are the floats of
+        ``amplitudes * exp(1j f gamma) / sqrt(norm_const)`` in complex
+        arithmetic, which divides by a real number through its reciprocal.
+        """
+        angles = self.frequencies * gammas[:, None, None]
+        scale = (1.0 / np.sqrt(norm_const))[:, None, None]
+        out = np.empty(angles.shape, dtype=complex)
+        for part, trig in ((out.real, np.cos), (out.imag, np.sin)):
+            trig(angles, out=part)
+            part *= amplitudes
+            part *= scale
         return out
 
     def states(self, intensities, gammas) -> "CoherentStates":
@@ -119,14 +140,17 @@ class CoherentFamily:
                 f"{len(gammas)} phases and {len(self.seqs)} sectors, "
                 f"but intensities of shape {intensities.shape}"
             )
-        norms = [series_norm(sh, intensities[:, n]) for n, sh in enumerate(self.shifted)]
+        terms = np.empty((len(gammas), *self.shape))
+        norms = [series_norm(sh, intensities[:, n], out=terms[:, n]) for n, sh in enumerate(self.shifted)]
         values = np.stack([value for value, _ in norms], axis=1)
         norm_const = values.sum(axis=1)
+        amplitudes = np.sqrt(terms, out=terms)
         return CoherentStates(
             family=self,
             intensities=intensities,
             gammas=gammas,
-            coefficients=self.coefficients(intensities, gammas, norm_const),
+            amplitudes=amplitudes,
+            coefficients=self.coefficients(amplitudes, gammas, norm_const),
             norm_const=norm_const,
             series_values=values,
             tail_bound=np.sum([tail for _, tail in norms], axis=0) / norm_const,
@@ -137,52 +161,63 @@ class CoherentFamily:
 class CoherentStates:
     """``S`` states of one family, one per row of every array.
 
-    ``coefficients`` is ``S x N x D``.  ``norm_const`` is the sum of the
-    per-sector coefficient series ``series_values`` (``S x N``, partial sums
-    to the truncation); ``tail_bound`` bounds the squared coefficient mass
-    lost to truncation, so each stored state has unit norm up to it.
+    ``coefficients`` is ``S x N x D``, and so are ``amplitudes``, their
+    moduli before normalization, ``sqrt(J^n / e~[n]!)``: they depend on the
+    intensities alone, so the members at the same intensities and any other
+    gamma are built from them.  ``norm_const`` is the sum of the per-sector
+    coefficient series ``series_values`` (``S x N``, partial sums to the
+    truncation); ``tail_bound`` bounds the squared coefficient mass lost to
+    truncation, so each stored state has unit norm up to it.
     """
 
     family: CoherentFamily
     intensities: np.ndarray
     gammas: np.ndarray
+    amplitudes: np.ndarray
     coefficients: np.ndarray
     norm_const: np.ndarray
     series_values: np.ndarray
     tail_bound: np.ndarray
 
 
-def _series_terms(shifted: ShiftedSequence, j_value) -> np.ndarray:
+def _series_terms(shifted: ShiftedSequence, j_value, out=None) -> np.ndarray:
     """Terms J^k / (shifted factorial) along a new last axis, computed by
-    stable ratio recursion; ``j_value`` may be an array of intensities."""
+    stable ratio recursion; ``j_value`` may be an array of intensities.
+    ``out``, when given, receives them."""
     j = np.asarray(j_value, dtype=float)[..., None]
-    ratios = np.cumprod(j / shifted.values[1:], axis=-1)
-    return np.concatenate((np.ones_like(j), ratios), axis=-1)
+    if out is None:
+        out = np.empty(j.shape[:-1] + (shifted.dim,))
+    out[..., 0] = 1.0
+    np.cumprod(j / shifted.values[1:], axis=-1, out=out[..., 1:])
+    return out
 
 
-def series_norm(shifted: ShiftedSequence, j_value):
+def series_norm(shifted: ShiftedSequence, j_value, out=None):
     """Partial sum of ``sum_k J^k / e~[k]!`` with an explicit tail bound.
 
     ``j_value`` is one intensity or an array of them; the value and the
-    bound have its shape.  The tail is bounded geometrically through the
+    bound have its shape.  ``out``, when given, receives the series terms
+    along a new last axis (:meth:`CoherentFamily.states` keeps their square
+    roots as the amplitudes).  The tail is bounded geometrically through the
     last term ratio ``r = J / e~[D-1]`` (valid because the shifted values
     increase); the bound is returned, not judged.  Raises ``OutOfDiscError``
-    when an intensity is negative, and ``TailTooLargeError`` when ``r >= 1``,
-    where no geometric bound exists.  That guard alone decides convergence
+    when an intensity is negative or NaN, and ``TailTooLargeError`` when
+    ``r >= 1`` (an infinite one included), where no geometric bound exists;
+    both before any term is formed.  That guard alone decides convergence
     on the truncated space: the series converges for ``J`` below the radius
     ``lim e~[n]``, which is at least ``e~[D-1]`` since the shifted values
     increase, so every ``J`` it accepts lies inside the disc.
     """
     j = np.asarray(j_value, dtype=float)
-    if np.any(j < 0):
-        raise OutOfDiscError(f"intensity must be nonnegative, got {j[j < 0].flat[0]}")
-    terms = _series_terms(shifted, j)
+    if not np.all(j >= 0):
+        raise OutOfDiscError(f"intensity must be nonnegative, got {j[~(j >= 0)].flat[0]}")
     ratio = j / shifted.values[-1]
     if np.any(ratio >= 1.0):
         raise TailTooLargeError(
             f"no geometric tail control: J={j[ratio >= 1.0].flat[0]} >= top shifted level "
             f"{shifted.values[-1]:.6g}; a larger truncation helps only below the radius lim e~[n]"
         )
+    terms = _series_terms(shifted, j, out)
     return terms.sum(axis=-1), terms[..., -1] * ratio / (1.0 - ratio)
 
 
@@ -273,31 +308,27 @@ def action_identity_residuals(states: CoherentStates, hamiltonian: BlockOperator
 
 
 def temporal_stability_residuals(
-    states: CoherentStates, t: float, evolution: str = "family"
+    states: CoherentStates, t: float, evolution: str = "family", phases=None
 ) -> np.ndarray:
     """Per state, the norm distance between the evolved state and its family
     member at ``gamma + t``.
 
     Both sides are coefficient arrays: the evolution multiplies each level by
-    one phase, the same for every state, and the members at ``gamma + t``
-    are assembled from the family and the labels, series values and norm
-    constants of ``states``, which were checked and computed when ``states``
-    were built; only the phases depend on gamma.  ``evolution="family"``
-    uses each family's own invariance operator: the physical ``exp(-i H t)``
-    (a phase ``exp(-i e[n] t)`` per level) for the shift family, the ad-hoc
-    split-sign operator for the delta family.  ``evolution="physical"``
-    forces ``exp(-i H t)`` in both cases; for the delta family this
-    documents that the physical evolution does NOT preserve the family.
+    one phase, the same for every state (see
+    :meth:`CoherentFamily.evolution_phases` for the two ``evolution``
+    operators), and the members at ``gamma + t`` are assembled from the
+    family and the amplitudes and norm constants of ``states``, which were
+    checked and computed when ``states`` were built; only the phases depend
+    on gamma.  For the delta family, ``evolution="physical"`` documents that
+    the physical evolution does NOT preserve the family.  ``phases``, when
+    given, are ``states.family.evolution_phases(t, evolution)``, formed once
+    by a caller that evolves many blocks of states by the same ``t``.
     """
     family = states.family
-    if evolution == "family":
-        phases = np.exp(1j * family.frequencies * t)
-    elif evolution == "physical":
-        phases = np.exp(-1j * np.stack([s.values for s in family.seqs]) * t)
-    else:
-        raise RegimeError(f"unknown evolution {evolution!r}")
+    if phases is None:
+        phases = family.evolution_phases(t, evolution)
     diff = phases * states.coefficients
-    diff -= family.coefficients(states.intensities, states.gammas + t, states.norm_const)
+    diff -= family.coefficients(states.amplitudes, states.gammas + t, states.norm_const)
     return np.sqrt(_real_inner(diff, diff))
 
 

@@ -269,6 +269,23 @@ class TestConstructCompanion:
         with pytest.raises(errors.HypothesisViolatedError, match="level 3 of sector 0"):
             IntertwiningProblem(h=h, x=x)
 
+    def test_n1_entry_at_the_cutoff_counts_as_singular(self):
+        # |6e-6 + 8e-6 i|^2 rounds to exactly N1_CUTOFF = 1e-10, which no real
+        # weight squares to: the cutoff is inclusive inside the window and above it
+        dim = 20
+        assert np.multiply(np.conj(6e-6 + 8e-6j), 6e-6 + 8e-6j).real == intertwine.N1_CUTOFF
+        h = BlockOperator([np.arange(dim, dtype=float)])
+        for level in (3, dim - 1):
+            diag = np.ones(dim, dtype=complex)
+            diag[level] = 6e-6 + 8e-6j
+            if level == 3:
+                with pytest.raises(errors.HypothesisViolatedError, match="1.000e-10 <= 1.0e-10 at level 3"):
+                    IntertwiningProblem(h=h, x=BlockOperator([diag]))
+            else:
+                problem = IntertwiningProblem(h=h, x=BlockOperator([diag]))
+                assert problem.dropped_modes == 1
+                assert problem.n1_inverse.blocks[0, level] == 0.0
+
     def test_lowering_intertwiner_rejected_on_its_window(self):
         # a lowering x annihilates the ground level, so N1 = x+ x is singular
         # there; the window still excludes the |offset| = 1 level x moves by

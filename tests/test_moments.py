@@ -410,3 +410,33 @@ def test_shipped_verdicts_hold_at_the_ceiling(bundle):
     assert time.perf_counter() - start < 1.0
     assert [(c.name, c.passed) for c in report.checks] == [(c.name, c.passed) for c in shipped.checks]
     assert all(c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize("dim", [None, 4096])
+@pytest.mark.parametrize("bundle", ["resolution-eds", "resolution-delta", "delta-zero-failure"])
+def test_assembly_moment_errors_are_verify_moments(bundle, dim):
+    # the assembly reads moment k off half-moment 2k; verify_moments forms it
+    # on its own: the two paths give the same floats, as shipped and at the ceiling
+    raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
+    cfg = config.parse_config(raw if dim is None else {**raw, "dim": dim})
+    weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in cfg.spectra]
+    assembly = moments.resolution_assembly(cfg.family, weights)
+    expected = tuple(float(moments.verify_moments(w, s, cfg.dim - 1).max()) for w, s in zip(weights, cfg.spectra))
+    assert assembly.moment_errors == expected
+
+
+@pytest.mark.parametrize("dim", [24, 160])
+def test_assembly_evaluates_lgamma_once_per_half_order(dim, monkeypatch):
+    # the lgamma term does not depend on the weight: one call per half order
+    # 0 .. 2 dim - 2, shared by both sectors, and none for the moment errors
+    calls = []
+    lgamma = math.lgamma
+
+    def counting(x):
+        calls.append(x)
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counting)
+    family = built("eds", eds_pair(dim))
+    moments.resolution_assembly(family, eds_weights())
+    assert calls == [0.5 * t + 1.0 for t in range(2 * dim - 1)]

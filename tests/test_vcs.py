@@ -1,9 +1,12 @@
 import math
 import re
 import tracemalloc
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from vcslab import config, errors, hilbert, spectra, vcs
 from vcslab.experiments import run_experiment
@@ -116,6 +119,34 @@ class TestSeriesNorm:
         assert limit > shifted.values[-1]
         with pytest.raises(errors.TailTooLargeError, match="no geometric tail control"):
             vcs.series_norm(shifted, limit)
+
+    def test_nan_intensity_is_out_of_disc(self):
+        # NaN fails every comparison: it must not slip past the sign check
+        shifted = spectra.shift(spectra.linear_sequence(10))
+        with pytest.raises(errors.OutOfDiscError, match=r"nonnegative, got nan$"):
+            vcs.series_norm(shifted, math.nan)
+        with pytest.raises(errors.OutOfDiscError, match=r"nonnegative, got nan$"):
+            vcs.series_norm(shifted, np.array([0.5, 0.0, math.nan, -1.0]))
+        family = vcs.coherent_family("eds", [spectra.linear_sequence(10, 1.0, offset=0.3)])
+        with pytest.raises(errors.OutOfDiscError, match=r"nonnegative, got nan$"):
+            family.states([[math.nan]], [0.1])
+
+    def test_infinite_intensity_has_no_tail_control(self):
+        shifted = spectra.shift(spectra.linear_sequence(10))
+        with pytest.raises(errors.TailTooLargeError, match=r"^no geometric tail control: J=inf >="):
+            vcs.series_norm(shifted, np.array([0.5, math.inf]))
+
+    def test_guards_run_before_any_term_is_formed(self):
+        # the terms of +-1e300 overflow: a rejected intensity raises its own
+        # error, with no overflow warning first
+        family = vcs.coherent_family("eds", [spectra.linear_sequence(10, 1.0, offset=0.3)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for j, error in ((-1e300, errors.OutOfDiscError), (1e300, errors.TailTooLargeError)):
+                with pytest.raises(error):
+                    vcs.series_norm(family.shifted[0], j)
+                with pytest.raises(error):
+                    family.states([[j]], [0.1])
 
     def test_messages_name_the_first_offender(self):
         # the first offender is not the first entry: a 0, no offender, comes
@@ -322,6 +353,38 @@ class TestTemporalStability:
                 vcs.temporal_stability_residuals(states, 1.0, evolution)
         assert len(calls) == 4
 
+    def test_series_terms_are_formed_once_per_sector(self, monkeypatch):
+        # the amplitudes depend on the intensities alone: formed when the
+        # states are built, once per sector, and reused by every evolution
+        calls = []
+        series_terms = vcs._series_terms
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return series_terms(*args, **kwargs)
+
+        monkeypatch.setattr(vcs, "_series_terms", counting)
+        family = vcs.coherent_family("eds", eds_linear_pair(20))
+        rng = np.random.default_rng(3)
+        states = family.states(rng.uniform(0.0, 2.0, (5, 2)), rng.uniform(-1.0, 1.0, 5))
+        assert len(calls) == 2
+        for n, sh in enumerate(family.shifted):
+            np.testing.assert_array_equal(states.amplitudes[:, n], np.sqrt(series_terms(sh, states.intensities[:, n])))
+        for evolution in ("family", "physical"):
+            for t in (0.1, 1.0):
+                vcs.temporal_stability_residuals(states, t, evolution)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("family", ["eds", "delta"])
+    def test_given_phases_are_the_computed_ones(self, family):
+        states = sample_states(family, 30)
+        for evolution in ("family", "physical"):
+            phases = states.family.evolution_phases(1.0, evolution)
+            np.testing.assert_array_equal(
+                vcs.temporal_stability_residuals(states, 1.0, evolution, phases=phases),
+                vcs.temporal_stability_residuals(states, 1.0, evolution),
+            )
+
     def test_unknown_evolution(self):
         states = sample_states("eds", 20)
         with pytest.raises(errors.RegimeError):
@@ -407,6 +470,31 @@ def test_each_spectrum_pair_is_scanned_once_per_run(bundle, pairs, monkeypatch):
     assert len(scans) == pairs
     run_experiment(cfg)
     assert len(scans) == pairs
+
+
+@pytest.mark.parametrize("dim,blocks", [(None, 3), (2048, 100)])
+@pytest.mark.parametrize("bundle", ["vcs-eds-properties", "vcs-delta-properties"])
+def test_evolution_phases_are_formed_once_per_time(bundle, dim, blocks, monkeypatch):
+    # the phases depend on the time alone: one set per time per run,
+    # whether the run's draws fill three blocks or a hundred
+    phases, built = [], []
+    evolution_phases, states = vcs.CoherentFamily.evolution_phases, vcs.CoherentFamily.states
+
+    def counting_phases(self, t, *args, **kwargs):
+        phases.append(t)
+        return evolution_phases(self, t, *args, **kwargs)
+
+    def counting_states(self, *args, **kwargs):
+        built.append(self)
+        return states(self, *args, **kwargs)
+
+    monkeypatch.setattr(vcs.CoherentFamily, "evolution_phases", counting_phases)
+    monkeypatch.setattr(vcs.CoherentFamily, "states", counting_states)
+    raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
+    cfg = config.parse_config(raw if dim is None else {**raw, "dim": dim})
+    run_experiment(cfg)
+    assert sum(1 for f in built if f is cfg.family) == blocks
+    assert phases == list(cfg.params.times)
 
 
 def literal_draws(params, seed):
