@@ -18,15 +18,15 @@ from numpy.polynomial import Polynomial
 
 from . import __version__
 from .config import KINDS, ExperimentConfig, check_labels
-from .hilbert import GridSpec, BlockOperator, max_abs, shifted_hamiltonian
+from .hilbert import GridSpec, BlockOperator, lowering_operator, lowering_steps, max_abs, shifted_hamiltonian
 from .intertwine import (
     IntertwiningProblem,
     certify,
     construct_companion,
-    example_problem,
+    example_from_lowering,
     fit_power_law,
     grid_partner_comparison,
-    h_tau_residual,
+    h_tau_from_lowering,
     ladder_closed_forms,
     ladder_problem,
     power_series_equality_probe,
@@ -78,15 +78,17 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
     draws = rng.uniform(low, high, size=(params.n_samples, len(high)))
     intensities, gammas = draws[:, :-1], draws[:, -1]
     labels = check_labels(params, "times")
-    # the evolution phases depend on the time alone: formed once for every block
+    # the evolution phases depend on the time alone, and the lowering
+    # weights' roots and gaps on no label: formed once for every block
     phases = [family.evolution_phases(t) for t in params.times]
+    steps = lowering_steps(family.shifted)
 
     def block_residuals(block):
         states = family.states(intensities[block], gammas[block])
         out = {
             "tail": states.tail_bound,
             "action": action_identity_residuals(states, hamiltonian),
-            "eigenstate": eigenstate_residuals(states, family.lowering_weights(states.gammas)),
+            "eigenstate": eigenstate_residuals(states, family.lowering_weights(states.gammas, steps)),
         }
         for t, label, p in zip(params.times, labels, phases):
             out[label] = temporal_stability_residuals(states, t, phases=p)
@@ -137,8 +139,10 @@ def _run_intertwine_example(config: ExperimentConfig, seed: int):
     gammas = config.params.gammas
     seqs = config.spectra
 
-    # every gamma is a member of one problem, its sectors member-major
-    problem = example_problem(config.params.example, [shift(s) for s in seqs], gammas)
+    # every gamma is a member of one problem, its sectors member-major; the
+    # problem and the factorization residual read one lowering operator
+    b = lowering_operator([shift(s) for s in seqs], gammas)
+    problem = example_from_lowering(config.params.example, b)
     companion = construct_companion(problem)
     cert = certify(problem, companion)
     drifts = []
@@ -150,7 +154,7 @@ def _run_intertwine_example(config: ExperimentConfig, seed: int):
         ("weak-intertwining[beta]", cert.beta_residual),
         ("eigenvalue-transport[gamma]", cert.gamma_residual),
         ("phase-independence", _worst(drifts)),
-        ("shifted-hamiltonian-factorization", h_tau_residual(seqs, gammas)),
+        ("shifted-hamiltonian-factorization", h_tau_from_lowering(seqs, b)),
     ], {}
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "GridLadder",
     "GridSpec",
     "lowering_operator",
+    "lowering_steps",
     "lowering_weights",
     "quon_ladder",
     "grid_ladder",
@@ -101,8 +102,10 @@ class BlockOperator:
     ``M``.  Products add offsets, ``adjoint`` negates it, and sums need equal
     offsets.  The rows are real unless an input is complex.  ``matrix`` is
     the dense export.  Cost: one allocation and one numpy kernel per
-    operation, on the stored rows, then the constructor's copy; ``space``
-    fixed at construction.  ``==`` compares by identity, not by entries.
+    operation, on the stored rows; the result freezes that fresh array in
+    place and takes its ``space`` from the operands, while the constructor
+    copies and checks the caller's rows.  ``==`` compares by identity, not
+    by entries.
     """
 
     blocks: np.ndarray
@@ -134,14 +137,26 @@ class BlockOperator:
         if self.space != other.space:
             raise DimensionMismatchError("operator spaces differ")
 
+    def _result(self, blocks: np.ndarray, offset: int) -> "BlockOperator":
+        """An operation's result on this operator's space, built in one step:
+        ``blocks``, a fresh array that no caller holds, is frozen in place
+        instead of copied and checked as the constructor does."""
+        blocks.setflags(write=False)
+        result = object.__new__(BlockOperator)
+        # the fields go into the instance dict in one call, the frozen
+        # dataclass's own __setattr__ refusing them
+        result.__dict__.update(blocks=blocks, offset=offset, space=self.space)
+        return result
+
     def _elementwise(self, other: "BlockOperator", op) -> "BlockOperator":
         self._check_space(other)
         if self.offset != other.offset:
             raise DimensionMismatchError(f"offsets {self.offset} and {other.offset} differ")
-        return BlockOperator(op(self.blocks, other.blocks), self.offset)
+        return self._result(op(self.blocks, other.blocks), self.offset)
 
     def adjoint(self) -> "BlockOperator":
-        return BlockOperator(self.blocks.conj(), -self.offset)
+        # np.conjugate, not .conj(): of a real array that returns the array itself
+        return self._result(np.conjugate(self.blocks), -self.offset)
 
     def __matmul__(self, other: "BlockOperator") -> "BlockOperator":
         """``self @ other``: level ``n`` goes to ``n + b`` under ``other`` and on
@@ -158,7 +173,7 @@ class BlockOperator:
         x, y = self.blocks, other.blocks
         out = np.zeros((len(x), hi - lo), dtype=np.result_type(x, y))
         np.multiply(x[:, s + b - la : e + b - la], y[:, s - lb : e - lb], out=out[:, s - lo : e - lo])
-        return BlockOperator(out, a + b)
+        return self._result(out, a + b)
 
     def __add__(self, other: "BlockOperator") -> "BlockOperator":
         return self._elementwise(other, np.add)
@@ -275,23 +290,32 @@ def lowering_operator(seqs, gamma) -> BlockOperator:
     return BlockOperator(weights.reshape(-1, weights.shape[-1]), -1)
 
 
-def lowering_weights(seqs, gammas) -> np.ndarray:
-    """The sector blocks of :func:`lowering_operator` at every phase in ``gammas``.
-
-    Returns an ``(S, N, D-1)`` array whose row ``s`` holds the blocks of
-    ``lowering_operator(seqs, gammas[s])`` (offset ``-1``), built in one pass.
-    ``gammas`` may also be ``S x N``, a phase per sector: a coherent family
-    twists each sector by its own phase sign.
-    """
+def lowering_steps(seqs) -> tuple:
+    """The factors of :func:`lowering_weights` that no phase enters, each
+    ``N x (D-1)``: ``sqrt(e~[n])`` and ``i (e~[n] - e~[n-1])`` for ``n >= 1``."""
     if not seqs:
         raise LengthMismatchError("need at least one sector sequence")
     dims = {s.dim for s in seqs}
     if len(dims) != 1:
         raise LengthMismatchError(f"sector truncations differ: {sorted(dims)}")
     values = np.array([s.values for s in seqs])
+    return np.sqrt(values[:, 1:]), 1j * np.diff(values, axis=1)
+
+
+def lowering_weights(seqs, gammas, steps=None) -> np.ndarray:
+    """The sector blocks of :func:`lowering_operator` at every phase in ``gammas``.
+
+    Returns an ``(S, N, D-1)`` array whose row ``s`` holds the blocks of
+    ``lowering_operator(seqs, gammas[s])`` (offset ``-1``), built in one pass.
+    ``gammas`` may also be ``S x N``, a phase per sector: a coherent family
+    twists each sector by its own phase sign.  ``steps``, when given, is
+    ``lowering_steps(seqs)``, formed once for many calls; only the phase
+    factor ``exp(i (e~[n] - e~[n-1]) gamma)`` is formed here.
+    """
+    roots, gaps = lowering_steps(seqs) if steps is None else steps
     gammas = np.asarray(gammas, dtype=float)
     gammas = gammas[:, :, None] if gammas.ndim == 2 else gammas[:, None, None]
-    return np.sqrt(values[:, 1:]) * np.exp(1j * np.diff(values, axis=1) * gammas)
+    return roots * np.exp(gaps * gammas)
 
 
 def quon_ladder(dim: int, q) -> BlockOperator:

@@ -42,7 +42,9 @@ __all__ = [
     "construct_companion",
     "certify",
     "example_problem",
+    "example_from_lowering",
     "h_tau_residual",
+    "h_tau_from_lowering",
     "power_series_equality_probe",
     "ladder_problem",
     "ladder_closed_forms",
@@ -70,14 +72,17 @@ class IntertwiningProblem:
     ``WINDOW_BUFFER``.  ``n1_inverse`` inverts the diagonal ``n1 = x+ x``
     except its ``dropped_modes`` entries at most ``N1_CUTOFF``, truncation
     artifacts above the window; such an entry inside it violates the
-    invertibility hypothesis.  A violated hypothesis raises
-    ``HypothesisViolatedError``; the sector it names counts the sectors of
-    every member of a batched problem, member-major (:func:`example_problem`).
+    invertibility hypothesis.  ``x_adjoint``, the ``x+`` of ``n1``, is formed
+    once here for :func:`construct_companion` and :func:`certify`.  A
+    violated hypothesis raises ``HypothesisViolatedError``; the sector it
+    names counts the sectors of every member of a batched problem,
+    member-major (:func:`example_problem`).
     """
 
     h: BlockOperator
     x: BlockOperator
     keep: int = field(init=False)
+    x_adjoint: BlockOperator = field(init=False, repr=False)
     n1: BlockOperator = field(init=False, repr=False)
     n1_inverse: BlockOperator = field(init=False, repr=False)
     dropped_modes: int = field(init=False)
@@ -90,7 +95,8 @@ class IntertwiningProblem:
                 f"h is a weighted shift at offset {self.h.offset}, not a Hermitian diagonal"
             )
         keep = window_levels(self.h.space, abs(self.x.offset) + WINDOW_BUFFER)
-        n1 = self.x.adjoint() @ self.x
+        x_adjoint = self.x.adjoint()
+        n1 = x_adjoint @ self.x
         values = n1.blocks.real
         small = values <= N1_CUTOFF
         inside = np.argwhere(small[:, :keep])
@@ -102,6 +108,7 @@ class IntertwiningProblem:
             )
         inverse = np.divide(1.0, values, out=np.zeros_like(values), where=~small)
         object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "x_adjoint", x_adjoint)
         object.__setattr__(self, "n1", n1)
         object.__setattr__(self, "n1_inverse", BlockOperator(inverse))
         object.__setattr__(self, "dropped_modes", int(small.sum()))
@@ -147,7 +154,7 @@ def construct_companion(problem: IntertwiningProblem, f=None) -> BlockOperator:
     (:func:`apply_map`).  :func:`certify` checks the result where a caller reads it.
     """
     mapped = problem.h if f is None else apply_map(f, problem.h)
-    return problem.n1_inverse @ (problem.x.adjoint() @ (mapped @ problem.x))
+    return problem.n1_inverse @ (problem.x_adjoint @ (mapped @ problem.x))
 
 
 def certify(problem: IntertwiningProblem, companion: BlockOperator, f=None) -> Certificate:
@@ -169,13 +176,13 @@ def certify(problem: IntertwiningProblem, companion: BlockOperator, f=None) -> C
     companion_scale = np.maximum(1.0, companion.max_abs(keep))
     alpha = (companion - companion.adjoint()).max_abs(keep) / companion_scale
 
-    beta_op = problem.x.adjoint() @ ((problem.x @ companion) - (mapped @ problem.x))
+    xd = problem.x_adjoint
+    beta_op = xd @ ((problem.x @ companion) - (mapped @ problem.x))
     x_scale = np.maximum(1.0, problem.x.max_abs())
     beta_scale = np.maximum(1.0, x_scale**2 * np.maximum(companion_scale, mapped.max_abs(keep)))
     beta = beta_op.max_abs(keep) / beta_scale
 
     t = mapped.blocks.real[:, :keep]
-    xd = problem.x.adjoint()
     images = xd.weights()[:, :keep]
     moved = (companion @ xd).weights()[:, :keep]
     live = images != 0
@@ -203,8 +210,13 @@ def example_problem(which: int, seqs, gamma) -> IntertwiningProblem:
     gammas builds all ``S`` members as one problem on ``S*N`` sectors,
     member-major (:func:`~vcslab.hilbert.lowering_operator`): its blocks,
     reshaped to ``(S, N, ...)``, are those of each member's own problem.
+    The problem of a ``B`` already built is :func:`example_from_lowering`.
     """
-    b = lowering_operator(seqs, gamma)
+    return example_from_lowering(which, lowering_operator(seqs, gamma))
+
+
+def example_from_lowering(which: int, b: BlockOperator) -> IntertwiningProblem:
+    """Example ``which`` of :func:`example_problem` on the lowering operator ``b``."""
     bd = b.adjoint()
     if which == 1:
         return IntertwiningProblem(h=bd @ b, x=bd)
@@ -223,9 +235,15 @@ def h_tau_residual(seqs, gamma) -> float:
     Both sides are diagonal with the shifted eigenvalues, so this vanishes to
     rounding; the phases of B cancel in the product.  A sequence of gammas
     gives the worst member: ``B`` holds every member's sectors, member-major,
-    and ``H`` is repeated once per member to match.
+    and ``H`` is repeated once per member to match.  The residual of a ``B``
+    already built is :func:`h_tau_from_lowering`.
     """
-    b = lowering_operator([shift(s) for s in seqs], gamma)
+    return h_tau_from_lowering(seqs, lowering_operator([shift(s) for s in seqs], gamma))
+
+
+def h_tau_from_lowering(seqs, b: BlockOperator) -> float:
+    """:func:`h_tau_residual` of the unshifted ``seqs`` with ``b``, the
+    lowering operator of their shifts at one gamma or a sequence of them."""
     h_tau = shifted_hamiltonian(list(seqs) * (b.space.sectors // len(seqs)))
     return (h_tau - (b.adjoint() @ b)).max_abs()
 

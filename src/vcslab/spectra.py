@@ -9,11 +9,12 @@ denominators used everywhere else in the library.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDeformationError, NegativeGroundError, NonMonotoneError
+from .errors import BadDeformationError, DimensionMismatchError, NegativeGroundError, NonMonotoneError
 
 __all__ = [
     "SpectralSequence",
@@ -109,19 +110,21 @@ def linear_sequence(dim: int, omega: float = 1.0, offset: float = 0.0) -> Spectr
 
 
 def quon_numbers(dim: int, q: float) -> np.ndarray:
-    """Deformed integers ``[n]_q`` via the recurrence ``[n+1] = 1 + q*[n]``,
-    for q in (0, 1]; any other q raises ``BadDeformationError``.
+    """Deformed integers ``[n]_q``, ``n < dim``, via the recurrence
+    ``[n+1] = 1 + q*[n]``, for q in (0, 1]; any other q raises
+    ``BadDeformationError``, and ``dim < 1`` ``DimensionMismatchError``.
 
     The recurrence is exact at q = 1 where the closed form (1-q^n)/(1-q)
-    degenerates.
+    degenerates.  It runs on Python floats, the same IEEE operations as on
+    numpy scalars, so the same bits.
     """
     if not (0 < q <= 1):
         raise BadDeformationError(f"deformation q must lie in (0, 1], got {q}")
-    out = np.empty(dim, dtype=float)
-    out[0] = 0.0
-    for n in range(1, dim):
-        out[n] = 1.0 + q * out[n - 1]
-    return out
+    if dim < 1:
+        raise DimensionMismatchError(f"deformed integers need dim >= 1, got {dim}")
+    q = float(q)
+    numbers = itertools.accumulate(itertools.repeat(q), lambda n, q: 1.0 + q * n, initial=0.0)
+    return np.fromiter(numbers, dtype=float, count=dim)
 
 
 def quon_sequence(dim: int, q: float, omega: float = 1.0, offset: float = 0.0) -> SpectralSequence:

@@ -85,12 +85,14 @@ class CoherentFamily:
         f.setflags(write=False)
         return f
 
-    def lowering_weights(self, gammas) -> np.ndarray:
+    def lowering_weights(self, gammas, steps=None) -> np.ndarray:
         """``(S, N, D-1)``: the sector blocks (offset ``-1``) of the lowering
         operator of the member at each phase in ``gammas``, which that member
         is an eigenstate of.  Block ``j`` takes level ``n`` to ``n - 1`` with
-        weight ``sqrt(e~[n]) exp(-i sign_j (e~[n] - e~[n-1]) gamma)``."""
-        return lowering_weights(self.shifted, -np.multiply.outer(gammas, self.phase_signs))
+        weight ``sqrt(e~[n]) exp(-i sign_j (e~[n] - e~[n-1]) gamma)``.
+        ``steps``, when given, is ``hilbert.lowering_steps(self.shifted)``,
+        formed once for many calls."""
+        return lowering_weights(self.shifted, -np.multiply.outer(gammas, self.phase_signs), steps)
 
     def evolution_phases(self, t: float, evolution: str = "family") -> np.ndarray:
         """``N x D``: the phase of each level under evolution by ``t``.

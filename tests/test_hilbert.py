@@ -120,6 +120,18 @@ class TestLoweringOperator:
         rhs = np.vdot(u, hilbert.weighted_shift(bd.blocks, bd.offset, v))
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
+    @pytest.mark.parametrize("gammas", [[0.0, 0.7, 3.1], [[0.4, -0.4], [-1.2, 1.2]]])
+    def test_steps_formed_once_give_the_same_bits(self, gammas):
+        # the roots and gaps once, then only the phase factor per call
+        seqs = two_linear_shifted(50)
+        steps = hilbert.lowering_steps(seqs)
+        values = np.array([s.values for s in seqs])
+        g = np.asarray(gammas, dtype=float)
+        g = g[:, :, None] if g.ndim == 2 else g[:, None, None]
+        literal = np.sqrt(values[:, 1:]) * np.exp(1j * np.diff(values, axis=1) * g)
+        for weights in (hilbert.lowering_weights(seqs, gammas, steps), hilbert.lowering_weights(seqs, gammas)):
+            assert weights.tobytes() == literal.tobytes()
+
 
 class TestDeltaVariant:
     """The delta family's lowering operator, ``CoherentFamily.lowering_weights``
@@ -496,6 +508,23 @@ class TestBlockOperator:
         m[0] = 100.0
         assert op.blocks[0][0] == 0.0
         assert not np.shares_memory(op.blocks[0], m)
+        # a 2-d array is a valid blocks argument as it stands; the
+        # constructor still copies it, and freezes only its copy
+        rows = np.arange(8.0).reshape(2, 4)
+        op = hilbert.BlockOperator(rows, -1)
+        rows[0, 0] = 100.0
+        assert op.blocks[0, 0] == 0.0
+        assert not np.shares_memory(op.blocks, rows)
+        assert rows.flags.writeable and not op.blocks.flags.writeable
+
+    def test_results_take_their_operands_space(self):
+        rng = np.random.default_rng(5)
+        a, b = random_shift(rng, 6, 1, complex), random_shift(rng, 6, 1, float)
+        c = random_shift(rng, 6, -2, float)
+        for op, left, offset in ((a @ c, a, -1), (a + b, a, 1), (b - a, b, 1), (a.adjoint(), a, -1), (c.adjoint(), c, 2)):
+            assert op.space is left.space
+            assert op.offset == offset
+            assert op.space == hilbert.SectorSpace(len(op.blocks), op.blocks.shape[1] + abs(op.offset))
 
     def test_computed_blocks_are_frozen(self):
         rng = np.random.default_rng(3)

@@ -388,6 +388,58 @@ class TestWeightedShiftCompanions:
         ]
 
 
+class TestNoRepeatedWork:
+    """A companion run forms each operator once: one lowering operator per
+    example run, one ``x+`` per problem."""
+
+    @pytest.mark.parametrize("bundle", COMPANION_BUNDLES[:4])
+    def test_an_example_run_weighs_one_lowering_operator(self, monkeypatch, bundle):
+        calls = []
+        lowering_weights = hilbert.lowering_weights
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return lowering_weights(*args, **kwargs)
+
+        monkeypatch.setattr(hilbert, "lowering_weights", counting)
+        experiments.run_experiment(config.load_bundled(bundle))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("dim", [80, 240])
+    @pytest.mark.parametrize("bundle", COMPANION_BUNDLES[:4])
+    def test_factorization_check_is_h_tau_residual(self, bundle, dim):
+        # the run reads the example problem's lowering operator; the entry
+        # point builds its own, and the value is the same float
+        raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
+        cfg = config.parse_config({**raw, "dim": dim})
+        report, _ = experiments.run_experiment(cfg)
+        value = {c.name: c.value for c in report.checks}["shifted-hamiltonian-factorization"]
+        assert value == intertwine.h_tau_residual(cfg.spectra, cfg.params.gammas)
+
+    PROBLEMS = [
+        *(lambda which=which: intertwine.example_problem(which, shifted_pair(), (0.0, 0.7)) for which in (1, 2, 3, 4)),
+        lambda: intertwine.ladder_problem(40),
+        lambda: intertwine.ladder_problem(40, (0.5, 1.0)),
+    ]
+
+    @pytest.mark.parametrize("f", [None, Polynomial([0.5, 1.0, 0.25])])
+    @pytest.mark.parametrize("build", PROBLEMS, ids=["example1", "example2", "example3", "example4", "boson", "quon"])
+    def test_one_adjoint_of_x_per_problem(self, monkeypatch, build, f):
+        adjoined = []
+        adjoint = BlockOperator.adjoint
+
+        def counting(op):
+            adjoined.append(op)
+            return adjoint(op)
+
+        monkeypatch.setattr(BlockOperator, "adjoint", counting)
+        problem = build()
+        intertwine.certify(problem, intertwine.construct_companion(problem, f), f)
+        assert sum(1 for op in adjoined if op is problem.x) == 1
+        assert problem.x_adjoint.offset == -problem.x.offset
+        assert problem.x_adjoint.blocks.tobytes() == problem.x.blocks.conj().tobytes()
+
+
 class TestBatchedMembers:
     """A run's members as sectors of one problem, member-major: each member's
     blocks are bit for bit those of its own problem."""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vcslab import errors, spectra
+from vcslab import errors, hilbert, intertwine, spectra
 
 
 def brute_force_min_gap(v1, v2):
@@ -63,6 +63,36 @@ class TestMakeSequence:
     def test_nonfinite_rejected(self):
         with pytest.raises(errors.NonMonotoneError):
             spectra.make_sequence([0.0, np.inf])
+
+
+class TestQuonNumbers:
+    QS = (0.3, 0.5, 0.9, 1.0)
+
+    @staticmethod
+    def reference(dim, q):
+        """The recurrence ``[n+1] = 1 + q [n]`` element by element on a numpy array."""
+        out = np.empty(dim, dtype=float)
+        out[0] = 0.0
+        for n in range(1, dim):
+            out[n] = 1.0 + q * out[n - 1]
+        return out
+
+    @pytest.mark.parametrize("q", QS)
+    def test_bit_for_bit_the_recurrence(self, q):
+        # a prefix of the recurrence is the recurrence at a smaller dim
+        ref = self.reference(4096, q)
+        for dim in (1, 2, 3, 17, 60, 240, 697, 4095, 4096):
+            for qk in (q, np.float64(q)):
+                got = spectra.quon_numbers(dim, qk)
+                assert got.dtype == np.float64 and got.shape == (dim,)
+                assert got.tobytes() == ref[:dim].tobytes()
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dims_below_one_rejected(self, dim):
+        # rejected before any array is formed, by the one check in quon_numbers
+        for build in (spectra.quon_numbers, spectra.quon_sequence, hilbert.quon_ladder, intertwine.ladder_problem):
+            with pytest.raises(errors.DimensionMismatchError, match=f"need dim >= 1, got {dim}"):
+                build(dim, 0.5)
 
 
 class TestShift:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from vcslab import config, errors, hilbert, spectra, vcs
+from vcslab import config, errors, experiments, hilbert, spectra, vcs
 from vcslab.experiments import run_experiment
 
 
@@ -495,6 +495,26 @@ def test_evolution_phases_are_formed_once_per_time(bundle, dim, blocks, monkeypa
     run_experiment(cfg)
     assert sum(1 for f in built if f is cfg.family) == blocks
     assert phases == list(cfg.params.times)
+
+
+@pytest.mark.parametrize("dim", [None, 2048])
+@pytest.mark.parametrize("bundle", ["vcs-eds-properties", "vcs-delta-properties"])
+def test_lowering_steps_are_formed_once_per_run(bundle, dim, monkeypatch):
+    # the roots and gaps of the lowering weights depend on no label: one set
+    # per run, whether the draws fill three blocks or a hundred
+    formed = []
+    lowering_steps = hilbert.lowering_steps
+
+    def counting(seqs):
+        formed.append(seqs)
+        return lowering_steps(seqs)
+
+    monkeypatch.setattr(hilbert, "lowering_steps", counting)
+    monkeypatch.setattr(experiments, "lowering_steps", counting)
+    raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
+    cfg = config.parse_config(raw if dim is None else {**raw, "dim": dim})
+    run_experiment(cfg)
+    assert sum(1 for seqs in formed if seqs is cfg.family.shifted) == 1
 
 
 def literal_draws(params, seed):
