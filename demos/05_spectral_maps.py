@@ -34,7 +34,9 @@ print("  N1 equals N^2+3N+2 to",
 print("  companion equals N+2 to",
       f"{hilbert.max_abs((iso.blocks[0] - (n_op + 2))[window]):.1e}")
 
-squared = intertwine.construct_companion(problem, Polynomial([0, 0, 1]))
+squared = intertwine.construct_companion(
+    problem, intertwine.apply_map(Polynomial([0, 0, 1]), problem.h)
+)
 ref = (n_op + 2) * (n_op + 2)
 print("  f(t)=t^2 companion equals (N+2)^2 to",
       f"{hilbert.max_abs((squared.blocks[0] - ref)[window]):.1e}")

@@ -7,9 +7,9 @@ at parse time naming its key (``params.times[0]``); a ``resolve`` method
 checks what needs the spectra or ``dim``.  Beside its ``TOLERANCES`` each
 kind declares its ``CHECKS``: for every check it reports, keyed by the base
 name (the name up to any ``[...]``), the anchor, the tolerance and the
-comparator: ``<=`` or ``>=`` one tolerance (a ``TOLERANCES`` key, or a fixed
-number that no config sets), or ``within`` the window of two keys, low then
-high.  ``LABELS`` formats the check label of each entry of a list
+comparator: ``<=`` one tolerance (a ``TOLERANCES`` key, or a fixed number
+that no config sets), or ``within`` the window of two keys, low then high.
+``LABELS`` formats the check label of each entry of a list
 (:func:`check_labels`), which must not repeat.  Spectra are built here, and
 so is each coherent family, once, while its spectra are checked.  A bundled
 inventory of ready-to-run configs ships inside the package (``vcslab list``
@@ -22,7 +22,7 @@ import functools
 import math
 import sys
 import types
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
@@ -99,51 +99,10 @@ _UNREAD_SPECTRUM_KEYS = {
 }
 
 
-def _built():
-    """A field built from the checked fields; no config key sets it."""
-    return field(init=False, default=None, repr=False, compare=False)
-
-
-@dataclass(frozen=True, kw_only=True)
-class Witness:
-    """``params.witness``: its spectra have its own ``dim`` (default: the config's);
-    ``j`` (1.0 per spectrum) is bounded as ``params.j_max`` is, and is also
-    below the top shifted level itself, since it is the intensity of a state."""
-
-    dim: Dim | None = None
-    spectra: tuple[SpectralSequence, ...]
-    j: tuple[NonNegative, ...] | None = None
-    gamma: float = 0.4
-    gamma_offset: float = 1.0
-    built_family: CoherentFamily | None = _built()
-
-    def __post_init__(self):
-        j = _per_spectrum(self.j, 1.0, self.spectra, "params.witness.j", "params.witness.spectra")
-        for i, (value, seq) in enumerate(zip(j, self.spectra)):
-            if value == seq.values[-1] - seq.values[0]:
-                raise ConfigError(f"params.witness.j[{i}] {value} reaches its top shifted level: no tail bound")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(
-            self, "built_family", _family("eds", self.spectra, None, "params.witness.spectra")
-        )
-
-
-def _per_spectrum(values, default, spectra, where, spectra_where):
-    """One intensity per spectrum (``default`` for each if unset), none above
-    its spectrum's top shifted level, where no geometric tail bound exists."""
-    values = (default,) * len(spectra) if values is None else values
-    if len(values) != len(spectra):
-        raise ConfigError(f"{where} has {len(values)} entries for {len(spectra)} spectra")
-    for i, (j, seq) in enumerate(zip(values, spectra)):
-        if j > (top := seq.values[-1] - seq.values[0]):
-            raise ConfigError(f"{where}[{i}] {j} exceeds {spectra_where}[{i}]'s top shifted level {top:g}")
-    return values
-
-
-def _family(family, spectra, delta, where) -> CoherentFamily:
+def _family(family, spectra, delta) -> CoherentFamily:
     """:func:`vcslab.vcs.coherent_family`, with a ConfigError naming the key at fault."""
     try:
-        return coherent_family(family, spectra, delta, where, "params.delta")
+        return coherent_family(family, spectra, delta, "spectra", "params.delta")
     except VcsLabError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -157,21 +116,25 @@ def _distinct(values, key):
 
 @dataclass(frozen=True)
 class VcsVerifyParams:
-    """``j_max`` (4.0, at most the top shifted level) per spectrum; the witness's ``j`` defaults to 1.0."""
+    """``j_max`` (4.0 per spectrum) is at most each spectrum's top shifted
+    level.  ``lowering_phase_offset`` is added to each draw's gamma where its
+    lowering operator is built, and only there: at a nonzero offset each
+    state meets the lowering operator of another member, of which it is not
+    an eigenstate, and the window ``eigenstate_low``..``eigenstate`` can
+    require the large residual of that mismatch."""
 
     TOLERANCES = {
         "tail": 1e-10,
         "action": 1e-9,
         "stability": 1e-9,
+        "eigenstate_low": 0.0,
         "eigenstate": 1e-9,
-        "witness_min": 1e-2,
     }
     CHECKS = {
         "truncation-tail-bound": ("state-normalization", "tail", "<="),
         "action-identity-residual": ("action-identity", "action", "<="),
-        "annihilation-eigenstate-residual": ("annihilation-eigenstate", "eigenstate", "<="),
+        "annihilation-eigenstate-residual": ("annihilation-eigenstate", ("eigenstate_low", "eigenstate"), "within"),
         "temporal-stability-residual": ("temporal-stability", "stability", "<="),
-        "mismatched-phase-eigenstate-residual": ("annihilation-eigenstate", "witness_min", ">="),
     }
     LABELS = {"times": "t={:g}"}
 
@@ -181,13 +144,20 @@ class VcsVerifyParams:
     gamma_max: NonNegative = 3.0
     delta: float = 0.5
     times: tuple[float, ...] = (0.1, 1.0, 10.0)
-    witness: Witness | None = None
+    lowering_phase_offset: float = 0.0
 
     def resolve(self, dim, spectra):
-        return replace(self, j_max=_per_spectrum(self.j_max, 4.0, spectra, "params.j_max", "spectra"))
+        j_max = (4.0,) * len(spectra) if self.j_max is None else self.j_max
+        if len(j_max) != len(spectra):
+            raise ConfigError(f"params.j_max has {len(j_max)} entries for {len(spectra)} spectra")
+        for i, (j, seq) in enumerate(zip(j_max, spectra)):
+            # above it no geometric tail bound exists
+            if j > (top := seq.values[-1] - seq.values[0]):
+                raise ConfigError(f"params.j_max[{i}] {j} exceeds spectra[{i}]'s top shifted level {top:g}")
+        return replace(self, j_max=j_max)
 
     def coherent_family(self, spectra) -> CoherentFamily:
-        return _family(self.family, spectra, self.delta, "spectra")
+        return _family(self.family, spectra, self.delta)
 
 
 @dataclass(frozen=True)
@@ -223,7 +193,7 @@ class ResolutionParams:
 
     def coherent_family(self, spectra) -> CoherentFamily:
         # a zero regulator is the one the delta family does not check
-        return _family(self.family, spectra, self.delta or None, "spectra")
+        return _family(self.family, spectra, self.delta or None)
 
 
 # the companion certificate's tolerances: intertwine-example defaults, and fixed for the
@@ -355,7 +325,7 @@ class ExperimentConfig:
     output: str | None = None
     source: str | None = field(default=None, compare=False)
     #: the coherent family of a ``vcs-verify`` or ``resolution`` config
-    family: CoherentFamily | None = _built()
+    family: CoherentFamily | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if any(seq.dim != self.dim for seq in self.spectra):
@@ -405,8 +375,7 @@ def _build(cls, mapping, where: str, dim: int | None):
     values = {}
     for name, (tp, required) in schema.items():
         if name in mapping:
-            # spectra are built at the dim of the mapping that holds them, if it sets one
-            values[name] = _check(mapping[name], tp, f"{where}.{name}", values.get("dim") or dim)
+            values[name] = _check(mapping[name], tp, f"{where}.{name}", dim)
         elif required:
             raise ConfigError(f"{where}.{name} is required")
     return cls(**values)
@@ -417,8 +386,6 @@ def _check(value, tp, where: str, dim: int | None = None):
     origin, args = get_origin(tp), get_args(tp)
     if tp is SpectralSequence:
         return _spectrum(value, where, dim)
-    if is_dataclass(tp):
-        return _build(tp, value, where, dim)
     if origin in (Union, types.UnionType):  # ``X | None``
         return None if value is None else _check(value, args[0], where, dim)
     if origin is Annotated:

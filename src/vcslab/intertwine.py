@@ -145,34 +145,35 @@ def apply_map(f, op: BlockOperator) -> BlockOperator:
     return BlockOperator(f(op.blocks.real))
 
 
-def construct_companion(problem: IntertwiningProblem, f=None) -> BlockOperator:
+def construct_companion(problem: IntertwiningProblem, mapped=None) -> BlockOperator:
     """The companion ``H = N1^-1 (x+ f(h) x)``, uncertified.
 
-    With ``f=None`` this is the isospectral construction (``f = id``, ``h``
-    used as it is); otherwise ``f`` is a real callable with a power-series
-    form, and ``f(h)`` is ``f`` of each diagonal entry of ``h``
-    (:func:`apply_map`).  :func:`certify` checks the result where a caller reads it.
+    ``mapped`` is ``f(h)``, formed once by the caller with :func:`apply_map`
+    from a real callable ``f`` with a power-series form; with ``mapped=None``
+    this is the isospectral construction (``f = id``, ``h`` used as it is).
+    :func:`certify` checks the result, against the same ``mapped``, where a
+    caller reads it.
     """
-    mapped = problem.h if f is None else apply_map(f, problem.h)
+    mapped = problem.h if mapped is None else mapped
     return problem.n1_inverse @ (problem.x_adjoint @ (mapped @ problem.x))
 
 
-def certify(problem: IntertwiningProblem, companion: BlockOperator, f=None) -> Certificate:
+def certify(problem: IntertwiningProblem, companion: BlockOperator, mapped=None) -> Certificate:
     """The scale-normalized alpha/beta/gamma residuals of ``companion`` as the
-    companion of ``f(h)`` (``f=None``: of ``h``), on the valid window; ``f``
-    is a real callable, as in :func:`construct_companion`.
+    companion of ``mapped = f(h)`` (``None``: of ``h``), on the valid window,
+    as in :func:`construct_companion`.
 
     ``h`` is diagonal, so its eigenvectors are the unit vectors ``e_n`` with
     eigenvalues ``h[n]``, judged on the window levels ``n < keep`` against
     the mapped eigenvalues ``f(h[n])``.  ``x+`` and the companion after it
     each move ``e_n`` to one level, so their weights at source ``n`` are the
-    image ``x+ e_n`` and ``H x+ e_n``.  Pass the ``f`` the companion was
+    image ``x+ e_n`` and ``H x+ e_n``.  Pass the ``mapped`` the companion was
     built with: against another map, beta and gamma measure the mismatch.
     The alpha and beta scales are maxima over all sectors, members of a
     batched problem included; gamma is judged level by level.
     """
     keep = problem.keep
-    mapped = problem.h if f is None else apply_map(f, problem.h)
+    mapped = problem.h if mapped is None else mapped
     companion_scale = np.maximum(1.0, companion.max_abs(keep))
     alpha = (companion - companion.adjoint()).max_abs(keep) / companion_scale
 
@@ -259,7 +260,7 @@ def power_series_equality_probe(problem: IntertwiningProblem, f) -> float:
     diagonal, so that maximum is the largest entry of the difference on the
     window, reached at a window basis vector.
     """
-    diff = apply_map(f, construct_companion(problem)) - construct_companion(problem, f)
+    diff = apply_map(f, construct_companion(problem)) - construct_companion(problem, apply_map(f, problem.h))
     return diff.max_abs(problem.keep)
 
 

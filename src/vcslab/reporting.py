@@ -20,10 +20,10 @@ REPORT_SCHEMA_VERSION = 2
 class CheckRecord:
     """One numeric check: a value compared against a tolerance.
 
-    ``comparator`` is ``"<="`` for residual-style checks, ``">="`` for
-    witness-style checks that must stay large, and ``"within"`` for a value
-    that must stay in the window ``tolerance = (low, high)``, both ends
-    included.  A NaN or an infinite value fails every comparator.
+    ``comparator`` is ``"<="`` for a residual that must stay small, and
+    ``"within"`` for a value that must stay in the window ``tolerance =
+    (low, high)``, both ends included; a window with a positive floor
+    requires a large value.  A NaN or an infinite value fails both.
     """
 
     name: str
@@ -34,8 +34,7 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
-        one_sided = {"<=": (-math.inf, self.tolerance), ">=": (self.tolerance, math.inf)}
-        low, high = one_sided.get(self.comparator, self.tolerance)
+        low, high = (-math.inf, self.tolerance) if self.comparator == "<=" else self.tolerance
         return math.isfinite(self.value) and low <= self.value <= high
 
     def to_dict(self) -> dict:

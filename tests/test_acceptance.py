@@ -28,11 +28,11 @@ def test_criterion_1_boson_closed_forms():
     n1_dev = max_abs((problem.n1.blocks[0] - (n_op * n_op + 3 * n_op + 2))[sub])
     companion_dev = max_abs((iso.blocks[0] - (n_op + 2))[sub])
 
-    squared = intertwine.construct_companion(problem, Polynomial([0, 0, 1]))
+    squared = intertwine.construct_companion(problem, intertwine.apply_map(Polynomial([0, 0, 1]), problem.h))
     sq_ref = (n_op + 2) * (n_op + 2)
     sq_dev = max_abs((squared.blocks[0] - sq_ref)[sub])
 
-    exponential = intertwine.construct_companion(problem, np.exp)
+    exponential = intertwine.construct_companion(problem, intertwine.apply_map(np.exp, problem.h))
     exp_ref = np.exp(np.arange(dim, dtype=float) + 2.0)
     exp_dev = float(
         (

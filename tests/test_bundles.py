@@ -67,6 +67,7 @@ SHIPPED_CHECKS = {
     "example3-cubed-intertwiner": _COMPANION,
     "example4-ladder-product": _COMPANION,
     "map-equality-probes": [f"map-equality-residual[{case}]" for case in ("boson", "quon", "invertible")],
+    "mismatched-phase-failure": _VCS,
     "quon-closed-forms": [
         *(f"{form}-closed-form[q={q}]" for q in (0.3, 0.5, 0.9) for form in ("n1", "companion")),
         "undeformed-limit-matches-plain-ladder",
@@ -76,7 +77,7 @@ SHIPPED_CHECKS = {
     "susy-grid-anharmonic": _GRID,
     "susy-grid-linear": _GRID,
     "vcs-delta-properties": _VCS,
-    "vcs-eds-properties": [*_VCS, "mismatched-phase-eigenstate-residual"],
+    "vcs-eds-properties": _VCS,
 }
 
 
@@ -104,10 +105,7 @@ def test_every_schema_field_is_set_by_a_shipped_bundle():
         params = raw.get("params", {})
         set_fields.update((config.KINDS[raw["kind"]].__name__, key) for key in params)
         spectra(raw.get("spectra", []))
-        witness = params.get("witness", {})
-        set_fields.update(("Witness", key) for key in witness)
-        spectra(witness.get("spectra", []))
-    schemas = [*config.KINDS.values(), config.Witness, config.Spectrum]
+    schemas = [*config.KINDS.values(), config.Spectrum]
     every = {(cls.__name__, f.name) for cls in schemas for f in dataclasses.fields(cls) if f.init}
     assert every - set_fields == set(UNSET_FIELDS)
 
@@ -127,7 +125,7 @@ def test_every_check_row_is_judged_by_its_kinds_tolerance_or_a_number(kind):
     schema = config.KINDS[kind]
     for name, (anchor, tolerance, comparator) in schema.CHECKS.items():
         assert anchor, name
-        assert comparator in ("<=", ">=", "within"), name
+        assert comparator in ("<=", "within"), name
         keys = row_keys(tolerance, comparator)
         assert len(keys) == (2 if comparator == "within" else 1), name
         assert all(isinstance(key, float) or key in schema.TOLERANCES for key in keys), name
@@ -137,10 +135,9 @@ def test_every_check_row_is_judged_by_its_kinds_tolerance_or_a_number(kind):
         for value in (math.nan, math.inf, -math.inf):
             assert not CheckRecord(name, anchor, value, judged, comparator).passed, (name, value)
         for value in (v for bound in bounds for v in either_side(bound)):
-            # a window fails exactly when its floor (>=) or its ceiling (<=),
-            # each judged as a one-sided row, would fail
+            # a window fails exactly when its floor or its ceiling would fail
             floor, ceiling = value >= bounds[0], value <= bounds[-1]
-            expected = {"<=": ceiling, ">=": floor, "within": floor and ceiling}[comparator]
+            expected = {"<=": ceiling, "within": floor and ceiling}[comparator]
             assert CheckRecord(name, anchor, value, judged, comparator).passed is expected, (name, value)
 
 
@@ -185,16 +182,16 @@ def test_golden_changes_name_each_added_removed_and_moved_row():
 
     old = {
         "a": bundle(("kept", "<=", 1e-10, 0.5), ("gone", "<=", 1e-10, 0.0), ("nan", "<=", 1.0, math.nan)),
-        "b": bundle(("moved", ">=", 0.8, 2.0), ("retuned", "<=", 1e-10, 1.0)),
+        "b": bundle(("moved", "within", [0.8, 3.0], 2.0), ("retuned", "<=", 1e-10, 1.0)),
     }
     new = {
         "a": bundle(("kept", "<=", 1e-10, 0.5), ("nan", "<=", 1.0, math.nan), ("new", "<=", 1e-9, 3.0)),
-        "b": bundle(("moved", ">=", 0.8, 2.5), ("retuned", "<=", 1e-9, 1.0)),
+        "b": bundle(("moved", "within", [0.8, 3.0], 2.5), ("retuned", "<=", 1e-9, 1.0)),
     }
     assert golden.changes(old, new) == [
         "removed a gone: 0.0 (<= 1e-10) -> -",
         "added a new: - -> 3.0 (<= 1e-09)",
-        "moved b moved: 2.0 (>= 0.8) -> 2.5 (>= 0.8)",
+        "moved b moved: 2.0 (within [0.8, 3.0]) -> 2.5 (within [0.8, 3.0])",
         "moved b retuned: 1.0 (<= 1e-10) -> 1.0 (<= 1e-09)",
     ]
     assert golden.changes(new, new) == []

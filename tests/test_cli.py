@@ -221,36 +221,17 @@ MALFORMED = [
         {"kind": "map-equality-probe", "dim": 8, "spectra": [{"form": "linear"}]},
         "spectra is not read",
     ),
-    # the witness's j is bounded as j_max is; both raised at run time and exited 1
+    # a phase offset is a finite number, as gamma is
     (
-        "witness-j-negative",
-        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [-1.0]}),
-        "params.witness.j[0]",
+        "lowering-phase-offset-infinite",
+        with_param(small_vcs_config(), "lowering_phase_offset", math.inf),
+        "params.lowering_phase_offset",
     ),
+    # the mismatched-phase witness is a vcs-verify run at a lowering phase offset
     (
-        "witness-j-above-top-level",
-        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [60.0]}),
-        "params.witness.j[0]",
-    ),
-    # a state's own intensity may not reach the top level, where series_norm
-    # has no tail bound; this one parsed and then exited 1 with no report
-    (
-        "witness-j-at-top-level",
-        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [39.0]}),
-        "params.witness.j[0]",
-    ),
-    # the top shifted level is the top level less the ground: 39 here too
-    (
-        "witness-j-at-offset-top-level",
-        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear", "offset": 0.5}], "j": [39.0]}),
-        "params.witness.j[0]",
-    ),
-    (
-        "witness-dim-too-small",
-        with_param(
-            small_vcs_config(), "witness", {"dim": 4, "spectra": [{"form": "quon", "q": 0.5}]}
-        ),
-        "params.witness.dim",
+        "witness-removed",
+        with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}]}),
+        "['witness'] in params",
     ),
 ]
 
@@ -305,12 +286,6 @@ class TestConfigValidation:
         with pytest.raises(errors.ConfigError):
             config.parse_config(raw)
 
-    def test_witness_without_spectra_rejected(self):
-        raw = small_vcs_config()
-        raw["params"]["witness"] = {"dim": 30}
-        with pytest.raises(errors.ConfigError, match="params.witness.spectra is required"):
-            config.parse_config(raw)
-
     def test_dim_and_spectra_cannot_disagree(self):
         cfg = config.parse_config(small_vcs_config())
         with pytest.raises(errors.ConfigError, match="parse the config again"):
@@ -359,6 +334,13 @@ class TestConfigValidation:
         assert cfg.echo()["spectra"][0]["omega"] == 1.0
         assert cfg.echo()["params"]["n_samples"] == 5
 
+    def test_j_max_defaults_to_four_per_spectrum(self):
+        raw = small_vcs_config()
+        del raw["params"]["j_max"]
+        assert config.parse_config(raw).params.j_max == (4.0, 4.0)
+        raw["spectra"] = raw["spectra"][:1]
+        assert config.parse_config(raw).params.j_max == (4.0,)
+
     def test_j_max_may_reach_the_top_shifted_level(self):
         # uniform draws never reach j_max itself, so the top level parses and
         # the next float above it does not
@@ -368,21 +350,6 @@ class TestConfigValidation:
         raw = with_param(small_vcs_config(dim=60), "j_max", [2.0, float(np.nextafter(top, np.inf))])
         with pytest.raises(errors.ConfigError, match=r"params\.j_max\[1\]"):
             config.parse_config(raw)
-
-    def test_witness_j_just_below_the_top_shifted_level_runs(self, tmp_path, capsys):
-        # the next float below the top level parses and builds its state: the
-        # run writes a report, whose tail bound fails
-        top = 39.0  # spectra: [linear] at dim 40
-        j = float(np.nextafter(top, 0.0))
-        raw = with_param(small_vcs_config(), "witness", {"spectra": [{"form": "linear"}], "j": [j]})
-        assert config.parse_config(raw).params.witness.j == (j,)
-        path = tmp_path / "witness.yaml"
-        path.write_text(yaml.safe_dump(raw))
-        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == ""
-        report = json.loads((tmp_path / "out" / "witness.report.json").read_text())
-        tail = next(c for c in report["checks"] if c["name"] == "truncation-tail-bound")
-        assert math.isfinite(tail["value"]) and not tail["passed"]
 
     @pytest.mark.parametrize("raw, where", [c[1:] for c in MALFORMED], ids=[c[0] for c in MALFORMED])
     def test_malformed_value_names_its_key(self, raw, where, tmp_path, capsys):
@@ -578,13 +545,6 @@ class TestCliEntryPoint:
     def test_exit_two_on_invalid_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(small_vcs_config(dim=4)))
-        assert cli.main(["run", str(path)]) == 2
-
-    def test_exit_two_on_witness_without_spectra(self, tmp_path):
-        raw = small_vcs_config()
-        raw["params"]["witness"] = {"dim": 30}
-        path = tmp_path / "witness.yaml"
-        path.write_text(yaml.safe_dump(raw))
         assert cli.main(["run", str(path)]) == 2
 
     def test_resolution_past_the_float_range_of_its_products_runs(self, tmp_path):

@@ -20,12 +20,11 @@ def bundled(name):
 
 
 def short_truncation_vcs(tmp_path, **tolerances):
-    """``vcs-eds-properties`` at dim 30 with intensities to 12 and no witness:
-    the truncation loses up to 8.8e-6 of a state's mass."""
+    """``vcs-eds-properties`` at dim 30 with intensities to 12: the
+    truncation loses up to 8.8e-6 of a state's mass."""
     raw = bundled("vcs-eds-properties")
     raw["dim"] = 30
     raw["params"]["j_max"] = [12.0, 12.0]
-    del raw["params"]["witness"]
     if tolerances:
         raw["tolerances"] = tolerances
     path = tmp_path / "short-truncation.yaml"
@@ -91,11 +90,7 @@ REGIME_CONTROLS = [
     ("vcs-delta-nonzero-grounds", edited("vcs-delta-properties", LINEAR_OFFSETS), "spectra[0]"),
     ("vcs-eds-zero-ground", edited("vcs-eds-properties", ZERO_GROUND_PAIR), "spectra[0]"),
     ("vcs-eds-colliding", edited("vcs-eds-properties", COLLIDING), "spectra[0] and spectra[1]"),
-    (
-        "vcs-witness-zero-ground",
-        edited("vcs-eds-properties", witness={"spectra": QUON_ZERO_GROUND, "dim": 50}),
-        "params.witness.spectra[0]",
-    ),
+    ("mismatched-phase-zero-ground", edited("mismatched-phase-failure", QUON_ZERO_GROUND), "spectra[0]"),
 ]
 
 
@@ -133,3 +128,17 @@ def test_regulator_flip_fails_the_decay_exponent(raw, window, tmp_path):
     assert exponent["value"] == expected
     # the moments are the same at every regulator
     assert checks["moment-verification"]["passed"]
+
+
+def test_matched_phase_fails_the_mismatch_window(tmp_path):
+    # at offset 0 each state meets its own lowering operator, of which it is
+    # an eigenstate: the residual falls to rounding, below the window's floor
+    path = tmp_path / "matched.yaml"
+    path.write_text(yaml.safe_dump(edited("mismatched-phase-failure", lowering_phase_offset=0.0)))
+    code, checks = run_cli(path, tmp_path / "out")
+    assert code == 1
+    eigenstate = checks["annihilation-eigenstate-residual"]
+    assert eigenstate["tolerance"] == [1e-2, 2.83]
+    assert not eigenstate["passed"]
+    assert eigenstate["value"] < 1e-14
+    assert [name for name, check in checks.items() if not check["passed"]] == ["annihilation-eigenstate-residual"]

@@ -241,17 +241,17 @@ class TestConstructCompanion:
         h = BlockOperator([np.linspace(0.0, 1000.0, dim)])
         x = BlockOperator([1.0 + np.arange(dim, dtype=float)])
         problem = IntertwiningProblem(h=h, x=x)
-        f = np.exp
         with np.errstate(over="ignore", invalid="ignore"):
-            cert = intertwine.certify(problem, intertwine.construct_companion(problem, f), f)
+            mapped = intertwine.apply_map(np.exp, problem.h)
+            cert = intertwine.certify(problem, intertwine.construct_companion(problem, mapped), mapped)
         assert not np.isfinite(cert.gamma_residual)
         assert not within_tolerances(cert)
 
     def test_certificate_against_another_map_fails(self):
-        # certify forms f(h) itself: a companion built with one map and judged
-        # against another must fail beta and gamma, not pass silently
+        # a companion built with one map and judged against another must
+        # fail beta and gamma, not pass silently
         problem = boson_problem()
-        square, cube = Polynomial([0, 0, 1]), Polynomial([0, 0, 0, 1])
+        square, cube = (intertwine.apply_map(Polynomial(c), problem.h) for c in ([0, 0, 1], [0, 0, 0, 1]))
         companion = intertwine.construct_companion(problem, square)
         assert within_tolerances(intertwine.certify(problem, companion, square))
         for wrong in (None, cube):
@@ -328,8 +328,8 @@ class TestWeightedShiftCompanions:
 
     def test_no_eigendecomposition(self, eigh_calls):
         for problem in self.problems():
-            for f in (None, Polynomial([0, 0, 1])):
-                intertwine.certify(problem, intertwine.construct_companion(problem, f), f)
+            for mapped in (None, intertwine.apply_map(Polynomial([0, 0, 1]), problem.h)):
+                intertwine.certify(problem, intertwine.construct_companion(problem, mapped), mapped)
         assert eigh_calls == []
 
     def test_peak_memory_stays_at_vector_size(self):
@@ -405,6 +405,23 @@ class TestNoRepeatedWork:
         experiments.run_experiment(config.load_bundled(bundle))
         assert len(calls) == 1
 
+    def test_each_map_is_applied_once_per_run(self, monkeypatch):
+        # the boson run's squared and exponential maps each form f(h) once,
+        # read by both the companion and its certificate
+        maps = []
+        apply_map = intertwine.apply_map
+
+        def counting(f, op):
+            maps.append(f)
+            return apply_map(f, op)
+
+        monkeypatch.setattr(intertwine, "apply_map", counting)
+        monkeypatch.setattr(experiments, "apply_map", counting)
+        report, _ = experiments.run_experiment(config.load_bundled("boson-example2"))
+        assert report.overall_pass
+        assert [type(f) for f in maps] == [Polynomial, np.ufunc]
+        assert maps[1] is np.exp
+
     @pytest.mark.parametrize("dim", [80, 240])
     @pytest.mark.parametrize("bundle", COMPANION_BUNDLES[:4])
     def test_factorization_check_is_h_tau_residual(self, bundle, dim):
@@ -434,7 +451,8 @@ class TestNoRepeatedWork:
 
         monkeypatch.setattr(BlockOperator, "adjoint", counting)
         problem = build()
-        intertwine.certify(problem, intertwine.construct_companion(problem, f), f)
+        mapped = None if f is None else intertwine.apply_map(f, problem.h)
+        intertwine.certify(problem, intertwine.construct_companion(problem, mapped), mapped)
         assert sum(1 for op in adjoined if op is problem.x) == 1
         assert problem.x_adjoint.offset == -problem.x.offset
         assert problem.x_adjoint.blocks.tobytes() == problem.x.blocks.conj().tobytes()
@@ -542,16 +560,16 @@ class TestNonIsospectral:
         )
         np.testing.assert_allclose(iso.blocks[0][sub], (n_op + 2)[sub], atol=1e-11)
 
-        f = Polynomial([0, 0, 1])
-        squared = intertwine.construct_companion(problem, f)
+        mapped = intertwine.apply_map(Polynomial([0, 0, 1]), problem.h)
+        squared = intertwine.construct_companion(problem, mapped)
         ref = (n_op + 2) * (n_op + 2)
         np.testing.assert_allclose(squared.blocks[0][sub], ref[sub], atol=1e-11)
-        assert within_tolerances(intertwine.certify(problem, squared, f))
+        assert within_tolerances(intertwine.certify(problem, squared, mapped))
 
     def test_boson_exponential_map(self):
         dim = 60
         problem = boson_problem(dim)
-        companion = intertwine.construct_companion(problem, np.exp)
+        companion = intertwine.construct_companion(problem, intertwine.apply_map(np.exp, problem.h))
         n = np.arange(dim, dtype=float)
         ref = np.exp(n + 2.0)
         sub = np.s_[: problem.keep]
@@ -589,8 +607,8 @@ class TestNonIsospectral:
     def test_identity_map_matches_plain_construction(self):
         problem = boson_problem(40)
         iso = intertwine.construct_companion(problem)
-        mapped = intertwine.construct_companion(problem, Polynomial([0, 1]))
-        assert (iso - mapped).max_abs(problem.keep) <= 1e-10
+        identity = intertwine.construct_companion(problem, intertwine.apply_map(Polynomial([0, 1]), problem.h))
+        assert (iso - identity).max_abs(problem.keep) <= 1e-10
 
     @pytest.mark.parametrize("dim", [60, 240, 697, 4096])
     def test_maps_evaluate_each_entry_bit_for_bit(self, dim):
@@ -658,7 +676,7 @@ class TestEqualityProbe:
         f = Polynomial([0.5, 1.0, 0.25])
         assert intertwine.power_series_equality_probe(problem, f) <= 1e-10
         # companion of f(h) equals f(q^2 N + (1+q))
-        mapped = intertwine.construct_companion(problem, f)
+        mapped = intertwine.construct_companion(problem, intertwine.apply_map(f, problem.h))
         n_op = (ad @ a).blocks[0]
         ref = intertwine.apply_map(f, BlockOperator([q**2 * n_op + (1 + q)]))
         assert (mapped - ref).max_abs(problem.keep) <= 1e-10
@@ -670,7 +688,7 @@ class TestEqualityProbe:
         f = Polynomial([0, 0, 1])
         residual = intertwine.power_series_equality_probe(problem, f)
         iso = intertwine.construct_companion(problem).matrix
-        mapped = intertwine.construct_companion(problem, f).matrix
+        mapped = intertwine.construct_companion(problem, intertwine.apply_map(f, problem.h)).matrix
         window = np.s_[: problem.keep, : problem.keep]
         expected = np.linalg.norm((iso @ iso - mapped)[window], 2)
         assert expected > 0.0
