@@ -17,10 +17,7 @@ seqs = [
     spectra.linear_sequence(dim, 1.0, offset=0.3),
     spectra.linear_sequence(dim, np.sqrt(2.0), offset=np.sqrt(2.0) / 2),
 ]
-weights = [
-    moments.MomentWeight.gamma_family(1.0),
-    moments.MomentWeight.gamma_family(np.sqrt(2.0)),
-]
+weights = [moments.MomentWeight(1.0), moments.MomentWeight(np.sqrt(2.0))]
 
 # the weights must reproduce the factorial products as moments
 errs = moments.verify_moments(weights[0], seqs[0], k_max=12)
@@ -50,7 +47,7 @@ print(f"\nphase-average oracle: {value:.15e} vs quadrature {quadrature:.15e}")
 # frequency difference, -2 delta for the delta family's equal grounds: at
 # zero regulator it is 1 at every horizon, and no entry is larger
 zero_ground = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
-unit_weights = [moments.MomentWeight.gamma_family(1.0)] * 2
+unit_weights = [moments.MomentWeight(1.0)] * 2
 print("\nregulator   horizon   off-diagonal err")
 for delta in (None, 0.5):
     family = vcs.coherent_family("delta", zero_ground, delta)

@@ -15,6 +15,8 @@ from vcslab import spectra, hilbert, intertwine
 
 dim = 40
 seqs = [spectra.shift(spectra.linear_sequence(dim, w)) for w in (1.0, np.sqrt(2.0))]
+# the lowering operator B of the two shifted spectra, which every example is built from
+b = hilbert.lowering_operator(seqs, 0.7)
 
 labels = {
     1: "h = B+B,       x = B+     (plain partner pair)",
@@ -23,7 +25,7 @@ labels = {
     4: "h = (B+)^2B^2, x = B+     (product Hamiltonian)",
 }
 for which in (1, 2, 3, 4):
-    problem = intertwine.example_problem(which, seqs, gamma=0.7)
+    problem = intertwine.example_problem(which, b)
     cert = intertwine.certify(problem, intertwine.construct_companion(problem))
     print(f"example {which}: {labels[which]}")
     print(
@@ -33,15 +35,16 @@ for which in (1, 2, 3, 4):
     print(f"  vanishing images at levels {sorted(set(cert.skipped_levels))[:4]}\n")
 
 # example 1 in closed form: the companion is B B+
-problem = intertwine.example_problem(1, seqs, gamma=0.7)
+problem = intertwine.example_problem(1, b)
 companion = intertwine.construct_companion(problem)
-b = hilbert.lowering_operator(seqs, 0.7)
 gap = (companion - b @ b.adjoint()).max_abs(problem.keep)
 print(f"example 1 companion equals B B+ on the window to {gap:.1e}")
 
 # the phase parameter drops out of h and the companion entirely
-companion0 = intertwine.construct_companion(intertwine.example_problem(1, seqs, 0.0))
-companion3 = intertwine.construct_companion(intertwine.example_problem(1, seqs, 3.1))
+companion0, companion3 = (
+    intertwine.construct_companion(intertwine.example_problem(1, hilbert.lowering_operator(seqs, g)))
+    for g in (0.0, 3.1)
+)
 drift = (companion0 - companion3).max_abs()
 print(f"companion drift between gamma=0 and gamma=3.1: {drift:.1e}")
 
@@ -50,4 +53,5 @@ unshifted = [
     spectra.linear_sequence(16, 1.0, offset=0.3),
     spectra.linear_sequence(16, np.sqrt(2.0), offset=0.55),
 ]
-print(f"ground-shift factorization residual: {intertwine.h_tau_residual(unshifted, 0.7):.1e}")
+b_unshifted = hilbert.lowering_operator([spectra.shift(s) for s in unshifted], 0.7)
+print(f"ground-shift factorization residual: {intertwine.h_tau_residual(unshifted, b_unshifted):.1e}")

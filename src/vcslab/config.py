@@ -44,16 +44,17 @@ __all__ = [
     "KINDS",
 ]
 
-# What the ceilings cost, measured as the median of three runs in one process
-# with one BLAS thread (2-vCPU Xeon, Python 3.11, numpy 2.4), each within
-# 39 MiB peak RSS unless stated: at dim 4096 each companion, quon
-# nonisospectral and map-equality bundle runs in 0.005-0.008 s (the boson
-# case stops at BOSON_EXP_DIM_MAX), each vcs-verify bundle (100 samples, one
-# draw per block) in 0.17-0.20 s (here the median of seven runs, over two
-# rounds), and each resolution bundle in about 0.01 s.  The grid
-# comparison forms no n x n array: each susy-grid bundle at sizes [2048, 4096]
-# runs in about 0.07 s within 67 MiB.  Verdicts at these sizes are another
-# matter: rounding alone fails some companion checks from dim 150 on.
+# What the ceilings cost: the median of three runs of each bundle, one
+# process per bundle, one BLAS thread (2-vCPU Xeon, Python 3.11, numpy 2.4),
+# each process within 39 MiB peak RSS unless stated.  At dim 4096 each
+# companion, quon nonisospectral and map-equality bundle runs in 0.002-0.007 s
+# (the boson case stops at BOSON_EXP_DIM_MAX), each vcs-verify bundle (100
+# samples, one draw per block) in 0.14-0.25 s (median of seven, over six
+# rounds on a shared machine, whose load sets the spread), and each
+# resolution bundle in 0.005 s.  The grid comparison forms no n x n array:
+# each susy-grid bundle at sizes [2048, 4096] runs in 0.05-0.07 s within
+# 67 MiB.  Verdicts at these sizes are another matter: rounding alone fails
+# some companion checks from dim 150 on.
 DIM_RANGE = (8, 4096)
 GRID_RANGE = (64, 4096)
 

@@ -18,16 +18,16 @@ from numpy.polynomial import Polynomial
 
 from . import __version__
 from .config import KINDS, ExperimentConfig, check_labels
-from .hilbert import GridSpec, BlockOperator, lowering_operator, lowering_steps, max_abs, shifted_hamiltonian
+from .hilbert import GridSpec, BlockOperator, lowering_operator, max_abs, shifted_hamiltonian
 from .intertwine import (
     IntertwiningProblem,
     apply_map,
     certify,
     construct_companion,
-    example_from_lowering,
+    example_problem,
     fit_power_law,
     grid_partner_comparison,
-    h_tau_from_lowering,
+    h_tau_residual,
     ladder_closed_forms,
     ladder_problem,
     power_series_equality_probe,
@@ -81,17 +81,15 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
     # each state meets the lowering operator of the member this far from its own gamma
     lowering_gammas = gammas + params.lowering_phase_offset
     labels = check_labels(params, "times")
-    # the evolution phases depend on the time alone, and the lowering
-    # weights' roots and gaps on no label: formed once for every block
+    # the evolution phases depend on the time alone: formed once for every block
     phases = [family.evolution_phases(t) for t in params.times]
-    steps = lowering_steps(family.shifted)
 
     def block_residuals(block):
         states = family.states(intensities[block], gammas[block])
         out = {
             "tail": states.tail_bound,
             "action": action_identity_residuals(states, hamiltonian),
-            "eigenstate": eigenstate_residuals(states, family.lowering_weights(lowering_gammas[block], steps)),
+            "eigenstate": eigenstate_residuals(states, family.lowering_weights(lowering_gammas[block])),
         }
         for t, label, p in zip(params.times, labels, phases):
             out[label] = temporal_stability_residuals(states, t, phases=p)
@@ -115,7 +113,7 @@ def _run_vcs_verify(config: ExperimentConfig, seed: int):
 def _run_resolution(config: ExperimentConfig, seed: int):
     horizons = sorted(config.params.horizons)
     # the config checked that each spectrum is equally spaced
-    weights = [MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in config.spectra]
+    weights = [MomentWeight(s.values[1] - s.values[0]) for s in config.spectra]
     assembly = resolution_assembly(config.family, weights)
     offdiag_errors = [assembly.offdiag_error(horizon) for horizon in horizons]
     values = [
@@ -136,7 +134,7 @@ def _run_intertwine_example(config: ExperimentConfig, seed: int):
     # every gamma is a member of one problem, its sectors member-major; the
     # problem and the factorization residual read one lowering operator
     b = lowering_operator([shift(s) for s in seqs], gammas)
-    problem = example_from_lowering(config.params.example, b)
+    problem = example_problem(config.params.example, b)
     companion = construct_companion(problem)
     cert = certify(problem, companion)
     drifts = []
@@ -148,7 +146,7 @@ def _run_intertwine_example(config: ExperimentConfig, seed: int):
         ("weak-intertwining[beta]", cert.beta_residual),
         ("eigenvalue-transport[gamma]", cert.gamma_residual),
         ("phase-independence", _worst(drifts)),
-        ("shifted-hamiltonian-factorization", h_tau_from_lowering(seqs, b)),
+        ("shifted-hamiltonian-factorization", h_tau_residual(seqs, b)),
     ], {}
 
 

@@ -286,7 +286,7 @@ def lowering_operator(seqs, gamma) -> BlockOperator:
         gives ``S`` members on ``S*N`` sectors, member-major: sector
         ``s*N + j`` is sector ``j`` at ``gamma[s]``.
     """
-    weights = lowering_weights(seqs, np.atleast_1d(gamma))
+    weights = lowering_weights(lowering_steps(seqs), np.atleast_1d(gamma))
     return BlockOperator(weights.reshape(-1, weights.shape[-1]), -1)
 
 
@@ -302,17 +302,17 @@ def lowering_steps(seqs) -> tuple:
     return np.sqrt(values[:, 1:]), 1j * np.diff(values, axis=1)
 
 
-def lowering_weights(seqs, gammas, steps=None) -> np.ndarray:
+def lowering_weights(steps, gammas) -> np.ndarray:
     """The sector blocks of :func:`lowering_operator` at every phase in ``gammas``.
 
-    Returns an ``(S, N, D-1)`` array whose row ``s`` holds the blocks of
-    ``lowering_operator(seqs, gammas[s])`` (offset ``-1``), built in one pass.
+    ``steps`` is ``lowering_steps(seqs)``, which a caller forms once for
+    every phase; only the phase factor ``exp(i (e~[n] - e~[n-1]) gamma)`` is
+    formed here.  Returns an ``(S, N, D-1)`` array whose row ``s`` holds the
+    blocks of ``lowering_operator(seqs, gammas[s])`` (offset ``-1``).
     ``gammas`` may also be ``S x N``, a phase per sector: a coherent family
-    twists each sector by its own phase sign.  ``steps``, when given, is
-    ``lowering_steps(seqs)``, formed once for many calls; only the phase
-    factor ``exp(i (e~[n] - e~[n-1]) gamma)`` is formed here.
+    twists each sector by its own phase sign.
     """
-    roots, gaps = lowering_steps(seqs) if steps is None else steps
+    roots, gaps = steps
     gammas = np.asarray(gammas, dtype=float)
     gammas = gammas[:, :, None] if gammas.ndim == 2 else gammas[:, None, None]
     return roots * np.exp(gaps * gammas)

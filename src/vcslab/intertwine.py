@@ -29,12 +29,10 @@ from .hilbert import (
     GridSpec,
     band_apply,
     grid_ladder,
-    lowering_operator,
     quon_ladder,
     shifted_hamiltonian,
     window_levels,
 )
-from .spectra import shift
 
 __all__ = [
     "IntertwiningProblem",
@@ -42,9 +40,7 @@ __all__ = [
     "construct_companion",
     "certify",
     "example_problem",
-    "example_from_lowering",
     "h_tau_residual",
-    "h_tau_from_lowering",
     "power_series_equality_probe",
     "ladder_problem",
     "ladder_closed_forms",
@@ -198,26 +194,21 @@ def certify(problem: IntertwiningProblem, companion: BlockOperator, mapped=None)
     )
 
 
-def example_problem(which: int, seqs, gamma) -> IntertwiningProblem:
-    """The four worked ladder constructions on the two-sector space.
+def example_problem(which: int, b: BlockOperator) -> IntertwiningProblem:
+    """The four worked constructions on the lowering operator ``b``
+    (:func:`~vcslab.hilbert.lowering_operator` of per-sector shifted sequences):
 
     1: h = B+B,      x = B+    (plain partner pair)
     2: h = B+B,      x = (B+)^2  (N1^-1 does not cancel in H)
     3: h = B+B,      x = (B+)^3
     4: h = (B+)^2B^2, x = B+   (h has eigenvalues e~[n] e~[n-1])
 
-    ``seqs`` are per-sector shifted sequences; ``h`` and the companion come
-    out independent of ``gamma`` in all four cases.  A sequence of ``S``
-    gammas builds all ``S`` members as one problem on ``S*N`` sectors,
-    member-major (:func:`~vcslab.hilbert.lowering_operator`): its blocks,
-    reshaped to ``(S, N, ...)``, are those of each member's own problem.
-    The problem of a ``B`` already built is :func:`example_from_lowering`.
+    ``h`` and the companion come out independent of the phase ``gamma`` of
+    ``b`` in all four cases.  A ``b`` built at a sequence of ``S`` gammas
+    gives all ``S`` members as one problem on ``S*N`` sectors, member-major:
+    its blocks, reshaped to ``(S, N, ...)``, are those of each member's own
+    problem.
     """
-    return example_from_lowering(which, lowering_operator(seqs, gamma))
-
-
-def example_from_lowering(which: int, b: BlockOperator) -> IntertwiningProblem:
-    """Example ``which`` of :func:`example_problem` on the lowering operator ``b``."""
     bd = b.adjoint()
     if which == 1:
         return IntertwiningProblem(h=bd @ b, x=bd)
@@ -230,21 +221,16 @@ def example_from_lowering(which: int, b: BlockOperator) -> IntertwiningProblem:
     raise VcsLabError(f"example number must be 1..4, got {which}")
 
 
-def h_tau_residual(seqs, gamma) -> float:
-    """Max-norm of ``(H - ground shifts) - B+ B`` on the full truncated space.
+def h_tau_residual(seqs, b: BlockOperator) -> float:
+    """Max-norm of ``(H - ground shifts) - B+ B`` on the full truncated space,
+    ``H`` the diagonal of the unshifted ``seqs`` and ``b`` the lowering
+    operator of their shifts.
 
     Both sides are diagonal with the shifted eigenvalues, so this vanishes to
-    rounding; the phases of B cancel in the product.  A sequence of gammas
-    gives the worst member: ``B`` holds every member's sectors, member-major,
-    and ``H`` is repeated once per member to match.  The residual of a ``B``
-    already built is :func:`h_tau_from_lowering`.
+    rounding; the phases of B cancel in the product.  A ``b`` built at a
+    sequence of gammas gives the worst member: it holds every member's
+    sectors, member-major, and ``H`` is repeated once per member to match.
     """
-    return h_tau_from_lowering(seqs, lowering_operator([shift(s) for s in seqs], gamma))
-
-
-def h_tau_from_lowering(seqs, b: BlockOperator) -> float:
-    """:func:`h_tau_residual` of the unshifted ``seqs`` with ``b``, the
-    lowering operator of their shifts at one gamma or a sequence of them."""
     h_tau = shifted_hamiltonian(list(seqs) * (b.space.sectors // len(seqs)))
     return (h_tau - (b.adjoint() @ b)).max_abs()
 

@@ -56,16 +56,15 @@ class MomentWeight:
     """The exponential weight ``rho(u) = exp(-u/omega)/omega`` on [0, inf).
 
     Its moments ``omega^k k!`` are the factorial products of the equally
-    spaced shifted spectrum ``e~[n] = omega*n``.
+    spaced shifted spectrum ``e~[n] = omega*n``.  The scale must be positive
+    and finite: at any other ``omega`` a log moment is not a number.
     """
 
     omega: float
 
-    @classmethod
-    def gamma_family(cls, omega: float = 1.0) -> "MomentWeight":
-        if not omega > 0:
-            raise VcsLabError(f"weight scale must be positive, got {omega}")
-        return cls(float(omega))
+    def __post_init__(self):
+        if not 0.0 < self.omega < math.inf:
+            raise VcsLabError(f"weight scale must be positive and finite, got {self.omega}")
 
     def log_moments(self, orders) -> np.ndarray:
         """``log int rho(u) u^s du = s log omega + lgamma(s + 1)`` at each real order ``s``."""

@@ -12,9 +12,10 @@ A family (:class:`CoherentFamily`, from :func:`coherent_family`, which
 checks each family's conditions on its spectra) holds what does not depend
 on the labels: the checked spectra, their shifts and the phase convention,
 which nothing else writes: its ``frequencies``, ``evolution_phases`` and
-``lowering_weights`` give every phase.  It builds the states of ``S`` label
-draws as one :class:`CoherentStates`, with ``S x N x D`` coefficients, and
-each ``*_residuals`` function returns one value per state in one array
+``lowering_weights`` give every phase, the last from the phase-free
+``steps`` it forms once.  It builds the states of ``S`` label draws as one
+:class:`CoherentStates`, with ``S x N x D`` coefficients, and each
+``*_residuals`` function returns one value per state in one array
 pass; one state is the case ``S = 1``.
 """
 
@@ -35,7 +36,9 @@ from .errors import (
     SpectraNotDisjointError,
     TailTooLargeError,
 )
-from .hilbert import WINDOW_BUFFER, BlockOperator, SectorSpace, lowering_weights, weighted_shift, window_levels
+from .hilbert import (
+    WINDOW_BUFFER, BlockOperator, SectorSpace, lowering_steps, lowering_weights, weighted_shift, window_levels
+)
 from .spectra import ShiftedSequence, eds_check, shift
 
 __all__ = [
@@ -85,14 +88,18 @@ class CoherentFamily:
         f.setflags(write=False)
         return f
 
-    def lowering_weights(self, gammas, steps=None) -> np.ndarray:
+    @functools.cached_property
+    def steps(self) -> tuple:
+        """``hilbert.lowering_steps(self.shifted)``, the factors of every
+        member's lowering operator that no phase enters, formed once."""
+        return lowering_steps(self.shifted)
+
+    def lowering_weights(self, gammas) -> np.ndarray:
         """``(S, N, D-1)``: the sector blocks (offset ``-1``) of the lowering
         operator of the member at each phase in ``gammas``, which that member
         is an eigenstate of.  Block ``j`` takes level ``n`` to ``n - 1`` with
-        weight ``sqrt(e~[n]) exp(-i sign_j (e~[n] - e~[n-1]) gamma)``.
-        ``steps``, when given, is ``hilbert.lowering_steps(self.shifted)``,
-        formed once for many calls."""
-        return lowering_weights(self.shifted, -np.multiply.outer(gammas, self.phase_signs), steps)
+        weight ``sqrt(e~[n]) exp(-i sign_j (e~[n] - e~[n-1]) gamma)``."""
+        return lowering_weights(self.steps, -np.multiply.outer(gammas, self.phase_signs))
 
     def evolution_phases(self, t: float, evolution: str = "family") -> np.ndarray:
         """``N x D``: the phase of each level under evolution by ``t``.

@@ -60,7 +60,7 @@ def test_wrong_weight_scale_fails_moment_verification():
         spectra.linear_sequence(16, 1.0, offset=0.3),
         spectra.linear_sequence(16, math.sqrt(2.0), offset=math.sqrt(2.0) / 2),
     ]
-    weights = [moments.MomentWeight.gamma_family(2.0)] * 2
+    weights = [moments.MomentWeight(2.0)] * 2
     assembly = moments.resolution_assembly(vcs.coherent_family("eds", seqs), weights)
     tol = config.ResolutionParams.TOLERANCES
     assert min(assembly.moment_errors) > tol["moment"]

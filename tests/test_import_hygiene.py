@@ -1,10 +1,12 @@
 """Static checks on the package's modules, read with ``ast``: every name a
-module lists in ``__all__`` exists, and no module but ``__init__.py`` (which
-re-exports) imports a name it never uses.  A deletion that leaves a stale
-export or import behind fails here.  One function alone builds check
-records, from the kinds' check tables, and only the parser and the CLI
-raise ``ConfigError``.  One more check runs a fresh
-interpreter: only the grid comparison may load scipy."""
+module lists in ``__all__`` exists, and no module but ``__init__.py``
+(whose imports load the library modules) imports a name it never uses.  A
+deletion that leaves a stale export or import behind fails here.  One
+function alone builds check records, from the kinds' check tables, and only
+the parser and the CLI raise ``ConfigError``.  Two more checks run a fresh
+interpreter: ``import vcslab`` binds its six library modules and no other
+name, so each name has one public path, its module's; and only the grid
+comparison may load scipy."""
 
 import ast
 import os
@@ -108,6 +110,34 @@ def test_only_the_parser_and_the_cli_raise_config_errors():
     assert raisers == ["cli.py", "config.py"]
 
 
+LIBRARY_MODULES = ["errors", "hilbert", "intertwine", "moments", "spectra", "vcs"]
+
+_PACKAGE_PROBE = """
+import sys
+import vcslab
+print(sorted(name for name in vars(vcslab) if not name.startswith("__")))
+print(sorted(name for name in sys.modules if name.startswith("vcslab.")))
+"""
+
+
+def fresh_interpreter(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new Python that imports this checkout's ``vcslab``."""
+    env = dict(os.environ)
+    src = str(Path(vcslab.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_the_package_binds_only_its_modules():
+    # a name re-exported by the package would be a second path to it; the
+    # modules it loads are what every run pays to import
+    done = fresh_interpreter(_PACKAGE_PROBE)
+    assert done.returncode == 0, done.stderr[-2000:]
+    names, loaded = map(ast.literal_eval, done.stdout.splitlines())
+    assert names == LIBRARY_MODULES
+    assert loaded == [f"vcslab.{name}" for name in LIBRARY_MODULES]
+
+
 # scipy costs about 0.3 s and 27 MiB to import; a user who never runs a grid
 # comparison must not pay that in ``import vcslab`` or anywhere else
 _NO_SCIPY_PROBE = """
@@ -124,10 +154,5 @@ assert "scipy" not in sys.modules, "run_experiment"
 
 
 def test_scipy_stays_unloaded_outside_the_grid_comparison():
-    env = dict(os.environ)
-    src = str(Path(vcslab.__file__).parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_PROBE], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = fresh_interpreter(_NO_SCIPY_PROBE)
     assert done.returncode == 0, done.stderr[-2000:]

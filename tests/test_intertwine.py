@@ -29,6 +29,16 @@ def shifted_pair(dim=40, omegas=(1.0, math.sqrt(2.0))):
     return [spectra.shift(spectra.linear_sequence(dim, w)) for w in omegas]
 
 
+def example(which, seqs, gamma):
+    """Example ``which`` on the lowering operator of the shifted ``seqs`` at ``gamma``."""
+    return intertwine.example_problem(which, hilbert.lowering_operator(seqs, gamma))
+
+
+def h_tau(seqs, gamma):
+    """The factorization residual of the unshifted ``seqs`` at ``gamma``."""
+    return intertwine.h_tau_residual(seqs, hilbert.lowering_operator([spectra.shift(s) for s in seqs], gamma))
+
+
 def boson_problem(dim=60, power=2):
     a = hilbert.quon_ladder(dim, 1.0)
     ad = a.adjoint()
@@ -75,7 +85,7 @@ class TestConstructCompanion:
         # h = B+B, x = B+ gives the companion B B+ with eigenvectors B phi_n
         seqs = shifted_pair()
         gamma = 0.7
-        problem = intertwine.example_problem(1, seqs, gamma)
+        problem = example(1, seqs, gamma)
         companion = intertwine.construct_companion(problem)
         b = hilbert.lowering_operator(seqs, gamma)
         assert (companion - b @ b.adjoint()).max_abs(problem.keep) <= 1e-12
@@ -86,7 +96,7 @@ class TestConstructCompanion:
 
     def test_example2_n1_diagonal(self):
         seqs = shifted_pair()
-        problem = intertwine.example_problem(2, seqs, 1.3)
+        problem = example(2, seqs, 1.3)
         cert = intertwine.certify(problem, intertwine.construct_companion(problem))
         keep = problem.keep
         for j, s in enumerate(seqs):
@@ -100,7 +110,7 @@ class TestConstructCompanion:
 
     def test_example3_images_vanish_below_three(self):
         seqs = shifted_pair()
-        problem = intertwine.example_problem(3, seqs, 0.4)
+        problem = example(3, seqs, 0.4)
         cert = intertwine.certify(problem, intertwine.construct_companion(problem))
         assert set(cert.skipped_levels) == {(j, n) for j in range(2) for n in range(3)}
         assert within_tolerances(cert)
@@ -109,7 +119,7 @@ class TestConstructCompanion:
         # h = (B+)^2 B^2 has eigenvalue e~[n] e~[n-1]; companion is B+ B^2 B+
         seqs = shifted_pair(omegas=(1.0, 1.0))
         gamma = 2.2
-        problem = intertwine.example_problem(4, seqs, gamma)
+        problem = example(4, seqs, gamma)
         h_diag = problem.h.blocks[0].real
         n = np.arange(seqs[0].dim)
         np.testing.assert_allclose(h_diag, n * np.append(0, n[:-1]), atol=1e-12)
@@ -125,7 +135,7 @@ class TestConstructCompanion:
     def test_gamma_independence(self, which):
         # h and the companion do not depend on gamma (relative to their scale)
         seqs = shifted_pair()
-        problems = [intertwine.example_problem(which, seqs, g) for g in (0.0, 0.7, 3.1)]
+        problems = [example(which, seqs, g) for g in (0.0, 0.7, 3.1)]
         companions = [intertwine.construct_companion(p) for p in problems]
         h_scale = max(1.0, problems[0].h.max_abs())
         c_scale = max(1.0, companions[0].max_abs())
@@ -146,13 +156,13 @@ class TestConstructCompanion:
     def test_unknown_example_rejected(self):
         # a library error (exit 1), not a config error: the config's Literal names the key
         with pytest.raises(errors.VcsLabError, match="^example number must be 1..4, got 5$") as info:
-            intertwine.example_problem(5, shifted_pair(), 0.7)
+            example(5, shifted_pair(), 0.7)
         assert not isinstance(info.value, errors.ConfigError)
 
     def test_certificates_at_production_size(self):
         seqs = shifted_pair(80)
         for which in (1, 2, 3, 4):
-            problem = intertwine.example_problem(which, seqs, 0.7)
+            problem = example(which, seqs, 0.7)
             cert = intertwine.certify(problem, intertwine.construct_companion(problem))
             assert cert.alpha_residual <= 1e-10
             assert cert.beta_residual <= 1e-10
@@ -162,7 +172,7 @@ class TestConstructCompanion:
         # feeding the companion back in with the same x certifies again
         seqs = shifted_pair()
         gamma = 0.9
-        problem = intertwine.example_problem(1, seqs, gamma)
+        problem = example(1, seqs, gamma)
         first = intertwine.construct_companion(problem)
         second_problem = IntertwiningProblem(h=first, x=problem.x)
         second = intertwine.construct_companion(second_problem)
@@ -172,7 +182,7 @@ class TestConstructCompanion:
         # example 1's companion has its top level zeroed (a dropped N1 mode),
         # so its diagonal is not sorted; the certificate must still name
         # levels, and gamma must judge the window levels 0..keep-1
-        problem = intertwine.example_problem(1, shifted_pair(), 0.7)
+        problem = example(1, shifted_pair(), 0.7)
         h = intertwine.construct_companion(problem)
         assert h.blocks[0, -1] == 0.0
         second = IntertwiningProblem(h=h, x=problem.x)
@@ -189,8 +199,8 @@ class TestConstructCompanion:
         assert broken.gamma_residual > GAMMA_TOL
 
     def test_problems_compare_without_raising(self):
-        problem = intertwine.example_problem(1, shifted_pair(), 0.7)
-        other = intertwine.example_problem(1, shifted_pair(), 0.7)
+        problem = example(1, shifted_pair(), 0.7)
+        other = example(1, shifted_pair(), 0.7)
         assert problem == problem
         assert (problem == other) is False
 
@@ -224,8 +234,8 @@ class TestConstructCompanion:
         # two copies of one spectrum make N1 degenerate across the sectors;
         # each sector must still reproduce the single-sector companion
         s = spectra.shift(spectra.linear_sequence(30, 1.0))
-        single_problem = intertwine.example_problem(1, [s], 0.7)
-        double_problem = intertwine.example_problem(1, [s, s], 0.7)
+        single_problem = example(1, [s], 0.7)
+        double_problem = example(1, [s, s], 0.7)
         single = intertwine.construct_companion(single_problem)
         double = intertwine.construct_companion(double_problem)
         assert len(double.blocks) == 2
@@ -322,7 +332,7 @@ class TestWeightedShiftCompanions:
     def problems(self):
         seqs = shifted_pair(40)
         for which in (1, 2, 3, 4):
-            yield intertwine.example_problem(which, seqs, 0.7)
+            yield example(which, seqs, 0.7)
         yield boson_problem(40)
         yield intertwine.ladder_problem(40, 0.5)
 
@@ -334,7 +344,7 @@ class TestWeightedShiftCompanions:
 
     def test_peak_memory_stays_at_vector_size(self):
         # one dense complex 1024 x 1024 block alone takes 16 MiB
-        problem = intertwine.example_problem(3, shifted_pair(1024), 0.7)
+        problem = example(3, shifted_pair(1024), 0.7)
         tracemalloc.start()
         try:
             cert = intertwine.certify(problem, intertwine.construct_companion(problem))
@@ -425,16 +435,16 @@ class TestNoRepeatedWork:
     @pytest.mark.parametrize("dim", [80, 240])
     @pytest.mark.parametrize("bundle", COMPANION_BUNDLES[:4])
     def test_factorization_check_is_h_tau_residual(self, bundle, dim):
-        # the run reads the example problem's lowering operator; the entry
-        # point builds its own, and the value is the same float
+        # the run reads the example problem's lowering operator; one built
+        # here from the spectra and gammas gives the same float
         raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
         cfg = config.parse_config({**raw, "dim": dim})
         report, _ = experiments.run_experiment(cfg)
         value = {c.name: c.value for c in report.checks}["shifted-hamiltonian-factorization"]
-        assert value == intertwine.h_tau_residual(cfg.spectra, cfg.params.gammas)
+        assert value == h_tau(cfg.spectra, cfg.params.gammas)
 
     PROBLEMS = [
-        *(lambda which=which: intertwine.example_problem(which, shifted_pair(), (0.0, 0.7)) for which in (1, 2, 3, 4)),
+        *(lambda which=which: example(which, shifted_pair(), (0.0, 0.7)) for which in (1, 2, 3, 4)),
         lambda: intertwine.ladder_problem(40),
         lambda: intertwine.ladder_problem(40, (0.5, 1.0)),
     ]
@@ -472,11 +482,11 @@ class TestBatchedMembers:
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
     def test_gamma_members_match_their_own_problems(self, which):
         seqs = shifted_pair()
-        batched = intertwine.example_problem(which, seqs, self.GAMMAS)
+        batched = example(which, seqs, self.GAMMAS)
         companion = intertwine.construct_companion(batched)
         assert batched.h.space.sectors == len(self.GAMMAS) * len(seqs)
         for s, gamma in enumerate(self.GAMMAS):
-            own = intertwine.example_problem(which, seqs, gamma)
+            own = example(which, seqs, gamma)
             own_companion = intertwine.construct_companion(own)
             for op, own_op in ((batched.h, own.h), (batched.n1, own.n1), (companion, own_companion)):
                 assert self.members(op, len(self.GAMMAS))[s].tobytes() == own_op.blocks.tobytes()
@@ -496,11 +506,11 @@ class TestBatchedMembers:
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
     def test_batched_certificate_is_the_worst_member(self, which):
         seqs = shifted_pair()
-        batched = intertwine.example_problem(which, seqs, self.GAMMAS)
+        batched = example(which, seqs, self.GAMMAS)
         cert = intertwine.certify(batched, intertwine.construct_companion(batched))
         own = []
         for gamma in self.GAMMAS:
-            problem = intertwine.example_problem(which, seqs, gamma)
+            problem = example(which, seqs, gamma)
             own.append(intertwine.certify(problem, intertwine.construct_companion(problem)))
         assert cert.gamma_residual == max(c.gamma_residual for c in own)
         # alpha and beta divide by scales that are maxima over all members
@@ -510,8 +520,8 @@ class TestBatchedMembers:
 
     def test_h_tau_residual_is_the_worst_member(self):
         seqs = [spectra.linear_sequence(80, 1.0, offset=0.3), spectra.quon_sequence(80, 0.9, offset=0.55)]
-        worst = max(intertwine.h_tau_residual(seqs, g) for g in self.GAMMAS)
-        assert intertwine.h_tau_residual(seqs, self.GAMMAS) == worst > 0.0
+        worst = max(h_tau(seqs, g) for g in self.GAMMAS)
+        assert h_tau(seqs, self.GAMMAS) == worst > 0.0
 
 
 class TestHTauFactorization:
@@ -521,7 +531,7 @@ class TestHTauFactorization:
             spectra.linear_sequence(16, 1.0, offset=0.3),
             spectra.linear_sequence(16, math.sqrt(2.0), offset=0.55),
         ]
-        assert intertwine.h_tau_residual(seqs, gamma) <= 1e-14
+        assert h_tau(seqs, gamma) <= 1e-14
 
     def test_quon_pair(self):
         seqs = [
@@ -529,7 +539,7 @@ class TestHTauFactorization:
             spectra.quon_sequence(40, 0.9, offset=0.55),
         ]
         for gamma in (0.0, 0.7, 3.1):
-            assert intertwine.h_tau_residual(seqs, gamma) <= 1e-14
+            assert h_tau(seqs, gamma) <= 1e-14
 
     def test_large_truncation_scales_with_spectrum(self):
         # at larger spectral range the identity holds to a few ulp of the top level
@@ -538,7 +548,7 @@ class TestHTauFactorization:
             spectra.linear_sequence(80, math.sqrt(2.0), offset=0.55),
         ]
         top = max(s.values[-1] - s.values[0] for s in seqs)
-        assert intertwine.h_tau_residual(seqs, 0.7) <= 10 * np.finfo(float).eps * top
+        assert h_tau(seqs, 0.7) <= 10 * np.finfo(float).eps * top
 
 
 def boson_bundle_at(dim):
@@ -725,7 +735,7 @@ class TestRangeProjector:
         self.check(IntertwiningProblem(h=n_op, x=BlockOperator([1.0 + n_op.blocks[0]])), 0)
 
     def test_two_sector_deficiency(self):
-        problem = intertwine.example_problem(2, shifted_pair(40), 0.0)
+        problem = example(2, shifted_pair(40), 0.0)
         assert problem.x.space.sectors == 2
         self.check(problem, 2)
 

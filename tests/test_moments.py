@@ -23,21 +23,21 @@ def eds_pair(dim=16):
 
 def eds_weights():
     return [
-        moments.MomentWeight.gamma_family(1.0),
-        moments.MomentWeight.gamma_family(math.sqrt(2.0)),
+        moments.MomentWeight(1.0),
+        moments.MomentWeight(math.sqrt(2.0)),
     ]
 
 
 class TestVerifyMoments:
     def test_unit_scale_exactness(self):
         # int_0^inf u^k e^-u du = k!, to rounding of the log domain
-        weight = moments.MomentWeight.gamma_family(1.0)
+        weight = moments.MomentWeight(1.0)
         errs = moments.verify_moments(weight, spectra.linear_sequence(30), k_max=20)
         assert errs.max() <= 1e-12
 
     def test_scaled_moments(self):
         # weight scale 2 against e~[n] = 2n: moments 2^k k!
-        weight = moments.MomentWeight.gamma_family(2.0)
+        weight = moments.MomentWeight(2.0)
         seq = spectra.linear_sequence(16, 2.0)
         errs = moments.verify_moments(weight, seq, k_max=12)
         assert errs.max() <= 1e-12
@@ -48,18 +48,18 @@ class TestVerifyMoments:
     def test_half_integer_moments(self):
         # int_0^inf u^(1/2) e^-u/omega du / omega = omega^(1/2) sqrt(pi) / 2, and
         # u^(3/2) gives three halves of that times omega
-        weight = moments.MomentWeight.gamma_family(3.0)
+        weight = moments.MomentWeight(3.0)
         half, three_halves = np.exp(weight.log_moments([0.5, 1.5]))
         assert half == pytest.approx(math.sqrt(3.0 * math.pi) / 2.0, rel=1e-15)
         assert three_halves == pytest.approx(1.5 * 3.0 * half, rel=1e-15)
 
     def test_zeroth_moment_is_one(self):
-        weight = moments.MomentWeight.gamma_family(3.7)
+        weight = moments.MomentWeight(3.7)
         errs = moments.verify_moments(weight, spectra.linear_sequence(8, 3.7), k_max=0)
         assert errs[0] == 0.0
 
     def test_mismatched_weight_detected(self):
-        weight = moments.MomentWeight.gamma_family(2.0)
+        weight = moments.MomentWeight(2.0)
         seq = spectra.linear_sequence(12, 1.0)
         errs = moments.verify_moments(weight, seq, k_max=6)
         assert errs.max() > 0.5
@@ -69,12 +69,24 @@ class TestVerifyMoments:
         # a library error (exit 1), not a config error: no key is at fault
         for omega in (-2.0, 0.0):
             with pytest.raises(errors.VcsLabError, match="weight scale must be positive") as info:
-                moments.MomentWeight.gamma_family(omega)
+                moments.MomentWeight(omega)
             assert not isinstance(info.value, errors.ConfigError)
+
+    @pytest.mark.parametrize("omega", [0.0, -1.0, math.nan, math.inf])
+    def test_scale_outside_the_open_half_line_rejected(self, omega):
+        # at 0 or below, log(omega) has no value, and at NaN or inf the order-0
+        # log moment, 0 * log(omega), is NaN: the constructor refuses them all
+        with pytest.raises(errors.VcsLabError, match=r"^weight scale must be positive and finite, got "):
+            moments.MomentWeight(omega)
+
+    @pytest.mark.parametrize("omega", [5e-324, np.finfo(float).max])
+    def test_every_positive_finite_scale_builds(self, omega):
+        # the guard's two ends: the smallest and largest floats inside it
+        assert moments.MomentWeight(omega).log_moments([0.0, 0.5, 1.0])[0] == 0.0
 
     def test_order_past_the_truncation_rejected(self):
         # orders 0..dim-1 have factorial products; dim has none
-        weight = moments.MomentWeight.gamma_family(1.0)
+        weight = moments.MomentWeight(1.0)
         seq = spectra.linear_sequence(8)
         assert len(moments.verify_moments(weight, seq, 7)) == 8
         with pytest.raises(errors.DimensionMismatchError, match="^k_max 8 exceeds truncation 7$"):
@@ -88,7 +100,7 @@ class TestVerifyMoments:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for omega in (1.0, 20.0):
-                weight = moments.MomentWeight.gamma_family(omega)
+                weight = moments.MomentWeight(omega)
                 errs = moments.verify_moments(weight, spectra.linear_sequence(4096, omega, 0.3), 4095)
                 assert np.isfinite(errs).all() and errs.max() <= tol
 
@@ -182,7 +194,7 @@ class TestResolutionCheck:
 
     def test_delta_family(self):
         seqs = [spectra.linear_sequence(16), spectra.linear_sequence(16)]
-        weights = [moments.MomentWeight.gamma_family(1.0)] * 2
+        weights = [moments.MomentWeight(1.0)] * 2
         assembly = assembled("delta", seqs, weights, delta=0.5)
         assert max(assembly.moment_errors) <= 1e-8
         assert assembly.offdiag_error(1e4) <= 1e-2
@@ -215,7 +227,7 @@ class TestResolutionCheck:
         # the wrong scales show in the reported moment errors, for the
         # caller's moment-verification check to reject
         seqs = eds_pair()
-        weights = [moments.MomentWeight.gamma_family(2.0)] * 2  # wrong scales
+        weights = [moments.MomentWeight(2.0)] * 2  # wrong scales
         assert min(assembled("eds", seqs, weights).moment_errors) > 1e-8
 
 
@@ -223,7 +235,7 @@ class TestResolutionCheck:
         # a weight scale of 1e-300 puts the moment factor of every bottom
         # entry below the float range: the same-sector maximum is 0, which
         # prunes no cross-sector entry, and the result is still the largest
-        family, weights = built("eds", eds_pair()), [moments.MomentWeight.gamma_family(1e-300)] * 2
+        family, weights = built("eds", eds_pair()), [moments.MomentWeight(1e-300)] * 2
         assembly = moments.resolution_assembly(family, weights)
         for horizon in (1e2, 1e4):
             offdiag = assembly.offdiag_error(horizon)
@@ -233,7 +245,7 @@ class TestResolutionCheck:
         # at dim 2 the entry (0, 1) is the bottom of the first diagonal and
         # the whole of the last
         family = built("eds", [spectra.linear_sequence(2, 1.5, 0.2)])
-        weights = [moments.MomentWeight.gamma_family(1.5)]
+        weights = [moments.MomentWeight(1.5)]
         offdiag = moments.resolution_assembly(family, weights).offdiag_error(1e2)
         assert offdiag == dense_offdiag_error(family, weights, 1e2) > 0.0
 
@@ -272,7 +284,7 @@ class TestDenseOracle:
     @settings(max_examples=40)
     def test_pruned_maximum_matches_the_dense_candidate(self, family, data):
         cfg = data.draw(resolution_configs(family))
-        weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in cfg.spectra]
+        weights = [moments.MomentWeight(s.values[1] - s.values[0]) for s in cfg.spectra]
         assembly = moments.resolution_assembly(cfg.family, weights)
         for horizon in cfg.params.horizons:
             dense = dense_offdiag_error(cfg.family, weights, horizon)
@@ -288,7 +300,7 @@ class TestDeltaZeroFailure:
         return vcs.coherent_family("delta", seqs, delta)
 
     def weights(self):
-        return [moments.MomentWeight.gamma_family(1.0)] * 2
+        return [moments.MomentWeight(1.0)] * 2
 
     def bundle(self, **params):
         """The shipped zero-regulator bundle as a mapping, with ``params`` overridden."""
@@ -389,7 +401,7 @@ def test_one_assembly_per_run(bundle, monkeypatch):
 
     # the same bits as building everything again at every horizon
     horizons = sorted(p.horizons)
-    weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in seqs]
+    weights = [moments.MomentWeight(s.values[1] - s.values[0]) for s in seqs]
     assemblies = [moments.resolution_assembly(cfg.family, weights) for _ in horizons]
     assert values["moment-verification"] == max(max(a.moment_errors) for a in assemblies)
     rows = [f"{h:.17g}\t{a.offdiag_error(h):.17g}" for a, h in zip(assemblies, horizons)]
@@ -419,7 +431,7 @@ def test_assembly_moment_errors_are_verify_moments(bundle, dim):
     # on its own: the two paths give the same floats, as shipped and at the ceiling
     raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
     cfg = config.parse_config(raw if dim is None else {**raw, "dim": dim})
-    weights = [moments.MomentWeight.gamma_family(s.values[1] - s.values[0]) for s in cfg.spectra]
+    weights = [moments.MomentWeight(s.values[1] - s.values[0]) for s in cfg.spectra]
     assembly = moments.resolution_assembly(cfg.family, weights)
     expected = tuple(float(moments.verify_moments(w, s, cfg.dim - 1).max()) for w, s in zip(weights, cfg.spectra))
     assert assembly.moment_errors == expected

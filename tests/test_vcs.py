@@ -403,7 +403,7 @@ class TestEigenstateRelation:
     def test_zero_intensities(self):
         family = vcs.coherent_family("eds", eds_linear_pair(12))
         states = family.states([[0.0, 0.0]], [0.9])
-        lowering = hilbert.lowering_weights(family.shifted, [0.9])
+        lowering = hilbert.lowering_weights(hilbert.lowering_steps(family.shifted), [0.9])
         assert vcs.eigenstate_residuals(states, lowering)[0] <= 1e-15
 
     def test_matched_gamma(self):
@@ -411,7 +411,7 @@ class TestEigenstateRelation:
         family = vcs.coherent_family("eds", eds_linear_pair())
         draws = [(rng.uniform(0, 4, size=2), rng.uniform(-3, 3)) for _ in range(10)]
         states = family.states([j for j, _ in draws], [g for _, g in draws])
-        lowering = hilbert.lowering_weights(family.shifted, states.gammas)
+        lowering = hilbert.lowering_weights(hilbert.lowering_steps(family.shifted), states.gammas)
         resid = vcs.eigenstate_residuals(states, lowering)
         assert np.all(resid <= np.maximum(10 * states.tail_bound, 5e-13))
 
@@ -426,17 +426,16 @@ class TestEigenstateRelation:
         # one sector: the classic construction, eigenstate of its own ladder
         family = vcs.coherent_family("eds", [spectra.linear_sequence(50)])
         states = family.states([[1.5]], [0.8])
-        lowering = hilbert.lowering_weights(family.shifted, [0.8])
+        lowering = hilbert.lowering_weights(hilbert.lowering_steps(family.shifted), [0.8])
         assert vcs.eigenstate_residuals(states, lowering)[0] <= 5e-13
 
     def test_mismatched_gamma_nonlinear_witness(self):
         family = vcs.coherent_family("eds", eds_quon_pair())
         gamma = 0.4
         states = family.states([[1.0, 1.0]], [gamma])
-        matched = vcs.eigenstate_residuals(states, hilbert.lowering_weights(family.shifted, [gamma]))
-        mismatched = vcs.eigenstate_residuals(
-            states, hilbert.lowering_weights(family.shifted, [gamma + 1.0])
-        )
+        steps = hilbert.lowering_steps(family.shifted)
+        matched = vcs.eigenstate_residuals(states, hilbert.lowering_weights(steps, [gamma]))
+        mismatched = vcs.eigenstate_residuals(states, hilbert.lowering_weights(steps, [gamma + 1.0]))
         assert matched[0] <= 5e-13
         assert mismatched[0] > 1e-2
 
@@ -510,7 +509,7 @@ def test_lowering_steps_are_formed_once_per_run(bundle, dim, monkeypatch):
         return lowering_steps(seqs)
 
     monkeypatch.setattr(hilbert, "lowering_steps", counting)
-    monkeypatch.setattr(experiments, "lowering_steps", counting)
+    monkeypatch.setattr(vcs, "lowering_steps", counting)
     raw = yaml.safe_load((resources.files("vcslab") / "configs" / f"{bundle}.yaml").read_text())
     cfg = config.parse_config(raw if dim is None else {**raw, "dim": dim})
     run_experiment(cfg)
